@@ -7,9 +7,14 @@ remaining pages; x solves a dense pinned linear system, and the conditional
 probability for every s (including s in {p, q}) is one chain step applied to
 it: alpha(p<q|s) = (M x)[s].
 
-Systems are solved by LU factorization with partial pivoting; a pivot below
-``PIVOT_TOL`` means the pair is unreachable from part of the chain (reducible
-chain) and is reported as :class:`SingularSystem` tagged with the pair.
+All n(n-1) pinned systems are built as one stack and inverted with a single
+batched ``numpy.linalg.inv`` call; column p of each inverse is the pair's x,
+and the row-sum norms of the inverses give ``gamma``. A system that is
+singular, or whose inf-norm condition number exceeds ``1 / PIVOT_TOL``, means
+the pair is unreachable from part of the chain (reducible chain) and is
+reported as :class:`SingularSystem` tagged with the first such pair in
+(p, q) row-major order. Solutions leaving [0,1] by more than ``CLAMP_TOL``
+raise :class:`SolutionOutOfRange`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PIVOT_TOL = 1e-12
+PIVOT_TOL = 1e-12  # reciprocal of the largest accepted inf-norm condition number
 CLAMP_TOL = 1e-7  # max tolerated out-of-[0,1] excursion before erroring
 
 ALPHA_DUMP_VERSION = 1
@@ -53,91 +58,96 @@ class AlphaTable:
         return self.values[np.ix_(idx, idx, [s])][:, :, 0]
 
 
-@dataclass(frozen=True)
-class PairSystem:
-    """The pinned system L x = b for one ordered pair (p, q).
+def pinned_systems(chain, pairs=None):
+    """The pinned systems L x = e_p for ordered pairs (p, q), as one stack.
 
-    Row p is the unit row e_p with right-hand side 1, row q is e_q with 0, and
-    every other row r is (row r of M) - e_r with 0.
+    ``pairs`` defaults to every pair p != q in (p, q) row-major order. Row p
+    of each L is the unit row e_p, row q is e_q, and every other row r is
+    (row r of M) - e_r. Returns ``(p, q, L)``: two index arrays and the
+    ``(len(pairs), n, n)`` stack of matrices.
     """
-
-    p: int
-    q: int
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
-def pair_system(chain, p: int, q: int) -> PairSystem:
-    if p == q:
-        raise ValueError("pair pages must be distinct")
     n = chain.n
-    L = chain.transition - np.eye(n)
-    L[p] = 0.0
-    L[p, p] = 1.0
-    L[q] = 0.0
-    L[q, q] = 1.0
-    b = np.zeros(n)
-    b[p] = 1.0
-    return PairSystem(p=p, q=q, matrix=L, rhs=b)
+    if pairs is None:
+        p, q = np.nonzero(~np.eye(n, dtype=bool))
+    else:
+        p, q = (np.array(a, dtype=np.int64) for a in zip(*pairs))
+        if np.any(p == q):
+            raise ValueError("pair pages must be distinct")
+        if np.any((p < 0) | (p >= n) | (q < 0) | (q >= n)):
+            raise ValueError(f"pair pages must lie in 0..{n - 1}")
+    m = np.arange(len(p))
+    L = np.repeat((chain.transition - np.eye(n))[None], len(p), axis=0)
+    L[m, p] = 0.0
+    L[m, q] = 0.0
+    L[m, p, p] = 1.0
+    L[m, q, q] = 1.0
+    return p, q, L
 
 
-def lu_factor(a: np.ndarray, p: int, q: int):
-    """LU with partial pivoting; raises :class:`SingularSystem` on a tiny pivot.
+def _inverse_stack(p, q, L):
+    """Inverses of the stacked systems and their inf-norms.
 
-    Returns (lu, perm) in the compact convention: U on and above the diagonal,
-    unit-L multipliers below.
+    Raises :class:`SingularSystem` for the first pair, in stack order, whose
+    system is singular or has an inf-norm condition number above
+    ``1 / PIVOT_TOL``.
     """
-    lu = np.array(a, dtype=float)
-    n = lu.shape[0]
-    perm = np.arange(n)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[piv, k]) < PIVOT_TOL:
-            raise SingularSystem(p, q, f": pivot {lu[piv, k]!r} at column {k}")
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
+    try:
+        inv = np.linalg.inv(L)
+    except np.linalg.LinAlgError:
+        # locate the singular systems; their inverses stay NaN
+        inv = np.full_like(L, np.nan)
+        for i in range(len(L)):
+            try:
+                inv[i] = np.linalg.inv(L[i])
+            except np.linalg.LinAlgError:
+                pass
+    inv_norm = np.abs(inv).sum(axis=2).max(axis=1)
+    cond = np.abs(L).sum(axis=2).max(axis=1) * inv_norm
+    bad = np.flatnonzero(~(cond <= 1.0 / PIVOT_TOL))  # NaN counts as bad
+    if bad.size:
+        i = bad[0]
+        detail = ": matrix is singular" if np.isnan(cond[i]) else (
+            f": condition number {float(cond[i]):.3g} > {1.0 / PIVOT_TOL:.3g}"
+        )
+        raise SingularSystem(int(p[i]), int(q[i]), detail)
+    return inv, inv_norm
 
 
-def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = b[perm].astype(float)
-    for k in range(1, n):  # forward: unit lower triangle
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):  # backward
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    return x
-
-
-def _solve_pair(chain, p: int, q: int) -> np.ndarray:
-    sys = pair_system(chain, p, q)
-    lu, perm = lu_factor(sys.matrix, p, q)
-    x = lu_solve(lu, perm, sys.rhs)
-    excess = max(float(-x.min(initial=0.0)), float(x.max(initial=1.0) - 1.0), 0.0)
-    if excess > CLAMP_TOL:
+def first_passage(p, q, L) -> np.ndarray:
+    """The solutions x of the stacked systems, one row per pair, clipped to [0,1]."""
+    inv, _ = _inverse_stack(p, q, L)
+    x = inv[np.arange(len(p)), :, p]  # column p of each inverse solves L x = e_p
+    excess = np.maximum(-x.min(axis=1, initial=0.0), x.max(axis=1, initial=1.0) - 1.0)
+    bad = np.flatnonzero(excess > CLAMP_TOL)
+    if bad.size:
+        i = bad[0]
         raise SolutionOutOfRange(
-            f"pair ({p}, {q}): solution leaves [0,1] by {excess!r} (> {CLAMP_TOL})"
+            f"pair ({p[i]}, {q[i]}): solution leaves [0,1] by {float(excess[i])!r} (> {CLAMP_TOL})"
         )
     return np.clip(x, 0.0, 1.0)
 
 
+def _chain_step(x: np.ndarray, chain) -> np.ndarray:
+    """Row i of the result is M @ x[i].
+
+    Summed per row rather than by a matrix product, because BLAS rounds a
+    one-row product differently from a many-row one; this way one pair and
+    the whole table give the same bits.
+    """
+    return (x[:, None, :] * chain.transition).sum(axis=2)
+
+
 def alpha_pair(chain, p: int, q: int) -> np.ndarray:
     """alpha(p<q|s) for every conditioning page s, as a length-n vector."""
-    x = _solve_pair(chain, p, q)
-    return chain.transition @ x
+    return _chain_step(first_passage(*pinned_systems(chain, [(p, q)])), chain)[0]
 
 
 def alpha_table(chain) -> AlphaTable:
     """Full table over all ordered pairs; alpha(p<p|s) = 0 exactly."""
     n = chain.n
+    p, q, L = pinned_systems(chain)
     values = np.zeros((n, n, n))
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                values[p, q] = alpha_pair(chain, p, q)
+    values[p, q] = _chain_step(first_passage(p, q, L), chain)
     return AlphaTable(n=n, values=values)
 
 
@@ -145,20 +155,11 @@ def gamma(chain) -> float:
     """Worst conditioning over pairs: sup_{p != q} of the inf-norm of L^{-1}.
 
     Controls how transition-matrix error propagates into the precedence
-    probabilities. Computed by explicit inverse from each pair's LU factors.
+    probabilities. Computed as the largest row-sum norm over the batched
+    inverses of all pinned pair systems.
     """
-    n = chain.n
-    worst = 0.0
-    eye = np.eye(n)
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            sys = pair_system(chain, p, q)
-            lu, perm = lu_factor(sys.matrix, p, q)
-            inv = np.column_stack([lu_solve(lu, perm, eye[:, j]) for j in range(n)])
-            worst = max(worst, float(np.abs(inv).sum(axis=1).max()))
-    return worst
+    _, inv_norm = _inverse_stack(*pinned_systems(chain))
+    return float(inv_norm.max())
 
 
 def save_table(table: AlphaTable, path) -> None:

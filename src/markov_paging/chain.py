@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
+SAMPLE_CHUNK = 1024  # uniforms per next-page table in sample_sequence
 
 
 class NonStochasticRow(ValueError):
@@ -99,20 +100,33 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> RequestSequence:
     """Draw ``T`` requests: the first from ``init``, the rest from transition rows.
 
     Deterministic given ``seed`` (an int or a sequence of ints feeding
-    ``numpy.random.default_rng``).
+    ``numpy.random.default_rng``). Request t is the first page whose
+    cumulative probability in the row of request t-1 exceeds the t-th uniform.
+    The uniforms are consumed in chunks of ``SAMPLE_CHUNK``: for each chunk
+    the next page from every state is looked up at once, one ``searchsorted``
+    per row, and the chain is then walked through that table.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     rng = np.random.default_rng(seed)
+    n = chain.n
     cum = np.cumsum(chain.transition, axis=1)
     cum_init = np.cumsum(chain.init)
     u = rng.random(T)
     pages = np.empty(T, dtype=np.int64)
-    last = min(int(np.searchsorted(cum_init, u[0], side="right")), chain.n - 1)
+    last = min(int(np.searchsorted(cum_init, u[0], side="right")), n - 1)
     pages[0] = last
-    for t in range(1, T):
-        last = min(int(np.searchsorted(cum[last], u[t], side="right")), chain.n - 1)
-        pages[t] = last
+    for start in range(1, T, SAMPLE_CHUNK):
+        chunk = u[start : start + SAMPLE_CHUNK]
+        nxt = np.empty((len(chunk), n), dtype=np.int64)
+        for r in range(n):
+            nxt[:, r] = np.searchsorted(cum[r], chunk, side="right")
+        flat = np.minimum(nxt, n - 1).ravel().tolist()  # step j from state r: flat[j*n + r]
+        walked = []
+        for base in range(0, len(flat), n):
+            last = flat[base + last]
+            walked.append(last)
+        pages[start : start + len(chunk)] = walked
     return RequestSequence(pages=pages, seed=seed)
 
 

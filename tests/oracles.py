@@ -2,11 +2,31 @@
 
 These deliberately avoid the implementation's code paths: precedence
 probabilities come from raw chain rollouts, optimal paging cost from an
-exhaustive expectation tree over request realizations (no state merging), and
-matrix geometric series from term-by-term accumulation.
+exhaustive expectation tree over request realizations (no state merging),
+matrix geometric series from term-by-term accumulation, and request traces
+from a one-request-at-a-time sampling loop.
 """
 
 import numpy as np
+
+
+def loop_sample_pages(chain, T, seed):
+    """Request pages drawn one at a time: the reference for ``sample_sequence``.
+
+    The first request inverts ``init``'s cumulative sum at the first uniform,
+    request t inverts the cumulative row of request t-1 at the t-th uniform.
+    """
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(chain.transition, axis=1)
+    cum_init = np.cumsum(chain.init)
+    u = rng.random(T)
+    pages = np.empty(T, dtype=np.int64)
+    last = min(int(np.searchsorted(cum_init, u[0], side="right")), chain.n - 1)
+    pages[0] = last
+    for t in range(1, T):
+        last = min(int(np.searchsorted(cum[last], u[t], side="right")), chain.n - 1)
+        pages[t] = last
+    return pages
 
 
 def rollout_alpha(chain, p, q, s, trials, seed, max_steps=100_000):

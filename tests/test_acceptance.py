@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from markov_paging.alpha import alpha_table, lu_factor, lu_solve, pair_system
+from markov_paging.alpha import alpha_table, first_passage, pinned_systems
 from markov_paging.chain import build_lb_chain, random_chain, sample_sequence
 from markov_paging.engine import exact_cost, simulate
 from markov_paging.learn import approx_dominating_policy, estimate_transition
@@ -55,11 +55,10 @@ def test_criterion_1_alpha_correctness():
             for q in range(p + 1, 5):
                 if np.abs(v[p, q] + v[q, p] - 1.0).max() > 1e-9:
                     problems.append(f"chain {i}: pair ({p},{q}) not complementary")
-                sys = pair_system(chain, p, q)
-                lu, perm = lu_factor(sys.matrix, p, q)
-                x = lu_solve(lu, perm, sys.rhs)
-                if np.abs(sys.matrix @ x - sys.rhs).max() > 1e-9:
-                    problems.append(f"chain {i}: pair ({p},{q}) residual too large")
+        ps, qs, L = pinned_systems(chain)
+        residual = np.abs(np.einsum("mij,mj->mi", L, first_passage(ps, qs, L)) - np.eye(5)[ps]).max(axis=1)
+        for p, q in zip(ps[residual > 1e-9], qs[residual > 1e-9]):
+            problems.append(f"chain {i}: pair ({p},{q}) residual too large")
     rng = np.random.default_rng(77)
     for j in range(10):
         chain, table = tables[j]

@@ -6,11 +6,10 @@ from markov_paging.alpha import (
     SingularSystem,
     alpha_pair,
     alpha_table,
+    first_passage,
     gamma,
     load_table,
-    lu_factor,
-    lu_solve,
-    pair_system,
+    pinned_systems,
     save_table,
 )
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
@@ -91,14 +90,20 @@ def test_iid_closed_form():
 @settings(max_examples=15, deadline=None)
 @given(chain_specs(n_min=2, n_max=5, floor=0.1))
 def test_solver_residual(chain):
-    for p in range(chain.n):
-        for q in range(chain.n):
-            if p == q:
-                continue
-            sys = pair_system(chain, p, q)
-            lu, perm = lu_factor(sys.matrix, p, q)
-            x = lu_solve(lu, perm, sys.rhs)
-            assert np.abs(sys.matrix @ x - sys.rhs).max() <= 1e-9
+    p, q, L = pinned_systems(chain)
+    x = first_passage(p, q, L)
+    rhs = np.eye(chain.n)[p]
+    assert np.abs(np.einsum("mij,mj->mi", L, x) - rhs).max() <= 1e-9
+
+
+def test_pinned_systems_rows():
+    ch = random_chain(4, 8)
+    p, q, L = pinned_systems(ch)
+    assert list(zip(p.tolist(), q.tolist())) == [(a, b) for a in range(4) for b in range(4) if a != b]
+    for i in range(len(p)):
+        want = ch.transition - np.eye(4)
+        want[[p[i], q[i]]] = np.eye(4)[[p[i], q[i]]]
+        assert np.array_equal(L[i], want)
 
 
 def test_reducible_chain_reports_pair():
@@ -108,6 +113,15 @@ def test_reducible_chain_reports_pair():
     assert (exc.value.p, exc.value.q) == (0, 1)
     with pytest.raises(SingularSystem):
         alpha_table(ch)
+
+
+def test_near_singular_chain_reports_first_bad_pair():
+    # pinning pages 1 and 2 leaves row 0 = [-1e-14, 5e-15, 5e-15]
+    ch = validate_chain([[1 - 1e-14, 5e-15, 5e-15], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
+    for solve in (alpha_table, gamma):
+        with pytest.raises(SingularSystem) as exc:
+            solve(ch)
+        assert (exc.value.p, exc.value.q) == (1, 2)
 
 
 def test_gamma_two_page_uniform():

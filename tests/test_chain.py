@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_paging.chain import (
+    SAMPLE_CHUNK,
     NonStochasticRow,
     build_lb_chain,
     chain_hash,
@@ -16,6 +18,7 @@ from markov_paging.chain import (
 )
 
 from .conftest import chain_specs
+from .oracles import loop_sample_pages
 
 
 def test_uniform_two_page_chain():
@@ -99,6 +102,37 @@ def test_iid_frequencies_match_law_of_large_numbers():
 def test_sampled_indices_in_range(chain):
     seq = sample_sequence(chain, 50, 3)
     assert seq.pages.min() >= 0 and seq.pages.max() < chain.n
+
+
+LENGTHS = [1, 2, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, SAMPLE_CHUNK + 2,
+           2 * SAMPLE_CHUNK, 2 * SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chain_specs(n_min=2, n_max=7, floor=0.01),
+    st.sampled_from(LENGTHS),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+)
+def test_sampling_matches_loop_oracle(chain, T, seed, sparse):
+    """Page-for-page equal to one-at-a-time sampling, also when ``init``
+    and a transition row have zero entries."""
+    if sparse:
+        m = np.array(chain.transition)
+        m[0, 1:] = 0.0
+        m[0, 0] = 1.0
+        init = np.zeros(chain.n)
+        init[-1] = 1.0
+        chain = validate_chain(m, init=init)
+    pages = sample_sequence(chain, T, [seed, T]).pages
+    assert np.array_equal(pages, loop_sample_pages(chain, T, [seed, T]))
+
+
+def test_sampling_two_pages_across_chunks():
+    ch = validate_chain([[0.9, 0.1], [0.4, 0.6]], init=[0.0, 1.0])
+    for T in LENGTHS:
+        assert np.array_equal(sample_sequence(ch, T, 11).pages, loop_sample_pages(ch, T, 11))
 
 
 def test_chain_file_roundtrip(tmp_path):
