@@ -3,10 +3,11 @@
 
 Runs many audited (chain, sequence) pairs and tallies, per scheme, how often
 each checked property fails: ledger structure, the accounting inequality, the
-exact per-step potential deltas, and the potential-nonnegativity claim. The
-last one is the interesting column: it has a realizable counterexample (the
-savior self-charge corner) and fails on a small but steady fraction of random
-runs, while everything else stays at zero.
+per-step bookkeeping (exact potential deltas and no foreign charge outside the
+algorithm's cache, column ``delta_mismatch``), and the potential-nonnegativity
+claim. The last one is the interesting column: it has a realizable
+counterexample (the savior self-charge corner) and fails on a small but steady
+fraction of random runs, while everything else stays at zero.
 
     python scripts/audit_battery.py --runs 2000 --seed 0
 """
@@ -50,10 +51,8 @@ def main() -> int:
             t["ambiguous_savior"] += bool(rep.ambiguous_steps)
             if scheme == "updated":
                 check = audit_mod.step_delta_check(rep)
-                t["delta_mismatch"] += any("delta" in f for f in check.failures)
-                t["potential_claim"] += any(
-                    "negative" in f or "positive" in f for f in check.failures
-                )
+                t["delta_mismatch"] += bool(check.bookkeeping)
+                t["potential_claim"] += bool(check.claim)
 
     print("scheme,runs,structural,accounting,delta_mismatch,potential_claim,ambiguous_savior")
     for scheme, t in tallies.items():

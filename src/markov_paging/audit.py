@@ -434,8 +434,17 @@ def check_accounting(report: AuditReport, ref_misses: int | None = None) -> Acco
 
 @dataclass(frozen=True)
 class DeltaCheck:
+    """Findings of a per-step check, in step order.
+
+    ``bookkeeping`` holds the failures that mean the ledger is wrong, and
+    ``claim`` the failures of the refuted potential claim Phi >= 0 (findings,
+    not errors). ``failures`` lists both, interleaved as they occurred.
+    """
+
     ok: bool
     failures: list[str]
+    bookkeeping: list[str] = field(default_factory=list)
+    claim: list[str] = field(default_factory=list)
 
 
 def step_delta_check(report: AuditReport) -> DeltaCheck:
@@ -443,27 +452,33 @@ def step_delta_check(report: AuditReport) -> DeltaCheck:
 
     Every step's observed potential change must equal the change implied by
     its before-state, and no foreign-charged page may sit outside the
-    algorithm's cache. The failures also report every step where the claim
-    that Phi >= 0, and Phi >= 1 before each potential-dropping step, fails;
-    that claim has a realizable counterexample (module docstring), so its
-    failures are findings, not bookkeeping errors. ``credit_check`` checks
-    the invariant that holds.
+    algorithm's cache; failures of either go to ``bookkeeping``. The
+    ``claim`` list reports every step where the claim that Phi >= 0, and
+    Phi >= 1 before each potential-dropping step, fails; that claim has a
+    realizable counterexample (module docstring), so its failures are
+    findings, not bookkeeping errors. ``credit_check`` checks the invariant
+    that holds.
     """
     if report.scheme != "updated":
         raise ValueError("per-step potential claims apply to the updated scheme only")
-    failures = []
+    failures, bookkeeping, claim = [], [], []
+
+    def fail(kind, message):
+        kind.append(message)
+        failures.append(message)
+
     for rec in report.steps:
         observed = rec.phi - rec.phi_before
         expected = expected_phi_delta(rec)
         if observed != expected:
-            failures.append(f"t={rec.t} ({rec.case}): delta {observed} != expected {expected}")
+            fail(bookkeeping, f"t={rec.t} ({rec.case}): delta {observed} != expected {expected}")
         if rec.case == "potential-drop" and rec.phi_before < 1:
-            failures.append(f"t={rec.t}: potential {rec.phi_before} not positive before drop")
+            fail(claim, f"t={rec.t}: potential {rec.phi_before} not positive before drop")
         if rec.case == "borne-out-of-cache":
-            failures.append(f"t={rec.t}: foreign-charged page outside algorithm cache")
+            fail(bookkeeping, f"t={rec.t}: foreign-charged page outside algorithm cache")
         if rec.phi < 0:
-            failures.append(f"t={rec.t}: potential {rec.phi} negative")
-    return DeltaCheck(ok=not failures, failures=failures)
+            fail(claim, f"t={rec.t}: potential {rec.phi} negative")
+    return DeltaCheck(ok=not failures, failures=failures, bookkeeping=bookkeeping, claim=claim)
 
 
 def credit_check(report: AuditReport) -> DeltaCheck:
@@ -493,7 +508,7 @@ def credit_check(report: AuditReport) -> DeltaCheck:
         if rec.case == "potential-drop" and psi_before < 1:
             failures.append(f"t={rec.t}: Psi {psi_before} not positive before drop")
         psi_before, credit_before = rec.psi, credit
-    return DeltaCheck(ok=not failures, failures=failures)
+    return DeltaCheck(ok=not failures, failures=failures, bookkeeping=list(failures))
 
 
 TRACE_COLUMNS = (

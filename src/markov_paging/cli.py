@@ -255,7 +255,12 @@ def _cmd_audit(args) -> tuple[list[str], int]:
         acct = audit_mod.check_accounting(report)
         delta_ok = True
         if args.scheme == "updated":
-            delta_ok = audit_mod.step_delta_check(report).ok
+            # the potential claim Phi >= 0 is refuted (audit module docstring): its
+            # failures are findings, not failed checks
+            delta_ok = (
+                not audit_mod.step_delta_check(report).bookkeeping
+                and audit_mod.credit_check(report).ok
+            )
         phi_min = min(report.phi_trace) if report.steps else 0
         bad = bool(report.violations) or not acct.ok or not delta_ok
         failures += bad

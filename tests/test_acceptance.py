@@ -208,13 +208,11 @@ def test_criterion_7_charging_scheme_invariants():
         credit_failures.extend(f"run {run}: {f}" for f in audit_mod.credit_check(upd).failures)
         first_double = min((r.t for r in upd.steps if r.case == "doubly-charged"), default=T + 1)
         check = audit_mod.step_delta_check(upd)
-        for f in check.failures:
-            if "delta" in f or "foreign-charged" in f:
-                delta_failures.append(f"run {run}: {f}")
-            else:
-                phi_failures.append(f"run {run}: {f}")
-                if _failure_step(f) <= first_double:
-                    phi_unexplained.append(f"run {run}: {f} (no earlier doubly-charged request)")
+        delta_failures.extend(f"run {run}: {f}" for f in check.bookkeeping)
+        for f in check.claim:
+            phi_failures.append(f"run {run}: {f}")
+            if _failure_step(f) <= first_double:
+                phi_unexplained.append(f"run {run}: {f} (no earlier doubly-charged request)")
     fixture_problems = _fixture_checks()
     credit_problems = credit_failures + phi_unexplained
 

@@ -98,6 +98,25 @@ def test_audit_with_injected_ledger_bug_fails(tmp_path, monkeypatch):
     assert any(line.split(",")[-1] != "0" for line in text.strip().splitlines()[1:])
 
 
+@pytest.mark.parametrize("check", ["step_delta_check", "credit_check"])
+def test_audit_delta_ok_fails_on_ledger_errors(check, tmp_path, monkeypatch):
+    real = getattr(audit_mod, check)
+
+    def broken(report):
+        found = real(report)
+        bad = ["t=1: injected bookkeeping fault"]
+        return audit_mod.DeltaCheck(ok=False, failures=found.failures + bad, bookkeeping=bad)
+
+    monkeypatch.setattr(audit_mod, check, broken)
+    code, text = run_cli(
+        ["audit", "--scheme", "updated", "--n", "4", "--k", "2", "--T", "10",
+         "--trials", "2", "--seed", "7"],
+        tmp_path,
+    )
+    assert code == 1
+    assert [line.split(",")[11] for line in text.strip().splitlines()[1:]] == ["0", "0"]
+
+
 def test_chain_file_source(tmp_path):
     chain = random_chain(3, 12)
     path = tmp_path / "chain.json"
