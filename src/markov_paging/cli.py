@@ -1,7 +1,9 @@
 """Command-line frontend: reproducible experiments with CSV outputs.
 
 Subcommands: alpha | simulate | opt | ratio | audit | lowerbound | learn.
-Exit codes: 0 success, 1 a check failed (audit violations), 2 usage error.
+Exit codes: 0 success; 1 a check failed (audit violations, or a ledger with
+no admissible savior); 2 a usage or domain error (bad flags or inputs, a
+singular or out-of-range precedence solve, an exceeded DP budget).
 Seeds are mandatory wherever randomness is drawn, and identical invocations
 produce byte-identical CSV.
 """
@@ -12,12 +14,13 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 
 from . import alpha as alpha_mod
 from . import audit as audit_mod
 from . import engine, learn, lowerbound
 from .chain import build_lb_chain, chain_hash, load_chain, load_trace, random_chain, sample_sequence
-from .optdp import opt_expected_cost
+from .optdp import BudgetExceeded, opt_expected_cost
 from .policies import OptReplayPolicy, parse_policy
 
 
@@ -55,7 +58,18 @@ def _parse_init_cache(text, k):
 
 
 def _parse_int(text) -> int:
-    return int(float(text))  # accepts 1e8-style horizons
+    """Exact integer from '12' or an integral '1e8'-style value; else a usage error."""
+    try:
+        value = Decimal(text.strip())
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    if value.copy_abs() >= 2**63:  # counts are stored as int64
+        raise argparse.ArgumentTypeError(f"{text!r} is out of the 64-bit integer range")
+    if value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(value)
 
 
 def _emit(lines, output) -> None:
@@ -364,12 +378,19 @@ def main(argv=None) -> int:
             lines, code = _cmd_learn(args, args.threads)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {args.command}")
-    except UsageError as exc:
+    except (
+        ValueError,  # UsageError, SingularSystem and domain errors
+        KeyError,
+        FileNotFoundError,
+        argparse.ArgumentTypeError,
+        BudgetExceeded,
+        alpha_mod.SolutionOutOfRange,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except audit_mod.NoEligibleSavior as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     _emit(lines, args.output)
     return code
 

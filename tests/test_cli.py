@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from markov_paging import alpha as alpha_mod
 from markov_paging import audit as audit_mod
-from markov_paging.chain import random_chain, save_chain
-from markov_paging.cli import main
+from markov_paging.chain import random_chain, save_chain, validate_chain
+from markov_paging.cli import _parse_int, main
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -157,3 +159,64 @@ def test_config_file_defaults_and_override(tmp_path):
     code = main(["--config", str(cfg), "--output", str(out), "lowerbound", "--eps1-frac", "0.5"])
     assert code == 0
     assert float(out.read_text().strip().splitlines()[-1].split(",")[-1]) <= 1.51
+
+
+def _error_exit(args, capsys):
+    code = main(args)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+    return code, err
+
+
+def test_budget_exceeded_is_domain_error(capsys):
+    code, err = _error_exit(["opt", "--n", "12", "--k", "6", "--T", "1000", "--budget", "1000"], capsys)
+    assert code == 2
+    assert "budget is 1000" in err
+
+
+def test_singular_chain_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "reducible.json"
+    save_chain(validate_chain(np.eye(3)), path)
+    code, err = _error_exit(["alpha", "--chain", str(path)], capsys)
+    assert code == 2
+    assert "pair (0, 1)" in err
+
+
+def test_solution_out_of_range_is_domain_error(monkeypatch, capsys):
+    monkeypatch.setattr(alpha_mod, "CLAMP_TOL", -1.0)  # every solution now fails the range guard
+    code, err = _error_exit(["alpha", "--n", "3", "--seed", "0"], capsys)
+    assert code == 2
+    assert "leaves [0,1]" in err
+
+
+def test_no_eligible_savior_is_failed_check(monkeypatch, capsys):
+    def no_savior(a_minus, ref_after, charge, t):
+        raise audit_mod.NoEligibleSavior(f"t={t}: no admissible savior among []")
+
+    monkeypatch.setattr(audit_mod, "_select_savior", no_savior)
+    code, err = _error_exit(["audit", "--scheme", "updated", "--n", "4", "--k", "2", "--T", "20",
+                             "--trials", "5", "--seed", "3"], capsys)
+    assert code == 1
+    assert "no admissible savior" in err
+
+
+@pytest.mark.parametrize("text,value", [("12", 12), ("1e8", 10**8), ("2.5E1", 25),
+                                        ("9007199254740993", 2**53 + 1)])
+def test_integer_flags_parse_exactly(text, value):
+    assert _parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["1.7", "1e-3", "abc", "nan", "inf", "1e30"])
+def test_integer_flags_reject_non_integers(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["opt", "--n", "3", "--k", "2", "--T", text])
+    assert exc.value.code == 2
+    assert "--T" in capsys.readouterr().err
+    # the lowerbound horizon grid is parsed by the command, not by argparse
+    code, _ = _error_exit(["lowerbound", "--eps", "1e-3", "--eps1-frac", "0.7", "--T", f"10,{text}"], capsys)
+    assert code == 2
+
+
+def test_integral_float_flag_matches_integer(tmp_path):
+    assert run_cli(["opt", "--n", "3", "--k", "2", "--T", "1e1"], tmp_path, "a.csv") == \
+        run_cli(["opt", "--n", "3", "--k", "2", "--T", "10"], tmp_path, "b.csv")
