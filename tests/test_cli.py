@@ -215,8 +215,3 @@ def test_integer_flags_reject_non_integers(text, capsys):
     # the lowerbound horizon grid is parsed by the command, not by argparse
     code, _ = _error_exit(["lowerbound", "--eps", "1e-3", "--eps1-frac", "0.7", "--T", f"10,{text}"], capsys)
     assert code == 2
-
-
-def test_integral_float_flag_matches_integer(tmp_path):
-    assert run_cli(["opt", "--n", "3", "--k", "2", "--T", "1e1"], tmp_path, "a.csv") == \
-        run_cli(["opt", "--n", "3", "--k", "2", "--T", "10"], tmp_path, "b.csv")
