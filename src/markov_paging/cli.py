@@ -72,6 +72,26 @@ def _parse_int(text) -> int:
     return int(value)
 
 
+def _config_defaults(parser, overrides) -> dict:
+    """Config values converted as ``parser`` converts the same flags.
+
+    argparse converts only string defaults, so a JSON number would otherwise
+    skip the option's ``type``; switches keep their JSON booleans.
+    """
+    actions = {a.dest: a for a in parser._actions}
+    out = dict(overrides)
+    for key, value in overrides.items():
+        action = actions.get(key)
+        if action is None or action.nargs == 0 or value is None:
+            continue
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            out[key] = action.type(text) if action.type is not None else text
+        except (argparse.ArgumentTypeError, ValueError, TypeError) as exc:
+            raise UsageError(f"--config {key}: {exc}") from None
+    return out
+
+
 def _emit(lines, output) -> None:
     payload = "\n".join(lines) + "\n"
     if output:
@@ -350,9 +370,12 @@ def main(argv=None) -> int:
     if getattr(ns, "config", None):
         with open(ns.config) as fh:
             overrides = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
-        parser.set_defaults(**overrides)
-        for sp in parser.sub_map.values():
-            sp.set_defaults(**overrides)
+        try:
+            for p in (parser, parser.sub_map[ns.command]):
+                p.set_defaults(**_config_defaults(p, overrides))
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     args = parser.parse_args(argv)
     missing = [
         f for f in REQUIRED.get(args.command, ()) if getattr(args, f, None) is None

@@ -7,9 +7,12 @@ only) get a vectorized fast path over a precomputed kernel; history-dependent
 policies (farthest-in-future, LRU, FIFO, scripted, OPT replay) run step by
 step.
 
-``exact_cost`` skips sampling entirely for memoryless policies: it evolves the
-exact probability vector over (cache, last page) joint states and accumulates
-per-step miss probability.
+``exact_cost`` skips sampling entirely for memoryless policies. It builds the
+policy's joint (cache rank, last page) operator once, in scatter form: every
+(cache, requested page, eviction slot) cell names the joint state its mass
+moves to and the share it sends there. Each of the T steps then evolves the
+exact distribution over all joint states at once (one chain step, the miss
+mass, one ``np.bincount``) and accumulates the per-step miss probability.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import alpha as alpha_mod
 from .chain import chain_hash, sample_sequence
-from .optdp import BudgetExceeded, DEFAULT_BUDGET, SubsetIndex, opt_expected_cost
+from .optdp import BudgetExceeded, DEFAULT_BUDGET, SubsetIndex, check_cache, opt_expected_cost, subset_index
 from .policies import CacheState, RunContext, evict
 
 
@@ -66,7 +69,7 @@ def build_kernel(policy, chain, k: int, table=None) -> SimKernel | None:
     when the policy is history-dependent."""
     if table is None:
         table = _shared_alpha(policy, chain)
-    idx = SubsetIndex(chain.n, k)
+    idx = subset_index(chain.n, k)
     probs = np.zeros((len(idx), chain.n, k))
     for r, sub in enumerate(idx.subsets):
         for j in range(chain.n):
@@ -102,7 +105,7 @@ def simulate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    init_cache = tuple(sorted(init_cache))
+    init_cache = check_cache(init_cache, chain.n, k)
     base = _seed_tuple(seed)
     table = _shared_alpha(policy, chain)
     kernel = build_kernel(policy, chain, k, table)
@@ -190,8 +193,13 @@ def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_
     """Exact expected miss count by evolving the (cache, last page) distribution.
 
     Only defined for memoryless policies; others raise :class:`NonMemoryless`.
+    The joint operator is built once, in scatter form: cell (r, j, e) sends
+    ``weight[r, j, e]`` of the mass that requests page j from cache r to the
+    joint state ``target[r, j, e]``. A hit keeps its mass in (r, j), slot 0; a
+    miss on j sends ``kernel.probs[r, j, e]`` to (succ[r, j, e], j). Each step
+    is then one chain step over all states, the miss mass, and one bincount.
     """
-    init_cache = tuple(sorted(init_cache))
+    init_cache = check_cache(init_cache, chain.n, k)
     table = _shared_alpha(policy, chain)
     kernel = build_kernel(policy, chain, k, table)
     if kernel is None:
@@ -202,30 +210,22 @@ def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_
     if S * n * max(T, 1) > budget:
         raise BudgetExceeded(S * n * max(T, 1), budget)
 
+    hit = idx.member[:, :, None]
+    here = np.arange(S * n).reshape(S, n, 1)
+    target = np.where(hit, here, idx.succ * n + np.arange(n)[None, :, None]).ravel()
+    weight = np.where(hit, np.arange(k) == 0, kernel.probs)
+    miss = ~idx.member
+
     M = chain.transition
-    dist = np.zeros((S, n))  # mass over (cache rank, last requested page)
+    req = np.zeros((S, n))  # mass over (cache rank, requested page) at step t
+    req[idx.rank[init_cache]] = chain.init
     cost = 0.0
-    r0 = idx.rank[init_cache]
     for t in range(1, T + 1):
-        new = np.zeros((S, n))
-        for r in range(S):
-            if t == 1:
-                if r != r0:
-                    continue
-                req_mass = chain.init
-            else:
-                mass = dist[r]
-                if not mass.any():
-                    continue
-                req_mass = mass @ M
-            resident = idx.member[r]
-            new[r, resident] += req_mass[resident]
-            out = np.flatnonzero(~resident)
-            miss_mass = req_mass[out]
-            cost += float(miss_mass.sum())
-            spread = miss_mass[:, None] * kernel.probs[r, out]  # (n-k, k)
-            np.add.at(new, (idx.succ[r, out].ravel(), np.repeat(out, idx.k)), spread.ravel())
-        dist = new
+        if t > 1:
+            req = dist @ M
+        cost += float(req[miss].sum())
+        dist = np.bincount(target, weights=(req[:, :, None] * weight).ravel(), minlength=S * n)
+        dist = dist.reshape(S, n)  # mass over (cache rank, last requested page)
         total = dist.sum()
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"state mass drifted to {total!r} at step {t}")

@@ -5,6 +5,9 @@ k-subsets, indexed densely by their lexicographic rank. The recursion walks
 time backward keeping two layers: a hit moves at zero cost, a miss costs 1
 plus the best successor value over evictions. A miss is counted on every
 request, including the first (drawn from the chain's initial distribution).
+Each backward step handles every cache rank at once: one gather of successor
+values over ``succ``, a min over evictions, and stacked matrix-vector products
+with the transition matrix.
 
 The state-step count n * C(n, k) * T is checked against a budget before any
 allocation; this module is meant for desk-scale exact answers, not large k.
@@ -12,6 +15,7 @@ allocation; this module is meant for desk-scale exact answers, not large k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,14 +36,18 @@ class BudgetExceeded(RuntimeError):
 
 
 class SubsetIndex:
-    """Dense indexing of sorted k-subsets of range(n) plus transition helpers."""
+    """Dense indexing of sorted k-subsets of range(n) plus transition helpers.
+
+    The arrays are read-only, so one index can be shared; get it through
+    :func:`subset_index`.
+    """
 
     def __init__(self, n: int, k: int):
         if not 0 < k < n:
             raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
         self.n = n
         self.k = k
-        self.subsets = list(itertools.combinations(range(n), k))
+        self.subsets = tuple(itertools.combinations(range(n), k))
         self.rank = {s: i for i, s in enumerate(self.subsets)}
         S = len(self.subsets)
         self.member = np.zeros((S, n), dtype=bool)
@@ -54,9 +62,32 @@ class SubsetIndex:
                 for e in range(k):
                     nxt = tuple(sorted((set(sub) - {sub[e]}) | {j}))
                     self.succ[r, j, e] = self.rank[nxt]
+        for arr in (self.member, self.pages, self.succ):
+            arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.subsets)
+
+
+@functools.lru_cache(maxsize=32)
+def subset_index(n: int, k: int) -> SubsetIndex:
+    """The shared :class:`SubsetIndex` for (n, k), built once."""
+    return SubsetIndex(n, k)
+
+
+def check_cache(cache, n: int, k: int) -> tuple[int, ...]:
+    """``cache`` as a sorted tuple of ints; ``ValueError`` unless it holds k
+    distinct integer pages, each in 0..n-1."""
+    pages = tuple(sorted(cache))
+    if (
+        len(pages) != k
+        or len(set(pages)) != k
+        or not all(isinstance(p, (int, np.integer)) and 0 <= p < n for p in pages)
+    ):
+        raise ValueError(
+            f"initial cache must hold k={k} distinct pages in 0..{n - 1}, got {tuple(cache)}"
+        )
+    return tuple(int(p) for p in pages)
 
 
 @dataclass
@@ -96,10 +127,8 @@ def opt_expected_cost(
     page index, so replays are stable run to run.
     """
     n = chain.n
-    init_cache = tuple(sorted(init_cache))
-    if len(init_cache) != k or len(set(init_cache)) != k:
-        raise ValueError(f"init_cache must be a k-subset, got {init_cache}")
-    idx = SubsetIndex(n, k)
+    init_cache = check_cache(init_cache, n, k)
+    idx = subset_index(n, k)
     S = len(idx)
     state_steps = n * S * max(T, 1)
     if state_steps > budget:
@@ -109,28 +138,24 @@ def opt_expected_cost(
     value = np.zeros((T + 1, S, n)) if record_values else None
 
     M = chain.transition
-    cols = np.arange(n)[:, None]
+    cols = np.arange(n)[None, :, None]
+    rows = np.arange(S)[:, None]
     v_next = np.zeros((S, n))  # layer V_T
     total = 0.0
     for t in range(T, 0, -1):
         if record_values:
             value[t] = v_next
-        v_cur = np.empty((S, n)) if t > 1 else None
-        for r in range(S):
-            cand = v_next[idx.succ[r], cols]  # (n, k): successor values per eviction
-            best = cand.min(axis=1)
-            if record_actions:
-                picked = idx.pages[r][cand.argmin(axis=1)]
-                action[t, r] = np.where(idx.member[r], -1, picked)
-            cost_vec = np.where(idx.member[r], v_next[r], 1.0 + best)
-            if t > 1:
-                v_cur[r] = M @ cost_vec
-            elif r == idx.rank[init_cache]:
-                total = float(chain.init @ cost_vec)
+        cand = v_next[idx.succ, cols]  # (S, n, k): successor values per eviction
+        if record_actions:
+            # pages ascend within a subset, so the first argmin is the lowest page
+            picked = idx.pages[rows, cand.argmin(axis=2)]
+            action[t] = np.where(idx.member, -1, picked)
+        cost = np.where(idx.member, v_next, 1.0 + cand.min(axis=2))
         if t > 1:
-            v_next = v_cur
-    if T == 0:
-        total = 0.0
+            # stacked matrix-vector products round exactly as M @ cost[r] does
+            v_next = np.matmul(M, cost[:, :, None])[:, :, 0]
+        else:
+            total = float(chain.init @ cost[idx.rank[init_cache]])
 
     table = OptTable(
         n=n,
@@ -193,7 +218,7 @@ def load_opt_table(path) -> OptTable:
             T=T,
             init_cache=tuple(int(x) for x in data["init_cache"]),
             expected_cost=float(data["expected_cost"]),
-            index=SubsetIndex(n, k),
+            index=subset_index(n, k),
             action=np.array(data["action"]) if has_action else None,
             chain_digest=str(data["chain_digest"]),
         )

@@ -4,7 +4,9 @@ These deliberately avoid the implementation's code paths: precedence
 probabilities come from raw chain rollouts, optimal paging cost from an
 exhaustive expectation tree over request realizations (no state merging),
 matrix geometric series from term-by-term accumulation, and request traces
-from a one-request-at-a-time sampling loop.
+from a one-request-at-a-time sampling loop. The OPT DP and the exact cost
+evolution are also kept as loops over one cache rank at a time, the
+reference for the library's all-ranks-at-once steps.
 """
 
 import numpy as np
@@ -139,3 +141,73 @@ def naive_warmup_costs(eps, T):
         p = c + p * d
     cost_dom = T * (1.0 - eps) + (1.5 * eps - 1.0) * sum_p
     return cost_dom, eps * T / 2.0
+
+
+def loop_opt_expected_cost(chain, k, T, init_cache, index):
+    """The OPT DP one cache rank at a time: the reference for ``opt_expected_cost``.
+
+    ``index`` is the library's ``SubsetIndex`` (ranks and successor table).
+    Returns ``(value, action, value_layers)`` with the library's layouts:
+    ``action[t, r, j]`` is the evicted page, -1 on hits, ties toward the
+    lowest page; ``value_layers[t]`` is the layer V_t.
+    """
+    n = chain.n
+    S = len(index)
+    r0 = index.rank[tuple(sorted(init_cache))]
+    action = np.full((T + 1, S, n), -1, dtype=np.int16)
+    layers = np.zeros((T + 1, S, n))
+    M = chain.transition
+    cols = np.arange(n)[:, None]
+    v_next = np.zeros((S, n))
+    total = 0.0
+    for t in range(T, 0, -1):
+        layers[t] = v_next
+        v_cur = np.empty((S, n))
+        for r in range(S):
+            cand = v_next[index.succ[r], cols]  # (n, k): successor values per eviction
+            picked = index.pages[r][cand.argmin(axis=1)]
+            action[t, r] = np.where(index.member[r], -1, picked)
+            cost_vec = np.where(index.member[r], v_next[r], 1.0 + cand.min(axis=1))
+            if t > 1:
+                v_cur[r] = M @ cost_vec
+            elif r == r0:
+                total = float(chain.init @ cost_vec)
+        v_next = v_cur
+    return total, action, layers
+
+
+def loop_exact_cost(kernel, chain, T, init_cache):
+    """Expected misses of a memoryless policy, evolving the (cache, last page)
+    mass one cache rank at a time: the reference for ``exact_cost``.
+
+    ``kernel`` is the policy's ``SimKernel``. Rows that carry no mass are
+    skipped, and each miss spreads its mass with ``np.add.at``.
+    """
+    idx = kernel.index
+    n = chain.n
+    S = len(idx)
+    M = chain.transition
+    dist = np.zeros((S, n))
+    cost = 0.0
+    r0 = idx.rank[tuple(sorted(init_cache))]
+    for t in range(1, T + 1):
+        new = np.zeros((S, n))
+        for r in range(S):
+            if t == 1:
+                if r != r0:
+                    continue
+                req_mass = chain.init
+            else:
+                mass = dist[r]
+                if not mass.any():
+                    continue
+                req_mass = mass @ M
+            resident = idx.member[r]
+            new[r, resident] += req_mass[resident]
+            out = np.flatnonzero(~resident)
+            miss_mass = req_mass[out]
+            cost += float(miss_mass.sum())
+            spread = miss_mass[:, None] * kernel.probs[r, out]  # (n-k, k)
+            np.add.at(new, (idx.succ[r, out].ravel(), np.repeat(out, idx.k)), spread.ravel())
+        dist = new
+    return cost

@@ -215,3 +215,42 @@ def test_integer_flags_reject_non_integers(text, capsys):
     # the lowerbound horizon grid is parsed by the command, not by argparse
     code, _ = _error_exit(["lowerbound", "--eps", "1e-3", "--eps1-frac", "0.7", "--T", f"10,{text}"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--policy", "lru", "--trials", "10", "--seed", "1"],
+        ["simulate", "--policy", "dominating", "--trials", "10", "--seed", "1"],
+        ["opt"],
+    ],
+)
+@pytest.mark.parametrize("cache", ["0,9", "0,0"])
+def test_bad_init_cache_is_usage_error(args, cache, capsys):
+    code, err = _error_exit([*args, "--n", "4", "--k", "2", "--T", "10", "--init-cache", cache], capsys)
+    assert code == 2
+    assert f"k=2 distinct pages in 0..3, got ({cache.replace(',', ', ')})" in err
+
+
+def test_config_numbers_parsed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": 1.7}))
+    code, err = _error_exit(["--config", str(cfg), "opt", "--n", "3", "--k", "2"], capsys)
+    assert code == 2
+    assert "--config T: '1.7' is not an integer" in err
+    # an integral number is accepted exactly, also for the untyped lowerbound grid
+    cfg.write_text(json.dumps({"T": 1e8, "eps": 1e-5, "eps1_frac": 0.7069}))
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(cfg), "--output", str(out), "lowerbound"]) == 0
+    assert out.read_text().splitlines()[-1].split(",")[3] == "100000000"
+    code, err = _error_exit(["--config", str(cfg), "opt", "--n", "3", "--k", "2", "--budget", "1000"], capsys)
+    assert code == 2
+    assert "DP needs 900000000 state-steps" in err  # T is exactly 10**8
+
+
+def test_config_switch_stays_boolean(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": True}))
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(cfg), "--output", str(out), "alpha", "--n", "3"]) == 0
+    assert out.read_text().splitlines()[0] == "gamma"

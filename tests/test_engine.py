@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
 from markov_paging.engine import (
@@ -11,7 +13,7 @@ from markov_paging.engine import (
     simulate,
 )
 from markov_paging.lowerbound import LBParams, closed_form_costs
-from markov_paging.optdp import opt_expected_cost
+from markov_paging.optdp import opt_expected_cost, subset_index
 from markov_paging.policies import (
     AdversarialDominatingPolicy,
     DominatingPolicy,
@@ -22,6 +24,9 @@ from markov_paging.policies import (
     PinnedPolicy,
     RandomEvictionPolicy,
 )
+
+from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_specs
+from .oracles import loop_exact_cost
 
 
 def test_no_misses_when_requests_stay_resident():
@@ -141,8 +146,64 @@ def test_dp_value_lower_bounds_online_policies():
         assert est.mean >= opt_value - 3 * est.half_width, pol.name
 
 
+class LeakyEviction(RandomEvictionPolicy):
+    """Uniform eviction whose distribution sums to 1 - 1e-6: it loses mass."""
+
+    name = "leaky"
+
+    def kernel_probs(self, cache, requested, chain, table):
+        return super().kernel_probs(cache, requested, chain, table) * (1.0 - 1e-6)
+
+
 def test_mass_conservation_guard():
     # exact evolution asserts total probability stays 1 at every step
     ch = build_lb_chain(0.3, 0.2)
     est = exact_cost(DominatingPolicy(), ch, 2, 500, (0, 1))
     assert est.mean > 0
+    # step 1 misses with probability 1/3 and loses 1e-6 of that mass
+    with pytest.raises(AssertionError, match="mass drifted .* at step 1$"):
+        exact_cost(LeakyEviction(), ch, 2, 500, (0, 1))
+
+
+def _assert_matches_loop_oracle(policy, chain, k, T, init):
+    est = exact_cost(policy, chain, k, T, init)
+    ref = loop_exact_cost(build_kernel(policy, chain, k), chain, T, init)
+    assert est.mean == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_matches_per_rank_loop_oracle(data):
+    chain = data.draw(sparse_chain_specs())
+    k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    policy = data.draw(st.sampled_from([MedianPolicy(), RandomEvictionPolicy()]))
+    _assert_matches_loop_oracle(policy, chain, k, data.draw(horizons), data.draw(caches(chain.n, k)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_exact_dominating_matches_per_rank_loop_oracle(data):
+    chain = data.draw(chain_specs(n_min=3, n_max=6))
+    k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    _assert_matches_loop_oracle(DominatingPolicy(), chain, k, data.draw(horizons), data.draw(caches(chain.n, k)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_exact_matches_per_rank_loop_oracle_for_every_k(n):
+    for k in range(1, n):
+        chain = sparse_chain(n, [n, k], 0.3)
+        _assert_matches_loop_oracle(RandomEvictionPolicy(), chain, k, 6, tuple(range(n - k, n)))
+
+
+def test_kernel_uses_shared_index():
+    assert build_kernel(MedianPolicy(), random_chain(5, 2), 3).index is subset_index(5, 3)
+
+
+@pytest.mark.parametrize("cache", [(0, 9), (0, 0), (1,)])
+def test_bad_init_cache_rejected(cache):
+    ch = random_chain(4, 1)
+    for pol in (LruPolicy(), DominatingPolicy()):
+        with pytest.raises(ValueError, match="distinct pages in 0..3"):
+            simulate(pol, ch, 2, 10, cache, trials=10, seed=1)
+    with pytest.raises(ValueError, match="distinct pages in 0..3"):
+        exact_cost(MedianPolicy(), ch, 2, 10, cache)

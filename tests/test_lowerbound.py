@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markov_paging.chain import build_lb_chain
-from markov_paging.engine import exact_cost
+from markov_paging.engine import build_kernel, exact_cost
 from markov_paging.lowerbound import (
     LBParams,
     adversarial_evictions,
@@ -85,6 +85,20 @@ def test_closed_form_matches_engine_evolution():
     chain = build_lb_chain(params.eps, params.eps1)
     est = exact_cost(AdversarialDominatingPolicy(0), chain, 2, params.T, (0, 1))
     assert est.mean == pytest.approx(cost_dom, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "eps,eps1",
+    [(0.1, 0.05), (0.1, 0.07), (0.3, 0.2), (1e-3, 0.7069e-3), (0.4, 0.3), (0.25, 0.125)],
+)
+def test_kernel_reproduces_hand_derived_evictions(eps, eps1):
+    # the operator's inputs, built from the policy's LPs, against the closed forms
+    kernel = build_kernel(AdversarialDominatingPolicy(0), build_lb_chain(eps, eps1), 2)
+    idx = kernel.index
+    for (cache, victim), prob in adversarial_evictions(eps, eps1).items():
+        (requested,) = set(range(3)) - set(cache)
+        got = kernel.probs[idx.rank[cache], requested, cache.index(victim)]
+        assert got == pytest.approx(prob, rel=1e-12, abs=1e-12)
 
 
 class TestWarmupRatio:

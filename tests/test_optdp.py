@@ -8,15 +8,17 @@ from markov_paging.engine import simulate
 from markov_paging.optdp import (
     BudgetExceeded,
     SubsetIndex,
+    check_cache,
     load_opt_table,
     opt_action,
     opt_expected_cost,
     save_opt_table,
+    subset_index,
 )
 from markov_paging.policies import FarthestInFuture, OptReplayPolicy
 
-from .conftest import chain_specs
-from .oracles import tree_opt_cost
+from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_specs
+from .oracles import loop_opt_expected_cost, tree_opt_cost
 
 
 def test_two_page_forced_choice_example():
@@ -127,3 +129,47 @@ def test_table_dump_roundtrip(tmp_path):
     assert back.expected_cost == table.expected_cost
     assert np.array_equal(back.action, table.action)
     assert back.chain_digest == table.chain_digest
+    assert back.index is table.index is subset_index(4, 2)
+
+
+def _assert_matches_loop_oracle(chain, k, T, init):
+    value, table = opt_expected_cost(chain, k, T, init, record_values=True)
+    ref_value, ref_action, ref_layers = loop_opt_expected_cost(chain, k, T, init, table.index)
+    assert value == ref_value
+    assert np.array_equal(table.action, ref_action)
+    assert np.array_equal(table.value, ref_layers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dp_matches_per_rank_loop_oracle(data):
+    chain = data.draw(sparse_chain_specs())
+    k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    _assert_matches_loop_oracle(chain, k, data.draw(horizons), data.draw(caches(chain.n, k)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_dp_matches_per_rank_loop_oracle_for_every_k(n):
+    for k in range(1, n):
+        chain = sparse_chain(n, [n, k], 0.3)
+        last = tuple(range(n - k, n))  # the highest-rank cache
+        _assert_matches_loop_oracle(chain, k, 4, last)
+
+
+def test_subset_index_is_shared_and_read_only():
+    idx = subset_index(5, 2)
+    assert subset_index(5, 2) is idx
+    for arr in (idx.member, idx.pages, idx.succ):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    ch = random_chain(5, 1)
+    _, table = opt_expected_cost(ch, 2, 3, (0, 1))
+    assert table.index is idx
+
+
+@pytest.mark.parametrize("cache", [(0, 9), (0, 0), (0,), (0, 1, 2), (-1, 0), (0, 1.5)])
+def test_init_cache_must_be_k_distinct_pages(cache):
+    with pytest.raises(ValueError, match="2 distinct pages in 0..3"):
+        check_cache(cache, 4, 2)
+    with pytest.raises(ValueError, match="distinct pages"):
+        opt_expected_cost(random_chain(4, 0), 2, 5, cache)
