@@ -130,6 +130,32 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> RequestSequence:
     return RequestSequence(pages=pages, seed=seed)
 
 
+def sample_trials(chain: MarkovChain, T: int, seeds) -> np.ndarray:
+    """Draw one ``T``-request trace per seed, as a read-only ``(len(seeds), T)``
+    page array.
+
+    Row i holds the pages of ``sample_sequence(chain, T, seeds[i])``: the same
+    T uniforms, inverted with the same comparison, since ``(cum <= u).sum()``
+    counts what ``searchsorted(cum, u, side="right")`` counts. The walk takes
+    one step across all traces at a time, so many short traces cost a few
+    array operations per step; for one long trace ``sample_sequence`` is
+    faster. ``T = 0`` gives an empty array.
+    """
+    n = chain.n
+    u = np.empty((len(seeds), T))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(out=row)
+    u = u.T  # u[t] holds every trace's t-th uniform
+    cum = np.cumsum(chain.transition, axis=1)
+    pages = np.empty((T, len(seeds)), dtype=np.int64)
+    rows = np.cumsum(chain.init)[None, :]
+    for t in range(T):
+        pages[t] = np.minimum((rows <= u[t][:, None]).sum(axis=1), n - 1)
+        rows = cum[pages[t]]
+    pages.setflags(write=False)
+    return pages.T
+
+
 def build_lb_chain(eps: float, eps1: float) -> MarkovChain:
     """The 3-page i.i.d. adversarial chain: every row is [1-eps, eps1, eps-eps1].
 

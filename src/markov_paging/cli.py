@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from decimal import Decimal, InvalidOperation
 
@@ -115,12 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file of default flag values (flags override)")
     parser.add_argument("--output", help="write CSV here instead of stdout")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=max(1, os.cpu_count() or 1),
-        help="worker threads for independent trials",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.sub_map = {}
 
@@ -218,11 +211,11 @@ def _cmd_alpha(args) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_simulate(args, threads) -> tuple[list[str], int]:
+def _cmd_simulate(args) -> tuple[list[str], int]:
     chain = _resolve_chain(args)
     init_cache = _parse_init_cache(args.init_cache, args.k)
     policy = _make_policy(args.policy, chain, args.k, args.T, init_cache, args.budget)
-    est = engine.simulate(policy, chain, args.k, args.T, init_cache, args.trials, args.seed, threads)
+    est = engine.simulate(policy, chain, args.k, args.T, init_cache, args.trials, args.seed)
     lines = [
         "policy,mean,ci,trials,mode,chain_hash,k,T,seed",
         f"{policy.name},{est.mean!r},{est.half_width!r},{est.trials},{est.mode},"
@@ -249,7 +242,7 @@ def _cmd_opt(args) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_ratio(args, threads) -> tuple[list[str], int]:
+def _cmd_ratio(args) -> tuple[list[str], int]:
     chain = _resolve_chain(args)
     init_cache = _parse_init_cache(args.init_cache, args.k)
     names = [x for x in args.policies.split(",") if x]
@@ -259,7 +252,7 @@ def _cmd_ratio(args, threads) -> tuple[list[str], int]:
         baseline = _make_policy(baseline, chain, args.k, args.T, init_cache, args.budget)
     rows = engine.ratio_report(
         chain, args.k, args.T, policies, baseline, args.trials, args.seed, init_cache,
-        budget=args.budget, threads=threads,
+        budget=args.budget,
     )
     return engine.report_csv_lines(rows), 0
 
@@ -326,7 +319,7 @@ def _cmd_lowerbound(args) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_learn(args, threads) -> tuple[list[str], int]:
+def _cmd_learn(args) -> tuple[list[str], int]:
     if args.trace:
         trace = load_trace(args.trace)
         if args.delta_inf is None:
@@ -343,7 +336,7 @@ def _cmd_learn(args, threads) -> tuple[list[str], int]:
         opt_value, _ = opt_expected_cost(
             truth, args.k, args.T, init_cache, budget=args.budget, record_actions=False
         )
-        sim = engine.simulate(policy, truth, args.k, args.T, init_cache, args.trials, [args.seed, 4], threads)
+        sim = engine.simulate(policy, truth, args.k, args.T, init_cache, args.trials, [args.seed, 4])
         measured = repr(sim.mean / opt_value) if opt_value > 0 else "inf"
     delta = est.linf_error if est.linf_error is not None else args.delta_inf
     lines = [
@@ -388,17 +381,17 @@ def main(argv=None) -> int:
         if args.command == "alpha":
             lines, code = _cmd_alpha(args)
         elif args.command == "simulate":
-            lines, code = _cmd_simulate(args, args.threads)
+            lines, code = _cmd_simulate(args)
         elif args.command == "opt":
             lines, code = _cmd_opt(args)
         elif args.command == "ratio":
-            lines, code = _cmd_ratio(args, args.threads)
+            lines, code = _cmd_ratio(args)
         elif args.command == "audit":
             lines, code = _cmd_audit(args)
         elif args.command == "lowerbound":
             lines, code = _cmd_lowerbound(args)
         elif args.command == "learn":
-            lines, code = _cmd_learn(args, args.threads)
+            lines, code = _cmd_learn(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {args.command}")
     except (

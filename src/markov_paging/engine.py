@@ -1,11 +1,22 @@
 """Cost measurement: Monte Carlo simulation and exact distribution evolution.
 
 ``simulate`` runs independent trials with per-trial derived seeds and reports
-a mean miss count with a normal-approximation 95% CI. Memoryless policies
-(eviction distribution a function of cache contents and the requested page
-only) get a vectorized fast path over a precomputed kernel; history-dependent
-policies (farthest-in-future, LRU, FIFO, scripted, OPT replay) run step by
-step.
+a mean miss count with a normal-approximation 95% CI. Trial i draws its
+requests from seed ``(seed, i, 0)`` and any eviction randomness from
+``(seed, i, 1)``. A policy takes the first of three paths that applies:
+
+* kernel: memoryless policies (eviction distribution a function of cache
+  contents and the requested page only) step every trial at once over a
+  precomputed kernel of eviction distributions;
+* batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
+  is an ordered k-tuple) get every trial's request trace from one
+  ``sample_trials`` call and count all trials' misses at once;
+* generic: the rest (farthest-in-future, scripted, OPT replay) take the same
+  sampled traces and run one trial at a time, one eviction call per miss.
+
+The three paths give the same per-trial miss counts a one-trial-at-a-time loop
+gives on the same seeds. A horizon T of 0 costs 0 on every path, and a
+negative one is a ``ValueError``, here as in ``exact_cost`` and the OPT DP.
 
 ``exact_cost`` skips sampling entirely for memoryless policies. It builds the
 policy's joint (cache rank, last page) operator once, in scatter form: every
@@ -17,16 +28,24 @@ mass, one ``np.bincount``) and accumulates the per-step miss probability.
 
 from __future__ import annotations
 
-import copy
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import alpha as alpha_mod
-from .chain import chain_hash, sample_sequence
-from .optdp import BudgetExceeded, DEFAULT_BUDGET, SubsetIndex, check_cache, opt_expected_cost, subset_index
+from .chain import chain_hash, sample_trials
+from .optdp import (
+    BudgetExceeded,
+    DEFAULT_BUDGET,
+    SubsetIndex,
+    check_cache,
+    check_horizon,
+    opt_expected_cost,
+    subset_index,
+)
 from .policies import CacheState, RunContext, evict
+
+TRIAL_BLOCK_CELLS = 1 << 20  # requests (trials x T) sampled at once off the kernel path
 
 
 class NonMemoryless(TypeError):
@@ -88,31 +107,13 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
-def simulate(
-    policy,
-    chain,
-    k: int,
-    T: int,
-    init_cache,
-    trials: int,
-    seed,
-    threads: int = 1,
-) -> CostEstimate:
+def simulate(policy, chain, k: int, T: int, init_cache, trials: int, seed) -> CostEstimate:
     """Average miss count over ``trials`` independent runs of length ``T``.
 
-    Per-trial randomness is derived from ``(seed, trial)``, so results do not
-    depend on scheduling and repeat bit-for-bit under the same seed.
+    Per-trial randomness is derived from ``(seed, trial)``, so results repeat
+    bit-for-bit under the same seed, whichever path the policy takes.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    init_cache = check_cache(init_cache, chain.n, k)
-    base = _seed_tuple(seed)
-    table = _shared_alpha(policy, chain)
-    kernel = build_kernel(policy, chain, k, table)
-    if kernel is not None:
-        misses = _simulate_kernel(kernel, chain, T, init_cache, trials, base)
-    else:
-        misses = _simulate_generic(policy, chain, k, T, init_cache, trials, base, table, threads)
+    misses = trial_misses(policy, chain, k, T, init_cache, trials, seed)
     mean = float(misses.mean())
     sd = float(misses.std(ddof=1)) if trials > 1 else 0.0
     return CostEstimate(
@@ -121,6 +122,33 @@ def simulate(
         trials=trials,
         mode="monte-carlo",
     )
+
+
+def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -> np.ndarray:
+    """Miss count of each of ``trials`` runs, on the kernel, batched or generic
+    path (module docstring)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    check_horizon(T)
+    init_cache = check_cache(init_cache, chain.n, k)
+    base = _seed_tuple(seed)
+    table = _shared_alpha(policy, chain)
+    kernel = build_kernel(policy, chain, k, table)
+    if kernel is not None:
+        return _simulate_kernel(kernel, chain, T, init_cache, trials, base)
+    misses = np.empty(trials, dtype=np.int64)
+    block = max(1, TRIAL_BLOCK_CELLS // max(T, 1))  # bounds the page array's memory
+    for lo in range(0, trials, block):
+        ids = range(lo, min(lo + block, trials))
+        pages = sample_trials(chain, T, [base + (i, 0) for i in ids])
+        batch = policy.batch_misses(pages, init_cache)
+        if batch is None:
+            batch = [
+                _run_one_trial(policy, chain, k, row, init_cache, base + (i, 1), table)
+                for i, row in zip(ids, pages)
+            ]
+        misses[ids.start : ids.stop] = batch
+    return misses
 
 
 def _simulate_kernel(kernel, chain, T, init_cache, trials, base) -> np.ndarray:
@@ -149,43 +177,24 @@ def _simulate_kernel(kernel, chain, T, init_cache, trials, base) -> np.ndarray:
     return misses
 
 
-def _run_one_trial(policy, chain, k, T, init_cache, base, trial, table) -> int:
-    seq = sample_sequence(chain, T, base + (trial, 0))
-    rng_pol = np.random.default_rng(base + (trial, 1))
-    ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=seq.pages, alpha=table)
+def _run_one_trial(policy, chain, k, pages, init_cache, seed, table) -> int:
+    """Misses of one run over the request trace ``pages``, one eviction call
+    per miss; ``seed`` feeds the policy's own randomness."""
+    rng_pol = np.random.default_rng(seed)
+    ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages, alpha=table)
     policy.reset(ctx)
     cache = set(init_cache)
     last = None
     misses = 0
-    for t, page in enumerate(seq.pages, 1):
-        s = int(page)
+    for t, page in enumerate(pages.tolist(), 1):
         ctx.t = t
-        if s not in cache:
+        if page not in cache:
             misses += 1
             state = CacheState(pages=tuple(sorted(cache)), last_request=last)
-            victim = evict(policy, state, s, ctx, rng_pol)
+            victim = evict(policy, state, page, ctx, rng_pol)
             cache.remove(victim)
-            cache.add(s)
-        last = s
-    return misses
-
-
-def _simulate_generic(policy, chain, k, T, init_cache, trials, base, table, threads) -> np.ndarray:
-    misses = np.zeros(trials, dtype=np.int64)
-    if threads <= 1:
-        for trial in range(trials):
-            misses[trial] = _run_one_trial(policy, chain, k, T, init_cache, base, trial, table)
-        return misses
-    chunks = np.array_split(np.arange(trials), threads)
-
-    def run_chunk(ids):
-        local = copy.deepcopy(policy)
-        return [(int(i), _run_one_trial(local, chain, k, T, init_cache, base, int(i), table)) for i in ids]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(run_chunk, chunks):
-            for i, m in part:
-                misses[i] = m
+            cache.add(page)
+        last = page
     return misses
 
 
@@ -199,6 +208,7 @@ def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_
     miss on j sends ``kernel.probs[r, j, e]`` to (succ[r, j, e], j). Each step
     is then one chain step over all states, the miss mass, and one bincount.
     """
+    check_horizon(T)
     init_cache = check_cache(init_cache, chain.n, k)
     table = _shared_alpha(policy, chain)
     kernel = build_kernel(policy, chain, k, table)
@@ -257,7 +267,6 @@ def ratio_report(
     seed: int,
     init_cache,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> list[ReportRow]:
     """Costs and cost ratios against a baseline, with conservative interval
     arithmetic on the two CIs.
@@ -270,11 +279,11 @@ def ratio_report(
         value, _ = opt_expected_cost(chain, k, T, init_cache, budget=budget, record_actions=False)
         base_est = CostEstimate(mean=value, half_width=0.0, trials=0, mode="exact")
     else:
-        base_est = simulate(baseline, chain, k, T, init_cache, trials, (seed, 0), threads)
+        base_est = simulate(baseline, chain, k, T, init_cache, trials, (seed, 0))
     digest = chain_hash(chain)
     rows = []
     for i, policy in enumerate(policies):
-        est = simulate(policy, chain, k, T, init_cache, trials, (seed, i + 1), threads)
+        est = simulate(policy, chain, k, T, init_cache, trials, (seed, i + 1))
         lo_num = max(est.mean - est.half_width, 0.0)
         hi_den = base_est.mean - base_est.half_width
         ratio_low = float(lo_num / (base_est.mean + base_est.half_width)) if base_est.mean + base_est.half_width > 0 else float("inf")

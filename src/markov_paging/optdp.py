@@ -90,6 +90,13 @@ def check_cache(cache, n: int, k: int) -> tuple[int, ...]:
     return tuple(int(p) for p in pages)
 
 
+def check_horizon(T: int) -> int:
+    """``T`` itself; ``ValueError`` when it is negative. A horizon of 0 costs 0."""
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
+    return T
+
+
 @dataclass
 class OptTable:
     """DP output: expected cost, plus (optionally) action and value layers.
@@ -127,6 +134,7 @@ def opt_expected_cost(
     page index, so replays are stable run to run.
     """
     n = chain.n
+    check_horizon(T)
     init_cache = check_cache(init_cache, n, k)
     idx = subset_index(n, k)
     S = len(idx)

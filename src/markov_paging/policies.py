@@ -229,7 +229,10 @@ class Policy:
     ``uses_alpha`` advertises that the run context should carry a precedence
     table. ``kernel_probs`` returns, for memoryless rules, the eviction
     distribution over the sorted cache as a function of (cache, request) only;
-    history-dependent rules return ``None`` and are simulated step by step.
+    history-dependent rules return ``None``. Of those, rules whose cache state
+    fits a small array give every trial's miss count at once through
+    ``batch_misses``; the rest return ``None`` there too and are simulated
+    step by step, one trial at a time.
     """
 
     name = "policy"
@@ -242,6 +245,10 @@ class Policy:
         raise NotImplementedError
 
     def kernel_probs(self, cache: tuple[int, ...], requested: int, chain, table):
+        return None
+
+    def batch_misses(self, pages: np.ndarray, init_cache: tuple[int, ...]):
+        """Miss count per row of the ``(trials, T)`` request array, or None."""
         return None
 
 
@@ -382,6 +389,32 @@ class FarthestInFuture(Policy):
         return best_page
 
 
+def ordered_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndarray:
+    """Miss count per row of ``pages`` for a cache kept as an ordered k-tuple
+    whose slot 0 is the next victim, every trial stepped at once.
+
+    A miss drops slot 0 and appends the request; a hit moves the page to the
+    back when ``move_on_hit`` (LRU) and changes nothing otherwise (FIFO). The
+    initial pages start in ascending order, the tie-break of ``LruPolicy`` and
+    ``FifoPolicy``.
+    """
+    trials, T = pages.shape
+    k = len(init_cache)
+    order = np.tile(np.array(sorted(init_cache), dtype=np.int64), (trials, 1))
+    misses = np.zeros(trials, dtype=np.int64)
+    slots = np.arange(k - 1)
+    for t in range(T):
+        req = pages[:, t]
+        found = order == req[:, None]
+        hit = found.any(axis=1)
+        misses += ~hit
+        drop = found.argmax(axis=1)  # the hit slot, or slot 0 on a miss
+        kept = np.take_along_axis(order, slots + (slots >= drop[:, None]), axis=1)
+        moved = np.concatenate([kept, req[:, None]], axis=1)
+        order = moved if move_on_hit else np.where(hit[:, None], order, moved)
+    return misses
+
+
 class LruPolicy(Policy):
     name = "lru"
 
@@ -401,6 +434,9 @@ class LruPolicy(Policy):
             self._scanned += 1
         return min(cache.pages, key=lambda p: (self._last_used.get(p, -1), p))
 
+    def batch_misses(self, pages, init_cache):
+        return ordered_misses(pages, init_cache, move_on_hit=True)
+
 
 class FifoPolicy(Policy):
     name = "fifo"
@@ -415,6 +451,9 @@ class FifoPolicy(Policy):
         victim = self._queue.pop(0)
         self._queue.append(requested)
         return victim
+
+    def batch_misses(self, pages, init_cache):
+        return ordered_misses(pages, init_cache, move_on_hit=False)
 
 
 class RandomEvictionPolicy(Policy):

@@ -6,7 +6,10 @@ exhaustive expectation tree over request realizations (no state merging),
 matrix geometric series from term-by-term accumulation, and request traces
 from a one-request-at-a-time sampling loop. The OPT DP and the exact cost
 evolution are also kept as loops over one cache rank at a time, the
-reference for the library's all-ranks-at-once steps.
+reference for the library's all-ranks-at-once steps, and Monte Carlo as a
+loop over one trial at a time, the reference for the trial-batched paths.
+LRU and FIFO, which have no kernel, get an exact cost from the distribution
+over ordered caches.
 """
 
 import numpy as np
@@ -210,4 +213,66 @@ def loop_exact_cost(kernel, chain, T, init_cache):
             spread = miss_mass[:, None] * kernel.probs[r, out]  # (n-k, k)
             np.add.at(new, (idx.succ[r, out].ravel(), np.repeat(out, idx.k)), spread.ravel())
         dist = new
+    return cost
+
+
+def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed, table=None):
+    """Per-trial miss counts, one trial and one eviction call at a time: the
+    reference for every Monte Carlo path of ``simulate``.
+
+    Trial i samples its trace with ``sample_sequence`` from ``seed + (i, 0)``
+    and feeds the policy's randomness from ``seed + (i, 1)``; ``seed`` is a
+    tuple. A horizon of 0 has no requests and no misses.
+    """
+    from markov_paging.chain import sample_sequence
+    from markov_paging.policies import CacheState, RunContext, evict
+
+    misses = np.zeros(trials, dtype=np.int64)
+    for trial in range(trials):
+        pages = sample_sequence(chain, T, seed + (trial, 0)).pages if T else np.empty(0, dtype=np.int64)
+        rng_pol = np.random.default_rng(seed + (trial, 1))
+        ctx = RunContext(chain=chain, k=k, init_cache=tuple(init_cache), sequence=pages, alpha=table)
+        policy.reset(ctx)
+        cache = set(init_cache)
+        last = None
+        for t, page in enumerate(pages, 1):
+            s = int(page)
+            ctx.t = t
+            if s not in cache:
+                misses[trial] += 1
+                state = CacheState(pages=tuple(sorted(cache)), last_request=last)
+                victim = evict(policy, state, s, ctx, rng_pol)
+                cache.remove(victim)
+                cache.add(s)
+            last = s
+    return misses
+
+
+def ordered_exact_cost(chain, T, init_cache, move_on_hit):
+    """Exact expected misses of LRU (``move_on_hit``) or FIFO over ``T`` requests.
+
+    Evolves a dictionary of probability mass over (ordered cache, last page).
+    The ordered cache lists the next victim first: a miss drops it and appends
+    the request, a hit moves the page to the end under LRU and leaves the order
+    alone under FIFO. The initial pages start in ascending order.
+    """
+    dist = {(tuple(sorted(init_cache)), None): 1.0}
+    cost = 0.0
+    for _ in range(T):
+        nxt = {}
+        for (order, last), mass in dist.items():
+            row = chain.init if last is None else chain.transition[last]
+            for j in range(chain.n):
+                m = mass * float(row[j])
+                if m == 0.0:
+                    continue
+                if j not in order:
+                    cost += m
+                    new = order[1:] + (j,)
+                elif move_on_hit:
+                    new = tuple(p for p in order if p != j) + (j,)
+                else:
+                    new = order
+                nxt[new, j] = nxt.get((new, j), 0.0) + m
+        dist = nxt
     return cost

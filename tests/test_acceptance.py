@@ -306,7 +306,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         payloads = []
         for rep in range(2):
             out = tmp_path / f"{case[0]}-{rep}.csv"
-            cli_main(["--output", str(out), "--threads", "2", *case])
+            cli_main(["--output", str(out), *case])
             payloads.append(out.read_bytes())
         if payloads[0] != payloads[1]:
             problems.append(f"{case[0]} output differs between runs")

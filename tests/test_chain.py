@@ -13,11 +13,12 @@ from markov_paging.chain import (
     load_chain,
     random_chain,
     sample_sequence,
+    sample_trials,
     save_chain,
     validate_chain,
 )
 
-from .conftest import chain_specs
+from .conftest import chain_specs, sparse_chain_specs
 from .oracles import loop_sample_pages
 
 
@@ -133,6 +134,27 @@ def test_sampling_two_pages_across_chunks():
     ch = validate_chain([[0.9, 0.1], [0.4, 0.6]], init=[0.0, 1.0])
     for T in LENGTHS:
         assert np.array_equal(sample_sequence(ch, T, 11).pages, loop_sample_pages(ch, T, 11))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sparse_chain_specs(n_min=2, n_max=7),
+    st.sampled_from(LENGTHS),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=5),
+)
+def test_sample_trials_rows_match_sample_sequence(chain, T, seed, trials):
+    """Row i is the trace ``sample_sequence`` draws from seed i, page for page,
+    on chains with zero entries and across ``SAMPLE_CHUNK`` boundaries."""
+    seeds = [(seed, i, 0) for i in range(trials)]
+    pages = sample_trials(chain, T, seeds)
+    assert pages.shape == (trials, T) and not pages.flags.writeable
+    for row, s in zip(pages, seeds):
+        assert np.array_equal(row, sample_sequence(chain, T, s).pages)
+
+
+def test_sample_trials_empty_horizon():
+    assert sample_trials(random_chain(3, 1), 0, [(1, 0, 0), (1, 1, 0)]).shape == (2, 0)
 
 
 def test_chain_file_roundtrip(tmp_path):

@@ -11,7 +11,7 @@ from markov_paging.cli import _parse_int, main
 
 def run_cli(args, tmp_path, name="out.csv"):
     out = tmp_path / name
-    code = main(["--output", str(out), "--threads", "1", *args])
+    code = main(["--output", str(out), *args])
     return code, out.read_text() if out.exists() else ""
 
 
@@ -254,3 +254,23 @@ def test_config_switch_stays_boolean(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["--config", str(cfg), "--output", str(out), "alpha", "--n", "3"]) == 0
     assert out.read_text().splitlines()[0] == "gamma"
+
+
+HORIZON_CASES = [
+    (["simulate", "--policy", "dominating", "--trials", "10", "--seed", "1"], "mean", "0.0"),
+    (["simulate", "--policy", "lru", "--trials", "10", "--seed", "1"], "mean", "0.0"),
+    (["opt"], "expected_cost", "0.0"),
+    (["ratio", "--policies", "lru,fifo,dominating", "--trials", "10", "--seed", "1"], "mean", "0.0"),
+    (["learn", "--trials", "10", "--seed", "1"], "measured_ratio", "inf"),
+]
+
+
+@pytest.mark.parametrize("args,column,zero", HORIZON_CASES, ids=["simulate-dominating", "simulate-lru", "opt", "ratio", "learn"])
+def test_horizon_rule(args, column, zero, tmp_path, capsys):
+    """T = 0 costs nothing on every path; a negative T is a usage error."""
+    code, text = run_cli([*args, "--n", "4", "--k", "2", "--T", "0"], tmp_path)
+    header, *rows = (line.split(",") for line in text.strip().splitlines())
+    assert code == 0 and rows
+    assert all(row[header.index(column)] == zero for row in rows)
+    code, err = _error_exit([*args, "--n", "4", "--k", "2", "--T", "-2"], capsys)
+    assert code == 2 and "T must be >= 0, got -2" in err

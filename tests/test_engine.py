@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markov_paging.chain import build_lb_chain, random_chain, validate_chain
+from markov_paging.chain import build_lb_chain, random_chain, sample_sequence, sample_trials, validate_chain
 from markov_paging.engine import (
     NonMemoryless,
     build_kernel,
@@ -11,6 +11,7 @@ from markov_paging.engine import (
     ratio_report,
     report_csv_lines,
     simulate,
+    trial_misses,
 )
 from markov_paging.lowerbound import LBParams, closed_form_costs
 from markov_paging.optdp import opt_expected_cost, subset_index
@@ -18,6 +19,7 @@ from markov_paging.policies import (
     AdversarialDominatingPolicy,
     DominatingPolicy,
     FarthestInFuture,
+    FifoPolicy,
     LruPolicy,
     MedianPolicy,
     OptReplayPolicy,
@@ -26,7 +28,7 @@ from markov_paging.policies import (
 )
 
 from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_specs
-from .oracles import loop_exact_cost
+from .oracles import loop_exact_cost, loop_simulate_generic, ordered_exact_cost
 
 
 def test_no_misses_when_requests_stay_resident():
@@ -93,13 +95,6 @@ def test_simulate_deterministic_given_seed():
     assert c == d
 
 
-def test_threaded_generic_path_matches_sequential():
-    ch = random_chain(4, 6)
-    seq1 = simulate(LruPolicy(), ch, 2, 25, (0, 1), trials=60, seed=2, threads=1)
-    par = simulate(LruPolicy(), ch, 2, 25, (0, 1), trials=60, seed=2, threads=4)
-    assert seq1 == par
-
-
 def test_farthest_in_future_dominates_opt_on_every_shared_sequence():
     from markov_paging.engine import _run_one_trial
 
@@ -108,8 +103,9 @@ def test_farthest_in_future_dominates_opt_on_every_shared_sequence():
     _, table = opt_expected_cost(ch, 2, T, (0, 1))
     fif, opt = FarthestInFuture(), OptReplayPolicy(table)
     for trial in range(40):
-        m_fif = _run_one_trial(fif, ch, 2, T, (0, 1), (77,), trial, None)
-        m_opt = _run_one_trial(opt, ch, 2, T, (0, 1), (77,), trial, None)
+        pages = sample_sequence(ch, T, (77, trial, 0)).pages
+        m_fif = _run_one_trial(fif, ch, 2, pages, (0, 1), (77, trial, 1), None)
+        m_opt = _run_one_trial(opt, ch, 2, pages, (0, 1), (77, trial, 1), None)
         assert m_fif <= m_opt  # clairvoyance dominates on every shared sequence
 
 
@@ -136,8 +132,6 @@ def test_ratio_report_deterministic():
 
 
 def test_dp_value_lower_bounds_online_policies():
-    from markov_paging.policies import FifoPolicy
-
     ch = random_chain(4, 17, floor=0.1)
     k, T = 2, 25
     opt_value, _ = opt_expected_cost(ch, k, T, (0, 1), record_actions=False)
@@ -207,3 +201,82 @@ def test_bad_init_cache_rejected(cache):
             simulate(pol, ch, 2, 10, cache, trials=10, seed=1)
     with pytest.raises(ValueError, match="distinct pages in 0..3"):
         exact_cost(MedianPolicy(), ch, 2, 10, cache)
+
+
+def unsorted_caches(n, k):
+    """k distinct pages of range(n), in any order."""
+    return st.permutations(range(n)).map(lambda perm: tuple(perm[:k]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sampled_paths_match_per_trial_loop_oracle(data):
+    """LRU and FIFO (batched path) and farthest-in-future (generic path) give
+    the per-trial miss counts of the one-trial-at-a-time loop."""
+    chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
+    k = data.draw(st.sampled_from(sorted({1, chain.n - 1, (chain.n + 1) // 2})))
+    T = data.draw(horizons)
+    init = data.draw(unsorted_caches(chain.n, k))
+    trials = data.draw(st.integers(min_value=1, max_value=12))
+    seed = (data.draw(st.integers(min_value=0, max_value=2**31 - 1)),)
+    pages = sample_trials(chain, T, [seed + (i, 0) for i in range(trials)])
+    for make in (LruPolicy, FifoPolicy, FarthestInFuture):
+        ref = loop_simulate_generic(make(), chain, k, T, init, trials, seed)
+        assert np.array_equal(trial_misses(make(), chain, k, T, init, trials, seed), ref), make.name
+        if make is not FarthestInFuture:  # the batched count, given the unsorted cache itself
+            assert np.array_equal(make().batch_misses(pages, init), ref), make.name
+
+
+# (n, k, T, chain seed): both ends of k, and the mc-ratio shapes
+ORDERED_BATTERY = [(3, 1, 25, 1), (4, 2, 20, 2), (5, 2, 30, 3), (5, 3, 30, 4), (6, 2, 40, 5), (6, 3, 20, 6), (6, 5, 15, 7)]
+
+
+@pytest.mark.parametrize("n,k,T,chain_seed", ORDERED_BATTERY)
+def test_lru_fifo_monte_carlo_within_exact_ordered_cost(n, k, T, chain_seed):
+    chain = random_chain(n, [8100, chain_seed], floor=0.15)
+    init = tuple(range(k))
+    for policy, move_on_hit in ((LruPolicy(), True), (FifoPolicy(), False)):
+        exact = ordered_exact_cost(chain, T, init, move_on_hit)
+        est = simulate(policy, chain, k, T, init, trials=2000, seed=chain_seed)
+        assert est.half_width > 0
+        assert abs(est.mean - exact) <= 4 * est.half_width, policy.name
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_ordered_exact_cost_at_k1_equals_any_rule(n):
+    """With one slot every rule evicts the same page, so LRU, FIFO and the
+    dominating rule share one exact cost."""
+    for chain in (random_chain(n, [8200, n]), sparse_chain(n, [8200, n], 0.5)):
+        dom = exact_cost(DominatingPolicy(), chain, 1, 30, (n - 1,)).mean
+        for move_on_hit in (True, False):
+            assert ordered_exact_cost(chain, 30, (n - 1,), move_on_hit) == pytest.approx(dom, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("make", [DominatingPolicy, LruPolicy, FifoPolicy, FarthestInFuture])
+def test_horizon_rule_on_every_path(make):
+    ch = random_chain(4, 8)
+    est = simulate(make(), ch, 2, 0, (0, 1), trials=10, seed=1)
+    assert est.mean == 0.0 and est.half_width == 0.0
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        simulate(make(), ch, 2, -1, (0, 1), trials=10, seed=1)
+
+
+def test_horizon_rule_on_exact_paths():
+    ch = random_chain(4, 8)
+    assert exact_cost(MedianPolicy(), ch, 2, 0, (0, 1)).mean == 0.0
+    assert opt_expected_cost(ch, 2, 0, (0, 1))[0] == 0.0
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        exact_cost(MedianPolicy(), ch, 2, -2, (0, 1))
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        opt_expected_cost(ch, 2, -3, (0, 1))
+
+
+def test_sampled_paths_split_trials_into_blocks(monkeypatch):
+    """Trials sampled in several blocks keep their seeds and miss counts."""
+    from markov_paging import engine
+
+    monkeypatch.setattr(engine, "TRIAL_BLOCK_CELLS", 50)  # T=20: blocks of 2 trials
+    ch = random_chain(5, 21)
+    for make in (LruPolicy, FarthestInFuture):
+        got = trial_misses(make(), ch, 2, 20, (3, 1), 7, 4)
+        assert np.array_equal(got, loop_simulate_generic(make(), ch, 2, 20, (3, 1), 7, (4,))), make.name
