@@ -90,11 +90,10 @@ def check_cache(cache, n: int, k: int) -> tuple[int, ...]:
     return tuple(int(p) for p in pages)
 
 
-def check_horizon(T: int) -> int:
-    """``T`` itself; ``ValueError`` when it is negative. A horizon of 0 costs 0."""
+def check_horizon(T: int) -> None:
+    """``ValueError`` when the horizon T is negative; a horizon of 0 costs 0."""
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    return T
 
 
 @dataclass
