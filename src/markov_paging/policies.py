@@ -389,7 +389,7 @@ class FarthestInFuture(Policy):
         return best_page
 
 
-def ordered_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndarray:
+def _ordered_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndarray:
     """Miss count per row of ``pages`` for a cache kept as an ordered k-tuple
     whose slot 0 is the next victim, every trial stepped at once.
 
@@ -435,7 +435,7 @@ class LruPolicy(Policy):
         return min(cache.pages, key=lambda p: (self._last_used.get(p, -1), p))
 
     def batch_misses(self, pages, init_cache):
-        return ordered_misses(pages, init_cache, move_on_hit=True)
+        return _ordered_misses(pages, init_cache, move_on_hit=True)
 
 
 class FifoPolicy(Policy):
@@ -453,7 +453,7 @@ class FifoPolicy(Policy):
         return victim
 
     def batch_misses(self, pages, init_cache):
-        return ordered_misses(pages, init_cache, move_on_hit=False)
+        return _ordered_misses(pages, init_cache, move_on_hit=False)
 
 
 class RandomEvictionPolicy(Policy):
