@@ -15,8 +15,10 @@ On a cache miss a policy picks a resident page to evict. The interesting ones:
 * lru / fifo / random / scripted / pinned: baselines and test harness aids.
 
 Randomized policies draw from a caller-owned RNG; deterministic ones ignore
-it. Policies carry per-run state (reset before each run) plus memo tables that
-persist across runs on the same chain.
+it. Policies carry per-run state (reset before each run) plus per-chain tables
+that persist across runs on the same chain. The dominating rules keep one
+eviction table per (precedence table, k): every (cache, request) distribution
+of the chain, from one stacked LP solve (``LP_BLOCK`` LPs per simplex call).
 """
 
 from __future__ import annotations
@@ -27,15 +29,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alpha as alpha_mod
+from .optdp import subset_index
 from .simplex import InfeasibleLP, solve_lp
 
 DOM_SLACK_HARD = 1e-6  # beyond this the dominating LP contradicts existence
 DOM_SLACK_SOFT = 1e-9
 ITERATIVE_MEDIAN_CAP = 4096  # above this, first-passage medians use doubling
+LP_BLOCK = 4096  # dominating LPs solved per stacked simplex call
 
 
 class Infeasible(ValueError):
-    """The dominating LP has no admissible distribution; input is corrupt."""
+    """The dominating LP has no admissible distribution; input is corrupt.
+
+    ``index`` is the first failing LP of a stack. A policy's table build
+    names the (cache, request) pair instead, in ``cache`` and ``requested``,
+    and the adversarial rule the ``target`` it used.
+    """
+
+    def __init__(self, message: str, index: int = 0, cache=None, requested=None, target=None):
+        self.index = index
+        self.cache = cache
+        self.requested = requested
+        self.target = target
+        super().__init__(message)
 
 
 class MissingContext(ValueError):
@@ -58,20 +74,33 @@ class EvictionDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.where(self.probs < 0.0, 0.0, self.probs)
-        if self.probs.min(initial=0.0) < -1e-12:
-            raise ValueError(f"negative probability {self.probs.min()!r}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum()!r}")
-        object.__setattr__(self, "probs", p)
-        self.probs.setflags(write=False)
+        object.__setattr__(self, "probs", _distributions(self.probs))
 
     def support(self) -> tuple[tuple[int, float], ...]:
         return tuple(zip(self.pages, (float(x) for x in self.probs)))
 
     def sample(self, rng) -> int:
-        i = int(np.searchsorted(np.cumsum(self.probs), rng.random(), side="right"))
-        return self.pages[min(i, len(self.pages) - 1)]
+        return _draw(self.pages, self.probs, rng)
+
+
+def _distributions(probs: np.ndarray) -> np.ndarray:
+    """``probs`` with roundoff negatives set to 0, read-only; ``ValueError``
+    unless every row (last axis) is a distribution."""
+    if probs.min(initial=0.0) < -1e-12:
+        raise ValueError(f"negative probability {probs.min()!r}")
+    p = np.where(probs < 0.0, 0.0, probs)
+    sums = p.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"probabilities sum to {np.ravel(sums)[bad[0]]!r}")
+    p.setflags(write=False)
+    return p
+
+
+def _draw(pages, probs, rng) -> int:
+    """One page of ``pages`` drawn from ``probs`` with a single ``rng.random()``."""
+    i = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    return pages[min(i, len(pages) - 1)]
 
 
 @dataclass
@@ -87,67 +116,95 @@ class RunContext:
 
 
 def _check_alpha_sub(alpha_sub: np.ndarray) -> np.ndarray:
+    """``alpha_sub`` as a ``(B, k, k)`` float stack, each block checked."""
     a = np.asarray(alpha_sub, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("alpha_sub must be square")
-    if np.any(np.diag(a) != 0.0):
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ValueError("alpha_sub must be square, or a stack of square blocks")
+    if np.any(np.diagonal(a, axis1=-2, axis2=-1) != 0.0):
         raise ValueError("alpha_sub diagonal must be exactly zero")
-    if a.min() < -1e-9 or a.max() > 1.0 + 1e-9:
+    if a.min(initial=0.0) < -1e-9 or a.max(initial=0.0) > 1.0 + 1e-9:
         raise ValueError("alpha_sub entries must lie in [0, 1]")
-    return a
+    return a.reshape(-1, *a.shape[-2:])
 
 
 def _replay_check(a: np.ndarray, mu: np.ndarray) -> None:
-    worst = float((mu @ a).max())
-    if worst > 0.5 + DOM_SLACK_HARD:
-        raise Infeasible(f"column load {worst!r} exceeds 1/2; input inconsistent")
+    """Every LP's column loads ``mu[i] @ a[i]`` stay at most 1/2."""
+    worst = np.matmul(mu[:, None, :], a)[:, 0].max(axis=1, initial=-np.inf)
+    bad = np.flatnonzero(worst > 0.5 + DOM_SLACK_HARD)
+    if bad.size:
+        i = int(bad[0])
+        raise Infeasible(f"column load {float(worst[i])!r} exceeds 1/2; input inconsistent", index=i)
 
 
-def dominating_distribution(alpha_sub, pages=None) -> EvictionDistribution:
+def _result(mu: np.ndarray, pages, single: bool):
+    """The checked ``(B, k)`` rows of a stack, or the one block's distribution."""
+    if not single:
+        return _distributions(mu)
+    k = mu.shape[1]
+    return EvictionDistribution(pages=tuple(range(k) if pages is None else pages), probs=mu[0])
+
+
+def dominating_distribution(alpha_sub, pages=None):
     """A distribution mu with ``max_q sum_p mu(p) alpha_sub[p, q] <= 1/2``.
 
     Solves min-max: minimize t subject to every column load at most t,
     mu a distribution. The optimum provably sits at or below 1/2.
+
+    A ``(k, k)`` block gives an :class:`EvictionDistribution` over ``pages``
+    (by default the row indices). A ``(B, k, k)`` stack is solved in one
+    lockstep simplex and gives a read-only ``(B, k)`` array, row i the mu of
+    block i; :class:`Infeasible` then carries the ``index`` of the first
+    failing block.
     """
+    single = np.ndim(alpha_sub) == 2
+    if not single and pages is not None:
+        raise ValueError("pages label a single block; a stack gives bare (B, k) rows")
     a = _check_alpha_sub(alpha_sub)
-    k = a.shape[0]
-    if pages is None:
-        pages = tuple(range(k))
+    B, k = a.shape[:2]
     c = np.zeros(k + 1)
     c[k] = 1.0
-    a_ub = np.hstack([a.T, -np.ones((k, 1))])  # row q: sum_p mu_p a[p,q] - t <= 0
+    # row q of LP i: sum_p mu_p a[i, p, q] - t <= 0
+    a_ub = np.concatenate([a.transpose(0, 2, 1), np.full((B, k, 1), -1.0)], axis=2)
     a_eq = np.zeros((1, k + 1))
     a_eq[0, :k] = 1.0
     try:
         x, val = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(k), a_eq=a_eq, b_eq=[1.0])
     except InfeasibleLP as exc:  # cannot happen for a genuine alpha block
-        raise Infeasible(str(exc)) from exc
-    if val > 0.5 + DOM_SLACK_HARD:
-        raise Infeasible(f"min-max load {val!r} exceeds 1/2")
-    mu = x[:k]
+        raise Infeasible(str(exc), index=exc.index) from exc
+    high = np.flatnonzero(val > 0.5 + DOM_SLACK_HARD)
+    if high.size:
+        i = int(high[0])
+        raise Infeasible(f"min-max load {float(val[i])!r} exceeds 1/2", index=i)
+    mu = x[:, :k]
     _replay_check(a, mu)
-    return EvictionDistribution(pages=tuple(pages), probs=mu)
+    return _result(mu, pages, single)
 
 
-def adversarial_dominating(alpha_sub, target, pages=None) -> EvictionDistribution:
+def adversarial_dominating(alpha_sub, target, pages=None):
     """Among admissible mu, maximize the mass on ``target``.
 
-    ``target`` is a page label from ``pages`` (by default the row index).
+    ``target`` is a page label from ``pages`` (by default the row indices).
+    A ``(k, k)`` block gives an :class:`EvictionDistribution`. A ``(B, k, k)``
+    stack gives a read-only ``(B, k)`` array as in
+    :func:`dominating_distribution`; there ``pages`` is None or ``(B, k)``
+    labels, and ``target`` one label or one per block.
     """
+    single = np.ndim(alpha_sub) == 2
     a = _check_alpha_sub(alpha_sub)
-    k = a.shape[0]
-    if pages is None:
-        pages = tuple(range(k))
-    ti = tuple(pages).index(target)
-    c = np.zeros(k)
-    c[ti] = -1.0
+    B, k = a.shape[:2]
+    labels = np.broadcast_to(np.arange(k) if pages is None else np.asarray(pages), (B, k))
+    found = labels == np.reshape(target, (-1, 1))
+    if not found.any(axis=1).all():
+        raise ValueError(f"target {target!r} is not among the pages")
+    c = np.zeros((B, k))
+    c[np.arange(B), found.argmax(axis=1)] = -1.0
     a_eq = np.ones((1, k))
     try:
-        x, _ = solve_lp(c, a_ub=a.T, b_ub=np.full(k, 0.5), a_eq=a_eq, b_eq=[1.0])
+        x, _ = solve_lp(c, a_ub=a.transpose(0, 2, 1), b_ub=np.full(k, 0.5), a_eq=a_eq, b_eq=[1.0])
     except InfeasibleLP as exc:
-        raise Infeasible(str(exc)) from exc
+        raise Infeasible(str(exc), index=exc.index) from exc
     _replay_check(a, x)
-    return EvictionDistribution(pages=tuple(pages), probs=x)
+    return _result(x, pages, single)
 
 
 def median_index(chain, s: int, p: int, cap: int):
@@ -229,7 +286,8 @@ class Policy:
     ``uses_alpha`` advertises that the run context should carry a precedence
     table. ``kernel_probs`` returns, for memoryless rules, the eviction
     distribution over the sorted cache as a function of (cache, request) only;
-    history-dependent rules return ``None``. Of those, rules whose cache state
+    the dominating rules read it from their per-chain eviction table, built in
+    one stacked solve. History-dependent rules return ``None``. Of those, rules whose cache state
     fits a small array give every trial's miss count at once through
     ``batch_misses``; the rest return ``None`` there too and are simulated
     step by step, one trial at a time.
@@ -263,44 +321,79 @@ def evict(policy: Policy, cache: CacheState, requested: int, ctx: RunContext, rn
 
 
 class DominatingPolicy(Policy):
+    """The dominating-distribution rule over the sorted cache.
+
+    The first request for a precedence table and cache size k solves every
+    (cache, request not in cache) LP of the chain as one stack and keeps the
+    ``(S, n, k)`` eviction table (S cache ranks of ``subset_index(n, k)``);
+    ``kernel_probs`` and ``evict`` read rows of it.
+    """
+
     name = "dominating"
     uses_alpha = True
 
     def __init__(self, table: alpha_mod.AlphaTable | None = None):
-        self._table = table
-        self._pinned_table = table is not None
-        self._memo: dict[tuple, EvictionDistribution] = {}
+        self._table = table  # pinned: used whatever table a call passes
+        self._built_for = None  # the precedence table ``_tables`` belongs to
+        self._tables: dict[int, tuple] = {}  # k -> (SubsetIndex, eviction table)
 
-    def _resolve_table(self, ctx_or_table):
-        if self._table is not None:
-            return self._table
-        if ctx_or_table is None:
+    def _resolve_table(self, table):
+        """The pinned precedence table, else the one the call passes."""
+        table = self._table if self._table is not None else table
+        if table is None:
             raise MissingContext(f"{self.name} needs a precedence table")
-        return ctx_or_table
+        return table
 
-    def _mu(self, cache: tuple[int, ...], requested: int, table) -> EvictionDistribution:
-        key = (cache, requested)
-        dist = self._memo.get(key)
-        if dist is None:
-            dist = self._build(table.cache_block(cache, requested), cache)
-            self._memo[key] = dist
-        return dist
+    def _eviction_table(self, table, k: int):
+        if table is not self._built_for:
+            self._built_for, self._tables = table, {}
+        entry = self._tables.get(k)
+        if entry is None:
+            idx = subset_index(table.n, k)
+            entry = self._tables[k] = (idx, self._solve_table(table, idx))
+        return entry
 
-    def _build(self, block, cache):
-        return dominating_distribution(block, pages=cache)
+    def _solve_table(self, table, idx) -> np.ndarray:
+        """The read-only ``(S, n, k)`` table; rows of hits stay zero.
 
-    def reset(self, ctx: RunContext) -> None:
-        # adopt the run's table (and drop stale memos) unless one was pinned
-        if not self._pinned_table and ctx.alpha is not None and ctx.alpha is not self._table:
-            self._table = ctx.alpha
-            self._memo = {}
+        LPs are stacked in cache-rank, then request, order, so the first
+        failing one is the pair that :class:`Infeasible` names.
+        """
+        rank, req = np.nonzero(~idx.member)
+        pages = idx.pages[rank]
+        targets = self._targets(pages)
+        probs = np.zeros((len(idx), table.n, idx.k))
+        for lo in range(0, len(rank), LP_BLOCK):
+            part = slice(lo, lo + LP_BLOCK)
+            p = pages[part]
+            blocks = table.values[p[:, :, None], p[:, None, :], req[part, None, None]]
+            try:
+                probs[rank[part], req[part]] = self._solve(blocks, p, None if targets is None else targets[part])
+            except Infeasible as exc:
+                i = lo + exc.index
+                cache, requested = idx.subsets[rank[i]], int(req[i])
+                target = None if targets is None else int(targets[i])
+                used = "" if target is None else f", target {target}"
+                raise Infeasible(
+                    f"cache {cache}, request {requested}{used}: {exc}",
+                    index=i, cache=cache, requested=requested, target=target,
+                ) from exc
+        probs.setflags(write=False)
+        return probs
+
+    def _targets(self, pages):
+        return None
+
+    def _solve(self, blocks, pages, targets):
+        return dominating_distribution(blocks)
 
     def evict(self, cache, requested, ctx, rng):
-        table = self._resolve_table(ctx.alpha)
-        return self._mu(cache.pages, requested, table).sample(rng)
+        idx, probs = self._eviction_table(self._resolve_table(ctx.alpha), len(cache.pages))
+        return _draw(cache.pages, probs[idx.rank[cache.pages], requested], rng)
 
     def kernel_probs(self, cache, requested, chain, table):
-        return self._mu(cache, requested, self._resolve_table(table)).probs
+        idx, probs = self._eviction_table(self._resolve_table(table), len(cache))
+        return probs[idx.rank[cache], requested]
 
 
 class AdversarialDominatingPolicy(DominatingPolicy):
@@ -316,9 +409,12 @@ class AdversarialDominatingPolicy(DominatingPolicy):
         self.target = target
         self.name = f"dominating-adversarial:{target}"
 
-    def _build(self, block, cache):
-        target = self.target if self.target in cache else min(cache)
-        return adversarial_dominating(block, target, pages=cache)
+    def _targets(self, pages):
+        # caches are sorted, so column 0 is the lowest resident page
+        return np.where((pages == self.target).any(axis=1), self.target, pages[:, 0])
+
+    def _solve(self, blocks, pages, targets):
+        return adversarial_dominating(blocks, targets, pages=pages)
 
 
 class MedianPolicy(Policy):

@@ -50,3 +50,16 @@ def caches(n, k):
 
 # T in {0, 1, 2} and random horizons
 horizons = st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=3, max_value=12))
+
+
+def corrupt_alpha_table():
+    """n = 4 precedence table whose blocks for (cache (0, 2, 3), request 1)
+    and (cache (1, 2, 3), request 0) are ``ones - eye``: no distribution keeps
+    every column load at 1/2. Cache (0, 2, 3) has the lower subset rank."""
+    from markov_paging.alpha import AlphaTable, alpha_table
+
+    values = np.array(alpha_table(random_chain(4, 3)).values)
+    for cache, s in (((0, 2, 3), 1), ((1, 2, 3), 0)):
+        idx = np.array(cache)
+        values[idx[:, None], idx[None, :], s] = np.ones((3, 3)) - np.eye(3)
+    return AlphaTable(n=4, values=values)

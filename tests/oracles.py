@@ -9,10 +9,13 @@ evolution are also kept as loops over one cache rank at a time, the
 reference for the library's all-ranks-at-once steps, and Monte Carlo as a
 loop over one trial at a time, the reference for the trial-batched paths.
 LRU and FIFO, which have no kernel, get an exact cost from the distribution
-over ordered caches.
+over ordered caches. Linear programs are solved one at a time by a scalar
+tableau loop, the reference for the lockstep stacked simplex.
 """
 
 import numpy as np
+
+from markov_paging.simplex import MAX_ITER, PIVOT_TOL, InfeasibleLP, UnboundedLP
 
 
 def loop_sample_pages(chain, T, seed):
@@ -276,3 +279,125 @@ def ordered_exact_cost(chain, T, init_cache, move_on_hit):
                 nxt[new, j] = nxt.get((new, j), 0.0) + m
         dist = nxt
     return cost
+
+
+def _loop_pivot(tab, basis, row, col):
+    tab[row] /= tab[row, col]
+    for i in range(tab.shape[0]):
+        if i != row and tab[i, col] != 0.0:
+            tab[i] -= tab[i, col] * tab[row]
+    basis[row] = col
+
+
+def _loop_run(tab, basis, cost, allowed):
+    """Drive the tableau to optimality for ``cost`` using Bland's rule."""
+    m = tab.shape[0]
+    for _ in range(MAX_ITER):
+        cb = cost[basis]
+        red = cost - cb @ tab[:, :-1]
+        enter = -1
+        for j in np.flatnonzero(allowed):
+            if red[j] < -PIVOT_TOL:
+                enter = int(j)
+                break
+        if enter < 0:
+            return
+        leave = -1
+        best = np.inf
+        for i in range(m):
+            a = tab[i, enter]
+            if a > PIVOT_TOL:
+                ratio = tab[i, -1] / a
+                if ratio < best - PIVOT_TOL or (
+                    abs(ratio - best) <= PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise UnboundedLP(f"column {enter} is unbounded")
+        _loop_pivot(tab, basis, leave, enter)
+    raise RuntimeError("simplex iteration limit hit")
+
+
+def loop_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """One LP by two-phase tableau simplex with Bland's rule: the reference
+    for the lockstep ``solve_lp``.
+
+    Minimize ``c @ x`` s.t. ``a_ub x <= b_ub``, ``a_eq x = b_eq``, ``x >= 0``.
+    Returns ``(x, value)``. Raises :class:`InfeasibleLP` / :class:`UnboundedLP`;
+    rows that phase 1 finds redundant are dropped.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    rows = []
+    needs_artificial = []
+    if a_ub is not None:
+        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
+        for a, b in zip(a_ub, b_ub):
+            rows.append((a, b, 1.0))
+            needs_artificial.append(b < 0)
+    if a_eq is not None:
+        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
+        for a, b in zip(a_eq, b_eq):
+            rows.append((a, b, 0.0))
+            needs_artificial.append(True)
+    m = len(rows)
+    n_slack = sum(1 for r in rows if r[2] != 0.0)
+    n_art = sum(needs_artificial)
+    ncols = n + n_slack + n_art
+
+    tab = np.zeros((m, ncols + 1))
+    basis = np.full(m, -1, dtype=int)
+    art_cols = []
+    si = 0
+    ai = 0
+    for i, (a, b, has_slack) in enumerate(rows):
+        sign = -1.0 if b < 0 else 1.0
+        tab[i, :n] = sign * a
+        tab[i, -1] = sign * b
+        if has_slack:
+            tab[i, n + si] = sign
+            if sign > 0:
+                basis[i] = n + si
+            si += 1
+        if needs_artificial[i]:
+            col = n + n_slack + ai
+            tab[i, col] = 1.0
+            basis[i] = col
+            art_cols.append(col)
+            ai += 1
+
+    allowed = np.ones(ncols, dtype=bool)
+    if art_cols:
+        phase1 = np.zeros(ncols)
+        phase1[art_cols] = 1.0
+        _loop_run(tab, basis, phase1, allowed)
+        if phase1[basis] @ tab[:, -1] > 1e-8:
+            raise InfeasibleLP("phase 1 optimum is positive")
+        # pivot residual artificials out; drop rows that turn out redundant
+        keep = np.ones(m, dtype=bool)
+        for i in range(m):
+            if basis[i] in art_cols:
+                cand = [
+                    j
+                    for j in range(n + n_slack)
+                    if abs(tab[i, j]) > PIVOT_TOL
+                ]
+                if cand:
+                    _loop_pivot(tab, basis, i, cand[0])
+                else:
+                    keep[i] = False
+        tab = tab[keep]
+        basis = basis[keep]
+        allowed[art_cols] = False
+
+    cost = np.zeros(ncols)
+    cost[:n] = c
+    _loop_run(tab, basis, cost, allowed)
+
+    x = np.zeros(ncols)
+    x[basis] = tab[:, -1]
+    return x[:n], float(c @ x[:n])

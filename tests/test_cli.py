@@ -8,6 +8,8 @@ from markov_paging import audit as audit_mod
 from markov_paging.chain import random_chain, save_chain, validate_chain
 from markov_paging.cli import _parse_int, main
 
+from .conftest import corrupt_alpha_table
+
 
 def run_cli(args, tmp_path, name="out.csv"):
     out = tmp_path / name
@@ -180,6 +182,17 @@ def test_singular_chain_is_domain_error(tmp_path, capsys):
     code, err = _error_exit(["alpha", "--chain", str(path)], capsys)
     assert code == 2
     assert "pair (0, 1)" in err
+
+
+@pytest.mark.parametrize("policy,target", [("dominating", ""), ("dominating-adversarial:1", ", target 0")])
+def test_infeasible_lp_names_its_pair(policy, target, monkeypatch, capsys):
+    # two blocks admit no distribution; the first in cache-rank order is named
+    table = corrupt_alpha_table()
+    monkeypatch.setattr(alpha_mod, "alpha_table", lambda chain: table)
+    code, err = _error_exit(["simulate", "--policy", policy, "--n", "4", "--k", "3", "--T", "10",
+                             "--trials", "5", "--seed", "1"], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cache (0, 2, 3), request 1{target}: ")
 
 
 def test_solution_out_of_range_is_domain_error(monkeypatch, capsys):

@@ -31,6 +31,20 @@ from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_
 from .oracles import loop_exact_cost, loop_simulate_generic, ordered_exact_cost
 
 
+def test_reused_dominating_policy_follows_each_chain():
+    # one unpinned policy costs chain a (also inside an audit) and then chain
+    # b; b must cost what a fresh policy gives, not a's eviction table
+    from markov_paging.audit import run_audit
+
+    a, b = random_chain(4, 1), random_chain(4, 2)
+    pol = DominatingPolicy()
+    exact_cost(pol, a, 2, 30, (0, 1))
+    run_audit(sample_sequence(a, 20, 0), pol, LruPolicy(), 2, (0, 1), "updated", 0, 20, chain=a)
+    fresh = exact_cost(DominatingPolicy(), b, 2, 30, (0, 1)).mean
+    assert exact_cost(pol, b, 2, 30, (0, 1)).mean == fresh
+    assert simulate(pol, b, 2, 30, (0, 1), 200, 5) == simulate(DominatingPolicy(), b, 2, 30, (0, 1), 200, 5)
+
+
 def test_no_misses_when_requests_stay_resident():
     ch = validate_chain([[1.0, 0.0], [1.0, 0.0]], init=[1.0, 0.0])
     est = simulate(DominatingPolicy(), ch, 1, 50, (0,), trials=20, seed=1)

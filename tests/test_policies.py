@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from markov_paging.alpha import alpha_table
+from markov_paging import policies as policies_mod
+from markov_paging.alpha import SingularSystem, alpha_table
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
 from markov_paging.policies import (
     AdversarialDominatingPolicy,
@@ -28,9 +29,11 @@ from markov_paging.policies import (
     median_index,
     parse_policy,
 )
+from markov_paging.optdp import subset_index
+from markov_paging.simplex import solve_lp
 
-from .conftest import chain_specs
-from .oracles import rollout_alpha
+from .conftest import chain_specs, corrupt_alpha_table, sparse_chain_specs
+from .oracles import loop_solve_lp, rollout_alpha
 
 
 def uniform_block(k):
@@ -295,3 +298,189 @@ class TestEvictionDistribution:
     def test_support_pairs(self):
         d = EvictionDistribution(pages=(3, 5), probs=np.array([0.25, 0.75]))
         assert d.support() == ((3, 0.25), (5, 0.75))
+
+
+def _miss_blocks(table, k):
+    """Every (cache, request not in cache) block, in cache-rank, then request, order."""
+    idx = subset_index(table.n, k)
+    rank, req = np.nonzero(~idx.member)
+    blocks = np.array([table.cache_block(idx.subsets[r], j) for r, j in zip(rank, req)])
+    return idx, rank, req, blocks
+
+
+def _dominating_lp(a):
+    """The min-max LP of ``dominating_distribution`` for each block of ``a``."""
+    B, k = a.shape[:2]
+    c = np.zeros((B, k + 1))
+    c[:, k] = 1.0
+    a_ub = np.concatenate([a.transpose(0, 2, 1), np.full((B, k, 1), -1.0)], axis=2)
+    a_eq = np.broadcast_to(np.append(np.ones(k), 0.0), (B, 1, k + 1))
+    return c, a_ub, np.zeros(k), a_eq, [1.0]
+
+
+def _adversarial_lp(a, slots):
+    """The LP of ``adversarial_dominating`` with the target in row ``slots[i]``."""
+    B, k = a.shape[:2]
+    c = np.zeros((B, k))
+    c[np.arange(B), slots] = -1.0
+    return c, a.transpose(0, 2, 1), np.full(k, 0.5), np.ones((B, 1, k)), [1.0]
+
+
+def _assert_stack_matches_loop(lp):
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    x, val = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    for i in range(len(c)):
+        ref_x, ref_val = loop_solve_lp(c[i], a_ub=a_ub[i], b_ub=b_ub, a_eq=a_eq[i], b_eq=b_eq)
+        assert np.array_equal(x[i], ref_x) and val[i] == ref_val, i
+    return x
+
+
+class TestStackedTables:
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_chain_specs(n_min=3, n_max=8), st.data())
+    def test_tables_match_loop_oracle(self, chain, data):
+        try:
+            table = alpha_table(chain)
+        except SingularSystem:
+            assume(False)
+        k = data.draw(st.integers(min_value=1, max_value=chain.n - 1), label="k")
+        target = data.draw(st.integers(min_value=0, max_value=chain.n - 1), label="target")
+        idx, rank, req, blocks = _miss_blocks(table, k)
+        pages = idx.pages[rank]
+        slots = np.where((pages == target).any(axis=1), (pages == target).argmax(axis=1), 0)
+        x_dom = _assert_stack_matches_loop(_dominating_lp(blocks))[:, :k]
+        x_adv = _assert_stack_matches_loop(_adversarial_lp(blocks, slots))
+        for pol, x in ((DominatingPolicy(table), x_dom), (AdversarialDominatingPolicy(target, table), x_adv)):
+            rows = np.array([pol.kernel_probs(idx.subsets[r], j, chain, table) for r, j in zip(rank, req)])
+            assert np.array_equal(rows, np.where(x < 0.0, 0.0, x))
+
+    def test_stack_rows_equal_single_blocks(self):
+        table = alpha_table(random_chain(5, 8))
+        idx, rank, req, blocks = _miss_blocks(table, 3)
+        stacked = dominating_distribution(blocks)
+        assert stacked.shape == (len(blocks), 3) and not stacked.flags.writeable
+        targets = idx.pages[rank][:, 1]
+        adv = adversarial_dominating(blocks, targets, pages=idx.pages[rank])
+        for i, (r, j) in enumerate(zip(rank, req)):
+            cache = idx.subsets[r]
+            assert np.array_equal(stacked[i], dominating_distribution(blocks[i], pages=cache).probs)
+            assert np.array_equal(adv[i], adversarial_dominating(blocks[i], cache[1], pages=cache).probs)
+
+    def test_one_solve_per_chain_and_k(self, monkeypatch):
+        calls = []
+        real = policies_mod.dominating_distribution
+
+        def counting(alpha_sub, pages=None):
+            calls.append(np.shape(alpha_sub))
+            return real(alpha_sub, pages)
+
+        monkeypatch.setattr(policies_mod, "dominating_distribution", counting)
+        chain = random_chain(6, 2)
+        table = alpha_table(chain)
+        pol = DominatingPolicy(table)
+        for sub in subset_index(6, 3).subsets:
+            for j in range(6):
+                if j not in sub:
+                    pol.kernel_probs(sub, j, chain, table)
+        assert calls == [(20 * 3, 3, 3)]
+        pol.kernel_probs((0, 1), 2, chain, table)
+        assert calls[1:] == [(15 * 4, 2, 2)]
+
+    def test_evict_draws_as_the_single_block_distribution(self):
+        chain = random_chain(5, 4)
+        table = alpha_table(chain)
+        idx, rank, req, blocks = _miss_blocks(table, 2)
+        for pol, single in (
+            (DominatingPolicy(table), lambda b, c: dominating_distribution(b, pages=c)),
+            (AdversarialDominatingPolicy(3, table), lambda b, c: adversarial_dominating(b, 3 if 3 in c else c[0], pages=c)),
+        ):
+            for i, (r, j) in enumerate(zip(rank, req)):
+                cache = idx.subsets[r]
+                ctx = RunContext(chain, 2, cache, alpha=table)
+                got = [pol.evict(CacheState(pages=cache), int(j), ctx, np.random.default_rng([i, t])) for t in range(8)]
+                want = [single(blocks[i], cache).sample(np.random.default_rng([i, t])) for t in range(8)]
+                assert got == want
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_chunked_solve_equals_unchunked(self, block, monkeypatch):
+        chain = random_chain(7, 1)
+        table = alpha_table(chain)
+        whole = [DominatingPolicy(table)._eviction_table(table, 3)[1],
+                 AdversarialDominatingPolicy(2, table)._eviction_table(table, 3)[1]]
+        monkeypatch.setattr(policies_mod, "LP_BLOCK", block)
+        parts = [DominatingPolicy(table)._eviction_table(table, 3)[1],
+                 AdversarialDominatingPolicy(2, table)._eviction_table(table, 3)[1]]
+        for a, b in zip(whole, parts):
+            assert np.array_equal(a, b) and not b.flags.writeable
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_infeasible_names_first_pair(self, block, monkeypatch):
+        monkeypatch.setattr(policies_mod, "LP_BLOCK", block)
+        table = corrupt_alpha_table()
+        with pytest.raises(Infeasible) as err:
+            DominatingPolicy(table).kernel_probs((0, 1, 2), 3, None, table)
+        assert (err.value.cache, err.value.requested, err.value.target) == ((0, 2, 3), 1, None)
+        assert str(err.value).startswith("cache (0, 2, 3), request 1: ")
+        with pytest.raises(Infeasible) as err:
+            AdversarialDominatingPolicy(1, table).kernel_probs((0, 1, 2), 3, None, table)
+        # page 1 is not resident in (0, 2, 3), so the lowest page stands in
+        assert (err.value.cache, err.value.requested, err.value.target) == ((0, 2, 3), 1, 0)
+        assert str(err.value).startswith("cache (0, 2, 3), request 1, target 0: ")
+
+
+class TestStackGuards:
+    """Each guard of the stacked solve rejects a bad LP of the stack on its own."""
+
+    @pytest.mark.parametrize("where,value", [((2, 1, 1), 0.25), ((1, 0, 2), 1.5), ((3, 2, 0), -0.1)])
+    def test_block_check_runs_on_every_block(self, where, value):
+        blocks = np.array([uniform_block(3)] * 4)
+        blocks[where] = value
+        for solve in (dominating_distribution, lambda a: adversarial_dominating(a, 0)):
+            with pytest.raises(ValueError):
+                solve(blocks)
+
+    @staticmethod
+    def _fake_solve(monkeypatch, edit):
+        """``solve_lp`` as seen by the policies, with ``edit(x, value)`` applied."""
+
+        def fake(*args, **kwargs):
+            x, val = solve_lp(*args, **kwargs)
+            x, val = x.copy(), val.copy()
+            edit(x, val)
+            return x, val
+
+        monkeypatch.setattr(policies_mod, "solve_lp", fake)
+
+    def test_value_above_half_rejected(self, monkeypatch):
+        self._fake_solve(monkeypatch, lambda x, val: val.__setitem__(2, 0.6))
+        with pytest.raises(Infeasible, match="min-max load 0.6") as err:
+            dominating_distribution(np.array([uniform_block(3)] * 4))
+        assert err.value.index == 2
+
+    def test_replay_rejects_overloaded_column(self, monkeypatch):
+        # all mass on page 0 loads column 1 with 0.9; the reported value stays 0.45
+        blocks = np.array([[[0.0, 0.1], [0.1, 0.0]]] * 2 + [[[0.0, 0.9], [0.1, 0.0]]])
+
+        def concentrate(x, val):
+            x[2, :2] = [1.0, 0.0]
+
+        self._fake_solve(monkeypatch, concentrate)
+        for solve in (dominating_distribution, lambda a: adversarial_dominating(a, 1)):
+            with pytest.raises(Infeasible, match="column load 0.9") as err:
+                solve(blocks)
+            assert err.value.index == 2
+
+    def test_roundoff_negatives_clipped_in_stack(self, monkeypatch):
+        def nudge(x, val):
+            x[1, :3] = [0.5 + 1e-13, 0.5, -1e-13]
+
+        self._fake_solve(monkeypatch, nudge)
+        probs = dominating_distribution(np.array([uniform_block(3)] * 3))
+        assert probs[1, 2] == 0.0 and probs[1, 0] == 0.5 + 1e-13
+
+    @pytest.mark.parametrize("row", [[0.7, 0.2, 0.0], [1.1, 0.0, -0.1]])
+    def test_rows_must_be_distributions(self, row, monkeypatch):
+        # zero blocks load no column, so the replay check passes any row
+        self._fake_solve(monkeypatch, lambda x, val: x[:, :3].__setitem__(2, row))
+        with pytest.raises(ValueError, match="probabilit"):
+            dominating_distribution(np.zeros((3, 3, 3)))
