@@ -53,6 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alpha as alpha_mod
+from .engine import _seed_tuple
+from .optdp import check_cache
 from .policies import CacheState, RunContext, evict
 
 
@@ -178,6 +180,9 @@ def run_audit(
     ``seq`` may be a RequestSequence or an index array; it must extend to
     ``T_ext`` (default: its full length) so savior events can be resolved.
     Policies draw from independent streams derived from ``seed``.
+    ``init_cache`` must hold k distinct pages in 0..n-1, n being ``chain.n``
+    or, without a chain, one more than the largest page of ``seq`` and
+    ``init_cache``; otherwise ``ValueError``.
     """
     if scheme not in ("original", "updated"):
         raise ValueError(f"scheme must be 'original' or 'updated', got {scheme!r}")
@@ -186,17 +191,16 @@ def run_audit(
         T_ext = len(pages)
     if not T <= T_ext <= len(pages):
         raise SequenceTooShort(f"need T={T} <= T_ext={T_ext} <= len(seq)={len(pages)}")
-    init_cache = tuple(sorted(init_cache))
-    if len(init_cache) != k:
-        raise ValueError("init_cache must have exactly k pages")
+    n = chain.n if chain is not None else 1 + max(int(pages.max(initial=0)), max(init_cache, default=0))
+    init_cache = check_cache(init_cache, n, k)
 
     table = None
     if chain is not None and (alg.uses_alpha or ref.uses_alpha):
         table = alpha_mod.alpha_table(chain)
     ctx_a = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages, alpha=table)
     ctx_r = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages, alpha=table)
-    rng_a = np.random.default_rng([*_as_tuple(seed), 0])
-    rng_r = np.random.default_rng([*_as_tuple(seed), 1])
+    rng_a = np.random.default_rng([*_seed_tuple(seed), 0])
+    rng_r = np.random.default_rng([*_seed_tuple(seed), 1])
     alg.reset(ctx_a)
     ref.reset(ctx_r)
 
@@ -336,12 +340,6 @@ def run_audit(
         violations=violations,
         ambiguous_steps=ambiguous,
     )
-
-
-def _as_tuple(seed):
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(x) for x in seed)
 
 
 def _select_savior(a_minus, ref_after, charge, t):

@@ -1,22 +1,26 @@
 """Cost measurement: Monte Carlo simulation and exact distribution evolution.
 
-``simulate`` runs independent trials with per-trial derived seeds and reports
-a mean miss count with a normal-approximation 95% CI. Trial i draws its
-requests from seed ``(seed, i, 0)`` and any eviction randomness from
-``(seed, i, 1)``. A policy takes the first of three paths that applies:
+``simulate`` runs independent seeded trials and reports a mean miss count
+with a normal-approximation 95% CI. A policy takes the first of three paths
+that applies:
 
 * kernel: memoryless policies (eviction distribution a function of cache
-  contents and the requested page only) step every trial at once over a
-  precomputed kernel of eviction distributions;
+  contents and the requested page only) step every trial at once over the
+  policy's eviction table, drawing every trial's requests and evictions from
+  one ``default_rng(seed)`` stream;
 * batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
   is an ordered k-tuple) get every trial's request trace from one
   ``sample_trials`` call and count all trials' misses at once;
 * generic: the rest (farthest-in-future, scripted, OPT replay) take the same
   sampled traces and run one trial at a time, one eviction call per miss.
 
-The three paths give the same per-trial miss counts a one-trial-at-a-time loop
-gives on the same seeds. A horizon T of 0 costs 0 on every path, and a
-negative one is a ``ValueError``, here as in ``exact_cost`` and the OPT DP.
+On the batched and generic paths trial i draws its requests from seed
+``(seed, i, 0)`` and any eviction randomness from ``(seed, i, 1)``, so both
+give the per-trial miss counts a one-trial-at-a-time loop gives on those
+seeds. The kernel path's shared stream makes its counts depend on the number
+of trials; they repeat bit-for-bit under the same seed and trial count. A
+horizon T of 0 costs 0 on every path, and a negative one is a
+``ValueError``, here as in ``exact_cost`` and the OPT DP.
 
 ``exact_cost`` skips sampling entirely for memoryless policies. It builds the
 policy's joint (cache rank, last page) operator once, in scatter form: every
@@ -72,33 +76,19 @@ class SimKernel:
     index: SubsetIndex
     probs: np.ndarray  # (S, n, k) eviction distribution per (cache, request)
 
-    @property
-    def cum_probs(self) -> np.ndarray:
-        if not hasattr(self, "_cum"):
-            self._cum = np.cumsum(self.probs, axis=2)
-        return self._cum
-
 
 def _shared_alpha(policy, chain):
     return alpha_mod.alpha_table(chain) if policy.uses_alpha else None
 
 
 def build_kernel(policy, chain, k: int, table=None) -> SimKernel | None:
-    """Materialize the per-(cache, request) eviction distributions, or None
-    when the policy is history-dependent."""
+    """The policy's per-(cache, request) eviction table, or None when the
+    policy is history-dependent."""
     if table is None:
         table = _shared_alpha(policy, chain)
     idx = subset_index(chain.n, k)
-    probs = np.zeros((len(idx), chain.n, k))
-    for r, sub in enumerate(idx.subsets):
-        for j in range(chain.n):
-            if idx.member[r, j]:
-                continue
-            p = policy.kernel_probs(sub, j, chain, table)
-            if p is None:
-                return None
-            probs[r, j] = p
-    return SimKernel(index=idx, probs=probs)
+    probs = policy.kernel_probs(idx, chain, table)
+    return None if probs is None else SimKernel(index=idx, probs=probs)
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -110,8 +100,9 @@ def _seed_tuple(seed) -> tuple[int, ...]:
 def simulate(policy, chain, k: int, T: int, init_cache, trials: int, seed) -> CostEstimate:
     """Average miss count over ``trials`` independent runs of length ``T``.
 
-    Per-trial randomness is derived from ``(seed, trial)``, so results repeat
-    bit-for-bit under the same seed, whichever path the policy takes.
+    Results repeat bit-for-bit under the same seed and trial count, whichever
+    path the policy takes; the module docstring says which stream each path
+    draws from.
     """
     misses = trial_misses(policy, chain, k, T, init_cache, trials, seed)
     mean = float(misses.mean())
@@ -157,7 +148,7 @@ def _simulate_kernel(kernel, chain, T, init_cache, trials, base) -> np.ndarray:
     rng = np.random.default_rng(base)
     cum_rows = np.cumsum(chain.transition, axis=1)
     cum_init = np.cumsum(chain.init)
-    cum_kernel = kernel.cum_probs
+    cum_kernel = np.cumsum(kernel.probs, axis=2)
     ranks = np.full(trials, idx.rank[init_cache], dtype=np.int64)
     last = np.zeros(trials, dtype=np.int64)
     misses = np.zeros(trials, dtype=np.int64)

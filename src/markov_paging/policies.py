@@ -23,13 +23,14 @@ of the chain, from one stacked LP solve (``LP_BLOCK`` LPs per simplex call).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import alpha as alpha_mod
-from .optdp import subset_index
+from .optdp import opt_action, subset_index
 from .simplex import InfeasibleLP, solve_lp
 
 DOM_SLACK_HARD = 1e-6  # beyond this the dominating LP contradicts existence
@@ -284,13 +285,13 @@ class Policy:
     """Base eviction rule. Subclasses override :meth:`evict`.
 
     ``uses_alpha`` advertises that the run context should carry a precedence
-    table. ``kernel_probs`` returns, for memoryless rules, the eviction
-    distribution over the sorted cache as a function of (cache, request) only;
-    the dominating rules read it from their per-chain eviction table, built in
-    one stacked solve. History-dependent rules return ``None``. Of those, rules whose cache state
-    fits a small array give every trial's miss count at once through
-    ``batch_misses``; the rest return ``None`` there too and are simulated
-    step by step, one trial at a time.
+    table. ``kernel_probs`` returns, for memoryless rules, the read-only
+    ``(S, n, k)`` eviction table over ``idx = subset_index(n, k)``: row
+    ``[r, j]`` is the distribution over sorted cache r when page j is
+    requested, zero where j is resident. History-dependent rules return
+    ``None``. Of those, rules whose cache state fits a small array give
+    every trial's miss count at once through ``batch_misses``; the rest return
+    ``None`` there too and are simulated step by step, one trial at a time.
     """
 
     name = "policy"
@@ -302,12 +303,20 @@ class Policy:
     def evict(self, cache: CacheState, requested: int, ctx: RunContext, rng) -> int:
         raise NotImplementedError
 
-    def kernel_probs(self, cache: tuple[int, ...], requested: int, chain, table):
+    def kernel_probs(self, idx, chain, table):
         return None
 
     def batch_misses(self, pages: np.ndarray, init_cache: tuple[int, ...]):
         """Miss count per row of the ``(trials, T)`` request array, or None."""
         return None
+
+
+def _miss_table(idx, rows) -> np.ndarray:
+    """Read-only ``(S, n, k)`` table: ``rows``, broadcast, wherever the
+    request misses, else zero."""
+    probs = np.where(idx.member[:, :, None], 0.0, np.broadcast_to(rows, (len(idx), idx.n, idx.k)))
+    probs.setflags(write=False)
+    return probs
 
 
 def evict(policy: Policy, cache: CacheState, requested: int, ctx: RunContext, rng) -> int:
@@ -326,7 +335,7 @@ class DominatingPolicy(Policy):
     The first request for a precedence table and cache size k solves every
     (cache, request not in cache) LP of the chain as one stack and keeps the
     ``(S, n, k)`` eviction table (S cache ranks of ``subset_index(n, k)``);
-    ``kernel_probs`` and ``evict`` read rows of it.
+    ``kernel_probs`` returns it and ``evict`` reads rows of it.
     """
 
     name = "dominating"
@@ -391,9 +400,8 @@ class DominatingPolicy(Policy):
         idx, probs = self._eviction_table(self._resolve_table(ctx.alpha), len(cache.pages))
         return _draw(cache.pages, probs[idx.rank[cache.pages], requested], rng)
 
-    def kernel_probs(self, cache, requested, chain, table):
-        idx, probs = self._eviction_table(self._resolve_table(table), len(cache))
-        return probs[idx.rank[cache], requested]
+    def kernel_probs(self, idx, chain, table):
+        return self._eviction_table(self._resolve_table(table), idx.k)[1]
 
 
 class AdversarialDominatingPolicy(DominatingPolicy):
@@ -418,40 +426,35 @@ class AdversarialDominatingPolicy(DominatingPolicy):
 
 
 class MedianPolicy(Policy):
+    """Reads one ``(n, n)`` matrix per chain, ``[s, p] = median_index(chain,
+    s, p, cap)`` for s != p; ``argmax`` over the sorted cache breaks ties to
+    the lowest page."""
+
     name = "median"
 
     def __init__(self, cap: int | None = None):
         self.cap = cap
-        self._memo: dict[tuple[int, int], object] = {}
-        self._memo_chain = None
+        self._chain = None
+        self._medians = None
 
-    def _median(self, chain, s: int, p: int):
-        if chain is not self._memo_chain:  # medians are chain-specific
-            self._memo = {}
-            self._memo_chain = chain
-        key = (s, p)
-        m = self._memo.get(key)
-        if m is None:
+    def _median_matrix(self, chain) -> np.ndarray:
+        if chain is not self._chain:  # medians are chain-specific
             cap = self.cap if self.cap is not None else default_median_cap(chain)
-            m = median_index(chain, s, p, cap)
-            self._memo[key] = m
-        return m
-
-    def _choose(self, cache, requested, chain):
-        best_page, best_med = None, None
-        for p in cache:  # ascending order makes ties go to the lowest index
-            m = self._median(chain, requested, p)
-            if best_med is None or m > best_med:
-                best_page, best_med = p, m
-        return best_page
+            med = np.zeros((chain.n, chain.n))
+            for s in range(chain.n):
+                for p in range(chain.n):
+                    if p != s:
+                        med[s, p] = median_index(chain, s, p, cap)
+            self._chain, self._medians = chain, med
+        return self._medians
 
     def evict(self, cache, requested, ctx, rng):
-        return self._choose(cache.pages, requested, ctx.chain)
+        med = self._median_matrix(ctx.chain)[requested, cache.pages]
+        return cache.pages[int(med.argmax())]
 
-    def kernel_probs(self, cache, requested, chain, table):
-        probs = np.zeros(len(cache))
-        probs[cache.index(self._choose(cache, requested, chain))] = 1.0
-        return probs
+    def kernel_probs(self, idx, chain, table):
+        med = self._median_matrix(chain)[np.arange(idx.n)[:, None], idx.pages[:, None, :]]
+        return _miss_table(idx, np.arange(idx.k) == med.argmax(axis=2)[:, :, None])
 
 
 class FarthestInFuture(Policy):
@@ -471,8 +474,6 @@ class FarthestInFuture(Policy):
         self._occurrences = occ
 
     def evict(self, cache, requested, ctx, rng):
-        import bisect
-
         if self._occurrences is None:
             raise MissingContext("farthest-in-future policy was not reset with a sequence")
         best_page, best_next = None, -1
@@ -558,8 +559,8 @@ class RandomEvictionPolicy(Policy):
     def evict(self, cache, requested, ctx, rng):
         return cache.pages[int(rng.integers(len(cache.pages)))]
 
-    def kernel_probs(self, cache, requested, chain, table):
-        return np.full(len(cache), 1.0 / len(cache))
+    def kernel_probs(self, idx, chain, table):
+        return _miss_table(idx, np.full(idx.k, 1.0 / idx.k))
 
 
 class PinnedPolicy(Policy):
@@ -575,13 +576,11 @@ class PinnedPolicy(Policy):
                 return p
         raise RuntimeError("all resident pages are pinned")
 
-    def kernel_probs(self, cache, requested, chain, table):
-        probs = np.zeros(len(cache))
-        for i, p in enumerate(cache):
-            if p not in self.pinned:
-                probs[i] = 1.0
-                return probs
-        raise RuntimeError("all resident pages are pinned")
+    def kernel_probs(self, idx, chain, table):
+        free = ~np.isin(idx.pages, list(self.pinned))
+        if not free.any(axis=1).all():
+            raise RuntimeError("all resident pages are pinned")
+        return _miss_table(idx, np.arange(idx.k) == free.argmax(axis=1)[:, None, None])
 
 
 class ScriptedPolicy(Policy):
@@ -613,8 +612,6 @@ class OptReplayPolicy(Policy):
         self.table = table
 
     def evict(self, cache, requested, ctx, rng):
-        from .optdp import opt_action
-
         return opt_action(self.table, ctx.t, cache.pages, cache.last_request, requested)
 
 

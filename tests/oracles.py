@@ -10,7 +10,9 @@ reference for the library's all-ranks-at-once steps, and Monte Carlo as a
 loop over one trial at a time, the reference for the trial-batched paths.
 LRU and FIFO, which have no kernel, get an exact cost from the distribution
 over ordered caches. Linear programs are solved one at a time by a scalar
-tableau loop, the reference for the lockstep stacked simplex.
+tableau loop, the reference for the lockstep stacked simplex. The median,
+pinned and random eviction rules are applied one (cache, request) pair at a
+time, the reference for their whole-table ``kernel_probs``.
 """
 
 import numpy as np
@@ -217,6 +219,52 @@ def loop_exact_cost(kernel, chain, T, init_cache):
             np.add.at(new, (idx.succ[r, out].ravel(), np.repeat(out, idx.k)), spread.ravel())
         dist = new
     return cost
+
+
+def loop_kernel_probs(policy, chain, k):
+    """The ``(S, n, k)`` eviction table of a median, pinned or random rule,
+    filled one (cache, request) pair at a time; hit rows stay zero.
+
+    Median scans the sorted cache and moves to a page only when its median
+    is strictly larger, so ties go to the lowest page; pinned takes the first
+    unpinned page and raises ``RuntimeError`` when there is none; random is
+    uniform.
+    """
+    from markov_paging.optdp import subset_index
+    from markov_paging.policies import (
+        MedianPolicy,
+        PinnedPolicy,
+        RandomEvictionPolicy,
+        default_median_cap,
+        median_index,
+    )
+
+    idx = subset_index(chain.n, k)
+    probs = np.zeros((len(idx), chain.n, k))
+    medians = {}
+    cap = getattr(policy, "cap", None) or default_median_cap(chain)
+    for r, cache in enumerate(idx.subsets):
+        for j in range(chain.n):
+            if j in cache:
+                continue
+            if isinstance(policy, MedianPolicy):
+                best, best_med = None, None
+                for i, p in enumerate(cache):
+                    if (j, p) not in medians:
+                        medians[j, p] = median_index(chain, j, p, cap)
+                    if best_med is None or medians[j, p] > best_med:
+                        best, best_med = i, medians[j, p]
+                probs[r, j, best] = 1.0
+            elif isinstance(policy, PinnedPolicy):
+                free = [i for i, p in enumerate(cache) if p not in policy.pinned]
+                if not free:
+                    raise RuntimeError("all resident pages are pinned")
+                probs[r, j, free[0]] = 1.0
+            elif isinstance(policy, RandomEvictionPolicy):
+                probs[r, j] = 1.0 / k
+            else:
+                raise TypeError(f"no per-key rule for {policy.name}")
+    return probs
 
 
 def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed, table=None):

@@ -295,6 +295,15 @@ def test_sequence_too_short():
                   seed=0, T=9, chain=chain)
 
 
+@pytest.mark.parametrize("cache", [(0, 0), (0, 9), (1,)])
+def test_bad_init_cache_rejected(cache):
+    chain = random_chain(4, 1)
+    seq = sample_sequence(chain, 20, 2)
+    with pytest.raises(ValueError, match="distinct pages in 0..3"):
+        run_audit(seq, DominatingPolicy(), FarthestInFuture(), 2, cache, "updated",
+                  seed=0, T=15, chain=chain)
+
+
 def test_audit_deterministic():
     a = _random_audit(3, "updated")
     b = _random_audit(3, "updated")

@@ -28,7 +28,7 @@ from markov_paging.policies import (
 )
 
 from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_specs
-from .oracles import loop_exact_cost, loop_simulate_generic, ordered_exact_cost
+from .oracles import loop_exact_cost, loop_kernel_probs, loop_simulate_generic, ordered_exact_cost
 
 
 def test_reused_dominating_policy_follows_each_chain():
@@ -159,8 +159,8 @@ class LeakyEviction(RandomEvictionPolicy):
 
     name = "leaky"
 
-    def kernel_probs(self, cache, requested, chain, table):
-        return super().kernel_probs(cache, requested, chain, table) * (1.0 - 1e-6)
+    def kernel_probs(self, idx, chain, table):
+        return super().kernel_probs(idx, chain, table) * (1.0 - 1e-6)
 
 
 def test_mass_conservation_guard():
@@ -205,6 +205,22 @@ def test_exact_matches_per_rank_loop_oracle_for_every_k(n):
 
 def test_kernel_uses_shared_index():
     assert build_kernel(MedianPolicy(), random_chain(5, 2), 3).index is subset_index(5, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_chain_specs(n_min=3, n_max=8), st.data())
+def test_memoryless_tables_match_per_key_oracle(chain, data):
+    pinned = data.draw(st.sets(st.integers(min_value=0, max_value=chain.n - 1), max_size=chain.n - 1), label="pinned")
+    for k in range(1, chain.n):
+        for policy in (MedianPolicy(), PinnedPolicy(pinned), RandomEvictionPolicy()):
+            try:
+                want = loop_kernel_probs(policy, chain, k)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match="all resident pages are pinned"):
+                    build_kernel(policy, chain, k)
+                continue
+            probs = build_kernel(policy, chain, k).probs
+            assert np.array_equal(probs, want) and not probs.flags.writeable, (policy.name, k)
 
 
 @pytest.mark.parametrize("cache", [(0, 9), (0, 0), (1,)])

@@ -232,6 +232,14 @@ class TestPolicyZoo:
         ctx = RunContext(chain=None, k=2, init_cache=(0, 1))
         assert pol.evict(CacheState(pages=(0, 1)), 2, ctx, None) == 1
 
+    def test_pinned_table_rejects_fully_pinned_cache(self):
+        chain = random_chain(4, 1)
+        pol = PinnedPolicy({1, 3})
+        assert pol.kernel_probs(subset_index(4, 3), chain, None)[0, 3].tolist() == [1.0, 0.0, 0.0]
+        # cache (1, 3) has no unpinned page to evict
+        with pytest.raises(RuntimeError, match="all resident pages are pinned"):
+            pol.kernel_probs(subset_index(4, 2), chain, None)
+
     def test_dominating_seeded_reproducibility(self):
         ch = random_chain(4, 3)
         table = alpha_table(ch)
@@ -351,8 +359,10 @@ class TestStackedTables:
         x_dom = _assert_stack_matches_loop(_dominating_lp(blocks))[:, :k]
         x_adv = _assert_stack_matches_loop(_adversarial_lp(blocks, slots))
         for pol, x in ((DominatingPolicy(table), x_dom), (AdversarialDominatingPolicy(target, table), x_adv)):
-            rows = np.array([pol.kernel_probs(idx.subsets[r], j, chain, table) for r, j in zip(rank, req)])
-            assert np.array_equal(rows, np.where(x < 0.0, 0.0, x))
+            probs = pol.kernel_probs(idx, chain, table)
+            assert probs.shape == (len(idx), chain.n, k) and not probs.flags.writeable
+            assert np.array_equal(probs[rank, req], np.where(x < 0.0, 0.0, x))
+            assert not probs[idx.member].any()
 
     def test_stack_rows_equal_single_blocks(self):
         table = alpha_table(random_chain(5, 8))
@@ -378,12 +388,10 @@ class TestStackedTables:
         chain = random_chain(6, 2)
         table = alpha_table(chain)
         pol = DominatingPolicy(table)
-        for sub in subset_index(6, 3).subsets:
-            for j in range(6):
-                if j not in sub:
-                    pol.kernel_probs(sub, j, chain, table)
+        first = pol.kernel_probs(subset_index(6, 3), chain, table)
+        assert pol.kernel_probs(subset_index(6, 3), chain, table) is first
         assert calls == [(20 * 3, 3, 3)]
-        pol.kernel_probs((0, 1), 2, chain, table)
+        pol.kernel_probs(subset_index(6, 2), chain, table)
         assert calls[1:] == [(15 * 4, 2, 2)]
 
     def test_evict_draws_as_the_single_block_distribution(self):
@@ -417,12 +425,13 @@ class TestStackedTables:
     def test_infeasible_names_first_pair(self, block, monkeypatch):
         monkeypatch.setattr(policies_mod, "LP_BLOCK", block)
         table = corrupt_alpha_table()
+        idx = subset_index(4, 3)
         with pytest.raises(Infeasible) as err:
-            DominatingPolicy(table).kernel_probs((0, 1, 2), 3, None, table)
+            DominatingPolicy(table).kernel_probs(idx, None, table)
         assert (err.value.cache, err.value.requested, err.value.target) == ((0, 2, 3), 1, None)
         assert str(err.value).startswith("cache (0, 2, 3), request 1: ")
         with pytest.raises(Infeasible) as err:
-            AdversarialDominatingPolicy(1, table).kernel_probs((0, 1, 2), 3, None, table)
+            AdversarialDominatingPolicy(1, table).kernel_probs(idx, None, table)
         # page 1 is not resident in (0, 2, 3), so the lowest page stands in
         assert (err.value.cache, err.value.requested, err.value.target) == ((0, 2, 3), 1, 0)
         assert str(err.value).startswith("cache (0, 2, 3), request 1, target 0: ")
