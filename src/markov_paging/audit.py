@@ -54,7 +54,7 @@ import numpy as np
 
 from . import alpha as alpha_mod
 from .engine import _seed_tuple
-from .optdp import check_cache
+from .optdp import check_cache, check_horizon
 from .policies import CacheState, RunContext, evict
 
 
@@ -182,8 +182,10 @@ def run_audit(
     Policies draw from independent streams derived from ``seed``.
     ``init_cache`` must hold k distinct pages in 0..n-1, n being ``chain.n``
     or, without a chain, one more than the largest page of ``seq`` and
-    ``init_cache``; otherwise ``ValueError``.
+    ``init_cache``, and ``T`` must be >= 0; otherwise ``ValueError``. The
+    report's ``n`` is that n.
     """
+    check_horizon(T)
     if scheme not in ("original", "updated"):
         raise ValueError(f"scheme must be 'original' or 'updated', got {scheme!r}")
     pages = np.asarray(getattr(seq, "pages", seq), dtype=np.int64)
@@ -213,7 +215,6 @@ def run_audit(
 
     I = D = U = 0
     a_misses = ref_misses = 0
-    last_a = last_r = None
     steps: list[StepRecord] = []
     events: list[SaviorEvent] = []
     violations: list[str] = []
@@ -244,14 +245,14 @@ def run_audit(
         if not in_a:
             a_misses += 1
             ctx_a.t = t
-            state = CacheState(pages=tuple(sorted(a_cache)), last_request=last_a)
+            state = CacheState(pages=tuple(sorted(a_cache)))
             a_evicted = evict(alg, state, s, ctx_a, rng_a)
             a_cache.remove(a_evicted)
             a_cache.add(s)
         if not in_ref:
             ref_misses += 1
             ctx_r.t = t
-            state = CacheState(pages=tuple(sorted(r_cache)), last_request=last_r)
+            state = CacheState(pages=tuple(sorted(r_cache)))
             ref_evicted = evict(ref, state, s, ctx_r, rng_r)
             r_cache.remove(ref_evicted)
             r_cache.add(s)
@@ -288,7 +289,6 @@ def run_audit(
         requested_ever.add(s)
         if ref_evicted >= 0:
             ref_evicted_ever.add(ref_evicted)
-        last_a = last_r = s
 
         _structural_checks(scheme, t, charge, a_cache, requested_ever | init_set, violations)
 
@@ -325,7 +325,7 @@ def run_audit(
 
     return AuditReport(
         scheme=scheme,
-        n=int(pages.max()) + 1 if len(pages) else 0,
+        n=n,
         k=k,
         T=T,
         T_ext=T_ext,

@@ -7,6 +7,7 @@ chain file, live in a sidecar dictionary and never enter the hot paths.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -37,10 +38,6 @@ class MarkovChain:
     def __post_init__(self):
         self.transition.setflags(write=False)
         self.init.setflags(write=False)
-
-    def is_iid(self) -> bool:
-        """True when every row is identical (requests are i.i.d.)."""
-        return bool(np.all(self.transition == self.transition[0]))
 
 
 @dataclass(frozen=True)
@@ -173,8 +170,6 @@ def build_lb_chain(eps: float, eps1: float) -> MarkovChain:
 
 def chain_hash(chain: MarkovChain) -> str:
     """Short stable digest of (n, transition, init), for report provenance."""
-    import hashlib
-
     h = hashlib.sha256()
     h.update(str(chain.n).encode())
     h.update(chain.transition.tobytes())

@@ -19,7 +19,7 @@ from . import alpha as alpha_mod
 from . import audit as audit_mod
 from . import engine, learn, lowerbound
 from .chain import build_lb_chain, chain_hash, load_chain, load_trace, random_chain, sample_sequence
-from .optdp import BudgetExceeded, opt_expected_cost
+from .optdp import BudgetExceeded, opt_expected_cost, save_opt_table
 from .policies import OptReplayPolicy, parse_policy
 
 
@@ -232,8 +232,6 @@ def _cmd_opt(args) -> tuple[list[str], int]:
         record_actions=bool(args.save_table),
     )
     if args.save_table:
-        from .optdp import save_opt_table
-
         save_opt_table(table, args.save_table)
     lines = [
         "chain_hash,n,k,T,expected_cost",

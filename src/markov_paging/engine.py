@@ -175,17 +175,15 @@ def _run_one_trial(policy, chain, k, pages, init_cache, seed, table) -> int:
     ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages, alpha=table)
     policy.reset(ctx)
     cache = set(init_cache)
-    last = None
     misses = 0
     for t, page in enumerate(pages.tolist(), 1):
         ctx.t = t
         if page not in cache:
             misses += 1
-            state = CacheState(pages=tuple(sorted(cache)), last_request=last)
+            state = CacheState(pages=tuple(sorted(cache)))
             victim = evict(policy, state, page, ctx, rng_pol)
             cache.remove(victim)
             cache.add(page)
-        last = page
     return misses
 
 

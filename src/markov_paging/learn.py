@@ -37,13 +37,11 @@ class EstimatedChain:
     """Smoothed empirical transition estimate.
 
     ``linf_error`` is the max-row-sum error against the true matrix and is
-    only set in evaluation mode (truth supplied); ``delta_floor`` records the
-    assumed lower bound on true entries, when the caller states one.
+    only set in evaluation mode (truth supplied).
     """
 
     m_hat: np.ndarray
     sample_count: int
-    delta_floor: float | None = None
     linf_error: float | None = None
 
     def to_chain(self) -> MarkovChain:
@@ -58,12 +56,13 @@ class ApproxAlphaBundle:
     gamma_source: str  # "true" or "estimated"
 
 
-def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, truth: MarkovChain | None = None, delta_floor: float | None = None) -> EstimatedChain:
+def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, truth: MarkovChain | None = None) -> EstimatedChain:
     """Add-constant smoothed row-normalized transition counts.
 
     ``m_hat[i, j] = (count(i->j) + smoothing) / (count(i->.) + n*smoothing)``;
     rows never visited come out uniform. ``n`` defaults to the trace's page
     range (pass it explicitly when the trace may not visit every page).
+    ``ValueError`` unless every page lies in 0..n-1.
     """
     pages = np.asarray(getattr(trace, "pages", trace), dtype=np.int64)
     if len(pages) < 2:
@@ -72,6 +71,9 @@ def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, tru
         raise ValueError("smoothing must be positive")
     if n is None:
         n = int(pages.max()) + 1
+    bad = pages[(pages < 0) | (pages >= n)]
+    if bad.size:
+        raise ValueError(f"trace page {int(bad[0])} is outside 0..{n - 1}")
     if truth is not None and truth.n != n:
         raise ValueError("truth chain size does not match n")
     counts = np.zeros((n, n))
@@ -80,12 +82,7 @@ def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, tru
     linf = None
     if truth is not None:
         linf = float(np.abs(m_hat - truth.transition).sum(axis=1).max())
-    return EstimatedChain(
-        m_hat=m_hat,
-        sample_count=len(pages),
-        delta_floor=delta_floor,
-        linf_error=linf,
-    )
+    return EstimatedChain(m_hat=m_hat, sample_count=len(pages), linf_error=linf)
 
 
 def perturbation_eps(gamma: float, delta_inf: float) -> float:

@@ -178,12 +178,9 @@ def opt_expected_cost(
     return total, table
 
 
-def opt_action(table: OptTable, t: int, cache, last, requested: int) -> int:
-    """Stored optimal eviction at request index ``t`` (1-based).
-
-    ``last`` is accepted for interface symmetry; once the realized request is
-    known the optimal eviction no longer depends on it.
-    """
+def opt_action(table: OptTable, t: int, cache, requested: int) -> int:
+    """Stored optimal eviction at request index ``t`` (1-based); once the
+    realized request is known it does not depend on the previous one."""
     if table.action is None:
         raise KeyError("table was built without recorded actions")
     if not 1 <= t <= table.T:

@@ -12,8 +12,12 @@ LRU and FIFO, which have no kernel, get an exact cost from the distribution
 over ordered caches. Linear programs are solved one at a time by a scalar
 tableau loop, the reference for the lockstep stacked simplex. The median,
 pinned and random eviction rules are applied one (cache, request) pair at a
-time, the reference for their whole-table ``kernel_probs``.
+time, the reference for their whole-table ``kernel_probs``, and first-passage
+medians are found one (s, p) pair at a time by a closed form, iteration or
+doubling, the reference for the one-pass ``median_index``.
 """
+
+import math
 
 import numpy as np
 
@@ -221,6 +225,82 @@ def loop_exact_cost(kernel, chain, T, init_cache):
     return cost
 
 
+def loop_median_index(chain, s: int, p: int, cap: int):
+    """Smallest t >= 1 with Pr[p requested within t steps | last request s] >= 1/2.
+
+    Returns ``math.inf`` when the probability has not reached 1/2 by ``cap``
+    steps (e.g. p unreachable from s). Equivalently: first t at which the
+    survival probability (no request for p in t steps) drops to <= 1/2, found
+    by the geometric closed form on an i.i.d. chain, else by iterating the
+    first-passage recursion with p absorbing, or by matrix-power doubling
+    when ``cap`` exceeds 4096.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if np.all(chain.transition == chain.transition[0]):  # i.i.d. requests
+        r = float(chain.transition[0, p])
+        if r <= 0.0:
+            return math.inf
+        if r >= 0.5:
+            return 1
+        t = max(1, math.ceil(math.log(0.5) / math.log1p(-r)))
+        while t > 1 and (1.0 - r) ** (t - 1) <= 0.5:
+            t -= 1
+        while (1.0 - r) ** t > 0.5:
+            t += 1
+        return t if t <= cap else math.inf
+    q = np.array(chain.transition)
+    q[:, p] = 0.0
+    if cap <= 4096:
+        g = np.ones(chain.n)
+        for t in range(1, cap + 1):
+            g = q @ g
+            if g[s] <= 0.5:
+                return t
+        return math.inf
+    return _median_by_doubling(q, s, cap)
+
+
+def _median_by_doubling(q: np.ndarray, s: int, cap: int):
+    ones = np.ones(q.shape[0])
+    powers = [q]  # powers[j] = q^(2^j)
+
+    def survival(t: int) -> float:
+        v = ones
+        j = 0
+        while t:
+            if j == len(powers):
+                powers.append(powers[-1] @ powers[-1])
+            if t & 1:
+                v = powers[j] @ v
+            t >>= 1
+            j += 1
+        return float(v[s])
+
+    if survival(cap) > 0.5:
+        return math.inf
+    lo, hi = 0, 1  # survival at lo known > 1/2 (t=0 survives surely)
+    while survival(hi) > 0.5:
+        lo, hi = hi, min(hi * 2, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if survival(mid) > 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def loop_median_matrix(chain, cap):
+    """The ``(n, n)`` matrix of :func:`loop_median_index` over s != p, diagonal 0."""
+    med = np.zeros((chain.n, chain.n))
+    for s in range(chain.n):
+        for p in range(chain.n):
+            if p != s:
+                med[s, p] = loop_median_index(chain, s, p, cap)
+    return med
+
+
 def loop_kernel_probs(policy, chain, k):
     """The ``(S, n, k)`` eviction table of a median, pinned or random rule,
     filled one (cache, request) pair at a time; hit rows stay zero.
@@ -231,18 +311,12 @@ def loop_kernel_probs(policy, chain, k):
     uniform.
     """
     from markov_paging.optdp import subset_index
-    from markov_paging.policies import (
-        MedianPolicy,
-        PinnedPolicy,
-        RandomEvictionPolicy,
-        default_median_cap,
-        median_index,
-    )
+    from markov_paging.policies import MedianPolicy, PinnedPolicy, RandomEvictionPolicy, default_median_cap
 
     idx = subset_index(chain.n, k)
     probs = np.zeros((len(idx), chain.n, k))
     medians = {}
-    cap = getattr(policy, "cap", None) or default_median_cap(chain)
+    cap = default_median_cap(chain)
     for r, cache in enumerate(idx.subsets):
         for j in range(chain.n):
             if j in cache:
@@ -251,7 +325,7 @@ def loop_kernel_probs(policy, chain, k):
                 best, best_med = None, None
                 for i, p in enumerate(cache):
                     if (j, p) not in medians:
-                        medians[j, p] = median_index(chain, j, p, cap)
+                        medians[j, p] = loop_median_index(chain, j, p, cap)
                     if best_med is None or medians[j, p] > best_med:
                         best, best_med = i, medians[j, p]
                 probs[r, j, best] = 1.0
@@ -285,17 +359,15 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed, table=N
         ctx = RunContext(chain=chain, k=k, init_cache=tuple(init_cache), sequence=pages, alpha=table)
         policy.reset(ctx)
         cache = set(init_cache)
-        last = None
         for t, page in enumerate(pages, 1):
             s = int(page)
             ctx.t = t
             if s not in cache:
                 misses[trial] += 1
-                state = CacheState(pages=tuple(sorted(cache)), last_request=last)
+                state = CacheState(pages=tuple(sorted(cache)))
                 victim = evict(policy, state, s, ctx, rng_pol)
                 cache.remove(victim)
                 cache.add(s)
-            last = s
     return misses
 
 

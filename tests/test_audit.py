@@ -304,6 +304,24 @@ def test_bad_init_cache_rejected(cache):
                   seed=0, T=15, chain=chain)
 
 
+def test_negative_horizon_rejected():
+    chain = random_chain(3, 1)
+    seq = sample_sequence(chain, 5, 2)
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        run_audit(seq, DominatingPolicy(), FarthestInFuture(), 2, (0, 1), "updated",
+                  seed=0, T=-3, chain=chain)
+
+
+def test_report_names_the_validated_size():
+    # the sequence uses pages 0 and 1 only; the chain has 4
+    chain = random_chain(4, 1)
+    rep = run_audit(np.array([0, 1, 0, 1]), DominatingPolicy(), FarthestInFuture(), 2, (0, 1),
+                    "updated", seed=0, T=4, chain=chain)
+    assert rep.n == 4
+    bare = scripted_audit([0, 1, 0], [3], [3], 2, (0, 3), "updated")
+    assert bare.n == 4
+
+
 def test_audit_deterministic():
     a = _random_audit(3, "updated")
     b = _random_audit(3, "updated")

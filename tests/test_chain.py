@@ -182,7 +182,3 @@ def test_chain_hash_stability():
     assert chain_hash(a) == chain_hash(b)
     assert chain_hash(a) != chain_hash(random_chain(4, 2))
 
-
-def test_is_iid_flag():
-    assert build_lb_chain(0.2, 0.1).is_iid()
-    assert not random_chain(3, 0).is_iid()

@@ -145,6 +145,14 @@ def test_domain_error_is_usage_error(tmp_path):
     assert code == 2
 
 
+def test_trace_page_out_of_range_is_usage_error(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n1\n-1\n0\n1\n")
+    code = main(["learn", "--trace", str(trace), "--delta-inf", "0.01", "--k", "1", "--T", "5", "--seed", "0"])
+    assert code == 2
+    assert "trace page -1 is outside 0..1" in capsys.readouterr().err
+
+
 def test_missing_chain_source(tmp_path):
     code = main(["opt", "--k", "2", "--T", "5"])
     assert code == 2

@@ -40,6 +40,12 @@ def test_too_short_trace_rejected():
         estimate_transition(np.array([0, 1]), n=2, smoothing=0.0)
 
 
+@pytest.mark.parametrize("trace,n", [([0, 1, 5, 0], 3), ([0, -1, 1, 0], None), ([0, -1, 1, 0], 2)])
+def test_out_of_range_pages_rejected(trace, n):
+    with pytest.raises(ValueError, match="outside 0.."):
+        estimate_transition(np.array(trace), n=n)
+
+
 @settings(max_examples=20, deadline=None)
 @given(chain_specs(n_min=2, n_max=5), st.integers(min_value=0, max_value=10**6))
 def test_estimates_are_valid_chains(chain, seed):

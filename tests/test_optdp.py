@@ -72,14 +72,14 @@ def test_value_layers_monotone_and_terminal_zero():
 def test_action_is_resident_and_forced_at_k1():
     ch = random_chain(3, 5)
     _, table = opt_expected_cost(ch, 1, 4, (1,))
-    assert opt_action(table, 2, (1,), 1, 0) == 1  # only resident page
+    assert opt_action(table, 2, (1,), 0) == 1  # only resident page
 
 
 def test_symmetric_tie_breaks_to_lowest_index():
     ch = validate_chain(np.full((3, 3), 1 / 3))
     _, table = opt_expected_cost(ch, 2, 5, (0, 1))
     # pages are exchangeable, so evicting 0 or 1 has identical value
-    assert opt_action(table, 1, (0, 1), None, 2) == 0
+    assert opt_action(table, 1, (0, 1), 2) == 0
 
 
 def test_deterministic_cycle_matches_farthest_in_future():
@@ -105,12 +105,12 @@ def test_unknown_state_lookup_fails():
     ch = random_chain(4, 2)
     _, table = opt_expected_cost(ch, 2, 3, (0, 1))
     with pytest.raises(KeyError):
-        opt_action(table, 3, (0, 1), None, 1)  # resident page: no action stored
+        opt_action(table, 3, (0, 1), 1)  # resident page: no action stored
     with pytest.raises(KeyError):
-        opt_action(table, 9, (0, 1), None, 2)  # beyond horizon
+        opt_action(table, 9, (0, 1), 2)  # beyond horizon
     _, bare = opt_expected_cost(ch, 2, 3, (0, 1), record_actions=False)
     with pytest.raises(KeyError):
-        opt_action(bare, 1, (0, 1), None, 2)  # actions were not recorded
+        opt_action(bare, 1, (0, 1), 2)  # actions were not recorded
 
 
 def test_subset_index_roundtrip():

@@ -33,7 +33,7 @@ from markov_paging.optdp import subset_index
 from markov_paging.simplex import solve_lp
 
 from .conftest import chain_specs, corrupt_alpha_table, sparse_chain_specs
-from .oracles import loop_solve_lp, rollout_alpha
+from .oracles import loop_median_matrix, loop_solve_lp, rollout_alpha
 
 
 def uniform_block(k):
@@ -143,54 +143,73 @@ def test_claim_q_no_later_than_mu_draw():
 class TestMedian:
     def test_two_page_uniform_boundary(self):
         ch = validate_chain(np.full((2, 2), 0.5))
-        assert median_index(ch, 0, 1, 100) == 1
+        assert median_index(ch, 100)[0, 1] == 1
 
     def test_four_page_uniform(self):
         ch = validate_chain(np.full((4, 4), 0.25))
-        assert median_index(ch, 2, 1, 100) == 3  # 1-(3/4)^t >= 1/2 first at t=3
+        med = median_index(ch, 100)
+        assert med[2, 1] == 3  # 1-(3/4)^t >= 1/2 first at t=3
+        assert np.array_equal(med, 3.0 * (1.0 - np.eye(4)))
 
     def test_unreachable_page_is_infinite(self):
         ch = validate_chain([[0, 0, 0, 1]] * 4)
-        assert median_index(ch, 3, 0, 500) == math.inf
+        med = median_index(ch, 500)
+        assert med[3, 0] == math.inf
+        assert med[0, 3] == 1
 
-    def test_geometric_fast_path_matches_general(self):
+    def test_iid_chain_matches_perturbed_chain(self):
         row = np.array([0.55, 0.3, 0.1, 0.05])
         iid = validate_chain([row] * 4)
         wobble = np.array([row, row + [0.001, -0.001, 0, 0], row, row])
         wobble /= wobble.sum(axis=1, keepdims=True)
         near = validate_chain(wobble)
-        for p in range(4):
-            assert median_index(iid, 0, p, 4096) == median_index(near, 0, p, 4096)
+        assert np.array_equal(median_index(iid, 4096)[0], median_index(near, 4096)[0])
 
     def test_doubling_matches_iteration(self):
+        # cap 6000 lifts through 2^12; the loop steps every s one at a time
         ch = random_chain(4, 21, floor=0.001)
-        q = np.array(ch.transition)
         target = 2
+        q = np.array(ch.transition)
         q[:, target] = 0.0
-        from markov_paging.policies import _median_by_doubling
-
         g = np.ones(4)
-        expected = math.inf
-        for t in range(1, 6000):
+        expected = np.full(4, math.inf)
+        for t in range(1, 6001):
             g = q @ g
-            if g[0] <= 0.5:
-                expected = t
-                break
-        assert _median_by_doubling(q, 0, 6000) == expected
+            expected[(g <= 0.5) & np.isinf(expected)] = t
+        expected[target] = 0.0
+        assert np.array_equal(median_index(ch, 6000)[:, target], expected)
 
     @settings(max_examples=20, deadline=None)
     @given(chain_specs(n_min=2, n_max=5), st.integers(min_value=1, max_value=40))
     def test_monotone_in_cap(self, chain, cap):
-        m = median_index(chain, 0, chain.n - 1, cap)
-        bigger = median_index(chain, 0, chain.n - 1, cap + 25)
-        if m != math.inf:
-            assert bigger == m
-        else:
-            assert bigger == math.inf or bigger > cap
+        m = median_index(chain, cap)
+        bigger = median_index(chain, cap + 25)
+        finite = np.isfinite(m)
+        assert np.array_equal(bigger[finite], m[finite])
+        assert np.all(bigger[~finite] > cap)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(chain_specs(), chain_specs(floor=0.001), sparse_chain_specs()))
+    def test_matches_loop_oracle(self, chain):
+        # floor 0.001 gives caps above 4096, where the oracle doubles
+        cap = default_median_cap(chain)
+        assert np.array_equal(median_index(chain, cap), loop_median_matrix(chain, cap))
+
+    @pytest.mark.parametrize("eps,eps1", [(0.1, 0.05), (1e-4, 0.5e-4), (1e-5, 0.7069e-5)])
+    def test_lb_chain_matches_loop_oracle(self, eps, eps1):
+        chain = build_lb_chain(eps, eps1)
+        cap = default_median_cap(chain)
+        assert np.array_equal(median_index(chain, cap), loop_median_matrix(chain, cap))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_uniform_chain_matches_loop_oracle(self, n):
+        chain = validate_chain(np.full((n, n), 1.0 / n))
+        cap = default_median_cap(chain)
+        assert np.array_equal(median_index(chain, cap), loop_median_matrix(chain, cap))
 
     def test_median_policy_tie_breaks_low_index(self):
         ch = validate_chain([[0, 0, 0, 1]] * 4)  # pages 1,2 unreachable: both inf
-        pol = MedianPolicy(cap=64)
+        pol = MedianPolicy()
         ctx = RunContext(chain=ch, k=2, init_cache=(1, 2))
         victim = pol.evict(CacheState(pages=(1, 2)), 3, ctx, None)
         assert victim == 1
