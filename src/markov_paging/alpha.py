@@ -15,11 +15,19 @@ the pair is unreachable from part of the chain (reducible chain) and is
 reported as :class:`SingularSystem` tagged with the first such pair in
 (p, q) row-major order. Solutions leaving [0,1] by more than ``CLAMP_TOL``
 raise :class:`SolutionOutOfRange`.
+
+``alpha_table`` keeps the table of the chain it was last asked for, keyed by
+the transition matrix's bytes, so a second request for the same chain (the
+audit asks once per charging scheme) is a lookup. Only one table is kept, so
+a caller holding many chains does not hold their tables too. A table is kept
+only once every guard has passed; :func:`clear_cache` drops it, which a
+caller that changes ``PIVOT_TOL`` or ``CLAMP_TOL`` must do for the guards to
+run again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,10 +52,15 @@ class SolutionOutOfRange(RuntimeError):
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """Dense table of alpha(p<q|s), indexed ``values[p][q][s]``. Diagonal is 0."""
+    """Dense table of alpha(p<q|s), indexed ``values[p][q][s]``. Diagonal is 0.
+
+    ``evictions`` holds what eviction rules derive from the table, keyed by
+    (rule name, k), so every policy reading this table shares one build.
+    """
 
     n: int
     values: np.ndarray
+    evictions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -142,13 +155,32 @@ def alpha_pair(chain, p: int, q: int) -> np.ndarray:
     return _chain_step(first_passage(*pinned_systems(chain, [(p, q)])), chain)[0]
 
 
+_last: tuple[bytes, AlphaTable] | None = None  # the most recent chain's table
+
+
+def clear_cache() -> None:
+    """Forget the table ``alpha_table`` keeps."""
+    global _last
+    _last = None
+
+
 def alpha_table(chain) -> AlphaTable:
-    """Full table over all ordered pairs; alpha(p<p|s) = 0 exactly."""
+    """Full table over all ordered pairs; alpha(p<p|s) = 0 exactly.
+
+    Returns the kept table when ``chain`` has the transition matrix of the
+    last call; its eviction tables come with it.
+    """
+    global _last
+    key = chain.transition.tobytes()
+    if _last is not None and _last[0] == key:
+        return _last[1]
     n = chain.n
     p, q, L = pinned_systems(chain)
     values = np.zeros((n, n, n))
     values[p, q] = _chain_step(first_passage(p, q, L), chain)
-    return AlphaTable(n=n, values=values)
+    table = AlphaTable(n=n, values=values)
+    _last = (key, table)
+    return table
 
 
 def gamma(chain) -> float:

@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = parser.sub_map["learn"] = sub.add_parser("learn", help="estimate the chain and certify the policy")
     _add_chain_args(p)
-    p.add_argument("--trace", help="newline-delimited page trace (skips sampling)")
+    p.add_argument("--trace", help="newline-delimited page trace (skips sampling; --n sets the page count)")
     p.add_argument("--m", type=_parse_int, default=100_000, help="training samples")
     p.add_argument("--smoothing", type=float, default=1.0)
     p.add_argument("--delta-inf", type=float, help="assumed matrix error when no truth")
@@ -319,10 +319,12 @@ def _cmd_lowerbound(args) -> tuple[list[str], int]:
 
 def _cmd_learn(args) -> tuple[list[str], int]:
     if args.trace:
+        if args.chain or args.lb_eps is not None or args.lb_eps1 is not None:
+            raise UsageError("--trace mode estimates the chain; --chain and --lb-eps do not apply")
         trace = load_trace(args.trace)
         if args.delta_inf is None:
             raise UsageError("--trace mode needs --delta-inf (no truth to measure against)")
-        est = learn.estimate_transition(trace, smoothing=args.smoothing)
+        est = learn.estimate_transition(trace, n=args.n, smoothing=args.smoothing)
         policy, factor, bundle = learn.approx_dominating_policy(est, delta_inf=args.delta_inf)
         measured = ""
     else:
@@ -355,6 +357,14 @@ REQUIRED = {
 }
 
 
+def _required(args) -> tuple[str, ...]:
+    """The flags ``args.command`` needs; ``learn --trace`` samples nothing and
+    runs no policy, so it needs none of ``learn``'s."""
+    if args.command == "learn" and args.trace:
+        return ()
+    return REQUIRED.get(args.command, ())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     ns, _ = parser.parse_known_args(argv)
@@ -368,9 +378,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     args = parser.parse_args(argv)
-    missing = [
-        f for f in REQUIRED.get(args.command, ()) if getattr(args, f, None) is None
-    ]
+    missing = [f for f in _required(args) if getattr(args, f, None) is None]
     if missing:
         flags = ", ".join("--" + f.replace("_", "-") for f in missing)
         print(f"error: {args.command} requires {flags}", file=sys.stderr)

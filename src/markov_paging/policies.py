@@ -16,10 +16,13 @@ On a cache miss a policy picks a resident page to evict. The interesting ones:
 * lru / fifo / random / scripted / pinned: baselines and test harness aids.
 
 Randomized policies draw from a caller-owned RNG; deterministic ones ignore
-it. Policies carry per-run state (reset before each run) plus per-chain tables
-that persist across runs on the same chain. The dominating rules keep one
-eviction table per (precedence table, k): every (cache, request) distribution
-of the chain, from one stacked LP solve (``LP_BLOCK`` LPs per simplex call).
+it. Policies carry per-run state (reset before each run); the median rule also
+keeps its chain's median matrix across runs. The dominating rules keep no
+table of their own: each (rule, k) eviction table, every (cache, request)
+distribution of the chain from one stacked LP solve (``LP_BLOCK`` LPs per
+simplex call), is stored on the precedence table it comes from
+(``AlphaTable.evictions``). Fresh policies handed the same precedence table,
+such as the audit's one per charging scheme, share one build.
 """
 
 from __future__ import annotations
@@ -309,9 +312,11 @@ class DominatingPolicy(Policy):
     """The dominating-distribution rule over the sorted cache.
 
     The first request for a precedence table and cache size k solves every
-    (cache, request not in cache) LP of the chain as one stack and keeps the
-    ``(S, n, k)`` eviction table (S cache ranks of ``subset_index(n, k)``);
-    ``kernel_probs`` returns it and ``evict`` reads rows of it.
+    (cache, request not in cache) LP of the chain as one stack and stores
+    the ``(S, n, k)`` eviction table (S cache ranks of ``subset_index(n, k)``)
+    on the precedence table under (``name``, k), so any policy of the same
+    rule that reads that table reuses it. ``kernel_probs`` returns it and
+    ``evict`` reads rows of it.
     """
 
     name = "dominating"
@@ -319,8 +324,6 @@ class DominatingPolicy(Policy):
 
     def __init__(self, table: alpha_mod.AlphaTable | None = None):
         self._table = table  # pinned: used whatever table a call passes
-        self._built_for = None  # the precedence table ``_tables`` belongs to
-        self._tables: dict[int, tuple] = {}  # k -> (SubsetIndex, eviction table)
 
     def _resolve_table(self, table):
         """The pinned precedence table, else the one the call passes."""
@@ -330,12 +333,11 @@ class DominatingPolicy(Policy):
         return table
 
     def _eviction_table(self, table, k: int):
-        if table is not self._built_for:
-            self._built_for, self._tables = table, {}
-        entry = self._tables.get(k)
+        """``(subset_index(n, k), eviction table)``, built once per table."""
+        entry = table.evictions.get((self.name, k))
         if entry is None:
             idx = subset_index(table.n, k)
-            entry = self._tables[k] = (idx, self._solve_table(table, idx))
+            entry = table.evictions[self.name, k] = (idx, self._solve_table(table, idx))
         return entry
 
     def _solve_table(self, table, idx) -> np.ndarray:

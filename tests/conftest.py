@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from markov_paging import alpha as alpha_mod
 from markov_paging.chain import random_chain, validate_chain
+
+
+@pytest.fixture(autouse=True)
+def fresh_alpha_cache():
+    """Each test starts without a kept precedence table, so a guard test
+    (a lowered ``CLAMP_TOL``, say) runs the solve instead of reading a table
+    an earlier test left behind."""
+    alpha_mod.clear_cache()
+    yield
+    alpha_mod.clear_cache()
 
 
 @st.composite

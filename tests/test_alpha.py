@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from markov_paging import alpha as alpha_mod
 from markov_paging.alpha import (
+    AlphaTable,
     SingularSystem,
     alpha_pair,
     alpha_table,
@@ -13,6 +18,8 @@ from markov_paging.alpha import (
     save_table,
 )
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
+from markov_paging.optdp import subset_index
+from markov_paging.policies import DominatingPolicy
 
 from .conftest import chain_specs
 from .oracles import rollout_alpha
@@ -151,3 +158,50 @@ def test_table_dump_roundtrip(tmp_path):
     back = load_table(path)
     assert back.n == table.n
     assert np.array_equal(back.values, table.values)
+
+
+def test_kept_table_follows_the_transition_matrix():
+    a = random_chain(4, 1)
+    table = alpha_table(a)
+    assert alpha_table(validate_chain(np.array(a.transition))) is table  # same matrix, new chain
+    m = np.array(a.transition)
+    m[0, :2] += [1e-9, -1e-9]
+    b = validate_chain(m)
+    after_a = alpha_table(b)
+    alpha_mod.clear_cache()
+    built = alpha_table(b)
+    assert after_a is not table and np.array_equal(after_a.values, built.values)
+    assert not np.array_equal(built.values, table.values)
+
+
+def test_failed_solve_is_not_kept(monkeypatch):
+    chain = random_chain(3, [0, 999])
+    monkeypatch.setattr(alpha_mod, "CLAMP_TOL", -1.0)
+    with pytest.raises(alpha_mod.SolutionOutOfRange):
+        alpha_table(chain)
+    monkeypatch.undo()
+    table = alpha_table(chain)
+    monkeypatch.setattr(alpha_mod, "CLAMP_TOL", -1.0)
+    assert alpha_table(chain) is table  # a kept table skips the guards ...
+    alpha_mod.clear_cache()
+    with pytest.raises(alpha_mod.SolutionOutOfRange):  # ... until it is dropped
+        alpha_table(chain)
+
+
+def test_earlier_chain_table_is_released():
+    first = random_chain(4, 1)
+    table = alpha_table(first)
+    DominatingPolicy().kernel_probs(subset_index(4, 2), first, table)
+    assert table.evictions
+    ref = weakref.ref(table)
+    del table
+    alpha_table(random_chain(4, 2))
+    gc.collect()
+    assert ref() is None
+
+
+def test_new_table_starts_without_eviction_tables():
+    table = alpha_table(random_chain(4, 3))
+    DominatingPolicy().kernel_probs(subset_index(4, 2), None, table)
+    assert list(table.evictions) == [("dominating", 2)]
+    assert AlphaTable(table.n, table.values.copy()).evictions == {}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from markov_paging import alpha as alpha_mod
+from markov_paging import policies as policies_mod
 from markov_paging.audit import (
     NoEligibleSavior,
     SequenceTooShort,
@@ -320,6 +322,37 @@ def test_report_names_the_validated_size():
     assert rep.n == 4
     bare = scripted_audit([0, 1, 0], [3], [3], 2, (0, 3), "updated")
     assert bare.n == 4
+
+
+class TestSharedTables:
+    """Both charging schemes' audits of one chain, each with a fresh
+    DominatingPolicy, share one precedence table and one LP stack."""
+
+    SCHEMES = ("updated", "original")
+
+    def test_one_lp_stack_for_both_schemes(self, monkeypatch):
+        stacks = []
+        real = policies_mod.solve_lp
+
+        def counting(c, **kw):
+            stacks.append(len(kw["a_ub"]))
+            return real(c, **kw)
+
+        monkeypatch.setattr(policies_mod, "solve_lp", counting)
+        for scheme in self.SCHEMES:
+            _random_audit(4, scheme)
+        assert stacks == [6 * 2]  # every (cache, request) LP of n = 4, k = 2
+
+    @pytest.mark.parametrize("run", range(4))
+    def test_reports_equal_rebuilt_tables(self, run):
+        shared = [_random_audit(run, scheme) for scheme in self.SCHEMES]
+        rebuilt = []
+        for scheme in self.SCHEMES:
+            alpha_mod.clear_cache()
+            rebuilt.append(_random_audit(run, scheme))
+        for a, b in zip(shared, rebuilt):
+            assert trace_csv_lines(a) == trace_csv_lines(b)
+            assert a == b
 
 
 def test_audit_deterministic():

@@ -153,6 +153,40 @@ def test_trace_page_out_of_range_is_usage_error(tmp_path, capsys):
     assert "trace page -1 is outside 0..1" in capsys.readouterr().err
 
 
+LEARN_TRACE_CASES = {
+    "trace-only": ([], 0, ""),
+    "unused-k-T-seed": (["--k", "1", "--T", "5", "--seed", "0"], 0, ""),
+    "page-beyond-n": (["--n", "2"], 2, "trace page 2 is outside 0..1"),
+    "chain-file": (["--chain", "{chain}"], 2, "--chain and --lb-eps do not apply"),
+    "lb-chain": (["--lb-eps", "0.1", "--lb-eps1", "0.05"], 2, "--chain and --lb-eps do not apply"),
+}
+
+
+@pytest.mark.parametrize("extra,code,message", LEARN_TRACE_CASES.values(), ids=LEARN_TRACE_CASES.keys())
+def test_learn_trace_flags(extra, code, message, tmp_path, capsys):
+    # --trace estimates the chain from the trace alone: --n sets its page
+    # count, a chain source is a usage error, and --k/--T/--seed are not needed
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n1\n2\n0\n2\n1\n")
+    save_chain(random_chain(3, 0), tmp_path / "c.json")
+    extra = [a.format(chain=tmp_path / "c.json") for a in extra]
+    assert main(["learn", "--trace", str(trace), "--delta-inf", "0.01", *extra]) == code
+    out = capsys.readouterr()
+    assert message in out.err
+    assert bool(out.out) == (code == 0)
+
+
+def test_learn_trace_n_sets_page_count(tmp_path):
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n1\n2\n0\n2\n1\n")
+    args = ["learn", "--trace", str(trace), "--delta-inf", "0.01"]
+    code3, three = run_cli([*args, "--n", "3"], tmp_path, "a.csv")
+    code9, nine = run_cli([*args, "--n", "9"], tmp_path, "b.csv")
+    assert (code3, code9) == (0, 0)
+    assert three == run_cli(args, tmp_path, "c.csv")[1]  # n defaults to the largest page + 1
+    assert nine != three  # pages 3..8 are never visited, but the estimate has them
+
+
 def test_missing_chain_source(tmp_path):
     code = main(["opt", "--k", "2", "--T", "5"])
     assert code == 2

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markov_paging import policies as policies_mod
-from markov_paging.alpha import SingularSystem, alpha_table
+from markov_paging.alpha import AlphaTable, SingularSystem, alpha_table
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
 from markov_paging.policies import (
     AdversarialDominatingPolicy,
@@ -435,8 +435,20 @@ class TestStackedTables:
         whole = [DominatingPolicy(table)._eviction_table(table, 3)[1],
                  AdversarialDominatingPolicy(2, table)._eviction_table(table, 3)[1]]
         monkeypatch.setattr(policies_mod, "LP_BLOCK", block)
-        parts = [DominatingPolicy(table)._eviction_table(table, 3)[1],
-                 AdversarialDominatingPolicy(2, table)._eviction_table(table, 3)[1]]
+        stacks = []
+        real = policies_mod.solve_lp
+
+        def counting(c, **kw):
+            stacks.append(len(kw["a_ub"]))
+            return real(c, **kw)
+
+        monkeypatch.setattr(policies_mod, "solve_lp", counting)
+        # a fresh table holds no eviction tables, so the chunked solve runs
+        fresh = AlphaTable(table.n, table.values.copy())
+        parts = [DominatingPolicy(fresh)._eviction_table(fresh, 3)[1],
+                 AdversarialDominatingPolicy(2, fresh)._eviction_table(fresh, 3)[1]]
+        lps = math.comb(7, 3) * (7 - 3)
+        assert stacks == 2 * ([block] * (lps // block) + ([lps % block] if lps % block else []))
         for a, b in zip(whole, parts):
             assert np.array_equal(a, b) and not b.flags.writeable
 

@@ -1,0 +1,35 @@
+"""Experiment scripts run in-process against golden output.
+
+``tests/golden/audit_battery.txt`` holds the argv, exit code and stdout of
+``scripts/audit_battery.py`` at a fixed run count and seed. Its chains are
+criterion 7's first 200 (seed family 7000), so a change to what the audit
+computes, or to the tables it reads, shows up as a byte diff here in about
+a second.
+"""
+
+import contextlib
+import io
+import runpy
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def render(script, argv, monkeypatch) -> str:
+    """The golden text of one script run: its argv, its exit code, then stdout."""
+    path = ROOT / "scripts" / script
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(path), run_name="__main__")
+    return f"$ {shlex.join(['python', f'scripts/{script}', *argv])}\n# exit {exit_.value.code}\n{out.getvalue()}"
+
+
+def test_audit_battery_golden(monkeypatch):
+    got = render("audit_battery.py", ["--runs", "200", "--seed", "7000"], monkeypatch)
+    assert got == (GOLDEN / "audit_battery.txt").read_text()
