@@ -29,7 +29,6 @@ from .policies import (
     AdversarialDominatingPolicy,
     CacheState,
     DominatingPolicy,
-    EvictionDistribution,
     FarthestInFuture,
     Infeasible,
     MedianPolicy,
@@ -67,7 +66,6 @@ __all__ = [
     "AdversarialDominatingPolicy",
     "CacheState",
     "DominatingPolicy",
-    "EvictionDistribution",
     "FarthestInFuture",
     "Infeasible",
     "MedianPolicy",

@@ -65,11 +65,6 @@ class AlphaTable:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    def cache_block(self, cache, s: int) -> np.ndarray:
-        """k x k sub-matrix alpha(p<q|s) over the cache pages, in given order."""
-        idx = np.fromiter(cache, dtype=np.int64)
-        return self.values[np.ix_(idx, idx, [s])][:, :, 0]
-
 
 def pinned_systems(chain, pairs=None):
     """The pinned systems L x = e_p for ordered pairs (p, q), as one stack.

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import alpha as alpha_mod
 from .engine import _seed_tuple
 from .optdp import check_cache, check_horizon
 from .policies import CacheState, RunContext, evict
@@ -183,7 +182,9 @@ def run_audit(
     ``init_cache`` must hold k distinct pages in 0..n-1, n being ``chain.n``
     or, without a chain, one more than the largest page of ``seq`` and
     ``init_cache``, and ``T`` must be >= 0; otherwise ``ValueError``. The
-    report's ``n`` is that n.
+    report's ``n`` is that n. Both policies are reset before the first
+    request, so a memoryless rule builds its eviction table there, and a
+    chain it cannot handle fails even when ``T`` is 0.
     """
     check_horizon(T)
     if scheme not in ("original", "updated"):
@@ -196,11 +197,8 @@ def run_audit(
     n = chain.n if chain is not None else 1 + max(int(pages.max(initial=0)), max(init_cache, default=0))
     init_cache = check_cache(init_cache, n, k)
 
-    table = None
-    if chain is not None and (alg.uses_alpha or ref.uses_alpha):
-        table = alpha_mod.alpha_table(chain)
-    ctx_a = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages, alpha=table)
-    ctx_r = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages, alpha=table)
+    ctx_a = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
+    ctx_r = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
     rng_a = np.random.default_rng([*_seed_tuple(seed), 0])
     rng_r = np.random.default_rng([*_seed_tuple(seed), 1])
     alg.reset(ctx_a)

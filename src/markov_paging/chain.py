@@ -59,7 +59,7 @@ def validate_chain(matrix, init=None) -> MarkovChain:
 
     Rows must be nonnegative, entries at most 1, and sum to 1 within
     ``ROW_SUM_TOL``; they are then renormalized exactly once. ``init`` defaults
-    to the uniform distribution.
+    to the uniform distribution. A NaN entry fails the range check.
     """
     m = np.array(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -67,10 +67,11 @@ def validate_chain(matrix, init=None) -> MarkovChain:
     n = m.shape[0]
     if n < 2:
         raise ValueError("need at least 2 pages")
-    if np.any(m < 0) or np.any(m > 1):
+    # written so that NaN, which fails every comparison, fails the checks
+    if not np.all((m >= 0) & (m <= 1)):
         raise NonStochasticRow("transition entries must lie in [0, 1]")
     row_sums = m.sum(axis=1)
-    bad = np.where(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]
+    bad = np.flatnonzero(~(np.abs(row_sums - 1.0) <= ROW_SUM_TOL))
     if bad.size:
         raise NonStochasticRow(
             f"row {bad[0]} sums to {row_sums[bad[0]]!r}, off 1 by more than {ROW_SUM_TOL}"
@@ -83,10 +84,10 @@ def validate_chain(matrix, init=None) -> MarkovChain:
         v = np.array(init, dtype=float)
         if v.shape != (n,):
             raise ValueError(f"init must have length {n}, got shape {v.shape}")
-        if np.any(v < 0) or np.any(v > 1):
+        if not np.all((v >= 0) & (v <= 1)):
             raise NonStochasticRow("init entries must lie in [0, 1]")
         s = v.sum()
-        if abs(s - 1.0) > ROW_SUM_TOL:
+        if not abs(s - 1.0) <= ROW_SUM_TOL:
             raise NonStochasticRow(f"init sums to {s!r}")
         v /= s
 

@@ -256,6 +256,8 @@ def _cmd_ratio(args) -> tuple[list[str], int]:
 
 
 def _cmd_audit(args) -> tuple[list[str], int]:
+    if args.trials < 1:
+        raise UsageError("trials must be >= 1")
     k, T = args.k, args.T
     t_ext = T * args.ext_mult
     fixed_chain = None

@@ -6,8 +6,8 @@ that applies:
 
 * kernel: memoryless policies (eviction distribution a function of cache
   contents and the requested page only) step every trial at once over the
-  policy's eviction table, drawing every trial's requests and evictions from
-  one ``default_rng(seed)`` stream;
+  eviction table their ``kernel_probs(idx, chain)`` returns, drawing every
+  trial's requests and evictions from one ``default_rng(seed)`` stream;
 * batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
   is an ordered k-tuple) get every trial's request trace from one
   ``sample_trials`` call and count all trials' misses at once;
@@ -22,10 +22,10 @@ of trials; they repeat bit-for-bit under the same seed and trial count. A
 horizon T of 0 costs 0 on every path, and a negative one is a
 ``ValueError``, here as in ``exact_cost`` and the OPT DP.
 
-``exact_cost`` skips sampling entirely for memoryless policies. It builds the
-policy's joint (cache rank, last page) operator once, in scatter form: every
-(cache, requested page, eviction slot) cell names the joint state its mass
-moves to and the share it sends there. Each of the T steps then evolves the
+``exact_cost`` skips sampling entirely for memoryless policies. It turns the
+policy's eviction table into the joint (cache rank, last page) operator once,
+in scatter form: every (cache, requested page, eviction slot) cell names the
+joint state its mass moves to and the share it sends there. Each of the T steps then evolves the
 exact distribution over all joint states at once (one chain step, the miss
 mass, one ``np.bincount``) and accumulates the per-step miss probability.
 """
@@ -36,12 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import alpha as alpha_mod
 from .chain import chain_hash, sample_trials
 from .optdp import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    SubsetIndex,
     check_cache,
     check_horizon,
     opt_expected_cost,
@@ -69,26 +67,10 @@ class CostEstimate:
         return self.mean - self.half_width <= value <= self.mean + self.half_width
 
 
-@dataclass
-class SimKernel:
-    """Dense tables driving memoryless simulation over ranked cache subsets."""
-
-    index: SubsetIndex
-    probs: np.ndarray  # (S, n, k) eviction distribution per (cache, request)
-
-
-def _shared_alpha(policy, chain):
-    return alpha_mod.alpha_table(chain) if policy.uses_alpha else None
-
-
-def build_kernel(policy, chain, k: int, table=None) -> SimKernel | None:
-    """The policy's per-(cache, request) eviction table, or None when the
-    policy is history-dependent."""
-    if table is None:
-        table = _shared_alpha(policy, chain)
-    idx = subset_index(chain.n, k)
-    probs = policy.kernel_probs(idx, chain, table)
-    return None if probs is None else SimKernel(index=idx, probs=probs)
+def build_kernel(policy, chain, k: int) -> np.ndarray | None:
+    """The policy's ``(S, n, k)`` eviction table over ``subset_index(chain.n,
+    k)``, or None when the policy is history-dependent."""
+    return policy.kernel_probs(subset_index(chain.n, k), chain)
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -123,10 +105,9 @@ def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -
     check_horizon(T)
     init_cache = check_cache(init_cache, chain.n, k)
     base = _seed_tuple(seed)
-    table = _shared_alpha(policy, chain)
-    kernel = build_kernel(policy, chain, k, table)
-    if kernel is not None:
-        return _simulate_kernel(kernel, chain, T, init_cache, trials, base)
+    probs = build_kernel(policy, chain, k)
+    if probs is not None:
+        return _simulate_kernel(subset_index(chain.n, k), probs, chain, T, init_cache, trials, base)
     misses = np.empty(trials, dtype=np.int64)
     block = max(1, TRIAL_BLOCK_CELLS // max(T, 1))  # bounds the page array's memory
     for lo in range(0, trials, block):
@@ -135,20 +116,19 @@ def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -
         batch = policy.batch_misses(pages, init_cache)
         if batch is None:
             batch = [
-                _run_one_trial(policy, chain, k, row, init_cache, base + (i, 1), table)
+                _run_one_trial(policy, chain, k, row, init_cache, base + (i, 1))
                 for i, row in zip(ids, pages)
             ]
         misses[ids.start : ids.stop] = batch
     return misses
 
 
-def _simulate_kernel(kernel, chain, T, init_cache, trials, base) -> np.ndarray:
-    idx = kernel.index
+def _simulate_kernel(idx, probs, chain, T, init_cache, trials, base) -> np.ndarray:
     n = chain.n
     rng = np.random.default_rng(base)
     cum_rows = np.cumsum(chain.transition, axis=1)
     cum_init = np.cumsum(chain.init)
-    cum_kernel = np.cumsum(kernel.probs, axis=2)
+    cum_kernel = np.cumsum(probs, axis=2)
     ranks = np.full(trials, idx.rank[init_cache], dtype=np.int64)
     last = np.zeros(trials, dtype=np.int64)
     misses = np.zeros(trials, dtype=np.int64)
@@ -168,11 +148,11 @@ def _simulate_kernel(kernel, chain, T, init_cache, trials, base) -> np.ndarray:
     return misses
 
 
-def _run_one_trial(policy, chain, k, pages, init_cache, seed, table) -> int:
+def _run_one_trial(policy, chain, k, pages, init_cache, seed) -> int:
     """Misses of one run over the request trace ``pages``, one eviction call
     per miss; ``seed`` feeds the policy's own randomness."""
     rng_pol = np.random.default_rng(seed)
-    ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages, alpha=table)
+    ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
     policy.reset(ctx)
     cache = set(init_cache)
     misses = 0
@@ -194,16 +174,15 @@ def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_
     The joint operator is built once, in scatter form: cell (r, j, e) sends
     ``weight[r, j, e]`` of the mass that requests page j from cache r to the
     joint state ``target[r, j, e]``. A hit keeps its mass in (r, j), slot 0; a
-    miss on j sends ``kernel.probs[r, j, e]`` to (succ[r, j, e], j). Each step
+    miss on j sends the share ``probs[r, j, e]`` to (succ[r, j, e], j). Each step
     is then one chain step over all states, the miss mass, and one bincount.
     """
     check_horizon(T)
     init_cache = check_cache(init_cache, chain.n, k)
-    table = _shared_alpha(policy, chain)
-    kernel = build_kernel(policy, chain, k, table)
-    if kernel is None:
+    probs = build_kernel(policy, chain, k)
+    if probs is None:
         raise NonMemoryless(f"{policy.name} depends on request history")
-    idx = kernel.index
+    idx = subset_index(chain.n, k)
     n = chain.n
     S = len(idx)
     if S * n * max(T, 1) > budget:
@@ -212,7 +191,7 @@ def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_
     hit = idx.member[:, :, None]
     here = np.arange(S * n).reshape(S, n, 1)
     target = np.where(hit, here, idx.succ * n + np.arange(n)[None, :, None]).ravel()
-    weight = np.where(hit, np.arange(k) == 0, kernel.probs)
+    weight = np.where(hit, np.arange(k) == 0, probs)
     miss = ~idx.member
 
     M = chain.transition

@@ -62,13 +62,14 @@ def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, tru
     ``m_hat[i, j] = (count(i->j) + smoothing) / (count(i->.) + n*smoothing)``;
     rows never visited come out uniform. ``n`` defaults to the trace's page
     range (pass it explicitly when the trace may not visit every page).
-    ``ValueError`` unless every page lies in 0..n-1.
+    ``ValueError`` unless every page lies in 0..n-1 and ``smoothing`` is
+    positive and finite.
     """
     pages = np.asarray(getattr(trace, "pages", trace), dtype=np.int64)
     if len(pages) < 2:
         raise ValueError("trace must contain at least one transition")
-    if smoothing <= 0:
-        raise ValueError("smoothing must be positive")
+    if not 0 < smoothing < np.inf:  # NaN fails too
+        raise ValueError("smoothing must be positive and finite")
     if n is None:
         n = int(pages.max()) + 1
     bad = pages[(pages < 0) | (pages >= n)]

@@ -15,21 +15,29 @@ On a cache miss a policy picks a resident page to evict. The interesting ones:
 * farthest-in-future: the clairvoyant offline rule, needs the realized trace.
 * lru / fifo / random / scripted / pinned: baselines and test harness aids.
 
-Randomized policies draw from a caller-owned RNG; deterministic ones ignore
-it. Policies carry per-run state (reset before each run); the median rule also
-keeps its chain's median matrix across runs. The dominating rules keep no
-table of their own: each (rule, k) eviction table, every (cache, request)
-distribution of the chain from one stacked LP solve (``LP_BLOCK`` LPs per
-simplex call), is stored on the precedence table it comes from
-(``AlphaTable.evictions``). Fresh policies handed the same precedence table,
-such as the audit's one per charging scheme, share one build.
+A memoryless rule gives its choice as an eviction table: ``kernel_probs(idx,
+chain)`` is the eviction distribution of every (cache, request) pair of the
+chain, and the engine reads the whole table. For the dominating,
+adversarial, median and pinned rules (:class:`TablePolicy`) the table is the
+only statement of the choice: a step-by-step run (the audit) builds it at
+``reset`` and draws each victim from its row with one ``rng.random()``, so
+the deterministic rules' one-hot rows still pick their page. The random rule
+keeps its own ``rng.integers`` draw there. History-dependent rules decide
+per miss in ``evict`` and carry per-run state (reset before each run).
+
+The median rule keeps its chain's median matrix across runs. The dominating
+rules keep no table of their own: each (rule, k) eviction table, every
+(cache, request) distribution of the chain from one stacked LP solve
+(``LP_BLOCK`` LPs per simplex call), is stored on the precedence table it
+comes from (``AlphaTable.evictions``). Fresh policies on the same chain, such
+as the audit's one per charging scheme, share one build.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +47,11 @@ from .simplex import InfeasibleLP, solve_lp
 
 DOM_SLACK_HARD = 1e-6  # beyond this the dominating LP contradicts existence
 LP_BLOCK = 4096  # dominating LPs solved per stacked simplex call
+# Median rule's step cap. Stored rows sum to 1 only within a few ulps, and
+# over t steps that alone moves a survival by up to about t * 1e-15: near
+# 2^52 a page reached with probability below 1/2 can read a finite median.
+# At 2^32 the drift stays below 1e-5.
+MEDIAN_CAP = 2**32
 
 
 class Infeasible(ValueError):
@@ -66,23 +79,6 @@ class CacheState:
     """The k resident pages, sorted."""
 
     pages: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EvictionDistribution:
-    """Distribution over cache pages; probabilities >= 0 and sum to 1."""
-
-    pages: tuple[int, ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _distributions(self.probs))
-
-    def support(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.pages, (float(x) for x in self.probs)))
-
-    def sample(self, rng) -> int:
-        return _draw(self.pages, self.probs, rng)
 
 
 def _distributions(probs: np.ndarray) -> np.ndarray:
@@ -113,20 +109,19 @@ class RunContext:
     k: int
     init_cache: tuple[int, ...]
     sequence: np.ndarray | None = None
-    alpha: alpha_mod.AlphaTable | None = None
     t: int = 0  # 1-based index of the request being served
 
 
 def _check_alpha_sub(alpha_sub: np.ndarray) -> np.ndarray:
     """``alpha_sub`` as a ``(B, k, k)`` float stack, each block checked."""
     a = np.asarray(alpha_sub, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
-        raise ValueError("alpha_sub must be square, or a stack of square blocks")
-    if np.any(np.diagonal(a, axis1=-2, axis2=-1) != 0.0):
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("alpha_sub must be a (B, k, k) stack of square blocks")
+    if np.any(np.diagonal(a, axis1=1, axis2=2) != 0.0):
         raise ValueError("alpha_sub diagonal must be exactly zero")
     if a.min(initial=0.0) < -1e-9 or a.max(initial=0.0) > 1.0 + 1e-9:
         raise ValueError("alpha_sub entries must lie in [0, 1]")
-    return a.reshape(-1, *a.shape[-2:])
+    return a
 
 
 def _replay_check(a: np.ndarray, mu: np.ndarray) -> None:
@@ -138,29 +133,16 @@ def _replay_check(a: np.ndarray, mu: np.ndarray) -> None:
         raise Infeasible(f"column load {float(worst[i])!r} exceeds 1/2; input inconsistent", index=i)
 
 
-def _result(mu: np.ndarray, pages, single: bool):
-    """The checked ``(B, k)`` rows of a stack, or the one block's distribution."""
-    if not single:
-        return _distributions(mu)
-    k = mu.shape[1]
-    return EvictionDistribution(pages=tuple(range(k) if pages is None else pages), probs=mu[0])
-
-
-def dominating_distribution(alpha_sub, pages=None):
-    """A distribution mu with ``max_q sum_p mu(p) alpha_sub[p, q] <= 1/2``.
+def dominating_distribution(alpha_sub) -> np.ndarray:
+    """For each block of the ``(B, k, k)`` stack, a distribution mu with
+    ``max_q sum_p mu(p) alpha_sub[i, p, q] <= 1/2``.
 
     Solves min-max: minimize t subject to every column load at most t,
-    mu a distribution. The optimum provably sits at or below 1/2.
-
-    A ``(k, k)`` block gives an :class:`EvictionDistribution` over ``pages``
-    (by default the row indices). A ``(B, k, k)`` stack is solved in one
-    lockstep simplex and gives a read-only ``(B, k)`` array, row i the mu of
-    block i; :class:`Infeasible` then carries the ``index`` of the first
-    failing block.
+    mu a distribution. The optimum provably sits at or below 1/2. The stack
+    is solved in one lockstep simplex and gives a read-only ``(B, k)`` array,
+    row i the mu of block i; :class:`Infeasible` carries the ``index`` of the
+    first failing block.
     """
-    single = np.ndim(alpha_sub) == 2
-    if not single and pages is not None:
-        raise ValueError("pages label a single block; a stack gives bare (B, k) rows")
     a = _check_alpha_sub(alpha_sub)
     B, k = a.shape[:2]
     c = np.zeros(k + 1)
@@ -179,19 +161,18 @@ def dominating_distribution(alpha_sub, pages=None):
         raise Infeasible(f"min-max load {float(val[i])!r} exceeds 1/2", index=i)
     mu = x[:, :k]
     _replay_check(a, mu)
-    return _result(mu, pages, single)
+    return _distributions(mu)
 
 
-def adversarial_dominating(alpha_sub, target, pages=None):
-    """Among admissible mu, maximize the mass on ``target``.
+def adversarial_dominating(alpha_sub, target, pages=None) -> np.ndarray:
+    """Among admissible mu, maximize the mass on ``target``, for each block
+    of the ``(B, k, k)`` stack.
 
-    ``target`` is a page label from ``pages`` (by default the row indices).
-    A ``(k, k)`` block gives an :class:`EvictionDistribution`. A ``(B, k, k)``
-    stack gives a read-only ``(B, k)`` array as in
-    :func:`dominating_distribution`; there ``pages`` is None or ``(B, k)``
-    labels, and ``target`` one label or one per block.
+    ``pages`` labels the rows of every block, ``(k,)`` or ``(B, k)`` (by
+    default the row indices), and ``target`` is one label or one per block.
+    Gives a read-only ``(B, k)`` array as :func:`dominating_distribution`
+    does.
     """
-    single = np.ndim(alpha_sub) == 2
     a = _check_alpha_sub(alpha_sub)
     B, k = a.shape[:2]
     labels = np.broadcast_to(np.arange(k) if pages is None else np.asarray(pages), (B, k))
@@ -206,7 +187,7 @@ def adversarial_dominating(alpha_sub, target, pages=None):
     except InfeasibleLP as exc:
         raise Infeasible(str(exc), index=exc.index) from exc
     _replay_check(a, x)
-    return _result(x, pages, single)
+    return _distributions(x)
 
 
 def median_index(chain, cap: int) -> np.ndarray:
@@ -252,29 +233,21 @@ def median_index(chain, cap: int) -> np.ndarray:
     return med
 
 
-def default_median_cap(chain) -> int:
-    # per-step hit probability is at least min_entry, so 16/delta overshoots
-    # the crossing comfortably; reducible chains get a flat fallback
-    if chain.min_entry > 0.0:
-        return math.ceil(16.0 / chain.min_entry)
-    return 4096
-
-
 class Policy:
-    """Base eviction rule. Subclasses override :meth:`evict`.
+    """Base eviction rule.
 
-    ``uses_alpha`` advertises that the run context should carry a precedence
-    table. ``kernel_probs`` returns, for memoryless rules, the read-only
-    ``(S, n, k)`` eviction table over ``idx = subset_index(n, k)``: row
-    ``[r, j]`` is the distribution over sorted cache r when page j is
-    requested, zero where j is resident. History-dependent rules return
-    ``None``. Of those, rules whose cache state fits a small array give
-    every trial's miss count at once through ``batch_misses``; the rest return
-    ``None`` there too and are simulated step by step, one trial at a time.
+    A memoryless rule states its choice once, in ``kernel_probs(idx,
+    chain)``: the read-only ``(S, n, k)`` eviction table over ``idx =
+    subset_index(n, k)``, whose row ``[r, j]`` is the distribution over
+    sorted cache r when page j is requested, zero where j is resident; see
+    :class:`TablePolicy`. History-dependent rules return ``None`` there and
+    override :meth:`evict`. Of those, rules whose cache state fits a small
+    array give every trial's miss count at once through ``batch_misses``;
+    the rest return ``None`` there too and are simulated step by step, one
+    trial at a time.
     """
 
     name = "policy"
-    uses_alpha = False
 
     def reset(self, ctx: RunContext) -> None:
         pass
@@ -282,7 +255,7 @@ class Policy:
     def evict(self, cache: CacheState, requested: int, ctx: RunContext, rng) -> int:
         raise NotImplementedError
 
-    def kernel_probs(self, idx, chain, table):
+    def kernel_probs(self, idx, chain):
         return None
 
     def batch_misses(self, pages: np.ndarray, init_cache: tuple[int, ...]):
@@ -308,37 +281,55 @@ def evict(policy: Policy, cache: CacheState, requested: int, ctx: RunContext, rn
     return page
 
 
-class DominatingPolicy(Policy):
+class TablePolicy(Policy):
+    """A memoryless rule whose eviction table is its only statement of choice.
+
+    ``reset`` builds the table of the run's chain and k, so a chain the rule
+    cannot handle fails before the first request; ``evict`` draws the victim
+    from the table row of the cache and request with :func:`_draw`.
+    """
+
+    _kernel = None  # (subset index, eviction table) of the current run
+
+    def reset(self, ctx: RunContext) -> None:
+        if ctx.chain is None:
+            raise MissingContext(f"{self.name} needs the chain")
+        idx = subset_index(ctx.chain.n, ctx.k)
+        self._kernel = (idx, self.kernel_probs(idx, ctx.chain))
+
+    def evict(self, cache, requested, ctx, rng):
+        if self._kernel is None:
+            raise MissingContext(f"{self.name} was not reset")
+        idx, probs = self._kernel
+        return _draw(cache.pages, probs[idx.rank[cache.pages], requested], rng)
+
+
+class DominatingPolicy(TablePolicy):
     """The dominating-distribution rule over the sorted cache.
 
-    The first request for a precedence table and cache size k solves every
-    (cache, request not in cache) LP of the chain as one stack and stores
-    the ``(S, n, k)`` eviction table (S cache ranks of ``subset_index(n, k)``)
-    on the precedence table under (``name``, k), so any policy of the same
-    rule that reads that table reuses it. ``kernel_probs`` returns it and
-    ``evict`` reads rows of it.
+    The precedence table is the pinned ``table`` when one is given, else
+    ``alpha_table(chain)``. The first request for a precedence table and
+    cache size k solves every (cache, request not in cache) LP of the chain
+    as one stack and stores the ``(S, n, k)`` eviction table (S cache ranks
+    of ``subset_index(n, k)``) on the precedence table under (``name``, k),
+    so any policy of the same rule that reads that table reuses it.
     """
 
     name = "dominating"
-    uses_alpha = True
 
     def __init__(self, table: alpha_mod.AlphaTable | None = None):
-        self._table = table  # pinned: used whatever table a call passes
+        self._table = table  # pinned: used whatever chain a call passes
 
-    def _resolve_table(self, table):
-        """The pinned precedence table, else the one the call passes."""
-        table = self._table if self._table is not None else table
+    def kernel_probs(self, idx, chain):
+        table = self._table
         if table is None:
-            raise MissingContext(f"{self.name} needs a precedence table")
-        return table
-
-    def _eviction_table(self, table, k: int):
-        """``(subset_index(n, k), eviction table)``, built once per table."""
-        entry = table.evictions.get((self.name, k))
-        if entry is None:
-            idx = subset_index(table.n, k)
-            entry = table.evictions[self.name, k] = (idx, self._solve_table(table, idx))
-        return entry
+            if chain is None:
+                raise MissingContext(f"{self.name} needs a chain or a pinned precedence table")
+            table = alpha_mod.alpha_table(chain)
+        probs = table.evictions.get((self.name, idx.k))
+        if probs is None:
+            probs = table.evictions[self.name, idx.k] = self._solve_table(table, idx)
+        return probs
 
     def _solve_table(self, table, idx) -> np.ndarray:
         """The read-only ``(S, n, k)`` table; rows of hits stay zero.
@@ -374,13 +365,6 @@ class DominatingPolicy(Policy):
     def _solve(self, blocks, pages, targets):
         return dominating_distribution(blocks)
 
-    def evict(self, cache, requested, ctx, rng):
-        idx, probs = self._eviction_table(self._resolve_table(ctx.alpha), len(cache.pages))
-        return _draw(cache.pages, probs[idx.rank[cache.pages], requested], rng)
-
-    def kernel_probs(self, idx, chain, table):
-        return self._eviction_table(self._resolve_table(table), idx.k)[1]
-
 
 class AdversarialDominatingPolicy(DominatingPolicy):
     """Dominating policy that pushes mass onto a target page.
@@ -403,10 +387,10 @@ class AdversarialDominatingPolicy(DominatingPolicy):
         return adversarial_dominating(blocks, targets, pages=pages)
 
 
-class MedianPolicy(Policy):
-    """Reads one ``(n, n)`` matrix per chain, ``median_index(chain,
-    default_median_cap(chain))``; ``argmax`` over the sorted cache breaks ties
-    to the lowest page."""
+class MedianPolicy(TablePolicy):
+    """Evicts the resident page with the largest first-passage median from
+    the request, ``median_index(chain, MEDIAN_CAP)``, kept per chain;
+    ``argmax`` over the sorted cache breaks ties to the lowest page."""
 
     name = "median"
 
@@ -414,17 +398,10 @@ class MedianPolicy(Policy):
         self._chain = None
         self._medians = None
 
-    def _median_matrix(self, chain) -> np.ndarray:
+    def kernel_probs(self, idx, chain):
         if chain is not self._chain:  # medians are chain-specific
-            self._chain, self._medians = chain, median_index(chain, default_median_cap(chain))
-        return self._medians
-
-    def evict(self, cache, requested, ctx, rng):
-        med = self._median_matrix(ctx.chain)[requested, cache.pages]
-        return cache.pages[int(med.argmax())]
-
-    def kernel_probs(self, idx, chain, table):
-        med = self._median_matrix(chain)[np.arange(idx.n)[:, None], idx.pages[:, None, :]]
+            self._chain, self._medians = chain, median_index(chain, MEDIAN_CAP)
+        med = self._medians[np.arange(idx.n)[:, None], idx.pages[:, None, :]]
         return _miss_table(idx, np.arange(idx.k) == med.argmax(axis=2)[:, :, None])
 
 
@@ -525,29 +502,30 @@ class FifoPolicy(Policy):
 
 
 class RandomEvictionPolicy(Policy):
+    """Uniform eviction. A step-by-step run draws with ``rng.integers``
+    rather than from the table row, which keeps its audit streams."""
+
     name = "random"
 
     def evict(self, cache, requested, ctx, rng):
         return cache.pages[int(rng.integers(len(cache.pages)))]
 
-    def kernel_probs(self, idx, chain, table):
+    def kernel_probs(self, idx, chain):
         return _miss_table(idx, np.full(idx.k, 1.0 / idx.k))
 
 
-class PinnedPolicy(Policy):
-    """Never evicts the pinned pages; otherwise evicts the lowest index."""
+class PinnedPolicy(TablePolicy):
+    """Never evicts the pinned pages; otherwise evicts the lowest index.
+
+    Building the table raises ``RuntimeError`` when some cache of size k is
+    all pinned, so ``reset`` does too, before the run's first request.
+    """
 
     def __init__(self, pinned):
         self.pinned = frozenset(pinned)
         self.name = "pinned:" + ",".join(str(p) for p in sorted(self.pinned))
 
-    def evict(self, cache, requested, ctx, rng):
-        for p in cache.pages:
-            if p not in self.pinned:
-                return p
-        raise RuntimeError("all resident pages are pinned")
-
-    def kernel_probs(self, idx, chain, table):
+    def kernel_probs(self, idx, chain):
         free = ~np.isin(idx.pages, list(self.pinned))
         if not free.any(axis=1).all():
             raise RuntimeError("all resident pages are pinned")

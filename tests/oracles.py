@@ -188,15 +188,17 @@ def loop_opt_expected_cost(chain, k, T, init_cache, index):
     return total, action, layers
 
 
-def loop_exact_cost(kernel, chain, T, init_cache):
+def loop_exact_cost(probs, chain, T, init_cache):
     """Expected misses of a memoryless policy, evolving the (cache, last page)
     mass one cache rank at a time: the reference for ``exact_cost``.
 
-    ``kernel`` is the policy's ``SimKernel``. Rows that carry no mass are
-    skipped, and each miss spreads its mass with ``np.add.at``.
+    ``probs`` is the policy's ``(S, n, k)`` eviction table. Rows that carry
+    no mass are skipped, and each miss spreads its mass with ``np.add.at``.
     """
-    idx = kernel.index
+    from markov_paging.optdp import subset_index
+
     n = chain.n
+    idx = subset_index(n, probs.shape[2])
     S = len(idx)
     M = chain.transition
     dist = np.zeros((S, n))
@@ -219,7 +221,7 @@ def loop_exact_cost(kernel, chain, T, init_cache):
             out = np.flatnonzero(~resident)
             miss_mass = req_mass[out]
             cost += float(miss_mass.sum())
-            spread = miss_mass[:, None] * kernel.probs[r, out]  # (n-k, k)
+            spread = miss_mass[:, None] * probs[r, out]  # (n-k, k)
             np.add.at(new, (idx.succ[r, out].ravel(), np.repeat(out, idx.k)), spread.ravel())
         dist = new
     return cost
@@ -291,6 +293,18 @@ def _median_by_doubling(q: np.ndarray, s: int, cap: int):
     return hi
 
 
+def oracle_median_cap(chain) -> int:
+    """A cap that holds every finite first-passage median of ``chain`` when
+    its entries are all positive: per-step hit probability is at least the
+    smallest entry delta, so 16/delta overshoots the crossing comfortably.
+    Chains with a zero entry get 4096. It keeps the loop oracle's work small
+    where the library's one-pass ``median_index`` runs to ``MEDIAN_CAP``.
+    """
+    if chain.min_entry > 0.0:
+        return math.ceil(16.0 / chain.min_entry)
+    return 4096
+
+
 def loop_median_matrix(chain, cap):
     """The ``(n, n)`` matrix of :func:`loop_median_index` over s != p, diagonal 0."""
     med = np.zeros((chain.n, chain.n))
@@ -305,18 +319,17 @@ def loop_kernel_probs(policy, chain, k):
     """The ``(S, n, k)`` eviction table of a median, pinned or random rule,
     filled one (cache, request) pair at a time; hit rows stay zero.
 
-    Median scans the sorted cache and moves to a page only when its median
-    is strictly larger, so ties go to the lowest page; pinned takes the first
-    unpinned page and raises ``RuntimeError`` when there is none; random is
-    uniform.
+    Median scans the sorted cache and moves to a page only when its median,
+    capped at ``MEDIAN_CAP``, is strictly larger, so ties go to the lowest
+    page; pinned takes the first unpinned page and raises ``RuntimeError``
+    when there is none; random is uniform.
     """
     from markov_paging.optdp import subset_index
-    from markov_paging.policies import MedianPolicy, PinnedPolicy, RandomEvictionPolicy, default_median_cap
+    from markov_paging.policies import MEDIAN_CAP, MedianPolicy, PinnedPolicy, RandomEvictionPolicy
 
     idx = subset_index(chain.n, k)
     probs = np.zeros((len(idx), chain.n, k))
     medians = {}
-    cap = default_median_cap(chain)
     for r, cache in enumerate(idx.subsets):
         for j in range(chain.n):
             if j in cache:
@@ -325,7 +338,7 @@ def loop_kernel_probs(policy, chain, k):
                 best, best_med = None, None
                 for i, p in enumerate(cache):
                     if (j, p) not in medians:
-                        medians[j, p] = loop_median_index(chain, j, p, cap)
+                        medians[j, p] = loop_median_index(chain, j, p, MEDIAN_CAP)
                     if best_med is None or medians[j, p] > best_med:
                         best, best_med = i, medians[j, p]
                 probs[r, j, best] = 1.0
@@ -341,7 +354,7 @@ def loop_kernel_probs(policy, chain, k):
     return probs
 
 
-def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed, table=None):
+def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
     """Per-trial miss counts, one trial and one eviction call at a time: the
     reference for every Monte Carlo path of ``simulate``.
 
@@ -356,7 +369,7 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed, table=N
     for trial in range(trials):
         pages = sample_sequence(chain, T, seed + (trial, 0)).pages if T else np.empty(0, dtype=np.int64)
         rng_pol = np.random.default_rng(seed + (trial, 1))
-        ctx = RunContext(chain=chain, k=k, init_cache=tuple(init_cache), sequence=pages, alpha=table)
+        ctx = RunContext(chain=chain, k=k, init_cache=tuple(init_cache), sequence=pages)
         policy.reset(ctx)
         cache = set(init_cache)
         for t, page in enumerate(pages, 1):

@@ -19,13 +19,12 @@ from markov_paging.chain import build_lb_chain, random_chain, sample_sequence
 from markov_paging.engine import exact_cost, simulate
 from markov_paging.learn import approx_dominating_policy, estimate_transition
 from markov_paging.lowerbound import LBParams, closed_form_costs, warmup_ratio
-from markov_paging.optdp import opt_expected_cost
+from markov_paging.optdp import opt_expected_cost, subset_index
 from markov_paging.policies import (
     AdversarialDominatingPolicy,
     DominatingPolicy,
     MedianPolicy,
     OptReplayPolicy,
-    adversarial_dominating,
 )
 from markov_paging import audit as audit_mod
 from markov_paging.cli import main as cli_main
@@ -74,13 +73,14 @@ def test_criterion_1_alpha_correctness():
 def test_criterion_2_warmup_formulas():
     started = time.perf_counter()
     problems = []
+    idx = subset_index(3, 2)
     for eps in (0.3, 0.1, 1e-3):
         chain = build_lb_chain(eps, eps / 2)
-        block = alpha_table(chain).cache_block((0, 1), 2)
-        mu = adversarial_dominating(block, 0, pages=(0, 1))
+        # the policy's eviction distribution for cache (0, 1) and request 2
+        mu = AdversarialDominatingPolicy(0).kernel_probs(idx, chain)[idx.rank[(0, 1)], 2]
         want = (2 - eps) / (4 - 4 * eps)
-        if abs(mu.probs[0] - want) > 1e-12:
-            problems.append(f"eps={eps}: mu={mu.probs[0]!r} want {want!r}")
+        if abs(mu[0] - want) > 1e-12:
+            problems.append(f"eps={eps}: mu={mu[0]!r} want {want!r}")
     if abs(warmup_ratio(1e-6) - 1.5) > 1e-3:
         problems.append(f"limit ratio {warmup_ratio(1e-6)}")
     ok = not problems and time.perf_counter() - started < 1

@@ -191,7 +191,7 @@ def test_failed_solve_is_not_kept(monkeypatch):
 def test_earlier_chain_table_is_released():
     first = random_chain(4, 1)
     table = alpha_table(first)
-    DominatingPolicy().kernel_probs(subset_index(4, 2), first, table)
+    DominatingPolicy().kernel_probs(subset_index(4, 2), first)
     assert table.evictions
     ref = weakref.ref(table)
     del table
@@ -202,6 +202,6 @@ def test_earlier_chain_table_is_released():
 
 def test_new_table_starts_without_eviction_tables():
     table = alpha_table(random_chain(4, 3))
-    DominatingPolicy().kernel_probs(subset_index(4, 2), None, table)
+    DominatingPolicy(table).kernel_probs(subset_index(4, 2), None)
     assert list(table.evictions) == [("dominating", 2)]
     assert AlphaTable(table.n, table.values.copy()).evictions == {}

@@ -13,7 +13,8 @@ from markov_paging.audit import (
     step_delta_check,
     trace_csv_lines,
 )
-from markov_paging.chain import random_chain, sample_sequence
+from markov_paging.alpha import SingularSystem
+from markov_paging.chain import random_chain, sample_sequence, validate_chain
 from markov_paging.optdp import opt_expected_cost
 from markov_paging.policies import (
     DominatingPolicy,
@@ -287,6 +288,15 @@ def test_empty_horizon_accounting_trivially_holds():
                     seed=0, T=0, chain=chain)
     acct = check_accounting(rep)
     assert acct.ok and acct.bound == 0 and rep.ref_misses == 0
+
+
+def test_singular_chain_fails_before_the_first_request():
+    # page 3 is absorbing, so the precedence systems are singular; reset
+    # builds the dominating table, which fails even with no request to serve
+    chain = validate_chain([[0, 0, 0, 1]] * 4)
+    with pytest.raises(SingularSystem):
+        run_audit(np.array([3, 3]), DominatingPolicy(), FarthestInFuture(), 2, (0, 1), "updated",
+                  seed=0, T=0, chain=chain)
 
 
 def test_sequence_too_short():

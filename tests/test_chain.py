@@ -39,6 +39,20 @@ def test_negative_entry_rejected():
         validate_chain([[1.2, -0.2], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize(
+    "matrix,init",
+    [
+        ([[np.nan, 1.0], [0.5, 0.5]], None),
+        ([[0.5, 0.5], [np.nan, np.nan]], None),
+        ([[0.5, 0.5], [0.5, 0.5]], [np.nan, 1.0]),
+    ],
+)
+def test_nan_rejected(matrix, init):
+    # every comparison with NaN is False, so the checks must be written to fail on it
+    with pytest.raises(NonStochasticRow):
+        validate_chain(matrix, init=init)
+
+
 def test_size_mismatch_with_init():
     with pytest.raises(ValueError):
         validate_chain([[0.5, 0.5], [0.5, 0.5]], init=[1.0, 0.0, 0.0])

@@ -132,6 +132,25 @@ def test_chain_file_source(tmp_path):
     assert text.splitlines()[0] == "chain_hash,n,k,T,expected_cost"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["opt", "--k", "2", "--T", "10"], ["simulate", "--policy", "lru", "--k", "2", "--T", "10", "--trials", "5", "--seed", "1"]],
+)
+def test_nan_chain_file_is_usage_error(args, tmp_path, capsys):
+    # Python's JSON reader accepts NaN, so a chain file can carry one
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 2, "transition": [[NaN, 1.0], [0.5, 0.5]]}')
+    code, err = _error_exit([args[0], "--chain", str(path), *args[1:]], capsys)
+    assert code == 2
+    assert "[0, 1]" in err
+
+
+def test_audit_needs_a_trial(capsys):
+    code, err = _error_exit(["audit", "--scheme", "updated", "--n", "4", "--k", "2", "--T", "5", "--trials", "-1", "--seed", "1"], capsys)
+    assert code == 2 and "trials must be >= 1" in err
+    assert _error_exit(["audit", "--scheme", "updated", "--n", "4", "--k", "2", "--T", "5", "--trials", "0", "--seed", "1"], capsys)[0] == 2
+
+
 def test_usage_error_exit_codes(tmp_path):
     # --seed is mandatory for anything that draws randomness
     assert main(["simulate", "--policy", "dominating", "--n", "3", "--k", "2", "--T", "5"]) == 2

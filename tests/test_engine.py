@@ -118,8 +118,8 @@ def test_farthest_in_future_dominates_opt_on_every_shared_sequence():
     fif, opt = FarthestInFuture(), OptReplayPolicy(table)
     for trial in range(40):
         pages = sample_sequence(ch, T, (77, trial, 0)).pages
-        m_fif = _run_one_trial(fif, ch, 2, pages, (0, 1), (77, trial, 1), None)
-        m_opt = _run_one_trial(opt, ch, 2, pages, (0, 1), (77, trial, 1), None)
+        m_fif = _run_one_trial(fif, ch, 2, pages, (0, 1), (77, trial, 1))
+        m_opt = _run_one_trial(opt, ch, 2, pages, (0, 1), (77, trial, 1))
         assert m_fif <= m_opt  # clairvoyance dominates on every shared sequence
 
 
@@ -159,8 +159,8 @@ class LeakyEviction(RandomEvictionPolicy):
 
     name = "leaky"
 
-    def kernel_probs(self, idx, chain, table):
-        return super().kernel_probs(idx, chain, table) * (1.0 - 1e-6)
+    def kernel_probs(self, idx, chain):
+        return super().kernel_probs(idx, chain) * (1.0 - 1e-6)
 
 
 def test_mass_conservation_guard():
@@ -204,7 +204,16 @@ def test_exact_matches_per_rank_loop_oracle_for_every_k(n):
 
 
 def test_kernel_uses_shared_index():
-    assert build_kernel(MedianPolicy(), random_chain(5, 2), 3).index is subset_index(5, 3)
+    # the table's ranks are those of the one shared index for (n, k)
+    seen = []
+
+    class Recording(MedianPolicy):
+        def kernel_probs(self, idx, chain):
+            seen.append(idx)
+            return super().kernel_probs(idx, chain)
+
+    build_kernel(Recording(), random_chain(5, 2), 3)
+    assert seen[0] is subset_index(5, 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -219,7 +228,7 @@ def test_memoryless_tables_match_per_key_oracle(chain, data):
                 with pytest.raises(RuntimeError, match="all resident pages are pinned"):
                     build_kernel(policy, chain, k)
                 continue
-            probs = build_kernel(policy, chain, k).probs
+            probs = build_kernel(policy, chain, k)
             assert np.array_equal(probs, want) and not probs.flags.writeable, (policy.name, k)
 
 

@@ -40,6 +40,12 @@ def test_too_short_trace_rejected():
         estimate_transition(np.array([0, 1]), n=2, smoothing=0.0)
 
 
+@pytest.mark.parametrize("smoothing", [float("nan"), float("inf")])
+def test_non_finite_smoothing_rejected(smoothing):
+    with pytest.raises(ValueError, match="smoothing must be positive and finite"):
+        estimate_transition(np.array([0, 1, 0]), n=2, smoothing=smoothing)
+
+
 @pytest.mark.parametrize("trace,n", [([0, 1, 5, 0], 3), ([0, -1, 1, 0], None), ([0, -1, 1, 0], 2)])
 def test_out_of_range_pages_rejected(trace, n):
     with pytest.raises(ValueError, match="outside 0.."):

@@ -14,6 +14,7 @@ from markov_paging.lowerbound import (
     search,
     warmup_ratio,
 )
+from markov_paging.optdp import subset_index
 from markov_paging.policies import AdversarialDominatingPolicy
 
 from .oracles import naive_geometric_sum, naive_warmup_costs
@@ -93,11 +94,11 @@ def test_closed_form_matches_engine_evolution():
 )
 def test_kernel_reproduces_hand_derived_evictions(eps, eps1):
     # the operator's inputs, built from the policy's LPs, against the closed forms
-    kernel = build_kernel(AdversarialDominatingPolicy(0), build_lb_chain(eps, eps1), 2)
-    idx = kernel.index
+    probs = build_kernel(AdversarialDominatingPolicy(0), build_lb_chain(eps, eps1), 2)
+    idx = subset_index(3, 2)
     for (cache, victim), prob in adversarial_evictions(eps, eps1).items():
         (requested,) = set(range(3)) - set(cache)
-        got = kernel.probs[idx.rank[cache], requested, cache.index(victim)]
+        got = probs[idx.rank[cache], requested, cache.index(victim)]
         assert got == pytest.approx(prob, rel=1e-12, abs=1e-12)
 
 

@@ -9,10 +9,10 @@ from markov_paging import policies as policies_mod
 from markov_paging.alpha import AlphaTable, SingularSystem, alpha_table
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
 from markov_paging.policies import (
+    MEDIAN_CAP,
     AdversarialDominatingPolicy,
     CacheState,
     DominatingPolicy,
-    EvictionDistribution,
     FarthestInFuture,
     FifoPolicy,
     Infeasible,
@@ -22,8 +22,9 @@ from markov_paging.policies import (
     PinnedPolicy,
     RandomEvictionPolicy,
     RunContext,
+    _distributions,
+    _draw,
     adversarial_dominating,
-    default_median_cap,
     dominating_distribution,
     evict,
     median_index,
@@ -32,28 +33,33 @@ from markov_paging.policies import (
 from markov_paging.optdp import subset_index
 from markov_paging.simplex import solve_lp
 
-from .conftest import chain_specs, corrupt_alpha_table, sparse_chain_specs
-from .oracles import loop_median_matrix, loop_solve_lp, rollout_alpha
+from .conftest import chain_specs, corrupt_alpha_table, sparse_chain, sparse_chain_specs
+from .oracles import loop_median_matrix, loop_solve_lp, oracle_median_cap, rollout_alpha
 
 
 def uniform_block(k):
     return np.full((k, k), 0.5) - 0.5 * np.eye(k)
 
 
+def block_stack(table, cache, s):
+    """The ``(1, k, k)`` stack of alpha(p<q|s) over ``cache``, in its order."""
+    c = list(cache)
+    return table.values[np.ix_(c, c, [s])][None, :, :, 0]
+
+
 class TestDominatingDistribution:
     def test_uniform_block_gives_uniform_mu(self):
         k = 3
-        mu = dominating_distribution(uniform_block(k))
-        assert np.allclose(mu.probs, 1 / k, atol=1e-12)
-        load = (mu.probs @ uniform_block(k)).max()
+        mu = dominating_distribution(uniform_block(k)[None])[0]
+        assert np.allclose(mu, 1 / k, atol=1e-12)
+        load = (mu @ uniform_block(k)).max()
         assert load == pytest.approx((k - 1) / (2 * k), abs=1e-12)
 
     @pytest.mark.parametrize("eps", [0.3, 0.1, 1e-3])
     def test_warmup_feasible_interval(self, eps):
         ch = build_lb_chain(eps, eps / 2)
-        block = alpha_table(ch).cache_block((0, 1), 2)
-        mu = dominating_distribution(block, pages=(0, 1))
-        x = mu.probs[0]
+        mu = dominating_distribution(block_stack(alpha_table(ch), (0, 1), 2))[0]
+        x = mu[0]
         lo = (3 * eps - 2) / (2 * eps)  # negative in this regime
         hi = (2 - eps) / (4 - 4 * eps)
         assert lo - 1e-12 <= x <= hi + 1e-12
@@ -65,40 +71,43 @@ class TestDominatingDistribution:
         k = int(rng.integers(2, min(4, chain.n)))
         cache = tuple(sorted(rng.choice(chain.n, size=k, replace=False).tolist()))
         s = int(rng.integers(chain.n))
-        block = alpha_table(chain).cache_block(cache, s)
-        mu = dominating_distribution(block, pages=cache)
-        assert (mu.probs @ block).max() <= 0.5 + 1e-9
-        assert mu.probs.sum() == pytest.approx(1.0, abs=1e-9)
+        block = block_stack(alpha_table(chain), cache, s)
+        mu = dominating_distribution(block)[0]
+        assert (mu @ block[0]).max() <= 0.5 + 1e-9
+        assert mu.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_corrupt_block_raises_infeasible(self):
         # every column load is 1 - mu(q) >= 2/3 under any mu: no admissible
         # distribution exists, which a genuine precedence block never allows
         block = np.ones((3, 3)) - np.eye(3)
         with pytest.raises(Infeasible):
-            dominating_distribution(block)
+            dominating_distribution(block[None])
 
     def test_diagonal_must_be_zero(self):
-        with pytest.raises(ValueError):
-            dominating_distribution(np.array([[0.1, 0.5], [0.5, 0.0]]))
+        with pytest.raises(ValueError, match="diagonal"):
+            dominating_distribution(np.array([[[0.1, 0.5], [0.5, 0.0]]]))
+
+    def test_single_block_is_not_a_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            dominating_distribution(uniform_block(3))
 
 
 class TestAdversarialDominating:
     def test_warmup_upper_endpoint(self):
         for eps in (0.3, 0.1, 1e-3):
             ch = build_lb_chain(eps, eps / 2)
-            block = alpha_table(ch).cache_block((0, 1), 2)
-            mu = adversarial_dominating(block, 0, pages=(0, 1))
-            assert mu.probs[0] == pytest.approx((2 - eps) / (4 - 4 * eps), abs=1e-12)
+            mu = adversarial_dominating(block_stack(alpha_table(ch), (0, 1), 2), 0, pages=(0, 1))[0]
+            assert mu[0] == pytest.approx((2 - eps) / (4 - 4 * eps), abs=1e-12)
 
     def test_general_split_formulas(self):
         eps, eps1 = 0.1, 0.05
         ch = build_lb_chain(eps, eps1)
         table = alpha_table(ch)
-        mu01 = adversarial_dominating(table.cache_block((0, 1), 2), 0, pages=(0, 1))
-        assert mu01.probs[0] == pytest.approx((1 - eps + eps1) / (2 - 2 * eps), abs=1e-12)
-        assert mu01.probs[0] == pytest.approx(0.95 / 1.8)
-        mu12 = adversarial_dominating(table.cache_block((1, 2), 0), 1, pages=(1, 2))
-        assert mu12.probs[0] == pytest.approx(eps / (2 * eps1), abs=1e-12)
+        mu01 = adversarial_dominating(block_stack(table, (0, 1), 2), 0, pages=(0, 1))[0]
+        assert mu01[0] == pytest.approx((1 - eps + eps1) / (2 - 2 * eps), abs=1e-12)
+        assert mu01[0] == pytest.approx(0.95 / 1.8)
+        mu12 = adversarial_dominating(block_stack(table, (1, 2), 0), 1, pages=(1, 2))[0]
+        assert mu12[0] == pytest.approx(eps / (2 * eps1), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(chain_specs(n_min=3, n_max=5), st.integers(min_value=0, max_value=10**6))
@@ -108,12 +117,12 @@ class TestAdversarialDominating:
         cache = tuple(sorted(rng.choice(chain.n, size=k, replace=False).tolist()))
         target = cache[int(rng.integers(k))]
         s = int(rng.integers(chain.n))
-        block = alpha_table(chain).cache_block(cache, s)
-        mu = adversarial_dominating(block, target, pages=cache)
-        assert (mu.probs @ block).max() <= 0.5 + 1e-9
-        base = dominating_distribution(block, pages=cache)
+        block = block_stack(alpha_table(chain), cache, s)
+        mu = adversarial_dominating(block, target, pages=cache)[0]
+        assert (mu @ block[0]).max() <= 0.5 + 1e-9
+        base = dominating_distribution(block)[0]
         ti = cache.index(target)
-        assert mu.probs[ti] >= base.probs[ti] - 1e-9  # maximization dominates
+        assert mu[ti] >= base[ti] - 1e-9  # maximization dominates
 
 
 def test_claim_q_no_later_than_mu_draw():
@@ -122,13 +131,12 @@ def test_claim_q_no_later_than_mu_draw():
     chain = random_chain(4, 5, floor=0.25)
     cache = (0, 1, 2)
     s = 3
-    block = alpha_table(chain).cache_block(cache, s)
-    mu = dominating_distribution(block, pages=cache)
+    mu = dominating_distribution(block_stack(alpha_table(chain), cache, s))[0]
     trials = 30_000
     rng = np.random.default_rng(11)
     for q in cache:
         wins = 0.0
-        draws = [mu.sample(rng) for _ in range(200)]
+        draws = [_draw(cache, mu, rng) for _ in range(200)]
         for i, p in enumerate(draws):
             if p == q:
                 wins += 1
@@ -192,31 +200,48 @@ class TestMedian:
     @given(st.one_of(chain_specs(), chain_specs(floor=0.001), sparse_chain_specs()))
     def test_matches_loop_oracle(self, chain):
         # floor 0.001 gives caps above 4096, where the oracle doubles
-        cap = default_median_cap(chain)
+        cap = oracle_median_cap(chain)
         assert np.array_equal(median_index(chain, cap), loop_median_matrix(chain, cap))
 
     @pytest.mark.parametrize("eps,eps1", [(0.1, 0.05), (1e-4, 0.5e-4), (1e-5, 0.7069e-5)])
     def test_lb_chain_matches_loop_oracle(self, eps, eps1):
         chain = build_lb_chain(eps, eps1)
-        cap = default_median_cap(chain)
+        cap = oracle_median_cap(chain)
         assert np.array_equal(median_index(chain, cap), loop_median_matrix(chain, cap))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_uniform_chain_matches_loop_oracle(self, n):
         chain = validate_chain(np.full((n, n), 1.0 / n))
-        cap = default_median_cap(chain)
+        cap = oracle_median_cap(chain)
         assert np.array_equal(median_index(chain, cap), loop_median_matrix(chain, cap))
 
     def test_median_policy_tie_breaks_low_index(self):
         ch = validate_chain([[0, 0, 0, 1]] * 4)  # pages 1,2 unreachable: both inf
         pol = MedianPolicy()
         ctx = RunContext(chain=ch, k=2, init_cache=(1, 2))
-        victim = pol.evict(CacheState(pages=(1, 2)), 3, ctx, None)
+        pol.reset(ctx)
+        victim = pol.evict(CacheState(pages=(1, 2)), 3, ctx, np.random.default_rng(0))
         assert victim == 1
 
-    def test_default_cap_scales_with_min_entry(self):
-        ch = build_lb_chain(0.2, 0.1)
-        assert default_median_cap(ch) == math.ceil(16 / ch.min_entry)
+    def test_reachable_page_past_4096_steps_is_finite(self):
+        # page 2 is reachable with probability 1e-4 per step, and one entry is
+        # 0; its median (about ln 2 / 1e-4 steps) must not read as unreachable
+        ch = validate_chain([[0.5, 0.5 - 1e-4, 1e-4], [0.5, 0.5 - 1e-4, 1e-4], [0.5, 0.5, 0.0]])
+        med = median_index(ch, MEDIAN_CAP)
+        assert med[0, 2] == med[1, 2] == 6932
+        # with a page 3 that no other page reaches, the rule keeps page 2
+        ch = validate_chain([[0.5, 0.5 - 1e-4, 1e-4, 0.0]] * 2 + [[0.5, 0.5, 0.0, 0.0], [0.25] * 4])
+        pol = MedianPolicy()
+        ctx = RunContext(chain=ch, k=2, init_cache=(2, 3))
+        pol.reset(ctx)
+        assert pol.evict(CacheState(pages=(2, 3)), 0, ctx, np.random.default_rng(0)) == 3
+
+    def test_page_reached_with_probability_below_half_stays_infinite(self):
+        # from page 5 the chain reaches page 6 with probability 0.42 only, so
+        # the median is inf; the stored rows sum to 1 within an ulp, and at a
+        # cap of 2^52 that rounding alone drove the survival below 1/2
+        ch = sparse_chain(7, [46, 5], 0.7)
+        assert median_index(ch, MEDIAN_CAP)[5, 6] == math.inf
 
 
 class TestPolicyZoo:
@@ -248,21 +273,37 @@ class TestPolicyZoo:
 
     def test_pinned_policy(self):
         pol = PinnedPolicy({0})
-        ctx = RunContext(chain=None, k=2, init_cache=(0, 1))
-        assert pol.evict(CacheState(pages=(0, 1)), 2, ctx, None) == 1
+        ctx = RunContext(chain=random_chain(3, 1), k=2, init_cache=(0, 1))
+        pol.reset(ctx)
+        assert pol.evict(CacheState(pages=(0, 1)), 2, ctx, np.random.default_rng(0)) == 1
 
     def test_pinned_table_rejects_fully_pinned_cache(self):
         chain = random_chain(4, 1)
         pol = PinnedPolicy({1, 3})
-        assert pol.kernel_probs(subset_index(4, 3), chain, None)[0, 3].tolist() == [1.0, 0.0, 0.0]
+        assert pol.kernel_probs(subset_index(4, 3), chain)[0, 3].tolist() == [1.0, 0.0, 0.0]
         # cache (1, 3) has no unpinned page to evict
         with pytest.raises(RuntimeError, match="all resident pages are pinned"):
-            pol.kernel_probs(subset_index(4, 2), chain, None)
+            pol.kernel_probs(subset_index(4, 2), chain)
+        # so a run with k = 2 fails at reset, before its first request
+        with pytest.raises(RuntimeError, match="all resident pages are pinned"):
+            pol.reset(RunContext(chain, 2, (0, 1)))
+
+    def test_table_rules_need_a_chain(self):
+        idx = subset_index(4, 2)
+        with pytest.raises(MissingContext):
+            DominatingPolicy().kernel_probs(idx, None)
+        ctx = RunContext(None, 2, (0, 1))
+        for make in (DominatingPolicy, MedianPolicy, lambda: PinnedPolicy({0})):
+            with pytest.raises(MissingContext):
+                make().reset(ctx)
+            with pytest.raises(MissingContext, match="not reset"):
+                make().evict(CacheState(pages=(0, 1)), 2, ctx, np.random.default_rng(0))
 
     def test_dominating_seeded_reproducibility(self):
         ch = random_chain(4, 3)
         table = alpha_table(ch)
         pol = DominatingPolicy(table=table)
+        pol.reset(RunContext(ch, 2, (0, 1)))
         picks1 = [
             pol.evict(CacheState(pages=(0, 1)), 2, RunContext(ch, 2, (0, 1)), np.random.default_rng(9))
             for _ in range(5)
@@ -282,14 +323,14 @@ class TestPolicyZoo:
         outside = [p for p in range(chain.n) if p not in cache]
         requested = int(outside[rng.integers(len(outside))])
         table = alpha_table(chain)
-        ctx = RunContext(chain=chain, k=k, init_cache=cache, alpha=table)
-        seq = np.array([requested])
+        ctx = RunContext(chain=chain, k=k, init_cache=cache)
         for pol in (
             DominatingPolicy(table=table),
             AdversarialDominatingPolicy(0, table=table),
             MedianPolicy(),
             RandomEvictionPolicy(),
         ):
+            pol.reset(ctx)
             ctx.t = 1
             victim = evict(pol, CacheState(pages=cache), requested, ctx, np.random.default_rng(pick))
             assert victim in cache
@@ -309,29 +350,54 @@ class TestPolicyZoo:
             parse_policy("belady-prime")
 
 
+class TestTableRules:
+    """A memoryless rule's table is its only statement of choice."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_chain_specs(n_min=3, n_max=7), st.data())
+    def test_evict_draws_from_the_kernel_row(self, chain, data):
+        k = data.draw(st.integers(min_value=1, max_value=chain.n - 1), label="k")
+        pinned = data.draw(st.sets(st.integers(min_value=0, max_value=chain.n - 1), max_size=k - 1), label="pinned")
+        target = data.draw(st.integers(min_value=0, max_value=chain.n - 1), label="target")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+        rules = [MedianPolicy(), PinnedPolicy(pinned)]
+        try:
+            alpha_table(chain)
+            rules += [DominatingPolicy(), AdversarialDominatingPolicy(target)]
+        except SingularSystem:
+            pass  # the dominating rules are undefined on this chain
+        idx = subset_index(chain.n, k)
+        for pol in rules:
+            ctx = RunContext(chain, k, idx.subsets[0])
+            pol.reset(ctx)
+            probs = pol.kernel_probs(idx, chain)
+            for r, j in zip(*np.nonzero(~idx.member)):
+                cache = idx.subsets[r]
+                got = evict(pol, CacheState(pages=cache), int(j), ctx, np.random.default_rng([seed, r, j]))
+                assert got == _draw(cache, probs[r, j], np.random.default_rng([seed, r, j])), (pol.name, cache, j)
+
+
 class TestEvictionDistribution:
+    """An eviction distribution row as ``_distributions`` checks it."""
+
     def test_tiny_negative_clamped(self):
-        d = EvictionDistribution(pages=(0, 1), probs=np.array([1.0 + 1e-13, -1e-13]))
-        assert d.probs[1] == 0.0
+        d = _distributions(np.array([1.0 + 1e-13, -1e-13]))
+        assert d[1] == 0.0
 
     def test_bad_sum_rejected(self):
         with pytest.raises(ValueError):
-            EvictionDistribution(pages=(0, 1), probs=np.array([0.7, 0.2]))
+            _distributions(np.array([0.7, 0.2]))
 
     def test_large_negative_rejected(self):
         with pytest.raises(ValueError):
-            EvictionDistribution(pages=(0, 1), probs=np.array([1.1, -0.1]))
-
-    def test_support_pairs(self):
-        d = EvictionDistribution(pages=(3, 5), probs=np.array([0.25, 0.75]))
-        assert d.support() == ((3, 0.25), (5, 0.75))
+            _distributions(np.array([1.1, -0.1]))
 
 
 def _miss_blocks(table, k):
     """Every (cache, request not in cache) block, in cache-rank, then request, order."""
     idx = subset_index(table.n, k)
     rank, req = np.nonzero(~idx.member)
-    blocks = np.array([table.cache_block(idx.subsets[r], j) for r, j in zip(rank, req)])
+    blocks = np.concatenate([block_stack(table, idx.subsets[r], j) for r, j in zip(rank, req)])
     return idx, rank, req, blocks
 
 
@@ -378,7 +444,7 @@ class TestStackedTables:
         x_dom = _assert_stack_matches_loop(_dominating_lp(blocks))[:, :k]
         x_adv = _assert_stack_matches_loop(_adversarial_lp(blocks, slots))
         for pol, x in ((DominatingPolicy(table), x_dom), (AdversarialDominatingPolicy(target, table), x_adv)):
-            probs = pol.kernel_probs(idx, chain, table)
+            probs = pol.kernel_probs(idx, chain)
             assert probs.shape == (len(idx), chain.n, k) and not probs.flags.writeable
             assert np.array_equal(probs[rank, req], np.where(x < 0.0, 0.0, x))
             assert not probs[idx.member].any()
@@ -392,25 +458,25 @@ class TestStackedTables:
         adv = adversarial_dominating(blocks, targets, pages=idx.pages[rank])
         for i, (r, j) in enumerate(zip(rank, req)):
             cache = idx.subsets[r]
-            assert np.array_equal(stacked[i], dominating_distribution(blocks[i], pages=cache).probs)
-            assert np.array_equal(adv[i], adversarial_dominating(blocks[i], cache[1], pages=cache).probs)
+            assert np.array_equal(stacked[i], dominating_distribution(blocks[i : i + 1])[0])
+            assert np.array_equal(adv[i], adversarial_dominating(blocks[i : i + 1], cache[1], pages=cache)[0])
 
     def test_one_solve_per_chain_and_k(self, monkeypatch):
         calls = []
         real = policies_mod.dominating_distribution
 
-        def counting(alpha_sub, pages=None):
+        def counting(alpha_sub):
             calls.append(np.shape(alpha_sub))
-            return real(alpha_sub, pages)
+            return real(alpha_sub)
 
         monkeypatch.setattr(policies_mod, "dominating_distribution", counting)
         chain = random_chain(6, 2)
         table = alpha_table(chain)
         pol = DominatingPolicy(table)
-        first = pol.kernel_probs(subset_index(6, 3), chain, table)
-        assert pol.kernel_probs(subset_index(6, 3), chain, table) is first
+        first = pol.kernel_probs(subset_index(6, 3), chain)
+        assert pol.kernel_probs(subset_index(6, 3), chain) is first
         assert calls == [(20 * 3, 3, 3)]
-        pol.kernel_probs(subset_index(6, 2), chain, table)
+        pol.kernel_probs(subset_index(6, 2), chain)
         assert calls[1:] == [(15 * 4, 2, 2)]
 
     def test_evict_draws_as_the_single_block_distribution(self):
@@ -418,22 +484,25 @@ class TestStackedTables:
         table = alpha_table(chain)
         idx, rank, req, blocks = _miss_blocks(table, 2)
         for pol, single in (
-            (DominatingPolicy(table), lambda b, c: dominating_distribution(b, pages=c)),
-            (AdversarialDominatingPolicy(3, table), lambda b, c: adversarial_dominating(b, 3 if 3 in c else c[0], pages=c)),
+            (DominatingPolicy(table), lambda b, c: dominating_distribution(b)[0]),
+            (AdversarialDominatingPolicy(3, table), lambda b, c: adversarial_dominating(b, 3 if 3 in c else c[0], pages=c)[0]),
         ):
+            ctx = RunContext(chain, 2, idx.subsets[0])
+            pol.reset(ctx)
             for i, (r, j) in enumerate(zip(rank, req)):
                 cache = idx.subsets[r]
-                ctx = RunContext(chain, 2, cache, alpha=table)
                 got = [pol.evict(CacheState(pages=cache), int(j), ctx, np.random.default_rng([i, t])) for t in range(8)]
-                want = [single(blocks[i], cache).sample(np.random.default_rng([i, t])) for t in range(8)]
+                mu = single(blocks[i : i + 1], cache)
+                want = [_draw(cache, mu, np.random.default_rng([i, t])) for t in range(8)]
                 assert got == want
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_chunked_solve_equals_unchunked(self, block, monkeypatch):
         chain = random_chain(7, 1)
         table = alpha_table(chain)
-        whole = [DominatingPolicy(table)._eviction_table(table, 3)[1],
-                 AdversarialDominatingPolicy(2, table)._eviction_table(table, 3)[1]]
+        idx = subset_index(7, 3)
+        whole = [DominatingPolicy(table).kernel_probs(idx, None),
+                 AdversarialDominatingPolicy(2, table).kernel_probs(idx, None)]
         monkeypatch.setattr(policies_mod, "LP_BLOCK", block)
         stacks = []
         real = policies_mod.solve_lp
@@ -445,8 +514,8 @@ class TestStackedTables:
         monkeypatch.setattr(policies_mod, "solve_lp", counting)
         # a fresh table holds no eviction tables, so the chunked solve runs
         fresh = AlphaTable(table.n, table.values.copy())
-        parts = [DominatingPolicy(fresh)._eviction_table(fresh, 3)[1],
-                 AdversarialDominatingPolicy(2, fresh)._eviction_table(fresh, 3)[1]]
+        parts = [DominatingPolicy(fresh).kernel_probs(idx, None),
+                 AdversarialDominatingPolicy(2, fresh).kernel_probs(idx, None)]
         lps = math.comb(7, 3) * (7 - 3)
         assert stacks == 2 * ([block] * (lps // block) + ([lps % block] if lps % block else []))
         for a, b in zip(whole, parts):
@@ -458,11 +527,11 @@ class TestStackedTables:
         table = corrupt_alpha_table()
         idx = subset_index(4, 3)
         with pytest.raises(Infeasible) as err:
-            DominatingPolicy(table).kernel_probs(idx, None, table)
+            DominatingPolicy(table).kernel_probs(idx, None)
         assert (err.value.cache, err.value.requested, err.value.target) == ((0, 2, 3), 1, None)
         assert str(err.value).startswith("cache (0, 2, 3), request 1: ")
         with pytest.raises(Infeasible) as err:
-            AdversarialDominatingPolicy(1, table).kernel_probs(idx, None, table)
+            AdversarialDominatingPolicy(1, table).kernel_probs(idx, None)
         # page 1 is not resident in (0, 2, 3), so the lowest page stands in
         assert (err.value.cache, err.value.requested, err.value.target) == ((0, 2, 3), 1, 0)
         assert str(err.value).startswith("cache (0, 2, 3), request 1, target 0: ")
