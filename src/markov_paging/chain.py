@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
-SAMPLE_CHUNK = 1024  # uniforms per next-page table in sample_sequence
+SAMPLE_CHUNK = 1024  # uniforms placed in the grid at once by sample_sequence
 
 
 class NonStochasticRow(ValueError):
@@ -94,35 +94,61 @@ def validate_chain(matrix, init=None) -> MarkovChain:
     return MarkovChain(n=n, transition=m, init=v, min_entry=float(m.min()))
 
 
+def next_page_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
+    """The merged grid of ``chain``'s cumulative rows and its next-page table.
+
+    ``grid`` holds all n² cumulative transition entries, sorted. A uniform
+    ``u`` falls in cell ``c = searchsorted(grid, u, side="right")``, and
+    ``table[c * n + r]`` is the request that follows page ``r``: the first
+    page whose cumulative probability in row ``r`` exceeds ``u``, clamped to
+    n-1 for rows whose sum rounds below 1. The lookup is exact, not an
+    approximation: every row's breakpoints are grid values, so inside a cell
+    ``searchsorted(cum[r], u, side="right")`` does not change. Equal grid
+    values leave empty cells between them, which no uniform reaches. This is
+    the guide table of Chen and Asau ("On generating random variates from an
+    empirical distribution", AIIE Transactions, 1974) merged over all rows;
+    it holds (n²+1)·n pages.
+    """
+    n = chain.n
+    cum = np.cumsum(chain.transition, axis=1)
+    # sorted by Python: the first np.sort in a process adds about 0.25 MB of RSS
+    grid = np.array(sorted(cum.ravel().tolist()))
+    table = np.zeros((n * n + 1, n), dtype=np.int64)  # cell 0 lies below every entry
+    for r in range(n):
+        table[1:, r] = np.searchsorted(cum[r], grid, side="right")
+    np.minimum(table, n - 1, out=table)
+    return grid, table.ravel()
+
+
+def first_pages(chain: MarkovChain, u: np.ndarray) -> np.ndarray:
+    """The first request of each trace: ``init``'s cumulative sum inverted at ``u``."""
+    return np.minimum(np.searchsorted(np.cumsum(chain.init), u, side="right"), chain.n - 1)
+
+
 def sample_sequence(chain: MarkovChain, T: int, seed) -> RequestSequence:
     """Draw ``T`` requests: the first from ``init``, the rest from transition rows.
 
     Deterministic given ``seed`` (an int or a sequence of ints feeding
     ``numpy.random.default_rng``). Request t is the first page whose
     cumulative probability in the row of request t-1 exceeds the t-th uniform.
-    The uniforms are consumed in chunks of ``SAMPLE_CHUNK``: for each chunk
-    the next page from every state is looked up at once, one ``searchsorted``
-    per row, and the chain is then walked through that table.
+    Each step is one lookup in ``next_page_table``: the uniforms are placed
+    in the merged grid ``SAMPLE_CHUNK`` at a time by one ``searchsorted``, and
+    the chain is then walked through the table, one list index per request.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    rng = np.random.default_rng(seed)
+    u = np.random.default_rng(seed).random(T)
     n = chain.n
-    cum = np.cumsum(chain.transition, axis=1)
-    cum_init = np.cumsum(chain.init)
-    u = rng.random(T)
+    grid, table = next_page_table(chain)
+    flat = table.tolist()
     pages = np.empty(T, dtype=np.int64)
-    last = min(int(np.searchsorted(cum_init, u[0], side="right")), n - 1)
+    last = int(first_pages(chain, u[0]))
     pages[0] = last
     for start in range(1, T, SAMPLE_CHUNK):
         chunk = u[start : start + SAMPLE_CHUNK]
-        nxt = np.empty((len(chunk), n), dtype=np.int64)
-        for r in range(n):
-            nxt[:, r] = np.searchsorted(cum[r], chunk, side="right")
-        flat = np.minimum(nxt, n - 1).ravel().tolist()  # step j from state r: flat[j*n + r]
         walked = []
-        for base in range(0, len(flat), n):
-            last = flat[base + last]
+        for row in (np.searchsorted(grid, chunk, side="right") * n).tolist():
+            last = flat[row + last]
             walked.append(last)
         pages[start : start + len(chunk)] = walked
     return RequestSequence(pages=pages, seed=seed)
@@ -133,23 +159,22 @@ def sample_trials(chain: MarkovChain, T: int, seeds) -> np.ndarray:
     page array.
 
     Row i holds the pages of ``sample_sequence(chain, T, seeds[i])``: the same
-    T uniforms, inverted with the same comparison, since ``(cum <= u).sum()``
-    counts what ``searchsorted(cum, u, side="right")`` counts. The walk takes
-    one step across all traces at a time, so many short traces cost a few
-    array operations per step; for one long trace ``sample_sequence`` is
-    faster. ``T = 0`` gives an empty array.
+    T uniforms, looked up in the same ``next_page_table``. The walk takes one
+    step across all traces at a time, so many short traces cost a few array
+    operations per step; for one long trace ``sample_sequence`` is faster.
+    ``T = 0`` gives an empty array.
     """
-    n = chain.n
     u = np.empty((len(seeds), T))
     for row, seed in zip(u, seeds):
         np.random.default_rng(seed).random(out=row)
     u = u.T  # u[t] holds every trace's t-th uniform
-    cum = np.cumsum(chain.transition, axis=1)
     pages = np.empty((T, len(seeds)), dtype=np.int64)
-    rows = np.cumsum(chain.init)[None, :]
-    for t in range(T):
-        pages[t] = np.minimum((rows <= u[t][:, None]).sum(axis=1), n - 1)
-        rows = cum[pages[t]]
+    if T:
+        grid, table = next_page_table(chain)
+        rows = np.searchsorted(grid, u[1:], side="right") * chain.n
+        pages[0] = first_pages(chain, u[0])
+        for t in range(1, T):
+            pages[t] = table[rows[t - 1] + pages[t - 1]]
     pages.setflags(write=False)
     return pages.T
 

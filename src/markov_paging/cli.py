@@ -5,7 +5,8 @@ Exit codes: 0 success; 1 a check failed (audit violations, or a ledger with
 no admissible savior); 2 a usage or domain error (bad flags or inputs, a
 singular or out-of-range precedence solve, an exceeded DP budget).
 Seeds are mandatory wherever randomness is drawn, and identical invocations
-produce byte-identical CSV.
+produce byte-identical CSV. Each mode reads the flags ``READS`` lists for it;
+any other flag given on the command line is a usage error.
 """
 
 from __future__ import annotations
@@ -258,6 +259,8 @@ def _cmd_ratio(args) -> tuple[list[str], int]:
 def _cmd_audit(args) -> tuple[list[str], int]:
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
+    if args.ext_mult < 1:
+        raise UsageError(f"--ext-mult must be >= 1, got {args.ext_mult}")
     k, T = args.k, args.T
     t_ext = T * args.ext_mult
     fixed_chain = None
@@ -321,11 +324,7 @@ def _cmd_lowerbound(args) -> tuple[list[str], int]:
 
 def _cmd_learn(args) -> tuple[list[str], int]:
     if args.trace:
-        if args.chain or args.lb_eps is not None or args.lb_eps1 is not None:
-            raise UsageError("--trace mode estimates the chain; --chain and --lb-eps do not apply")
         trace = load_trace(args.trace)
-        if args.delta_inf is None:
-            raise UsageError("--trace mode needs --delta-inf (no truth to measure against)")
         est = learn.estimate_transition(trace, n=args.n, smoothing=args.smoothing)
         policy, factor, bundle = learn.approx_dominating_policy(est, delta_inf=args.delta_inf)
         measured = ""
@@ -349,22 +348,45 @@ def _cmd_learn(args) -> tuple[list[str], int]:
     return lines, 0
 
 
-REQUIRED = {
-    "simulate": ("policy", "k", "T", "seed"),
-    "opt": ("k", "T"),
-    "ratio": ("policies", "k", "T", "seed"),
-    "audit": ("scheme", "seed"),
-    "lowerbound": ("eps", "eps1_frac", "T"),
-    "learn": ("k", "T", "seed"),
+CHAIN_SOURCE = ("chain", "n", "lb_eps", "lb_eps1")
+
+# The flags each mode reads: those it requires, then the others. ``learn
+# --trace`` estimates the chain from the trace (``--n`` sets its page count)
+# and runs no policy; plain ``learn`` has a true chain, so no ``--delta-inf``.
+READS = {
+    "alpha": ((), (*CHAIN_SOURCE, "seed", "pair", "gamma", "save_table")),
+    "simulate": (("policy", "k", "T", "seed"), (*CHAIN_SOURCE, "init_cache", "trials", "budget")),
+    "opt": (("k", "T"), (*CHAIN_SOURCE, "seed", "init_cache", "budget", "save_table")),
+    "ratio": (("policies", "k", "T", "seed"), (*CHAIN_SOURCE, "baseline", "init_cache", "trials", "budget")),
+    "audit": (
+        ("scheme", "seed"),
+        (*CHAIN_SOURCE, "trials", "k", "T", "ext_mult", "algo", "ref", "budget", "trace_out"),
+    ),
+    "lowerbound": (("eps", "eps1_frac", "T"), ()),
+    "learn": (("k", "T", "seed"), (*CHAIN_SOURCE, "m", "smoothing", "init_cache", "trials", "budget")),
+    "learn --trace": (("trace", "delta_inf"), ("n", "smoothing")),
 }
 
 
-def _required(args) -> tuple[str, ...]:
-    """The flags ``args.command`` needs; ``learn --trace`` samples nothing and
-    runs no policy, so it needs none of ``learn``'s."""
-    if args.command == "learn" and args.trace:
-        return ()
-    return REQUIRED.get(args.command, ())
+def _mode(args) -> str:
+    return "learn --trace" if args.command == "learn" and args.trace else args.command
+
+
+def _given(argv) -> set[str]:
+    """The flags set on the command line, by destination name.
+
+    A second parser with every default suppressed keeps only those, so a
+    flag given at its default value counts and a ``--config`` value does not.
+    """
+    probe = build_parser()
+    for p in (probe, *probe.sub_map.values()):
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(probe.parse_args(argv)))
+
+
+def _flags(dests) -> str:
+    return ", ".join("--" + f.replace("_", "-") for f in dests)
 
 
 def main(argv=None) -> int:
@@ -380,10 +402,19 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     args = parser.parse_args(argv)
-    missing = [f for f in _required(args) if getattr(args, f, None) is None]
+    mode = _mode(args)
+    required, optional = READS[mode]
+    missing = [f for f in required if getattr(args, f, None) is None]
     if missing:
-        flags = ", ".join("--" + f.replace("_", "-") for f in missing)
-        print(f"error: {args.command} requires {flags}", file=sys.stderr)
+        print(f"error: {mode} requires {_flags(missing)}", file=sys.stderr)
+        return 2
+    given = _given(argv)
+    unread = [
+        a.dest for a in parser.sub_map[args.command]._actions
+        if a.dest in given and a.dest not in required + optional
+    ]
+    if unread:
+        print(f"error: {mode} does not read {_flags(unread)}", file=sys.stderr)
         return 2
     try:
         if args.command == "alpha":

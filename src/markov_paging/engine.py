@@ -7,7 +7,8 @@ that applies:
 * kernel: memoryless policies (eviction distribution a function of cache
   contents and the requested page only) step every trial at once over the
   eviction table their ``kernel_probs(idx, chain)`` returns, drawing every
-  trial's requests and evictions from one ``default_rng(seed)`` stream;
+  trial's requests (looked up in the chain's ``next_page_table``) and
+  evictions from one ``default_rng(seed)`` stream;
 * batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
   is an ordered k-tuple) get every trial's request trace from one
   ``sample_trials`` call and count all trials' misses at once;
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_hash, sample_trials
+from .chain import chain_hash, first_pages, next_page_table, sample_trials
 from .optdp import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -126,16 +127,14 @@ def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -
 def _simulate_kernel(idx, probs, chain, T, init_cache, trials, base) -> np.ndarray:
     n = chain.n
     rng = np.random.default_rng(base)
-    cum_rows = np.cumsum(chain.transition, axis=1)
-    cum_init = np.cumsum(chain.init)
+    grid, table = next_page_table(chain)
     cum_kernel = np.cumsum(probs, axis=2)
     ranks = np.full(trials, idx.rank[init_cache], dtype=np.int64)
     last = np.zeros(trials, dtype=np.int64)
     misses = np.zeros(trials, dtype=np.int64)
     for t in range(1, T + 1):
         u = rng.random(trials)
-        rows = cum_init[None, :] if t == 1 else cum_rows[last]
-        req = np.minimum((rows <= u[:, None]).sum(axis=1), n - 1)
+        req = first_pages(chain, u) if t == 1 else table[np.searchsorted(grid, u, side="right") * n + last]
         hit = idx.member[ranks, req]
         miss = ~hit
         if miss.any():

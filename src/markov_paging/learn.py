@@ -77,8 +77,7 @@ def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, tru
         raise ValueError(f"trace page {int(bad[0])} is outside 0..{n - 1}")
     if truth is not None and truth.n != n:
         raise ValueError("truth chain size does not match n")
-    counts = np.zeros((n, n))
-    np.add.at(counts, (pages[:-1], pages[1:]), 1.0)
+    counts = np.bincount(pages[:-1] * n + pages[1:], minlength=n * n).reshape(n, n).astype(float)
     m_hat = (counts + smoothing) / (counts.sum(axis=1, keepdims=True) + n * smoothing)
     linf = None
     if truth is not None:

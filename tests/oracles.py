@@ -3,8 +3,9 @@
 These deliberately avoid the implementation's code paths: precedence
 probabilities come from raw chain rollouts, optimal paging cost from an
 exhaustive expectation tree over request realizations (no state merging),
-matrix geometric series from term-by-term accumulation, and request traces
-from a one-request-at-a-time sampling loop. The OPT DP and the exact cost
+matrix geometric series from term-by-term accumulation, request traces
+from a one-request-at-a-time sampling loop, and transition counts from
+``np.add.at``. The OPT DP and the exact cost
 evolution are also kept as loops over one cache rank at a time, the
 reference for the library's all-ranks-at-once steps, and Monte Carlo as a
 loop over one trial at a time, the reference for the trial-batched paths.
@@ -41,6 +42,14 @@ def loop_sample_pages(chain, T, seed):
         last = min(int(np.searchsorted(cum[last], u[t], side="right")), chain.n - 1)
         pages[t] = last
     return pages
+
+
+def add_at_estimate(pages, n, smoothing):
+    """Smoothed transition estimate with counts accumulated by ``np.add.at``:
+    the reference for ``learn.estimate_transition``."""
+    counts = np.zeros((n, n))
+    np.add.at(counts, (pages[:-1], pages[1:]), 1.0)
+    return (counts + smoothing) / (counts.sum(axis=1, keepdims=True) + n * smoothing)
 
 
 def rollout_alpha(chain, p, q, s, trials, seed, max_steps=100_000):

@@ -11,6 +11,7 @@ from markov_paging.chain import (
     build_lb_chain,
     chain_hash,
     load_chain,
+    next_page_table,
     random_chain,
     sample_sequence,
     sample_trials,
@@ -165,6 +166,61 @@ def test_sample_trials_rows_match_sample_sequence(chain, T, seed, trials):
     assert pages.shape == (trials, T) and not pages.flags.writeable
     for row, s in zip(pages, seeds):
         assert np.array_equal(row, sample_sequence(chain, T, s).pages)
+
+
+def _edge_uniforms(grid):
+    """Every grid value, its floating-point neighbours, and the ends of [0, 1)."""
+    return np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf), [0.0, 1 - 2**-53]])
+
+
+def _assert_table_matches_rows(chain):
+    grid, table = next_page_table(chain)
+    n = chain.n
+    cum = np.cumsum(chain.transition, axis=1)
+    assert grid.shape == (n * n,) and table.shape == ((n * n + 1) * n,)
+    for u in _edge_uniforms(grid):
+        cell = int(np.searchsorted(grid, u, side="right"))
+        for r in range(n):
+            expected = min(int(np.searchsorted(cum[r], u, side="right")), n - 1)
+            assert table[cell * n + r] == expected, (u, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_chain_specs(n_min=2, n_max=8))
+def test_next_page_table_at_cell_edges(chain):
+    """The table equals per-row inversion with the clamp to n-1 at every
+    uniform that lands on a cell edge or next to one, where random uniforms
+    almost never fall."""
+    _assert_table_matches_rows(chain)
+
+
+def test_next_page_table_clamps_rows_ending_below_one():
+    # ten entries of 0.1 sum to 0.9999999999999999 in floating point, so a
+    # uniform can exceed the whole row; zero entries give duplicate grid values
+    rows = [[0.1] * 10] * 6 + [[1.0] + [0.0] * 9, [0.0] * 9 + [1.0], [0.5] + [0.0] * 8 + [0.5], [0.2, 0.0] * 5]
+    chain = validate_chain(rows)
+    cum = np.cumsum(chain.transition, axis=1)
+    assert cum[0, -1] < 1.0
+    grid, _ = next_page_table(chain)
+    assert np.unique(grid).size < grid.size
+    _assert_table_matches_rows(chain)
+
+
+def test_uniform_on_a_cumulative_entry_selects_the_next_page():
+    """A uniform equal to a cumulative entry lies past it (``side="right"``).
+    The chain is built from the sampler's own uniforms: ``init`` from the
+    first and both rows from a later one, each at least 1/2 so that the row
+    sums to 1 exactly and is not renormalized."""
+    seed, T = 0, 40
+    u = np.random.default_rng(seed).random(T)
+    t0 = next(t for t in range(1, T) if u[t] >= 0.5)
+    assert u[0] >= 0.5
+    chain = validate_chain([[u[t0], 1 - u[t0]]] * 2, init=[u[0], 1 - u[0]])
+    assert chain.init[0] == u[0] and chain.transition[0, 0] == u[t0]
+    pages = sample_sequence(chain, T, seed).pages
+    assert pages[0] == 1 and pages[t0] == 1
+    assert np.array_equal(pages, loop_sample_pages(chain, T, seed))
+    assert np.array_equal(sample_trials(chain, T, [seed])[0], pages)
 
 
 def test_sample_trials_empty_horizon():

@@ -151,6 +151,14 @@ def test_audit_needs_a_trial(capsys):
     assert _error_exit(["audit", "--scheme", "updated", "--n", "4", "--k", "2", "--T", "5", "--trials", "0", "--seed", "1"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("mult", ["0", "-1"])
+def test_audit_ext_mult_below_one_is_named(mult, capsys):
+    code, err = _error_exit(["audit", "--scheme", "updated", "--n", "4", "--k", "2", "--T", "5",
+                             "--trials", "2", "--seed", "1", "--ext-mult", mult], capsys)
+    assert code == 2
+    assert err == f"error: --ext-mult must be >= 1, got {mult}\n"
+
+
 def test_usage_error_exit_codes(tmp_path):
     # --seed is mandatory for anything that draws randomness
     assert main(["simulate", "--policy", "dominating", "--n", "3", "--k", "2", "--T", "5"]) == 2
@@ -167,24 +175,30 @@ def test_domain_error_is_usage_error(tmp_path):
 def test_trace_page_out_of_range_is_usage_error(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     trace.write_text("0\n1\n-1\n0\n1\n")
-    code = main(["learn", "--trace", str(trace), "--delta-inf", "0.01", "--k", "1", "--T", "5", "--seed", "0"])
+    code = main(["learn", "--trace", str(trace), "--delta-inf", "0.01"])
     assert code == 2
     assert "trace page -1 is outside 0..1" in capsys.readouterr().err
 
 
 LEARN_TRACE_CASES = {
     "trace-only": ([], 0, ""),
-    "unused-k-T-seed": (["--k", "1", "--T", "5", "--seed", "0"], 0, ""),
+    "unused-k-T-seed": (["--k", "1", "--T", "5", "--seed", "0"], 2, "learn --trace does not read --k, --T, --seed"),
     "page-beyond-n": (["--n", "2"], 2, "trace page 2 is outside 0..1"),
-    "chain-file": (["--chain", "{chain}"], 2, "--chain and --lb-eps do not apply"),
-    "lb-chain": (["--lb-eps", "0.1", "--lb-eps1", "0.05"], 2, "--chain and --lb-eps do not apply"),
+    "chain-file": (["--chain", "{chain}"], 2, "learn --trace does not read --chain"),
+    "lb-chain": (["--lb-eps", "0.1", "--lb-eps1", "0.05"], 2, "learn --trace does not read --lb-eps, --lb-eps1"),
+    # a flag counts when given, also at its default value
+    **{
+        f"unread{flag}": ([flag, value], 2, f"error: learn --trace does not read {flag}\n")
+        for flag, value in [("--m", "100000"), ("--trials", "2000"), ("--budget", "1000"),
+                            ("--init-cache", "0,9"), ("--k", "2"), ("--T", "5"), ("--seed", "1")]
+    },
 }
 
 
 @pytest.mark.parametrize("extra,code,message", LEARN_TRACE_CASES.values(), ids=LEARN_TRACE_CASES.keys())
 def test_learn_trace_flags(extra, code, message, tmp_path, capsys):
     # --trace estimates the chain from the trace alone: --n sets its page
-    # count, a chain source is a usage error, and --k/--T/--seed are not needed
+    # count, and a chain source or --k/--T/--seed is a usage error
     trace = tmp_path / "t.txt"
     trace.write_text("0\n1\n2\n0\n2\n1\n")
     save_chain(random_chain(3, 0), tmp_path / "c.json")
@@ -193,6 +207,33 @@ def test_learn_trace_flags(extra, code, message, tmp_path, capsys):
     out = capsys.readouterr()
     assert message in out.err
     assert bool(out.out) == (code == 0)
+
+
+def test_learn_without_trace_rejects_delta_inf(tmp_path, capsys):
+    args = ["learn", "--n", "3", "--m", "1000", "--k", "2", "--T", "5", "--trials", "10", "--seed", "1"]
+    code, err = _error_exit([*args, "--delta-inf", "0.5"], capsys)
+    assert code == 2
+    assert err == "error: learn does not read --delta-inf\n"
+    assert run_cli(args, tmp_path)[0] == 0
+
+
+def test_learn_trace_needs_delta_inf(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n1\n0\n")
+    code, err = _error_exit(["learn", "--trace", str(trace)], capsys)
+    assert code == 2
+    assert err == "error: learn --trace requires --delta-inf\n"
+
+
+def test_config_values_are_not_given_flags(tmp_path):
+    # a config file holds defaults for every subcommand, so a value that the
+    # mode does not read is left unread, not rejected
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n1\n2\n0\n2\n1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 2, "T": 5, "seed": 1, "delta_inf": 0.01}))
+    code, text = run_cli(["--config", str(cfg), "learn", "--trace", str(trace)], tmp_path)
+    assert code == 0 and text.startswith("m,delta_inf,")
 
 
 def test_learn_trace_n_sets_page_count(tmp_path):

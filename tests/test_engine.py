@@ -53,6 +53,19 @@ def test_no_misses_when_requests_stay_resident():
     assert est2.mean == 0.0
 
 
+def test_kernel_request_on_a_cumulative_entry_is_the_next_page():
+    """The kernel path, as ``sample_sequence``, reads a uniform equal to a
+    cumulative entry as lying past it. With one trial whose first request
+    (page 0) hits, the stream's second uniform draws the second request; both
+    rows are built from it (at least 1/2, so the row sums to 1 exactly)."""
+    seed = 1
+    u = np.random.default_rng((seed,)).random(2)
+    assert u[1] >= 0.5
+    ch = validate_chain([[u[1], 1 - u[1]]] * 2, init=[1.0, 0.0])
+    assert ch.transition[0, 0] == u[1]
+    assert trial_misses(RandomEvictionPolicy(), ch, 1, 2, (0,), 1, seed).tolist() == [1]
+
+
 def test_pinned_reference_rate_on_warmup_chain():
     eps, T = 0.1, 1000
     ch = build_lb_chain(eps, eps / 2)

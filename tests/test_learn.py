@@ -16,6 +16,7 @@ from markov_paging.learn import (
 )
 
 from .conftest import chain_specs
+from .oracles import add_at_estimate
 
 
 def test_alternating_trace_recovers_swap_matrix():
@@ -58,6 +59,26 @@ def test_estimates_are_valid_chains(chain, seed):
     trace = sample_sequence(chain, 200, seed)
     est = estimate_transition(trace, n=chain.n)
     validate_chain(est.m_hat)  # row-stochastic within tolerance
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=2, max_value=400),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([1.0, 0.5, 1e-3]),
+)
+def test_counts_match_add_at_oracle(n, length, seed, smoothing):
+    """Bit for bit the ``np.add.at`` estimate, also for pages the trace never
+    visits (it only draws pages below ``visited``)."""
+    rng = np.random.default_rng(seed)
+    visited = int(rng.integers(1, n + 1))
+    pages = rng.integers(0, visited, size=length)
+    truth = random_chain(n, seed)
+    est = estimate_transition(pages, n=n, smoothing=smoothing, truth=truth)
+    expected = add_at_estimate(pages, n, smoothing)
+    assert est.m_hat.dtype == expected.dtype and np.array_equal(est.m_hat, expected)
+    assert est.linf_error == float(np.abs(expected - truth.transition).sum(axis=1).max())
 
 
 def test_error_shrinks_with_more_samples():
