@@ -9,12 +9,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
 SAMPLE_CHUNK = 1024  # uniforms placed in the grid at once by sample_sequence
+
+# numpy's SeedSequence hashing (numpy/random/bit_generator.pyx) and PCG64
+# multiplier (pcg64.h), which trial_uniforms reproduces for many streams at once
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+MASK32 = 0xFFFFFFFF
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK128 = (1 << 128) - 1
 
 
 class NonStochasticRow(ValueError):
@@ -154,21 +165,127 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> RequestSequence:
     return RequestSequence(pages=pages, seed=seed)
 
 
-def sample_trials(chain: MarkovChain, T: int, seeds) -> np.ndarray:
-    """Draw one ``T``-request trace per seed, as a read-only ``(len(seeds), T)``
-    page array.
+def _seed_words(part) -> list[int]:
+    """The 32-bit entropy words ``SeedSequence`` reads from one seed part: the
+    little-endian words of a non-negative int, and ``[0]`` for 0."""
+    value = operator.index(part)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got seed part {value}")
+    words = [value & MASK32]
+    value >>= 32
+    while value:
+        words.append(value & MASK32)
+        value >>= 32
+    return words
 
-    Row i holds the pages of ``sample_sequence(chain, T, seeds[i])``: the same
-    T uniforms, looked up in the same ``next_page_table``. The walk takes one
-    step across all traces at a time, so many short traces cost a few array
-    operations per step; for one long trace ``sample_sequence`` is faster.
-    ``T = 0`` gives an empty array.
+
+def _hasher(init: int, mult: int):
+    """numpy's ``hashmix`` over uint32 arrays, with its running hash constant:
+    each call xors the constant in, steps it by ``mult``, multiplies by the
+    new value and folds the high half down."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix_pools(entropy: list) -> list:
+    """``SeedSequence``'s entropy pool, for many entropy lists at once.
+
+    ``entropy`` holds one uint32 array per entropy word, one entry per stream;
+    the four returned arrays are the pool words. This is numpy's
+    ``mix_entropy``: a list shorter than the pool is padded with zero words,
+    which is why trailing zeros within the pool change no stream.
     """
-    u = np.empty((len(seeds), T))
-    for row, seed in zip(u, seeds):
-        np.random.default_rng(seed).random(out=row)
-    u = u.T  # u[t] holds every trace's t-th uniform
-    pages = np.empty((T, len(seeds)), dtype=np.int64)
+    hashmix = _hasher(INIT_A, MULT_A)
+
+    def mix(x, y):
+        out = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+        return out ^ (out >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(w) for w in (entropy + [zero] * POOL_SIZE)[:POOL_SIZE]]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg64_states(pool: list) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that each stream's pool seeds.
+
+    ``generate_state(4, uint64)`` hashes the pool, cycled, into eight words;
+    the first two 64-bit words make ``initstate`` and the last two
+    ``initseq``, each high word first, and ``pcg64_set_seed`` steps the LCG
+    twice from state 0.
+    """
+    hashmix = _hasher(INIT_B, MULT_B)
+    words = [hashmix(pool[j % POOL_SIZE]).astype(np.uint64) for j in range(8)]
+    halves = [(words[2 * j] | (words[2 * j + 1] << 32)).tolist() for j in range(4)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK128, inc))
+    return states
+
+
+def trial_uniforms(T: int, base, trials) -> np.ndarray:
+    """The first ``T`` uniforms of each trial's stream, as a ``(len(trials), T)``
+    array.
+
+    Row j equals ``np.random.default_rng((*base, trials[j], 0)).random(T)``
+    bit for bit, where ``base`` is a sequence of ints. Every stream's
+    ``SeedSequence`` hashing runs in one pass over uint32 arrays, and its
+    PCG64 seeding in Python ints; one ``PCG64`` is then set to each state in
+    turn and draws the raw words, which become uniforms as
+    ``Generator.random`` makes them, ``(raw >> 11) * 2**-53``. A negative
+    seed part is a ``ValueError``, as in numpy, and so is a trial index that
+    does not fit one 32-bit entropy word.
+    """
+    base_words = [w for part in base for w in _seed_words(part)]
+    ids = [operator.index(i) for i in trials]
+    bad = [i for i in ids if not 0 <= i <= MASK32]
+    if bad:
+        raise ValueError(f"trial indices must lie in [0, 2**32), got {bad[0]}")
+    ids = np.array(ids, dtype=np.uint32)
+    entropy = [np.full(ids.size, w, dtype=np.uint32) for w in base_words] + [ids, np.zeros_like(ids)]
+    raw = np.empty((ids.size, T), dtype=np.uint64)
+    bitgen = np.random.PCG64(0)
+    for row, (state, inc) in zip(raw, _pcg64_states(_mix_pools(entropy))):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        row[:] = bitgen.random_raw(T)
+    return (raw >> 11) * 2.0**-53
+
+
+def sample_trials(chain: MarkovChain, T: int, base, trials) -> np.ndarray:
+    """Draw one ``T``-request trace per trial index, as a read-only
+    ``(len(trials), T)`` page array.
+
+    Row j holds the pages of ``sample_sequence(chain, T, (*base, trials[j],
+    0))``. ``trial_uniforms`` derives every trial's ``(*base, i, 0)`` stream
+    in one pass, each equal to ``default_rng((*base, i, 0))``, and the
+    uniforms are looked up in the same ``next_page_table``. The walk takes
+    one step across all traces at a time, so many short traces cost a few
+    array operations per step; for one long trace ``sample_sequence`` is
+    faster. ``T = 0`` gives an empty array.
+    """
+    u = trial_uniforms(T, base, trials).T  # u[t] holds every trace's t-th uniform
+    pages = np.empty(u.shape, dtype=np.int64)
     if T:
         grid, table = next_page_table(chain)
         rows = np.searchsorted(grid, u[1:], side="right") * chain.n

@@ -72,6 +72,15 @@ def _parse_int(text) -> int:
     return int(value)
 
 
+def _parse_seed(text) -> int:
+    """A non-negative ``_parse_int`` value, as numpy's seeding needs; else a
+    usage error."""
+    value = _parse_int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative; seeds must be >= 0")
+    return value
+
+
 def _config_defaults(parser, overrides) -> dict:
     """Config values converted as ``parser`` converts the same flags.
 
@@ -122,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         "alpha", help="precedence probabilities alpha(p<q|s)"
     )
     _add_chain_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--pair", help="only this ordered pair, as 'p,q'")
     p.add_argument("--gamma", action="store_true", help="emit worst pair conditioning instead")
     p.add_argument("--save-table", help="also dump the table (npz) here")
@@ -134,12 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=_parse_int)
     p.add_argument("--init-cache")
     p.add_argument("--trials", type=_parse_int, default=10_000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_parse_seed)
     p.add_argument("--budget", type=_parse_int, default=10**8)
 
     p = parser.sub_map["opt"] = sub.add_parser("opt", help="exact finite-horizon optimal cost")
     _add_chain_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--k", type=int)
     p.add_argument("--T", type=_parse_int)
     p.add_argument("--init-cache")
@@ -154,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=_parse_int)
     p.add_argument("--init-cache")
     p.add_argument("--trials", type=_parse_int, default=10_000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_parse_seed)
     p.add_argument("--budget", type=_parse_int, default=10**8)
 
     p = parser.sub_map["audit"] = sub.add_parser("audit", help="charging-scheme audit battery")
@@ -166,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ext-mult", type=int, default=10, help="resolve horizon multiplier")
     p.add_argument("--algo", default="dominating")
     p.add_argument("--ref", default="opt-dp")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_parse_seed)
     p.add_argument("--budget", type=_parse_int, default=10**8)
     p.add_argument("--trace-out", help="write the last run's step trace CSV here")
 
@@ -185,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=_parse_int)
     p.add_argument("--init-cache")
     p.add_argument("--trials", type=_parse_int, default=2_000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_parse_seed)
     p.add_argument("--budget", type=_parse_int, default=10**8)
 
     return parser
@@ -353,8 +362,12 @@ CHAIN_SOURCE = ("chain", "n", "lb_eps", "lb_eps1")
 # The flags each mode reads: those it requires, then the others. ``learn
 # --trace`` estimates the chain from the trace (``--n`` sets its page count)
 # and runs no policy; plain ``learn`` has a true chain, so no ``--delta-inf``.
+# ``alpha --gamma`` prints one number and ``alpha --pair`` one pair, so
+# neither saves the table.
 READS = {
-    "alpha": ((), (*CHAIN_SOURCE, "seed", "pair", "gamma", "save_table")),
+    "alpha": ((), (*CHAIN_SOURCE, "seed", "save_table")),
+    "alpha --gamma": ((), (*CHAIN_SOURCE, "seed", "gamma")),
+    "alpha --pair": ((), (*CHAIN_SOURCE, "seed", "pair")),
     "simulate": (("policy", "k", "T", "seed"), (*CHAIN_SOURCE, "init_cache", "trials", "budget")),
     "opt": (("k", "T"), (*CHAIN_SOURCE, "seed", "init_cache", "budget", "save_table")),
     "ratio": (("policies", "k", "T", "seed"), (*CHAIN_SOURCE, "baseline", "init_cache", "trials", "budget")),
@@ -368,8 +381,15 @@ READS = {
 }
 
 
+# The flags that select a mode of their command, tried in order
+MODE_FLAGS = {"alpha": ("gamma", "pair"), "learn": ("trace",)}
+
+
 def _mode(args) -> str:
-    return "learn --trace" if args.command == "learn" and args.trace else args.command
+    for flag in MODE_FLAGS.get(args.command, ()):
+        if getattr(args, flag):
+            return f"{args.command} --{flag}"
+    return args.command
 
 
 def _given(argv) -> set[str]:

@@ -11,7 +11,9 @@ that applies:
   evictions from one ``default_rng(seed)`` stream;
 * batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
   is an ordered k-tuple) get every trial's request trace from one
-  ``sample_trials`` call and count all trials' misses at once;
+  ``sample_trials`` call and count all trials' misses at once. That call
+  derives every trial's ``(seed, i, 0)`` stream in one pass, and each
+  stream equals ``default_rng((seed, i, 0))``;
 * generic: the rest (farthest-in-future, scripted, OPT replay) take the same
   sampled traces and run one trial at a time, one eviction call per miss.
 
@@ -113,7 +115,7 @@ def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -
     block = max(1, TRIAL_BLOCK_CELLS // max(T, 1))  # bounds the page array's memory
     for lo in range(0, trials, block):
         ids = range(lo, min(lo + block, trials))
-        pages = sample_trials(chain, T, [base + (i, 0) for i in ids])
+        pages = sample_trials(chain, T, base, trials=ids)
         batch = policy.batch_misses(pages, init_cache)
         if batch is None:
             batch = [

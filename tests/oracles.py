@@ -4,7 +4,8 @@ These deliberately avoid the implementation's code paths: precedence
 probabilities come from raw chain rollouts, optimal paging cost from an
 exhaustive expectation tree over request realizations (no state merging),
 matrix geometric series from term-by-term accumulation, request traces
-from a one-request-at-a-time sampling loop, and transition counts from
+from a one-request-at-a-time sampling loop, each Monte Carlo trial's
+uniforms from a generator of its own, and transition counts from
 ``np.add.at``. The OPT DP and the exact cost
 evolution are also kept as loops over one cache rank at a time, the
 reference for the library's all-ranks-at-once steps, and Monte Carlo as a
@@ -42,6 +43,15 @@ def loop_sample_pages(chain, T, seed):
         last = min(int(np.searchsorted(cum[last], u[t], side="right")), chain.n - 1)
         pages[t] = last
     return pages
+
+
+def loop_trial_uniforms(T, base, trials):
+    """``T`` uniforms per trial from one ``default_rng((*base, i, 0))`` each:
+    the reference for ``chain.trial_uniforms``. ``base`` is a tuple."""
+    u = np.empty((len(trials), T))
+    for row, i in zip(u, trials):
+        np.random.default_rng((*base, i, 0)).random(out=row)
+    return u
 
 
 def add_at_estimate(pages, n, smoothing):

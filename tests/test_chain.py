@@ -16,11 +16,12 @@ from markov_paging.chain import (
     sample_sequence,
     sample_trials,
     save_chain,
+    trial_uniforms,
     validate_chain,
 )
 
 from .conftest import chain_specs, sparse_chain_specs
-from .oracles import loop_sample_pages
+from .oracles import loop_sample_pages, loop_trial_uniforms
 
 
 def test_uniform_two_page_chain():
@@ -162,10 +163,54 @@ def test_sample_trials_rows_match_sample_sequence(chain, T, seed, trials):
     """Row i is the trace ``sample_sequence`` draws from seed i, page for page,
     on chains with zero entries and across ``SAMPLE_CHUNK`` boundaries."""
     seeds = [(seed, i, 0) for i in range(trials)]
-    pages = sample_trials(chain, T, seeds)
+    pages = sample_trials(chain, T, (seed,), trials=range(trials))
     assert pages.shape == (trials, T) and not pages.flags.writeable
     for row, s in zip(pages, seeds):
         assert np.array_equal(row, sample_sequence(chain, T, s).pages)
+
+
+# seed parts below, at and above one and two 32-bit entropy words
+SEED_PARTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(min_value=0, max_value=2**70)
+NUMPY_INTS = (np.uint32, np.int64, np.uint64)
+
+
+@st.composite
+def seed_bases(draw):
+    """A base of 0-5 seed parts, some as numpy integer scalars where they fit,
+    and the same base as Python ints."""
+    parts = draw(st.lists(SEED_PARTS, max_size=5))
+    base = []
+    for p in parts:
+        fits = [t for t in NUMPY_INTS if p <= np.iinfo(t).max]
+        kind = draw(st.sampled_from([int, *fits]))
+        base.append(kind(p))
+    return tuple(base), tuple(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed_bases(),
+    st.sampled_from([0, 1, 2, 1025]),
+    st.lists(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(min_value=0, max_value=2**32 - 1), max_size=6),
+)
+def test_trial_uniforms_match_per_trial_loop_oracle(bases, T, trials):
+    """Bit for bit the uniforms of one ``default_rng((*base, i, 0))`` per
+    trial, with fewer than, exactly and more than 4 entropy words."""
+    base, parts = bases
+    u = trial_uniforms(T, base, trials)
+    assert u.shape == (len(trials), T)
+    assert np.array_equal(u, loop_trial_uniforms(T, parts, trials))
+
+
+@pytest.mark.parametrize(
+    "base,trials",
+    [((-1,), [0]), ((3, np.int64(-2)), [0]), ((3,), [-1]), ((3,), [2**32]), ((3,), [0, 2**40]), ((3,), [2**70])],
+)
+def test_trial_uniforms_reject_negative_parts_and_wide_indices(base, trials):
+    """A negative seed part is a ValueError, as numpy makes it; a trial index
+    is one entropy word, so 2**32 and above are ValueErrors too."""
+    with pytest.raises(ValueError):
+        trial_uniforms(4, base, trials)
 
 
 def _edge_uniforms(grid):
@@ -220,11 +265,12 @@ def test_uniform_on_a_cumulative_entry_selects_the_next_page():
     pages = sample_sequence(chain, T, seed).pages
     assert pages[0] == 1 and pages[t0] == 1
     assert np.array_equal(pages, loop_sample_pages(chain, T, seed))
-    assert np.array_equal(sample_trials(chain, T, [seed])[0], pages)
+    # stream (0, 0, 0) is default_rng(0): zero words within the 4-word pool are padding
+    assert np.array_equal(sample_trials(chain, T, (seed,), trials=[0])[0], pages)
 
 
 def test_sample_trials_empty_horizon():
-    assert sample_trials(random_chain(3, 1), 0, [(1, 0, 0), (1, 1, 0)]).shape == (2, 0)
+    assert sample_trials(random_chain(3, 1), 0, (1,), trials=range(2)).shape == (2, 0)
 
 
 def test_chain_file_roundtrip(tmp_path):

@@ -389,3 +389,54 @@ def test_horizon_rule(args, column, zero, tmp_path, capsys):
     assert all(row[header.index(column)] == zero for row in rows)
     code, err = _error_exit([*args, "--n", "4", "--k", "2", "--T", "-2"], capsys)
     assert code == 2 and "T must be >= 0, got -2" in err
+
+
+ALPHA_MODE_CASES = {
+    "gamma-pair-save": (["--gamma", "--pair", "0,1", "--save-table", "{table}"], "alpha --gamma does not read --pair, --save-table"),
+    "gamma-save": (["--gamma", "--save-table", "{table}"], "alpha --gamma does not read --save-table"),
+    "pair-save": (["--pair", "0,1", "--save-table", "{table}"], "alpha --pair does not read --save-table"),
+}
+
+
+@pytest.mark.parametrize("extra,message", ALPHA_MODE_CASES.values(), ids=ALPHA_MODE_CASES.keys())
+def test_alpha_modes_reject_flags_they_do_not_read(extra, message, tmp_path, capsys):
+    """``--gamma`` prints only gamma and ``--pair`` only its pair, so the
+    flags they would ignore are usage errors and no table is written."""
+    table = tmp_path / "t.npz"
+    extra = [x.format(table=table) for x in extra]
+    code, err = _error_exit(["alpha", "--n", "3", "--seed", "0", *extra], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not table.exists()
+
+
+def test_alpha_save_table_alone_writes_the_table(tmp_path):
+    table = tmp_path / "t.npz"
+    assert run_cli(["alpha", "--n", "3", "--seed", "0", "--save-table", str(table)], tmp_path)[0] == 0
+    assert table.exists()
+
+
+SEEDED_COMMANDS = {
+    "alpha": ["alpha", "--n", "3"],
+    "simulate": ["simulate", "--policy", "lru", "--n", "4", "--k", "2", "--T", "10"],
+    "opt": ["opt", "--n", "3", "--k", "2", "--T", "5"],
+    "ratio": ["ratio", "--policies", "lru", "--n", "4", "--k", "2", "--T", "10"],
+    "audit": ["audit", "--scheme", "updated", "--n", "4"],
+    "learn": ["learn", "--n", "3", "--k", "2", "--T", "5"],
+}
+
+
+@pytest.mark.parametrize("args", SEEDED_COMMANDS.values(), ids=SEEDED_COMMANDS.keys())
+def test_negative_seed_is_usage_error_naming_the_flag(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: '-1' is negative; seeds must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_config_seed_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -4}))
+    code, err = _error_exit(["--config", str(cfg), *SEEDED_COMMANDS["simulate"]], capsys)
+    assert code == 2
+    assert err == "error: --config seed: '-4' is negative; seeds must be >= 0\n"

@@ -271,7 +271,7 @@ def test_sampled_paths_match_per_trial_loop_oracle(data):
     init = data.draw(unsorted_caches(chain.n, k))
     trials = data.draw(st.integers(min_value=1, max_value=12))
     seed = (data.draw(st.integers(min_value=0, max_value=2**31 - 1)),)
-    pages = sample_trials(chain, T, [seed + (i, 0) for i in range(trials)])
+    pages = sample_trials(chain, T, seed, trials=range(trials))
     for make in (LruPolicy, FifoPolicy, FarthestInFuture):
         ref = loop_simulate_generic(make(), chain, k, T, init, trials, seed)
         assert np.array_equal(trial_misses(make(), chain, k, T, init, trials, seed), ref), make.name

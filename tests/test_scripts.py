@@ -4,7 +4,10 @@
 ``scripts/audit_battery.py`` at a fixed run count and seed. Its chains are
 criterion 7's first 200 (seed family 7000), so a change to what the audit
 computes, or to the tables it reads, shows up as a byte diff here in about
-a second.
+a second. ``tests/golden/ratio_battery.txt`` does the same for
+``scripts/ratio_battery.py`` with its default policies, so the kernel path
+(dominating, median, random) and the batched path (LRU, FIFO) are both
+pinned.
 """
 
 import contextlib
@@ -33,3 +36,8 @@ def render(script, argv, monkeypatch) -> str:
 def test_audit_battery_golden(monkeypatch):
     got = render("audit_battery.py", ["--runs", "200", "--seed", "7000"], monkeypatch)
     assert got == (GOLDEN / "audit_battery.txt").read_text()
+
+
+def test_ratio_battery_golden(monkeypatch):
+    got = render("ratio_battery.py", ["--instances", "6", "--trials", "500", "--seed", "11"], monkeypatch)
+    assert got == (GOLDEN / "ratio_battery.txt").read_text()
