@@ -4,9 +4,10 @@ Subcommands: alpha | simulate | opt | ratio | audit | lowerbound | learn.
 Exit codes: 0 success; 1 a check failed (audit violations, or a ledger with
 no admissible savior); 2 a usage or domain error (bad flags or inputs, a
 singular or out-of-range precedence solve, an exceeded DP budget).
-Seeds are mandatory wherever randomness is drawn, and identical invocations
-produce byte-identical CSV. Each mode reads the flags ``READS`` lists for it;
-any other flag given on the command line is a usage error.
+Seeds are mandatory wherever randomness is drawn and must be non-negative;
+identical invocations produce byte-identical CSV. Each mode reads the flags
+``READS`` lists for it; any other flag given on the command line is a usage
+error.
 """
 
 from __future__ import annotations
