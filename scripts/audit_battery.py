@@ -48,7 +48,7 @@ def main() -> int:
             t["runs"] += 1
             t["structural"] += bool(rep.violations)
             t["accounting"] += not audit_mod.check_accounting(rep).ok
-            t["ambiguous_savior"] += bool(rep.ambiguous_steps)
+            t["ambiguous_savior"] += any(rec.ambiguous_savior for rec in rep.steps)
             if scheme == "updated":
                 check = audit_mod.step_delta_check(rep)
                 t["delta_mismatch"] += bool(check.bookkeeping)

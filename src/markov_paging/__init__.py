@@ -14,7 +14,6 @@ from .alpha import AlphaTable, SingularSystem, alpha_pair, alpha_table, gamma
 from .chain import (
     MarkovChain,
     NonStochasticRow,
-    RequestSequence,
     build_lb_chain,
     chain_hash,
     load_chain,
@@ -27,7 +26,6 @@ from .engine import CostEstimate, exact_cost, ratio_report, simulate
 from .optdp import BudgetExceeded, OptTable, opt_action, opt_expected_cost
 from .policies import (
     AdversarialDominatingPolicy,
-    CacheState,
     DominatingPolicy,
     FarthestInFuture,
     Infeasible,
@@ -47,7 +45,6 @@ __all__ = [
     "gamma",
     "MarkovChain",
     "NonStochasticRow",
-    "RequestSequence",
     "build_lb_chain",
     "chain_hash",
     "load_chain",
@@ -64,7 +61,6 @@ __all__ = [
     "opt_action",
     "opt_expected_cost",
     "AdversarialDominatingPolicy",
-    "CacheState",
     "DominatingPolicy",
     "FarthestInFuture",
     "Infeasible",

@@ -54,7 +54,7 @@ import numpy as np
 
 from .engine import _seed_tuple
 from .optdp import check_cache, check_horizon
-from .policies import CacheState, RunContext, evict
+from .policies import RunContext, evict
 
 
 class NoEligibleSavior(RuntimeError):
@@ -122,7 +122,6 @@ class AuditReport:
     a_misses: int
     ref_misses: int
     violations: list[str] = field(default_factory=list)
-    ambiguous_steps: list[int] = field(default_factory=list)
 
     @property
     def resolved_saviors(self) -> int:
@@ -176,8 +175,8 @@ def run_audit(
 ) -> AuditReport:
     """Replay both policies on ``seq`` and maintain the selected scheme's ledger.
 
-    ``seq`` may be a RequestSequence or an index array; it must extend to
-    ``T_ext`` (default: its full length) so savior events can be resolved.
+    ``seq`` is a page index array; it must extend to ``T_ext`` (default:
+    its full length) so savior events can be resolved.
     Policies draw from independent streams derived from ``seed``.
     ``init_cache`` must hold k distinct pages in 0..n-1, n being ``chain.n``
     or, without a chain, one more than the largest page of ``seq`` and
@@ -189,7 +188,7 @@ def run_audit(
     check_horizon(T)
     if scheme not in ("original", "updated"):
         raise ValueError(f"scheme must be 'original' or 'updated', got {scheme!r}")
-    pages = np.asarray(getattr(seq, "pages", seq), dtype=np.int64)
+    pages = np.asarray(seq, dtype=np.int64)
     if T_ext is None:
         T_ext = len(pages)
     if not T <= T_ext <= len(pages):
@@ -207,16 +206,14 @@ def run_audit(
     a_cache = set(init_cache)
     r_cache = set(init_cache)
     charge: dict[int, int] = {}
-    requested_ever: set[int] = set()
+    seen = set(init_cache)  # initial pages and every page requested so far
     ref_evicted_ever: set[int] = set()
-    init_set = set(init_cache)
 
     I = D = U = 0
     a_misses = ref_misses = 0
     steps: list[StepRecord] = []
     events: list[SaviorEvent] = []
     violations: list[str] = []
-    ambiguous: list[int] = []
 
     for t in range(1, T + 1):
         s = int(pages[t - 1])
@@ -227,7 +224,7 @@ def run_audit(
         bears_self = s in bearers
         bears_foreign = len(bearers) - (1 if bears_self else 0)
         bears = len(bearers)
-        first_timer = s not in requested_ever and s not in init_set
+        first_timer = s not in seen
         prev_ref_evicted = s in ref_evicted_ever
         phi_before = I - D - len(charge) + U
 
@@ -243,15 +240,13 @@ def run_audit(
         if not in_a:
             a_misses += 1
             ctx_a.t = t
-            state = CacheState(pages=tuple(sorted(a_cache)))
-            a_evicted = evict(alg, state, s, ctx_a, rng_a)
+            a_evicted = evict(alg, tuple(sorted(a_cache)), s, ctx_a, rng_a)
             a_cache.remove(a_evicted)
             a_cache.add(s)
         if not in_ref:
             ref_misses += 1
             ctx_r.t = t
-            state = CacheState(pages=tuple(sorted(r_cache)))
-            ref_evicted = evict(ref, state, s, ctx_r, rng_r)
+            ref_evicted = evict(ref, tuple(sorted(r_cache)), s, ctx_r, rng_r)
             r_cache.remove(ref_evicted)
             r_cache.add(s)
 
@@ -276,19 +271,17 @@ def run_audit(
                 if q in r_cache:
                     violations.append(f"t={t}: savior {q} resides in reference cache")
             events.append(SaviorEvent(t=t, evicted=a_evicted, savior=charge[a_evicted]))
-        if ambiguous_here:
-            ambiguous.append(t)
 
         if ref_evicted >= 0:
             c = charge.get(ref_evicted)
             if c is not None and c != ref_evicted:
                 charge[ref_evicted] = ref_evicted
 
-        requested_ever.add(s)
+        seen.add(s)
         if ref_evicted >= 0:
             ref_evicted_ever.add(ref_evicted)
 
-        _structural_checks(scheme, t, charge, a_cache, requested_ever | init_set, violations)
+        _structural_checks(scheme, t, charge, a_cache, seen, violations)
 
         rec = StepRecord(
             t=t,
@@ -336,7 +329,6 @@ def run_audit(
         a_misses=a_misses,
         ref_misses=ref_misses,
         violations=violations,
-        ambiguous_steps=ambiguous,
     )
 
 
@@ -405,10 +397,8 @@ class AccountingCheck:
     detail: str
 
 
-def check_accounting(report: AuditReport, ref_misses: int | None = None) -> AccountingCheck:
+def check_accounting(report: AuditReport) -> AccountingCheck:
     """Assert the scheme's lower bound on the reference's miss count."""
-    if ref_misses is None:
-        ref_misses = report.ref_misses
     beta = report.resolved_saviors
     if report.scheme == "updated":
         bound = beta - report.doubly_charged_requests - report.open_charges + report.uncharged_reentries
@@ -420,9 +410,9 @@ def check_accounting(report: AuditReport, ref_misses: int | None = None) -> Acco
         bound = 0.5 * (beta - report.open_charges) + report.first_time_misses
         detail = f"beta={beta} O={report.open_charges} I={report.first_time_misses}"
     return AccountingCheck(
-        ok=ref_misses >= bound - 1e-12,
+        ok=report.ref_misses >= bound - 1e-12,
         scheme=report.scheme,
-        ref_misses=ref_misses,
+        ref_misses=report.ref_misses,
         bound=bound,
         detail=detail,
     )

@@ -37,32 +37,16 @@ class MarkovChain:
     """Validated, immutable time-homogeneous chain over ``n`` pages.
 
     ``transition`` rows are renormalized exactly once at validation so that
-    downstream solvers see row sums of 1 in working precision. ``min_entry``
-    caches the smallest transition entry (the irreducibility margin delta).
+    downstream solvers see row sums of 1 in working precision.
     """
 
     n: int
     transition: np.ndarray
     init: np.ndarray
-    min_entry: float
 
     def __post_init__(self):
         self.transition.setflags(write=False)
         self.init.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class RequestSequence:
-    """A realized page-request trace plus the seed that produced it."""
-
-    pages: np.ndarray
-    seed: object
-
-    def __post_init__(self):
-        self.pages.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.pages)
 
 
 def validate_chain(matrix, init=None) -> MarkovChain:
@@ -102,7 +86,7 @@ def validate_chain(matrix, init=None) -> MarkovChain:
             raise NonStochasticRow(f"init sums to {s!r}")
         v /= s
 
-    return MarkovChain(n=n, transition=m, init=v, min_entry=float(m.min()))
+    return MarkovChain(n=n, transition=m, init=v)
 
 
 def next_page_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +120,9 @@ def first_pages(chain: MarkovChain, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(np.cumsum(chain.init), u, side="right"), chain.n - 1)
 
 
-def sample_sequence(chain: MarkovChain, T: int, seed) -> RequestSequence:
-    """Draw ``T`` requests: the first from ``init``, the rest from transition rows.
+def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
+    """Draw ``T`` requests, as a read-only int64 page array: the first from
+    ``init``, the rest from transition rows.
 
     Deterministic given ``seed`` (an int or a sequence of ints feeding
     ``numpy.random.default_rng``). Request t is the first page whose
@@ -162,7 +147,8 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> RequestSequence:
             last = flat[row + last]
             walked.append(last)
         pages[start : start + len(chunk)] = walked
-    return RequestSequence(pages=pages, seed=seed)
+    pages.setflags(write=False)
+    return pages
 
 
 def _seed_words(part) -> list[int]:
@@ -342,11 +328,18 @@ def save_chain(chain: MarkovChain, path, page_names=None) -> None:
 
 
 def load_chain(path) -> MarkovChain:
-    """Read a chain file: fields ``n``, ``transition``, optional ``init``/``page_names``."""
+    """Read a chain file: fields ``n``, ``transition``, optional ``init``/``page_names``.
+
+    ``ValueError`` unless the document is a JSON object whose ``transition``
+    is a list of rows."""
     with open(path) as fh:
         doc = json.load(fh)
-    n = int(doc["n"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"chain file must hold a JSON object, got {type(doc).__name__}")
     transition = doc["transition"]
+    if not isinstance(transition, list) or not all(isinstance(row, list) for row in transition):
+        raise ValueError("chain file's transition must be a list of rows")
+    n = int(doc["n"])
     if len(transition) != n:
         raise ValueError(f"chain file declares n={n} but has {len(transition)} rows")
     return validate_chain(transition, init=doc.get("init"))

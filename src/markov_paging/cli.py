@@ -3,11 +3,13 @@
 Subcommands: alpha | simulate | opt | ratio | audit | lowerbound | learn.
 Exit codes: 0 success; 1 a check failed (audit violations, or a ledger with
 no admissible savior); 2 a usage or domain error (bad flags or inputs, a
-singular or out-of-range precedence solve, an exceeded DP budget).
+singular or out-of-range precedence solve, an exceeded DP budget, a file
+that cannot be read or written).
 Seeds are mandatory wherever randomness is drawn and must be non-negative;
 identical invocations produce byte-identical CSV. Each mode reads the flags
 ``READS`` lists for it; any other flag given on the command line is a usage
-error.
+error, and so is ``--seed`` given to ``alpha`` or ``opt`` with a chain that
+is not drawn from it.
 """
 
 from __future__ import annotations
@@ -80,6 +82,18 @@ def _parse_seed(text) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative; seeds must be >= 0")
     return value
+
+
+def _read_config(path) -> dict:
+    """The ``--config`` file's flag values, keyed by destination name."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"--config {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"--config {path}: expected a JSON object, got {type(doc).__name__}")
+    return {k.replace("-", "_"): v for k, v in doc.items()}
 
 
 def _config_defaults(parser, overrides) -> dict:
@@ -385,6 +399,9 @@ READS = {
 # The flags that select a mode of their command, tried in order
 MODE_FLAGS = {"alpha": ("gamma", "pair"), "learn": ("trace",)}
 
+# Modes that read --seed only to draw the --n random chain
+SEED_FOR_N_ONLY = ("alpha", "alpha --gamma", "alpha --pair", "opt")
+
 
 def _mode(args) -> str:
     for flag in MODE_FLAGS.get(args.command, ()):
@@ -410,54 +427,54 @@ def _flags(dests) -> str:
     return ", ".join("--" + f.replace("_", "-") for f in dests)
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    ns, _ = parser.parse_known_args(argv)
-    if getattr(ns, "config", None):
-        with open(ns.config) as fh:
-            overrides = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
-        try:
-            for p in (parser, parser.sub_map[ns.command]):
-                p.set_defaults(**_config_defaults(p, overrides))
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    args = parser.parse_args(argv)
+def _check_flags(parser, args, argv) -> None:
+    """``UsageError`` for a required flag that is missing, or a flag given
+    on the command line that the mode does not read."""
     mode = _mode(args)
     required, optional = READS[mode]
     missing = [f for f in required if getattr(args, f, None) is None]
     if missing:
-        print(f"error: {mode} requires {_flags(missing)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"{mode} requires {_flags(missing)}")
+    read, label = required + optional, mode
+    if mode in SEED_FOR_N_ONLY and (args.chain or args.lb_eps is not None):
+        read = tuple(f for f in read if f != "seed")
+        label = f"{mode} with {'--chain' if args.chain else '--lb-eps'}"
     given = _given(argv)
     unread = [
         a.dest for a in parser.sub_map[args.command]._actions
-        if a.dest in given and a.dest not in required + optional
+        if a.dest in given and a.dest not in read
     ]
     if unread:
-        print(f"error: {mode} does not read {_flags(unread)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"{label} does not read {_flags(unread)}")
+
+
+COMMANDS = {
+    "alpha": _cmd_alpha,
+    "simulate": _cmd_simulate,
+    "opt": _cmd_opt,
+    "ratio": _cmd_ratio,
+    "audit": _cmd_audit,
+    "lowerbound": _cmd_lowerbound,
+    "learn": _cmd_learn,
+}
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        if args.command == "alpha":
-            lines, code = _cmd_alpha(args)
-        elif args.command == "simulate":
-            lines, code = _cmd_simulate(args)
-        elif args.command == "opt":
-            lines, code = _cmd_opt(args)
-        elif args.command == "ratio":
-            lines, code = _cmd_ratio(args)
-        elif args.command == "audit":
-            lines, code = _cmd_audit(args)
-        elif args.command == "lowerbound":
-            lines, code = _cmd_lowerbound(args)
-        elif args.command == "learn":
-            lines, code = _cmd_learn(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command}")
+        ns, _ = parser.parse_known_args(argv)
+        if getattr(ns, "config", None):
+            overrides = _read_config(ns.config)
+            for p in (parser, parser.sub_map[ns.command]):
+                p.set_defaults(**_config_defaults(p, overrides))
+        args = parser.parse_args(argv)
+        _check_flags(parser, args, argv)
+        lines, code = COMMANDS[args.command](args)
+        _emit(lines, args.output)
     except (
-        ValueError,  # UsageError, SingularSystem and domain errors
+        ValueError,  # UsageError, SingularSystem, malformed JSON and domain errors
         KeyError,
-        FileNotFoundError,
+        OSError,  # a file that is missing, a directory, or not readable
         argparse.ArgumentTypeError,
         BudgetExceeded,
         alpha_mod.SolutionOutOfRange,
@@ -467,7 +484,6 @@ def main(argv=None) -> int:
     except audit_mod.NoEligibleSavior as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(lines, args.output)
     return code
 
 

@@ -48,7 +48,7 @@ from .optdp import (
     opt_expected_cost,
     subset_index,
 )
-from .policies import CacheState, RunContext, evict
+from .policies import RunContext, evict
 
 TRIAL_BLOCK_CELLS = 1 << 20  # requests (trials x T) sampled at once off the kernel path
 
@@ -161,8 +161,7 @@ def _run_one_trial(policy, chain, k, pages, init_cache, seed) -> int:
         ctx.t = t
         if page not in cache:
             misses += 1
-            state = CacheState(pages=tuple(sorted(cache)))
-            victim = evict(policy, state, page, ctx, rng_pol)
+            victim = evict(policy, tuple(sorted(cache)), page, ctx, rng_pol)
             cache.remove(victim)
             cache.add(page)
     return misses

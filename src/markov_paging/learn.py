@@ -65,7 +65,7 @@ def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, tru
     ``ValueError`` unless every page lies in 0..n-1 and ``smoothing`` is
     positive and finite.
     """
-    pages = np.asarray(getattr(trace, "pages", trace), dtype=np.int64)
+    pages = np.asarray(trace, dtype=np.int64)
     if len(pages) < 2:
         raise ValueError("trace must contain at least one transition")
     if not 0 < smoothing < np.inf:  # NaN fails too
@@ -111,12 +111,11 @@ def symmetrize(table: alpha_mod.AlphaTable) -> alpha_mod.AlphaTable:
     pair summing to exactly 1; the diagonal is exactly 0."""
     v = np.array(table.values)
     n = table.n
-    for p in range(n):
-        v[p, p] = 0.0
-        for q in range(p + 1, n):
-            avg = (v[p, q] + 1.0 - v[q, p]) / 2.0
-            v[p, q] = avg
-            v[q, p] = 1.0 - avg
+    p, q = np.triu_indices(n, 1)
+    avg = (v[p, q] + 1.0 - v[q, p]) / 2.0
+    v[p, q] = avg
+    v[q, p] = 1.0 - avg
+    v[np.arange(n), np.arange(n)] = 0.0
     return alpha_mod.AlphaTable(n=n, values=v)
 
 

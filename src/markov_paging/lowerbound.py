@@ -35,18 +35,6 @@ class LBParams:
             raise ValueError("T must be >= 1")
 
 
-@dataclass(frozen=True)
-class LBMatrices:
-    """Cache-state transition matrix B (columns sum to 1) and per-state miss row."""
-
-    B: np.ndarray
-    miss_row: np.ndarray
-
-    def __post_init__(self):
-        self.B.setflags(write=False)
-        self.miss_row.setflags(write=False)
-
-
 def adversarial_evictions(eps: float, eps1: float) -> dict:
     """Eviction probabilities the adversarial dominating policy realizes.
 
@@ -64,8 +52,10 @@ def adversarial_evictions(eps: float, eps1: float) -> dict:
     }
 
 
-def lb_matrices(params: LBParams) -> LBMatrices:
-    """State recursion for the adversarial policy over caches {0,1},{0,2},{1,2}."""
+def lb_matrices(params: LBParams) -> tuple[np.ndarray, np.ndarray]:
+    """State recursion for the adversarial policy over caches {0,1},{0,2},{1,2}:
+    ``(B, miss_row)``, the cache-state transition matrix B (columns sum to 1)
+    and the per-state miss probability."""
     eps, eps1 = params.eps, params.eps1
     ev = adversarial_evictions(eps, eps1)
     B = np.array(
@@ -76,7 +66,7 @@ def lb_matrices(params: LBParams) -> LBMatrices:
         ]
     )
     miss_row = np.array([eps - eps1, eps1, 1 - eps])
-    return LBMatrices(B=B, miss_row=miss_row)
+    return B, miss_row
 
 
 def geometric_sum(B: np.ndarray, T: int) -> np.ndarray:
@@ -101,9 +91,9 @@ def _geom(B: np.ndarray, T: int):
 
 def closed_form_costs(params: LBParams) -> tuple[float, float]:
     """(adversarial policy cost, pinned reference cost) over T requests."""
-    mats = lb_matrices(params)
-    S = geometric_sum(mats.B, params.T)
-    cost_dom = float(mats.miss_row @ S[:, 0])  # initial cache {0,1}
+    B, miss_row = lb_matrices(params)
+    S = geometric_sum(B, params.T)
+    cost_dom = float(miss_row @ S[:, 0])  # initial cache {0,1}
     cost_ref = _reference_cost(params.eps, params.eps1, params.T)
     return cost_dom, cost_ref
 

@@ -74,13 +74,6 @@ class MissingContext(ValueError):
     """Policy needs context (e.g. the realized sequence) that was not given."""
 
 
-@dataclass(frozen=True)
-class CacheState:
-    """The k resident pages, sorted."""
-
-    pages: tuple[int, ...]
-
-
 def _distributions(probs: np.ndarray) -> np.ndarray:
     """``probs`` with roundoff negatives set to 0, read-only; ``ValueError``
     unless every row (last axis) is a distribution."""
@@ -241,7 +234,7 @@ class Policy:
     subset_index(n, k)``, whose row ``[r, j]`` is the distribution over
     sorted cache r when page j is requested, zero where j is resident; see
     :class:`TablePolicy`. History-dependent rules return ``None`` there and
-    override :meth:`evict`. Of those, rules whose cache state fits a small
+    override :meth:`evict`, which gets the sorted tuple of resident pages. Of those, rules whose cache state fits a small
     array give every trial's miss count at once through ``batch_misses``;
     the rest return ``None`` there too and are simulated step by step, one
     trial at a time.
@@ -252,7 +245,7 @@ class Policy:
     def reset(self, ctx: RunContext) -> None:
         pass
 
-    def evict(self, cache: CacheState, requested: int, ctx: RunContext, rng) -> int:
+    def evict(self, cache: tuple[int, ...], requested: int, ctx: RunContext, rng) -> int:
         raise NotImplementedError
 
     def kernel_probs(self, idx, chain):
@@ -271,12 +264,13 @@ def _miss_table(idx, rows) -> np.ndarray:
     return probs
 
 
-def evict(policy: Policy, cache: CacheState, requested: int, ctx: RunContext, rng) -> int:
-    """Dispatch one eviction and enforce that the victim is resident."""
-    if requested in cache.pages:
+def evict(policy: Policy, cache: tuple[int, ...], requested: int, ctx: RunContext, rng) -> int:
+    """Dispatch one eviction from the sorted tuple of resident pages and
+    enforce that the victim is resident."""
+    if requested in cache:
         raise ValueError(f"page {requested} is already resident; eviction not needed")
     page = policy.evict(cache, requested, ctx, rng)
-    if page not in cache.pages:
+    if page not in cache:
         raise RuntimeError(f"{policy.name} evicted non-resident page {page}")
     return page
 
@@ -301,7 +295,7 @@ class TablePolicy(Policy):
         if self._kernel is None:
             raise MissingContext(f"{self.name} was not reset")
         idx, probs = self._kernel
-        return _draw(cache.pages, probs[idx.rank[cache.pages], requested], rng)
+        return _draw(cache, probs[idx.rank[cache], requested], rng)
 
 
 class DominatingPolicy(TablePolicy):
@@ -425,7 +419,7 @@ class FarthestInFuture(Policy):
         if self._occurrences is None:
             raise MissingContext("farthest-in-future policy was not reset with a sequence")
         best_page, best_next = None, -1
-        for p in cache.pages:
+        for p in cache:
             occ = self._occurrences.get(p, ())
             i = bisect.bisect_left(occ, ctx.t)  # occurrences strictly after step t
             nxt = occ[i] if i < len(occ) else math.inf
@@ -477,7 +471,7 @@ class LruPolicy(Policy):
         while self._scanned < ctx.t - 1:  # fold requests before the current one
             self._last_used[int(ctx.sequence[self._scanned])] = self._scanned
             self._scanned += 1
-        return min(cache.pages, key=lambda p: (self._last_used.get(p, -1), p))
+        return min(cache, key=lambda p: (self._last_used.get(p, -1), p))
 
     def batch_misses(self, pages, init_cache):
         return _ordered_misses(pages, init_cache, move_on_hit=True)
@@ -508,7 +502,7 @@ class RandomEvictionPolicy(Policy):
     name = "random"
 
     def evict(self, cache, requested, ctx, rng):
-        return cache.pages[int(rng.integers(len(cache.pages)))]
+        return cache[int(rng.integers(len(cache)))]
 
     def kernel_probs(self, idx, chain):
         return _miss_table(idx, np.full(idx.k, 1.0 / idx.k))
@@ -561,7 +555,7 @@ class OptReplayPolicy(Policy):
         self.table = table
 
     def evict(self, cache, requested, ctx, rng):
-        return opt_action(self.table, ctx.t, cache.pages, requested)
+        return opt_action(self.table, ctx.t, cache, requested)
 
 
 def parse_policy(name: str) -> Policy:

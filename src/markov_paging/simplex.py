@@ -10,7 +10,7 @@ ratio ties by the lowest basic-variable index.
 matrices may carry a leading batch axis, while ``b_ub`` and ``b_eq`` are shared
 by the whole stack, so every LP has the same slack and artificial columns and
 one ``(B, m, columns)`` tableau holds them all. A 1-D ``c`` with 2-D matrices
-is a stack of one. Each LP keeps its own basis and makes its own entering and
+is a stack of one, and the result is always stacked. Each LP keeps its own basis and makes its own entering and
 leaving choices; one lockstep iteration pivots every LP that is not done, and
 an LP that is done leaves the active set. Per LP the arithmetic is that of a
 one-LP tableau loop: reduced costs come from one ``np.matmul`` per stack and
@@ -113,8 +113,8 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
 
     ``c`` is ``(n,)`` or a stack ``(B, n)``; each matrix is ``(m, n)``, shared
     by every LP, or a stack ``(B, m, n)``. ``b_ub`` and ``b_eq`` are shared.
-    Returns ``(x, value)``: ``(n,)`` and a float for one LP, ``(B, n)`` and
-    ``(B,)`` when anything is stacked. Raises :class:`InfeasibleLP` /
+    Returns ``(x, value)`` stacked, ``(B, n)`` and ``(B,)``, with B = 1 when
+    nothing carries a batch axis. Raises :class:`InfeasibleLP` /
     :class:`UnboundedLP` for the first failing LP, in stack order.
     """
     c = np.asarray(c, dtype=float)
@@ -123,7 +123,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
         if a is not None:
             a = np.asarray(a, dtype=float)
             parts.append((a.reshape(1, -1) if a.ndim < 2 else a, np.atleast_1d(np.asarray(b, dtype=float)), has_slack))
-    stacked = c.ndim == 2 or any(a.ndim == 3 for a, _, _ in parts)
     B = np.broadcast_shapes(c.shape[:-1], *(a.shape[:-2] for a, _, _ in parts), (1,))[0]
     n = c.shape[-1]
     c = np.broadcast_to(c, (B, n))
@@ -183,9 +182,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     x[lp[:, None], basis] = tab[:, :, -1]
     x = x[:, :n]
     value = np.matmul(c[:, None, :], x[:, :, None])[:, 0, 0]
-    if stacked:
-        return x, value
-    return x[0], float(value[0])
+    return x, value
 
 
 def _raise_unbounded(unbounded):

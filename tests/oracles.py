@@ -5,8 +5,9 @@ probabilities come from raw chain rollouts, optimal paging cost from an
 exhaustive expectation tree over request realizations (no state merging),
 matrix geometric series from term-by-term accumulation, request traces
 from a one-request-at-a-time sampling loop, each Monte Carlo trial's
-uniforms from a generator of its own, and transition counts from
-``np.add.at``. The OPT DP and the exact cost
+uniforms from a generator of its own, transition counts from
+``np.add.at``, and the complementary precedence table from a loop over one
+page pair at a time. The OPT DP and the exact cost
 evolution are also kept as loops over one cache rank at a time, the
 reference for the library's all-ranks-at-once steps, and Monte Carlo as a
 loop over one trial at a time, the reference for the trial-batched paths.
@@ -60,6 +61,21 @@ def add_at_estimate(pages, n, smoothing):
     counts = np.zeros((n, n))
     np.add.at(counts, (pages[:-1], pages[1:]), 1.0)
     return (counts + smoothing) / (counts.sum(axis=1, keepdims=True) + n * smoothing)
+
+
+def loop_symmetrize(values):
+    """Precedence values with each page pair averaged to an exactly
+    complementary pair and a zero diagonal, one pair at a time: the reference
+    for ``learn.symmetrize``."""
+    v = np.array(values)
+    n = len(v)
+    for p in range(n):
+        v[p, p] = 0.0
+        for q in range(p + 1, n):
+            avg = (v[p, q] + 1.0 - v[q, p]) / 2.0
+            v[p, q] = avg
+            v[q, p] = 1.0 - avg
+    return v
 
 
 def rollout_alpha(chain, p, q, s, trials, seed, max_steps=100_000):
@@ -319,8 +335,9 @@ def oracle_median_cap(chain) -> int:
     Chains with a zero entry get 4096. It keeps the loop oracle's work small
     where the library's one-pass ``median_index`` runs to ``MEDIAN_CAP``.
     """
-    if chain.min_entry > 0.0:
-        return math.ceil(16.0 / chain.min_entry)
+    delta = chain.transition.min()
+    if delta > 0.0:
+        return math.ceil(16.0 / delta)
     return 4096
 
 
@@ -382,11 +399,11 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
     tuple. A horizon of 0 has no requests and no misses.
     """
     from markov_paging.chain import sample_sequence
-    from markov_paging.policies import CacheState, RunContext, evict
+    from markov_paging.policies import RunContext, evict
 
     misses = np.zeros(trials, dtype=np.int64)
     for trial in range(trials):
-        pages = sample_sequence(chain, T, seed + (trial, 0)).pages if T else np.empty(0, dtype=np.int64)
+        pages = sample_sequence(chain, T, seed + (trial, 0)) if T else np.empty(0, dtype=np.int64)
         rng_pol = np.random.default_rng(seed + (trial, 1))
         ctx = RunContext(chain=chain, k=k, init_cache=tuple(init_cache), sequence=pages)
         policy.reset(ctx)
@@ -396,8 +413,7 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
             ctx.t = t
             if s not in cache:
                 misses[trial] += 1
-                state = CacheState(pages=tuple(sorted(cache)))
-                victim = evict(policy, state, s, ctx, rng_pol)
+                victim = evict(policy, tuple(sorted(cache)), s, ctx, rng_pol)
                 cache.remove(victim)
                 cache.add(s)
     return misses

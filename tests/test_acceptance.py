@@ -240,7 +240,7 @@ def test_criterion_8_learning_pipeline():
     started = time.perf_counter()
     problems = []
     truth = random_chain(4, 8000, floor=0.3)
-    assert truth.min_entry >= 0.05
+    assert truth.transition.min() >= 0.05
     trace = sample_sequence(truth, 10**6, 8001)
     est = estimate_transition(trace, n=truth.n, truth=truth)
     if est.linf_error > 0.01:

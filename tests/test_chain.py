@@ -27,7 +27,7 @@ from .oracles import loop_sample_pages, loop_trial_uniforms
 def test_uniform_two_page_chain():
     ch = validate_chain([[0.5, 0.5], [0.5, 0.5]], init=[0.5, 0.5])
     assert ch.n == 2
-    assert ch.min_entry == 0.5
+    assert ch.transition.min() == 0.5
     assert np.allclose(ch.transition.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -68,11 +68,11 @@ def test_init_defaults_to_uniform():
 def test_lb_chain_rows_and_min_entry():
     ch = build_lb_chain(0.2, 0.1)
     assert np.allclose(ch.transition, [[0.8, 0.1, 0.1]] * 3, atol=1e-15)
-    assert ch.min_entry == pytest.approx(0.1, abs=1e-15)
+    assert ch.transition.min() == pytest.approx(0.1, abs=1e-15)
 
     tiny = build_lb_chain(1e-5, 0.7069e-5)
     assert np.allclose(tiny.transition[0], [0.99999, 7.069e-6, 2.931e-6], rtol=1e-9)
-    assert tiny.min_entry == pytest.approx(2.931e-6, rel=1e-9)
+    assert tiny.transition.min() == pytest.approx(2.931e-6, rel=1e-9)
 
 
 def test_lb_chain_matches_symmetric_split():
@@ -95,21 +95,27 @@ def test_lb_chain_regime_violations():
 def test_deterministic_chain_sampling():
     ch = validate_chain([[1.0, 0.0], [1.0, 0.0]], init=[1.0, 0.0])
     for seed in (0, 1, 12345):
-        assert sample_sequence(ch, 5, seed).pages.tolist() == [0, 0, 0, 0, 0]
+        assert sample_sequence(ch, 5, seed).tolist() == [0, 0, 0, 0, 0]
+
+
+def test_sample_sequence_is_a_read_only_page_array():
+    pages = sample_sequence(random_chain(3, 1), 10, 0)
+    assert isinstance(pages, np.ndarray) and pages.dtype == np.int64 and pages.shape == (10,)
+    assert not pages.flags.writeable
 
 
 def test_same_seed_reproduces_sequence():
     ch = random_chain(4, 9)
     a = sample_sequence(ch, 200, 42)
     b = sample_sequence(ch, 200, 42)
-    assert np.array_equal(a.pages, b.pages)
-    assert not np.array_equal(a.pages, sample_sequence(ch, 200, 43).pages)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_sequence(ch, 200, 43))
 
 
 def test_iid_frequencies_match_law_of_large_numbers():
     ch = validate_chain([[1 / 3] * 3] * 3)
     seq = sample_sequence(ch, 10**6, 7)
-    freq = np.bincount(seq.pages, minlength=3) / 10**6
+    freq = np.bincount(seq, minlength=3) / 10**6
     se = np.sqrt((1 / 3) * (2 / 3) / 10**6)
     assert np.all(np.abs(freq - 1 / 3) < 3 * se)
 
@@ -118,7 +124,7 @@ def test_iid_frequencies_match_law_of_large_numbers():
 @given(chain_specs())
 def test_sampled_indices_in_range(chain):
     seq = sample_sequence(chain, 50, 3)
-    assert seq.pages.min() >= 0 and seq.pages.max() < chain.n
+    assert seq.min() >= 0 and seq.max() < chain.n
 
 
 LENGTHS = [1, 2, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, SAMPLE_CHUNK + 2,
@@ -142,14 +148,14 @@ def test_sampling_matches_loop_oracle(chain, T, seed, sparse):
         init = np.zeros(chain.n)
         init[-1] = 1.0
         chain = validate_chain(m, init=init)
-    pages = sample_sequence(chain, T, [seed, T]).pages
+    pages = sample_sequence(chain, T, [seed, T])
     assert np.array_equal(pages, loop_sample_pages(chain, T, [seed, T]))
 
 
 def test_sampling_two_pages_across_chunks():
     ch = validate_chain([[0.9, 0.1], [0.4, 0.6]], init=[0.0, 1.0])
     for T in LENGTHS:
-        assert np.array_equal(sample_sequence(ch, T, 11).pages, loop_sample_pages(ch, T, 11))
+        assert np.array_equal(sample_sequence(ch, T, 11), loop_sample_pages(ch, T, 11))
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,7 +172,7 @@ def test_sample_trials_rows_match_sample_sequence(chain, T, seed, trials):
     pages = sample_trials(chain, T, (seed,), trials=range(trials))
     assert pages.shape == (trials, T) and not pages.flags.writeable
     for row, s in zip(pages, seeds):
-        assert np.array_equal(row, sample_sequence(chain, T, s).pages)
+        assert np.array_equal(row, sample_sequence(chain, T, s))
 
 
 # seed parts below, at and above one and two 32-bit entropy words
@@ -262,7 +268,7 @@ def test_uniform_on_a_cumulative_entry_selects_the_next_page():
     assert u[0] >= 0.5
     chain = validate_chain([[u[t0], 1 - u[t0]]] * 2, init=[u[0], 1 - u[0]])
     assert chain.init[0] == u[0] and chain.transition[0, 0] == u[t0]
-    pages = sample_sequence(chain, T, seed).pages
+    pages = sample_sequence(chain, T, seed)
     assert pages[0] == 1 and pages[t0] == 1
     assert np.array_equal(pages, loop_sample_pages(chain, T, seed))
     # stream (0, 0, 0) is default_rng(0): zero words within the 4-word pool are padding

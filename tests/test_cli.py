@@ -440,3 +440,80 @@ def test_negative_config_seed_is_usage_error(tmp_path, capsys):
     code, err = _error_exit(["--config", str(cfg), *SEEDED_COMMANDS["simulate"]], capsys)
     assert code == 2
     assert err == "error: --config seed: '-4' is negative; seeds must be >= 0\n"
+
+
+SEED_WITHOUT_N = {
+    "opt-lb": (["opt", "--lb-eps", "0.1", "--lb-eps1", "0.05", "--k", "2", "--T", "5"], "opt with --lb-eps"),
+    "opt-chain": (["opt", "--chain", "{chain}", "--k", "2", "--T", "5"], "opt with --chain"),
+    "alpha": (["alpha", "--chain", "{chain}"], "alpha with --chain"),
+    "alpha-gamma": (["alpha", "--lb-eps", "0.1", "--lb-eps1", "0.05", "--gamma"], "alpha --gamma with --lb-eps"),
+    "alpha-pair": (["alpha", "--chain", "{chain}", "--pair", "0,1"], "alpha --pair with --chain"),
+}
+
+
+@pytest.mark.parametrize("args,mode", SEED_WITHOUT_N.values(), ids=SEED_WITHOUT_N.keys())
+def test_seed_without_random_chain_is_usage_error(args, mode, tmp_path, capsys):
+    """``opt`` and ``alpha`` draw nothing but the ``--n`` chain, so a seed
+    given with another chain source would be ignored; a config seed is a
+    default like any other and stays unread."""
+    save_chain(random_chain(3, 0), tmp_path / "c.json")
+    args = [a.format(chain=tmp_path / "c.json") for a in args]
+    code, err = _error_exit([*args, "--seed", "7"], capsys)
+    assert code == 2
+    assert err == f"error: {mode} does not read --seed\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    assert run_cli(["--config", str(cfg), *args], tmp_path, "a.csv") == run_cli(args, tmp_path, "b.csv")
+    assert run_cli(args, tmp_path)[0] == 0
+
+
+def test_seed_with_random_chain_is_read(tmp_path):
+    args = ["opt", "--n", "4", "--k", "2", "--T", "5"]
+    first = run_cli([*args, "--seed", "1"], tmp_path, "a.csv")
+    second = run_cli([*args, "--seed", "2"], tmp_path, "b.csv")
+    assert first[0] == second[0] == 0 and first[1] != second[1]
+
+
+CONFIG_FILES = {
+    "missing": (None, "No such file or directory"),
+    "malformed": ("{bad", "--config {path}: Expecting property name"),
+    "list": ("[1, 2]", "--config {path}: expected a JSON object, got list"),
+}
+
+
+@pytest.mark.parametrize("text,message", CONFIG_FILES.values(), ids=CONFIG_FILES.keys())
+def test_unreadable_config_is_usage_error(text, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    code, err = _error_exit(["--config", str(path), "lowerbound", "--eps", "0.1", "--eps1-frac", "0.6", "--T", "5"], capsys)
+    assert code == 2
+    assert message.format(path=path) in err
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [("[1, 2]", "chain file must hold a JSON object, got list"),
+     ('{"n": 2, "transition": 5}', "chain file's transition must be a list of rows"),
+     ('{"n": 2, "transition": [1, 2]}', "chain file's transition must be a list of rows")],
+    ids=["list", "scalar-transition", "flat-transition"],
+)
+def test_malformed_chain_file_is_usage_error(doc, message, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(doc)
+    code, err = _error_exit(["opt", "--chain", str(path), "--k", "1", "--T", "2"], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["opt", "--chain", "{dir}", "--k", "1", "--T", "2"],
+     ["learn", "--trace", "{dir}", "--delta-inf", "0.1"],
+     ["--output", "{dir}", "opt", "--n", "3", "--k", "1", "--T", "2"]],
+    ids=["chain", "learn-trace", "output"],
+)
+def test_directory_in_place_of_a_file_is_usage_error(args, tmp_path, capsys):
+    code, err = _error_exit([a.format(dir=tmp_path) for a in args], capsys)
+    assert code == 2
+    assert "Is a directory" in err

@@ -130,7 +130,7 @@ def test_farthest_in_future_dominates_opt_on_every_shared_sequence():
     _, table = opt_expected_cost(ch, 2, T, (0, 1))
     fif, opt = FarthestInFuture(), OptReplayPolicy(table)
     for trial in range(40):
-        pages = sample_sequence(ch, T, (77, trial, 0)).pages
+        pages = sample_sequence(ch, T, (77, trial, 0))
         m_fif = _run_one_trial(fif, ch, 2, pages, (0, 1), (77, trial, 1))
         m_opt = _run_one_trial(opt, ch, 2, pages, (0, 1), (77, trial, 1))
         assert m_fif <= m_opt  # clairvoyance dominates on every shared sequence

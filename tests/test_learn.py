@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markov_paging.alpha import alpha_table, gamma
+from markov_paging.alpha import AlphaTable, alpha_table, gamma
 from markov_paging.chain import random_chain, sample_sequence, validate_chain
 from markov_paging.learn import (
     ConditionViolated,
@@ -16,7 +16,7 @@ from markov_paging.learn import (
 )
 
 from .conftest import chain_specs
-from .oracles import add_at_estimate
+from .oracles import add_at_estimate, loop_symmetrize
 
 
 def test_alternating_trace_recovers_swap_matrix():
@@ -146,6 +146,16 @@ def test_symmetrize_is_exactly_complementary():
         for q in range(5):
             if p != q:
                 assert np.all(v[p, q] + v[q, p] == 1.0)  # exact, not approximate
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
+def test_symmetrize_matches_pair_loop_oracle(n, seed):
+    """Bit for bit the per-pair loop, on tables whose entries need not be
+    near-complementary to begin with."""
+    values = np.random.default_rng(seed).random((n, n, n))
+    got = symmetrize(AlphaTable(n=n, values=values.copy())).values
+    assert np.array_equal(got, loop_symmetrize(values))
 
 
 class TestApproxPolicy:

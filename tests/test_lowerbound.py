@@ -39,16 +39,16 @@ def test_params_regime_validation():
 
 
 def test_matrix_entries_at_reference_point():
-    mats = lb_matrices(LBParams(0.1, 0.05, 10))
-    assert mats.B[0, 0] == pytest.approx(0.95, abs=1e-15)  # 1 - eps + eps1
-    assert np.allclose(mats.miss_row, [0.05, 0.05, 0.9], atol=1e-15)
+    B, miss_row = lb_matrices(LBParams(0.1, 0.05, 10))
+    assert B[0, 0] == pytest.approx(0.95, abs=1e-15)  # 1 - eps + eps1
+    assert np.allclose(miss_row, [0.05, 0.05, 0.9], atol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
 @given(valid_params())
 def test_columns_sum_to_one(params):
-    mats = lb_matrices(params)
-    assert np.allclose(mats.B.sum(axis=0), 1.0, atol=1e-12)
+    B, _ = lb_matrices(params)
+    assert np.allclose(B.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_symmetric_split_reduces_to_warmup_eviction():

@@ -11,7 +11,6 @@ from markov_paging.chain import build_lb_chain, random_chain, validate_chain
 from markov_paging.policies import (
     MEDIAN_CAP,
     AdversarialDominatingPolicy,
-    CacheState,
     DominatingPolicy,
     FarthestInFuture,
     FifoPolicy,
@@ -220,7 +219,7 @@ class TestMedian:
         pol = MedianPolicy()
         ctx = RunContext(chain=ch, k=2, init_cache=(1, 2))
         pol.reset(ctx)
-        victim = pol.evict(CacheState(pages=(1, 2)), 3, ctx, np.random.default_rng(0))
+        victim = pol.evict((1, 2), 3, ctx, np.random.default_rng(0))
         assert victim == 1
 
     def test_reachable_page_past_4096_steps_is_finite(self):
@@ -234,7 +233,7 @@ class TestMedian:
         pol = MedianPolicy()
         ctx = RunContext(chain=ch, k=2, init_cache=(2, 3))
         pol.reset(ctx)
-        assert pol.evict(CacheState(pages=(2, 3)), 0, ctx, np.random.default_rng(0)) == 3
+        assert pol.evict((2, 3), 0, ctx, np.random.default_rng(0)) == 3
 
     def test_page_reached_with_probability_below_half_stays_infinite(self):
         # from page 5 the chain reaches page 6 with probability 0.42 only, so
@@ -250,7 +249,7 @@ class TestPolicyZoo:
         pol = FarthestInFuture()
         ctx = RunContext(chain=None, k=2, init_cache=(0, 1), sequence=seq, t=1)
         pol.reset(ctx)
-        assert pol.evict(CacheState(pages=(0, 1)), 2, ctx, None) == 1
+        assert pol.evict((0, 1), 2, ctx, None) == 1
 
     def test_fif_without_sequence_raises(self):
         pol = FarthestInFuture()
@@ -262,20 +261,20 @@ class TestPolicyZoo:
         pol = LruPolicy()
         ctx = RunContext(chain=None, k=2, init_cache=(0, 1), sequence=seq, t=3)
         pol.reset(ctx)
-        assert pol.evict(CacheState(pages=(0, 1)), 2, ctx, None) == 0
+        assert pol.evict((0, 1), 2, ctx, None) == 0
 
     def test_fifo_order(self):
         pol = FifoPolicy()
         ctx = RunContext(chain=None, k=2, init_cache=(3, 1))
         pol.reset(ctx)
-        assert pol.evict(CacheState(pages=(1, 3)), 0, ctx, None) == 1
-        assert pol.evict(CacheState(pages=(0, 3)), 2, ctx, None) == 3
+        assert pol.evict((1, 3), 0, ctx, None) == 1
+        assert pol.evict((0, 3), 2, ctx, None) == 3
 
     def test_pinned_policy(self):
         pol = PinnedPolicy({0})
         ctx = RunContext(chain=random_chain(3, 1), k=2, init_cache=(0, 1))
         pol.reset(ctx)
-        assert pol.evict(CacheState(pages=(0, 1)), 2, ctx, np.random.default_rng(0)) == 1
+        assert pol.evict((0, 1), 2, ctx, np.random.default_rng(0)) == 1
 
     def test_pinned_table_rejects_fully_pinned_cache(self):
         chain = random_chain(4, 1)
@@ -297,7 +296,7 @@ class TestPolicyZoo:
             with pytest.raises(MissingContext):
                 make().reset(ctx)
             with pytest.raises(MissingContext, match="not reset"):
-                make().evict(CacheState(pages=(0, 1)), 2, ctx, np.random.default_rng(0))
+                make().evict((0, 1), 2, ctx, np.random.default_rng(0))
 
     def test_dominating_seeded_reproducibility(self):
         ch = random_chain(4, 3)
@@ -305,11 +304,11 @@ class TestPolicyZoo:
         pol = DominatingPolicy(table=table)
         pol.reset(RunContext(ch, 2, (0, 1)))
         picks1 = [
-            pol.evict(CacheState(pages=(0, 1)), 2, RunContext(ch, 2, (0, 1)), np.random.default_rng(9))
+            pol.evict((0, 1), 2, RunContext(ch, 2, (0, 1)), np.random.default_rng(9))
             for _ in range(5)
         ]
         picks2 = [
-            pol.evict(CacheState(pages=(0, 1)), 2, RunContext(ch, 2, (0, 1)), np.random.default_rng(9))
+            pol.evict((0, 1), 2, RunContext(ch, 2, (0, 1)), np.random.default_rng(9))
             for _ in range(5)
         ]
         assert picks1 == picks2
@@ -332,13 +331,13 @@ class TestPolicyZoo:
         ):
             pol.reset(ctx)
             ctx.t = 1
-            victim = evict(pol, CacheState(pages=cache), requested, ctx, np.random.default_rng(pick))
+            victim = evict(pol, cache, requested, ctx, np.random.default_rng(pick))
             assert victim in cache
 
     def test_evict_rejects_resident_request(self):
         pol = RandomEvictionPolicy()
         with pytest.raises(ValueError):
-            evict(pol, CacheState(pages=(0, 1)), 1, RunContext(None, 2, (0, 1)), np.random.default_rng(0))
+            evict(pol, (0, 1), 1, RunContext(None, 2, (0, 1)), np.random.default_rng(0))
 
     def test_parse_policy_names(self):
         assert parse_policy("dominating").name == "dominating"
@@ -373,7 +372,7 @@ class TestTableRules:
             probs = pol.kernel_probs(idx, chain)
             for r, j in zip(*np.nonzero(~idx.member)):
                 cache = idx.subsets[r]
-                got = evict(pol, CacheState(pages=cache), int(j), ctx, np.random.default_rng([seed, r, j]))
+                got = evict(pol, cache, int(j), ctx, np.random.default_rng([seed, r, j]))
                 assert got == _draw(cache, probs[r, j], np.random.default_rng([seed, r, j])), (pol.name, cache, j)
 
 
@@ -491,7 +490,7 @@ class TestStackedTables:
             pol.reset(ctx)
             for i, (r, j) in enumerate(zip(rank, req)):
                 cache = idx.subsets[r]
-                got = [pol.evict(CacheState(pages=cache), int(j), ctx, np.random.default_rng([i, t])) for t in range(8)]
+                got = [pol.evict(cache, int(j), ctx, np.random.default_rng([i, t])) for t in range(8)]
                 mu = single(blocks[i : i + 1], cache)
                 want = [_draw(cache, mu, np.random.default_rng([i, t])) for t in range(8)]
                 assert got == want

@@ -7,7 +7,10 @@ computes, or to the tables it reads, shows up as a byte diff here in about
 a second. ``tests/golden/ratio_battery.txt`` does the same for
 ``scripts/ratio_battery.py`` with its default policies, so the kernel path
 (dominating, median, random) and the batched path (LRU, FIFO) are both
-pinned.
+pinned. ``tests/golden/learning_curve.txt`` pins the path from a sampled
+trace through ``estimate_transition`` to the certified factor, and
+``tests/golden/reproduce_lowerbound.txt`` pins the 3-page closed forms over
+the script's default grid (stdout only; the best-ratio line goes to stderr).
 """
 
 import contextlib
@@ -41,3 +44,13 @@ def test_audit_battery_golden(monkeypatch):
 def test_ratio_battery_golden(monkeypatch):
     got = render("ratio_battery.py", ["--instances", "6", "--trials", "500", "--seed", "11"], monkeypatch)
     assert got == (GOLDEN / "ratio_battery.txt").read_text()
+
+
+def test_learning_curve_golden(monkeypatch):
+    got = render("learning_curve.py", ["--n", "4", "--seed", "0", "--reps", "1"], monkeypatch)
+    assert got == (GOLDEN / "learning_curve.txt").read_text()
+
+
+def test_reproduce_lowerbound_golden(monkeypatch):
+    got = render("reproduce_lowerbound.py", [], monkeypatch)
+    assert got == (GOLDEN / "reproduce_lowerbound.txt").read_text()

@@ -50,7 +50,7 @@ def test_matches_reference_solver_on_random_instances():
         ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], method="highs")
         if ref.status != 0:
             continue
-        x, val = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
+        (x,), (val,) = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
         checked += 1
         assert val == pytest.approx(ref.fun, abs=1e-8)
         assert np.all(a_ub @ x <= b_ub + 1e-9)
@@ -101,14 +101,14 @@ def test_linprog_battery_as_one_stack_matches_loop_oracle(n, m):
 
 
 def test_stack_of_one_is_the_scalar_call():
+    """Unstacked inputs are a stack of one and solve as ``[c]`` does."""
     c = [0.0, 0.0, 1.0]
     a_ub = [[0.3, 0.6, -1.0], [0.7, 0.1, -1.0]]
     a_eq = [[1.0, 1.0, 0.0]]
     x, val = solve_lp(c, a_ub=a_ub, b_ub=[0.0, 0.0], a_eq=a_eq, b_eq=[1.0])
     xs, vals = solve_lp([c], a_ub=[a_ub], b_ub=[0.0, 0.0], a_eq=a_eq, b_eq=[1.0])
-    assert x.shape == (3,) and isinstance(val, float)
     assert xs.shape == (1, 3) and vals.shape == (1,)
-    assert np.array_equal(xs[0], x) and vals[0] == val
+    assert np.array_equal(xs, x) and np.array_equal(vals, val)
 
 
 def test_lps_finishing_at_different_iterations(monkeypatch):
