@@ -49,6 +49,14 @@ class MarkovChain:
         self.init.setflags(write=False)
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` when an entry is not a number."""
+    try:
+        return np.array(values, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} entries must be numbers") from None
+
+
 def validate_chain(matrix, init=None) -> MarkovChain:
     """Check and normalize a transition matrix into a :class:`MarkovChain`.
 
@@ -56,7 +64,7 @@ def validate_chain(matrix, init=None) -> MarkovChain:
     ``ROW_SUM_TOL``; they are then renormalized exactly once. ``init`` defaults
     to the uniform distribution. A NaN entry fails the range check.
     """
-    m = np.array(matrix, dtype=float)
+    m = _floats(matrix, "transition")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"transition matrix must be square, got shape {m.shape}")
     n = m.shape[0]
@@ -76,7 +84,7 @@ def validate_chain(matrix, init=None) -> MarkovChain:
     if init is None:
         v = np.full(n, 1.0 / n)
     else:
-        v = np.array(init, dtype=float)
+        v = _floats(init, "init")
         if v.shape != (n,):
             raise ValueError(f"init must have length {n}, got shape {v.shape}")
         if not np.all((v >= 0) & (v <= 1)):
@@ -331,15 +339,20 @@ def load_chain(path) -> MarkovChain:
     """Read a chain file: fields ``n``, ``transition``, optional ``init``/``page_names``.
 
     ``ValueError`` unless the document is a JSON object whose ``transition``
-    is a list of rows."""
+    is a list of rows and whose ``n`` is an integer."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"chain file must hold a JSON object, got {type(doc).__name__}")
+    for field in ("n", "transition"):
+        if field not in doc:
+            raise ValueError(f"chain file has no {field!r} field")
     transition = doc["transition"]
     if not isinstance(transition, list) or not all(isinstance(row, list) for row in transition):
         raise ValueError("chain file's transition must be a list of rows")
-    n = int(doc["n"])
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"chain file's n must be an integer, got {type(n).__name__}")
     if len(transition) != n:
         raise ValueError(f"chain file declares n={n} but has {len(transition)} rows")
     return validate_chain(transition, init=doc.get("init"))

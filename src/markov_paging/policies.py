@@ -43,6 +43,7 @@ import numpy as np
 
 from . import alpha as alpha_mod
 from .optdp import opt_action, subset_index
+from .ordered import ordered_automaton
 from .simplex import InfeasibleLP, solve_lp
 
 DOM_SLACK_HARD = 1e-6  # beyond this the dominating LP contradicts existence
@@ -251,8 +252,8 @@ class Policy:
     def kernel_probs(self, idx, chain):
         return None
 
-    def batch_misses(self, pages: np.ndarray, init_cache: tuple[int, ...]):
-        """Miss count per row of the ``(trials, T)`` request array, or None."""
+    def batch_misses(self, pages: np.ndarray, n: int, init_cache: tuple[int, ...]):
+        """Miss count per row of the ``(trials, T)`` array of pages 0..n-1, or None."""
         return None
 
 
@@ -428,29 +429,30 @@ class FarthestInFuture(Policy):
         return best_page
 
 
-def _ordered_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndarray:
-    """Miss count per row of ``pages`` for a cache kept as an ordered k-tuple
-    whose slot 0 is the next victim, every trial stepped at once.
+def _ordered_misses(pages: np.ndarray, n: int, init_cache, move_on_hit: bool) -> np.ndarray:
+    """Miss count per row of ``pages`` (pages 0..n-1) for LRU or FIFO, every
+    trial stepped at once through ``ordered_automaton(n, k, move_on_hit)``.
 
-    A miss drops slot 0 and appends the request; a hit moves the page to the
-    back when ``move_on_hit`` (LRU) and changes nothing otherwise (FIFO). The
-    initial pages start in ascending order, the tie-break of ``LruPolicy`` and
-    ``FifoPolicy``.
+    One step is one table lookup per trial: ``code = state * n + page``, then
+    ``succ[code]`` and ``miss[code]``. A step that meets codes not yet
+    filled fills them all at once. The initial pages start in ascending
+    order, the tie-break of ``LruPolicy`` and ``FifoPolicy``.
     """
     trials, T = pages.shape
-    k = len(init_cache)
-    order = np.tile(np.array(sorted(init_cache), dtype=np.int64), (trials, 1))
+    auto = ordered_automaton(n, len(init_cache), move_on_hit)
+    state = np.repeat(auto.states(np.array([sorted(init_cache)])), trials)
     misses = np.zeros(trials, dtype=np.int64)
-    slots = np.arange(k - 1)
+    code = np.empty(trials, dtype=np.int64)
+    succ, miss = auto.succ, auto.miss
     for t in range(T):
-        req = pages[:, t]
-        found = order == req[:, None]
-        hit = found.any(axis=1)
-        misses += ~hit
-        drop = found.argmax(axis=1)  # the hit slot, or slot 0 on a miss
-        kept = np.take_along_axis(order, slots + (slots >= drop[:, None]), axis=1)
-        moved = np.concatenate([kept, req[:, None]], axis=1)
-        order = moved if move_on_hit else np.where(hit[:, None], order, moved)
+        np.multiply(state, n, out=code)
+        code += pages[:, t]
+        np.take(succ, code, out=state)
+        if state.min() < 0:
+            auto.fill(code[state < 0])
+            succ, miss = auto.succ, auto.miss
+            np.take(succ, code, out=state)
+        misses += miss[code]
     return misses
 
 
@@ -473,8 +475,8 @@ class LruPolicy(Policy):
             self._scanned += 1
         return min(cache, key=lambda p: (self._last_used.get(p, -1), p))
 
-    def batch_misses(self, pages, init_cache):
-        return _ordered_misses(pages, init_cache, move_on_hit=True)
+    def batch_misses(self, pages, n, init_cache):
+        return _ordered_misses(pages, n, init_cache, move_on_hit=True)
 
 
 class FifoPolicy(Policy):
@@ -491,8 +493,8 @@ class FifoPolicy(Policy):
         self._queue.append(requested)
         return victim
 
-    def batch_misses(self, pages, init_cache):
-        return _ordered_misses(pages, init_cache, move_on_hit=False)
+    def batch_misses(self, pages, n, init_cache):
+        return _ordered_misses(pages, n, init_cache, move_on_hit=False)
 
 
 class RandomEvictionPolicy(Policy):

@@ -495,8 +495,12 @@ def test_unreadable_config_is_usage_error(text, message, tmp_path, capsys):
     "doc,message",
     [("[1, 2]", "chain file must hold a JSON object, got list"),
      ('{"n": 2, "transition": 5}', "chain file's transition must be a list of rows"),
-     ('{"n": 2, "transition": [1, 2]}', "chain file's transition must be a list of rows")],
-    ids=["list", "scalar-transition", "flat-transition"],
+     ('{"n": 2, "transition": [1, 2]}', "chain file's transition must be a list of rows"),
+     ('{"n": [2], "transition": [[0.5, 0.5], [0.5, 0.5]]}', "chain file's n must be an integer, got list"),
+     ('{"n": 2.7, "transition": [[0.5, 0.5], [0.5, 0.5]]}', "chain file's n must be an integer, got float"),
+     ('{"transition": [[0.5, 0.5], [0.5, 0.5]]}', "chain file has no 'n' field"),
+     ('{"n": 2, "transition": [[0.5, 0.5], [0.5, 0.5]], "init": {"a": 1}}', "init entries must be numbers")],
+    ids=["list", "scalar-transition", "flat-transition", "list-n", "float-n", "no-n", "object-init"],
 )
 def test_malformed_chain_file_is_usage_error(doc, message, tmp_path, capsys):
     path = tmp_path / "c.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from markov_paging import policies as policies_mod
@@ -349,11 +349,28 @@ class TestPolicyZoo:
             parse_policy("belady-prime")
 
 
+class FixedDraws:
+    """Stands in for ``st.data()`` in an explicit example: each draw gives
+    the value stored under its label."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def draw(self, strategy, label):
+        return self.values[label]
+
+
+# A sparse chain whose k = 5 dominating LP for cache (0, 1, 2, 3, 4), request
+# 5 once took a pivot of 2.1e-11 and gave x summing to 1.000297.
+SMALL_PIVOT_CHAIN = sparse_chain(7, 22050, 0.7)
+
+
 class TestTableRules:
     """A memoryless rule's table is its only statement of choice."""
 
     @settings(max_examples=30, deadline=None)
     @given(sparse_chain_specs(n_min=3, n_max=7), st.data())
+    @example(SMALL_PIVOT_CHAIN, FixedDraws(k=5, pinned=set(), target=0, seed=0))
     def test_evict_draws_from_the_kernel_row(self, chain, data):
         k = data.draw(st.integers(min_value=1, max_value=chain.n - 1), label="k")
         pinned = data.draw(st.sets(st.integers(min_value=0, max_value=chain.n - 1), max_size=k - 1), label="pinned")
@@ -390,6 +407,14 @@ class TestEvictionDistribution:
     def test_large_negative_rejected(self):
         with pytest.raises(ValueError):
             _distributions(np.array([1.1, -0.1]))
+
+
+def test_small_pivot_lp_keeps_its_equality_row():
+    cache = np.array([0, 1, 2, 3, 4])
+    a = alpha_table(SMALL_PIVOT_CHAIN).values[cache[:, None], cache[None, :], 5]
+    mu = dominating_distribution(a[None])[0]
+    assert abs(mu.sum() - 1.0) <= 1e-12
+    assert abs((mu @ a).max() - 0.0128557870) <= 1e-9
 
 
 def _miss_blocks(table, k):
