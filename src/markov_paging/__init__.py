@@ -3,8 +3,7 @@
 Core pieces: validated chains and request sampling (:mod:`.chain`), pairwise
 precedence probabilities from pinned linear systems (:mod:`.alpha`), eviction
 policies including the dominating-distribution family and the median rule
-(:mod:`.policies`), LRU and FIFO as an automaton over ordered caches
-(:mod:`.ordered`), the exact finite-horizon optimal policy (:mod:`.optdp`),
+(:mod:`.policies`), the exact finite-horizon optimal policy (:mod:`.optdp`),
 Monte Carlo and exact cost measurement (:mod:`.engine`), charging-scheme
 auditors (:mod:`.audit`), closed-form adversarial instances
 (:mod:`.lowerbound`), and estimation with certified degradation

@@ -10,12 +10,11 @@ that applies:
   trial's requests (looked up in the chain's ``next_page_table``) and
   evictions from one ``default_rng(seed)`` stream;
 * batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
-  is an ordered k-tuple) get every trial's request trace from one
-  ``sample_trials`` call and count all trials' misses at once, with one
-  table lookup per request in an automaton over ordered caches
-  (``ordered.ordered_automaton``). ``sample_trials`` derives every trial's
-  ``(seed, i, 0)`` stream in one pass, and each stream equals
-  ``default_rng((seed, i, 0))``;
+  is k pages with a use or load stamp each) get every trial's request trace
+  from one ``sample_trials`` call and count all trials' misses at once, one
+  ``(trials, k)`` comparison and ``argmin`` per request. ``sample_trials``
+  derives every trial's ``(seed, i, 0)`` stream in one pass, and each
+  stream equals ``default_rng((seed, i, 0))``;
 * generic: the rest (farthest-in-future, scripted, OPT replay) take the same
   sampled traces and run one trial at a time, one eviction call per miss.
 
@@ -118,7 +117,7 @@ def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -
     for lo in range(0, trials, block):
         ids = range(lo, min(lo + block, trials))
         pages = sample_trials(chain, T, base, trials=ids)
-        batch = policy.batch_misses(pages, chain.n, init_cache)
+        batch = policy.batch_misses(pages, init_cache)
         if batch is None:
             batch = [
                 _run_one_trial(policy, chain, k, row, init_cache, base + (i, 1))

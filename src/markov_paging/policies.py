@@ -43,7 +43,6 @@ import numpy as np
 
 from . import alpha as alpha_mod
 from .optdp import opt_action, subset_index
-from .ordered import ordered_automaton
 from .simplex import InfeasibleLP, solve_lp
 
 DOM_SLACK_HARD = 1e-6  # beyond this the dominating LP contradicts existence
@@ -252,8 +251,8 @@ class Policy:
     def kernel_probs(self, idx, chain):
         return None
 
-    def batch_misses(self, pages: np.ndarray, n: int, init_cache: tuple[int, ...]):
-        """Miss count per row of the ``(trials, T)`` array of pages 0..n-1, or None."""
+    def batch_misses(self, pages: np.ndarray, init_cache: tuple[int, ...]):
+        """Miss count per row of the ``(trials, T)`` request array, or None."""
         return None
 
 
@@ -429,31 +428,33 @@ class FarthestInFuture(Policy):
         return best_page
 
 
-def _ordered_misses(pages: np.ndarray, n: int, init_cache, move_on_hit: bool) -> np.ndarray:
-    """Miss count per row of ``pages`` (pages 0..n-1) for LRU or FIFO, every
-    trial stepped at once through ``ordered_automaton(n, k, move_on_hit)``.
+def _stamped_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndarray:
+    """Miss count per row of ``pages`` for LRU or FIFO, every trial stepped
+    at once.
 
-    One step is one table lookup per trial: ``code = state * n + page``, then
-    ``succ[code]`` and ``miss[code]``. A step that meets codes not yet
-    filled fills them all at once. The initial pages start in ascending
-    order, the tie-break of ``LruPolicy`` and ``FifoPolicy``.
+    Each trial keeps its k pages in fixed slots with a stamp per slot: the
+    step of the last use under LRU (``move_on_hit``), of the last load under
+    FIFO. The victim is the slot with the least stamp, so a step is one
+    ``(trials, k)`` comparison and one ``argmin``. The initial pages are
+    stamped in ascending order, the tie-break of ``LruPolicy`` and
+    ``FifoPolicy``.
     """
     trials, T = pages.shape
-    auto = ordered_automaton(n, len(init_cache), move_on_hit)
-    state = np.repeat(auto.states(np.array([sorted(init_cache)])), trials)
-    misses = np.zeros(trials, dtype=np.int64)
-    code = np.empty(trials, dtype=np.int64)
-    succ, miss = auto.succ, auto.miss
+    k = len(init_cache)
+    held = np.tile(np.array(sorted(init_cache), dtype=np.int64), (trials, 1))
+    stamp = np.tile(np.arange(-k, 0), (trials, 1))
+    held_at, stamp_at = held.reshape(-1), stamp.reshape(-1)
+    row = np.arange(0, trials * k, k)
+    hits = np.zeros(trials, dtype=np.int64)
     for t in range(T):
-        np.multiply(state, n, out=code)
-        code += pages[:, t]
-        np.take(succ, code, out=state)
-        if state.min() < 0:
-            auto.fill(code[state < 0])
-            succ, miss = auto.succ, auto.miss
-            np.take(succ, code, out=state)
-        misses += miss[code]
-    return misses
+        page = pages[:, t]
+        # the slot holding the page, else the least stamp
+        at = row + np.where(held == page[:, None], -k - 1, stamp).argmin(axis=1)
+        hit = held_at[at] == page
+        hits += hit
+        held_at[at] = page
+        stamp_at[at] = t if move_on_hit else np.where(hit, stamp_at[at], t)
+    return T - hits
 
 
 class LruPolicy(Policy):
@@ -475,8 +476,8 @@ class LruPolicy(Policy):
             self._scanned += 1
         return min(cache, key=lambda p: (self._last_used.get(p, -1), p))
 
-    def batch_misses(self, pages, n, init_cache):
-        return _ordered_misses(pages, n, init_cache, move_on_hit=True)
+    def batch_misses(self, pages, init_cache):
+        return _stamped_misses(pages, init_cache, move_on_hit=True)
 
 
 class FifoPolicy(Policy):
@@ -493,8 +494,8 @@ class FifoPolicy(Policy):
         self._queue.append(requested)
         return victim
 
-    def batch_misses(self, pages, n, init_cache):
-        return _ordered_misses(pages, n, init_cache, move_on_hit=False)
+    def batch_misses(self, pages, init_cache):
+        return _stamped_misses(pages, init_cache, move_on_hit=False)
 
 
 class RandomEvictionPolicy(Policy):

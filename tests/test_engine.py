@@ -15,7 +15,6 @@ from markov_paging.engine import (
 )
 from markov_paging.lowerbound import LBParams, closed_form_costs
 from markov_paging.optdp import opt_expected_cost, subset_index
-from markov_paging.ordered import ordered_automaton
 from markov_paging.policies import (
     AdversarialDominatingPolicy,
     DominatingPolicy,
@@ -277,19 +276,16 @@ def test_sampled_paths_match_per_trial_loop_oracle(data):
         ref = loop_simulate_generic(make(), chain, k, T, init, trials, seed)
         assert np.array_equal(trial_misses(make(), chain, k, T, init, trials, seed), ref), make.name
         if make is not FarthestInFuture:  # the batched count, given the unsorted cache itself
-            assert np.array_equal(make().batch_misses(pages, chain.n, init), ref), make.name
+            assert np.array_equal(make().batch_misses(pages, init), ref), make.name
 
 
-@pytest.mark.parametrize("make,move_on_hit", [(LruPolicy, True), (FifoPolicy, False)])
-def test_ordered_automaton_numbers_only_visited_caches(make, move_on_hit):
-    """At n = 12, k = 6 there are 665,280 ordered caches; the batched path
-    matches the loop oracle while numbering at most one state per request."""
+@pytest.mark.parametrize("make", [LruPolicy, FifoPolicy])
+def test_batched_path_matches_loop_oracle_on_a_large_cache(make):
+    """n = 12, k = 6, where trials rarely revisit one of the 665,280 ordered caches."""
     chain = random_chain(12, [8200, 1])
     init, trials, T, seed = (0, 2, 4, 6, 8, 10), 20, 200, (11,)
-    ordered_automaton.cache_clear()
     got = trial_misses(make(), chain, 6, T, init, trials, seed)
     assert np.array_equal(got, loop_simulate_generic(make(), chain, 6, T, init, trials, seed))
-    assert len(ordered_automaton(12, 6, move_on_hit)) <= trials * T + 1
 
 
 # (n, k, T, chain seed): both ends of k, and the mc-ratio shapes
