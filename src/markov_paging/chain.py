@@ -129,8 +129,8 @@ def first_pages(chain: MarkovChain, u: np.ndarray) -> np.ndarray:
 
 
 def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
-    """Draw ``T`` requests, as a read-only int64 page array: the first from
-    ``init``, the rest from transition rows.
+    """Draw ``T >= 0`` requests, as a read-only int64 page array: the first
+    from ``init``, the rest from transition rows.
 
     Deterministic given ``seed`` (an int or a sequence of ints feeding
     ``numpy.random.default_rng``). Request t is the first page whose
@@ -139,15 +139,16 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     in the merged grid ``SAMPLE_CHUNK`` at a time by one ``searchsorted``, and
     the chain is then walked through the table, one list index per request.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
     u = np.random.default_rng(seed).random(T)
     n = chain.n
     grid, table = next_page_table(chain)
     flat = table.tolist()
     pages = np.empty(T, dtype=np.int64)
-    last = int(first_pages(chain, u[0]))
-    pages[0] = last
+    if T:
+        last = int(first_pages(chain, u[0]))
+        pages[0] = last
     for start in range(1, T, SAMPLE_CHUNK):
         chunk = u[start : start + SAMPLE_CHUNK]
         walked = []

@@ -23,7 +23,7 @@ from . import alpha as alpha_mod
 from . import audit as audit_mod
 from . import engine, learn, lowerbound
 from .chain import build_lb_chain, chain_hash, load_chain, load_trace, random_chain, sample_sequence
-from .optdp import BudgetExceeded, opt_expected_cost, save_opt_table
+from .optdp import BudgetExceeded, check_horizon, opt_expected_cost, save_opt_table
 from .policies import OptReplayPolicy, parse_policy
 
 
@@ -286,6 +286,7 @@ def _cmd_audit(args) -> tuple[list[str], int]:
     if args.ext_mult < 1:
         raise UsageError(f"--ext-mult must be >= 1, got {args.ext_mult}")
     k, T = args.k, args.T
+    check_horizon(T)
     t_ext = T * args.ext_mult
     fixed_chain = None
     if args.chain or args.lb_eps is not None:

@@ -26,12 +26,11 @@ of trials; they repeat bit-for-bit under the same seed and trial count. A
 horizon T of 0 costs 0 on every path, and a negative one is a
 ``ValueError``, here as in ``exact_cost`` and the OPT DP.
 
-``exact_cost`` skips sampling entirely for memoryless policies. It turns the
-policy's eviction table into the joint (cache rank, last page) operator once,
-in scatter form: every (cache, requested page, eviction slot) cell names the
-joint state its mass moves to and the share it sends there. Each of the T steps then evolves the
-exact distribution over all joint states at once (one chain step, the miss
-mass, one ``np.bincount``) and accumulates the per-step miss probability.
+``_scatter`` alone turns an eviction table into a cache-state evolution.
+``exact_cost`` steps it: each of the T steps evolves the exact distribution
+over all joint (cache rank, last page) states at once (one chain step, the
+miss mass, one ``np.bincount``). ``joint_operator`` assembles it as a dense
+matrix, for sums over long horizons such as ``lowerbound``'s.
 """
 
 from __future__ import annotations
@@ -74,6 +73,8 @@ class CostEstimate:
 def build_kernel(policy, chain, k: int) -> np.ndarray | None:
     """The policy's ``(S, n, k)`` eviction table over ``subset_index(chain.n,
     k)``, or None when the policy is history-dependent."""
+    if policy.kernel_probs is None:
+        return None
     return policy.kernel_probs(subset_index(chain.n, k), chain)
 
 
@@ -92,7 +93,7 @@ def simulate(policy, chain, k: int, T: int, init_cache, trials: int, seed) -> Co
     """
     misses = trial_misses(policy, chain, k, T, init_cache, trials, seed)
     mean = float(misses.mean())
-    sd = float(misses.std(ddof=1)) if trials > 1 else 0.0
+    sd = float(misses.std(ddof=1)) if trials > 1 else float("inf")  # one trial: no variance estimate
     return CostEstimate(
         mean=mean,
         half_width=float(1.96 * sd / np.sqrt(trials)),
@@ -107,6 +108,8 @@ def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_horizon(T)
+    if not 0 < k < chain.n:
+        raise ValueError(f"need 0 < k < n, got k={k}, n={chain.n}")
     init_cache = check_cache(init_cache, chain.n, k)
     base = _seed_tuple(seed)
     probs = build_kernel(policy, chain, k)
@@ -168,15 +171,23 @@ def _run_one_trial(policy, chain, k, pages, init_cache, seed) -> int:
     return misses
 
 
+def _scatter(idx, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Eviction table ``probs`` as ``(target, weight)``: cell (r, j, e) sends
+    ``weight[r, j, e]`` of the mass requesting page j from cache r to the flat
+    (cache rank, last page) state ``target[r, j, e]``. A hit keeps its mass in
+    (r, j), slot 0; a miss on j sends ``probs[r, j, e]`` to (succ[r, j, e], j)."""
+    S, n, k = probs.shape
+    hit = idx.member[:, :, None]
+    here = np.arange(S * n).reshape(S, n, 1)
+    target = np.where(hit, here, idx.succ * n + np.arange(n)[None, :, None]).ravel()
+    weight = np.where(hit, np.arange(k) == 0, probs)
+    return target, weight
+
+
 def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_BUDGET) -> CostEstimate:
     """Exact expected miss count by evolving the (cache, last page) distribution.
 
     Only defined for memoryless policies; others raise :class:`NonMemoryless`.
-    The joint operator is built once, in scatter form: cell (r, j, e) sends
-    ``weight[r, j, e]`` of the mass that requests page j from cache r to the
-    joint state ``target[r, j, e]``. A hit keeps its mass in (r, j), slot 0; a
-    miss on j sends the share ``probs[r, j, e]`` to (succ[r, j, e], j). Each step
-    is then one chain step over all states, the miss mass, and one bincount.
     """
     check_horizon(T)
     init_cache = check_cache(init_cache, chain.n, k)
@@ -189,10 +200,7 @@ def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_
     if S * n * max(T, 1) > budget:
         raise BudgetExceeded(S * n * max(T, 1), budget)
 
-    hit = idx.member[:, :, None]
-    here = np.arange(S * n).reshape(S, n, 1)
-    target = np.where(hit, here, idx.succ * n + np.arange(n)[None, :, None]).ravel()
-    weight = np.where(hit, np.arange(k) == 0, probs)
+    target, weight = _scatter(idx, probs)
     miss = ~idx.member
 
     M = chain.transition
@@ -209,6 +217,24 @@ def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"state mass drifted to {total!r} at step {t}")
     return CostEstimate(mean=cost, half_width=0.0, trials=0, mode="exact")
+
+
+def joint_operator(policy, chain, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, miss)`` over flat (cache rank, requested page) cells: ``R`` takes
+    one request's mass to the next one's (``_scatter``, then a chain step) and
+    ``miss`` is 1 where the request misses. ``NonMemoryless`` as in
+    ``exact_cost``; ``BudgetExceeded`` beyond ``DEFAULT_BUDGET`` entries."""
+    probs = build_kernel(policy, chain, k)
+    if probs is None:
+        raise NonMemoryless(f"{policy.name} depends on request history")
+    idx = subset_index(chain.n, k)
+    N = len(idx) * chain.n
+    if N * N > DEFAULT_BUDGET:
+        raise BudgetExceeded(N * N, DEFAULT_BUDGET)
+    target, weight = _scatter(idx, probs)
+    D = np.bincount(target * N + np.repeat(np.arange(N), k), weights=weight.ravel(), minlength=N * N)
+    R = chain.transition.T @ D.reshape(len(idx), chain.n, N)  # chain step on the page axis
+    return R.reshape(N, N), (~idx.member).ravel().astype(float)
 
 
 @dataclass(frozen=True)

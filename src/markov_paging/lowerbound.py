@@ -4,9 +4,9 @@ Requests are i.i.d.: page 0 with probability 1-eps, page 1 with eps1, page 2
 with eps-eps1, in the regime 0 < eps-eps1 <= eps1 <= 1-eps. The reference
 policy pins page 0 and misses with a closed-form rate. The adversarial
 dominating policy maximizes the eviction probability of the most popular
-resident page at every miss; the distribution over its three possible cache
-states {0,1}, {0,2}, {1,2} then evolves linearly, giving exact expected miss
-counts via a matrix geometric series evaluated by recursive doubling.
+resident page at every miss; its exact expected miss count is a geometric
+series of ``engine.joint_operator``, by recursive doubling. At eps <= 1e-12
+the precedence solve behind the policy rejects the chain as singular.
 
 A grid search over (eps, eps1/eps, T) certifies cost ratios; ratios are
 reported to 4 decimal places.
@@ -18,6 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .chain import build_lb_chain
+from .engine import joint_operator
+from .optdp import subset_index
+from .policies import AdversarialDominatingPolicy
 
 
 @dataclass(frozen=True)
@@ -33,40 +38,6 @@ class LBParams:
             )
         if self.T < 1:
             raise ValueError("T must be >= 1")
-
-
-def adversarial_evictions(eps: float, eps1: float) -> dict:
-    """Eviction probabilities the adversarial dominating policy realizes.
-
-    Keys are (cache, victim) with 0-indexed pages; each probability sits at
-    the upper end of the admissible interval for evicting the more popular
-    resident page.
-    """
-    return {
-        ((0, 1), 0): (1 - eps + eps1) / (2 - 2 * eps),
-        ((0, 1), 1): (1 - eps - eps1) / (2 - 2 * eps),
-        ((0, 2), 0): (1 - eps1) / (2 - 2 * eps),
-        ((0, 2), 2): (1 + eps1 - 2 * eps) / (2 - 2 * eps),
-        ((1, 2), 1): eps / (2 * eps1),
-        ((1, 2), 2): (2 * eps1 - eps) / (2 * eps1),
-    }
-
-
-def lb_matrices(params: LBParams) -> tuple[np.ndarray, np.ndarray]:
-    """State recursion for the adversarial policy over caches {0,1},{0,2},{1,2}:
-    ``(B, miss_row)``, the cache-state transition matrix B (columns sum to 1)
-    and the per-state miss probability."""
-    eps, eps1 = params.eps, params.eps1
-    ev = adversarial_evictions(eps, eps1)
-    B = np.array(
-        [
-            [1 - eps + eps1, eps1 * ev[((0, 2), 2)], (1 - eps) * ev[((1, 2), 2)]],
-            [(eps - eps1) * ev[((0, 1), 1)], 1 - eps1, (1 - eps) * ev[((1, 2), 1)]],
-            [(eps - eps1) * ev[((0, 1), 0)], eps1 * ev[((0, 2), 0)], eps],
-        ]
-    )
-    miss_row = np.array([eps - eps1, eps1, 1 - eps])
-    return B, miss_row
 
 
 def geometric_sum(B: np.ndarray, T: int) -> np.ndarray:
@@ -91,9 +62,10 @@ def _geom(B: np.ndarray, T: int):
 
 def closed_form_costs(params: LBParams) -> tuple[float, float]:
     """(adversarial policy cost, pinned reference cost) over T requests."""
-    B, miss_row = lb_matrices(params)
-    S = geometric_sum(B, params.T)
-    cost_dom = float(miss_row @ S[:, 0])  # initial cache {0,1}
+    chain = build_lb_chain(params.eps, params.eps1)
+    R, miss = joint_operator(AdversarialDominatingPolicy(0), chain, 2)
+    first = np.kron(np.eye(3)[subset_index(3, 2).rank[(0, 1)]], chain.init)  # request 1, cache {0,1}
+    cost_dom = float(miss @ geometric_sum(R, params.T) @ first)
     cost_ref = _reference_cost(params.eps, params.eps1, params.T)
     return cost_dom, cost_ref
 

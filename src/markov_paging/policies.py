@@ -233,23 +233,21 @@ class Policy:
     chain)``: the read-only ``(S, n, k)`` eviction table over ``idx =
     subset_index(n, k)``, whose row ``[r, j]`` is the distribution over
     sorted cache r when page j is requested, zero where j is resident; see
-    :class:`TablePolicy`. History-dependent rules return ``None`` there and
-    override :meth:`evict`, which gets the sorted tuple of resident pages. Of those, rules whose cache state fits a small
-    array give every trial's miss count at once through ``batch_misses``;
-    the rest return ``None`` there too and are simulated step by step, one
-    trial at a time.
+    :class:`TablePolicy`. History-dependent rules leave it ``None`` (so no
+    subset index is built) and override :meth:`evict`, which gets the sorted
+    tuple of resident pages; those whose cache state fits a small array give
+    every trial's miss count at once through ``batch_misses``, the rest
+    return ``None`` there and run step by step, one trial at a time.
     """
 
     name = "policy"
+    kernel_probs = None
 
     def reset(self, ctx: RunContext) -> None:
         pass
 
     def evict(self, cache: tuple[int, ...], requested: int, ctx: RunContext, rng) -> int:
         raise NotImplementedError
-
-    def kernel_probs(self, idx, chain):
-        return None
 
     def batch_misses(self, pages: np.ndarray, init_cache: tuple[int, ...]):
         """Miss count per row of the ``(trials, T)`` request array, or None."""

@@ -3,7 +3,9 @@
 These deliberately avoid the implementation's code paths: precedence
 probabilities come from raw chain rollouts, optimal paging cost from an
 exhaustive expectation tree over request realizations (no state merging),
-matrix geometric series from term-by-term accumulation, request traces
+matrix geometric series from term-by-term accumulation, the adversarial
+stress policy's cache-state evolution from hand-derived closed forms (the
+reference for the engine's joint operator), request traces
 from a one-request-at-a-time sampling loop, each Monte Carlo trial's
 uniforms from a generator of its own, transition counts from
 ``np.add.at``, and the complementary precedence table from a loop over one
@@ -175,6 +177,40 @@ def naive_geometric_sum(B, T):
         S = S + P
         P = P @ B
     return S
+
+
+def adversarial_evictions(eps: float, eps1: float) -> dict:
+    """Eviction probabilities the adversarial dominating policy realizes.
+
+    Keys are (cache, victim) with 0-indexed pages; each probability sits at
+    the upper end of the admissible interval for evicting the more popular
+    resident page.
+    """
+    return {
+        ((0, 1), 0): (1 - eps + eps1) / (2 - 2 * eps),
+        ((0, 1), 1): (1 - eps - eps1) / (2 - 2 * eps),
+        ((0, 2), 0): (1 - eps1) / (2 - 2 * eps),
+        ((0, 2), 2): (1 + eps1 - 2 * eps) / (2 - 2 * eps),
+        ((1, 2), 1): eps / (2 * eps1),
+        ((1, 2), 2): (2 * eps1 - eps) / (2 * eps1),
+    }
+
+
+def lb_matrices(params) -> tuple[np.ndarray, np.ndarray]:
+    """State recursion for the adversarial policy over caches {0,1},{0,2},{1,2}:
+    ``(B, miss_row)``, the cache-state transition matrix B (columns sum to 1)
+    and the per-state miss probability."""
+    eps, eps1 = params.eps, params.eps1
+    ev = adversarial_evictions(eps, eps1)
+    B = np.array(
+        [
+            [1 - eps + eps1, eps1 * ev[((0, 2), 2)], (1 - eps) * ev[((1, 2), 2)]],
+            [(eps - eps1) * ev[((0, 1), 1)], 1 - eps1, (1 - eps) * ev[((1, 2), 1)]],
+            [(eps - eps1) * ev[((0, 1), 0)], eps1 * ev[((0, 2), 0)], eps],
+        ]
+    )
+    miss_row = np.array([eps - eps1, eps1, 1 - eps])
+    return B, miss_row
 
 
 def naive_warmup_costs(eps, T):

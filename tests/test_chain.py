@@ -279,6 +279,13 @@ def test_sample_trials_empty_horizon():
     assert sample_trials(random_chain(3, 1), 0, (1,), trials=range(2)).shape == (2, 0)
 
 
+def test_sample_sequence_empty_horizon():
+    pages = sample_sequence(random_chain(3, 1), 0, 1)
+    assert pages.shape == (0,) and pages.dtype == np.int64 and not pages.flags.writeable
+    with pytest.raises(ValueError, match="T must be >= 0, got -1"):
+        sample_sequence(random_chain(3, 1), -1, 1)
+
+
 def test_chain_file_roundtrip(tmp_path):
     ch = random_chain(3, 5)
     path = tmp_path / "chain.json"

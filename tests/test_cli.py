@@ -272,6 +272,18 @@ def _error_exit(args, capsys):
     return code, err
 
 
+def test_lowerbound_names_the_singular_pair(capsys):
+    # at eps <= 1e-12 the adversarial rule's precedence solve is refused
+    code, err = _error_exit(["lowerbound", "--eps", "1e-12", "--eps1-frac", "0.7", "--T", "10"], capsys)
+    assert code == 2 and err.startswith("error: singular precedence system for pair (1, 2)")
+
+
+@pytest.mark.parametrize("command", [["simulate", "--policy", "lru"], ["ratio", "--policies", "lru", "--baseline", "fifo"]])
+def test_full_cache_is_usage_error_for_history_rules(command, capsys):
+    code, err = _error_exit([*command, "--n", "4", "--k", "4", "--T", "5", "--seed", "1"], capsys)
+    assert code == 2 and err == "error: need 0 < k < n, got k=4, n=4\n"
+
+
 def test_budget_exceeded_is_domain_error(capsys):
     code, err = _error_exit(["opt", "--n", "12", "--k", "6", "--T", "1000", "--budget", "1000"], capsys)
     assert code == 2
@@ -377,10 +389,11 @@ HORIZON_CASES = [
     (["opt"], "expected_cost", "0.0"),
     (["ratio", "--policies", "lru,fifo,dominating", "--trials", "10", "--seed", "1"], "mean", "0.0"),
     (["learn", "--trials", "10", "--seed", "1"], "measured_ratio", "inf"),
+    (["audit", "--scheme", "updated", "--trials", "2", "--seed", "1"], "a_misses", "0"),
 ]
 
 
-@pytest.mark.parametrize("args,column,zero", HORIZON_CASES, ids=["simulate-dominating", "simulate-lru", "opt", "ratio", "learn"])
+@pytest.mark.parametrize("args,column,zero", HORIZON_CASES, ids=["simulate-dominating", "simulate-lru", "opt", "ratio", "learn", "audit"])
 def test_horizon_rule(args, column, zero, tmp_path, capsys):
     """T = 0 costs nothing on every path; a negative T is a usage error."""
     code, text = run_cli([*args, "--n", "4", "--k", "2", "--T", "0"], tmp_path)

@@ -8,13 +8,14 @@ from markov_paging.engine import (
     NonMemoryless,
     build_kernel,
     exact_cost,
+    joint_operator,
     ratio_report,
     report_csv_lines,
     simulate,
     trial_misses,
 )
-from markov_paging.lowerbound import LBParams, closed_form_costs
-from markov_paging.optdp import opt_expected_cost, subset_index
+from markov_paging.lowerbound import LBParams, closed_form_costs, geometric_sum
+from markov_paging.optdp import BudgetExceeded, opt_expected_cost, subset_index
 from markov_paging.policies import (
     AdversarialDominatingPolicy,
     DominatingPolicy,
@@ -104,12 +105,69 @@ def test_history_dependent_policies_rejected_by_exact():
     for pol in (FarthestInFuture(), LruPolicy()):
         with pytest.raises(NonMemoryless):
             exact_cost(pol, ch, 2, 5, (0, 1))
+        with pytest.raises(NonMemoryless):
+            joint_operator(pol, ch, 2)
 
 
 def test_kernel_none_for_history_dependent():
-    ch = random_chain(3, 1)
+    # rules without a kernel never read a subset index, so none is built for them
+    subset_index.cache_clear()
+    ch = random_chain(6, 3)
     assert build_kernel(FarthestInFuture(), ch, 2) is None
+    for pol in (LruPolicy(), FifoPolicy()):
+        trial_misses(pol, ch, 3, 20, (0, 1, 2), 5, 1)
+    assert subset_index.cache_info().currsize == 0
     assert build_kernel(DominatingPolicy(), ch, 2) is not None
+
+
+@pytest.mark.parametrize("make", [DominatingPolicy, LruPolicy])
+def test_one_trial_has_an_unbounded_interval(make):
+    # one sample gives no variance estimate, on the kernel and batched paths alike
+    est = simulate(make(), random_chain(4, 2), 2, 10, (0, 1), trials=1, seed=1)
+    assert est.trials == 1 and est.half_width == float("inf")
+    (row,) = ratio_report(random_chain(4, 2), 2, 10, [make()], "opt-dp", 1, 1, (0, 1))
+    assert row.ratio_low == 0.0 and row.ratio_high == float("inf")
+
+
+def memoryless_rules(k):
+    """One fresh policy of every memoryless rule; page 0 is pinned only when
+    another page fits beside it."""
+    rules = [DominatingPolicy(), AdversarialDominatingPolicy(0), MedianPolicy(), RandomEvictionPolicy()]
+    return rules + [PinnedPolicy([0])] * (k > 1)
+
+
+def _doubled_cost(policy, chain, k, T, init):
+    R, miss = joint_operator(policy, chain, k)
+    idx = subset_index(chain.n, k)
+    first = np.zeros((len(idx), chain.n))
+    first[idx.rank[init]] = chain.init
+    return float(miss @ geometric_sum(R, T) @ first.ravel())
+
+
+@settings(max_examples=20, deadline=None)
+@given(chain_specs(n_min=3, n_max=6), st.data())
+def test_joint_operator_columns_sum_to_one(chain, data):
+    k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    for policy in memoryless_rules(k):
+        R, miss = joint_operator(policy, chain, k)
+        assert R.shape == (len(subset_index(chain.n, k)) * chain.n,) * 2 and miss.shape == R.shape[:1]
+        assert np.allclose(R.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(chain_specs(n_min=3, n_max=6), st.integers(min_value=1, max_value=200), st.data())
+def test_doubled_operator_matches_stepping(chain, T, data):
+    k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    init = data.draw(caches(chain.n, k))
+    for policy in memoryless_rules(k):
+        want = exact_cost(policy, chain, k, T, init).mean
+        assert _doubled_cost(policy, chain, k, T, init) == pytest.approx(want, rel=1e-12, abs=0.0), policy.name
+
+
+def test_joint_operator_budget():
+    # 924 caches of 6 of 12 pages: (924 * 12)**2 entries exceed the default budget
+    with pytest.raises(BudgetExceeded):
+        joint_operator(RandomEvictionPolicy(), random_chain(12, 1), 6)
 
 
 def test_simulate_deterministic_given_seed():

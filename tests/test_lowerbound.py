@@ -3,21 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markov_paging.alpha import SingularSystem
 from markov_paging.chain import build_lb_chain
 from markov_paging.engine import build_kernel, exact_cost
-from markov_paging.lowerbound import (
-    LBParams,
-    adversarial_evictions,
-    closed_form_costs,
-    geometric_sum,
-    lb_matrices,
-    search,
-    warmup_ratio,
-)
+from markov_paging.lowerbound import LBParams, closed_form_costs, geometric_sum, search, warmup_ratio
 from markov_paging.optdp import subset_index
 from markov_paging.policies import AdversarialDominatingPolicy
 
-from .oracles import naive_geometric_sum, naive_warmup_costs
+from .oracles import adversarial_evictions, lb_matrices, naive_geometric_sum, naive_warmup_costs
+
+# scripts/reproduce_lowerbound.py's default grid
+REPRODUCE_EPS = (1e-4, 1e-5, 1e-6)
+REPRODUCE_FRACS = (0.5, 0.6, 0.65, 0.7, 0.7069, 0.75, 0.8)
+REPRODUCE_T = (10**7, 10**8, 10**9)
 
 
 @st.composite
@@ -100,6 +98,36 @@ def test_kernel_reproduces_hand_derived_evictions(eps, eps1):
         (requested,) = set(range(3)) - set(cache)
         got = probs[idx.rank[cache], requested, cache.index(victim)]
         assert got == pytest.approx(prob, rel=1e-12, abs=1e-12)
+
+
+def _hand_cost(params):
+    """The adversarial policy's cost from the hand-built 3x3 cache-state matrix."""
+    B, miss_row = lb_matrices(params)
+    return float(miss_row @ geometric_sum(B, params.T)[:, 0])  # initial cache {0,1}
+
+
+@pytest.mark.parametrize("T", REPRODUCE_T)
+def test_operator_cost_matches_hand_matrix_on_reproduce_grid(T):
+    # doubling roundoff grows with T; both sides are within 6e-8 of a 60-digit evaluation
+    rel = 1e-8 if T <= 10**8 else 1e-7
+    for eps in REPRODUCE_EPS:
+        for frac in REPRODUCE_FRACS:
+            params = LBParams(eps, frac * eps, T)
+            cost_dom, _ = closed_form_costs(params)
+            assert cost_dom == pytest.approx(_hand_cost(params), rel=rel, abs=0.0), (eps, frac)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 10, 137])
+def test_operator_cost_matches_hand_matrix_at_short_horizons(T):
+    params = LBParams(0.1, 0.07, T)
+    assert closed_form_costs(params)[0] == pytest.approx(_hand_cost(params), rel=1e-12, abs=0.0)
+
+
+def test_singular_chain_is_refused():
+    # at eps <= 1e-12 the precedence solve's condition guard rejects the chain
+    with pytest.raises(SingularSystem):
+        closed_form_costs(LBParams(1e-12, 0.7e-12, 10))
+    assert closed_form_costs(LBParams(1.1e-12, 0.77e-12, 10))[0] > 0
 
 
 class TestWarmupRatio:
