@@ -18,7 +18,8 @@ raise :class:`SolutionOutOfRange`.
 
 ``alpha_table`` keeps the table of the chain it was last asked for, keyed by
 the transition matrix's bytes, so a second request for the same chain (the
-audit asks once per charging scheme) is a lookup. Only one table is kept, so
+benchmark's per-scheme ``run_audit``, the CLI's fixed-chain runs) is a
+lookup. Only one table is kept, so
 a caller holding many chains does not hold their tables too. A table is kept
 only once every guard has passed; :func:`clear_cache` drops it, which a
 caller that changes ``PIVOT_TOL`` or ``CLAMP_TOL`` must do for the guards to

@@ -1,9 +1,11 @@
 """Runtime auditor for eviction charging schemes.
 
-Replays two policies (the algorithm under audit and a reference) over one
-shared request sequence while maintaining a charge map c(page) and counters,
-then checks the accounting inequality that lower-bounds the reference's
-misses, plus per-step potential claims.
+``ledger`` walks a shared request sequence with the ``engine.replay`` victims
+of two policies (the algorithm under audit and a reference) while
+maintaining a charge map c(page) and counters; the checks test the
+accounting inequality that lower-bounds the reference's misses, plus
+per-step potential claims. The ledger never changes an eviction, so one
+replay per policy serves both schemes; ``run_audit`` replays for one.
 
 Scheme steps at a request for page s:
 
@@ -47,14 +49,12 @@ number of uncharged pages held by the reference but not the algorithm.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _seed_tuple
+from .engine import _seed_tuple, replay
 from .optdp import check_cache, check_horizon
-from .policies import RunContext, evict
 
 
 class NoEligibleSavior(RuntimeError):
@@ -173,18 +173,19 @@ def run_audit(
     T_ext: int | None = None,
     chain=None,
 ) -> AuditReport:
-    """Replay both policies on ``seq`` and maintain the selected scheme's ledger.
+    """The selected scheme's ``ledger`` over ``engine.replay`` of both policies
+    on ``seq``, the algorithm from seed ``(*seed, 0)`` and the reference from
+    ``(*seed, 1)``. Inputs are checked before either policy's reset, which
+    fails on a chain a memoryless rule cannot handle even when ``T`` is 0."""
+    pages, _, _, init_cache = _audit_inputs(seq, k, init_cache, scheme, T, T_ext, chain)
+    base = _seed_tuple(seed)
+    a_victims = replay(alg, chain, k, pages, init_cache, (*base, 0), T)
+    r_victims = replay(ref, chain, k, pages, init_cache, (*base, 1), T)
+    return ledger(pages, a_victims, r_victims, k, init_cache, scheme, T, T_ext, chain)
 
-    ``seq`` is a page index array; it must extend to ``T_ext`` (default:
-    its full length) so savior events can be resolved.
-    Policies draw from independent streams derived from ``seed``.
-    ``init_cache`` must hold k distinct pages in 0..n-1, n being ``chain.n``
-    or, without a chain, one more than the largest page of ``seq`` and
-    ``init_cache``, and ``T`` must be >= 0; otherwise ``ValueError``. The
-    report's ``n`` is that n. Both policies are reset before the first
-    request, so a memoryless rule builds its eviction table there, and a
-    chain it cannot handle fails even when ``T`` is 0.
-    """
+
+def _audit_inputs(seq, k, init_cache, scheme, T, T_ext, chain):
+    """``(pages, T_ext, n, init_cache)``, checked as ``ledger`` says."""
     check_horizon(T)
     if scheme not in ("original", "updated"):
         raise ValueError(f"scheme must be 'original' or 'updated', got {scheme!r}")
@@ -194,14 +195,33 @@ def run_audit(
     if not T <= T_ext <= len(pages):
         raise SequenceTooShort(f"need T={T} <= T_ext={T_ext} <= len(seq)={len(pages)}")
     n = chain.n if chain is not None else 1 + max(int(pages.max(initial=0)), max(init_cache, default=0))
-    init_cache = check_cache(init_cache, n, k)
+    return pages, T_ext, n, check_cache(init_cache, n, k)
 
-    ctx_a = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
-    ctx_r = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
-    rng_a = np.random.default_rng([*_seed_tuple(seed), 0])
-    rng_r = np.random.default_rng([*_seed_tuple(seed), 1])
-    alg.reset(ctx_a)
-    ref.reset(ctx_r)
+
+def _serve_miss(victims, cache, s: int, t: int, who: str) -> int:
+    """Evict the next of ``victims`` from ``cache`` for page ``s``."""
+    victim = next(victims, None)
+    if victim not in cache:
+        raise ValueError(f"t={t}: the {who} misses without a resident victim (next: {victim})")
+    cache.remove(victim)
+    cache.add(s)
+    return int(victim)
+
+
+def ledger(seq, a_victims, r_victims, k: int, init_cache, scheme: str, T: int,
+           T_ext: int | None = None, chain=None) -> AuditReport:
+    """The selected scheme's ledger over requests 1..T of ``seq``, given each
+    policy's victims, one per miss in request order (``engine.replay``).
+
+    ``seq`` is a page index array; it must extend to ``T_ext`` (default:
+    its full length) so savior events can be resolved. ``init_cache`` must
+    hold k distinct pages in 0..n-1, n (the report's) being ``chain.n`` or,
+    without a chain, one more than the largest page of ``seq`` and
+    ``init_cache``, and ``T`` must be >= 0; otherwise ``ValueError``, as for
+    victims that do not match the misses or are not resident.
+    """
+    pages, T_ext, n, init_cache = _audit_inputs(seq, k, init_cache, scheme, T, T_ext, chain)
+    a_next, r_next = iter(a_victims), iter(r_victims)
 
     a_cache = set(init_cache)
     r_cache = set(init_cache)
@@ -239,16 +259,10 @@ def run_audit(
         a_evicted = ref_evicted = -1
         if not in_a:
             a_misses += 1
-            ctx_a.t = t
-            a_evicted = evict(alg, tuple(sorted(a_cache)), s, ctx_a, rng_a)
-            a_cache.remove(a_evicted)
-            a_cache.add(s)
+            a_evicted = _serve_miss(a_next, a_cache, s, t, "algorithm")
         if not in_ref:
             ref_misses += 1
-            ctx_r.t = t
-            ref_evicted = evict(ref, tuple(sorted(r_cache)), s, ctx_r, rng_r)
-            r_cache.remove(ref_evicted)
-            r_cache.add(s)
+            ref_evicted = _serve_miss(r_next, r_cache, s, t, "reference")
 
         cleared = 0
         if charge.pop(s, None) is not None:
@@ -312,6 +326,8 @@ def run_audit(
         rec.case = _classify(rec)
         steps.append(rec)
 
+    if next(a_next, None) is not None or next(r_next, None) is not None:
+        raise ValueError(f"more victims than misses (algorithm {a_misses}, reference {ref_misses})")
     _resolve_events(events, pages, T_ext)
 
     return AuditReport(
@@ -373,19 +389,12 @@ def _structural_checks(scheme, t, charge, a_cache, seen, violations):
 
 
 def _resolve_events(events, pages, T_ext):
-    occ: dict[int, list[int]] = {}
-    for i in range(T_ext):
-        occ.setdefault(int(pages[i]), []).append(i)
-
-    def first_at_or_after(page, pos):
-        lst = occ.get(page, ())
-        i = bisect_left(lst, pos)
-        return lst[i] if i < len(lst) else None
-
+    requests = pages[:T_ext].tolist()
     for e in events:
-        r = first_at_or_after(e.evicted, e.t)  # positions are 0-based; step t is pos t-1
-        sv = first_at_or_after(e.savior, e.t)
-        e.resolved = sv is not None and (r is None or sv <= r)
+        later = requests[e.t:]  # the requests after step t, through T_ext
+        e.resolved = e.savior in later and (
+            e.evicted not in later or later.index(e.savior) <= later.index(e.evicted)
+        )
 
 
 @dataclass(frozen=True)

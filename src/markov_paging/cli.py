@@ -54,6 +54,11 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints one ``error:`` line, not the usage block
+        raise UsageError(message)
+
+
 def _parse_init_cache(text, k):
     if text is None:
         return tuple(range(k))
@@ -133,7 +138,7 @@ def _make_policy(name, chain, k, T, init_cache, budget):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="markov-paging",
         description="Eviction-policy experiments under Markov-chain request models.",
     )
@@ -269,6 +274,8 @@ def _cmd_ratio(args) -> tuple[list[str], int]:
     chain = _resolve_chain(args)
     init_cache = _parse_init_cache(args.init_cache, args.k)
     names = [x for x in args.policies.split(",") if x]
+    if not names:
+        raise UsageError(f"--policies {args.policies!r} names no policy")
     policies = [_make_policy(nm, chain, args.k, args.T, init_cache, args.budget) for nm in names]
     baseline = args.baseline
     if baseline != "opt-dp":
@@ -354,6 +361,8 @@ def _cmd_learn(args) -> tuple[list[str], int]:
         policy, factor, bundle = learn.approx_dominating_policy(est, delta_inf=args.delta_inf)
         measured = ""
     else:
+        if args.m < 2:  # a trace needs one transition
+            raise UsageError(f"--m must be >= 2, got {args.m}")
         truth = _resolve_chain(args)
         trace = sample_sequence(truth, args.m, [args.seed, 3])
         est = learn.estimate_transition(trace, n=truth.n, smoothing=args.smoothing, truth=truth)

@@ -15,8 +15,11 @@ that applies:
   ``(trials, k)`` comparison and ``argmin`` per request. ``sample_trials``
   derives every trial's ``(seed, i, 0)`` stream in one pass, and each
   stream equals ``default_rng((seed, i, 0))``;
-* generic: the rest (farthest-in-future, scripted, OPT replay) take the same
-  sampled traces and run one trial at a time, one eviction call per miss.
+* generic: the rest (farthest-in-future, OPT replay) take the same sampled
+  traces and count each trial's victims from ``replay``, the one loop that
+  steps a policy request by request. The audit replays a run once for both
+  schemes' ``audit.ledger``; only ``audit.run_audit`` callers that score one
+  scheme per call (the CLI, the benchmark) replay it once per scheme.
 
 On the batched and generic paths trial i draws its requests from seed
 ``(seed, i, 0)`` and any eviction randomness from ``(seed, i, 1)``, so both
@@ -122,10 +125,7 @@ def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -
         pages = sample_trials(chain, T, base, trials=ids)
         batch = policy.batch_misses(pages, init_cache)
         if batch is None:
-            batch = [
-                _run_one_trial(policy, chain, k, row, init_cache, base + (i, 1))
-                for i, row in zip(ids, pages)
-            ]
+            batch = [len(replay(policy, chain, k, row, init_cache, base + (i, 1))) for i, row in zip(ids, pages)]
         misses[ids.start : ids.stop] = batch
     return misses
 
@@ -153,22 +153,24 @@ def _simulate_kernel(idx, probs, chain, T, init_cache, trials, base) -> np.ndarr
     return misses
 
 
-def _run_one_trial(policy, chain, k, pages, init_cache, seed) -> int:
-    """Misses of one run over the request trace ``pages``, one eviction call
-    per miss; ``seed`` feeds the policy's own randomness."""
-    rng_pol = np.random.default_rng(seed)
+def replay(policy, chain, k: int, pages, init_cache, seed, T: int | None = None) -> list[int]:
+    """The policy's victims, one per miss in request order, over the first
+    ``T`` requests of ``pages`` (default: all). The policy sees all of
+    ``pages``, so a clairvoyant rule looks past T; ``seed`` feeds its own
+    randomness."""
+    rng = np.random.default_rng(seed)
     ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
     policy.reset(ctx)
     cache = set(init_cache)
-    misses = 0
-    for t, page in enumerate(pages.tolist(), 1):
-        ctx.t = t
+    victims = []
+    for t, page in enumerate(pages[:T].tolist(), 1):
         if page not in cache:
-            misses += 1
-            victim = evict(policy, tuple(sorted(cache)), page, ctx, rng_pol)
+            ctx.t = t
+            victim = evict(policy, tuple(sorted(cache)), page, ctx, rng)
             cache.remove(victim)
             cache.add(page)
-    return misses
+            victims.append(victim)
+    return victims
 
 
 def _scatter(idx, probs) -> tuple[np.ndarray, np.ndarray]:

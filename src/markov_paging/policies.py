@@ -13,24 +13,25 @@ On a cache miss a policy picks a resident page to evict. The interesting ones:
   largest median arrival time. ``median_index`` finds the first-passage
   medians of every page pair of a chain in one binary-lifting pass.
 * farthest-in-future: the clairvoyant offline rule, needs the realized trace.
-* lru / fifo / random / scripted / pinned: baselines and test harness aids.
+* lru / fifo / random / pinned: baselines and test harness aids.
 
 A memoryless rule gives its choice as an eviction table: ``kernel_probs(idx,
 chain)`` is the eviction distribution of every (cache, request) pair of the
 chain, and the engine reads the whole table. For the dominating,
-adversarial, median and pinned rules (:class:`TablePolicy`) the table is the
-only statement of the choice: a step-by-step run (the audit) builds it at
-``reset`` and draws each victim from its row with one ``rng.random()``, so
-the deterministic rules' one-hot rows still pick their page. The random rule
-keeps its own ``rng.integers`` draw there. History-dependent rules decide
-per miss in ``evict`` and carry per-run state (reset before each run).
+adversarial, median, random and pinned rules (:class:`TablePolicy`) the
+table is the only statement of the choice: a step-by-step run
+(``engine.replay``) builds it at ``reset`` and draws each victim from its
+row with one ``rng.random()``, so the deterministic rules' one-hot rows
+still pick their page. History-dependent rules decide per miss in ``evict``
+and carry per-run state (reset before each run).
 
 The median rule keeps its chain's median matrix across runs. The dominating
 rules keep no table of their own: each (rule, k) eviction table, every
 (cache, request) distribution of the chain from one stacked LP solve
 (``LP_BLOCK`` LPs per simplex call), is stored on the precedence table it
-comes from (``AlphaTable.evictions``). Fresh policies on the same chain, such
-as the audit's one per charging scheme, share one build.
+comes from (``AlphaTable.evictions``). Fresh policies on the same chain (the
+benchmark's per-scheme ``run_audit``, the CLI's fixed-chain runs) share one
+build.
 """
 
 from __future__ import annotations
@@ -496,14 +497,10 @@ class FifoPolicy(Policy):
         return _stamped_misses(pages, init_cache, move_on_hit=False)
 
 
-class RandomEvictionPolicy(Policy):
-    """Uniform eviction. A step-by-step run draws with ``rng.integers``
-    rather than from the table row, which keeps its audit streams."""
+class RandomEvictionPolicy(TablePolicy):
+    """Uniform eviction."""
 
     name = "random"
-
-    def evict(self, cache, requested, ctx, rng):
-        return cache[int(rng.integers(len(cache)))]
 
     def kernel_probs(self, idx, chain):
         return _miss_table(idx, np.full(idx.k, 1.0 / idx.k))
@@ -525,26 +522,6 @@ class PinnedPolicy(TablePolicy):
         if not free.any(axis=1).all():
             raise RuntimeError("all resident pages are pinned")
         return _miss_table(idx, np.arange(idx.k) == free.argmax(axis=1)[:, None, None])
-
-
-class ScriptedPolicy(Policy):
-    """Replays a fixed eviction list; test fixture helper."""
-
-    name = "scripted"
-
-    def __init__(self, evictions):
-        self.evictions = list(evictions)
-        self._next = 0
-
-    def reset(self, ctx: RunContext) -> None:
-        self._next = 0
-
-    def evict(self, cache, requested, ctx, rng):
-        if self._next >= len(self.evictions):
-            raise MissingContext("scripted policy ran out of evictions")
-        victim = self.evictions[self._next]
-        self._next += 1
-        return victim
 
 
 class OptReplayPolicy(Policy):

@@ -16,7 +16,7 @@ import pytest
 
 from markov_paging.alpha import alpha_table, first_passage, pinned_systems
 from markov_paging.chain import build_lb_chain, random_chain, sample_sequence
-from markov_paging.engine import exact_cost, simulate
+from markov_paging.engine import exact_cost, replay, simulate
 from markov_paging.learn import approx_dominating_policy, estimate_transition
 from markov_paging.lowerbound import LBParams, closed_form_costs, warmup_ratio
 from markov_paging.optdp import opt_expected_cost, subset_index
@@ -197,9 +197,12 @@ def test_criterion_7_charging_scheme_invariants():
         init = (0, 1)
         seq = sample_sequence(chain, T * mult, [7000, run, 2])
         _, table = opt_expected_cost(chain, k, T, init)
-        common = dict(k=k, init_cache=init, seed=[7000, run], T=T, T_ext=T * mult, chain=chain)
-        upd = audit_mod.run_audit(seq, DominatingPolicy(), OptReplayPolicy(table), scheme="updated", **common)
-        orig = audit_mod.run_audit(seq, DominatingPolicy(), OptReplayPolicy(table), scheme="original", **common)
+        # one replay per policy, seeded as run_audit seeds it, scored under both schemes
+        victims = [replay(DominatingPolicy(), chain, k, seq, init, (7000, run, 0), T),
+                   replay(OptReplayPolicy(table), chain, k, seq, init, (7000, run, 1), T)]
+        common = dict(k=k, init_cache=init, T=T, T_ext=T * mult, chain=chain)
+        upd = audit_mod.ledger(seq, *victims, scheme="updated", **common)
+        orig = audit_mod.ledger(seq, *victims, scheme="original", **common)
         structural.extend(f"run {run}: {v}" for v in upd.violations + orig.violations)
         if not audit_mod.check_accounting(upd).ok:
             acct_failures.append(f"run {run} updated")

@@ -9,35 +9,32 @@ from markov_paging.audit import (
     _select_savior,
     check_accounting,
     credit_check,
+    ledger,
     run_audit,
     step_delta_check,
     trace_csv_lines,
 )
 from markov_paging.alpha import SingularSystem
 from markov_paging.chain import random_chain, sample_sequence, validate_chain
+from markov_paging.engine import replay
 from markov_paging.optdp import opt_expected_cost
 from markov_paging.policies import (
+    AdversarialDominatingPolicy,
     DominatingPolicy,
     FarthestInFuture,
+    FifoPolicy,
+    LruPolicy,
+    MedianPolicy,
     OptReplayPolicy,
-    ScriptedPolicy,
+    RandomEvictionPolicy,
 )
 
 
 def scripted_audit(seq, a_evictions, r_evictions, k, init, scheme, T=None, T_ext=None):
+    """The ledger of fixed eviction lists over ``seq``."""
     pages = np.asarray(seq)
     T = len(pages) if T is None else T
-    return run_audit(
-        pages,
-        ScriptedPolicy(a_evictions),
-        ScriptedPolicy(r_evictions),
-        k,
-        init,
-        scheme,
-        seed=0,
-        T=T,
-        T_ext=T_ext,
-    )
+    return ledger(pages, a_evictions, r_evictions, k, init, scheme, T, T_ext)
 
 
 class TestSingleChargeCredit:
@@ -182,35 +179,42 @@ class TestPotentialCounterexample:
         assert credit_check(rep).ok
 
 
-def _random_audit(run, scheme, n=4, k=2, T=20, mult=10):
-    chain = random_chain(n, [500, run])
-    seq = sample_sequence(chain, T * mult, [500, run, 2])
-    _, table = opt_expected_cost(chain, k, T, tuple(range(k)))
-    return run_audit(
-        seq,
-        DominatingPolicy(),
-        OptReplayPolicy(table),
-        k,
-        tuple(range(k)),
-        scheme,
-        seed=[500, run],
-        T=T,
-        T_ext=T * mult,
-        chain=chain,
-    )
+K, T, MULT = 2, 20, 10
+SCHEMES = ("original", "updated")
+
+
+def _random_run(run):
+    """Chain, sequence, algorithm and reference of random run ``run``."""
+    chain = random_chain(4, [500, run])
+    seq = sample_sequence(chain, T * MULT, [500, run, 2])
+    _, table = opt_expected_cost(chain, K, T, tuple(range(K)))
+    return chain, seq, DominatingPolicy(), OptReplayPolicy(table)
+
+
+def _random_audit(run, scheme):
+    chain, seq, alg, ref = _random_run(run)
+    return run_audit(seq, alg, ref, K, tuple(range(K)), scheme, seed=[500, run], T=T, T_ext=T * MULT, chain=chain)
+
+
+def _random_ledgers(run, schemes=SCHEMES):
+    """The ledgers of random run ``run`` over one replay per policy, seeded
+    as ``run_audit`` seeds them."""
+    chain, seq, alg, ref = _random_run(run)
+    init = tuple(range(K))
+    victims = [replay(alg, chain, K, seq, init, (500, run, 0), T), replay(ref, chain, K, seq, init, (500, run, 1), T)]
+    return {scheme: ledger(seq, *victims, K, init, scheme, T, T * MULT, chain) for scheme in schemes}
 
 
 def test_random_battery_structure_and_accounting():
     for run in range(150):
-        for scheme in ("original", "updated"):
-            rep = _random_audit(run, scheme)
+        for scheme, rep in _random_ledgers(run).items():
             assert rep.violations == []
             assert check_accounting(rep).ok, (run, scheme)
 
 
 def test_random_battery_deltas_match_bookkeeping():
     for run in range(150):
-        rep = _random_audit(run, "updated")
+        rep = _random_ledgers(run, ("updated",))["updated"]
         check = step_delta_check(rep)
         assert check.bookkeeping == [], (run, check.bookkeeping)
         assert credit_check(rep).failures == [], run
@@ -218,8 +222,8 @@ def test_random_battery_deltas_match_bookkeeping():
 
 def test_updated_never_holds_more_open_charges():
     for run in range(60):
-        orig = _random_audit(run, "original")
-        upd = _random_audit(run, "updated")
+        reps = _random_ledgers(run)
+        orig, upd = reps["original"], reps["updated"]
         assert upd.open_charges <= orig.open_charges
         # identical replays underneath: same realized runs
         assert orig.a_misses == upd.a_misses and orig.ref_misses == upd.ref_misses
@@ -228,8 +232,6 @@ def test_updated_never_holds_more_open_charges():
 def test_mixed_policy_battery_structure_and_accounting():
     # scheme guarantees hold for any (algorithm, reference) pair, not just
     # dominating-vs-optimal; cycle through history-dependent references too
-    from markov_paging.policies import FifoPolicy, LruPolicy, MedianPolicy, RandomEvictionPolicy
-
     rng = np.random.default_rng(4242)
     algs = [DominatingPolicy(), MedianPolicy(), RandomEvictionPolicy()]
     for run in range(120):
@@ -244,9 +246,9 @@ def test_mixed_policy_battery_structure_and_accounting():
             ref = OptReplayPolicy(table)
         else:
             ref = [FarthestInFuture(), LruPolicy(), FifoPolicy()][run % 3]
-        for scheme in ("original", "updated"):
-            rep = run_audit(seq, algs[run % 3], ref, k, init, scheme,
-                            seed=[9900, run], T=T, T_ext=T * 10, chain=chain)
+        victims = [replay(pol, chain, k, seq, init, (9900, run, i), T) for i, pol in enumerate((algs[run % 3], ref))]
+        for scheme in SCHEMES:
+            rep = ledger(seq, *victims, k, init, scheme, T, T * 10, chain)
             assert rep.violations == [], (run, scheme)
             assert check_accounting(rep).ok, (run, scheme)
             if scheme == "updated":
@@ -401,3 +403,76 @@ def test_trace_csv_shape():
     )
     assert len(lines) == rep.T + 1
     assert all(len(line.split(",")) == 13 for line in lines[1:])
+
+
+ALGORITHMS = {
+    "dominating": DominatingPolicy,
+    "adversarial": lambda: AdversarialDominatingPolicy(0),
+    "median": MedianPolicy,
+    "random": RandomEvictionPolicy,
+}
+REFERENCES = {
+    "opt-dp": None,  # built per chain
+    "fif": FarthestInFuture,
+    "lru": LruPolicy,
+    "fifo": FifoPolicy,
+}
+
+
+@pytest.mark.parametrize("ref_name", REFERENCES)
+@pytest.mark.parametrize("alg_name", ALGORITHMS)
+def test_ledger_over_one_replay_equals_run_audit(alg_name, ref_name):
+    k, T, init = 2, 15, (0, 1)
+    for run in range(3):
+        chain = random_chain(4, [610, run])
+        seq = sample_sequence(chain, T * 5, [610, run, 2])
+
+        def make(name, factories):
+            if name == "opt-dp":
+                return OptReplayPolicy(opt_expected_cost(chain, k, T, init)[1])
+            return factories[name]()
+
+        a = replay(make(alg_name, ALGORITHMS), chain, k, seq, init, (610, run, 0), T)
+        r = replay(make(ref_name, REFERENCES), chain, k, seq, init, (610, run, 1), T)
+        for scheme in SCHEMES:
+            got = ledger(seq, a, r, k, init, scheme, T, chain=chain)
+            want = run_audit(seq, make(alg_name, ALGORITHMS), make(ref_name, REFERENCES), k, init,
+                             scheme, [610, run], T, chain=chain)
+            assert got == want, (run, scheme)
+            assert trace_csv_lines(got) == trace_csv_lines(want)
+
+
+def test_replay_hands_the_reference_requests_past_the_horizon():
+    # at t=1 page 2 misses; 0 returns at t=2 and 1 only at t=3, past T=1, so
+    # farthest-in-future evicts 1. Cut at T, the trace would show neither
+    # page again and the tie would evict 0.
+    seq = np.array([2, 0, 1])
+    assert replay(FarthestInFuture(), None, 2, seq, (0, 1), 0, T=1) == [1]
+    rep = run_audit(seq, FarthestInFuture(), FarthestInFuture(), 2, (0, 1), "updated", seed=0, T=1)
+    assert rep.steps[0].a_evicted == rep.steps[0].ref_evicted == 1
+
+
+class TestLedgerInputs:
+    """``ledger`` takes its victims as given, so it checks them."""
+
+    # from cache (0, 1) both policies miss at t=1 and t=2
+    SEQ = np.array([2, 3])
+
+    def test_non_resident_victim(self):
+        with pytest.raises(ValueError, match="t=1: the algorithm"):
+            ledger(self.SEQ, [3, 1], [1, 0], 2, (0, 1), "updated", 2)
+        with pytest.raises(ValueError, match="t=2: the reference"):
+            ledger(self.SEQ, [0, 1], [1, 1], 2, (0, 1), "updated", 2)
+
+    def test_too_few_victims(self):
+        with pytest.raises(ValueError, match="t=2: the algorithm"):
+            ledger(self.SEQ, [0], [1, 0], 2, (0, 1), "updated", 2)
+        with pytest.raises(ValueError, match="t=1: the reference"):
+            ledger(self.SEQ, [0, 1], [], 2, (0, 1), "updated", 2)
+
+    def test_too_many_victims(self):
+        assert ledger(self.SEQ, [0, 1], [1, 0], 2, (0, 1), "original", 2).a_misses == 2
+        with pytest.raises(ValueError, match="more victims than misses"):
+            ledger(self.SEQ, [0, 1, 2], [1, 0], 2, (0, 1), "original", 2)
+        with pytest.raises(ValueError, match="more victims than misses"):
+            ledger(self.SEQ, [0, 1], [1, 0, 2], 2, (0, 1), "original", 2)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -159,12 +160,41 @@ def test_audit_ext_mult_below_one_is_named(mult, capsys):
     assert err == f"error: --ext-mult must be >= 1, got {mult}\n"
 
 
-def test_usage_error_exit_codes(tmp_path):
+def test_usage_error_exit_codes(tmp_path, capsys):
     # --seed is mandatory for anything that draws randomness
     assert main(["simulate", "--policy", "dominating", "--n", "3", "--k", "2", "--T", "5"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    code, err = _error_exit(["no-such-command"], capsys)
+    assert code == 2
+    assert err.startswith("error: argument command: invalid choice: 'no-such-command'")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["opt", "--n", "4", "--k", "2", "--T", "1.5"], "argument --T: '1.5' is not an integer"),
+        (["opt", "--n", "4", "--k", "2.0", "--T", "1"], "argument --k: invalid int value: '2.0'"),
+        (["opt", "--n", "4", "--k", "2", "--T", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_parser_errors_print_one_line(args, message, capsys):
+    assert _error_exit(args, capsys) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("m", ["-5", "0", "1"])
+def test_learn_m_below_two_is_named(m, capsys):
+    code, err = _error_exit(["learn", "--n", "4", "--k", "2", "--T", "5", "--seed", "1", "--m", m], capsys)
+    assert code == 2
+    assert err == f"error: --m must be >= 2, got {m}\n"
+
+
+@pytest.mark.parametrize("names", [",", ",,"])
+def test_ratio_without_policies_is_usage_error(names, capsys):
+    code, err = _error_exit(["ratio", "--policies", names, "--n", "4", "--k", "2", "--T", "5",
+                             "--seed", "1"], capsys)
+    assert code == 2
+    assert err == f"error: --policies {names!r} names no policy\n"
 
 
 def test_domain_error_is_usage_error(tmp_path):
@@ -335,10 +365,11 @@ def test_integer_flags_parse_exactly(text, value):
 
 @pytest.mark.parametrize("text", ["1.7", "1e-3", "abc", "nan", "inf", "1e30"])
 def test_integer_flags_reject_non_integers(text, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["opt", "--n", "3", "--k", "2", "--T", text])
-    assert exc.value.code == 2
-    assert "--T" in capsys.readouterr().err
+    with pytest.raises(argparse.ArgumentTypeError) as why:
+        _parse_int(text)
+    code, err = _error_exit(["opt", "--n", "3", "--k", "2", "--T", text], capsys)
+    assert code == 2
+    assert err == f"error: argument --T: {why.value}\n"
     # the lowerbound horizon grid is parsed by the command, not by argparse
     code, _ = _error_exit(["lowerbound", "--eps", "1e-3", "--eps1-frac", "0.7", "--T", f"10,{text}"], capsys)
     assert code == 2
@@ -441,10 +472,9 @@ SEEDED_COMMANDS = {
 
 @pytest.mark.parametrize("args", SEEDED_COMMANDS.values(), ids=SEEDED_COMMANDS.keys())
 def test_negative_seed_is_usage_error_naming_the_flag(args, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([*args, "--seed", "-1"])
-    assert exc.value.code == 2
-    assert "argument --seed: '-1' is negative; seeds must be >= 0" in capsys.readouterr().err
+    code, err = _error_exit([*args, "--seed", "-1"], capsys)
+    assert code == 2
+    assert err == "error: argument --seed: '-1' is negative; seeds must be >= 0\n"
 
 
 def test_negative_config_seed_is_usage_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from markov_paging.engine import (
     exact_cost,
     joint_operator,
     ratio_report,
+    replay,
     report_csv_lines,
     simulate,
     trial_misses,
@@ -181,16 +182,14 @@ def test_simulate_deterministic_given_seed():
 
 
 def test_farthest_in_future_dominates_opt_on_every_shared_sequence():
-    from markov_paging.engine import _run_one_trial
-
     ch = random_chain(4, 13, floor=0.1)
     T = 30
     _, table = opt_expected_cost(ch, 2, T, (0, 1))
     fif, opt = FarthestInFuture(), OptReplayPolicy(table)
     for trial in range(40):
         pages = sample_sequence(ch, T, (77, trial, 0))
-        m_fif = _run_one_trial(fif, ch, 2, pages, (0, 1), (77, trial, 1))
-        m_opt = _run_one_trial(opt, ch, 2, pages, (0, 1), (77, trial, 1))
+        m_fif = len(replay(fif, ch, 2, pages, (0, 1), (77, trial, 1)))
+        m_opt = len(replay(opt, ch, 2, pages, (0, 1), (77, trial, 1)))
         assert m_fif <= m_opt  # clairvoyance dominates on every shared sequence
 
 

@@ -376,7 +376,7 @@ class TestTableRules:
         pinned = data.draw(st.sets(st.integers(min_value=0, max_value=chain.n - 1), max_size=k - 1), label="pinned")
         target = data.draw(st.integers(min_value=0, max_value=chain.n - 1), label="target")
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
-        rules = [MedianPolicy(), PinnedPolicy(pinned)]
+        rules = [MedianPolicy(), PinnedPolicy(pinned), RandomEvictionPolicy()]
         try:
             alpha_table(chain)
             rules += [DominatingPolicy(), AdversarialDominatingPolicy(target)]
