@@ -3,19 +3,32 @@
 Pages are dense 0-based indices. A chain is an n x n row-stochastic transition
 matrix plus an initial distribution; external page names, when present in a
 chain file, live in a sidecar dictionary and never enter the hot paths.
+
+Sampling is exact inversion of each row's cumulative sum, done by table
+lookups. ``next_page_table`` merges every row's breakpoints into one sorted
+grid and maps (grid cell, page) to the next page; ``grid_cells`` places
+uniforms in the grid through an equal-bucket guide. ``sample_sequence`` walks
+a long trace in chunks, composing each chunk's per-step maps from every start
+page at once, so it costs a fixed number of array operations per chunk and
+no Python step per request; it steps a short trace request by request.
+``sample_trials`` steps many short traces side by side.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
-SAMPLE_CHUNK = 1024  # uniforms placed in the grid at once by sample_sequence
+GUIDE_CAP = 1 << 16  # most buckets in a grid's guide table (grid_cells)
+SHORT_TRACE = 1 << 10  # sample_sequence steps traces up to this long one request at a time
+WALK_BLOCK = 1 << 16  # requests sampled and walked at once by sample_sequence
+CHUNK_RATIO = 32  # a block of m steps is walked in chunks of isqrt(m / CHUNK_RATIO) steps
 
 # numpy's SeedSequence hashing (numpy/random/bit_generator.pyx) and PCG64
 # multiplier (pcg64.h), which trial_uniforms reproduces for many streams at once
@@ -107,10 +120,8 @@ def next_page_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
     n-1 for rows whose sum rounds below 1. The lookup is exact, not an
     approximation: every row's breakpoints are grid values, so inside a cell
     ``searchsorted(cum[r], u, side="right")`` does not change. Equal grid
-    values leave empty cells between them, which no uniform reaches. This is
-    the guide table of Chen and Asau ("On generating random variates from an
-    empirical distribution", AIIE Transactions, 1974) merged over all rows;
-    it holds (n²+1)·n pages.
+    values leave empty cells between them, which no uniform reaches. The
+    table holds (n²+1)·n pages; ``grid_cells`` finds a uniform's cell.
     """
     n = chain.n
     cum = np.cumsum(chain.transition, axis=1)
@@ -128,6 +139,71 @@ def first_pages(chain: MarkovChain, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(np.cumsum(chain.init), u, side="right"), chain.n - 1)
 
 
+def grid_cells(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(grid, u, side="right")`` for the sorted ``grid`` and
+    uniforms ``u`` in [0, 1), an array of any shape.
+
+    The lookup is the equal-bucket guide table of Chen and Asau ("On
+    generating random variates from an empirical distribution", AIIE
+    Transactions, 1974), over the grid merged from all rows. There are G
+    buckets [b/G, (b+1)/G), G a power of two near eight times the grid size
+    and at most ``GUIDE_CAP``, so ``u * G`` and ``b / G`` are exact.
+    ``lo[b]`` counts the grid values below b/G. In a bucket that holds at
+    most one grid value, a uniform's cell is ``lo[b]``, plus one if the first
+    grid value at or past b/G is at most ``u``. Uniforms in buckets that hold
+    more are placed by ``searchsorted`` on the grid, so the worst case is a
+    plain binary search.
+    """
+    G = min(GUIDE_CAP, 1 << (8 * grid.size - 1).bit_length())
+    lo = np.searchsorted(grid, np.arange(G + 1) / G, side="left")
+    first = np.append(grid, np.inf)[lo[:-1]]
+    first[np.diff(lo) > 1] = np.nan  # marks a crowded bucket; no uniform is <= NaN
+    b = (u * G).astype(np.intp)
+    split = first[b]
+    up, crowd = split <= u, np.isnan(split)
+    del split  # one block-sized temporary fewer while lo[b] is taken
+    cells = lo[b]
+    cells += up
+    if crowd.any():
+        cells[crowd] = np.searchsorted(grid, u[crowd], side="right")
+    return cells
+
+
+def _walk(table: np.ndarray, n: int, cells: np.ndarray, start: int, out: np.ndarray) -> int:
+    """Write to ``out`` the pages that follow page ``start`` when step i reads
+    ``table`` at ``cells[i] * n`` plus the previous page; return the last.
+
+    The steps are cut into C chunks of L steps each, L about the square root
+    of ``len(cells) / CHUNK_RATIO``; the last chunk is padded with cell 0.
+    Pass 1 steps every chunk but the last from every page at once, an
+    ``(n, C - 1)`` array and L gathers, which gives each chunk's end map.
+    C - 1 scalar lookups through the end maps give each chunk's real start
+    page, and pass 2 walks the C real paths with L gathers, writing each
+    step's pages over its rows.
+    """
+    m = cells.size
+    L = max(1, math.isqrt(m // CHUNK_RATIO))
+    C = -(-m // L)
+    full = (C - 1) * L  # steps in the chunks before the last
+    steps = np.zeros((L, C), dtype=np.int64)  # steps[i, j]: step i of chunk j
+    steps[:, :-1] = cells[:full].reshape(C - 1, L).T
+    steps[: m - full, -1] = cells[full:]
+    steps *= n
+    ends = np.repeat(np.arange(n)[:, None], C - 1, axis=1)  # ends[p, j]: chunk j's end from page p
+    for i in range(L):
+        ends = table[ends + steps[i, :-1]]
+    flat = ends.T.ravel().tolist()
+    path = [start]
+    for j in range(0, len(flat), n):
+        path.append(flat[j + path[-1]])
+    path = np.array(path)
+    for row in steps:
+        path = row[:] = table[row + path]
+    out[:full].reshape(C - 1, L)[:] = steps[:, :-1].T
+    out[full:] = steps[: m - full, -1]
+    return int(out[-1])
+
+
 def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     """Draw ``T >= 0`` requests, as a read-only int64 page array: the first
     from ``init``, the rest from transition rows.
@@ -135,27 +211,38 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     Deterministic given ``seed`` (an int or a sequence of ints feeding
     ``numpy.random.default_rng``). Request t is the first page whose
     cumulative probability in the row of request t-1 exceeds the t-th uniform.
-    Each step is one lookup in ``next_page_table``: the uniforms are placed
-    in the merged grid ``SAMPLE_CHUNK`` at a time by one ``searchsorted``, and
-    the chain is then walked through the table, one list index per request.
+    Each step is one lookup in ``next_page_table``.
+
+    A longer trace is drawn ``WALK_BLOCK`` requests at a time, which keeps the
+    temporaries the size of a block; ``Generator.random`` makes one double per
+    64-bit draw, so the blocks read the stream that one call would. Each
+    block's uniforms are placed in the merged grid by ``grid_cells`` and
+    walked by ``_walk``, a fixed number of array operations per chunk with no
+    Python step per request; the last page of a block starts the next. A
+    trace of at most ``SHORT_TRACE`` requests is stepped one request at a
+    time through the table instead, its uniforms placed by one
+    ``searchsorted``: at that length the guide's build and the walk's two
+    dozen array calls cost more than the steps they save.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    u = np.random.default_rng(seed).random(T)
-    n = chain.n
-    grid, table = next_page_table(chain)
-    flat = table.tolist()
+    rng = np.random.default_rng(seed)
     pages = np.empty(T, dtype=np.int64)
     if T:
-        last = int(first_pages(chain, u[0]))
-        pages[0] = last
-    for start in range(1, T, SAMPLE_CHUNK):
-        chunk = u[start : start + SAMPLE_CHUNK]
-        walked = []
-        for row in (np.searchsorted(grid, chunk, side="right") * n).tolist():
-            last = flat[row + last]
-            walked.append(last)
-        pages[start : start + len(chunk)] = walked
+        n = chain.n
+        grid, table = next_page_table(chain)
+        pages[0] = last = int(first_pages(chain, rng.random()))
+        if T <= SHORT_TRACE:
+            flat = table.tolist()
+            walked = []
+            for row in (np.searchsorted(grid, rng.random(T - 1), side="right") * n).tolist():
+                last = flat[row + last]
+                walked.append(last)
+            pages[1:] = walked
+        else:
+            for start in range(1, T, WALK_BLOCK):
+                stop = min(start + WALK_BLOCK, T)
+                last = _walk(table, n, grid_cells(grid, rng.random(stop - start)), last, pages[start:stop])
     pages.setflags(write=False)
     return pages
 
@@ -273,17 +360,18 @@ def sample_trials(chain: MarkovChain, T: int, base, trials) -> np.ndarray:
 
     Row j holds the pages of ``sample_sequence(chain, T, (*base, trials[j],
     0))``. ``trial_uniforms`` derives every trial's ``(*base, i, 0)`` stream
-    in one pass, each equal to ``default_rng((*base, i, 0))``, and the
-    uniforms are looked up in the same ``next_page_table``. The walk takes
-    one step across all traces at a time, so many short traces cost a few
-    array operations per step; for one long trace ``sample_sequence`` is
-    faster. ``T = 0`` gives an empty array.
+    in one pass, each equal to ``default_rng((*base, i, 0))``. All
+    ``(T - 1, len(trials))`` transition uniforms are placed in the grid by
+    one ``grid_cells`` lookup, and the pages are read from the same
+    ``next_page_table``. The walk takes one step across all traces at a
+    time, so many short traces cost a few array operations per step; for one
+    long trace ``sample_sequence`` is faster. ``T = 0`` gives an empty array.
     """
     u = trial_uniforms(T, base, trials).T  # u[t] holds every trace's t-th uniform
     pages = np.empty(u.shape, dtype=np.int64)
     if T:
         grid, table = next_page_table(chain)
-        rows = np.searchsorted(grid, u[1:], side="right") * chain.n
+        rows = grid_cells(grid, u[1:]) * chain.n
         pages[0] = first_pages(chain, u[0])
         for t in range(1, T):
             pages[t] = table[rows[t - 1] + pages[t - 1]]

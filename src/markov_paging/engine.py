@@ -8,13 +8,16 @@ that applies:
   contents and the requested page only) step every trial at once over the
   eviction table their ``kernel_probs(idx, chain)`` returns, drawing every
   trial's requests (looked up in the chain's ``next_page_table``) and
-  evictions from one ``default_rng(seed)`` stream;
+  evictions from one ``default_rng(seed)`` stream. Each step places its
+  uniforms in the grid with one ``searchsorted``: at a few hundred uniforms
+  a step that is faster than building and reading ``chain.grid_cells``' guide;
 * batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
   is k pages with a use or load stamp each) get every trial's request trace
   from one ``sample_trials`` call and count all trials' misses at once, one
   ``(trials, k)`` comparison and ``argmin`` per request. ``sample_trials``
-  derives every trial's ``(seed, i, 0)`` stream in one pass, and each
-  stream equals ``default_rng((seed, i, 0))``;
+  derives every trial's ``(seed, i, 0)`` stream in one pass, each equal to
+  ``default_rng((seed, i, 0))``, and places all of its uniforms with one
+  ``grid_cells`` lookup;
 * generic: the rest (farthest-in-future, OPT replay) take the same sampled
   traces and count each trial's victims from ``replay``, the one loop that
   steps a policy request by request. The audit replays a run once for both

@@ -410,8 +410,8 @@ class FarthestInFuture(Policy):
         if ctx.sequence is None:
             raise MissingContext("farthest-in-future needs the realized sequence")
         occ: dict[int, list[int]] = {}
-        for i, page in enumerate(ctx.sequence):
-            occ.setdefault(int(page), []).append(i)
+        for i, page in enumerate(ctx.sequence.tolist()):
+            occ.setdefault(page, []).append(i)
         self._occurrences = occ
 
     def evict(self, cache, requested, ctx, rng):

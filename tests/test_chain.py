@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markov_paging.chain import (
-    SAMPLE_CHUNK,
+    CHUNK_RATIO,
+    SHORT_TRACE,
+    WALK_BLOCK,
     NonStochasticRow,
     build_lb_chain,
     chain_hash,
+    grid_cells,
     load_chain,
     next_page_table,
     random_chain,
@@ -20,7 +24,7 @@ from markov_paging.chain import (
     validate_chain,
 )
 
-from .conftest import chain_specs, sparse_chain_specs
+from .conftest import chain_specs, sparse_chain, sparse_chain_specs
 from .oracles import loop_sample_pages, loop_trial_uniforms
 
 
@@ -127,8 +131,13 @@ def test_sampled_indices_in_range(chain):
     assert seq.min() >= 0 and seq.max() < chain.n
 
 
-LENGTHS = [1, 2, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, SAMPLE_CHUNK + 2,
-           2 * SAMPLE_CHUNK, 2 * SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 2]
+# traces stepped one request at a time, up to SHORT_TRACE, then one walked
+# block: CHUNK_RATIO * 49 steps make exactly 224 chunks of isqrt(49) = 7
+# steps, and one step more leaves a last chunk of one step
+LENGTHS = [1, 2, 3, 40, SHORT_TRACE, SHORT_TRACE + 1, CHUNK_RATIO * 49 + 1, CHUNK_RATIO * 49 + 2]
+# T - 1 steps one below, at and one above a block, a block and a last block
+# of one-step chunks, and two blocks and one step
+BLOCK_LENGTHS = [WALK_BLOCK, WALK_BLOCK + 1, WALK_BLOCK + 2, WALK_BLOCK + 41, 2 * WALK_BLOCK + 2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,6 +167,30 @@ def test_sampling_two_pages_across_chunks():
         assert np.array_equal(sample_sequence(ch, T, 11), loop_sample_pages(ch, T, 11))
 
 
+@pytest.mark.parametrize("n,seed,zero_frac", [(5, 3, 0.3), (8, 4, 0.7)])
+def test_sampling_matches_loop_oracle_across_blocks(n, seed, zero_frac):
+    """Long traces on chains with zero entries: block edges, where the last
+    page of a block starts the next, and a 20,000-request trace."""
+    chain = sparse_chain(n, seed, zero_frac)
+    for T in BLOCK_LENGTHS + [20_000]:
+        assert np.array_equal(sample_sequence(chain, T, [seed, T]), loop_sample_pages(chain, T, [seed, T]))
+
+
+def test_long_trace_memory_is_one_block_of_temporaries():
+    """A 10**6-request trace at n = 12 allocates its 8 MB of pages and at
+    most 4 MB more: the uniforms are drawn and walked a block at a time, so
+    the 8 MB that all of them would take at once never exists."""
+    chain = random_chain(12, 5)
+    sample_sequence(chain, 10, 0)  # first-call allocations outside the measurement
+    tracemalloc.start()
+    try:
+        sample_sequence(chain, 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 10**6 + 4 * 10**6, peak
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     sparse_chain_specs(n_min=2, n_max=7),
@@ -167,7 +200,7 @@ def test_sampling_two_pages_across_chunks():
 )
 def test_sample_trials_rows_match_sample_sequence(chain, T, seed, trials):
     """Row i is the trace ``sample_sequence`` draws from seed i, page for page,
-    on chains with zero entries and across ``SAMPLE_CHUNK`` boundaries."""
+    on chains with zero entries and across ``sample_sequence``'s chunk edges."""
     seeds = [(seed, i, 0) for i in range(trials)]
     pages = sample_trials(chain, T, (seed,), trials=range(trials))
     assert pages.shape == (trials, T) and not pages.flags.writeable
@@ -245,16 +278,48 @@ def test_next_page_table_at_cell_edges(chain):
     _assert_table_matches_rows(chain)
 
 
+# ten entries of 0.1 sum to 0.9999999999999999 in floating point, so a
+# uniform can exceed the whole row; zero entries give duplicate grid values
+ROWS_BELOW_ONE = [[0.1] * 10] * 6 + [[1.0] + [0.0] * 9, [0.0] * 9 + [1.0], [0.5] + [0.0] * 8 + [0.5], [0.2, 0.0] * 5]
+
+
 def test_next_page_table_clamps_rows_ending_below_one():
-    # ten entries of 0.1 sum to 0.9999999999999999 in floating point, so a
-    # uniform can exceed the whole row; zero entries give duplicate grid values
-    rows = [[0.1] * 10] * 6 + [[1.0] + [0.0] * 9, [0.0] * 9 + [1.0], [0.5] + [0.0] * 8 + [0.5], [0.2, 0.0] * 5]
-    chain = validate_chain(rows)
+    chain = validate_chain(ROWS_BELOW_ONE)
     cum = np.cumsum(chain.transition, axis=1)
     assert cum[0, -1] < 1.0
     grid, _ = next_page_table(chain)
     assert np.unique(grid).size < grid.size
     _assert_table_matches_rows(chain)
+
+
+def _assert_cells_match_searchsorted(chain):
+    grid, _ = next_page_table(chain)
+    u = _edge_uniforms(grid)
+    u = u[(u >= 0) & (u < 1)]
+    assert np.array_equal(grid_cells(grid, u), np.searchsorted(grid, u, side="right"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_chain_specs(n_min=2, n_max=8))
+def test_grid_cells_at_cell_edges(chain):
+    """The guided lookup places every uniform on or next to a grid value in
+    the cell a binary search gives."""
+    _assert_cells_match_searchsorted(chain)
+
+
+def test_grid_cells_on_rounded_tiny_and_crowded_grids():
+    """Rows ending below 1 with duplicate grid values; the stress chain at
+    eps = 1e-9, whose grid values crowd the top bucket; and a chain whose
+    n² values all lie in one bucket, so every uniform there takes the
+    binary-search fallback."""
+    # these rows end below 1 after renormalizing, and every cumulative value
+    # lies in [1 - 2**-16, 1), inside one bucket for G up to GUIDE_CAP = 2**16
+    tail = 1e-7
+    crowded = validate_chain([[1 - 9 * tail] + [tail] * 9] * 10)
+    grid, _ = next_page_table(crowded)
+    assert grid.min() >= 1 - 2**-16 and grid.max() < 1
+    for chain in (validate_chain(ROWS_BELOW_ONE), build_lb_chain(1e-9, 0.7069e-9), crowded):
+        _assert_cells_match_searchsorted(chain)
 
 
 def test_uniform_on_a_cumulative_entry_selects_the_next_page():
