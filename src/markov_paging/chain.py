@@ -8,9 +8,10 @@ Sampling is exact inversion of each row's cumulative sum, done by table
 lookups. ``next_page_table`` merges every row's breakpoints into one sorted
 grid and maps (grid cell, page) to the next page; ``grid_cells`` places
 uniforms in the grid through an equal-bucket guide. ``sample_sequence`` walks
-a long trace in chunks, composing each chunk's per-step maps from every start
-page at once, so it costs a fixed number of array operations per chunk and
-no Python step per request; it steps a short trace request by request.
+a long trace on a chain of at most ``WALK_PAGES`` pages in chunks, composing
+each chunk's per-step maps from every start page at once, so it costs a fixed
+number of array operations per chunk and no Python step per request; it steps
+a short trace, or a trace on more pages, request by request.
 ``sample_trials`` steps many short traces side by side.
 """
 
@@ -28,6 +29,7 @@ ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized 
 GUIDE_CAP = 1 << 16  # most buckets in a grid's guide table (grid_cells)
 SHORT_TRACE = 1 << 10  # sample_sequence steps traces up to this long one request at a time
 WALK_BLOCK = 1 << 16  # requests sampled and walked at once by sample_sequence
+WALK_PAGES = 40  # sample_sequence steps chains with more pages one request at a time
 CHUNK_RATIO = 32  # a block of m steps is walked in chunks of isqrt(m / CHUNK_RATIO) steps
 
 # numpy's SeedSequence hashing (numpy/random/bit_generator.pyx) and PCG64
@@ -204,6 +206,17 @@ def _walk(table: np.ndarray, n: int, cells: np.ndarray, start: int, out: np.ndar
     return int(out[-1])
 
 
+def _step(flat, n: int, cells: np.ndarray, start: int, out: np.ndarray) -> int:
+    """``_walk`` one request at a time: one index per step into ``flat``, the
+    table as a list or a memoryview, whatever n is."""
+    last, walked = start, []
+    for row in (cells * n).tolist():
+        last = flat[row + last]
+        walked.append(last)
+    out[:] = walked
+    return last
+
+
 def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     """Draw ``T >= 0`` requests, as a read-only int64 page array: the first
     from ``init``, the rest from transition rows.
@@ -213,16 +226,21 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     cumulative probability in the row of request t-1 exceeds the t-th uniform.
     Each step is one lookup in ``next_page_table``.
 
-    A longer trace is drawn ``WALK_BLOCK`` requests at a time, which keeps the
-    temporaries the size of a block; ``Generator.random`` makes one double per
-    64-bit draw, so the blocks read the stream that one call would. Each
-    block's uniforms are placed in the merged grid by ``grid_cells`` and
-    walked by ``_walk``, a fixed number of array operations per chunk with no
-    Python step per request; the last page of a block starts the next. A
-    trace of at most ``SHORT_TRACE`` requests is stepped one request at a
-    time through the table instead, its uniforms placed by one
-    ``searchsorted``: at that length the guide's build and the walk's two
-    dozen array calls cost more than the steps they save.
+    Which way is cheapest depends on two properties of the input, the trace
+    length T and the page count n. A longer trace is drawn ``WALK_BLOCK``
+    requests at a time, which keeps the temporaries the size of a block;
+    ``Generator.random`` makes one double per 64-bit draw, so the blocks read
+    the stream that one call would. Each block's uniforms are placed in the
+    merged grid by ``grid_cells``. With at most ``WALK_PAGES`` pages the
+    block is walked by ``_walk``, a fixed number of array operations per
+    chunk with no Python step per request; the last page of a block starts
+    the next. The walk's first pass costs n gathers per request, so with
+    more pages each block is stepped one request at a time by ``_step``,
+    whose cost per request does not grow with n. ``_step`` indexes the table
+    as a list when it has fewer entries than the trace has requests, and
+    through a memoryview otherwise. A trace of at most ``SHORT_TRACE`` requests is stepped by ``_step`` too, its uniforms placed
+    by one ``searchsorted``: at that length the guide's build and the walk's
+    two dozen array calls cost more than the steps they save.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
@@ -232,17 +250,20 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
         n = chain.n
         grid, table = next_page_table(chain)
         pages[0] = last = int(first_pages(chain, rng.random()))
+        if T <= SHORT_TRACE or n > WALK_PAGES:
+            # a list indexes a little faster than a memoryview, but listing
+            # the table costs about as much per entry as a step
+            flat = table.tolist() if table.size < T else memoryview(table)
         if T <= SHORT_TRACE:
-            flat = table.tolist()
-            walked = []
-            for row in (np.searchsorted(grid, rng.random(T - 1), side="right") * n).tolist():
-                last = flat[row + last]
-                walked.append(last)
-            pages[1:] = walked
+            _step(flat, n, np.searchsorted(grid, rng.random(T - 1), side="right"), last, pages[1:])
         else:
             for start in range(1, T, WALK_BLOCK):
                 stop = min(start + WALK_BLOCK, T)
-                last = _walk(table, n, grid_cells(grid, rng.random(stop - start)), last, pages[start:stop])
+                cells = grid_cells(grid, rng.random(stop - start))
+                if n <= WALK_PAGES:
+                    last = _walk(table, n, cells, last, pages[start:stop])
+                else:
+                    last = _step(flat, n, cells, last, pages[start:stop])
     pages.setflags(write=False)
     return pages
 

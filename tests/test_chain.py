@@ -10,6 +10,7 @@ from markov_paging.chain import (
     CHUNK_RATIO,
     SHORT_TRACE,
     WALK_BLOCK,
+    WALK_PAGES,
     NonStochasticRow,
     build_lb_chain,
     chain_hash,
@@ -174,6 +175,17 @@ def test_sampling_matches_loop_oracle_across_blocks(n, seed, zero_frac):
     chain = sparse_chain(n, seed, zero_frac)
     for T in BLOCK_LENGTHS + [20_000]:
         assert np.array_equal(sample_sequence(chain, T, [seed, T]), loop_sample_pages(chain, T, [seed, T]))
+
+
+@pytest.mark.parametrize("n", [WALK_PAGES, WALK_PAGES + 1])
+def test_sampling_matches_loop_oracle_on_either_side_of_walk_pages(n):
+    """At most ``WALK_PAGES`` pages a long trace is walked in chunks; with
+    more it is stepped one request at a time, through a memoryview of the
+    table or, once the trace is longer than the table, a list of it. Both
+    agree with the oracle, short traces and block edges too."""
+    chain = sparse_chain(n, n, 0.5)
+    for T in [40, SHORT_TRACE + 1, 20_000, WALK_BLOCK + 2, 2 * WALK_BLOCK + 2]:
+        assert np.array_equal(sample_sequence(chain, T, [n, T]), loop_sample_pages(chain, T, [n, T]))
 
 
 def test_long_trace_memory_is_one_block_of_temporaries():
