@@ -16,21 +16,19 @@ reported as :class:`SingularSystem` tagged with the first such pair in
 (p, q) row-major order. Solutions leaving [0,1] by more than ``CLAMP_TOL``
 raise :class:`SolutionOutOfRange`.
 
-``alpha_table`` keeps the table of the chain it was last asked for, keyed by
-the transition matrix's bytes, so a second request for the same chain (the
-benchmark's per-scheme ``run_audit``, the CLI's fixed-chain runs) is a
-lookup. Only one table is kept, so
-a caller holding many chains does not hold their tables too. A table is kept
-only once every guard has passed; :func:`clear_cache` drops it, which a
-caller that changes ``PIVOT_TOL`` or ``CLAMP_TOL`` must do for the guards to
-run again.
+``chain.derived`` keeps the pair solve (each pair's x and inverse norm) and
+the table, so ``gamma`` and ``alpha_table`` on one chain invert the stack
+once. A caller that changes ``PIVOT_TOL`` or ``CLAMP_TOL`` calls
+``chain.forget()`` for the guards to run again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .chain import derived
 
 PIVOT_TOL = 1e-12  # reciprocal of the largest accepted inf-norm condition number
 CLAMP_TOL = 1e-7  # max tolerated out-of-[0,1] excursion before erroring
@@ -53,15 +51,10 @@ class SolutionOutOfRange(RuntimeError):
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """Dense table of alpha(p<q|s), indexed ``values[p][q][s]``. Diagonal is 0.
-
-    ``evictions`` holds what eviction rules derive from the table, keyed by
-    (rule name, k), so every policy reading this table shares one build.
-    """
+    """Dense table of alpha(p<q|s), indexed ``values[p][q][s]``. Diagonal is 0."""
 
     n: int
     values: np.ndarray
-    evictions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -93,8 +86,9 @@ def pinned_systems(chain, pairs=None):
     return p, q, L
 
 
-def _inverse_stack(p, q, L):
-    """Inverses of the stacked systems and their inf-norms.
+def _solve(p, q, L):
+    """``(x, inv_norm)``: the unclipped solutions of the stacked systems, one
+    row per pair, and the inf-norms of their inverses.
 
     Raises :class:`SingularSystem` for the first pair, in stack order, whose
     system is singular or has an inf-norm condition number above
@@ -119,13 +113,16 @@ def _inverse_stack(p, q, L):
             f": condition number {float(cond[i]):.3g} > {1.0 / PIVOT_TOL:.3g}"
         )
         raise SingularSystem(int(p[i]), int(q[i]), detail)
-    return inv, inv_norm
+    return inv[np.arange(len(p)), :, p], inv_norm  # column p of each inverse solves L x = e_p
 
 
 def first_passage(p, q, L) -> np.ndarray:
     """The solutions x of the stacked systems, one row per pair, clipped to [0,1]."""
-    inv, _ = _inverse_stack(p, q, L)
-    x = inv[np.arange(len(p)), :, p]  # column p of each inverse solves L x = e_p
+    return _in_range(p, q, _solve(p, q, L)[0])
+
+
+def _in_range(p, q, x) -> np.ndarray:
+    """``x`` clipped to [0,1]; ``SolutionOutOfRange`` if a row leaves it by more."""
     excess = np.maximum(-x.min(axis=1, initial=0.0), x.max(axis=1, initial=1.0) - 1.0)
     bad = np.flatnonzero(excess > CLAMP_TOL)
     if bad.size:
@@ -151,32 +148,23 @@ def alpha_pair(chain, p: int, q: int) -> np.ndarray:
     return _chain_step(first_passage(*pinned_systems(chain, [(p, q)])), chain)[0]
 
 
-_last: tuple[bytes, AlphaTable] | None = None  # the most recent chain's table
+def _pair_solve(chain):
+    """``(x, inv_norm)`` of every pair in ``pinned_systems`` order, kept."""
+    return derived(chain, "pair solve", lambda c: _solve(*pinned_systems(c)))
 
 
-def clear_cache() -> None:
-    """Forget the table ``alpha_table`` keeps."""
-    global _last
-    _last = None
+def _table(chain) -> AlphaTable:
+    n = chain.n
+    p, q = np.nonzero(~np.eye(n, dtype=bool))
+    values = np.zeros((n, n, n))
+    values[p, q] = _chain_step(_in_range(p, q, _pair_solve(chain)[0]), chain)
+    return AlphaTable(n=n, values=values)
 
 
 def alpha_table(chain) -> AlphaTable:
-    """Full table over all ordered pairs; alpha(p<p|s) = 0 exactly.
-
-    Returns the kept table when ``chain`` has the transition matrix of the
-    last call; its eviction tables come with it.
-    """
-    global _last
-    key = chain.transition.tobytes()
-    if _last is not None and _last[0] == key:
-        return _last[1]
-    n = chain.n
-    p, q, L = pinned_systems(chain)
-    values = np.zeros((n, n, n))
-    values[p, q] = _chain_step(first_passage(p, q, L), chain)
-    table = AlphaTable(n=n, values=values)
-    _last = (key, table)
-    return table
+    """Full table over all ordered pairs; alpha(p<p|s) = 0 exactly; kept by
+    ``chain.derived``."""
+    return derived(chain, "alpha", _table)
 
 
 def gamma(chain) -> float:
@@ -184,10 +172,9 @@ def gamma(chain) -> float:
 
     Controls how transition-matrix error propagates into the precedence
     probabilities. Computed as the largest row-sum norm over the batched
-    inverses of all pinned pair systems.
+    inverses of all pinned pair systems, from ``alpha_table``'s pair solve.
     """
-    _, inv_norm = _inverse_stack(*pinned_systems(chain))
-    return float(inv_norm.max())
+    return float(_pair_solve(chain)[1].max())
 
 
 def save_table(table: AlphaTable, path) -> None:

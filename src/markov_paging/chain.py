@@ -12,7 +12,10 @@ a long trace on a chain of at most ``WALK_PAGES`` pages in chunks, composing
 each chunk's per-step maps from every start page at once, so it costs a fixed
 number of array operations per chunk and no Python step per request; it steps
 a short trace, or a trace on more pages, request by request.
-``sample_trials`` steps many short traces side by side.
+``sample_trials`` steps many short traces side by side. ``derived`` keeps
+every table built from the last chain asked for, matched by transition
+bytes, until another chain is asked for, so the sampling table's (n²+1)·n
+int64 outlive the call, the size class of the kept n³ precedence table.
 """
 
 from __future__ import annotations
@@ -112,6 +115,32 @@ def validate_chain(matrix, init=None) -> MarkovChain:
     return MarkovChain(n=n, transition=m, init=v)
 
 
+_kept: tuple[bytes, dict] = (b"", {})  # the last chain's transition bytes and its tables
+
+
+def derived(chain: MarkovChain, key, build):
+    """``build(chain)``, kept under ``key`` until another transition matrix
+    is asked for. A build that raises keeps nothing, so its guards run
+    again; every array kept, alone or in a tuple, is made read-only."""
+    global _kept
+    matrix = chain.transition.tobytes()
+    if _kept[0] != matrix:
+        _kept = (matrix, {})
+    tables = _kept[1]
+    if key not in tables:
+        value = build(chain)
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        tables[key] = value
+    return tables[key]
+
+
+def forget() -> None:
+    """Drop every kept table, so that a changed guard tolerance applies."""
+    _kept[1].clear()
+
+
 def next_page_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
     """The merged grid of ``chain``'s cumulative rows and its next-page table.
 
@@ -123,8 +152,13 @@ def next_page_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
     approximation: every row's breakpoints are grid values, so inside a cell
     ``searchsorted(cum[r], u, side="right")`` does not change. Equal grid
     values leave empty cells between them, which no uniform reaches. The
-    table holds (n²+1)·n pages; ``grid_cells`` finds a uniform's cell.
+    table holds (n²+1)·n pages; ``grid_cells`` finds a uniform's cell. Both
+    are read-only and kept by ``derived``.
     """
+    return derived(chain, "next page", _next_pages)
+
+
+def _next_pages(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
     n = chain.n
     cum = np.cumsum(chain.transition, axis=1)
     # sorted by Python: the first np.sort in a process adds about 0.25 MB of RSS

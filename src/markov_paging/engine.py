@@ -189,7 +189,7 @@ def _scatter(idx, probs) -> tuple[np.ndarray, np.ndarray]:
     return target, weight
 
 
-def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_BUDGET) -> CostEstimate:
+def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
     """Exact expected miss count by evolving the (cache, last page) distribution.
 
     Only defined for memoryless policies; others raise :class:`NonMemoryless`.
@@ -202,8 +202,8 @@ def exact_cost(policy, chain, k: int, T: int, init_cache, budget: int = DEFAULT_
     idx = subset_index(chain.n, k)
     n = chain.n
     S = len(idx)
-    if S * n * max(T, 1) > budget:
-        raise BudgetExceeded(S * n * max(T, 1), budget)
+    if S * n * max(T, 1) > DEFAULT_BUDGET:
+        raise BudgetExceeded(S * n * max(T, 1), DEFAULT_BUDGET)
 
     target, weight = _scatter(idx, probs)
     miss = ~idx.member

@@ -123,23 +123,18 @@ def approx_dominating_policy(
     est: EstimatedChain,
     *,
     true_chain: MarkovChain | None = None,
-    gamma_value: float | None = None,
     delta_inf: float | None = None,
 ):
     """Dominating policy on the estimated chain plus its certified factor.
 
     Returns ``(policy, factor, bundle)``. In evaluation mode (``true_chain``
-    given) gamma defaults to the true chain's conditioning and the measured
-    estimation error is used; otherwise the caller must state ``delta_inf``
-    and gamma is computed from the estimate itself.
+    given) gamma is the true chain's conditioning and ``delta_inf`` defaults
+    to the measured estimation error; otherwise gamma is the estimate's own
+    and the caller must state ``delta_inf``.
     """
     chain_hat = est.to_chain()
-    if gamma_value is None:
-        source_chain = true_chain if true_chain is not None else chain_hat
-        gamma_value = alpha_mod.gamma(source_chain)
-        gamma_source = "true" if true_chain is not None else "estimated"
-    else:
-        gamma_source = "supplied"
+    gamma_value = alpha_mod.gamma(true_chain if true_chain is not None else chain_hat)
+    gamma_source = "true" if true_chain is not None else "estimated"
     if delta_inf is None:
         delta_inf = est.linf_error
     if delta_inf is None:

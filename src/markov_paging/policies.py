@@ -25,11 +25,9 @@ row with one ``rng.random()``, so the deterministic rules' one-hot rows
 still pick their page. History-dependent rules decide per miss in ``evict``
 and carry per-run state (reset before each run).
 
-The median rule keeps its chain's median matrix across runs. The dominating
-rules keep no table of their own: each (rule, k) eviction table, every
-(cache, request) distribution of the chain from one stacked LP solve
-(``LP_BLOCK`` LPs per simplex call), is stored on the precedence table it
-comes from (``AlphaTable.evictions``). Fresh policies on the same chain (the
+No policy keeps a table of its own: ``chain.derived`` keeps a chain's median
+matrix and each (rule, k) dominating eviction table (one stacked LP solve,
+``LP_BLOCK`` LPs per simplex call), so fresh policies on one chain (the
 benchmark's per-scheme ``run_audit``, the CLI's fixed-chain runs) share one
 build.
 """
@@ -43,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alpha as alpha_mod
+from .chain import derived
 from .optdp import opt_action, subset_index
 from .simplex import InfeasibleLP, solve_lp
 
@@ -301,11 +300,10 @@ class DominatingPolicy(TablePolicy):
     """The dominating-distribution rule over the sorted cache.
 
     The precedence table is the pinned ``table`` when one is given, else
-    ``alpha_table(chain)``. The first request for a precedence table and
-    cache size k solves every (cache, request not in cache) LP of the chain
-    as one stack and stores the ``(S, n, k)`` eviction table (S cache ranks
-    of ``subset_index(n, k)``) on the precedence table under (``name``, k),
-    so any policy of the same rule that reads that table reuses it.
+    ``alpha_table(chain)``. Every (cache, request not in cache) LP is solved
+    in one stack into the ``(S, n, k)`` eviction table (S cache ranks of
+    ``subset_index(n, k)``); ``chain.derived`` keeps the chain's own under
+    (``name``, k), and a pinned table's is solved on each call.
     """
 
     name = "dominating"
@@ -314,15 +312,11 @@ class DominatingPolicy(TablePolicy):
         self._table = table  # pinned: used whatever chain a call passes
 
     def kernel_probs(self, idx, chain):
-        table = self._table
-        if table is None:
-            if chain is None:
-                raise MissingContext(f"{self.name} needs a chain or a pinned precedence table")
-            table = alpha_mod.alpha_table(chain)
-        probs = table.evictions.get((self.name, idx.k))
-        if probs is None:
-            probs = table.evictions[self.name, idx.k] = self._solve_table(table, idx)
-        return probs
+        if self._table is not None:
+            return self._solve_table(self._table, idx)
+        if chain is None:
+            raise MissingContext(f"{self.name} needs a chain or a pinned precedence table")
+        return derived(chain, (self.name, idx.k), lambda c: self._solve_table(alpha_mod.alpha_table(c), idx))
 
     def _solve_table(self, table, idx) -> np.ndarray:
         """The read-only ``(S, n, k)`` table; rows of hits stay zero.
@@ -382,49 +376,45 @@ class AdversarialDominatingPolicy(DominatingPolicy):
 
 class MedianPolicy(TablePolicy):
     """Evicts the resident page with the largest first-passage median from
-    the request, ``median_index(chain, MEDIAN_CAP)``, kept per chain;
+    the request, ``median_index(chain, MEDIAN_CAP)`` kept by ``derived``;
     ``argmax`` over the sorted cache breaks ties to the lowest page."""
 
     name = "median"
 
-    def __init__(self):
-        self._chain = None
-        self._medians = None
-
     def kernel_probs(self, idx, chain):
-        if chain is not self._chain:  # medians are chain-specific
-            self._chain, self._medians = chain, median_index(chain, MEDIAN_CAP)
-        med = self._medians[np.arange(idx.n)[:, None], idx.pages[:, None, :]]
+        medians = derived(chain, "median", lambda c: median_index(c, MEDIAN_CAP))
+        med = medians[np.arange(idx.n)[:, None], idx.pages[:, None, :]]
         return _miss_table(idx, np.arange(idx.k) == med.argmax(axis=2)[:, :, None])
 
 
-class FarthestInFuture(Policy):
-    """Clairvoyant offline rule: evict the page requested latest from now."""
+class _IndexedPolicy(Policy):
+    """Reads the run's sequence through its per-page step lists, built at ``reset``."""
 
-    name = "fif"
-
-    def __init__(self):
-        self._occurrences: dict[int, list[int]] | None = None
+    _occurrences: dict[int, list[int]] | None = None
 
     def reset(self, ctx: RunContext) -> None:
         if ctx.sequence is None:
-            raise MissingContext("farthest-in-future needs the realized sequence")
+            raise MissingContext(f"{self.name} needs the realized sequence")
         occ: dict[int, list[int]] = {}
         for i, page in enumerate(ctx.sequence.tolist()):
             occ.setdefault(page, []).append(i)
         self._occurrences = occ
 
+
+class FarthestInFuture(_IndexedPolicy):
+    """Clairvoyant offline rule: evict the page requested latest from now."""
+
+    name = "fif"
+
     def evict(self, cache, requested, ctx, rng):
         if self._occurrences is None:
             raise MissingContext("farthest-in-future policy was not reset with a sequence")
-        best_page, best_next = None, -1
+        following = {}  # each page's next request after step t, which serves index t - 1
         for p in cache:
             occ = self._occurrences.get(p, ())
-            i = bisect.bisect_left(occ, ctx.t)  # occurrences strictly after step t
-            nxt = occ[i] if i < len(occ) else math.inf
-            if nxt > best_next:
-                best_page, best_next = p, nxt
-        return best_page
+            i = bisect.bisect_left(occ, ctx.t)
+            following[p] = occ[i] if i < len(occ) else math.inf
+        return max(cache, key=following.__getitem__)  # ties: the first page in cache order
 
 
 def _stamped_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndarray:
@@ -456,24 +446,18 @@ def _stamped_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndar
     return T - hits
 
 
-class LruPolicy(Policy):
+class LruPolicy(_IndexedPolicy):
     name = "lru"
 
-    def __init__(self):
-        self._last_used: dict[int, int] = {}
-        self._scanned = 0
-
-    def reset(self, ctx: RunContext) -> None:
-        self._last_used = {}
-        self._scanned = 0
-
     def evict(self, cache, requested, ctx, rng):
-        if ctx.sequence is None:
-            raise MissingContext("lru needs the realized request prefix")
-        while self._scanned < ctx.t - 1:  # fold requests before the current one
-            self._last_used[int(ctx.sequence[self._scanned])] = self._scanned
-            self._scanned += 1
-        return min(cache, key=lambda p: (self._last_used.get(p, -1), p))
+        if self._occurrences is None:
+            raise MissingContext("lru was not reset with a sequence")
+        last = {}  # each page's last use before step t, which serves index t - 1
+        for p in cache:
+            occ = self._occurrences.get(p, ())
+            i = bisect.bisect_left(occ, ctx.t - 1)
+            last[p] = occ[i - 1] if i else -1
+        return min(cache, key=lambda p: (last[p], p))  # ties: never used, lowest page
 
     def batch_misses(self, pages, init_cache):
         return _stamped_misses(pages, init_cache, move_on_hit=True)

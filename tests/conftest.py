@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from markov_paging import alpha as alpha_mod
-from markov_paging.chain import random_chain, validate_chain
+from markov_paging.chain import forget, random_chain, validate_chain
 
 
 @pytest.fixture(autouse=True)
-def fresh_alpha_cache():
-    """Each test starts without a kept precedence table, so a guard test
+def fresh_chain_tables():
+    """Each test starts with no kept chain-derived table, so a guard test
     (a lowered ``CLAMP_TOL``, say) runs the solve instead of reading a table
     an earlier test left behind."""
-    alpha_mod.clear_cache()
+    forget()
     yield
-    alpha_mod.clear_cache()
+    forget()
 
 
 @st.composite
@@ -52,6 +51,24 @@ def sparse_chain_specs(draw, n_min=3, n_max=8):
     n = draw(st.integers(min_value=n_min, max_value=n_max))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     return sparse_chain(n, seed, draw(st.sampled_from([0.0, 0.3, 0.7])))
+
+
+def keep_every_table(chain, k=2) -> list:
+    """Build every kind of table ``chain.derived`` keeps for ``chain`` and
+    return the kept objects, tuples unpacked: the pair solve's x and inverse
+    norms, the precedence table, the dominating eviction table, the medians,
+    and the sampling grid and next pages."""
+    from markov_paging import chain as chain_mod
+    from markov_paging.alpha import alpha_table
+    from markov_paging.optdp import subset_index
+    from markov_paging.policies import DominatingPolicy, MedianPolicy
+
+    idx = subset_index(chain.n, k)
+    alpha_table(chain)
+    DominatingPolicy().kernel_probs(idx, chain)
+    MedianPolicy().kernel_probs(idx, chain)
+    chain_mod.next_page_table(chain)
+    return [a for v in chain_mod._kept[1].values() for a in (v if isinstance(v, tuple) else (v,))]
 
 
 def caches(n, k):

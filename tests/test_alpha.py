@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from markov_paging import alpha as alpha_mod
+from markov_paging import policies as policies_mod
 from markov_paging.alpha import (
     AlphaTable,
     SingularSystem,
@@ -17,11 +18,11 @@ from markov_paging.alpha import (
     pinned_systems,
     save_table,
 )
-from markov_paging.chain import build_lb_chain, random_chain, validate_chain
+from markov_paging.chain import build_lb_chain, forget, random_chain, validate_chain
 from markov_paging.optdp import subset_index
 from markov_paging.policies import DominatingPolicy
 
-from .conftest import chain_specs
+from .conftest import chain_specs, keep_every_table
 from .oracles import rollout_alpha
 
 
@@ -168,10 +169,31 @@ def test_kept_table_follows_the_transition_matrix():
     m[0, :2] += [1e-9, -1e-9]
     b = validate_chain(m)
     after_a = alpha_table(b)
-    alpha_mod.clear_cache()
+    forget()
     built = alpha_table(b)
     assert after_a is not table and np.array_equal(after_a.values, built.values)
     assert not np.array_equal(built.values, table.values)
+
+
+def test_gamma_and_table_share_one_inversion(monkeypatch):
+    """``gamma`` then ``alpha_table`` on one chain invert the pinned stack
+    once, and each equals a fresh solve bit for bit."""
+    chain = random_chain(6, 11)
+    fresh_gamma = gamma(chain)
+    forget()
+    fresh_values = alpha_table(chain).values
+    forget()
+    inversions = []
+    real = alpha_mod._solve
+
+    def counting(p, q, L):
+        inversions.append(len(L))
+        return real(p, q, L)
+
+    monkeypatch.setattr(alpha_mod, "_solve", counting)
+    assert gamma(chain) == fresh_gamma
+    assert np.array_equal(alpha_table(chain).values, fresh_values)
+    assert inversions == [6 * 5]
 
 
 def test_failed_solve_is_not_kept(monkeypatch):
@@ -183,25 +205,47 @@ def test_failed_solve_is_not_kept(monkeypatch):
     table = alpha_table(chain)
     monkeypatch.setattr(alpha_mod, "CLAMP_TOL", -1.0)
     assert alpha_table(chain) is table  # a kept table skips the guards ...
-    alpha_mod.clear_cache()
+    forget()
     with pytest.raises(alpha_mod.SolutionOutOfRange):  # ... until it is dropped
         alpha_table(chain)
+    monkeypatch.undo()
+    forget()
+    monkeypatch.setattr(alpha_mod, "PIVOT_TOL", 1.0)  # every condition number now fails
+    for solve in (gamma, alpha_table, gamma):  # the failed solve is run again each time
+        with pytest.raises(SingularSystem):
+            solve(chain)
+    monkeypatch.undo()
+    assert np.array_equal(alpha_table(chain).values, table.values)
 
 
 def test_earlier_chain_table_is_released():
-    first = random_chain(4, 1)
-    table = alpha_table(first)
-    DominatingPolicy().kernel_probs(subset_index(4, 2), first)
-    assert table.evictions
-    ref = weakref.ref(table)
-    del table
+    """Asking for a second chain drops every table kept for the first: the
+    pair solve, the precedence table, an eviction table, the medians and
+    the sampling table."""
+    kept = keep_every_table(random_chain(4, 1))
+    assert len(kept) == 7
+    refs = [weakref.ref(a) for a in kept]
+    del kept
     alpha_table(random_chain(4, 2))
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
 
 
-def test_new_table_starts_without_eviction_tables():
-    table = alpha_table(random_chain(4, 3))
-    DominatingPolicy(table).kernel_probs(subset_index(4, 2), None)
-    assert list(table.evictions) == [("dominating", 2)]
-    assert AlphaTable(table.n, table.values.copy()).evictions == {}
+def test_pinned_table_is_solved_on_each_call(monkeypatch):
+    """A pinned precedence table is not derived from the chain: each call
+    solves its LP stack, and no eviction table is kept for the chain."""
+    chain = random_chain(4, 3)
+    pinned = DominatingPolicy(AlphaTable(4, alpha_table(chain).values.copy()))
+    stacks = []
+    real = policies_mod.solve_lp
+
+    def counting(c, **kw):
+        stacks.append(len(kw["a_ub"]))
+        return real(c, **kw)
+
+    monkeypatch.setattr(policies_mod, "solve_lp", counting)
+    idx = subset_index(4, 2)
+    first = pinned.kernel_probs(idx, chain)
+    assert np.array_equal(pinned.kernel_probs(idx, chain), first)
+    assert np.array_equal(DominatingPolicy().kernel_probs(idx, chain), first)
+    assert stacks == [6 * 2] * 3

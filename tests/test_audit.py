@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from markov_paging import alpha as alpha_mod
 from markov_paging import policies as policies_mod
 from markov_paging.audit import (
     NoEligibleSavior,
@@ -15,7 +14,7 @@ from markov_paging.audit import (
     trace_csv_lines,
 )
 from markov_paging.alpha import SingularSystem
-from markov_paging.chain import random_chain, sample_sequence, validate_chain
+from markov_paging.chain import forget, random_chain, sample_sequence, validate_chain
 from markov_paging.engine import replay
 from markov_paging.optdp import opt_expected_cost
 from markov_paging.policies import (
@@ -360,7 +359,7 @@ class TestSharedTables:
         shared = [_random_audit(run, scheme) for scheme in self.SCHEMES]
         rebuilt = []
         for scheme in self.SCHEMES:
-            alpha_mod.clear_cache()
+            forget()
             rebuilt.append(_random_audit(run, scheme))
         for a, b in zip(shared, rebuilt):
             assert trace_csv_lines(a) == trace_csv_lines(b)

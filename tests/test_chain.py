@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markov_paging import chain as chain_mod
+from markov_paging import policies as policies_mod
+from markov_paging.alpha import AlphaTable
 from markov_paging.chain import (
     CHUNK_RATIO,
     SHORT_TRACE,
@@ -24,8 +27,11 @@ from markov_paging.chain import (
     trial_uniforms,
     validate_chain,
 )
+from markov_paging.engine import ratio_report
+from markov_paging.optdp import subset_index
+from markov_paging.policies import DominatingPolicy, FifoPolicy, LruPolicy, MedianPolicy
 
-from .conftest import chain_specs, sparse_chain, sparse_chain_specs
+from .conftest import chain_specs, keep_every_table, sparse_chain, sparse_chain_specs
 from .oracles import loop_sample_pages, loop_trial_uniforms
 
 
@@ -388,3 +394,44 @@ def test_chain_hash_stability():
     assert chain_hash(a) == chain_hash(b)
     assert chain_hash(a) != chain_hash(random_chain(4, 2))
 
+
+
+def test_ratio_report_builds_the_sampling_table_once(monkeypatch):
+    """The kernel path (dominating, median) and the batched path (LRU, FIFO)
+    of one report read one kept sampling table."""
+    builds = []
+    real = chain_mod._next_pages
+
+    def counting(chain):
+        builds.append(chain.n)
+        return real(chain)
+
+    monkeypatch.setattr(chain_mod, "_next_pages", counting)
+    chain = random_chain(5, 8)
+    policies = [DominatingPolicy(), MedianPolicy(), LruPolicy(), FifoPolicy()]
+    ratio_report(chain, 2, 20, policies, "opt-dp", 50, 3, (0, 1))
+    assert builds == [5]
+
+
+def test_fresh_median_policies_share_one_median_matrix(monkeypatch):
+    calls = []
+    real = policies_mod.median_index
+
+    def counting(chain, cap):
+        calls.append(cap)
+        return real(chain, cap)
+
+    monkeypatch.setattr(policies_mod, "median_index", counting)
+    chain = random_chain(5, 9)
+    idx = subset_index(5, 2)
+    first = MedianPolicy().kernel_probs(idx, chain)
+    assert np.array_equal(MedianPolicy().kernel_probs(idx, validate_chain(np.array(chain.transition))), first)
+    assert len(calls) == 1
+
+
+def test_kept_arrays_are_read_only():
+    arrays = [a.values if isinstance(a, AlphaTable) else a for a in keep_every_table(random_chain(4, 5))]
+    assert len(arrays) == 7
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0

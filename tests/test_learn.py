@@ -167,19 +167,24 @@ class TestApproxPolicy:
         assert factor == 2.0 and bundle.eps_bound == 0.0
 
     def test_quarter_error_factor(self):
+        """gamma * delta_inf = 0.1 gives eps = 1/9, through the estimated
+        chain's own gamma."""
         truth = random_chain(3, 4, floor=0.2)
         est = estimate_transition(sample_sequence(truth, 2000, 0), n=3, truth=truth)
-        _, factor, bundle = approx_dominating_policy(
-            est, gamma_value=2.0, delta_inf=0.05
-        )
+        g = gamma(est.to_chain())
+        _, factor, bundle = approx_dominating_policy(est, delta_inf=0.1 / g)
+        assert bundle.gamma_used == g and bundle.gamma_source == "estimated"
         assert bundle.eps_bound == pytest.approx(1 / 9, abs=1e-12)
         assert factor == pytest.approx(2 / (1 - 2 / 9), abs=1e-12)
 
     def test_vacuous_guarantee_raises(self):
+        """gamma * delta_inf = 0.5 gives eps = 1 >= 1/2."""
         truth = random_chain(3, 4, floor=0.2)
         est = estimate_transition(sample_sequence(truth, 2000, 0), n=3, truth=truth)
         with pytest.raises(GuaranteeVacuous):
-            approx_dominating_policy(est, gamma_value=2.0, delta_inf=0.25)
+            approx_dominating_policy(est, delta_inf=0.5 / gamma(est.to_chain()))
+        with pytest.raises(GuaranteeVacuous):
+            approx_dominating_policy(est, true_chain=truth, delta_inf=0.5 / gamma(truth))
 
     def test_needs_delta_source(self):
         truth = random_chain(3, 4, floor=0.2)

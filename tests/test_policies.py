@@ -495,12 +495,10 @@ class TestStackedTables:
 
         monkeypatch.setattr(policies_mod, "dominating_distribution", counting)
         chain = random_chain(6, 2)
-        table = alpha_table(chain)
-        pol = DominatingPolicy(table)
-        first = pol.kernel_probs(subset_index(6, 3), chain)
-        assert pol.kernel_probs(subset_index(6, 3), chain) is first
+        first = DominatingPolicy().kernel_probs(subset_index(6, 3), chain)
+        assert DominatingPolicy().kernel_probs(subset_index(6, 3), chain) is first  # fresh policy, kept table
         assert calls == [(20 * 3, 3, 3)]
-        pol.kernel_probs(subset_index(6, 2), chain)
+        DominatingPolicy().kernel_probs(subset_index(6, 2), chain)
         assert calls[1:] == [(15 * 4, 2, 2)]
 
     def test_evict_draws_as_the_single_block_distribution(self):
@@ -536,7 +534,7 @@ class TestStackedTables:
             return real(c, **kw)
 
         monkeypatch.setattr(policies_mod, "solve_lp", counting)
-        # a fresh table holds no eviction tables, so the chunked solve runs
+        # a pinned table is solved on each call, so the chunked solve runs
         fresh = AlphaTable(table.n, table.values.copy())
         parts = [DominatingPolicy(fresh).kernel_probs(idx, None),
                  AdversarialDominatingPolicy(2, fresh).kernel_probs(idx, None)]
