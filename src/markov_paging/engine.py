@@ -8,9 +8,15 @@ that applies:
   contents and the requested page only) step every trial at once over the
   eviction table their ``kernel_probs(idx, chain)`` returns, drawing every
   trial's requests (looked up in the chain's ``next_page_table``) and
-  evictions from one ``default_rng(seed)`` stream. Each step places its
-  uniforms in the grid with one ``searchsorted``: at a few hundred uniforms
-  a step that is faster than building and reading ``chain.grid_cells``' guide;
+  evictions from one ``default_rng(seed)`` stream: each step draws one
+  uniform per trial for the requests, then one per missing trial, in trial
+  order, for the evicted slots. Each step places its uniforms in the grid
+  with one ``searchsorted``: at a few hundred uniforms a step that is faster
+  than building and reading ``chain.grid_cells``' guide. A trial's state is
+  a flat (cache rank, page) cell, so the rest of a step is a few flat
+  ``take`` calls: on ``member`` for the misses, on a slot-major cumulative
+  eviction table (the slot is a count over its leading axis) and on ``succ``
+  for the next cache;
 * batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
   is k pages with a use or load stamp each) get every trial's request trace
   from one ``sample_trials`` call and count all trials' misses at once, one
@@ -32,10 +38,13 @@ of trials; they repeat bit-for-bit under the same seed and trial count. A
 horizon T of 0 costs 0 on every path, and a negative one is a
 ``ValueError``, here as in ``exact_cost`` and the OPT DP.
 
-``_scatter`` alone turns an eviction table into a cache-state evolution.
+``_scatter`` alone turns an eviction table into a cache-state evolution,
+reading each miss's successor cell from the index's ``cells``.
 ``exact_cost`` steps it: each of the T steps evolves the exact distribution
 over all joint (cache rank, last page) states at once (one chain step, the
-miss mass, one ``np.bincount``). ``joint_operator`` assembles it as a dense
+miss mass as one ``take`` and sum, one ``np.bincount``). The scatter's
+exact-zero weights, which add +0.0 and so change no sum, are dropped once
+before the first step. ``joint_operator`` assembles the evolution as a dense
 matrix, for sums over long horizons such as ``lowerbound``'s.
 """
 
@@ -134,24 +143,25 @@ def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -
 
 
 def _simulate_kernel(idx, probs, chain, T, init_cache, trials, base) -> np.ndarray:
-    n = chain.n
+    n, k = chain.n, idx.k
     rng = np.random.default_rng(base)
     grid, table = next_page_table(chain)
-    cum_kernel = np.cumsum(probs, axis=2)
+    # slot-major cumulative eviction table over flat (cache, page) cells
+    cum_kernel = np.cumsum(probs, axis=2).reshape(-1, k).T.copy()
     ranks = np.full(trials, idx.rank[init_cache], dtype=np.int64)
     last = np.zeros(trials, dtype=np.int64)
     misses = np.zeros(trials, dtype=np.int64)
     for t in range(1, T + 1):
         u = rng.random(trials)
         req = first_pages(chain, u) if t == 1 else table[np.searchsorted(grid, u, side="right") * n + last]
-        hit = idx.member[ranks, req]
-        miss = ~hit
+        cell = ranks * n + req
+        miss = ~idx.member.take(cell)
         if miss.any():
-            misses[miss] += 1
-            mr, mj = ranks[miss], req[miss]
-            u2 = rng.random(int(miss.sum()))
-            ei = np.minimum((cum_kernel[mr, mj] <= u2[:, None]).sum(axis=1), idx.k - 1)
-            ranks[miss] = idx.succ[mr, mj, ei]
+            misses += miss
+            mc = cell[miss]
+            u2 = rng.random(mc.size)
+            ei = np.minimum((cum_kernel.take(mc, axis=1) <= u2).sum(axis=0), k - 1)
+            ranks[miss] = idx.succ.take(mc * k + ei)
         last = req
     return misses
 
@@ -184,7 +194,8 @@ def _scatter(idx, probs) -> tuple[np.ndarray, np.ndarray]:
     S, n, k = probs.shape
     hit = idx.member[:, :, None]
     here = np.arange(S * n).reshape(S, n, 1)
-    target = np.where(hit, here, idx.succ * n + np.arange(n)[None, :, None]).ravel()
+    # entries in (cache, page, slot) order: np.bincount sums in input order
+    target = np.where(hit, here, np.moveaxis(idx.cells, 0, 2)).ravel()
     weight = np.where(hit, np.arange(k) == 0, probs)
     return target, weight
 
@@ -206,7 +217,11 @@ def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
         raise BudgetExceeded(S * n * max(T, 1), DEFAULT_BUDGET)
 
     target, weight = _scatter(idx, probs)
-    miss = ~idx.member
+    # an exact-zero weight (hit slots past 0, one-hot rules' other slots) adds
+    # +0.0 to its bin, which changes no sum, so it is dropped once here
+    keep = np.flatnonzero(weight.ravel())
+    source, target, weight = keep // k, target[keep], weight.ravel()[keep]
+    miss_cells = np.flatnonzero(~idx.member)
 
     M = chain.transition
     req = np.zeros((S, n))  # mass over (cache rank, requested page) at step t
@@ -215,8 +230,8 @@ def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
     for t in range(1, T + 1):
         if t > 1:
             req = dist @ M
-        cost += float(req[miss].sum())
-        dist = np.bincount(target, weights=(req[:, :, None] * weight).ravel(), minlength=S * n)
+        cost += float(req.take(miss_cells).sum())
+        dist = np.bincount(target, weights=req.take(source) * weight, minlength=S * n)
         dist = dist.reshape(S, n)  # mass over (cache rank, last requested page)
         total = dist.sum()
         if abs(total - 1.0) > 1e-9:

@@ -5,9 +5,13 @@ k-subsets, indexed densely by their lexicographic rank. The recursion walks
 time backward keeping two layers: a hit moves at zero cost, a miss costs 1
 plus the best successor value over evictions. A miss is counted on every
 request, including the first (drawn from the chain's initial distribution).
-Each backward step handles every cache rank at once: one gather of successor
-values over ``succ``, a min over evictions, and stacked matrix-vector products
-with the transition matrix.
+Each backward step handles every cache rank at once: one flat ``take`` of
+successor values over the index's slot-major ``cells``, a min (and, when
+actions are recorded, an argmin and one ``take`` of ``evicted``) over the
+leading slot axis, and stacked matrix-vector products with the transition
+matrix. A reduction over the leading axis of a ``(k, S, n)`` array is several
+times faster than one over a k-wide last axis; a single gemm ``cost @ M.T``
+would be faster still, but it rounds differently from ``M @ cost[r]``.
 
 The state-step count n * C(n, k) * T is checked against a budget before any
 allocation; this module is meant for desk-scale exact answers, not large k.
@@ -62,7 +66,12 @@ class SubsetIndex:
                 for e in range(k):
                     nxt = tuple(sorted((set(sub) - {sub[e]}) | {j}))
                     self.succ[r, j, e] = self.rank[nxt]
-        for arr in (self.member, self.pages, self.succ):
+        # cells[e, r, j]: flat (cache, page) cell after a miss on j evicts slot e
+        # of cache r; evicted[e, r, j]: that slot's page, -1 where j is resident.
+        # Slot-major, so a step reduces and picks over the leading axis.
+        self.cells = np.moveaxis(self.succ * n + np.arange(n)[:, None], 2, 0).copy()
+        self.evicted = np.where(self.member, -1, self.pages.T[:, :, None]).astype(np.int16)
+        for arr in (self.member, self.pages, self.succ, self.cells, self.evicted):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -145,19 +154,17 @@ def opt_expected_cost(
     value = np.zeros((T + 1, S, n)) if record_values else None
 
     M = chain.transition
-    cols = np.arange(n)[None, :, None]
-    rows = np.arange(S)[:, None]
+    here = np.arange(S * n).reshape(S, n)  # flat (cache, page) cell
     v_next = np.zeros((S, n))  # layer V_T
     total = 0.0
     for t in range(T, 0, -1):
         if record_values:
             value[t] = v_next
-        cand = v_next[idx.succ, cols]  # (S, n, k): successor values per eviction
+        cand = v_next.take(idx.cells)  # (k, S, n): successor values per eviction
         if record_actions:
             # pages ascend within a subset, so the first argmin is the lowest page
-            picked = idx.pages[rows, cand.argmin(axis=2)]
-            action[t] = np.where(idx.member, -1, picked)
-        cost = np.where(idx.member, v_next, 1.0 + cand.min(axis=2))
+            action[t] = idx.evicted.take(cand.argmin(axis=0) * (S * n) + here)
+        cost = np.where(idx.member, v_next, 1.0 + np.minimum.reduce(cand, axis=0))
         if t > 1:
             # stacked matrix-vector products round exactly as M @ cost[r] does
             v_next = np.matmul(M, cost[:, :, None])[:, :, 0]

@@ -37,6 +37,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -89,8 +90,9 @@ def _distributions(probs: np.ndarray) -> np.ndarray:
 
 
 def _draw(pages, probs, rng) -> int:
-    """One page of ``pages`` drawn from ``probs`` with a single ``rng.random()``."""
-    i = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    """One page of ``pages`` drawn from ``probs`` by one ``rng.random()``
+    (running sums in order, as ``np.cumsum``'s)."""
+    i = bisect.bisect_right(list(accumulate(probs.tolist())), rng.random())
     return pages[min(i, len(pages) - 1)]
 
 
@@ -521,20 +523,11 @@ class OptReplayPolicy(Policy):
 
 
 def parse_policy(name: str) -> Policy:
-    """Build a policy from its CLI name. ``opt-dp`` needs a horizon-specific
-    table and is constructed by the caller that owns chain/k/T."""
-    if name == "dominating":
-        return DominatingPolicy()
+    """Build a policy from its CLI name; ``opt-dp`` needs a table for one
+    chain, k and T, so its caller builds it."""
     if name.startswith("dominating-adversarial:"):
         return AdversarialDominatingPolicy(int(name.split(":", 1)[1]))
-    if name == "median":
-        return MedianPolicy()
-    if name == "fif":
-        return FarthestInFuture()
-    if name == "lru":
-        return LruPolicy()
-    if name == "fifo":
-        return FifoPolicy()
-    if name == "random":
-        return RandomEvictionPolicy()
+    for rule in (DominatingPolicy, MedianPolicy, FarthestInFuture, LruPolicy, FifoPolicy, RandomEvictionPolicy):
+        if name == rule.name:
+            return rule()
     raise ValueError(f"unknown policy {name!r}")

@@ -12,7 +12,8 @@ uniforms from a generator of its own, transition counts from
 page pair at a time. The OPT DP and the exact cost
 evolution are also kept as loops over one cache rank at a time, the
 reference for the library's all-ranks-at-once steps, and Monte Carlo as a
-loop over one trial at a time, the reference for the trial-batched paths.
+loop over one trial at a time, the reference for the trial-batched paths
+(the kernel path's shared stream included).
 LRU and FIFO, which have no kernel, get an exact cost from the distribution
 over ordered caches. Linear programs are solved one at a time by a scalar
 tableau loop, the reference for the lockstep stacked simplex. The median,
@@ -22,6 +23,7 @@ medians are found one (s, p) pair at a time by a closed form, iteration or
 doubling, the reference for the one-pass ``median_index``.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -452,6 +454,40 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
                 victim = evict(policy, tuple(sorted(cache)), s, ctx, rng_pol)
                 cache.remove(victim)
                 cache.add(s)
+    return misses
+
+
+def loop_simulate_kernel(probs, chain, T, init_cache, trials, seed):
+    """Per-trial miss counts of a memoryless rule, one trial at a time inside
+    each step: the reference for the kernel path of ``simulate``.
+
+    ``probs`` is the rule's ``(S, n, k)`` eviction table over the sorted
+    k-subsets in lexicographic order. Every trial reads one shared
+    ``default_rng(seed)`` stream. Each step takes one uniform per trial, in
+    trial order, for its request (the first request inverts ``init``'s
+    cumulative sum, a later one the row of the trial's last request), then
+    one per missing trial, in trial order, for the evicted slot: the first
+    slot whose cumulative probability exceeds it, else the last slot.
+    """
+    n, k = chain.n, probs.shape[2]
+    rank = {cache: r for r, cache in enumerate(itertools.combinations(range(n), k))}
+    cum_rows = np.cumsum(chain.transition, axis=1)
+    rng = np.random.default_rng(seed)
+    caches = [tuple(sorted(init_cache))] * trials
+    last = [None] * trials
+    misses = np.zeros(trials, dtype=np.int64)
+    for t in range(T):
+        for i in range(trials):
+            cum = np.cumsum(chain.init) if t == 0 else cum_rows[last[i]]
+            last[i] = min(int(np.searchsorted(cum, rng.random(), side="right")), n - 1)
+        for i in range(trials):
+            cache, j = caches[i], last[i]
+            if j in cache:
+                continue
+            misses[i] += 1
+            cum = np.cumsum(probs[rank[cache], j])
+            slot = min(int(np.searchsorted(cum, rng.random(), side="right")), k - 1)
+            caches[i] = tuple(sorted(set(cache) - {cache[slot]} | {j}))
     return misses
 
 

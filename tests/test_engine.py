@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markov_paging.alpha import SingularSystem, alpha_table
 from markov_paging.chain import build_lb_chain, random_chain, sample_sequence, sample_trials, validate_chain
 from markov_paging.engine import (
     NonMemoryless,
+    _scatter,
     build_kernel,
     exact_cost,
     joint_operator,
@@ -30,7 +32,13 @@ from markov_paging.policies import (
 )
 
 from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_specs
-from .oracles import loop_exact_cost, loop_kernel_probs, loop_simulate_generic, ordered_exact_cost
+from .oracles import (
+    loop_exact_cost,
+    loop_kernel_probs,
+    loop_simulate_generic,
+    loop_simulate_kernel,
+    ordered_exact_cost,
+)
 
 
 def test_reused_dominating_policy_follows_each_chain():
@@ -163,6 +171,26 @@ def test_doubled_operator_matches_stepping(chain, T, data):
     for policy in memoryless_rules(k):
         want = exact_cost(policy, chain, k, T, init).mean
         assert _doubled_cost(policy, chain, k, T, init) == pytest.approx(want, rel=1e-12, abs=0.0), policy.name
+
+
+def test_scatter_entries_follow_succ_in_cache_page_slot_order():
+    """``_scatter`` reads the index's slot-major ``cells``, yet gives the
+    ``(target, weight)`` that ``succ[r, j, e]·n + j`` gives, entry for entry
+    in (cache, page, slot) order, the order ``np.bincount`` sums in."""
+    battery = [(build_lb_chain(0.1, 0.07069), 2), (build_lb_chain(0.3, 0.2), 2)]
+    battery += [(random_chain(n, [8300, n], floor=f), k) for n in range(3, 8) for k in range(1, n) for f in (0.0, 0.3)]
+    for chain, k in battery:
+        idx = subset_index(chain.n, k)
+        S, n = len(idx), chain.n
+        for policy in memoryless_rules(k):
+            probs = build_kernel(policy, chain, k)
+            hit = idx.member[:, :, None]
+            here = np.arange(S * n).reshape(S, n, 1)
+            want_target = np.where(hit, here, idx.succ * n + np.arange(n)[None, :, None]).ravel()
+            want_weight = np.where(hit, np.arange(k) == 0, probs)
+            target, weight = _scatter(idx, probs)
+            assert np.array_equal(target, want_target), (policy.name, n, k)
+            assert np.array_equal(weight, want_weight) and weight.dtype == want_weight.dtype, (policy.name, n, k)
 
 
 def test_joint_operator_budget():
@@ -334,6 +362,30 @@ def test_sampled_paths_match_per_trial_loop_oracle(data):
         assert np.array_equal(trial_misses(make(), chain, k, T, init, trials, seed), ref), make.name
         if make is not FarthestInFuture:  # the batched count, given the unsorted cache itself
             assert np.array_equal(make().batch_misses(pages, init), ref), make.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_path_matches_per_trial_loop_oracle(data):
+    """The kernel path reads the shared stream as the one-trial-at-a-time
+    loop does: per step, request uniforms in trial order, then eviction
+    uniforms for the missing trials in trial order."""
+    chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
+    k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    T = data.draw(horizons)
+    init = data.draw(caches(chain.n, k))
+    trials = data.draw(st.integers(min_value=1, max_value=12))
+    seed = (data.draw(st.integers(min_value=0, max_value=2**31 - 1)),)
+    pinned = data.draw(st.sets(st.integers(min_value=0, max_value=chain.n - 1), max_size=k - 1))
+    rules = [MedianPolicy(), RandomEvictionPolicy(), PinnedPolicy(pinned)]
+    try:
+        alpha_table(chain)
+        rules.append(DominatingPolicy())
+    except SingularSystem:
+        pass  # the dominating rule is undefined on this chain
+    for policy in rules:
+        ref = loop_simulate_kernel(build_kernel(policy, chain, k), chain, T, init, trials, seed)
+        assert np.array_equal(trial_misses(policy, chain, k, T, init, trials, seed), ref), policy.name
 
 
 @pytest.mark.parametrize("make", [LruPolicy, FifoPolicy])

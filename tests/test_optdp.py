@@ -159,12 +159,28 @@ def test_dp_matches_per_rank_loop_oracle_for_every_k(n):
 def test_subset_index_is_shared_and_read_only():
     idx = subset_index(5, 2)
     assert subset_index(5, 2) is idx
-    for arr in (idx.member, idx.pages, idx.succ):
+    for arr in (idx.member, idx.pages, idx.succ, idx.cells, idx.evicted):
         with pytest.raises(ValueError):
             arr[0] = 0
     ch = random_chain(5, 1)
     _, table = opt_expected_cost(ch, 2, 3, (0, 1))
     assert table.index is idx
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_slot_major_tables_follow_succ(n):
+    """``cells[e, r, j] == succ[r, j, e]·n + j``, and ``evicted[e, r, j]`` is
+    slot e's page where j misses, -1 where j is resident."""
+    for k in range(1, n):
+        idx = subset_index(n, k)
+        S = len(idx)
+        assert idx.cells.shape == idx.evicted.shape == (k, S, n)
+        for e in range(k):
+            for r in range(S):
+                for j in range(n):
+                    assert idx.cells[e, r, j] == idx.succ[r, j, e] * n + j
+                    want = -1 if j in idx.subsets[r] else idx.subsets[r][e]
+                    assert idx.evicted[e, r, j] == want
 
 
 @pytest.mark.parametrize("cache", [(0, 9), (0, 0), (0,), (0, 1, 2), (-1, 0), (0, 1.5)])

@@ -393,6 +393,37 @@ class TestTableRules:
                 assert got == _draw(cache, probs[r, j], np.random.default_rng([seed, r, j])), (pol.name, cache, j)
 
 
+class FixedUniform:
+    """Stands in for a generator whose next ``random()`` is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_draw_matches_numpy_cumsum_search():
+    """``_draw``'s Python running sum and bisection pick the page that
+    ``searchsorted(np.cumsum(row), u, side="right")`` picks, on rows with
+    zeros and on uniforms equal to a cumulative entry or one ulp either side."""
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        k = int(rng.integers(1, 7))
+        row = rng.random(k)
+        row[rng.random(k) < 0.4] = 0.0
+        row[rng.integers(k)] += 0.1
+        row = _distributions(row / row.sum())
+        cum = np.cumsum(row)
+        pages = tuple(sorted(rng.choice(12, size=k, replace=False).tolist()))
+        for c in cum.tolist() + [0.0, float(rng.random())]:
+            for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)):
+                if not 0.0 <= u < 1.0:
+                    continue
+                want = pages[min(int(np.searchsorted(cum, u, side="right")), k - 1)]
+                assert _draw(pages, row, FixedUniform(float(u))) == want, (row, u)
+
+
 class TestEvictionDistribution:
     """An eviction distribution row as ``_distributions`` checks it."""
 
