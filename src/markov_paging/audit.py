@@ -77,9 +77,7 @@ class SaviorEvent:
 class StepRecord:
     t: int
     requested: int
-    a_miss: bool
     a_evicted: int  # -1 on hits
-    ref_miss: bool
     ref_evicted: int
     in_a: bool
     in_ref: bool
@@ -300,9 +298,7 @@ def ledger(seq, a_victims, r_victims, k: int, init_cache, scheme: str, T: int,
         rec = StepRecord(
             t=t,
             requested=s,
-            a_miss=not in_a,
             a_evicted=a_evicted,
-            ref_miss=not in_ref,
             ref_evicted=ref_evicted,
             in_a=in_a,
             in_ref=in_ref,
@@ -516,7 +512,7 @@ def trace_csv_lines(report: AuditReport) -> list[str]:
     lines = [TRACE_COLUMNS]
     for r in report.steps:
         lines.append(
-            f"{r.t},{r.requested},{int(r.a_miss)},{r.a_evicted},{int(r.ref_miss)},"
+            f"{r.t},{r.requested},{int(not r.in_a)},{r.a_evicted},{int(not r.in_ref)},"
             f"{r.ref_evicted},{r.cleared},{r.savior_assigned},"
             f"{r.I},{r.D},{r.O_open},{r.U},{r.phi}"
         )

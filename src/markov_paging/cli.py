@@ -8,8 +8,9 @@ that cannot be read or written).
 Seeds are mandatory wherever randomness is drawn and must be non-negative;
 identical invocations produce byte-identical CSV. Each mode reads the flags
 ``READS`` lists for it; any other flag given on the command line is a usage
-error, and so is ``--seed`` given to ``alpha`` or ``opt`` with a chain that
-is not drawn from it.
+error, and so are a second chain source and ``--seed`` given to ``alpha`` or
+``opt`` with a chain that is not drawn from it. A chain source given on the
+command line is the one used, whatever ``--config`` sets.
 """
 
 from __future__ import annotations
@@ -382,7 +383,9 @@ def _cmd_learn(args) -> tuple[list[str], int]:
     return lines, 0
 
 
-CHAIN_SOURCE = ("chain", "n", "lb_eps", "lb_eps1")
+# The chain sources by flag, in the order ``_resolve_chain`` tries them
+CHAIN_SOURCES = {"--chain": ("chain",), "--lb-eps": ("lb_eps", "lb_eps1"), "--n": ("n",)}
+CHAIN_SOURCE = tuple(dest for dests in CHAIN_SOURCES.values() for dest in dests)
 
 # The flags each mode reads: those it requires, then the others. ``learn
 # --trace`` estimates the chain from the trace (``--n`` sets its page count)
@@ -437,19 +440,39 @@ def _flags(dests) -> str:
     return ", ".join("--" + f.replace("_", "-") for f in dests)
 
 
+def _chain_source(args, given) -> str | None:
+    """The flag of the chain source the mode uses, with every other source
+    cleared from ``args``: the source given on the command line, else the
+    first one ``--config`` sets."""
+    on_line = [f for f, dests in CHAIN_SOURCES.items() if given.intersection(dests)]
+    in_args = [f for f, dests in CHAIN_SOURCES.items() if getattr(args, dests[0]) is not None]
+    source = (on_line or in_args or [None])[0]
+    for flag, dests in CHAIN_SOURCES.items():
+        if flag != source:
+            for dest in dests:
+                setattr(args, dest, None)
+    return source
+
+
 def _check_flags(parser, args, argv) -> None:
     """``UsageError`` for a required flag that is missing, or a flag given
-    on the command line that the mode does not read."""
+    on the command line that the mode does not read. A second chain source
+    is one such flag; the one a mode uses is the only one left in ``args``."""
     mode = _mode(args)
     required, optional = READS[mode]
     missing = [f for f in required if getattr(args, f, None) is None]
     if missing:
         raise UsageError(f"{mode} requires {_flags(missing)}")
-    read, label = required + optional, mode
-    if mode in SEED_FOR_N_ONLY and (args.chain or args.lb_eps is not None):
-        read = tuple(f for f in read if f != "seed")
-        label = f"{mode} with {'--chain' if args.chain else '--lb-eps'}"
     given = _given(argv)
+    read, label = required + optional, mode
+    if "chain" in read:
+        source = _chain_source(args, given)
+        other = [d for f, dests in CHAIN_SOURCES.items() if f != source for d in dests]
+        if mode in SEED_FOR_N_ONLY and source != "--n":
+            other.append("seed")
+        read = tuple(f for f in read if f not in other)
+        if given.intersection(other):
+            label = f"{mode} with {source}"
     unread = [
         a.dest for a in parser.sub_map[args.command]._actions
         if a.dest in given and a.dest not in read

@@ -144,10 +144,8 @@ def dominating_distribution(alpha_sub) -> np.ndarray:
     c[k] = 1.0
     # row q of LP i: sum_p mu_p a[i, p, q] - t <= 0
     a_ub = np.concatenate([a.transpose(0, 2, 1), np.full((B, k, 1), -1.0)], axis=2)
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
     try:
-        x, val = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(k), a_eq=a_eq, b_eq=[1.0])
+        x, val = solve_lp(c, a_ub, np.zeros(k), k)
     except InfeasibleLP as exc:  # cannot happen for a genuine alpha block
         raise Infeasible(str(exc), index=exc.index) from exc
     high = np.flatnonzero(val > 0.5 + DOM_SLACK_HARD)
@@ -176,9 +174,8 @@ def adversarial_dominating(alpha_sub, target, pages=None) -> np.ndarray:
         raise ValueError(f"target {target!r} is not among the pages")
     c = np.zeros((B, k))
     c[np.arange(B), found.argmax(axis=1)] = -1.0
-    a_eq = np.ones((1, k))
     try:
-        x, _ = solve_lp(c, a_ub=a.transpose(0, 2, 1), b_ub=np.full(k, 0.5), a_eq=a_eq, b_eq=[1.0])
+        x, _ = solve_lp(c, a.transpose(0, 2, 1), np.full(k, 0.5), k)
     except InfeasibleLP as exc:
         raise Infeasible(str(exc), index=exc.index) from exc
     _replay_check(a, x)
@@ -262,6 +259,13 @@ def _miss_table(idx, rows) -> np.ndarray:
     probs = np.where(idx.member[:, :, None], 0.0, np.broadcast_to(rows, (len(idx), idx.n, idx.k)))
     probs.setflags(write=False)
     return probs
+
+
+def _check_pages(idx, pages, what: str) -> None:
+    """``ValueError`` for a page a rule names that no cache of ``idx`` holds."""
+    outside = sorted(p for p in pages if not 0 <= p < idx.n)
+    if outside:
+        raise ValueError(f"{what} {outside[0]} is not among the chain's pages 0..{idx.n - 1}")
 
 
 def evict(policy: Policy, cache: tuple[int, ...], requested: int, ctx: RunContext, rng) -> int:
@@ -360,13 +364,18 @@ class AdversarialDominatingPolicy(DominatingPolicy):
 
     When the target is not resident, the lowest-indexed resident page stands
     in, which on the 3-page adversarial family reproduces the stress choices
-    for every reachable cache state.
+    for every reachable cache state. A target outside the chain's pages is
+    never resident, so building the table raises ``ValueError`` for it.
     """
 
     def __init__(self, target: int, table: alpha_mod.AlphaTable | None = None):
         super().__init__(table)
         self.target = target
         self.name = f"dominating-adversarial:{target}"
+
+    def kernel_probs(self, idx, chain):
+        _check_pages(idx, (self.target,), "target page")
+        return super().kernel_probs(idx, chain)
 
     def _targets(self, pages):
         # caches are sorted, so column 0 is the lowest resident page
@@ -495,8 +504,9 @@ class RandomEvictionPolicy(TablePolicy):
 class PinnedPolicy(TablePolicy):
     """Never evicts the pinned pages; otherwise evicts the lowest index.
 
-    Building the table raises ``RuntimeError`` when some cache of size k is
-    all pinned, so ``reset`` does too, before the run's first request.
+    Building the table raises ``ValueError`` for a pinned page outside the
+    chain's pages and ``RuntimeError`` when some cache of size k is all
+    pinned, so ``reset`` does too, before the run's first request.
     """
 
     def __init__(self, pinned):
@@ -504,6 +514,7 @@ class PinnedPolicy(TablePolicy):
         self.name = "pinned:" + ",".join(str(p) for p in sorted(self.pinned))
 
     def kernel_probs(self, idx, chain):
+        _check_pages(idx, self.pinned, "pinned page")
         free = ~np.isin(idx.pages, list(self.pinned))
         if not free.any(axis=1).all():
             raise RuntimeError("all resident pages are pinned")

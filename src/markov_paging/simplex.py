@@ -1,22 +1,28 @@
 """Tiny dense two-phase simplex for the eviction-distribution programs, solved
 as a stack in lockstep.
 
-Problems here have at most a handful of variables (cache size plus one), so a
+Every program here is one family: minimize ``c @ x`` subject to
+``a_ub @ x <= b_ub`` with ``b_ub >= 0``, the first ``p`` variables summing to
+1, and ``x >= 0``. The min-max rule and the adversarial rule of
+:mod:`markov_paging.policies` both have this form, with ``p`` the cache size.
+So each inequality row starts with its slack basic, and the prefix row is the
+only one that needs an artificial variable for phase 1.
+
+Problems have at most a handful of variables (cache size plus one), so a
 plain tableau with Bland's anti-cycling rule is both fast enough and exactly
 reproducible: entering column is the lowest eligible index, leaving row breaks
 ratio ties by the lowest basic-variable index.
 
-``solve_lp`` takes a stack of same-shape LPs: ``c`` and the constraint
-matrices may carry a leading batch axis, while ``b_ub`` and ``b_eq`` are shared
-by the whole stack, so every LP has the same slack and artificial columns and
-one ``(B, m, columns)`` tableau holds them all. A 1-D ``c`` with 2-D matrices
-is a stack of one, and the result is always stacked. Each LP keeps its own basis and makes its own entering and
-leaving choices; one lockstep iteration pivots every LP that is not done, and
-an LP that is done leaves the active set. Per LP the arithmetic is that of a
-one-LP tableau loop: reduced costs come from one ``np.matmul`` per stack and
-the row operations are elementwise. A row that phase 1 finds redundant in
-some LPs is zeroed there, its artificial left basic at zero cost, so the
-other rows compute as if it had been dropped.
+``solve_lp`` takes a stack of same-shape LPs: ``c`` and ``a_ub`` may carry a
+leading batch axis, while ``b_ub`` and ``p`` are shared by the whole stack,
+so every LP has the same slack and artificial columns and one
+``(B, m + 1, columns)`` tableau holds them all. A 1-D ``c`` with a 2-D
+``a_ub`` is a stack of one, and the result is always stacked. Each LP keeps
+its own basis and makes its own entering and leaving choices; one lockstep
+iteration pivots every LP that is not done, and an LP that is done leaves the
+active set. Per LP the arithmetic is that of a one-LP tableau loop: reduced
+costs come from one ``np.matmul`` per stack and the row operations are
+elementwise.
 """
 
 from __future__ import annotations
@@ -111,84 +117,66 @@ def _run(tab, basis, cost, allowed):
     raise RuntimeError("simplex iteration limit hit")
 
 
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-    """Minimize ``c @ x`` s.t. ``a_ub x <= b_ub``, ``a_eq x = b_eq``, ``x >= 0``.
+def solve_lp(c, a_ub, b_ub, p):
+    """Minimize ``c @ x`` s.t. ``a_ub x <= b_ub``, ``x[:p].sum() == 1``, ``x >= 0``.
 
-    ``c`` is ``(n,)`` or a stack ``(B, n)``; each matrix is ``(m, n)``, shared
-    by every LP, or a stack ``(B, m, n)``. ``b_ub`` and ``b_eq`` are shared.
-    Returns ``(x, value)`` stacked, ``(B, n)`` and ``(B,)``, with B = 1 when
-    nothing carries a batch axis. Raises :class:`InfeasibleLP` /
-    :class:`UnboundedLP` for the first failing LP, in stack order.
+    ``c`` is ``(n,)`` or a stack ``(B, n)``; ``a_ub`` is ``(m, n)``, shared by
+    every LP, or a stack ``(B, m, n)``. ``b_ub`` is ``(m,)``, shared and
+    non-negative, and ``p`` lies in 1..n. Returns ``(x, value)`` stacked,
+    ``(B, n)`` and ``(B,)``, with B = 1 when nothing carries a batch axis.
+    Raises :class:`InfeasibleLP` / :class:`UnboundedLP` for the first failing
+    LP, in stack order.
     """
     c = np.asarray(c, dtype=float)
-    parts = []  # (matrix, rhs, has_slack)
-    for a, b, has_slack in ((a_ub, b_ub, True), (a_eq, b_eq, False)):
-        if a is not None:
-            a = np.asarray(a, dtype=float)
-            parts.append((a.reshape(1, -1) if a.ndim < 2 else a, np.atleast_1d(np.asarray(b, dtype=float)), has_slack))
-    B = np.broadcast_shapes(c.shape[:-1], *(a.shape[:-2] for a, _, _ in parts), (1,))[0]
-    n = c.shape[-1]
+    a_ub = np.asarray(a_ub, dtype=float)
+    b_ub = np.asarray(b_ub, dtype=float)
+    n, m = c.shape[-1], a_ub.shape[-2]
+    if np.any(b_ub < 0):
+        raise ValueError(f"b_ub must be non-negative, got {b_ub.min()!r}")
+    if not 1 <= p <= n:
+        raise ValueError(f"prefix p must lie in 1..{n}, got {p}")
+    B = np.broadcast_shapes(c.shape[:-1], a_ub.shape[:-2], (1,))[0]
     c = np.broadcast_to(c, (B, n))
-    a_all = np.concatenate([np.broadcast_to(a, (B, *a.shape[-2:])) for a, _, _ in parts], axis=1)
-    b_all = np.concatenate([b for _, b, _ in parts])
-    slack = np.concatenate([np.full(len(b), s) for _, b, s in parts])
-    needs_artificial = np.concatenate([b < 0 if s else np.ones(len(b), dtype=bool) for _, b, s in parts])
-    m = len(b_all)
-    n_slack = int(slack.sum())
-    art_rows = np.flatnonzero(needs_artificial)
-    ncols = n + n_slack + len(art_rows)
+    art = n + m  # the prefix row's artificial, after the m slacks
+    tab = np.zeros((B, m + 1, art + 2))
+    tab[:, :m, :n] = a_ub
+    tab[:, :m, -1] = b_ub
+    tab[:, np.arange(m), n + np.arange(m)] = 1.0
+    tab[:, m, :p] = 1.0
+    tab[:, m, art] = 1.0
+    tab[:, m, -1] = 1.0
+    basis = np.tile(np.arange(n, art + 1), (B, 1))
 
-    sign = np.where(b_all < 0, -1.0, 1.0)
-    tab = np.zeros((B, m, ncols + 1))
-    tab[:, :, :n] = sign[:, None] * a_all
-    tab[:, :, -1] = sign * b_all
-    basis = np.full(m, -1, dtype=np.int64)
-    slack_rows = np.flatnonzero(slack)
-    slack_cols = n + np.arange(n_slack)
-    tab[:, slack_rows, slack_cols] = sign[slack_rows]
-    basis[slack_rows[sign[slack_rows] > 0]] = slack_cols[sign[slack_rows] > 0]
-    art_cols = n + n_slack + np.arange(len(art_rows))
-    tab[:, art_rows, art_cols] = 1.0
-    basis[art_rows] = art_cols
-    basis = np.tile(basis, (B, 1))
+    allowed = np.ones(art + 1, dtype=bool)
+    phase1 = np.zeros(art + 1)
+    phase1[art] = 1.0
+    _run(tab, basis, np.broadcast_to(phase1, (B, art + 1)), allowed)  # bounded below by 0
+    basic_art = basis[:, m] == art  # only a pivot on the prefix row moves it
+    infeasible = np.flatnonzero(basic_art & (tab[:, m, -1] > 1e-8))
+    if infeasible.size:
+        raise InfeasibleLP("phase 1 optimum is positive", index=int(infeasible[0]))
+    # A basic artificial at zero is pivoted out on its row's first nonzero
+    # entry. One exists: a slack entry, or else the row is a multiple of the
+    # prefix row, whose ones stay.
+    stuck = np.flatnonzero(basic_art)
+    if stuck.size:
+        cand = np.abs(tab[stuck, m, :art]) > PIVOT_TOL
+        if not cand.any(axis=1).all():
+            raise RuntimeError("the prefix row has no entry to pivot its artificial out on")
+        t, bs = tab[stuck], basis[stuck]
+        _pivot(t, bs, np.full(stuck.size, m), cand.argmax(axis=1))
+        tab[stuck], basis[stuck] = t, bs
+    allowed[art] = False
 
-    lp = np.arange(B)
-    allowed = np.ones(ncols, dtype=bool)
-    if art_rows.size:
-        phase1 = np.zeros(ncols)
-        phase1[art_cols] = 1.0
-        _raise_unbounded(_run(tab, basis, np.broadcast_to(phase1, (B, ncols)), allowed))
-        infeasible = np.flatnonzero(np.matmul(phase1[basis][:, None, :], tab[:, :, -1:])[:, 0, 0] > 1e-8)
-        if infeasible.size:
-            raise InfeasibleLP("phase 1 optimum is positive", index=int(infeasible[0]))
-        # pivot residual artificials out; a row with nothing to pivot on is
-        # redundant in that LP and is zeroed, its artificial kept basic
-        for i in range(m):
-            sel = np.flatnonzero(basis[:, i] >= n + n_slack)
-            if not sel.size:
-                continue
-            cand = np.abs(tab[sel, i, : n + n_slack]) > PIVOT_TOL
-            has = cand.any(axis=1)
-            piv = sel[has]
-            if piv.size:
-                t, bs = tab[piv], basis[piv]
-                _pivot(t, bs, np.full(piv.size, i), cand[has].argmax(axis=1))
-                tab[piv], basis[piv] = t, bs
-            tab[sel[~has], i] = 0.0
-        allowed[art_cols] = False
-
-    cost = np.zeros((B, ncols))
+    cost = np.zeros((B, art + 1))
     cost[:, :n] = c
-    _raise_unbounded(_run(tab, basis, cost, allowed))
-
-    x = np.zeros((B, ncols))
-    x[lp[:, None], basis] = tab[:, :, -1]
-    x = x[:, :n]
-    value = np.matmul(c[:, None, :], x[:, :, None])[:, 0, 0]
-    return x, value
-
-
-def _raise_unbounded(unbounded):
+    unbounded = _run(tab, basis, cost, allowed)
     if unbounded:
         index, column = min(unbounded)
         raise UnboundedLP(f"column {column} is unbounded", index=index)
+
+    x = np.zeros((B, art + 1))
+    x[np.arange(B)[:, None], basis] = tab[:, :, -1]
+    x = x[:, :n]
+    value = np.matmul(c[:, None, :], x[:, :, None])[:, 0, 0]
+    return x, value

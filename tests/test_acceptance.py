@@ -162,7 +162,7 @@ def _fixture_checks():
     problems = []
     one = TestSingleChargeCredit().run("updated")
     if not (one.resolved_saviors == 1 and one.doubly_charged_requests == 0
-            and one.steps[1].ref_miss and one.steps[1].bears_foreign == 1):
+            and not one.steps[1].in_ref and one.steps[1].bears_foreign == 1):
         problems.append("single-charge-credit fixture drifted")
     if TestOpenChargeClearing().run("original").open_charges != 1:
         problems.append("open-charge fixture (one-sided clearing) drifted")

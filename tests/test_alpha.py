@@ -239,9 +239,9 @@ def test_pinned_table_is_solved_on_each_call(monkeypatch):
     stacks = []
     real = policies_mod.solve_lp
 
-    def counting(c, **kw):
-        stacks.append(len(kw["a_ub"]))
-        return real(c, **kw)
+    def counting(c, a_ub, *rest):
+        stacks.append(len(a_ub))
+        return real(c, a_ub, *rest)
 
     monkeypatch.setattr(policies_mod, "solve_lp", counting)
     idx = subset_index(4, 2)

@@ -277,6 +277,72 @@ def test_learn_trace_n_sets_page_count(tmp_path):
     assert nine != three  # pages 3..8 are never visited, but the estimate has them
 
 
+# Each mode that reads a chain source, with the flags it needs besides
+CHAIN_SOURCE_MODES = {
+    "alpha": ["alpha"],
+    "alpha --gamma": ["alpha", "--gamma"],
+    "simulate": ["simulate", "--policy", "lru", "--k", "2", "--T", "5", "--trials", "5", "--seed", "1"],
+    "opt": ["opt", "--k", "2", "--T", "5"],
+    "ratio": ["ratio", "--policies", "lru", "--k", "2", "--T", "5", "--trials", "5", "--seed", "1"],
+    "audit": ["audit", "--scheme", "original", "--T", "5", "--trials", "2", "--seed", "1"],
+    "learn": ["learn", "--m", "50000", "--k", "2", "--T", "5", "--trials", "5", "--seed", "1"],
+}
+CHAIN_SOURCES = {
+    "--chain": (["--chain", "{chain}"], {"chain": "{chain}"}),
+    "--lb-eps": (["--lb-eps", "0.1", "--lb-eps1", "0.05"], {"lb_eps": 0.1, "lb_eps1": 0.05}),
+    "--n": (["--n", "6"], {"n": 6}),
+}
+SOURCE_PAIRS = [("--chain", "--n", "--n"), ("--lb-eps", "--n", "--n"), ("--chain", "--lb-eps", "--lb-eps, --lb-eps1")]
+
+
+def _source_args(tmp_path, source):
+    save_chain(random_chain(4, 0), tmp_path / "c.json")
+    flags, config = CHAIN_SOURCES[source]
+    chain = str(tmp_path / "c.json")
+    return [a.format(chain=chain) for a in flags], {k: v.format(chain=chain) if isinstance(v, str) else v
+                                                    for k, v in config.items()}
+
+
+@pytest.mark.parametrize("first,second,unread", SOURCE_PAIRS, ids=[f"{a}{b}" for a, b, _ in SOURCE_PAIRS])
+@pytest.mark.parametrize("mode", CHAIN_SOURCE_MODES)
+def test_second_chain_source_is_usage_error(mode, first, second, unread, tmp_path, capsys):
+    # a mode reads one chain source; a second one given with it would be dropped
+    args = [*CHAIN_SOURCE_MODES[mode], *_source_args(tmp_path, first)[0], *_source_args(tmp_path, second)[0]]
+    code, err = _error_exit(args, capsys)
+    assert code == 2
+    assert err == f"error: {mode} with {first} does not read {unread}\n"
+
+
+@pytest.mark.parametrize("given", CHAIN_SOURCES)
+@pytest.mark.parametrize("mode", CHAIN_SOURCE_MODES)
+def test_chain_source_on_command_line_wins_over_config(mode, given, tmp_path):
+    # every other source in the config file stays an unread default
+    flags = _source_args(tmp_path, given)[0]
+    config = {}
+    for other in CHAIN_SOURCES:
+        if other != given:
+            config.update(_source_args(tmp_path, other)[1])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    args = [*CHAIN_SOURCE_MODES[mode], *flags]
+    code, text = run_cli(["--config", str(cfg), *args], tmp_path, "a.csv")
+    assert code == 0 and text == run_cli(args, tmp_path, "b.csv")[1]
+    # with no source on the command line the config's is read
+    cfg.write_text(json.dumps(_source_args(tmp_path, given)[1]))
+    assert run_cli(["--config", str(cfg), *CHAIN_SOURCE_MODES[mode]], tmp_path, "c.csv") == (0, text)
+
+
+def test_learn_trace_n_is_no_chain_source(tmp_path):
+    # --n counts the trace's pages, so a config chain source beside it is unread
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n1\n2\n0\n2\n1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lb_eps": 0.1, "lb_eps1": 0.05, "chain": str(tmp_path / "none.json")}))
+    args = ["learn", "--trace", str(trace), "--delta-inf", "0.01", "--n", "5"]
+    code, text = run_cli(["--config", str(cfg), *args], tmp_path, "a.csv")
+    assert code == 0 and text == run_cli(args, tmp_path, "b.csv")[1]
+
+
 def test_missing_chain_source(tmp_path):
     code = main(["opt", "--k", "2", "--T", "5"])
     assert code == 2
@@ -337,6 +403,18 @@ def test_infeasible_lp_names_its_pair(policy, target, monkeypatch, capsys):
                              "--trials", "5", "--seed", "1"], capsys)
     assert code == 2
     assert err.startswith(f"error: cache (0, 2, 3), request 1{target}: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--trials", "5", "--seed", "1", "--policy"],
+    ["ratio", "--trials", "5", "--seed", "1", "--policies"],
+    ["audit", "--scheme", "original", "--trials", "1", "--seed", "1", "--algo"],
+])
+def test_adversarial_target_outside_chain_is_domain_error(command, capsys):
+    # page 7 is never resident on 4 pages, so the rule could never target it
+    code, err = _error_exit([*command, "dominating-adversarial:7", "--n", "4", "--k", "2", "--T", "5"], capsys)
+    assert code == 2
+    assert err == "error: target page 7 is not among the chain's pages 0..3\n"
 
 
 def test_solution_out_of_range_is_domain_error(monkeypatch, capsys):

@@ -287,6 +287,27 @@ class TestPolicyZoo:
         with pytest.raises(RuntimeError, match="all resident pages are pinned"):
             pol.reset(RunContext(chain, 2, (0, 1)))
 
+    @pytest.mark.parametrize("pinned,page", [({4}, 4), ({0, -1}, -1), ({1, 9, 7}, 7)])
+    def test_pinned_page_outside_chain_rejected(self, pinned, page):
+        chain = random_chain(4, 1)
+        pol = PinnedPolicy(pinned)
+        with pytest.raises(ValueError, match=rf"pinned page {page} is not among the chain's pages 0\.\.3"):
+            pol.kernel_probs(subset_index(4, 2), chain)
+        with pytest.raises(ValueError, match=f"pinned page {page} "):
+            pol.reset(RunContext(chain, 2, (0, 1)))
+
+    @pytest.mark.parametrize("target", [4, 7, -1])
+    def test_adversarial_target_outside_chain_rejected(self, target):
+        chain = random_chain(4, 1)
+        message = rf"target page {target} is not among the chain's pages 0\.\.3"
+        for table, given in ((None, chain), (alpha_table(chain), None)):  # n from idx.n when pinned
+            pol = AdversarialDominatingPolicy(target, table)
+            with pytest.raises(ValueError, match=message):
+                pol.kernel_probs(subset_index(4, 2), given)
+        with pytest.raises(ValueError, match=message):
+            parse_policy(f"dominating-adversarial:{target}").reset(RunContext(chain, 2, (0, 1)))
+        assert AdversarialDominatingPolicy(3).kernel_probs(subset_index(4, 2), chain).shape == (6, 4, 2)
+
     def test_table_rules_need_a_chain(self):
         idx = subset_index(4, 2)
         with pytest.raises(MissingContext):
@@ -443,6 +464,8 @@ class TestEvictionDistribution:
 def test_small_pivot_lp_keeps_its_equality_row():
     cache = np.array([0, 1, 2, 3, 4])
     a = alpha_table(SMALL_PIVOT_CHAIN).values[cache[:, None], cache[None, :], 5]
+    x = _assert_stack_matches_loop(_dominating_lp(a[None]))[0]
+    assert abs(x[:5].sum() - 1.0) <= 1e-12
     mu = dominating_distribution(a[None])[0]
     assert abs(mu.sum() - 1.0) <= 1e-12
     assert abs((mu @ a).max() - 0.0128557870) <= 1e-9
@@ -462,8 +485,7 @@ def _dominating_lp(a):
     c = np.zeros((B, k + 1))
     c[:, k] = 1.0
     a_ub = np.concatenate([a.transpose(0, 2, 1), np.full((B, k, 1), -1.0)], axis=2)
-    a_eq = np.broadcast_to(np.append(np.ones(k), 0.0), (B, 1, k + 1))
-    return c, a_ub, np.zeros(k), a_eq, [1.0]
+    return c, a_ub, np.zeros(k), k
 
 
 def _adversarial_lp(a, slots):
@@ -471,14 +493,17 @@ def _adversarial_lp(a, slots):
     B, k = a.shape[:2]
     c = np.zeros((B, k))
     c[np.arange(B), slots] = -1.0
-    return c, a.transpose(0, 2, 1), np.full(k, 0.5), np.ones((B, 1, k)), [1.0]
+    return c, a.transpose(0, 2, 1), np.full(k, 0.5), k
 
 
 def _assert_stack_matches_loop(lp):
-    c, a_ub, b_ub, a_eq, b_eq = lp
-    x, val = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    """The stacked solve equals the one-LP loop, which takes the prefix
+    ``x[:p].sum() == 1`` as its one equality row."""
+    c, a_ub, b_ub, p = lp
+    x, val = solve_lp(c, a_ub, b_ub, p)
+    a_eq = [np.where(np.arange(c.shape[1]) < p, 1.0, 0.0)]
     for i in range(len(c)):
-        ref_x, ref_val = loop_solve_lp(c[i], a_ub=a_ub[i], b_ub=b_ub, a_eq=a_eq[i], b_eq=b_eq)
+        ref_x, ref_val = loop_solve_lp(c[i], a_ub=a_ub[i], b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
         assert np.array_equal(x[i], ref_x) and val[i] == ref_val, i
     return x
 
@@ -560,9 +585,9 @@ class TestStackedTables:
         stacks = []
         real = policies_mod.solve_lp
 
-        def counting(c, **kw):
-            stacks.append(len(kw["a_ub"]))
-            return real(c, **kw)
+        def counting(c, a_ub, *rest):
+            stacks.append(len(a_ub))
+            return real(c, a_ub, *rest)
 
         monkeypatch.setattr(policies_mod, "solve_lp", counting)
         # a pinned table is solved on each call, so the chunked solve runs
