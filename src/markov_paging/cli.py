@@ -6,11 +6,19 @@ no admissible savior); 2 a usage or domain error (bad flags or inputs, a
 singular or out-of-range precedence solve, an exceeded DP budget, a file
 that cannot be read or written).
 Seeds are mandatory wherever randomness is drawn and must be non-negative;
-identical invocations produce byte-identical CSV. Each mode reads the flags
-``READS`` lists for it; any other flag given on the command line is a usage
-error, and so are a second chain source and ``--seed`` given to ``alpha`` or
-``opt`` with a chain that is not drawn from it. A chain source given on the
-command line is the one used, whatever ``--config`` sets.
+identical invocations produce byte-identical CSV.
+
+``READS`` lists the flags each mode reads, and each subcommand declares the
+flags its modes read. ``FLAGS`` states each flag's parser settings once, and
+``COMMAND_FLAGS`` the few that differ by subcommand. A flag given on the
+command line that the mode does not read is a usage error, and so are a
+second chain source, half of the ``--lb-eps``/``--lb-eps1`` pair and
+``--seed`` given to ``alpha`` or ``opt`` with a chain that is not drawn from
+it. The command line is parsed once, with every default suppressed, so the
+parsed flags are exactly those given; each flag then takes its default, its
+``--config`` value and its command-line value, the last one set winning. A
+config value is a default, never a given flag, and a chain source given on
+the command line is the one used, whatever ``--config`` sets.
 """
 
 from __future__ import annotations
@@ -28,26 +36,14 @@ from .optdp import BudgetExceeded, check_horizon, opt_expected_cost, save_opt_ta
 from .policies import OptReplayPolicy, parse_policy
 
 
-def _add_chain_args(p: argparse.ArgumentParser) -> None:
-    src = p.add_argument_group("chain source")
-    src.add_argument("--chain", help="chain file (JSON: n, transition, optional init)")
-    src.add_argument("--n", type=int, help="random chain on n pages derived from --seed")
-    src.add_argument("--lb-eps", type=float, help="3-page adversarial chain: eps")
-    src.add_argument("--lb-eps1", type=float, help="3-page adversarial chain: eps1")
-
-
-def _resolve_chain(args, seed_default: int = 0):
+def _resolve_chain(args):
+    """The chain from the one source ``_chain_source`` left in ``args``."""
     if args.chain:
         return load_chain(args.chain)
     if args.lb_eps is not None:
-        if args.lb_eps1 is None:
-            raise UsageError("--lb-eps requires --lb-eps1")
         return build_lb_chain(args.lb_eps, args.lb_eps1)
     if args.n is not None:
-        seed = getattr(args, "seed", None)
-        if seed is None:
-            seed = seed_default
-        return random_chain(args.n, [seed, 999])
+        return random_chain(args.n, [args.seed, 999])
     raise UsageError("no chain source: pass --chain, --n, or --lb-eps/--lb-eps1")
 
 
@@ -58,12 +54,6 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # main prints one ``error:`` line, not the usage block
         raise UsageError(message)
-
-
-def _parse_init_cache(text, k):
-    if text is None:
-        return tuple(range(k))
-    return tuple(int(x) for x in text.split(","))
 
 
 def _parse_int(text) -> int:
@@ -90,6 +80,22 @@ def _parse_seed(text) -> int:
     return value
 
 
+def _parse_pages(text) -> tuple[int, ...]:
+    """Pages from 'p,q,...'; else a usage error."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of pages") from None
+
+
+def _parse_pair(text) -> tuple[int, int]:
+    """One ordered pair of pages from 'p,q'; else a usage error."""
+    pair = _parse_pages(text)
+    if len(pair) != 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not one pair 'p,q'")
+    return pair
+
+
 def _read_config(path) -> dict:
     """The ``--config`` file's flag values, keyed by destination name."""
     with open(path) as fh:
@@ -102,24 +108,20 @@ def _read_config(path) -> dict:
     return {k.replace("-", "_"): v for k, v in doc.items()}
 
 
-def _config_defaults(parser, overrides) -> dict:
-    """Config values converted as ``parser`` converts the same flags.
+def _config_value(key, value, settings):
+    """A config value converted as the flag with ``settings`` converts its text.
 
-    argparse converts only string defaults, so a JSON number would otherwise
-    skip the option's ``type``; switches keep their JSON booleans.
+    A JSON number goes through the flag's ``type`` as its JSON text, so for an
+    integer flag ``1e8`` is exact and ``1.7`` is rejected; a switch keeps its
+    JSON value.
     """
-    actions = {a.dest: a for a in parser._actions}
-    out = dict(overrides)
-    for key, value in overrides.items():
-        action = actions.get(key)
-        if action is None or action.nargs == 0 or value is None:
-            continue
-        text = value if isinstance(value, str) else json.dumps(value)
-        try:
-            out[key] = action.type(text) if action.type is not None else text
-        except (argparse.ArgumentTypeError, ValueError, TypeError) as exc:
-            raise UsageError(f"--config {key}: {exc}") from None
-    return out
+    if settings.get("action") == "store_true":
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        return settings.get("type", str)(text)
+    except (argparse.ArgumentTypeError, ValueError, TypeError) as exc:
+        raise UsageError(f"--config {key}: {exc}") from None
 
 
 def _emit(lines, output) -> None:
@@ -131,6 +133,10 @@ def _emit(lines, output) -> None:
         sys.stdout.write(payload)
 
 
+def _init_cache(args) -> tuple[int, ...]:
+    return args.init_cache or tuple(range(args.k))
+
+
 def _make_policy(name, chain, k, T, init_cache, budget):
     if name == "opt-dp":
         _, table = opt_expected_cost(chain, k, T, init_cache, budget=budget, record_actions=True)
@@ -138,96 +144,14 @@ def _make_policy(name, chain, k, T, init_cache, budget):
     return parse_policy(name)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="markov-paging",
-        description="Eviction-policy experiments under Markov-chain request models.",
-    )
-    parser.add_argument("--config", help="JSON file of default flag values (flags override)")
-    parser.add_argument("--output", help="write CSV here instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.sub_map = {}
-
-    p = parser.sub_map["alpha"] = sub.add_parser(
-        "alpha", help="precedence probabilities alpha(p<q|s)"
-    )
-    _add_chain_args(p)
-    p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--pair", help="only this ordered pair, as 'p,q'")
-    p.add_argument("--gamma", action="store_true", help="emit worst pair conditioning instead")
-    p.add_argument("--save-table", help="also dump the table (npz) here")
-
-    p = parser.sub_map["simulate"] = sub.add_parser("simulate", help="Monte Carlo policy cost")
-    _add_chain_args(p)
-    p.add_argument("--policy")
-    p.add_argument("--k", type=int)
-    p.add_argument("--T", type=_parse_int)
-    p.add_argument("--init-cache")
-    p.add_argument("--trials", type=_parse_int, default=10_000)
-    p.add_argument("--seed", type=_parse_seed)
-    p.add_argument("--budget", type=_parse_int, default=10**8)
-
-    p = parser.sub_map["opt"] = sub.add_parser("opt", help="exact finite-horizon optimal cost")
-    _add_chain_args(p)
-    p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--k", type=int)
-    p.add_argument("--T", type=_parse_int)
-    p.add_argument("--init-cache")
-    p.add_argument("--budget", type=_parse_int, default=10**8)
-    p.add_argument("--save-table", help="persist the replayable table (npz) here")
-
-    p = parser.sub_map["ratio"] = sub.add_parser("ratio", help="policy cost ratios against a baseline")
-    _add_chain_args(p)
-    p.add_argument("--policies", help="comma-separated policy names")
-    p.add_argument("--baseline", default="opt-dp")
-    p.add_argument("--k", type=int)
-    p.add_argument("--T", type=_parse_int)
-    p.add_argument("--init-cache")
-    p.add_argument("--trials", type=_parse_int, default=10_000)
-    p.add_argument("--seed", type=_parse_seed)
-    p.add_argument("--budget", type=_parse_int, default=10**8)
-
-    p = parser.sub_map["audit"] = sub.add_parser("audit", help="charging-scheme audit battery")
-    _add_chain_args(p)
-    p.add_argument("--scheme", choices=("original", "updated"))
-    p.add_argument("--trials", type=_parse_int, default=100, help="audited runs")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--T", type=_parse_int, default=20)
-    p.add_argument("--ext-mult", type=int, default=10, help="resolve horizon multiplier")
-    p.add_argument("--algo", default="dominating")
-    p.add_argument("--ref", default="opt-dp")
-    p.add_argument("--seed", type=_parse_seed)
-    p.add_argument("--budget", type=_parse_int, default=10**8)
-    p.add_argument("--trace-out", help="write the last run's step trace CSV here")
-
-    p = parser.sub_map["lowerbound"] = sub.add_parser("lowerbound", help="closed-form adversarial-instance search")
-    p.add_argument("--eps", help="comma-separated eps grid")
-    p.add_argument("--eps1-frac", help="comma-separated eps1/eps grid")
-    p.add_argument("--T", help="comma-separated horizon grid")
-
-    p = parser.sub_map["learn"] = sub.add_parser("learn", help="estimate the chain and certify the policy")
-    _add_chain_args(p)
-    p.add_argument("--trace", help="newline-delimited page trace (skips sampling; --n sets the page count)")
-    p.add_argument("--m", type=_parse_int, default=100_000, help="training samples")
-    p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--delta-inf", type=float, help="assumed matrix error when no truth")
-    p.add_argument("--k", type=int)
-    p.add_argument("--T", type=_parse_int)
-    p.add_argument("--init-cache")
-    p.add_argument("--trials", type=_parse_int, default=2_000)
-    p.add_argument("--seed", type=_parse_seed)
-    p.add_argument("--budget", type=_parse_int, default=10**8)
-
-    return parser
-
-
 def _cmd_alpha(args) -> tuple[list[str], int]:
+    """precedence probabilities alpha(p<q|s)"""
     chain = _resolve_chain(args)
     if args.gamma:
         return ["gamma", f"{alpha_mod.gamma(chain)!r}"], 0
     lines = ["p,q,s,value"]
     if args.pair:
-        p, q = (int(x) for x in args.pair.split(","))
+        p, q = args.pair
         vec = alpha_mod.alpha_pair(chain, p, q)
         for s in range(chain.n):
             lines.append(f"{p},{q},{s},{float(vec[s])!r}")
@@ -243,8 +167,9 @@ def _cmd_alpha(args) -> tuple[list[str], int]:
 
 
 def _cmd_simulate(args) -> tuple[list[str], int]:
+    """Monte Carlo policy cost"""
     chain = _resolve_chain(args)
-    init_cache = _parse_init_cache(args.init_cache, args.k)
+    init_cache = _init_cache(args)
     policy = _make_policy(args.policy, chain, args.k, args.T, init_cache, args.budget)
     est = engine.simulate(policy, chain, args.k, args.T, init_cache, args.trials, args.seed)
     lines = [
@@ -256,8 +181,9 @@ def _cmd_simulate(args) -> tuple[list[str], int]:
 
 
 def _cmd_opt(args) -> tuple[list[str], int]:
+    """exact finite-horizon optimal cost"""
     chain = _resolve_chain(args)
-    init_cache = _parse_init_cache(args.init_cache, args.k)
+    init_cache = _init_cache(args)
     value, table = opt_expected_cost(
         chain, args.k, args.T, init_cache, budget=args.budget,
         record_actions=bool(args.save_table),
@@ -272,8 +198,9 @@ def _cmd_opt(args) -> tuple[list[str], int]:
 
 
 def _cmd_ratio(args) -> tuple[list[str], int]:
+    """policy cost ratios against a baseline"""
     chain = _resolve_chain(args)
-    init_cache = _parse_init_cache(args.init_cache, args.k)
+    init_cache = _init_cache(args)
     names = [x for x in args.policies.split(",") if x]
     if not names:
         raise UsageError(f"--policies {args.policies!r} names no policy")
@@ -289,6 +216,7 @@ def _cmd_ratio(args) -> tuple[list[str], int]:
 
 
 def _cmd_audit(args) -> tuple[list[str], int]:
+    """charging-scheme audit battery"""
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
     if args.ext_mult < 1:
@@ -296,11 +224,7 @@ def _cmd_audit(args) -> tuple[list[str], int]:
     k, T = args.k, args.T
     check_horizon(T)
     t_ext = T * args.ext_mult
-    fixed_chain = None
-    if args.chain or args.lb_eps is not None:
-        fixed_chain = _resolve_chain(args)
-    elif args.n is None:
-        raise UsageError("audit needs --chain, --lb-eps, or --n")
+    fixed_chain = _resolve_chain(args) if args.n is None else None  # --n draws one per run
     lines = [
         "run,chain_hash,a_misses,ref_misses,beta,I,D,O,U,phi_min,accounting_ok,delta_ok,violations"
     ]
@@ -341,6 +265,7 @@ def _cmd_audit(args) -> tuple[list[str], int]:
 
 
 def _cmd_lowerbound(args) -> tuple[list[str], int]:
+    """closed-form adversarial-instance search"""
     eps_grid = [float(x) for x in args.eps.split(",")]
     frac_grid = [float(x) for x in args.eps1_frac.split(",")]
     t_grid = [_parse_int(x) for x in args.T.split(",")]
@@ -356,6 +281,7 @@ def _cmd_lowerbound(args) -> tuple[list[str], int]:
 
 
 def _cmd_learn(args) -> tuple[list[str], int]:
+    """estimate the chain and certify the policy"""
     if args.trace:
         trace = load_trace(args.trace)
         est = learn.estimate_transition(trace, n=args.n, smoothing=args.smoothing)
@@ -368,7 +294,7 @@ def _cmd_learn(args) -> tuple[list[str], int]:
         trace = sample_sequence(truth, args.m, [args.seed, 3])
         est = learn.estimate_transition(trace, n=truth.n, smoothing=args.smoothing, truth=truth)
         policy, factor, bundle = learn.approx_dominating_policy(est, true_chain=truth)
-        init_cache = _parse_init_cache(args.init_cache, args.k)
+        init_cache = _init_cache(args)
         opt_value, _ = opt_expected_cost(
             truth, args.k, args.T, init_cache, budget=args.budget, record_actions=False
         )
@@ -383,15 +309,17 @@ def _cmd_learn(args) -> tuple[list[str], int]:
     return lines, 0
 
 
-# The chain sources by flag, in the order ``_resolve_chain`` tries them
+# The chain sources by flag, in the order ``_chain_source`` prefers them
 CHAIN_SOURCES = {"--chain": ("chain",), "--lb-eps": ("lb_eps", "lb_eps1"), "--n": ("n",)}
 CHAIN_SOURCE = tuple(dest for dests in CHAIN_SOURCES.values() for dest in dests)
 
-# The flags each mode reads: those it requires, then the others. ``learn
-# --trace`` estimates the chain from the trace (``--n`` sets its page count)
-# and runs no policy; plain ``learn`` has a true chain, so no ``--delta-inf``.
-# ``alpha --gamma`` prints one number and ``alpha --pair`` one pair, so
-# neither saves the table.
+# The flags each mode reads: those it requires, then the others. A mode
+# 'command --flag' is the one its command runs when that flag is set, and a
+# mode that reads ``seed`` without requiring it reads it only to draw the
+# ``--n`` chain. ``learn --trace`` estimates the chain from the trace (``--n``
+# sets its page count) and runs no policy; plain ``learn`` has a true chain,
+# so no ``--delta-inf``. ``alpha --gamma`` prints one number and ``alpha
+# --pair`` one pair, so neither saves the table.
 READS = {
     "alpha": ((), (*CHAIN_SOURCE, "seed", "save_table")),
     "alpha --gamma": ((), (*CHAIN_SOURCE, "seed", "gamma")),
@@ -408,45 +336,116 @@ READS = {
     "learn --trace": (("trace", "delta_inf"), ("n", "smoothing")),
 }
 
+# Each flag's parser settings by destination name, in the order in which
+# error messages list flags
+FLAGS = {
+    "chain": dict(help="chain file (JSON: n, transition, optional init)"),
+    "n": dict(type=int, help="random chain on n pages derived from --seed"),
+    "lb_eps": dict(type=float, help="3-page adversarial chain: eps"),
+    "lb_eps1": dict(type=float, help="3-page adversarial chain: eps1"),
+    "trace": dict(help="newline-delimited page trace (skips sampling; --n sets the page count)"),
+    "m": dict(type=_parse_int, default=100_000, help="training samples"),
+    "smoothing": dict(type=float, default=1.0),
+    "delta_inf": dict(type=float, help="assumed matrix error when no truth"),
+    "policy": dict(),
+    "policies": dict(help="comma-separated policy names"),
+    "baseline": dict(default="opt-dp"),
+    "scheme": dict(choices=("original", "updated")),
+    "k": dict(type=int),
+    "T": dict(type=_parse_int),
+    "init_cache": dict(type=_parse_pages),
+    "trials": dict(type=_parse_int, default=10_000),
+    "ext_mult": dict(type=int, default=10, help="resolve horizon multiplier"),
+    "algo": dict(default="dominating"),
+    "ref": dict(default="opt-dp"),
+    "seed": dict(type=_parse_seed),
+    "budget": dict(type=_parse_int, default=10**8),
+    "trace_out": dict(help="write the last run's step trace CSV here"),
+    "pair": dict(type=_parse_pair, help="only this ordered pair, as 'p,q'"),
+    "gamma": dict(action="store_true", help="emit worst pair conditioning instead"),
+    "save_table": dict(help="also write the table (npz) here"),
+    "eps": dict(help="comma-separated eps grid"),
+    "eps1_frac": dict(help="comma-separated eps1/eps grid"),
+}
 
-# The flags that select a mode of their command, tried in order
-MODE_FLAGS = {"alpha": ("gamma", "pair"), "learn": ("trace",)}
-
-# Modes that read --seed only to draw the --n random chain
-SEED_FOR_N_ONLY = ("alpha", "alpha --gamma", "alpha --pair", "opt")
-
-
-def _mode(args) -> str:
-    for flag in MODE_FLAGS.get(args.command, ()):
-        if getattr(args, flag):
-            return f"{args.command} --{flag}"
-    return args.command
+# The settings that differ by subcommand
+COMMAND_FLAGS = {
+    "alpha": {"seed": dict(default=0)},
+    "opt": {"seed": dict(default=0)},
+    "audit": {"trials": dict(default=100, help="audited runs"), "k": dict(default=2), "T": dict(default=20)},
+    "lowerbound": {"T": dict(type=str, help="comma-separated horizon grid")},
+    "learn": {"trials": dict(default=2_000)},
+}
 
 
-def _given(argv) -> set[str]:
-    """The flags set on the command line, by destination name.
-
-    A second parser with every default suppressed keeps only those, so a
-    flag given at its default value counts and a ``--config`` value does not.
-    """
-    probe = build_parser()
-    for p in (probe, *probe.sub_map.values()):
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(probe.parse_args(argv)))
+def _settings(command) -> dict[str, dict]:
+    """The settings of each flag ``command`` declares: those its modes read."""
+    read = {f for mode, (required, optional) in READS.items() if mode.split()[0] == command
+            for f in required + optional}
+    differ = COMMAND_FLAGS.get(command, {})
+    return {dest: {**FLAGS[dest], **differ.get(dest, {})} for dest in FLAGS if dest in read}
 
 
 def _flags(dests) -> str:
     return ", ".join("--" + f.replace("_", "-") for f in dests)
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand's parser; a flag not on the command line is left out
+    of the parse."""
+    parser = _Parser(
+        prog="markov-paging",
+        description="Eviction-policy experiments under Markov-chain request models.",
+        argument_default=argparse.SUPPRESS,
+    )
+    parser.add_argument("--config", help="JSON file of default flag values (flags override)")
+    parser.add_argument("--output", help="write CSV here instead of stdout")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__, argument_default=argparse.SUPPRESS)
+        for dest, settings in _settings(command).items():
+            settings = {key: value for key, value in settings.items() if key != "default"}
+            p.add_argument(_flags([dest]), **settings)
+    return parser
+
+
+def _parse(argv) -> tuple[argparse.Namespace, set[str]]:
+    """The flag values, and the flags given on the command line.
+
+    Each flag takes its default, then its ``--config`` value, then its
+    command-line value. A JSON null in the config leaves the default.
+    """
+    given = vars(build_parser().parse_args(argv))
+    settings = _settings(given["command"])
+    values = {"output": None, **{dest: s.get("default") for dest, s in settings.items()}}
+    if given.get("config"):
+        for key, value in _read_config(given["config"]).items():
+            if value is not None:
+                values[key] = _config_value(key, value, settings.get(key, {}))
+    values.update(given)
+    return argparse.Namespace(**values), given.keys() & settings.keys()
+
+
+def _mode(args) -> str:
+    for mode in READS:
+        command, _, flag = mode.partition(" --")
+        if command == args.command and flag and getattr(args, flag):
+            return mode
+    return args.command
+
+
 def _chain_source(args, given) -> str | None:
     """The flag of the chain source the mode uses, with every other source
     cleared from ``args``: the source given on the command line, else the
-    first one ``--config`` sets."""
+    first one ``--config`` sets, else None. ``UsageError`` if half of the
+    ``--lb-eps``/``--lb-eps1`` pair is missing."""
     on_line = [f for f, dests in CHAIN_SOURCES.items() if given.intersection(dests)]
     in_args = [f for f, dests in CHAIN_SOURCES.items() if getattr(args, dests[0]) is not None]
     source = (on_line or in_args or [None])[0]
+    if source == "--lb-eps" and args.lb_eps is None:
+        raise UsageError("--lb-eps1 requires --lb-eps")
+    if source == "--lb-eps" and args.lb_eps1 is None:
+        raise UsageError("--lb-eps requires --lb-eps1")
     for flag, dests in CHAIN_SOURCES.items():
         if flag != source:
             for dest in dests:
@@ -454,33 +453,29 @@ def _chain_source(args, given) -> str | None:
     return source
 
 
-def _check_flags(parser, args, argv) -> None:
+def _check_flags(args, given) -> None:
     """``UsageError`` for a required flag that is missing, or a flag given
     on the command line that the mode does not read. A second chain source
     is one such flag; the one a mode uses is the only one left in ``args``."""
     mode = _mode(args)
     required, optional = READS[mode]
-    missing = [f for f in required if getattr(args, f, None) is None]
+    missing = [f for f in required if getattr(args, f) is None]
     if missing:
         raise UsageError(f"{mode} requires {_flags(missing)}")
-    given = _given(argv)
     read, label = required + optional, mode
-    if "chain" in read:
-        source = _chain_source(args, given)
+    if "chain" in read and (source := _chain_source(args, given)):  # None: _resolve_chain reports it
         other = [d for f, dests in CHAIN_SOURCES.items() if f != source for d in dests]
-        if mode in SEED_FOR_N_ONLY and source != "--n":
+        if "seed" in optional and source != "--n":
             other.append("seed")
         read = tuple(f for f in read if f not in other)
         if given.intersection(other):
             label = f"{mode} with {source}"
-    unread = [
-        a.dest for a in parser.sub_map[args.command]._actions
-        if a.dest in given and a.dest not in read
-    ]
+    unread = [f for f in FLAGS if f in given and f not in read]
     if unread:
         raise UsageError(f"{label} does not read {_flags(unread)}")
 
 
+# The subcommands; each one's docstring is its line in ``--help``
 COMMANDS = {
     "alpha": _cmd_alpha,
     "simulate": _cmd_simulate,
@@ -493,15 +488,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns, _ = parser.parse_known_args(argv)
-        if getattr(ns, "config", None):
-            overrides = _read_config(ns.config)
-            for p in (parser, parser.sub_map[ns.command]):
-                p.set_defaults(**_config_defaults(p, overrides))
-        args = parser.parse_args(argv)
-        _check_flags(parser, args, argv)
+        args, given = _parse(argv)
+        _check_flags(args, given)
         lines, code = COMMANDS[args.command](args)
         _emit(lines, args.output)
     except (

@@ -87,7 +87,7 @@ def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, tru
 
 def perturbation_eps(gamma: float, delta_inf: float) -> float:
     """Certified sup-norm error on precedence entries from matrix error."""
-    if gamma < 0 or delta_inf < 0:
+    if not (gamma >= 0 and delta_inf >= 0):  # NaN fails both comparisons
         raise ValueError("gamma and delta_inf must be nonnegative")
     prod = gamma * delta_inf
     if prod >= 1.0:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -642,3 +643,161 @@ def test_directory_in_place_of_a_file_is_usage_error(args, tmp_path, capsys):
     code, err = _error_exit([a.format(dir=tmp_path) for a in args], capsys)
     assert code == 2
     assert "Is a directory" in err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [(["opt", "--lb-eps1", "0.05", "--n", "4", "--k", "2", "--T", "5"], "--lb-eps1 requires --lb-eps"),
+     (["opt", "--lb-eps1", "0.05", "--k", "2", "--T", "5"], "--lb-eps1 requires --lb-eps"),
+     (["opt", "--lb-eps", "0.1", "--k", "2", "--T", "5"], "--lb-eps requires --lb-eps1")],
+    ids=["lb-eps1-with-n", "lb-eps1-alone", "lb-eps-alone"],
+)
+def test_half_an_lb_pair_is_named(args, message, tmp_path, capsys):
+    # half of the --lb-eps/--lb-eps1 pair is neither a chain source nor a
+    # second one; a config value completes the pair like any default
+    assert _error_exit(args, capsys) == (2, f"error: {message}\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lb_eps": 0.1, "lb_eps1": 0.05}))
+    if "--n" not in args:
+        assert run_cli(["--config", str(cfg), *args], tmp_path)[0] == 0
+
+
+@pytest.mark.parametrize("delta,message", [("nan", "must be nonnegative"), ("-1", "must be nonnegative"),
+                                           ("inf", "bound inapplicable")])
+def test_learn_trace_rejects_a_non_finite_delta_inf(delta, message, tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n1\n2\n0\n2\n1\n")
+    code, err = _error_exit(["learn", "--trace", str(trace), "--delta-inf", delta], capsys)
+    assert code == 2 and message in err
+
+
+MALFORMED_PAGES = {
+    "pair-of-three": (["alpha", "--n", "3", "--pair", "1,0,2"], "pair", "'1,0,2' is not one pair 'p,q'"),
+    "pair-of-words": (["alpha", "--n", "3", "--pair", "a,b"], "pair", "'a,b' is not a comma-separated list of pages"),
+    "init-cache-of-words": (["opt", "--n", "4", "--k", "2", "--T", "5", "--init-cache", "a,b"], "init_cache",
+                            "'a,b' is not a comma-separated list of pages"),
+}
+
+
+@pytest.mark.parametrize("args,dest,message", MALFORMED_PAGES.values(), ids=MALFORMED_PAGES.keys())
+def test_malformed_pages_name_their_flag(args, dest, message, tmp_path, capsys):
+    code, err = _error_exit(args, capsys)
+    assert (code, err) == (2, f"error: argument --{dest.replace('_', '-')}: {message}\n")
+    # a config value goes through the same parser
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({dest: args[-1]}))
+    code, err = _error_exit(["--config", str(cfg), *args[:-2]], capsys)
+    assert (code, err) == (2, f"error: --config {dest}: {message}\n")
+
+
+# The flags each mode reads, stated apart from the CLI's own table; "lb_eps"
+# stands for the --lb-eps/--lb-eps1 pair
+MODE_READS = {
+    "alpha": {"chain", "n", "lb_eps", "seed", "save_table"},
+    "alpha --gamma": {"chain", "n", "lb_eps", "seed", "gamma"},
+    "alpha --pair": {"chain", "n", "lb_eps", "seed", "pair"},
+    "simulate": {"chain", "n", "lb_eps", "policy", "k", "T", "seed", "init_cache", "trials", "budget"},
+    "opt": {"chain", "n", "lb_eps", "k", "T", "seed", "init_cache", "budget", "save_table"},
+    "ratio": {"chain", "n", "lb_eps", "policies", "baseline", "k", "T", "seed", "init_cache", "trials", "budget"},
+    "audit": {"chain", "n", "lb_eps", "scheme", "seed", "trials", "k", "T", "ext_mult", "algo", "ref", "budget",
+              "trace_out"},
+    "lowerbound": {"eps", "eps1_frac", "T"},
+    "learn": {"chain", "n", "lb_eps", "k", "T", "seed", "m", "smoothing", "init_cache", "trials", "budget"},
+    "learn --trace": {"trace", "delta_inf", "n", "smoothing"},
+}
+# Each mode's minimal command; every chain source in it is --n
+MINIMAL_COMMANDS = {
+    "alpha": ["alpha", "--n", "4"],
+    "alpha --gamma": ["alpha", "--n", "4", "--gamma"],
+    "alpha --pair": ["alpha", "--n", "4", "--pair", "1,0"],
+    "simulate": ["simulate", "--policy", "lru", "--n", "4", "--k", "2", "--T", "5", "--trials", "5", "--seed", "1"],
+    "opt": ["opt", "--n", "4", "--k", "2", "--T", "5"],
+    "ratio": ["ratio", "--policies", "lru", "--n", "4", "--k", "2", "--T", "5", "--trials", "5", "--seed", "1"],
+    "audit": ["audit", "--scheme", "original", "--n", "4", "--T", "5", "--trials", "2", "--seed", "1"],
+    "lowerbound": ["lowerbound", "--eps", "1e-3", "--eps1-frac", "0.7", "--T", "10"],
+    "learn": ["learn", "--n", "4", "--m", "50000", "--k", "2", "--T", "5", "--trials", "5", "--seed", "1"],
+    "learn --trace": ["learn", "--trace", "{tmp}/t.txt", "--delta-inf", "0.01"],
+}
+# One valid value for each flag
+FLAG_VALUES = {
+    "chain": ["--chain", "{tmp}/c.json"],
+    "n": ["--n", "4"],
+    "lb_eps": ["--lb-eps", "0.1", "--lb-eps1", "0.05"],
+    "trace": ["--trace", "{tmp}/t.txt"],
+    "m": ["--m", "50000"],
+    "smoothing": ["--smoothing", "0.5"],
+    "delta_inf": ["--delta-inf", "0.01"],
+    "policy": ["--policy", "fifo"],
+    "policies": ["--policies", "fifo"],
+    "baseline": ["--baseline", "lru"],
+    "scheme": ["--scheme", "original"],
+    "k": ["--k", "2"],
+    "T": ["--T", "5"],
+    "init_cache": ["--init-cache", "0,1"],
+    "trials": ["--trials", "3"],
+    "ext_mult": ["--ext-mult", "2"],
+    "algo": ["--algo", "median"],
+    "ref": ["--ref", "opt-dp"],
+    "seed": ["--seed", "2"],
+    "budget": ["--budget", "1e8"],
+    "trace_out": ["--trace-out", "{tmp}/trace.csv"],
+    "pair": ["--pair", "0,1"],
+    "gamma": ["--gamma"],
+    "save_table": ["--save-table", "{tmp}/table.npz"],
+    "eps": ["--eps", "1e-4"],
+    "eps1_frac": ["--eps1-frac", "0.6"],
+}
+# The flags that select a mode of their command
+MODE_SWITCHES = {"gamma": "alpha --gamma", "pair": "alpha --pair", "trace": "learn --trace"}
+
+
+def _command_flags(command):
+    return set().union(*(read for mode, read in MODE_READS.items() if mode.split()[0] == command))
+
+
+FLAG_CASES = [
+    (mode, flag)
+    for mode, argv in MINIMAL_COMMANDS.items()
+    for flag in sorted(_command_flags(argv[0]))
+    if MODE_SWITCHES.get(flag, mode) == mode
+]
+
+
+@pytest.mark.parametrize("mode,flag", FLAG_CASES, ids=[f"{m.replace(' --', '-')}:{f}" for m, f in FLAG_CASES])
+def test_mode_reads_exactly_its_flags(mode, flag, tmp_path, capsys):
+    """A mode's minimal command runs with one more flag that the mode reads,
+    and names the mode and the flag for one it does not read. A chain
+    source replaces the command's own."""
+    save_chain(random_chain(4, 0), tmp_path / "c.json")
+    (tmp_path / "t.txt").write_text("0\n1\n2\n0\n2\n1\n")
+    argv = MINIMAL_COMMANDS[mode]
+    if flag in ("chain", "n", "lb_eps") and "--n" in argv:
+        at = argv.index("--n")
+        argv = argv[:at] + argv[at + 2:]
+    argv = [a.format(tmp=tmp_path) for a in [*argv, *FLAG_VALUES[flag]]]
+    code = main(["--output", str(tmp_path / "out.csv"), *argv])
+    err = capsys.readouterr().err
+    if flag in MODE_READS[mode]:
+        assert (code, err) == (0, "")
+    else:
+        names = ", ".join(a for a in FLAG_VALUES[flag] if a.startswith("--"))
+        assert (code, err) == (2, f"error: {mode} does not read {names}\n")
+
+
+@pytest.mark.parametrize("command", ["alpha", "simulate", "opt", "ratio", "audit", "lowerbound", "learn"])
+def test_help_lists_exactly_the_command_flags(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == {a for f in _command_flags(command) for a in FLAG_VALUES[f] if a.startswith("--")}
+
+
+def test_config_null_leaves_the_default(tmp_path):
+    # a null seed falls back to opt's seed 0, and a null trials count to 10,000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None, "trials": None}))
+    for args in (["opt", "--n", "4", "--k", "2", "--T", "5"],
+                 ["simulate", "--policy", "lru", "--n", "4", "--k", "2", "--T", "5", "--seed", "1"]):
+        code, text = run_cli(["--config", str(cfg), *args], tmp_path, "a.csv")
+        assert code == 0 and text == run_cli(args, tmp_path, "b.csv")[1]

@@ -104,6 +104,12 @@ class TestPerturbationBound:
         with pytest.raises(ConditionViolated):
             perturbation_eps(2.0, 0.5)
 
+    @pytest.mark.parametrize("gamma,delta_inf", [(float("nan"), 0.1), (2.0, float("nan")), (-1.0, 0.1), (2.0, -0.1)])
+    def test_nan_or_negative_input_is_rejected(self, gamma, delta_inf):
+        # NaN fails every comparison, so it must not pass as nonnegative
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            perturbation_eps(gamma, delta_inf)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.floats(min_value=0.0, max_value=5.0),
