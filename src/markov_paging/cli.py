@@ -18,7 +18,8 @@ it. The command line is parsed once, with every default suppressed, so the
 parsed flags are exactly those given; each flag then takes its default, its
 ``--config`` value and its command-line value, the last one set winning. A
 config value is a default, never a given flag, and a chain source given on
-the command line is the one used, whatever ``--config`` sets.
+the command line is the one used, whatever ``--config`` sets. A config key
+must name some subcommand's flag, or ``output``; flags never match by prefix.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ def _parse_seed(text) -> int:
     return value
 
 
+def _parse_float(text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+
+
+def _comma_list(parse):
+    """A flag type: a comma-separated list of ``parse`` values."""
+    return lambda text: [parse(x) for x in text.split(",")]
+
+
 def _parse_pages(text) -> tuple[int, ...]:
     """Pages from 'p,q,...'; else a usage error."""
     try:
@@ -105,6 +118,9 @@ def _read_config(path) -> dict:
             raise UsageError(f"--config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"--config {path}: expected a JSON object, got {type(doc).__name__}")
+    unknown = [key for key in doc if key.replace("-", "_") not in (*FLAGS, "output")]
+    if unknown:
+        raise UsageError(f"--config {path}: {unknown[0]!r} names no flag")
     return {k.replace("-", "_"): v for k, v in doc.items()}
 
 
@@ -266,17 +282,12 @@ def _cmd_audit(args) -> tuple[list[str], int]:
 
 def _cmd_lowerbound(args) -> tuple[list[str], int]:
     """closed-form adversarial-instance search"""
-    eps_grid = [float(x) for x in args.eps.split(",")]
-    frac_grid = [float(x) for x in args.eps1_frac.split(",")]
-    t_grid = [_parse_int(x) for x in args.T.split(",")]
-    result = lowerbound.search(eps_grid, frac_grid, t_grid)
+    result = lowerbound.search(args.eps, args.eps1_frac, args.T)
     lines = ["kind,eps,eps1,T,cost_dom,cost_ref,ratio"]
     for eps, eps1, T, cd, cr, ratio in result.rows:
         lines.append(f"point,{eps!r},{eps1!r},{T},{cd!r},{cr!r},{round(ratio, 4)!r}")
     bp = result.best_params
-    lines.append(
-        f"best,{bp.eps!r},{bp.eps1!r},{bp.T},,,{round(result.best_ratio, 4)!r}"
-    )
+    lines.append(f"best,{bp.eps!r},{bp.eps1!r},{bp.T},,,{round(result.best_ratio, 4)!r}")
     return lines, 0
 
 
@@ -364,8 +375,8 @@ FLAGS = {
     "pair": dict(type=_parse_pair, help="only this ordered pair, as 'p,q'"),
     "gamma": dict(action="store_true", help="emit worst pair conditioning instead"),
     "save_table": dict(help="also write the table (npz) here"),
-    "eps": dict(help="comma-separated eps grid"),
-    "eps1_frac": dict(help="comma-separated eps1/eps grid"),
+    "eps": dict(type=_comma_list(_parse_float), help="comma-separated eps grid"),
+    "eps1_frac": dict(type=_comma_list(_parse_float), help="comma-separated eps1/eps grid"),
 }
 
 # The settings that differ by subcommand
@@ -373,7 +384,7 @@ COMMAND_FLAGS = {
     "alpha": {"seed": dict(default=0)},
     "opt": {"seed": dict(default=0)},
     "audit": {"trials": dict(default=100, help="audited runs"), "k": dict(default=2), "T": dict(default=20)},
-    "lowerbound": {"T": dict(type=str, help="comma-separated horizon grid")},
+    "lowerbound": {"T": dict(type=_comma_list(_parse_int), help="comma-separated horizon grid")},
     "learn": {"trials": dict(default=2_000)},
 }
 
@@ -397,12 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="markov-paging",
         description="Eviction-policy experiments under Markov-chain request models.",
         argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="JSON file of default flag values (flags override)")
     parser.add_argument("--output", help="write CSV here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, run in COMMANDS.items():
-        p = sub.add_parser(command, help=run.__doc__, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(command, help=run.__doc__, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for dest, settings in _settings(command).items():
             settings = {key: value for key, value in settings.items() if key != "default"}
             p.add_argument(_flags([dest]), **settings)
@@ -497,7 +509,6 @@ def main(argv=None) -> int:
         ValueError,  # UsageError, SingularSystem, malformed JSON and domain errors
         KeyError,
         OSError,  # a file that is missing, a directory, or not readable
-        argparse.ArgumentTypeError,
         BudgetExceeded,
         alpha_mod.SolutionOutOfRange,
     ) as exc:

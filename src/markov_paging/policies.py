@@ -114,7 +114,7 @@ def _check_alpha_sub(alpha_sub: np.ndarray) -> np.ndarray:
         raise ValueError("alpha_sub must be a (B, k, k) stack of square blocks")
     if np.any(np.diagonal(a, axis1=1, axis2=2) != 0.0):
         raise ValueError("alpha_sub diagonal must be exactly zero")
-    if a.min(initial=0.0) < -1e-9 or a.max(initial=0.0) > 1.0 + 1e-9:
+    if not np.all((a >= -1e-9) & (a <= 1.0 + 1e-9)):  # NaN fails too
         raise ValueError("alpha_sub entries must lie in [0, 1]")
     return a
 

@@ -3,8 +3,10 @@ as a stack in lockstep.
 
 Every program here is one family: minimize ``c @ x`` subject to
 ``a_ub @ x <= b_ub`` with ``b_ub >= 0``, the first ``p`` variables summing to
-1, and ``x >= 0``. The min-max rule and the adversarial rule of
-:mod:`markov_paging.policies` both have this form, with ``p`` the cache size.
+1, ``x >= 0`` and ``c[p:] >= 0``. So ``c @ x >= min(c[:p])``, as ``x[:p]`` is
+a distribution and ``x[p:] >= 0``: every program is bounded. The min-max rule
+(whose one cost past the prefix is +1 on its load bound) and the adversarial
+rule of :mod:`markov_paging.policies` have this form, with ``p`` the cache size.
 So each inequality row starts with its slack basic, and the prefix row is the
 only one that needs an artificial variable for phase 1.
 
@@ -44,14 +46,6 @@ class InfeasibleLP(ValueError):
         super().__init__(message)
 
 
-class UnboundedLP(ValueError):
-    """The objective has no lower bound; ``index`` is the first such LP of the stack."""
-
-    def __init__(self, message: str, index: int = 0):
-        self.index = index
-        super().__init__(message)
-
-
 def _pivot(tab, basis, rows, cols):
     """Pivot LP i of the stack on ``(rows[i], cols[i])``."""
     lp = np.arange(len(tab))
@@ -64,7 +58,7 @@ def _pivot(tab, basis, rows, cols):
 
 
 def _leaving_rows(tab, basis, enter):
-    """Bland's leaving row of each LP for its entering column, or -1 (unbounded).
+    """Bland's leaving row of each LP for its entering column, or -1 (none).
 
     Rows are scanned in order as in a one-LP loop: a ratio below the best by
     more than ``PIVOT_TOL`` wins, and a tie within it goes to the lower basic
@@ -88,12 +82,11 @@ def _leaving_rows(tab, basis, enter):
 def _run(tab, basis, cost, allowed):
     """Drive every LP to optimality for its row of ``cost`` by Bland's rule.
 
-    ``tab`` and ``basis`` are updated in place. Returns ``(index, column)``
-    for each LP found unbounded, which stops there.
+    ``tab`` and ``basis`` are updated in place. Every program is bounded, so
+    an entering column without a pivot row can only come from roundoff.
     """
     live = np.arange(len(tab))
     t, bs, cs = tab, basis, cost  # the active LPs, in stack order
-    unbounded = []
     for _ in range(MAX_ITER):
         cb = cs[np.arange(len(cs))[:, None], bs]
         red = cs - np.matmul(cb[:, None, :], t[:, :, :-1])[:, 0]
@@ -103,16 +96,12 @@ def _run(tab, basis, cost, allowed):
             tab[live[~going]], basis[live[~going]] = t[~going], bs[~going]
             live, t, bs, cs, eligible = (v[going] for v in (live, t, bs, cs, eligible))
             if not live.size:
-                return unbounded
+                return
         enter = eligible.argmax(axis=1)
         leave = _leaving_rows(t, bs, enter)
-        going = leave >= 0
-        if not going.all():  # so do unbounded ones
-            unbounded.extend(zip(live[~going].tolist(), enter[~going].tolist()))
-            tab[live[~going]], basis[live[~going]] = t[~going], bs[~going]
-            live, t, bs, cs, enter, leave = (v[going] for v in (live, t, bs, cs, enter, leave))
-            if not live.size:
-                return unbounded
+        if leave.min() < 0:  # the first LP without a pivot row, from roundoff alone
+            i = leave.argmin()
+            raise RuntimeError(f"LP {live[i]}: column {enter[i]} has no pivot row")
         _pivot(t, bs, leave, enter)
     raise RuntimeError("simplex iteration limit hit")
 
@@ -124,8 +113,8 @@ def solve_lp(c, a_ub, b_ub, p):
     every LP, or a stack ``(B, m, n)``. ``b_ub`` is ``(m,)``, shared and
     non-negative, and ``p`` lies in 1..n. Returns ``(x, value)`` stacked,
     ``(B, n)`` and ``(B,)``, with B = 1 when nothing carries a batch axis.
-    Raises :class:`InfeasibleLP` / :class:`UnboundedLP` for the first failing
-    LP, in stack order.
+    ``c[..., p:]`` must be non-negative. Raises :class:`InfeasibleLP` for the
+    first failing LP, in stack order.
     """
     c = np.asarray(c, dtype=float)
     a_ub = np.asarray(a_ub, dtype=float)
@@ -135,6 +124,8 @@ def solve_lp(c, a_ub, b_ub, p):
         raise ValueError(f"b_ub must be non-negative, got {b_ub.min()!r}")
     if not 1 <= p <= n:
         raise ValueError(f"prefix p must lie in 1..{n}, got {p}")
+    if not np.all(c[..., p:] >= 0):
+        raise ValueError(f"costs past the prefix must be non-negative, got {float(c[..., p:].min())!r}")
     B = np.broadcast_shapes(c.shape[:-1], a_ub.shape[:-2], (1,))[0]
     c = np.broadcast_to(c, (B, n))
     art = n + m  # the prefix row's artificial, after the m slacks
@@ -170,10 +161,7 @@ def solve_lp(c, a_ub, b_ub, p):
 
     cost = np.zeros((B, art + 1))
     cost[:, :n] = c
-    unbounded = _run(tab, basis, cost, allowed)
-    if unbounded:
-        index, column = min(unbounded)
-        raise UnboundedLP(f"column {column} is unbounded", index=index)
+    _run(tab, basis, cost, allowed)
 
     x = np.zeros((B, art + 1))
     x[np.arange(B)[:, None], basis] = tab[:, :, -1]

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from markov_paging.simplex import MAX_ITER, PIVOT_TOL, InfeasibleLP, UnboundedLP
+from markov_paging.simplex import MAX_ITER, PIVOT_TOL, InfeasibleLP
 
 
 def loop_sample_pages(chain, T, seed):
@@ -529,6 +529,11 @@ def _loop_pivot(tab, basis, row, col):
     basis[row] = col
 
 
+class LoopUnboundedLP(ValueError):
+    """The objective has no lower bound (``solve_lp`` refuses such programs
+    before any pivot; this general loop finds them)."""
+
+
 def _loop_run(tab, basis, cost, allowed):
     """Drive the tableau to optimality for ``cost`` using Bland's rule."""
     m = tab.shape[0]
@@ -555,7 +560,7 @@ def _loop_run(tab, basis, cost, allowed):
                     best = ratio
                     leave = i
         if leave < 0:
-            raise UnboundedLP(f"column {enter} is unbounded")
+            raise LoopUnboundedLP(f"column {enter} is unbounded")
         _loop_pivot(tab, basis, leave, enter)
     raise RuntimeError("simplex iteration limit hit")
 
@@ -565,7 +570,7 @@ def loop_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     for the lockstep ``solve_lp``.
 
     Minimize ``c @ x`` s.t. ``a_ub x <= b_ub``, ``a_eq x = b_eq``, ``x >= 0``.
-    Returns ``(x, value)``. Raises :class:`InfeasibleLP` / :class:`UnboundedLP`;
+    Returns ``(x, value)``. Raises :class:`InfeasibleLP` / :class:`LoopUnboundedLP`;
     rows that phase 1 finds redundant are dropped.
     """
     c = np.asarray(c, dtype=float)

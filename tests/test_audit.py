@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from markov_paging.audit import (
     NoEligibleSavior,
     SequenceTooShort,
     _select_savior,
+    _structural_checks,
     check_accounting,
     credit_check,
     ledger,
@@ -217,6 +220,62 @@ def test_random_battery_deltas_match_bookkeeping():
         check = step_delta_check(rep)
         assert check.bookkeeping == [], (run, check.bookkeeping)
         assert credit_check(rep).failures == [], run
+
+
+class TestTamperedReport:
+    """Each failure message of the per-step checks, reached by editing one
+    step of a real, clean report: a ledger error is bookkeeping, never a
+    claim finding."""
+
+    def tampered(self, i, **fields):
+        rep = _random_audit(0, "updated")
+        assert step_delta_check(rep).ok and credit_check(rep).ok
+        assert [(r.case, r.phi, r.N0) for r in rep.steps[:3]] == [("clean-hit", 0, 0)] * 3
+        rep.steps[i] = dataclasses.replace(rep.steps[i], **fields)
+        return rep
+
+    def test_potential_off_by_one(self):
+        rep = self.tampered(0, phi=1)
+        check = step_delta_check(rep)
+        assert check.bookkeeping == check.failures == ["t=1 (clean-hit): delta 1 != expected 0"]
+        assert check.claim == []
+        credit = credit_check(rep)
+        assert credit.bookkeeping == credit.failures == ["t=2 (clean-hit): credit Psi-N0 fell from 1 to 0"]
+
+    def test_foreign_charge_outside_the_cache(self):
+        check = step_delta_check(self.tampered(1, case="borne-out-of-cache"))
+        assert check.bookkeeping == check.failures == ["t=2: foreign-charged page outside algorithm cache"]
+        assert check.claim == []
+
+    def test_credit_falls_with_n0(self):
+        rep = self.tampered(2, N0=1)
+        assert step_delta_check(rep).ok
+        credit = credit_check(rep)
+        assert credit.bookkeeping == credit.failures == ["t=3 (clean-hit): credit Psi-N0 fell from 0 to -1"]
+
+    def test_drop_without_credit(self):
+        rep = self.tampered(0, case="potential-drop")
+        credit = credit_check(rep)
+        assert credit.bookkeeping == credit.failures == ["t=1: Psi 0 not positive before drop"]
+        check = step_delta_check(rep)  # the refuted claim's finding, not an error
+        assert check.claim == check.failures == ["t=1: potential 0 not positive before drop"]
+        assert check.bookkeeping == []
+
+
+@pytest.mark.parametrize(
+    "scheme,charge,a_cache,seen,message",
+    [
+        ("updated", {0: 2}, {0, 1}, {0, 1, 2}, "t=5: resident page 0 gives a charge"),
+        ("original", {}, {0, 1}, {0, 1, 2}, "t=5: evicted page 2 gives no charge (original scheme)"),
+        ("updated", {2: 1, 3: 1, 4: 1}, {0, 1}, set(), "t=5: page 1 bears 3 charges"),
+        ("updated", {2: 1, 3: 1}, {0, 1}, set(), "t=5: page 1 bears two charges but no self-charge"),
+    ],
+    ids=["resident-giver", "original-uncharged", "three-charges", "two-without-self"],
+)
+def test_structural_checks_name_a_corrupt_charge_map(scheme, charge, a_cache, seen, message):
+    violations = []
+    _structural_checks(scheme, 5, charge, a_cache, seen, violations)
+    assert violations == [message]
 
 
 def test_updated_never_holds_more_open_charges():

@@ -1,0 +1,81 @@
+"""The names that the benchmark's tracer (``perfbench/tracer.py``) wraps.
+
+The tracer finds each function by name and skips one that is missing, so a
+rename in the package would drop the per-layer metrics built on it without
+an error. These tests read the tracer's tables and check every name and
+every argument its work counters read against the package. The tracer file
+is only read, never imported as a package module.
+"""
+
+import importlib
+import inspect
+import pathlib
+import types
+
+import pytest
+
+TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER_PATH)
+    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
+    return module
+
+
+tracer = _load_tracer()
+
+
+def _resolve(module_name, *attrs):
+    obj = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+    for attr in attrs:
+        assert hasattr(obj, attr), f"{obj.__name__} has no {attr}"
+        obj = getattr(obj, attr)
+    assert callable(obj)
+    return obj
+
+
+class _Arg(int):
+    """An argument value that also serves as a chain (``.n``)."""
+
+    n = 3
+
+
+class _Reads(dict):
+    """Bound arguments that record the names a work counter reads."""
+
+    def __getitem__(self, key):
+        self.setdefault(key, _Arg(2))
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name,module_name,attr,counter", tracer.TARGETS, ids=[t[0] for t in tracer.TARGETS])
+def test_target_resolves(name, module_name, attr, counter):
+    assert name == f"{module_name}.{attr}"
+    _resolve(module_name, attr)
+
+
+@pytest.mark.parametrize("module_name,cls,meth", tracer.COUNTED_METHODS, ids=[".".join(m) for m in tracer.COUNTED_METHODS])
+def test_counted_method_resolves(module_name, cls, meth):
+    _resolve(module_name, cls, meth)
+
+
+COUNTED = [t for t in tracer.TARGETS if t[3] is not None]
+
+
+@pytest.mark.parametrize("name,module_name,attr,counter", COUNTED, ids=[t[0] for t in COUNTED])
+def test_work_counter_reads_parameters(name, module_name, attr, counter):
+    reads = _Reads()
+    assert tracer._work(counter, reads) > 0
+    params = inspect.signature(_resolve(module_name, attr)).parameters
+    assert reads.keys() and reads.keys() <= params.keys(), (name, sorted(reads), list(params))
+
+
+def test_counters_read_the_documented_arguments():
+    read = set()
+    for counter in {t[3] for t in COUNTED}:
+        reads = _Reads()
+        tracer._work(counter, reads)
+        read |= reads.keys()
+    assert read == {"T", "chain", "k", "trials"}

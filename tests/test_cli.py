@@ -449,9 +449,10 @@ def test_integer_flags_reject_non_integers(text, capsys):
     code, err = _error_exit(["opt", "--n", "3", "--k", "2", "--T", text], capsys)
     assert code == 2
     assert err == f"error: argument --T: {why.value}\n"
-    # the lowerbound horizon grid is parsed by the command, not by argparse
-    code, _ = _error_exit(["lowerbound", "--eps", "1e-3", "--eps1-frac", "0.7", "--T", f"10,{text}"], capsys)
+    # each entry of the lowerbound horizon grid is parsed the same way
+    code, err = _error_exit(["lowerbound", "--eps", "1e-3", "--eps1-frac", "0.7", "--T", f"10,{text}"], capsys)
     assert code == 2
+    assert err == f"error: argument --T: {why.value}\n"
 
 
 @pytest.mark.parametrize(
@@ -475,7 +476,7 @@ def test_config_numbers_parsed_like_flags(tmp_path, capsys):
     code, err = _error_exit(["--config", str(cfg), "opt", "--n", "3", "--k", "2"], capsys)
     assert code == 2
     assert "--config T: '1.7' is not an integer" in err
-    # an integral number is accepted exactly, also for the untyped lowerbound grid
+    # an integral number is accepted exactly, also for the lowerbound grid
     cfg.write_text(json.dumps({"T": 1e8, "eps": 1e-5, "eps1_frac": 0.7069}))
     out = tmp_path / "o.csv"
     assert main(["--config", str(cfg), "--output", str(out), "lowerbound"]) == 0
@@ -483,6 +484,56 @@ def test_config_numbers_parsed_like_flags(tmp_path, capsys):
     code, err = _error_exit(["--config", str(cfg), "opt", "--n", "3", "--k", "2", "--budget", "1000"], capsys)
     assert code == 2
     assert "DP needs 900000000 state-steps" in err  # T is exactly 10**8
+
+
+LB_GRID = {"--eps": "1e-3", "--eps1-frac": "0.7", "--T": "10"}
+
+
+@pytest.mark.parametrize(
+    "flag,text,message",
+    [("--eps", "1e-3,abc", "'abc' is not a number"), ("--eps1-frac", "0.5,", "'' is not a number"),
+     ("--T", "10,1.5", "'1.5' is not an integer")],
+)
+def test_lowerbound_grid_entry_names_its_flag(flag, text, message, tmp_path, capsys):
+    args = {**LB_GRID, flag: text}
+    code, err = _error_exit(["lowerbound", *(x for item in args.items() for x in item)], capsys)
+    assert code == 2 and err == f"error: argument {flag}: {message}\n"
+    # a config value goes through the same type
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): text}))
+    del args[flag]
+    code, err = _error_exit(["--config", str(cfg), "lowerbound", *(x for item in args.items() for x in item)], capsys)
+    assert code == 2 and err == f"error: --config {flag[2:].replace('-', '_')}: {message}\n"
+
+
+def test_flag_prefix_is_not_the_flag(tmp_path, capsys):
+    # --trace is a prefix of audit's --trace-out: taken as that flag, it had
+    # the run overwrite the named trace file with its step trace CSV
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n1\n2\n")
+    code, err = _error_exit(["audit", "--scheme", "updated", "--n", "4", "--k", "2", "--T", "5", "--trials", "1",
+                             "--seed", "1", "--trace", str(trace)], capsys)
+    assert code == 2 and err == f"error: unrecognized arguments: --trace {trace}\n"
+    assert trace.read_text() == "0\n1\n2\n"
+    saved = tmp_path / "x"
+    code, err = _error_exit(["alpha", "--n", "3", "--sav", str(saved)], capsys)
+    assert code == 2 and err == f"error: unrecognized arguments: --sav {saved}\n"
+    assert not any(tmp_path.glob("x*"))
+    # the top-level parser matches whole flags too
+    code = main(["--out", str(saved), "alpha", "--n", "3"])
+    assert code == 2 and not any(tmp_path.glob("x*"))
+
+
+def test_config_key_must_name_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sed": 1}))
+    code, err = _error_exit(["--config", str(cfg), "opt", "--n", "4", "--k", "2", "--T", "5"], capsys)
+    assert code == 2 and err == f"error: --config {cfg}: 'sed' names no flag\n"
+    # a flag of another subcommand is a default that opt does not read
+    cfg.write_text(json.dumps({"scheme": "updated", "eps1-frac": "0.5"}))
+    plain = run_cli(["opt", "--n", "4", "--k", "2", "--T", "5"], tmp_path, "a.csv")
+    assert plain[0] == 0
+    assert run_cli(["--config", str(cfg), "opt", "--n", "4", "--k", "2", "--T", "5"], tmp_path, "b.csv") == plain
 
 
 def test_config_switch_stays_boolean(tmp_path):

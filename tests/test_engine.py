@@ -193,6 +193,13 @@ def test_scatter_entries_follow_succ_in_cache_page_slot_order():
             assert np.array_equal(weight, want_weight) and weight.dtype == want_weight.dtype, (policy.name, n, k)
 
 
+def test_exact_cost_budget():
+    # 3 caches of 2 of 3 pages times 3 last pages is 9 state-steps per request
+    T = 10**8 // 9 + 1
+    with pytest.raises(BudgetExceeded, match="needs 100000008 state-steps, budget is 100000000"):
+        exact_cost(RandomEvictionPolicy(), random_chain(3, 1), 2, T, (0, 1))
+
+
 def test_joint_operator_budget():
     # 924 caches of 6 of 12 pages: (924 * 12)**2 entries exceed the default budget
     with pytest.raises(BudgetExceeded):

@@ -6,8 +6,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from markov_paging import policies as policies_mod
-from markov_paging.alpha import AlphaTable, SingularSystem, alpha_table
+from markov_paging.alpha import AlphaTable, SingularSystem, alpha_table, load_table, save_table
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
+from markov_paging.engine import exact_cost
 from markov_paging.policies import (
     MEDIAN_CAP,
     AdversarialDominatingPolicy,
@@ -89,6 +90,21 @@ class TestDominatingDistribution:
     def test_single_block_is_not_a_stack(self):
         with pytest.raises(ValueError, match="stack"):
             dominating_distribution(uniform_block(3))
+
+    def test_nan_entry_is_rejected(self, tmp_path):
+        # a NaN fails the range check; it used to pass it and give [[0, 1]]
+        with pytest.raises(ValueError, match=r"alpha_sub entries must lie in \[0, 1\]"):
+            dominating_distribution(np.array([[[0.0, np.nan], [0.5, 0.0]]]))
+        # a pinned table read back from a file with one NaN entry: both rules
+        # refuse it when building the eviction table of cache (0, 1), request 2
+        chain = random_chain(4, 3)
+        values = alpha_table(chain).values.copy()
+        values[0, 1, 2] = np.nan
+        save_table(AlphaTable(4, values), tmp_path / "nan.npz")
+        table = load_table(tmp_path / "nan.npz")
+        for policy in (DominatingPolicy(table), AdversarialDominatingPolicy(0, table)):
+            with pytest.raises(ValueError, match=r"alpha_sub entries must lie in \[0, 1\]"):
+                exact_cost(policy, chain, 2, 10, (0, 1))
 
 
 class TestAdversarialDominating:

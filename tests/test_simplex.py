@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from markov_paging import simplex as simplex_mod
-from markov_paging.simplex import InfeasibleLP, UnboundedLP, solve_lp
+from markov_paging.simplex import InfeasibleLP, solve_lp
 
 from .oracles import loop_solve_lp
 
@@ -14,18 +14,18 @@ def _prefix_row(n, p):
 
 
 def test_simple_bounded_problem():
-    # min -x0-x1-x2 s.t. x2 <= 1/2, x0+x1 = 1 -> optimum -1.5 on the segment;
-    # the solution is a vertex of it
-    (x,), (val,) = solve_lp([-1.0, -1.0, -1.0], [[0.0, 0.0, 1.0]], [0.5], 2)
+    # min -x0-2x1+x2 s.t. x1-x2 <= 1/2, x0+x1 = 1 -> optimum -1.5 on the
+    # segment from (1/2, 1/2, 0) to (0, 1, 1/2); the solution is a vertex of it
+    (x,), (val,) = solve_lp([-1.0, -2.0, 1.0], [[0.0, 1.0, -1.0]], [0.5], 2)
     assert val == pytest.approx(-1.5, abs=1e-12)
-    assert sorted(x[:2]) == [0.0, 1.0] and x[2] == 0.5
+    assert any(np.allclose(x, v, atol=1e-12) for v in ([0.5, 0.5, 0.0], [0.0, 1.0, 0.5]))
 
 
 def test_equality_constraint():
-    # the one equality row sums the prefix only: x2 <= x1 is free to follow x1
-    (x,), (val,) = solve_lp([1.0, 2.0, -3.0], [[0.0, -1.0, 1.0]], [0.0], 2)
+    # the one equality row sums the prefix only: x2 >= x1 is free to follow x1
+    (x,), (val,) = solve_lp([3.0, 1.0, 1.0], [[0.0, 1.0, -1.0]], [0.0], 2)
     assert np.allclose(x, [0.0, 1.0, 1.0], atol=1e-12)
-    assert val == pytest.approx(-1.0, abs=1e-12)
+    assert val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_infeasible_detected():
@@ -34,10 +34,20 @@ def test_infeasible_detected():
         solve_lp([1.0], [[1.0]], [0.5], 1)
 
 
-def test_unbounded_detected():
-    # x1 is outside the prefix, unconstrained and of negative cost
-    with pytest.raises(UnboundedLP):
+def test_negative_cost_past_the_prefix_rejected(monkeypatch):
+    # x1 is outside the prefix, unconstrained and of negative cost: the one
+    # way to an unbounded program, refused before any pivot, in any LP of a
+    # stack; a negative cost inside the prefix is bounded and solved
+    pivots = []
+    monkeypatch.setattr(simplex_mod, "_pivot", lambda *args: pivots.append(args))
+    with pytest.raises(ValueError, match=r"costs past the prefix must be non-negative, got -1\.0"):
         solve_lp([0.0, -1.0], [[1.0, 0.0]], [1.0], 1)
+    with pytest.raises(ValueError, match="costs past the prefix"):
+        solve_lp([[0.0, 1.0], [0.0, -1.0]], [[1.0, 0.0]], [1.0], 1)
+    assert pivots == []
+    monkeypatch.undo()
+    (x,), (val,) = solve_lp([0.0, -1.0], [[1.0, 0.0]], [1.0], 2)
+    assert np.array_equal(x, [0.0, 1.0]) and val == -1.0
 
 
 def test_negative_b_ub_rejected():
@@ -138,9 +148,10 @@ def test_stack_of_one_is_the_scalar_call():
 
 
 def test_lps_finishing_at_different_iterations(monkeypatch):
-    # x0 = 1 is the prefix, one phase-1 pivot in every LP; then x = 0 past it
-    # is optimal at once for LP 0, and the others need one, two and three
-    # pivots, so the active set shrinks every iteration
+    # all four variables are the prefix, and x0 = 1 after one phase-1 pivot in
+    # every LP; that is optimal at once for LP 0, and the others need one, two
+    # and three pivots along x1, x2, x3, so the active set shrinks every
+    # iteration
     c = np.array([[0.0, 1.0, 1.0, 1.0], [0.0, -1.0, 0.0, 0.0], [0.0, -1.0, -2.0, 0.0], [0.0, -1.0, -2.0, -3.0]])
     a_ub = np.broadcast_to(np.eye(4)[1:], (4, 3, 4))
     active = []
@@ -151,9 +162,9 @@ def test_lps_finishing_at_different_iterations(monkeypatch):
         real(tab, basis, rows, cols)
 
     monkeypatch.setattr(simplex_mod, "_pivot", counting)
-    x, _ = _assert_matches_loop_oracle(c, a_ub, [1.0, 2.0, 3.0], 1)
+    x, _ = _assert_matches_loop_oracle(c, a_ub, [1.0, 2.0, 3.0], 4)
     assert active == [4, 3, 2, 1]
-    assert np.array_equal(x[3], [1.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(x, np.eye(4))
 
 
 def test_infeasible_lp_in_stack_reports_its_index():
@@ -168,13 +179,27 @@ def test_infeasible_lp_in_stack_reports_its_index():
     assert err.value.index == 2
 
 
-def test_unbounded_lp_in_stack_reports_first_index():
-    # x0 = 1 is the prefix; past it, LP 1 is found unbounded at the second
-    # iteration of phase 2, LP 3 at the first; the error names LP 1, the
-    # first in stack order
-    c = np.array([[0.0, 1.0, 1.0], [0.0, -1.0, -1.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
-    a_ub = np.array([[[0.0, 1.0, 0.0]]] * 4)
-    with pytest.raises(UnboundedLP) as err:
-        solve_lp(c, a_ub, [1.0], 1)
-    assert err.value.index == 1
-    assert "column 2" in str(err.value)
+@pytest.mark.parametrize("n,p,m", [(2, 1, 1), (3, 2, 2), (4, 2, 3), (5, 3, 4), (4, 3, 5)])
+def test_tail_battery_matches_loop_oracle_and_linprog(n, p, m):
+    # the family's general shape: variables past the prefix with non-negative
+    # costs (some zero) and negative entries in every row, as the min-max
+    # rule's load bound has, so every LP is feasible and bounded
+    rng = np.random.default_rng([7, n, p, m])
+    c = rng.normal(size=(60, n))
+    c[:, p:] = np.abs(c[:, p:]) * (rng.random((60, n - p)) < 0.8)
+    a_ub = rng.normal(size=(60, m, n))
+    a_ub[:, :, p:] = -np.abs(a_ub[:, :, p:])
+    b_ub = rng.random(m) * (rng.random(m) < 0.7)
+    _, val = _assert_matches_loop_oracle(c, a_ub, b_ub, p)
+    a_eq = _prefix_row(n, p)
+    for i in range(len(c)):
+        ref = linprog(c[i], A_ub=a_ub[i], b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], method="highs")
+        assert ref.status == 0 and val[i] == pytest.approx(ref.fun, abs=1e-8), i
+
+
+def test_entering_column_without_a_pivot_row_is_an_error(monkeypatch):
+    # a bounded program always has a pivot row, so only roundoff can leave
+    # one without; the solve stops rather than report a wrong optimum
+    monkeypatch.setattr(simplex_mod, "_leaving_rows", lambda tab, basis, enter: np.full(len(tab), -1))
+    with pytest.raises(RuntimeError, match="LP 0: column 0 has no pivot row"):
+        solve_lp([[0.0, 0.0, 1.0]] * 2, [[0.3, 0.6, -1.0], [0.7, 0.1, -1.0]], [0.0, 0.0], 2)
