@@ -51,13 +51,23 @@ class SolutionOutOfRange(RuntimeError):
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """Dense table of alpha(p<q|s), indexed ``values[p][q][s]``. Diagonal is 0."""
+    """Dense table of alpha(p<q|s), indexed ``values[p][q][s]``. Diagonal is 0.
 
-    n: int
+    ``values`` is an ``(n, n, n)`` array over n pages, else ``ValueError``.
+    """
+
     values: np.ndarray
 
     def __post_init__(self):
+        shape = np.shape(self.values)
+        if len(shape) != 3 or len(set(shape)) != 1:
+            raise ValueError(f"precedence values must be an (n, n, n) array, got shape {shape}")
         self.values.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        """The page count."""
+        return len(self.values)
 
 
 def pinned_systems(chain, pairs=None):
@@ -158,7 +168,7 @@ def _table(chain) -> AlphaTable:
     p, q = np.nonzero(~np.eye(n, dtype=bool))
     values = np.zeros((n, n, n))
     values[p, q] = _chain_step(_in_range(p, q, _pair_solve(chain)[0]), chain)
-    return AlphaTable(n=n, values=values)
+    return AlphaTable(values)
 
 
 def alpha_table(chain) -> AlphaTable:
@@ -186,4 +196,7 @@ def load_table(path) -> AlphaTable:
         version = int(data["version"])
         if version != ALPHA_DUMP_VERSION:
             raise ValueError(f"unsupported alpha table dump version {version}")
-        return AlphaTable(n=int(data["n"]), values=np.array(data["values"]))
+        table, n = AlphaTable(np.array(data["values"])), int(data["n"])
+        if table.n != n:
+            raise ValueError(f"alpha table dump declares n={n} but its values cover {table.n} pages")
+        return table

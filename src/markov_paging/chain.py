@@ -7,7 +7,7 @@ chain file, live in a sidecar dictionary and never enter the hot paths.
 Sampling is exact inversion of each row's cumulative sum, done by table
 lookups. ``next_page_table`` merges every row's breakpoints into one sorted
 grid and maps (grid cell, page) to the next page; ``grid_cells`` places
-uniforms in the grid through an equal-bucket guide. ``sample_sequence`` walks
+uniforms in the grid by bisection or a bucket guide. ``sample_sequence`` walks
 a long trace on a chain of at most ``WALK_PAGES`` pages in chunks, composing
 each chunk's per-step maps from every start page at once, so it costs a fixed
 number of array operations per chunk and no Python step per request; it steps
@@ -30,7 +30,7 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
 GUIDE_CAP = 1 << 16  # most buckets in a grid's guide table (grid_cells)
-SHORT_TRACE = 1 << 10  # sample_sequence steps traces up to this long one request at a time
+SHORT_TRACE = 1 << 10  # most uniforms grid_cells binary-searches, longest trace sample_sequence steps
 WALK_BLOCK = 1 << 16  # requests sampled and walked at once by sample_sequence
 WALK_PAGES = 40  # sample_sequence steps chains with more pages one request at a time
 CHUNK_RATIO = 32  # a block of m steps is walked in chunks of isqrt(m / CHUNK_RATIO) steps
@@ -179,17 +179,21 @@ def grid_cells(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``searchsorted(grid, u, side="right")`` for the sorted ``grid`` and
     uniforms ``u`` in [0, 1), an array of any shape.
 
-    The lookup is the equal-bucket guide table of Chen and Asau ("On
-    generating random variates from an empirical distribution", AIIE
-    Transactions, 1974), over the grid merged from all rows. There are G
-    buckets [b/G, (b+1)/G), G a power of two near eight times the grid size
-    and at most ``GUIDE_CAP``, so ``u * G`` and ``b / G`` are exact.
+    Up to ``SHORT_TRACE`` uniforms are placed by that binary search, which at
+    that size costs less than building the guide. More are placed through the
+    equal-bucket guide table of Chen and Asau ("On generating random variates
+    from an empirical distribution", AIIE Transactions, 1974), over the grid
+    merged from all rows. There are G buckets [b/G, (b+1)/G), G a power of
+    two near eight times the grid size and at most ``GUIDE_CAP``, so ``u * G``
+    and ``b / G`` are exact.
     ``lo[b]`` counts the grid values below b/G. In a bucket that holds at
     most one grid value, a uniform's cell is ``lo[b]``, plus one if the first
     grid value at or past b/G is at most ``u``. Uniforms in buckets that hold
     more are placed by ``searchsorted`` on the grid, so the worst case is a
     plain binary search.
     """
+    if u.size <= SHORT_TRACE:
+        return np.searchsorted(grid, u, side="right")
     G = min(GUIDE_CAP, 1 << (8 * grid.size - 1).bit_length())
     lo = np.searchsorted(grid, np.arange(G + 1) / G, side="left")
     first = np.append(grid, np.inf)[lo[:-1]]
@@ -270,11 +274,11 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     chunk with no Python step per request; the last page of a block starts
     the next. The walk's first pass costs n gathers per request, so with
     more pages each block is stepped one request at a time by ``_step``,
-    whose cost per request does not grow with n. ``_step`` indexes the table
-    as a list when it has fewer entries than the trace has requests, and
-    through a memoryview otherwise. A trace of at most ``SHORT_TRACE`` requests is stepped by ``_step`` too, its uniforms placed
-    by one ``searchsorted``: at that length the guide's build and the walk's
-    two dozen array calls cost more than the steps they save.
+    whose cost per request does not grow with n. A trace of at most
+    ``SHORT_TRACE`` requests is stepped by ``_step`` too: at that length the
+    walk's two dozen array calls cost more than the steps they save.
+    ``_step`` indexes the table as a list when it has fewer entries than the
+    trace has requests, and through a memoryview otherwise.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
@@ -284,20 +288,18 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
         n = chain.n
         grid, table = next_page_table(chain)
         pages[0] = last = int(first_pages(chain, rng.random()))
-        if T <= SHORT_TRACE or n > WALK_PAGES:
+        walk = T > SHORT_TRACE and n <= WALK_PAGES
+        if not walk:
             # a list indexes a little faster than a memoryview, but listing
             # the table costs about as much per entry as a step
             flat = table.tolist() if table.size < T else memoryview(table)
-        if T <= SHORT_TRACE:
-            _step(flat, n, np.searchsorted(grid, rng.random(T - 1), side="right"), last, pages[1:])
-        else:
-            for start in range(1, T, WALK_BLOCK):
-                stop = min(start + WALK_BLOCK, T)
-                cells = grid_cells(grid, rng.random(stop - start))
-                if n <= WALK_PAGES:
-                    last = _walk(table, n, cells, last, pages[start:stop])
-                else:
-                    last = _step(flat, n, cells, last, pages[start:stop])
+        for start in range(1, T, WALK_BLOCK):
+            stop = min(start + WALK_BLOCK, T)
+            cells = grid_cells(grid, rng.random(stop - start))
+            if walk:
+                last = _walk(table, n, cells, last, pages[start:stop])
+            else:
+                last = _step(flat, n, cells, last, pages[start:stop])
     pages.setflags(write=False)
     return pages
 

@@ -511,6 +511,7 @@ def main(argv=None) -> int:
         OSError,  # a file that is missing, a directory, or not readable
         BudgetExceeded,
         alpha_mod.SolutionOutOfRange,
+        MemoryError,  # an input too large to hold, such as --T 1e18
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,13 +10,10 @@ that applies:
   trial's requests (looked up in the chain's ``next_page_table``) and
   evictions from one ``default_rng(seed)`` stream: each step draws one
   uniform per trial for the requests, then one per missing trial, in trial
-  order, for the evicted slots. Each step places its uniforms in the grid
-  with one ``searchsorted``: at a few hundred uniforms a step that is faster
-  than building and reading ``chain.grid_cells``' guide. A trial's state is
-  a flat (cache rank, page) cell, so the rest of a step is a few flat
-  ``take`` calls: on ``member`` for the misses, on a slot-major cumulative
-  eviction table (the slot is a count over its leading axis) and on ``succ``
-  for the next cache;
+  order, for the evicted slots. A trial's state is a flat (cache rank, page)
+  cell, so a step is a few flat ``take`` calls: on ``member`` for the
+  misses, on a slot-major cumulative eviction table (the slot is a count over
+  its leading axis) and on the index's ``cells`` for the next cache;
 * batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
   is k pages with a use or load stamp each) get every trial's request trace
   from one ``sample_trials`` call and count all trials' misses at once, one
@@ -39,13 +36,15 @@ horizon T of 0 costs 0 on every path, and a negative one is a
 ``ValueError``, here as in ``exact_cost`` and the OPT DP.
 
 ``_scatter`` alone turns an eviction table into a cache-state evolution,
-reading each miss's successor cell from the index's ``cells``.
+reading each miss's successor cell from the index's ``cells``, and
+``_evolution`` is the one set-up of the scatter and the first request's mass.
 ``exact_cost`` steps it: each of the T steps evolves the exact distribution
 over all joint (cache rank, last page) states at once (one chain step, the
 miss mass as one ``take`` and sum, one ``np.bincount``). The scatter's
 exact-zero weights, which add +0.0 and so change no sum, are dropped once
 before the first step. ``joint_operator`` assembles the evolution as a dense
-matrix, for sums over long horizons such as ``lowerbound``'s.
+matrix, with its start vector, for sums over long horizons such as
+``lowerbound``'s.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_hash, first_pages, next_page_table, sample_trials
+from .chain import chain_hash, first_pages, grid_cells, next_page_table, sample_trials
 from .optdp import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -153,7 +152,7 @@ def _simulate_kernel(idx, probs, chain, T, init_cache, trials, base) -> np.ndarr
     misses = np.zeros(trials, dtype=np.int64)
     for t in range(1, T + 1):
         u = rng.random(trials)
-        req = first_pages(chain, u) if t == 1 else table[np.searchsorted(grid, u, side="right") * n + last]
+        req = first_pages(chain, u) if t == 1 else table[grid_cells(grid, u) * n + last]
         cell = ranks * n + req
         miss = ~idx.member.take(cell)
         if miss.any():
@@ -161,7 +160,7 @@ def _simulate_kernel(idx, probs, chain, T, init_cache, trials, base) -> np.ndarr
             mc = cell[miss]
             u2 = rng.random(mc.size)
             ei = np.minimum((cum_kernel.take(mc, axis=1) <= u2).sum(axis=0), k - 1)
-            ranks[miss] = idx.succ.take(mc * k + ei)
+            ranks[miss] = idx.cells.take(ei * idx.member.size + mc) // n
         last = req
     return misses
 
@@ -190,7 +189,7 @@ def _scatter(idx, probs) -> tuple[np.ndarray, np.ndarray]:
     """Eviction table ``probs`` as ``(target, weight)``: cell (r, j, e) sends
     ``weight[r, j, e]`` of the mass requesting page j from cache r to the flat
     (cache rank, last page) state ``target[r, j, e]``. A hit keeps its mass in
-    (r, j), slot 0; a miss on j sends ``probs[r, j, e]`` to (succ[r, j, e], j)."""
+    (r, j), slot 0; a miss on j sends ``probs[r, j, e]`` to ``idx.cells[e, r, j]``."""
     S, n, k = probs.shape
     hit = idx.member[:, :, None]
     here = np.arange(S * n).reshape(S, n, 1)
@@ -200,23 +199,32 @@ def _scatter(idx, probs) -> tuple[np.ndarray, np.ndarray]:
     return target, weight
 
 
+def _evolution(policy, chain, k: int, init_cache):
+    """The set-up of ``exact_cost`` and ``joint_operator``: the subset index,
+    ``_scatter``'s ``(target, weight)`` and the first request's mass over flat
+    (cache rank, page) cells, from cache ``init_cache``."""
+    init_cache = check_cache(init_cache, chain.n, k)
+    probs = build_kernel(policy, chain, k)
+    if probs is None:
+        raise NonMemoryless(f"{policy.name} depends on request history")
+    idx = subset_index(chain.n, k)
+    target, weight = _scatter(idx, probs)
+    first = np.zeros((len(idx), chain.n))
+    first[idx.rank[init_cache]] = chain.init
+    return idx, target, weight, first.ravel()
+
+
 def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
     """Exact expected miss count by evolving the (cache, last page) distribution.
 
     Only defined for memoryless policies; others raise :class:`NonMemoryless`.
     """
     check_horizon(T)
-    init_cache = check_cache(init_cache, chain.n, k)
-    probs = build_kernel(policy, chain, k)
-    if probs is None:
-        raise NonMemoryless(f"{policy.name} depends on request history")
-    idx = subset_index(chain.n, k)
-    n = chain.n
-    S = len(idx)
-    if S * n * max(T, 1) > DEFAULT_BUDGET:
-        raise BudgetExceeded(S * n * max(T, 1), DEFAULT_BUDGET)
+    idx, target, weight, req = _evolution(policy, chain, k, init_cache)
+    N = req.size
+    if N * max(T, 1) > DEFAULT_BUDGET:
+        raise BudgetExceeded(N * max(T, 1), DEFAULT_BUDGET)
 
-    target, weight = _scatter(idx, probs)
     # an exact-zero weight (hit slots past 0, one-hot rules' other slots) adds
     # +0.0 to its bin, which changes no sum, so it is dropped once here
     keep = np.flatnonzero(weight.ravel())
@@ -224,37 +232,32 @@ def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
     miss_cells = np.flatnonzero(~idx.member)
 
     M = chain.transition
-    req = np.zeros((S, n))  # mass over (cache rank, requested page) at step t
-    req[idx.rank[init_cache]] = chain.init
     cost = 0.0
     for t in range(1, T + 1):
         if t > 1:
-            req = dist @ M
+            req = dist @ M  # mass over (cache rank, requested page) at step t
         cost += float(req.take(miss_cells).sum())
-        dist = np.bincount(target, weights=req.take(source) * weight, minlength=S * n)
-        dist = dist.reshape(S, n)  # mass over (cache rank, last requested page)
+        dist = np.bincount(target, weights=req.take(source) * weight, minlength=N)
+        dist = dist.reshape(len(idx), chain.n)  # mass over (cache rank, last requested page)
         total = dist.sum()
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"state mass drifted to {total!r} at step {t}")
     return CostEstimate(mean=cost, half_width=0.0, trials=0, mode="exact")
 
 
-def joint_operator(policy, chain, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(R, miss)`` over flat (cache rank, requested page) cells: ``R`` takes
-    one request's mass to the next one's (``_scatter``, then a chain step) and
-    ``miss`` is 1 where the request misses. ``NonMemoryless`` as in
+def joint_operator(policy, chain, k: int, init_cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(R, miss, first)`` over flat (cache rank, requested page) cells: ``R``
+    takes one request's mass to the next one's (``_scatter``, then a chain
+    step), ``miss`` is 1 where the request misses and ``first`` is the first
+    request's mass from cache ``init_cache``. ``NonMemoryless`` as in
     ``exact_cost``; ``BudgetExceeded`` beyond ``DEFAULT_BUDGET`` entries."""
-    probs = build_kernel(policy, chain, k)
-    if probs is None:
-        raise NonMemoryless(f"{policy.name} depends on request history")
-    idx = subset_index(chain.n, k)
-    N = len(idx) * chain.n
+    idx, target, weight, first = _evolution(policy, chain, k, init_cache)
+    N = first.size
     if N * N > DEFAULT_BUDGET:
         raise BudgetExceeded(N * N, DEFAULT_BUDGET)
-    target, weight = _scatter(idx, probs)
     D = np.bincount(target * N + np.repeat(np.arange(N), k), weights=weight.ravel(), minlength=N * N)
     R = chain.transition.T @ D.reshape(len(idx), chain.n, N)  # chain step on the page axis
-    return R.reshape(N, N), (~idx.member).ravel().astype(float)
+    return R.reshape(N, N), (~idx.member).ravel().astype(float), first
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def symmetrize(table: alpha_mod.AlphaTable) -> alpha_mod.AlphaTable:
     v[p, q] = avg
     v[q, p] = 1.0 - avg
     v[np.arange(n), np.arange(n)] = 0.0
-    return alpha_mod.AlphaTable(n=n, values=v)
+    return alpha_mod.AlphaTable(v)
 
 
 def approx_dominating_policy(

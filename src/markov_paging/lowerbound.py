@@ -21,7 +21,6 @@ import numpy as np
 
 from .chain import build_lb_chain
 from .engine import joint_operator
-from .optdp import subset_index
 from .policies import AdversarialDominatingPolicy
 
 
@@ -63,8 +62,7 @@ def _geom(B: np.ndarray, T: int):
 def closed_form_costs(params: LBParams) -> tuple[float, float]:
     """(adversarial policy cost, pinned reference cost) over T requests."""
     chain = build_lb_chain(params.eps, params.eps1)
-    R, miss = joint_operator(AdversarialDominatingPolicy(0), chain, 2)
-    first = np.kron(np.eye(3)[subset_index(3, 2).rank[(0, 1)]], chain.init)  # request 1, cache {0,1}
+    R, miss, first = joint_operator(AdversarialDominatingPolicy(0), chain, 2, (0, 1))
     cost_dom = float(miss @ geometric_sum(R, params.T) @ first)
     cost_ref = _reference_cost(params.eps, params.eps1, params.T)
     return cost_dom, cost_ref

@@ -40,10 +40,14 @@ class BudgetExceeded(RuntimeError):
 
 
 class SubsetIndex:
-    """Dense indexing of sorted k-subsets of range(n) plus transition helpers.
+    """The sorted k-subsets of range(n), ranked in lexicographic order.
 
-    The arrays are read-only, so one index can be shared; get it through
-    :func:`subset_index`.
+    ``rank`` maps a sorted cache tuple to its rank r, ``pages[r]`` lists its
+    pages and ``member[r, j]`` tells whether page j is one of them. Where j
+    misses, the slot-major ``cells[e, r, j]`` is the flat (cache rank, page)
+    cell reached by evicting slot e, and ``evicted[e, r, j]`` that slot's
+    page; a hit holds cell (0, j) and -1. The arrays are read-only, so one
+    index can be shared; get it through :func:`subset_index`.
     """
 
     def __init__(self, n: int, k: int):
@@ -51,31 +55,21 @@ class SubsetIndex:
             raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
         self.n = n
         self.k = k
-        self.subsets = tuple(itertools.combinations(range(n), k))
-        self.rank = {s: i for i, s in enumerate(self.subsets)}
-        S = len(self.subsets)
-        self.member = np.zeros((S, n), dtype=bool)
-        self.pages = np.array(self.subsets, dtype=np.int64)  # (S, k)
-        # succ[r, j, e]: rank after a miss on j evicts the e-th page of subset r
-        self.succ = np.zeros((S, n, k), dtype=np.int64)
-        for r, sub in enumerate(self.subsets):
-            self.member[r, list(sub)] = True
-            for j in range(n):
-                if j in sub:
-                    continue
+        subsets = list(itertools.combinations(range(n), k))
+        self.rank = {s: i for i, s in enumerate(subsets)}
+        self.pages = np.array(subsets, dtype=np.int64)  # (S, k)
+        self.member = (self.pages[:, :, None] == np.arange(n)).any(axis=1)
+        self.cells = np.tile(np.arange(n), (k, len(subsets), 1))
+        for r, sub in enumerate(subsets):
+            for j in set(range(n)).difference(sub):
                 for e in range(k):
-                    nxt = tuple(sorted((set(sub) - {sub[e]}) | {j}))
-                    self.succ[r, j, e] = self.rank[nxt]
-        # cells[e, r, j]: flat (cache, page) cell after a miss on j evicts slot e
-        # of cache r; evicted[e, r, j]: that slot's page, -1 where j is resident.
-        # Slot-major, so a step reduces and picks over the leading axis.
-        self.cells = np.moveaxis(self.succ * n + np.arange(n)[:, None], 2, 0).copy()
+                    self.cells[e, r, j] += n * self.rank[tuple(sorted(sub[:e] + sub[e + 1 :] + (j,)))]
         self.evicted = np.where(self.member, -1, self.pages.T[:, :, None]).astype(np.int16)
-        for arr in (self.member, self.pages, self.succ, self.cells, self.evicted):
+        for arr in (self.member, self.pages, self.cells, self.evicted):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.subsets)
+        return len(self.pages)
 
 
 @functools.lru_cache(maxsize=32)

@@ -309,7 +309,8 @@ class DominatingPolicy(TablePolicy):
     ``alpha_table(chain)``. Every (cache, request not in cache) LP is solved
     in one stack into the ``(S, n, k)`` eviction table (S cache ranks of
     ``subset_index(n, k)``); ``chain.derived`` keeps the chain's own under
-    (``name``, k), and a pinned table's is solved on each call.
+    (``name``, k), and a pinned table's is solved on each call. A pinned
+    table over another page count than the chain's is a ``ValueError``.
     """
 
     name = "dominating"
@@ -319,6 +320,8 @@ class DominatingPolicy(TablePolicy):
 
     def kernel_probs(self, idx, chain):
         if self._table is not None:
+            if self._table.n != idx.n:
+                raise ValueError(f"the pinned precedence table has {self._table.n} pages, the chain has {idx.n}")
             return self._solve_table(self._table, idx)
         if chain is None:
             raise MissingContext(f"{self.name} needs a chain or a pinned precedence table")
@@ -342,7 +345,7 @@ class DominatingPolicy(TablePolicy):
                 probs[rank[part], req[part]] = self._solve(blocks, p, None if targets is None else targets[part])
             except Infeasible as exc:
                 i = lo + exc.index
-                cache, requested = idx.subsets[rank[i]], int(req[i])
+                cache, requested = tuple(pages[i].tolist()), int(req[i])
                 target = None if targets is None else int(targets[i])
                 used = "" if target is None else f", target {target}"
                 raise Infeasible(

@@ -121,7 +121,7 @@ def solve_lp(c, a_ub, b_ub, p):
     b_ub = np.asarray(b_ub, dtype=float)
     n, m = c.shape[-1], a_ub.shape[-2]
     if np.any(b_ub < 0):
-        raise ValueError(f"b_ub must be non-negative, got {b_ub.min()!r}")
+        raise ValueError(f"b_ub must be non-negative, got {float(b_ub.min())!r}")
     if not 1 <= p <= n:
         raise ValueError(f"prefix p must lie in 1..{n}, got {p}")
     if not np.all(c[..., p:] >= 0):

@@ -90,4 +90,4 @@ def corrupt_alpha_table():
     for cache, s in (((0, 2, 3), 1), ((1, 2, 3), 0)):
         idx = np.array(cache)
         values[idx[:, None], idx[None, :], s] = np.ones((3, 3)) - np.eye(3)
-    return AlphaTable(n=4, values=values)
+    return AlphaTable(values)

@@ -11,7 +11,10 @@ uniforms from a generator of its own, transition counts from
 ``np.add.at``, and the complementary precedence table from a loop over one
 page pair at a time. The OPT DP and the exact cost
 evolution are also kept as loops over one cache rank at a time, the
-reference for the library's all-ranks-at-once steps, and Monte Carlo as a
+reference for the library's all-ranks-at-once steps; their caches come from
+``itertools.combinations`` and their successors from set arithmetic
+(:func:`sorted_caches`, :func:`successor`), never from the library's subset
+index. Monte Carlo is kept as a
 loop over one trial at a time, the reference for the trial-batched paths
 (the kernel path's shared stream included).
 LRU and FIFO, which have no kernel, get an exact cost from the distribution
@@ -228,31 +231,48 @@ def naive_warmup_costs(eps, T):
     return cost_dom, eps * T / 2.0
 
 
-def loop_opt_expected_cost(chain, k, T, init_cache, index):
+def sorted_caches(n, k):
+    """The sorted k-subsets of range(n) in lexicographic order, and the rank
+    of each, from ``itertools.combinations``."""
+    caches = list(itertools.combinations(range(n), k))
+    return caches, {cache: r for r, cache in enumerate(caches)}
+
+
+def successor(cache, victim, page):
+    """The sorted cache after a miss on ``page`` evicts ``victim``."""
+    return tuple(sorted(set(cache) - {victim} | {page}))
+
+
+def loop_opt_expected_cost(chain, k, T, init_cache):
     """The OPT DP one cache rank at a time: the reference for ``opt_expected_cost``.
 
-    ``index`` is the library's ``SubsetIndex`` (ranks and successor table).
     Returns ``(value, action, value_layers)`` with the library's layouts:
     ``action[t, r, j]`` is the evicted page, -1 on hits, ties toward the
     lowest page; ``value_layers[t]`` is the layer V_t.
     """
     n = chain.n
-    S = len(index)
-    r0 = index.rank[tuple(sorted(init_cache))]
+    caches, rank = sorted_caches(n, k)
+    S = len(caches)
+    r0 = rank[tuple(sorted(init_cache))]
     action = np.full((T + 1, S, n), -1, dtype=np.int16)
     layers = np.zeros((T + 1, S, n))
     M = chain.transition
-    cols = np.arange(n)[:, None]
     v_next = np.zeros((S, n))
     total = 0.0
     for t in range(T, 0, -1):
         layers[t] = v_next
         v_cur = np.empty((S, n))
-        for r in range(S):
-            cand = v_next[index.succ[r], cols]  # (n, k): successor values per eviction
-            picked = index.pages[r][cand.argmin(axis=1)]
-            action[t, r] = np.where(index.member[r], -1, picked)
-            cost_vec = np.where(index.member[r], v_next[r], 1.0 + cand.min(axis=1))
+        for r, cache in enumerate(caches):
+            cost_vec = v_next[r].copy()
+            for j in range(n):
+                if j in cache:
+                    continue
+                # successor values per eviction in cache order, so the first
+                # minimum is the lowest page
+                cand = [v_next[rank[successor(cache, p, j)], j] for p in cache]
+                e = int(np.argmin(cand))
+                action[t, r, j] = cache[e]
+                cost_vec[j] = 1.0 + cand[e]
             if t > 1:
                 v_cur[r] = M @ cost_vec
             elif r == r0:
@@ -266,20 +286,17 @@ def loop_exact_cost(probs, chain, T, init_cache):
     mass one cache rank at a time: the reference for ``exact_cost``.
 
     ``probs`` is the policy's ``(S, n, k)`` eviction table. Rows that carry
-    no mass are skipped, and each miss spreads its mass with ``np.add.at``.
+    no mass are skipped, and each miss spreads its mass one slot at a time.
     """
-    from markov_paging.optdp import subset_index
-
-    n = chain.n
-    idx = subset_index(n, probs.shape[2])
-    S = len(idx)
+    n, k = chain.n, probs.shape[2]
+    caches, rank = sorted_caches(n, k)
     M = chain.transition
-    dist = np.zeros((S, n))
+    dist = np.zeros((len(caches), n))
     cost = 0.0
-    r0 = idx.rank[tuple(sorted(init_cache))]
+    r0 = rank[tuple(sorted(init_cache))]
     for t in range(1, T + 1):
-        new = np.zeros((S, n))
-        for r in range(S):
+        new = np.zeros_like(dist)
+        for r, cache in enumerate(caches):
             if t == 1:
                 if r != r0:
                     continue
@@ -289,13 +306,13 @@ def loop_exact_cost(probs, chain, T, init_cache):
                 if not mass.any():
                     continue
                 req_mass = mass @ M
-            resident = idx.member[r]
-            new[r, resident] += req_mass[resident]
-            out = np.flatnonzero(~resident)
-            miss_mass = req_mass[out]
-            cost += float(miss_mass.sum())
-            spread = miss_mass[:, None] * probs[r, out]  # (n-k, k)
-            np.add.at(new, (idx.succ[r, out].ravel(), np.repeat(out, idx.k)), spread.ravel())
+            for j in range(n):
+                if j in cache:
+                    new[r, j] += req_mass[j]
+                    continue
+                cost += float(req_mass[j])
+                for e, p in enumerate(cache):
+                    new[rank[successor(cache, p, j)], j] += req_mass[j] * probs[r, j, e]
         dist = new
     return cost
 
@@ -398,13 +415,12 @@ def loop_kernel_probs(policy, chain, k):
     page; pinned takes the first unpinned page and raises ``RuntimeError``
     when there is none; random is uniform.
     """
-    from markov_paging.optdp import subset_index
     from markov_paging.policies import MEDIAN_CAP, MedianPolicy, PinnedPolicy, RandomEvictionPolicy
 
-    idx = subset_index(chain.n, k)
-    probs = np.zeros((len(idx), chain.n, k))
+    caches, _ = sorted_caches(chain.n, k)
+    probs = np.zeros((len(caches), chain.n, k))
     medians = {}
-    for r, cache in enumerate(idx.subsets):
+    for r, cache in enumerate(caches):
         for j in range(chain.n):
             if j in cache:
                 continue
@@ -470,7 +486,7 @@ def loop_simulate_kernel(probs, chain, T, init_cache, trials, seed):
     slot whose cumulative probability exceeds it, else the last slot.
     """
     n, k = chain.n, probs.shape[2]
-    rank = {cache: r for r, cache in enumerate(itertools.combinations(range(n), k))}
+    _, rank = sorted_caches(n, k)
     cum_rows = np.cumsum(chain.transition, axis=1)
     rng = np.random.default_rng(seed)
     caches = [tuple(sorted(init_cache))] * trials
@@ -487,7 +503,7 @@ def loop_simulate_kernel(probs, chain, T, init_cache, trials, seed):
             misses[i] += 1
             cum = np.cumsum(probs[rank[cache], j])
             slot = min(int(np.searchsorted(cum, rng.random(), side="right")), k - 1)
-            caches[i] = tuple(sorted(set(cache) - {cache[slot]} | {j}))
+            caches[i] = successor(cache, cache[slot], j)
     return misses
 
 

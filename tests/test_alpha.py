@@ -161,6 +161,22 @@ def test_table_dump_roundtrip(tmp_path):
     assert np.array_equal(back.values, table.values)
 
 
+def test_table_page_count_comes_from_its_values():
+    values = alpha_table(random_chain(4, 1)).values
+    assert AlphaTable(values.copy()).n == 4
+    for bad in (values[0], values[:3]):
+        with pytest.raises(ValueError, match=r"must be an \(n, n, n\) array, got shape"):
+            AlphaTable(bad.copy())
+
+
+def test_load_table_rejects_a_dump_whose_n_disagrees(tmp_path):
+    path = tmp_path / "alpha.npz"
+    values = alpha_table(random_chain(4, 1)).values
+    np.savez(path, version=alpha_mod.ALPHA_DUMP_VERSION, n=3, values=values)  # save_table's format
+    with pytest.raises(ValueError, match="declares n=3 but its values cover 4 pages"):
+        load_table(path)
+
+
 def test_kept_table_follows_the_transition_matrix():
     a = random_chain(4, 1)
     table = alpha_table(a)
@@ -235,7 +251,7 @@ def test_pinned_table_is_solved_on_each_call(monkeypatch):
     """A pinned precedence table is not derived from the chain: each call
     solves its LP stack, and no eviction table is kept for the chain."""
     chain = random_chain(4, 3)
-    pinned = DominatingPolicy(AlphaTable(4, alpha_table(chain).values.copy()))
+    pinned = DominatingPolicy(AlphaTable(alpha_table(chain).values.copy()))
     stacks = []
     real = policies_mod.solve_lp
 

@@ -311,10 +311,13 @@ def test_next_page_table_clamps_rows_ending_below_one():
 
 
 def _assert_cells_match_searchsorted(chain):
+    """The edge uniforms alone, which ``grid_cells`` binary-searches, and
+    repeated past ``SHORT_TRACE``, which it places through the guide."""
     grid, _ = next_page_table(chain)
     u = _edge_uniforms(grid)
     u = u[(u >= 0) & (u < 1)]
-    assert np.array_equal(grid_cells(grid, u), np.searchsorted(grid, u, side="right"))
+    for v in (u, np.tile(u, SHORT_TRACE // u.size + 1)):
+        assert np.array_equal(grid_cells(grid, v), np.searchsorted(grid, v, side="right"))
 
 
 @settings(max_examples=40, deadline=None)

@@ -852,3 +852,17 @@ def test_config_null_leaves_the_default(tmp_path):
                  ["simulate", "--policy", "lru", "--n", "4", "--k", "2", "--T", "5", "--seed", "1"]):
         code, text = run_cli(["--config", str(cfg), *args], tmp_path, "a.csv")
         assert code == 0 and text == run_cli(args, tmp_path, "b.csv")[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["learn", "--n", "4", "--m", "1e18", "--k", "2", "--T", "5", "--trials", "10", "--seed", "1"],
+        ["simulate", "--policy", "lru", "--n", "4", "--k", "2", "--T", "1e18", "--trials", "1", "--seed", "1"],
+    ],
+)
+def test_input_too_large_to_hold_is_a_usage_error(args, capsys):
+    # each asks numpy for 8e18 bytes, more than any address space, so the
+    # allocation fails before any memory is touched
+    code, err = _error_exit(args, capsys)
+    assert code == 2 and err.startswith("error: Unable to allocate")

@@ -38,6 +38,8 @@ from .oracles import (
     loop_simulate_generic,
     loop_simulate_kernel,
     ordered_exact_cost,
+    sorted_caches,
+    successor,
 )
 
 
@@ -115,7 +117,7 @@ def test_history_dependent_policies_rejected_by_exact():
         with pytest.raises(NonMemoryless):
             exact_cost(pol, ch, 2, 5, (0, 1))
         with pytest.raises(NonMemoryless):
-            joint_operator(pol, ch, 2)
+            joint_operator(pol, ch, 2, (0, 1))
 
 
 def test_kernel_none_for_history_dependent():
@@ -146,21 +148,22 @@ def memoryless_rules(k):
 
 
 def _doubled_cost(policy, chain, k, T, init):
-    R, miss = joint_operator(policy, chain, k)
-    idx = subset_index(chain.n, k)
-    first = np.zeros((len(idx), chain.n))
-    first[idx.rank[init]] = chain.init
-    return float(miss @ geometric_sum(R, T) @ first.ravel())
+    R, miss, first = joint_operator(policy, chain, k, init)
+    return float(miss @ geometric_sum(R, T) @ first)
 
 
 @settings(max_examples=20, deadline=None)
 @given(chain_specs(n_min=3, n_max=6), st.data())
 def test_joint_operator_columns_sum_to_one(chain, data):
     k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    init = data.draw(caches(chain.n, k))
     for policy in memoryless_rules(k):
-        R, miss = joint_operator(policy, chain, k)
-        assert R.shape == (len(subset_index(chain.n, k)) * chain.n,) * 2 and miss.shape == R.shape[:1]
+        R, miss, first = joint_operator(policy, chain, k, init)
+        assert R.shape == (len(subset_index(chain.n, k)) * chain.n,) * 2 and miss.shape == first.shape == R.shape[:1]
         assert np.allclose(R.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        # the first request's mass: the chain's init on cache init's row
+        rows, r = first.reshape(-1, chain.n), subset_index(chain.n, k).rank[init]
+        assert np.array_equal(rows[r], chain.init) and not np.delete(rows, r, axis=0).any()
 
 
 @settings(max_examples=20, deadline=None)
@@ -174,19 +177,25 @@ def test_doubled_operator_matches_stepping(chain, T, data):
 
 
 def test_scatter_entries_follow_succ_in_cache_page_slot_order():
-    """``_scatter`` reads the index's slot-major ``cells``, yet gives the
-    ``(target, weight)`` that ``succ[r, j, e]·n + j`` gives, entry for entry
-    in (cache, page, slot) order, the order ``np.bincount`` sums in."""
+    """``_scatter`` reads the index's slot-major ``cells``, yet gives, entry
+    for entry in (cache, page, slot) order (the order ``np.bincount`` sums
+    in), the ``(target, weight)`` of caches from ``itertools.combinations``
+    and successors from sets: a miss on j that evicts slot e of cache r goes
+    to (the successor's rank, j) with the rule's weight, a hit stays in
+    (r, j) with weight 1 in slot 0."""
     battery = [(build_lb_chain(0.1, 0.07069), 2), (build_lb_chain(0.3, 0.2), 2)]
     battery += [(random_chain(n, [8300, n], floor=f), k) for n in range(3, 8) for k in range(1, n) for f in (0.0, 0.3)]
     for chain, k in battery:
         idx = subset_index(chain.n, k)
-        S, n = len(idx), chain.n
+        n = chain.n
+        subsets, rank = sorted_caches(n, k)
+        hit = np.array([[j in cache for j in range(n)] for cache in subsets])[:, :, None]
+        want_target = [
+            r * n + j if j in cache else rank[successor(cache, p, j)] * n + j
+            for r, cache in enumerate(subsets) for j in range(n) for p in cache
+        ]
         for policy in memoryless_rules(k):
             probs = build_kernel(policy, chain, k)
-            hit = idx.member[:, :, None]
-            here = np.arange(S * n).reshape(S, n, 1)
-            want_target = np.where(hit, here, idx.succ * n + np.arange(n)[None, :, None]).ravel()
             want_weight = np.where(hit, np.arange(k) == 0, probs)
             target, weight = _scatter(idx, probs)
             assert np.array_equal(target, want_target), (policy.name, n, k)
@@ -203,7 +212,7 @@ def test_exact_cost_budget():
 def test_joint_operator_budget():
     # 924 caches of 6 of 12 pages: (924 * 12)**2 entries exceed the default budget
     with pytest.raises(BudgetExceeded):
-        joint_operator(RandomEvictionPolicy(), random_chain(12, 1), 6)
+        joint_operator(RandomEvictionPolicy(), random_chain(12, 1), 6, tuple(range(6)))
 
 
 def test_simulate_deterministic_given_seed():
@@ -268,6 +277,16 @@ class LeakyEviction(RandomEvictionPolicy):
         return super().kernel_probs(idx, chain) * (1.0 - 1e-6)
 
 
+class SkewedEviction(RandomEvictionPolicy):
+    """Evicts slot e with probability proportional to e + 1: unlike uniform
+    eviction, its cost depends on which successor each slot leads to."""
+
+    name = "skewed"
+
+    def kernel_probs(self, idx, chain):
+        return super().kernel_probs(idx, chain) * (2.0 * np.arange(1, idx.k + 1) / (idx.k + 1))
+
+
 def test_mass_conservation_guard():
     # exact evolution asserts total probability stays 1 at every step
     ch = build_lb_chain(0.3, 0.2)
@@ -289,7 +308,7 @@ def _assert_matches_loop_oracle(policy, chain, k, T, init):
 def test_exact_matches_per_rank_loop_oracle(data):
     chain = data.draw(sparse_chain_specs())
     k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
-    policy = data.draw(st.sampled_from([MedianPolicy(), RandomEvictionPolicy()]))
+    policy = data.draw(st.sampled_from([MedianPolicy(), RandomEvictionPolicy(), SkewedEviction()]))
     _assert_matches_loop_oracle(policy, chain, k, data.draw(horizons), data.draw(caches(chain.n, k)))
 
 
@@ -305,7 +324,8 @@ def test_exact_dominating_matches_per_rank_loop_oracle(data):
 def test_exact_matches_per_rank_loop_oracle_for_every_k(n):
     for k in range(1, n):
         chain = sparse_chain(n, [n, k], 0.3)
-        _assert_matches_loop_oracle(RandomEvictionPolicy(), chain, k, 6, tuple(range(n - k, n)))
+        for policy in (RandomEvictionPolicy(), SkewedEviction()):
+            _assert_matches_loop_oracle(policy, chain, k, 6, tuple(range(n - k, n)))
 
 
 def test_kernel_uses_shared_index():

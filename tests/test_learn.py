@@ -160,7 +160,7 @@ def test_symmetrize_matches_pair_loop_oracle(n, seed):
     """Bit for bit the per-pair loop, on tables whose entries need not be
     near-complementary to begin with."""
     values = np.random.default_rng(seed).random((n, n, n))
-    got = symmetrize(AlphaTable(n=n, values=values.copy())).values
+    got = symmetrize(AlphaTable(values.copy())).values
     assert np.array_equal(got, loop_symmetrize(values))
 
 

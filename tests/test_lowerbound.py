@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from markov_paging.alpha import SingularSystem
 from markov_paging.chain import build_lb_chain
 from markov_paging.engine import build_kernel, exact_cost
-from markov_paging.lowerbound import LBParams, closed_form_costs, geometric_sum, search, warmup_ratio
+from markov_paging.lowerbound import LBParams, _reference_cost, closed_form_costs, geometric_sum, search, warmup_ratio
 from markov_paging.optdp import subset_index
-from markov_paging.policies import AdversarialDominatingPolicy
+from markov_paging.policies import AdversarialDominatingPolicy, PinnedPolicy
 
 from .oracles import adversarial_evictions, lb_matrices, naive_geometric_sum, naive_warmup_costs
 
@@ -34,6 +34,16 @@ def test_params_regime_validation():
         LBParams(0.2, 0.09, 5)
     with pytest.raises(ValueError):
         LBParams(0.1, 0.05, 0)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.1, 1e-2, 1e-3])
+@pytest.mark.parametrize("frac", [0.5, 0.7069, 0.9])
+def test_pinned_reference_closed_form_matches_engine(eps, frac):
+    # the denominator of every stress ratio, against the exact evolution
+    chain = build_lb_chain(eps, frac * eps)
+    for T in (1, 7, 50, 2000):
+        want = exact_cost(PinnedPolicy({0}), chain, 2, T, (0, 1)).mean
+        assert _reference_cost(eps, frac * eps, T) == pytest.approx(want, rel=1e-12, abs=0.0), T
 
 
 def test_matrix_entries_at_reference_point():

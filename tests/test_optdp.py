@@ -18,7 +18,7 @@ from markov_paging.optdp import (
 from markov_paging.policies import FarthestInFuture, OptReplayPolicy
 
 from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_specs
-from .oracles import loop_opt_expected_cost, tree_opt_cost
+from .oracles import loop_opt_expected_cost, sorted_caches, successor, tree_opt_cost
 
 
 def test_two_page_forced_choice_example():
@@ -115,9 +115,11 @@ def test_unknown_state_lookup_fails():
 
 def test_subset_index_roundtrip():
     idx = SubsetIndex(5, 2)
-    for r, sub in enumerate(idx.subsets):
-        assert idx.rank[sub] == r
-        assert sorted(sub) == list(sub)
+    caches, rank = sorted_caches(5, 2)
+    assert idx.rank == rank and len(idx) == len(caches)
+    for r, sub in enumerate(caches):
+        assert tuple(idx.pages[r].tolist()) == sub
+        assert np.flatnonzero(idx.member[r]).tolist() == list(sub)
 
 
 def test_table_dump_roundtrip(tmp_path):
@@ -134,7 +136,7 @@ def test_table_dump_roundtrip(tmp_path):
 
 def _assert_matches_loop_oracle(chain, k, T, init):
     value, table = opt_expected_cost(chain, k, T, init, record_values=True)
-    ref_value, ref_action, ref_layers = loop_opt_expected_cost(chain, k, T, init, table.index)
+    ref_value, ref_action, ref_layers = loop_opt_expected_cost(chain, k, T, init)
     assert value == ref_value
     assert np.array_equal(table.action, ref_action)
     assert np.array_equal(table.value, ref_layers)
@@ -159,7 +161,7 @@ def test_dp_matches_per_rank_loop_oracle_for_every_k(n):
 def test_subset_index_is_shared_and_read_only():
     idx = subset_index(5, 2)
     assert subset_index(5, 2) is idx
-    for arr in (idx.member, idx.pages, idx.succ, idx.cells, idx.evicted):
+    for arr in (idx.member, idx.pages, idx.cells, idx.evicted):
         with pytest.raises(ValueError):
             arr[0] = 0
     ch = random_chain(5, 1)
@@ -169,18 +171,22 @@ def test_subset_index_is_shared_and_read_only():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_slot_major_tables_follow_succ(n):
-    """``cells[e, r, j] == succ[r, j, e]·n + j``, and ``evicted[e, r, j]`` is
-    slot e's page where j misses, -1 where j is resident."""
+    """Where j misses cache r, ``cells[e, r, j]`` is the flat cell of (the
+    cache after evicting slot e, j) and ``evicted[e, r, j]`` is slot e's
+    page; where j is resident they are cell (0, j) and -1. Caches and
+    successors come from ``itertools.combinations`` and sets."""
     for k in range(1, n):
         idx = subset_index(n, k)
-        S = len(idx)
-        assert idx.cells.shape == idx.evicted.shape == (k, S, n)
+        caches, rank = sorted_caches(n, k)
+        assert idx.cells.shape == idx.evicted.shape == (k, len(caches), n)
         for e in range(k):
-            for r in range(S):
+            for r, cache in enumerate(caches):
                 for j in range(n):
-                    assert idx.cells[e, r, j] == idx.succ[r, j, e] * n + j
-                    want = -1 if j in idx.subsets[r] else idx.subsets[r][e]
-                    assert idx.evicted[e, r, j] == want
+                    if j in cache:
+                        want = (j, -1)
+                    else:
+                        want = (rank[successor(cache, cache[e], j)] * n + j, cache[e])
+                    assert (idx.cells[e, r, j], idx.evicted[e, r, j]) == want, (k, e, cache, j)
 
 
 @pytest.mark.parametrize("cache", [(0, 9), (0, 0), (0,), (0, 1, 2), (-1, 0), (0, 1.5)])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from markov_paging import policies as policies_mod
 from markov_paging.alpha import AlphaTable, SingularSystem, alpha_table, load_table, save_table
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
-from markov_paging.engine import exact_cost
+from markov_paging.engine import exact_cost, simulate
 from markov_paging.policies import (
     MEDIAN_CAP,
     AdversarialDominatingPolicy,
@@ -34,7 +34,7 @@ from markov_paging.optdp import subset_index
 from markov_paging.simplex import solve_lp
 
 from .conftest import chain_specs, corrupt_alpha_table, sparse_chain, sparse_chain_specs
-from .oracles import loop_median_matrix, loop_solve_lp, oracle_median_cap, rollout_alpha
+from .oracles import loop_median_matrix, loop_solve_lp, oracle_median_cap, rollout_alpha, sorted_caches
 
 
 def uniform_block(k):
@@ -100,7 +100,7 @@ class TestDominatingDistribution:
         chain = random_chain(4, 3)
         values = alpha_table(chain).values.copy()
         values[0, 1, 2] = np.nan
-        save_table(AlphaTable(4, values), tmp_path / "nan.npz")
+        save_table(AlphaTable(values), tmp_path / "nan.npz")
         table = load_table(tmp_path / "nan.npz")
         for policy in (DominatingPolicy(table), AdversarialDominatingPolicy(0, table)):
             with pytest.raises(ValueError, match=r"alpha_sub entries must lie in \[0, 1\]"):
@@ -420,12 +420,13 @@ class TestTableRules:
         except SingularSystem:
             pass  # the dominating rules are undefined on this chain
         idx = subset_index(chain.n, k)
+        subsets, _ = sorted_caches(chain.n, k)
         for pol in rules:
-            ctx = RunContext(chain, k, idx.subsets[0])
+            ctx = RunContext(chain, k, subsets[0])
             pol.reset(ctx)
             probs = pol.kernel_probs(idx, chain)
             for r, j in zip(*np.nonzero(~idx.member)):
-                cache = idx.subsets[r]
+                cache = subsets[r]
                 got = evict(pol, cache, int(j), ctx, np.random.default_rng([seed, r, j]))
                 assert got == _draw(cache, probs[r, j], np.random.default_rng([seed, r, j])), (pol.name, cache, j)
 
@@ -488,11 +489,13 @@ def test_small_pivot_lp_keeps_its_equality_row():
 
 
 def _miss_blocks(table, k):
-    """Every (cache, request not in cache) block, in cache-rank, then request, order."""
-    idx = subset_index(table.n, k)
-    rank, req = np.nonzero(~idx.member)
-    blocks = np.concatenate([block_stack(table, idx.subsets[r], j) for r, j in zip(rank, req)])
-    return idx, rank, req, blocks
+    """Every (cache, request not in cache) block, in cache-rank, then request,
+    order, as ``(idx, caches, rank, req, blocks)``; the caches and ranks come
+    from ``itertools.combinations``, not from the subset index ``idx``."""
+    caches, _ = sorted_caches(table.n, k)
+    rank, req = np.array([(r, j) for r, cache in enumerate(caches) for j in range(table.n) if j not in cache]).T
+    blocks = np.concatenate([block_stack(table, caches[r], j) for r, j in zip(rank, req)])
+    return subset_index(table.n, k), caches, rank, req, blocks
 
 
 def _dominating_lp(a):
@@ -534,8 +537,8 @@ class TestStackedTables:
             assume(False)
         k = data.draw(st.integers(min_value=1, max_value=chain.n - 1), label="k")
         target = data.draw(st.integers(min_value=0, max_value=chain.n - 1), label="target")
-        idx, rank, req, blocks = _miss_blocks(table, k)
-        pages = idx.pages[rank]
+        idx, caches, rank, req, blocks = _miss_blocks(table, k)
+        pages = np.array(caches)[rank]
         slots = np.where((pages == target).any(axis=1), (pages == target).argmax(axis=1), 0)
         x_dom = _assert_stack_matches_loop(_dominating_lp(blocks))[:, :k]
         x_adv = _assert_stack_matches_loop(_adversarial_lp(blocks, slots))
@@ -547,13 +550,13 @@ class TestStackedTables:
 
     def test_stack_rows_equal_single_blocks(self):
         table = alpha_table(random_chain(5, 8))
-        idx, rank, req, blocks = _miss_blocks(table, 3)
+        _, caches, rank, req, blocks = _miss_blocks(table, 3)
         stacked = dominating_distribution(blocks)
         assert stacked.shape == (len(blocks), 3) and not stacked.flags.writeable
-        targets = idx.pages[rank][:, 1]
-        adv = adversarial_dominating(blocks, targets, pages=idx.pages[rank])
+        pages = np.array(caches)[rank]
+        adv = adversarial_dominating(blocks, pages[:, 1], pages=pages)
         for i, (r, j) in enumerate(zip(rank, req)):
-            cache = idx.subsets[r]
+            cache = caches[r]
             assert np.array_equal(stacked[i], dominating_distribution(blocks[i : i + 1])[0])
             assert np.array_equal(adv[i], adversarial_dominating(blocks[i : i + 1], cache[1], pages=cache)[0])
 
@@ -576,15 +579,15 @@ class TestStackedTables:
     def test_evict_draws_as_the_single_block_distribution(self):
         chain = random_chain(5, 4)
         table = alpha_table(chain)
-        idx, rank, req, blocks = _miss_blocks(table, 2)
+        _, caches, rank, req, blocks = _miss_blocks(table, 2)
         for pol, single in (
             (DominatingPolicy(table), lambda b, c: dominating_distribution(b)[0]),
             (AdversarialDominatingPolicy(3, table), lambda b, c: adversarial_dominating(b, 3 if 3 in c else c[0], pages=c)[0]),
         ):
-            ctx = RunContext(chain, 2, idx.subsets[0])
+            ctx = RunContext(chain, 2, caches[0])
             pol.reset(ctx)
             for i, (r, j) in enumerate(zip(rank, req)):
-                cache = idx.subsets[r]
+                cache = caches[r]
                 got = [pol.evict(cache, int(j), ctx, np.random.default_rng([i, t])) for t in range(8)]
                 mu = single(blocks[i : i + 1], cache)
                 want = [_draw(cache, mu, np.random.default_rng([i, t])) for t in range(8)]
@@ -607,7 +610,7 @@ class TestStackedTables:
 
         monkeypatch.setattr(policies_mod, "solve_lp", counting)
         # a pinned table is solved on each call, so the chunked solve runs
-        fresh = AlphaTable(table.n, table.values.copy())
+        fresh = AlphaTable(table.values.copy())
         parts = [DominatingPolicy(fresh).kernel_probs(idx, None),
                  AdversarialDominatingPolicy(2, fresh).kernel_probs(idx, None)]
         lps = math.comb(7, 3) * (7 - 3)
@@ -629,6 +632,18 @@ class TestStackedTables:
         # page 1 is not resident in (0, 2, 3), so the lowest page stands in
         assert (err.value.cache, err.value.requested, err.value.target) == ((0, 2, 3), 1, 0)
         assert str(err.value).startswith("cache (0, 2, 3), request 1, target 0: ")
+
+    @pytest.mark.parametrize("table_n", [3, 5])
+    def test_pinned_table_of_another_size_is_rejected(self, table_n):
+        # a 5-page table once ran on a 4-page chain, its rows read as 4-page
+        # cells; a 3-page one failed with an IndexError
+        table = alpha_table(random_chain(table_n, 1))
+        chain = random_chain(4, 2)
+        runs = (lambda pol: simulate(pol, chain, 2, 10, (0, 1), 10, 1), lambda pol: exact_cost(pol, chain, 2, 10, (0, 1)))
+        for run in runs:
+            for pol in (DominatingPolicy(table), AdversarialDominatingPolicy(0, table)):
+                with pytest.raises(ValueError, match=f"pinned precedence table has {table_n} pages, the chain has 4"):
+                    run(pol)
 
 
 class TestStackGuards:

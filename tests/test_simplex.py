@@ -51,7 +51,7 @@ def test_negative_cost_past_the_prefix_rejected(monkeypatch):
 
 
 def test_negative_b_ub_rejected():
-    with pytest.raises(ValueError, match="b_ub must be non-negative"):
+    with pytest.raises(ValueError, match=r"^b_ub must be non-negative, got -2\.0$"):
         solve_lp([1.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]], [1.0, -2.0], 2)
 
 
