@@ -199,15 +199,21 @@ def _scatter(idx, probs) -> tuple[np.ndarray, np.ndarray]:
     return target, weight
 
 
-def _evolution(policy, chain, k: int, init_cache):
+def _evolution(policy, chain, k: int, init_cache, steps: int | None):
     """The set-up of ``exact_cost`` and ``joint_operator``: the subset index,
-    ``_scatter``'s ``(target, weight)`` and the first request's mass over flat
-    (cache rank, page) cells, from cache ``init_cache``."""
+    ``_scatter``'s ``(target, weight)`` and the first request's mass over the
+    N flat (cache rank, page) cells, from cache ``init_cache``. The caller's
+    N·``steps`` entries (N·N when ``steps`` is None) are held to
+    ``DEFAULT_BUDGET`` before the scatter is built."""
     init_cache = check_cache(init_cache, chain.n, k)
     probs = build_kernel(policy, chain, k)
     if probs is None:
         raise NonMemoryless(f"{policy.name} depends on request history")
     idx = subset_index(chain.n, k)
+    N = len(idx) * chain.n
+    need = N * (N if steps is None else steps)
+    if need > DEFAULT_BUDGET:
+        raise BudgetExceeded(need, DEFAULT_BUDGET)
     target, weight = _scatter(idx, probs)
     first = np.zeros((len(idx), chain.n))
     first[idx.rank[init_cache]] = chain.init
@@ -220,10 +226,8 @@ def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
     Only defined for memoryless policies; others raise :class:`NonMemoryless`.
     """
     check_horizon(T)
-    idx, target, weight, req = _evolution(policy, chain, k, init_cache)
+    idx, target, weight, req = _evolution(policy, chain, k, init_cache, max(T, 1))
     N = req.size
-    if N * max(T, 1) > DEFAULT_BUDGET:
-        raise BudgetExceeded(N * max(T, 1), DEFAULT_BUDGET)
 
     # an exact-zero weight (hit slots past 0, one-hot rules' other slots) adds
     # +0.0 to its bin, which changes no sum, so it is dropped once here
@@ -251,10 +255,8 @@ def joint_operator(policy, chain, k: int, init_cache) -> tuple[np.ndarray, np.nd
     step), ``miss`` is 1 where the request misses and ``first`` is the first
     request's mass from cache ``init_cache``. ``NonMemoryless`` as in
     ``exact_cost``; ``BudgetExceeded`` beyond ``DEFAULT_BUDGET`` entries."""
-    idx, target, weight, first = _evolution(policy, chain, k, init_cache)
+    idx, target, weight, first = _evolution(policy, chain, k, init_cache, None)
     N = first.size
-    if N * N > DEFAULT_BUDGET:
-        raise BudgetExceeded(N * N, DEFAULT_BUDGET)
     D = np.bincount(target * N + np.repeat(np.arange(N), k), weights=weight.ravel(), minlength=N * N)
     R = chain.transition.T @ D.reshape(len(idx), chain.n, N)  # chain step on the page axis
     return R.reshape(N, N), (~idx.member).ravel().astype(float), first

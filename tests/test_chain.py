@@ -312,11 +312,12 @@ def test_next_page_table_clamps_rows_ending_below_one():
 
 def _assert_cells_match_searchsorted(chain):
     """The edge uniforms alone, which ``grid_cells`` binary-searches, and
-    repeated past ``SHORT_TRACE``, which it places through the guide."""
+    repeated past its cut, which it places through the guide: the cut is
+    ``SHORT_TRACE`` or G/4, and G is below 16 times the grid size."""
     grid, _ = next_page_table(chain)
     u = _edge_uniforms(grid)
     u = u[(u >= 0) & (u < 1)]
-    for v in (u, np.tile(u, SHORT_TRACE // u.size + 1)):
+    for v in (u, np.tile(u, max(SHORT_TRACE, 4 * grid.size) // u.size + 1)):
         assert np.array_equal(grid_cells(grid, v), np.searchsorted(grid, v, side="right"))
 
 

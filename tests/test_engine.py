@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markov_paging import engine
 from markov_paging.alpha import SingularSystem, alpha_table
 from markov_paging.chain import build_lb_chain, random_chain, sample_sequence, sample_trials, validate_chain
 from markov_paging.engine import (
@@ -211,6 +212,17 @@ def test_exact_cost_budget():
 
 def test_joint_operator_budget():
     # 924 caches of 6 of 12 pages: (924 * 12)**2 entries exceed the default budget
+    with pytest.raises(BudgetExceeded):
+        joint_operator(RandomEvictionPolicy(), random_chain(12, 1), 6, tuple(range(6)))
+
+
+def test_budgets_refuse_before_the_scatter(monkeypatch):
+    def scatter(idx, probs):
+        raise AssertionError("scatter built past the budget")
+
+    monkeypatch.setattr(engine, "_scatter", scatter)
+    with pytest.raises(BudgetExceeded, match="needs 100000008 state-steps"):
+        exact_cost(RandomEvictionPolicy(), random_chain(3, 1), 2, 10**8 // 9 + 1, (0, 1))
     with pytest.raises(BudgetExceeded):
         joint_operator(RandomEvictionPolicy(), random_chain(12, 1), 6, tuple(range(6)))
 
