@@ -30,7 +30,7 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
 GUIDE_CAP = 1 << 16  # most buckets in a grid's guide table (grid_cells)
-SHORT_TRACE = 1 << 10  # longest trace sample_sequence steps; fewest uniforms grid_cells guides
+SHORT_TRACE = 1 << 10  # longest trace sample_sequence steps; floor of grid_cells' search cut
 WALK_BLOCK = 1 << 16  # requests sampled and walked at once by sample_sequence
 WALK_PAGES = 40  # sample_sequence steps chains with more pages one request at a time
 CHUNK_RATIO = 32  # a block of m steps is walked in chunks of isqrt(m / CHUNK_RATIO) steps
@@ -183,13 +183,9 @@ def grid_cells(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
     ("On generating random variates from an empirical distribution", AIIE
     Transactions, 1974), over the grid merged from all rows. There are G
     buckets [b/G, (b+1)/G), G a power of two near eight times the grid size
-    and at most ``GUIDE_CAP``, so ``u * G`` and ``b / G`` are exact. The
-    guide's build costs G sorted searches and a dozen array calls, so up to
-    G/4 uniforms, and never fewer than ``SHORT_TRACE``, are placed by the
-    binary search itself. Timed on grids of 9 to 22,500 values (2-core x86
-    host), the guide paid for itself near G/4 uniforms once G/4 passed
-    3,000, and between 2,000 and 3,000 below that, where from ``SHORT_TRACE``
-    on it costs at most 1.5 times the search.
+    and at most ``GUIDE_CAP``, so ``u * G`` and ``b / G`` are exact. Building
+    it costs G sorted searches and a dozen array calls, so up to the larger
+    of G/4 and ``SHORT_TRACE`` uniforms are placed by binary search alone.
     ``lo[b]`` counts the grid values below b/G. In a bucket that holds at
     most one grid value, a uniform's cell is ``lo[b]``, plus one if the first
     grid value at or past b/G is at most ``u``. Uniforms in buckets that hold

@@ -203,17 +203,16 @@ def _evolution(policy, chain, k: int, init_cache, steps: int | None):
     """The set-up of ``exact_cost`` and ``joint_operator``: the subset index,
     ``_scatter``'s ``(target, weight)`` and the first request's mass over the
     N flat (cache rank, page) cells, from cache ``init_cache``. The caller's
-    N·``steps`` entries (N·N when ``steps`` is None) are held to
-    ``DEFAULT_BUDGET`` before the scatter is built."""
+    N·``steps`` entries (N·N without ``steps``) are held to ``DEFAULT_BUDGET``
+    before the scatter is built."""
     init_cache = check_cache(init_cache, chain.n, k)
     probs = build_kernel(policy, chain, k)
     if probs is None:
         raise NonMemoryless(f"{policy.name} depends on request history")
     idx = subset_index(chain.n, k)
     N = len(idx) * chain.n
-    need = N * (N if steps is None else steps)
-    if need > DEFAULT_BUDGET:
-        raise BudgetExceeded(need, DEFAULT_BUDGET)
+    if N * (steps or N) > DEFAULT_BUDGET:
+        raise BudgetExceeded(N * (steps or N), DEFAULT_BUDGET)
     target, weight = _scatter(idx, probs)
     first = np.zeros((len(idx), chain.n))
     first[idx.rank[init_cache]] = chain.init
@@ -227,7 +226,6 @@ def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
     """
     check_horizon(T)
     idx, target, weight, req = _evolution(policy, chain, k, init_cache, max(T, 1))
-    N = req.size
 
     # an exact-zero weight (hit slots past 0, one-hot rules' other slots) adds
     # +0.0 to its bin, which changes no sum, so it is dropped once here
@@ -241,7 +239,7 @@ def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
         if t > 1:
             req = dist @ M  # mass over (cache rank, requested page) at step t
         cost += float(req.take(miss_cells).sum())
-        dist = np.bincount(target, weights=req.take(source) * weight, minlength=N)
+        dist = np.bincount(target, weights=req.take(source) * weight, minlength=req.size)
         dist = dist.reshape(len(idx), chain.n)  # mass over (cache rank, last requested page)
         total = dist.sum()
         if abs(total - 1.0) > 1e-9:
