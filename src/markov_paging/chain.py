@@ -6,12 +6,14 @@ chain file, live in a sidecar dictionary and never enter the hot paths.
 
 Sampling is exact inversion of each row's cumulative sum, done by table
 lookups. ``next_page_table`` merges every row's breakpoints into one sorted
-grid and maps (grid cell, page) to the next page; ``grid_cells`` places
-uniforms in the grid by bisection or a bucket guide. ``sample_sequence`` walks
-a long trace on a chain of at most ``WALK_PAGES`` pages in chunks, composing
-each chunk's per-step maps from every start page at once, so it costs a fixed
-number of array operations per chunk and no Python step per request; it steps
-a short trace, or a trace on more pages, request by request.
+grid and maps (grid cell, page) to the next page; ``grid_lookup`` places
+uniforms in the grid by bisection or a bucket guide, chosen once for the
+count a caller places per call, and ``grid_cells`` is one such lookup.
+``sample_sequence`` walks a long trace on a chain of at most ``WALK_PAGES``
+pages in chunks, composing each chunk's per-step maps from every start page
+at once, so it costs a fixed number of array operations per chunk and no
+Python step per request; it steps a short trace, or a trace on more pages,
+request by request.
 ``sample_trials`` steps many short traces side by side. ``derived`` keeps
 every table built from the last chain asked for, matched by transition
 bytes, until another chain is asked for, so the sampling table's (n²+1)·n
@@ -21,6 +23,7 @@ int64 outlive the call, the size class of the kept n³ precedence table.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
-GUIDE_CAP = 1 << 16  # most buckets in a grid's guide table (grid_cells)
-SHORT_TRACE = 1 << 10  # longest trace sample_sequence steps; floor of grid_cells' search cut
+GUIDE_CAP = 1 << 16  # most buckets in a grid's guide table (grid_lookup)
+SHORT_TRACE = 1 << 10  # longest trace sample_sequence steps; floor of grid_lookup's search cut
 WALK_BLOCK = 1 << 16  # requests sampled and walked at once by sample_sequence
 WALK_PAGES = 40  # sample_sequence steps chains with more pages one request at a time
 CHUNK_RATIO = 32  # a block of m steps is walked in chunks of isqrt(m / CHUNK_RATIO) steps
@@ -175,9 +178,9 @@ def first_pages(chain: MarkovChain, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(np.cumsum(chain.init), u, side="right"), chain.n - 1)
 
 
-def grid_cells(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(grid, u, side="right")`` for the sorted ``grid`` and
-    uniforms ``u`` in [0, 1), an array of any shape.
+def grid_lookup(grid: np.ndarray, size: int):
+    """A function giving ``searchsorted(grid, u, side="right")`` for uniforms
+    ``u`` in [0, 1) of any shape, chosen for ``size`` uniforms a call.
 
     Uniforms are placed through the equal-bucket guide table of Chen and Asau
     ("On generating random variates from an empirical distribution", AIIE
@@ -185,28 +188,46 @@ def grid_cells(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
     buckets [b/G, (b+1)/G), G a power of two near eight times the grid size
     and at most ``GUIDE_CAP``, so ``u * G`` and ``b / G`` are exact. Building
     it costs G sorted searches and a dozen array calls, so up to the larger
-    of G/4 and ``SHORT_TRACE`` uniforms are placed by binary search alone.
-    ``lo[b]`` counts the grid values below b/G. In a bucket that holds at
-    most one grid value, a uniform's cell is ``lo[b]``, plus one if the first
-    grid value at or past b/G is at most ``u``. Uniforms in buckets that hold
-    more are placed by ``searchsorted`` on the grid, so the worst case is a
-    plain binary search.
+    of G/4 and ``SHORT_TRACE`` uniforms a call are placed by binary search
+    alone, and a caller that places the same count many times builds the
+    guide once. ``lo[b]`` counts the grid values below b/G. In a bucket that
+    holds at most one grid value, a uniform's cell is ``lo[b]``, plus one if
+    the first grid value at or past b/G is at most ``u``. Uniforms in
+    buckets that hold more are placed by ``searchsorted`` on the grid, so the
+    worst case is a plain binary search.
     """
     G = min(GUIDE_CAP, 1 << (8 * grid.size - 1).bit_length())
-    if u.size <= max(SHORT_TRACE, G // 4):
-        return np.searchsorted(grid, u, side="right")
+    if size <= max(SHORT_TRACE, G // 4):
+        return lambda u: np.searchsorted(grid, u, side="right")
+    lo, first = _guide(grid, G)
+
+    def cells_of(u):
+        b = (u * G).astype(np.intp)
+        split = first[b]
+        up, crowd = split <= u, np.isnan(split)
+        del split  # one block-sized temporary fewer while lo[b] is taken
+        cells = lo[b]
+        cells += up
+        if crowd.any():
+            cells[crowd] = np.searchsorted(grid, u[crowd], side="right")
+        return cells
+
+    return cells_of
+
+
+def _guide(grid: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray]:
+    """``grid_lookup``'s guide over G buckets: ``lo``, and each bucket's
+    first grid value at or past its start, NaN in a crowded bucket."""
     lo = np.searchsorted(grid, np.arange(G + 1) / G, side="left")
     first = np.append(grid, np.inf)[lo[:-1]]
     first[np.diff(lo) > 1] = np.nan  # marks a crowded bucket; no uniform is <= NaN
-    b = (u * G).astype(np.intp)
-    split = first[b]
-    up, crowd = split <= u, np.isnan(split)
-    del split  # one block-sized temporary fewer while lo[b] is taken
-    cells = lo[b]
-    cells += up
-    if crowd.any():
-        cells[crowd] = np.searchsorted(grid, u[crowd], side="right")
-    return cells
+    return lo, first
+
+
+def grid_cells(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(grid, u, side="right")`` for the sorted ``grid`` and
+    uniforms ``u`` in [0, 1): ``grid_lookup`` for one call."""
+    return grid_lookup(grid, u.size)(u)
 
 
 def _walk(table: np.ndarray, n: int, cells: np.ndarray, start: int, out: np.ndarray) -> int:
@@ -269,14 +290,15 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     requests at a time, which keeps the temporaries the size of a block;
     ``Generator.random`` makes one double per 64-bit draw, so the blocks read
     the stream that one call would. Each block's uniforms are placed in the
-    merged grid by ``grid_cells``. With at most ``WALK_PAGES`` pages the
-    block is walked by ``_walk``, a fixed number of array operations per
-    chunk with no Python step per request; the last page of a block starts
-    the next. The walk's first pass costs n gathers per request, so with
-    more pages each block is stepped one request at a time by ``_step``,
-    whose cost per request does not grow with n. A trace of at most
-    ``SHORT_TRACE`` requests is stepped by ``_step`` too: at that length the
-    walk's two dozen array calls cost more than the steps they save.
+    merged grid by one ``grid_lookup``, chosen for a block's count. With at
+    most ``WALK_PAGES`` pages the block is walked by ``_walk``, a fixed
+    number of array operations per chunk with no Python step per request;
+    the last page of a block starts the next. The walk's first pass costs n
+    gathers per request, so with more pages each block is stepped one
+    request at a time by ``_step``, whose cost per request does not grow
+    with n. A trace of at most ``SHORT_TRACE`` requests is stepped by
+    ``_step`` too: at that length the walk's two dozen array calls cost more
+    than the steps they save.
     ``_step`` indexes the table as a list when it has fewer entries than the
     trace has requests, and through a memoryview otherwise.
     """
@@ -293,9 +315,10 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
             # a list indexes a little faster than a memoryview, but listing
             # the table costs about as much per entry as a step
             flat = table.tolist() if table.size < T else memoryview(table)
+        place = grid_lookup(grid, min(T - 1, WALK_BLOCK))
         for start in range(1, T, WALK_BLOCK):
             stop = min(start + WALK_BLOCK, T)
-            cells = grid_cells(grid, rng.random(stop - start))
+            cells = place(rng.random(stop - start))
             if walk:
                 last = _walk(table, n, cells, last, pages[start:stop])
             else:
@@ -378,53 +401,61 @@ def _pcg64_states(pool: list) -> list[tuple[int, int]]:
     return states
 
 
-def trial_uniforms(T: int, base, trials) -> np.ndarray:
-    """The first ``T`` uniforms of each trial's stream, as a ``(len(trials), T)``
-    array.
+def trial_uniforms(T: int, bases, trials) -> np.ndarray:
+    """The first ``T`` uniforms of the stream of each seed ``(*base, i, 0)``,
+    ``base`` in ``bases`` and ``i`` in ``trials``, as a ``(len(bases),
+    len(trials), T)`` array.
 
-    Row j equals ``np.random.default_rng((*base, trials[j], 0)).random(T)``
-    bit for bit, where ``base`` is a sequence of ints. Every stream's
-    ``SeedSequence`` hashing runs in one pass over uint32 arrays, and its
-    PCG64 seeding in Python ints; one ``PCG64`` is then set to each state in
-    turn and draws the raw words, which become uniforms as
+    Row ``[r, j]`` equals ``np.random.default_rng((*bases[r], trials[j],
+    0)).random(T)`` bit for bit, where each base is a sequence of ints.
+    ``SeedSequence`` hashes a seed's entropy words in turn, so the seeds of
+    each word count are hashed in one pass over uint32 arrays, and every
+    PCG64 seeding runs in Python ints; one ``PCG64`` is then set to each
+    state in turn and draws the raw words, which become uniforms as
     ``Generator.random`` makes them, ``(raw >> 11) * 2**-53``. A negative
     seed part is a ``ValueError``, as in numpy, and so is a trial index that
     does not fit one 32-bit entropy word.
     """
-    base_words = [w for part in base for w in _seed_words(part)]
     ids = [operator.index(i) for i in trials]
     bad = [i for i in ids if not 0 <= i <= MASK32]
     if bad:
         raise ValueError(f"trial indices must lie in [0, 2**32), got {bad[0]}")
     ids = np.array(ids, dtype=np.uint32)
-    entropy = [np.full(ids.size, w, dtype=np.uint32) for w in base_words] + [ids, np.zeros_like(ids)]
-    raw = np.empty((ids.size, T), dtype=np.uint64)
+    words = [[w for part in base for w in _seed_words(part)] for base in bases]
+    raw = np.empty((len(words), ids.size, T), dtype=np.uint64)
     bitgen = np.random.PCG64(0)
-    for row, (state, inc) in zip(raw, _pcg64_states(_mix_pools(entropy))):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        row[:] = bitgen.random_raw(T)
+    for size in sorted({len(w) for w in words}):
+        rows = [r for r, w in enumerate(words) if len(w) == size]
+        streams = np.tile(ids, len(rows))
+        entropy = [np.repeat(np.array([words[r][c] for r in rows], dtype=np.uint32), ids.size) for c in range(size)]
+        states = _pcg64_states(_mix_pools(entropy + [streams, np.zeros_like(streams)]))
+        for (r, j), (state, inc) in zip(itertools.product(rows, range(ids.size)), states):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            raw[r, j] = bitgen.random_raw(T)
     return (raw >> 11) * 2.0**-53
 
 
-def sample_trials(chain: MarkovChain, T: int, base, trials) -> np.ndarray:
-    """Draw one ``T``-request trace per trial index, as a read-only
-    ``(len(trials), T)`` page array.
+def sample_trials(chain: MarkovChain, T: int, bases, trials) -> np.ndarray:
+    """Draw one ``T``-request trace per seed ``(*base, i, 0)``, ``base`` in
+    ``bases`` and ``i`` in ``trials``, as a read-only ``(len(bases),
+    len(trials), T)`` page array.
 
-    Row j holds the pages of ``sample_sequence(chain, T, (*base, trials[j],
-    0))``. ``trial_uniforms`` derives every trial's ``(*base, i, 0)`` stream
-    in one pass, each equal to ``default_rng((*base, i, 0))``. All
-    ``(T - 1, len(trials))`` transition uniforms are placed in the grid by
-    one ``grid_cells`` lookup, and the pages are read from the same
+    Row ``[r, j]`` holds the pages of ``sample_sequence(chain, T, (*bases[r],
+    trials[j], 0))``. ``trial_uniforms`` derives every stream in one pass.
+    The transition uniforms of all traces are placed in the grid by one
+    ``grid_cells`` lookup, and the pages are read from the same
     ``next_page_table``. The walk takes one step across all traces at a
     time, so many short traces cost a few array operations per step; for one
     long trace ``sample_sequence`` is faster. ``T = 0`` gives an empty array.
     """
-    u = trial_uniforms(T, base, trials).T  # u[t] holds every trace's t-th uniform
+    u = trial_uniforms(T, bases, trials)
+    shape = u.shape
+    u = u.reshape(shape[0] * shape[1], T).T  # u[t] holds every trace's t-th uniform
     pages = np.empty(u.shape, dtype=np.int64)
     if T:
         grid, table = next_page_table(chain)
@@ -433,7 +464,7 @@ def sample_trials(chain: MarkovChain, T: int, base, trials) -> np.ndarray:
         for t in range(1, T):
             pages[t] = table[rows[t - 1] + pages[t - 1]]
     pages.setflags(write=False)
-    return pages.T
+    return pages.T.reshape(shape)
 
 
 def build_lb_chain(eps: float, eps1: float) -> MarkovChain:

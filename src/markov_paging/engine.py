@@ -1,38 +1,47 @@
 """Cost measurement: Monte Carlo simulation and exact distribution evolution.
 
-``simulate`` runs independent seeded trials and reports a mean miss count
-with a normal-approximation 95% CI. A policy takes the first of three paths
-that applies:
+``trial_misses`` counts the misses of every trial of a stack of runs, each
+run a (policy, seed) pair, and ``simulate`` is a run of one that reports a
+mean miss count with a normal-approximation 95% CI; ``ratio_report`` passes
+its policy baseline and all of its rules in one call. Each run takes the
+first of three paths that applies, and each path steps all of its runs at
+once:
 
 * kernel: memoryless policies (eviction distribution a function of cache
-  contents and the requested page only) step every trial at once over the
-  eviction table their ``kernel_probs(idx, chain)`` returns, drawing every
-  trial's requests (looked up in the chain's ``next_page_table``) and
-  evictions from one ``default_rng(seed)`` stream: each step draws one
-  uniform per trial for the requests, then one per missing trial, in trial
-  order, for the evicted slots. A trial's state is a flat (cache rank, page)
-  cell, so a step is a few flat ``take`` calls: on ``member`` for the
-  misses, on a slot-major cumulative eviction table (the slot is a count over
-  its leading axis) and on the index's ``cells`` for the next cache;
-* batched: policies whose ``batch_misses`` answers (LRU and FIFO, whose cache
-  is k pages with a use or load stamp each) get every trial's request trace
-  from one ``sample_trials`` call and count all trials' misses at once, one
-  ``(trials, k)`` comparison and ``argmin`` per request. ``sample_trials``
-  derives every trial's ``(seed, i, 0)`` stream in one pass, each equal to
-  ``default_rng((seed, i, 0))``, and places all of its uniforms with one
-  ``grid_cells`` lookup;
-* generic: the rest (farthest-in-future, OPT replay) take the same sampled
-  traces and count each trial's victims from ``replay``, the one loop that
-  steps a policy request by request. The audit replays a run once for both
-  schemes' ``audit.ledger``; only ``audit.run_audit`` callers that score one
-  scheme per call (the CLI, the benchmark) replay it once per scheme.
+  contents and the requested page only) step every trial of every run at
+  once over the eviction tables their ``kernel_probs(idx, chain)`` returns.
+  Each run draws from its own ``default_rng(seed)`` stream: each step it
+  draws one uniform per trial for the requests (looked up in the chain's
+  ``next_page_table``), then one per missing trial, in trial order, for the
+  evicted slots. A trial's state is a flat (run, cache rank, page) cell over
+  the runs' tables laid side by side, so a step is a few flat ``take`` calls
+  over every run's trials: on ``member`` for the misses, on the slot-major
+  cumulative eviction tables (the slot is a count over their leading axis)
+  and on the index's ``cells`` for the next cache. The grid lookup that
+  places the request uniforms is chosen once per call, from the uniforms a
+  step places (``chain.grid_lookup``);
+* stamped: LRU and FIFO, whose cache is k pages with a use or load stamp
+  each (``stamp_on_hit``), count every trial of every such run at once in
+  one ``_stamped_misses`` call, one ``(trials, k)`` comparison and
+  ``argmin`` per request;
+* generic: the rest (farthest-in-future, OPT replay) count each trial's
+  victims from ``replay``, the one loop that steps a policy request by
+  request. The audit replays a run once for both schemes' ``audit.ledger``;
+  only ``audit.run_audit`` callers that score one scheme per call (the CLI,
+  the benchmark) replay it once per scheme.
 
-On the batched and generic paths trial i draws its requests from seed
+The stamped and generic runs read their request traces from one
+``sample_trials`` call per block of trials, which derives every run's
+``(seed, i, 0)`` streams in one pass, each equal to ``default_rng((seed, i,
+0))``, and places all of their uniforms with one ``grid_cells`` lookup.
+
+On the stamped and generic paths trial i draws its requests from seed
 ``(seed, i, 0)`` and any eviction randomness from ``(seed, i, 1)``, so both
 give the per-trial miss counts a one-trial-at-a-time loop gives on those
-seeds. The kernel path's shared stream makes its counts depend on the number
-of trials; they repeat bit-for-bit under the same seed and trial count. A
-horizon T of 0 costs 0 on every path, and a negative one is a
+seeds. The kernel path's per-run stream makes its counts depend on the number
+of trials; they repeat bit-for-bit under the same seed and trial count. On
+every path a run's counts do not depend on which other runs share its call.
+A horizon T of 0 costs 0 on every path, and a negative one is a
 ``ValueError``, here as in ``exact_cost`` and the OPT DP.
 
 ``_scatter`` alone turns an eviction table into a cache-state evolution,
@@ -53,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_hash, first_pages, grid_cells, next_page_table, sample_trials
+from .chain import chain_hash, first_pages, grid_lookup, next_page_table, sample_trials
 from .optdp import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -62,9 +71,9 @@ from .optdp import (
     opt_expected_cost,
     subset_index,
 )
-from .policies import RunContext, evict
+from .policies import RunContext, _stamped_misses, evict
 
-TRIAL_BLOCK_CELLS = 1 << 20  # requests (trials x T) sampled at once off the kernel path
+TRIAL_BLOCK_CELLS = 1 << 20  # requests (runs x trials x T) sampled at once off the kernel path
 
 
 class NonMemoryless(TypeError):
@@ -105,63 +114,111 @@ def simulate(policy, chain, k: int, T: int, init_cache, trials: int, seed) -> Co
     path the policy takes; the module docstring says which stream each path
     draws from.
     """
-    misses = trial_misses(policy, chain, k, T, init_cache, trials, seed)
-    mean = float(misses.mean())
+    return _estimate(trial_misses([(policy, seed)], chain, k, T, init_cache, trials)[0])
+
+
+def _estimate(misses: np.ndarray) -> CostEstimate:
+    """Mean of one run's per-trial miss counts, with a normal-approximation
+    95% half-width."""
+    trials = misses.size
     sd = float(misses.std(ddof=1)) if trials > 1 else float("inf")  # one trial: no variance estimate
     return CostEstimate(
-        mean=mean,
+        mean=float(misses.mean()),
         half_width=float(1.96 * sd / np.sqrt(trials)),
         trials=trials,
         mode="monte-carlo",
     )
 
 
-def trial_misses(policy, chain, k: int, T: int, init_cache, trials: int, seed) -> np.ndarray:
-    """Miss count of each of ``trials`` runs, on the kernel, batched or generic
-    path (module docstring)."""
+def trial_misses(runs, chain, k: int, T: int, init_cache, trials: int) -> np.ndarray:
+    """Miss count of each of ``trials`` trials of each ``(policy, seed)`` run,
+    as a ``(len(runs), trials)`` array. Each run takes the kernel, stamped or
+    generic path, and each path steps all of its runs at once (module
+    docstring); a run's counts do not depend on the other runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_horizon(T)
     if not 0 < k < chain.n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={chain.n}")
     init_cache = check_cache(init_cache, chain.n, k)
-    base = _seed_tuple(seed)
-    probs = build_kernel(policy, chain, k)
-    if probs is not None:
-        return _simulate_kernel(subset_index(chain.n, k), probs, chain, T, init_cache, trials, base)
-    misses = np.empty(trials, dtype=np.int64)
-    block = max(1, TRIAL_BLOCK_CELLS // max(T, 1))  # bounds the page array's memory
-    for lo in range(0, trials, block):
-        ids = range(lo, min(lo + block, trials))
-        pages = sample_trials(chain, T, base, trials=ids)
-        batch = policy.batch_misses(pages, init_cache)
-        if batch is None:
-            batch = [len(replay(policy, chain, k, row, init_cache, base + (i, 1))) for i, row in zip(ids, pages)]
-        misses[ids.start : ids.stop] = batch
+    runs = [(policy, _seed_tuple(seed)) for policy, seed in runs]
+    tables = [build_kernel(policy, chain, k) for policy, _ in runs]
+    kernel = [r for r, probs in enumerate(tables) if probs is not None]
+    sampled = [r for r, probs in enumerate(tables) if probs is None]
+    misses = np.empty((len(runs), trials), dtype=np.int64)
+    if kernel:
+        idx = subset_index(chain.n, k)
+        bases = [runs[r][1] for r in kernel]
+        misses[kernel] = _kernel_misses(idx, [tables[r] for r in kernel], chain, T, init_cache, trials, bases)
+    if sampled:
+        misses[sampled] = _sampled_misses([runs[r] for r in sampled], chain, k, T, init_cache, trials)
     return misses
 
 
-def _simulate_kernel(idx, probs, chain, T, init_cache, trials, base) -> np.ndarray:
-    n, k = chain.n, idx.k
-    rng = np.random.default_rng(base)
+def _kernel_misses(idx, tables, chain, T, init_cache, trials, bases) -> np.ndarray:
+    """The kernel path: run r draws from ``default_rng(bases[r])`` and evicts
+    by ``tables[r]``. The runs' cumulative tables, membership and successor
+    cells lie side by side, so a trial's state is one flat (run, cache, page)
+    cell and each step's lookups run once over every run's trials."""
+    n, k, R = chain.n, idx.k, len(tables)
+    N = idx.member.size  # (cache, page) cells of one run
+    rngs = [np.random.default_rng(base) for base in bases]
     grid, table = next_page_table(chain)
-    # slot-major cumulative eviction table over flat (cache, page) cells
-    cum_kernel = np.cumsum(probs, axis=2).reshape(-1, k).T.copy()
-    ranks = np.full(trials, idx.rank[init_cache], dtype=np.int64)
-    last = np.zeros(trials, dtype=np.int64)
-    misses = np.zeros(trials, dtype=np.int64)
+    place = grid_lookup(grid, R * trials)
+    # slot-major cumulative eviction tables over flat (run, cache, page)
+    # cells; no uniform passes the last slot's +inf, so a row whose sum
+    # rounds below 1 evicts its last slot
+    cum_kernel = np.concatenate([np.cumsum(probs, axis=2).reshape(-1, k).T for probs in tables], axis=1)
+    cum_kernel[-1] = np.inf
+    member = np.tile(idx.member.ravel(), R)
+    offset = np.arange(0, R * N, N)
+    # each successor cell's first cell of its cache (rank times n), per run
+    heads = (idx.cells.reshape(k, 1, N) // n * n + offset[:, None]).reshape(k, R * N)
+    head = np.repeat((offset + idx.rank[init_cache] * n)[:, None], trials, axis=1)
+    u = np.empty((R, trials))
+    misses = np.zeros((R, trials), dtype=np.int64)
     for t in range(1, T + 1):
-        u = rng.random(trials)
-        req = first_pages(chain, u) if t == 1 else table[grid_cells(grid, u) * n + last]
-        cell = ranks * n + req
-        miss = ~idx.member.take(cell)
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        req = first_pages(chain, u) if t == 1 else table[place(u) * n + last]
+        cell = head + req
+        miss = ~member.take(cell)
         if miss.any():
             misses += miss
             mc = cell[miss]
-            u2 = rng.random(mc.size)
-            ei = np.minimum((cum_kernel.take(mc, axis=1) <= u2).sum(axis=0), k - 1)
-            ranks[miss] = idx.cells.take(ei * idx.member.size + mc) // n
+            u2 = np.empty(mc.size)
+            lo = 0
+            for rng, count in zip(rngs, miss.sum(axis=1).tolist()):
+                rng.random(out=u2[lo : lo + count])  # each run's missing trials, in trial order
+                lo += count
+            slot = (cum_kernel.take(mc, axis=1) <= u2).sum(axis=0)
+            head[miss] = heads.take(slot * (R * N) + mc)
         last = req
+    return misses
+
+
+def _sampled_misses(runs, chain, k, T, init_cache, trials) -> np.ndarray:
+    """The stamped and generic paths: every run's traces come from one
+    ``sample_trials`` call per block of trials, trial i of the run seeded
+    ``base`` reading ``(*base, i, 0)``. LRU and FIFO runs are counted by one
+    ``_stamped_misses`` call; the rest replay each trace, with eviction
+    randomness from ``(*base, i, 1)``."""
+    misses = np.empty((len(runs), trials), dtype=np.int64)
+    stamped = [r for r, (policy, _) in enumerate(runs) if policy.stamp_on_hit is not None]
+    bases = [base for _, base in runs]
+    block = max(1, TRIAL_BLOCK_CELLS // (max(T, 1) * len(runs)))  # bounds the page array's memory
+    for lo in range(0, trials, block):
+        ids = range(lo, min(lo + block, trials))
+        pages = sample_trials(chain, T, bases, ids)
+        if stamped:
+            flags = np.repeat([runs[r][0].stamp_on_hit for r in stamped], len(ids))
+            counts = _stamped_misses(pages[stamped].reshape(flags.size, T), init_cache, flags)
+            misses[stamped, ids.start : ids.stop] = counts.reshape(len(stamped), len(ids))
+        for r, (policy, base) in enumerate(runs):
+            if policy.stamp_on_hit is None:
+                misses[r, ids.start : ids.stop] = [
+                    len(replay(policy, chain, k, row, init_cache, base + (i, 1))) for i, row in zip(ids, pages[r])
+                ]
     return misses
 
 
@@ -290,18 +347,24 @@ def ratio_report(
     arithmetic on the two CIs.
 
     ``baseline`` is ``"opt-dp"`` (exact DP value, zero-width CI) or a policy.
-    Ratios certify nothing beyond the evaluated horizon T.
+    A policy baseline and every rule run in one ``trial_misses`` call, the
+    baseline on seed ``(seed, 0)`` and rule i on ``(seed, i + 1)``, so each
+    row equals the one ``simulate`` gives on its seed. Ratios certify nothing
+    beyond the evaluated horizon T.
     """
     init_cache = tuple(sorted(init_cache))
+    runs = [(policy, (seed, i + 1)) for i, policy in enumerate(policies)]
     if isinstance(baseline, str) and baseline == "opt-dp":
         value, _ = opt_expected_cost(chain, k, T, init_cache, budget=budget, record_actions=False)
         base_est = CostEstimate(mean=value, half_width=0.0, trials=0, mode="exact")
+        misses = trial_misses(runs, chain, k, T, init_cache, trials)
     else:
-        base_est = simulate(baseline, chain, k, T, init_cache, trials, (seed, 0))
+        misses = trial_misses([(baseline, (seed, 0))] + runs, chain, k, T, init_cache, trials)
+        base_est, misses = _estimate(misses[0]), misses[1:]
     digest = chain_hash(chain)
     rows = []
-    for i, policy in enumerate(policies):
-        est = simulate(policy, chain, k, T, init_cache, trials, (seed, i + 1))
+    for (policy, _), row in zip(runs, misses):
+        est = _estimate(row)
         lo_num = max(est.mean - est.half_width, 0.0)
         hi_den = base_est.mean - base_est.half_width
         ratio_low = float(lo_num / (base_est.mean + base_est.half_width)) if base_est.mean + base_est.half_width > 0 else float("inf")

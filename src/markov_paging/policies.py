@@ -234,23 +234,23 @@ class Policy:
     sorted cache r when page j is requested, zero where j is resident; see
     :class:`TablePolicy`. History-dependent rules leave it ``None`` (so no
     subset index is built) and override :meth:`evict`, which gets the sorted
-    tuple of resident pages; those whose cache state fits a small array give
-    every trial's miss count at once through ``batch_misses``, the rest
-    return ``None`` there and run step by step, one trial at a time.
+    tuple of resident pages. LRU and FIFO keep k pages with a stamp each and
+    declare when a page's stamp moves: ``stamp_on_hit`` is True when a hit
+    restamps the page (LRU), False when only a load does (FIFO), so the
+    engine counts their trials' misses at once through
+    :func:`_stamped_misses`. The rest leave it ``None`` and run step by step,
+    one trial at a time.
     """
 
     name = "policy"
     kernel_probs = None
+    stamp_on_hit = None
 
     def reset(self, ctx: RunContext) -> None:
         pass
 
     def evict(self, cache: tuple[int, ...], requested: int, ctx: RunContext, rng) -> int:
         raise NotImplementedError
-
-    def batch_misses(self, pages: np.ndarray, init_cache: tuple[int, ...]):
-        """Miss count per row of the ``(trials, T)`` request array, or None."""
-        return None
 
 
 def _miss_table(idx, rows) -> np.ndarray:
@@ -431,16 +431,16 @@ class FarthestInFuture(_IndexedPolicy):
         return max(cache, key=following.__getitem__)  # ties: the first page in cache order
 
 
-def _stamped_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndarray:
-    """Miss count per row of ``pages`` for LRU or FIFO, every trial stepped
-    at once.
+def _stamped_misses(pages: np.ndarray, init_cache, stamp_on_hit) -> np.ndarray:
+    """Miss count per row of the ``(trials, T)`` request array ``pages``,
+    every row stepped at once, as LRU where ``stamp_on_hit`` (one flag per
+    row) is True and as FIFO where it is False.
 
-    Each trial keeps its k pages in fixed slots with a stamp per slot: the
-    step of the last use under LRU (``move_on_hit``), of the last load under
-    FIFO. The victim is the slot with the least stamp, so a step is one
-    ``(trials, k)`` comparison and one ``argmin``. The initial pages are
-    stamped in ascending order, the tie-break of ``LruPolicy`` and
-    ``FifoPolicy``.
+    Each row keeps its k pages in fixed slots with a stamp per slot: the
+    step of the last use under LRU, of the last load under FIFO. The victim
+    is the slot with the least stamp, so a step is one ``(trials, k)``
+    comparison and one ``argmin``. The initial pages are stamped in
+    ascending order, the tie-break of ``LruPolicy`` and ``FifoPolicy``.
     """
     trials, T = pages.shape
     k = len(init_cache)
@@ -448,6 +448,7 @@ def _stamped_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndar
     stamp = np.tile(np.arange(-k, 0), (trials, 1))
     held_at, stamp_at = held.reshape(-1), stamp.reshape(-1)
     row = np.arange(0, trials * k, k)
+    keep_on_hit = ~np.asarray(stamp_on_hit, dtype=bool)
     hits = np.zeros(trials, dtype=np.int64)
     for t in range(T):
         page = pages[:, t]
@@ -456,12 +457,13 @@ def _stamped_misses(pages: np.ndarray, init_cache, move_on_hit: bool) -> np.ndar
         hit = held_at[at] == page
         hits += hit
         held_at[at] = page
-        stamp_at[at] = t if move_on_hit else np.where(hit, stamp_at[at], t)
+        stamp_at[at] = np.where(hit & keep_on_hit, stamp_at[at], t)
     return T - hits
 
 
 class LruPolicy(_IndexedPolicy):
     name = "lru"
+    stamp_on_hit = True
 
     def evict(self, cache, requested, ctx, rng):
         if self._occurrences is None:
@@ -473,12 +475,10 @@ class LruPolicy(_IndexedPolicy):
             last[p] = occ[i - 1] if i else -1
         return min(cache, key=lambda p: (last[p], p))  # ties: never used, lowest page
 
-    def batch_misses(self, pages, init_cache):
-        return _stamped_misses(pages, init_cache, move_on_hit=True)
-
 
 class FifoPolicy(Policy):
     name = "fifo"
+    stamp_on_hit = False
 
     def __init__(self):
         self._queue: list[int] = []
@@ -490,9 +490,6 @@ class FifoPolicy(Policy):
         victim = self._queue.pop(0)
         self._queue.append(requested)
         return victim
-
-    def batch_misses(self, pages, init_cache):
-        return _stamped_misses(pages, init_cache, move_on_hit=False)
 
 
 class RandomEvictionPolicy(TablePolicy):

@@ -53,12 +53,14 @@ def loop_sample_pages(chain, T, seed):
     return pages
 
 
-def loop_trial_uniforms(T, base, trials):
-    """``T`` uniforms per trial from one ``default_rng((*base, i, 0))`` each:
-    the reference for ``chain.trial_uniforms``. ``base`` is a tuple."""
-    u = np.empty((len(trials), T))
-    for row, i in zip(u, trials):
-        np.random.default_rng((*base, i, 0)).random(out=row)
+def loop_trial_uniforms(T, bases, trials):
+    """``T`` uniforms per base and trial from one ``default_rng((*base, i,
+    0))`` each: the reference for ``chain.trial_uniforms``. Each base is a
+    tuple."""
+    u = np.empty((len(bases), len(trials), T))
+    for rows, base in zip(u, bases):
+        for row, i in zip(rows, trials):
+            np.random.default_rng((*base, i, 0)).random(out=row)
     return u
 
 

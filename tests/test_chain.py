@@ -27,9 +27,9 @@ from markov_paging.chain import (
     trial_uniforms,
     validate_chain,
 )
-from markov_paging.engine import ratio_report
+from markov_paging.engine import ratio_report, trial_misses
 from markov_paging.optdp import subset_index
-from markov_paging.policies import DominatingPolicy, FifoPolicy, LruPolicy, MedianPolicy
+from markov_paging.policies import DominatingPolicy, FifoPolicy, LruPolicy, MedianPolicy, RandomEvictionPolicy
 
 from .conftest import chain_specs, keep_every_table, sparse_chain, sparse_chain_specs
 from .oracles import loop_sample_pages, loop_trial_uniforms
@@ -209,23 +209,6 @@ def test_long_trace_memory_is_one_block_of_temporaries():
     assert peak <= 8 * 10**6 + 4 * 10**6, peak
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    sparse_chain_specs(n_min=2, n_max=7),
-    st.sampled_from(LENGTHS),
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.integers(min_value=1, max_value=5),
-)
-def test_sample_trials_rows_match_sample_sequence(chain, T, seed, trials):
-    """Row i is the trace ``sample_sequence`` draws from seed i, page for page,
-    on chains with zero entries and across ``sample_sequence``'s chunk edges."""
-    seeds = [(seed, i, 0) for i in range(trials)]
-    pages = sample_trials(chain, T, (seed,), trials=range(trials))
-    assert pages.shape == (trials, T) and not pages.flags.writeable
-    for row, s in zip(pages, seeds):
-        assert np.array_equal(row, sample_sequence(chain, T, s))
-
-
 # seed parts below, at and above one and two 32-bit entropy words
 SEED_PARTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(min_value=0, max_value=2**70)
 NUMPY_INTS = (np.uint32, np.int64, np.uint64)
@@ -244,19 +227,38 @@ def seed_bases(draw):
     return tuple(base), tuple(parts)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    sparse_chain_specs(n_min=2, n_max=7),
+    st.sampled_from(LENGTHS),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=2**31 - 1)) | st.tuples(SEED_PARTS, SEED_PARTS), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=5),
+)
+def test_sample_trials_rows_match_sample_sequence(chain, T, bases, trials):
+    """Row [r, i] is the trace ``sample_sequence`` draws from seed
+    ``(*bases[r], i, 0)``, page for page, on chains with zero entries, across
+    ``sample_sequence``'s chunk edges and for bases of different word counts
+    in one call."""
+    pages = sample_trials(chain, T, bases, trials=range(trials))
+    assert pages.shape == (len(bases), trials, T) and not pages.flags.writeable
+    for rows, base in zip(pages, bases):
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, sample_sequence(chain, T, (*base, i, 0)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    seed_bases(),
+    st.lists(seed_bases(), max_size=4),
     st.sampled_from([0, 1, 2, 1025]),
     st.lists(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(min_value=0, max_value=2**32 - 1), max_size=6),
 )
 def test_trial_uniforms_match_per_trial_loop_oracle(bases, T, trials):
-    """Bit for bit the uniforms of one ``default_rng((*base, i, 0))`` per
-    trial, with fewer than, exactly and more than 4 entropy words."""
-    base, parts = bases
-    u = trial_uniforms(T, base, trials)
-    assert u.shape == (len(trials), T)
-    assert np.array_equal(u, loop_trial_uniforms(T, parts, trials))
+    """Bit for bit the uniforms of one ``default_rng((*base, i, 0))`` per base
+    and trial, with fewer than, exactly and more than 4 entropy words, and
+    bases of different word counts in one call."""
+    u = trial_uniforms(T, [base for base, _ in bases], trials)
+    assert u.shape == (len(bases), len(trials), T)
+    assert np.array_equal(u, loop_trial_uniforms(T, [parts for _, parts in bases], trials))
 
 
 @pytest.mark.parametrize(
@@ -267,7 +269,7 @@ def test_trial_uniforms_reject_negative_parts_and_wide_indices(base, trials):
     """A negative seed part is a ValueError, as numpy makes it; a trial index
     is one entropy word, so 2**32 and above are ValueErrors too."""
     with pytest.raises(ValueError):
-        trial_uniforms(4, base, trials)
+        trial_uniforms(4, [(1,), base], trials)
 
 
 def _edge_uniforms(grid):
@@ -359,11 +361,11 @@ def test_uniform_on_a_cumulative_entry_selects_the_next_page():
     assert pages[0] == 1 and pages[t0] == 1
     assert np.array_equal(pages, loop_sample_pages(chain, T, seed))
     # stream (0, 0, 0) is default_rng(0): zero words within the 4-word pool are padding
-    assert np.array_equal(sample_trials(chain, T, (seed,), trials=[0])[0], pages)
+    assert np.array_equal(sample_trials(chain, T, [(seed,)], trials=[0])[0, 0], pages)
 
 
 def test_sample_trials_empty_horizon():
-    assert sample_trials(random_chain(3, 1), 0, (1,), trials=range(2)).shape == (2, 0)
+    assert sample_trials(random_chain(3, 1), 0, [(1,), (2, 3)], trials=range(2)).shape == (2, 2, 0)
 
 
 def test_sample_sequence_empty_horizon():
@@ -415,6 +417,33 @@ def test_ratio_report_builds_the_sampling_table_once(monkeypatch):
     policies = [DominatingPolicy(), MedianPolicy(), LruPolicy(), FifoPolicy()]
     ratio_report(chain, 2, 20, policies, "opt-dp", 50, 3, (0, 1))
     assert builds == [5]
+
+
+def test_monte_carlo_builds_the_bucket_guide_once_per_call(monkeypatch):
+    """Search or guide is chosen once per call from the uniforms a step
+    places. Two kernel runs of 600 trials place 1,200 a step at n = 4, past
+    the guide's cut there (``SHORT_TRACE``), so the guide is built once for
+    all 30 steps; each run alone places 600 a step by binary search, with
+    the same counts. ``sample_trials`` and a three-block ``sample_sequence``
+    build it once too."""
+    builds = []
+    real = chain_mod._guide
+
+    def counting(grid, G):
+        builds.append(G)
+        return real(grid, G)
+
+    monkeypatch.setattr(chain_mod, "_guide", counting)
+    chain = random_chain(4, 3)
+    runs = [(RandomEvictionPolicy(), 1), (MedianPolicy(), 2)]
+    both = trial_misses(runs, chain, 2, 30, (0, 1), 600)
+    assert builds == [128]
+    for run, row in zip(runs, both):
+        assert np.array_equal(trial_misses([run], chain, 2, 30, (0, 1), 600)[0], row)
+    assert builds == [128]
+    sample_trials(chain, 30, [(1,), (2,)], range(600))
+    sample_sequence(chain, 2 * WALK_BLOCK + 2, 0)
+    assert builds == [128] * 3
 
 
 def test_fresh_median_policies_share_one_median_matrix(monkeypatch):

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from markov_paging import engine
 from markov_paging.alpha import SingularSystem, alpha_table
-from markov_paging.chain import build_lb_chain, random_chain, sample_sequence, sample_trials, validate_chain
+from markov_paging.chain import build_lb_chain, chain_hash, random_chain, sample_sequence, sample_trials, validate_chain
 from markov_paging.engine import (
     NonMemoryless,
+    ReportRow,
     _scatter,
     build_kernel,
     exact_cost,
@@ -30,6 +31,8 @@ from markov_paging.policies import (
     OptReplayPolicy,
     PinnedPolicy,
     RandomEvictionPolicy,
+    _stamped_misses,
+    parse_policy,
 )
 
 from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_specs
@@ -76,7 +79,7 @@ def test_kernel_request_on_a_cumulative_entry_is_the_next_page():
     assert u[1] >= 0.5
     ch = validate_chain([[u[1], 1 - u[1]]] * 2, init=[1.0, 0.0])
     assert ch.transition[0, 0] == u[1]
-    assert trial_misses(RandomEvictionPolicy(), ch, 1, 2, (0,), 1, seed).tolist() == [1]
+    assert trial_misses([(RandomEvictionPolicy(), seed)], ch, 1, 2, (0,), 1).tolist() == [[1]]
 
 
 def test_pinned_reference_rate_on_warmup_chain():
@@ -127,7 +130,7 @@ def test_kernel_none_for_history_dependent():
     ch = random_chain(6, 3)
     assert build_kernel(FarthestInFuture(), ch, 2) is None
     for pol in (LruPolicy(), FifoPolicy()):
-        trial_misses(pol, ch, 3, 20, (0, 1, 2), 5, 1)
+        trial_misses([(pol, 1)], ch, 3, 20, (0, 1, 2), 5)
     assert subset_index.cache_info().currsize == 0
     assert build_kernel(DominatingPolicy(), ch, 2) is not None
 
@@ -264,6 +267,38 @@ def test_ratio_report_against_exact_baseline():
     assert len(lines) == 3
 
 
+def _per_rule_rows(chain, k, T, names, baseline, trials, seed, init):
+    """``ratio_report``'s rows with one ``simulate`` call per rule, rule i on
+    seed ``(seed, i + 1)`` and a policy baseline on ``(seed, 0)``, and its
+    interval arithmetic written out."""
+    if baseline == "opt-dp":
+        base_mean, base_ci = opt_expected_cost(chain, k, T, init, record_actions=False)[0], 0.0
+    else:
+        est = simulate(parse_policy(baseline), chain, k, T, init, trials, (seed, 0))
+        base_mean, base_ci = est.mean, est.half_width
+    rows = []
+    for i, name in enumerate(names):
+        est = simulate(parse_policy(name), chain, k, T, init, trials, (seed, i + 1))
+        top, bottom = base_mean + base_ci, base_mean - base_ci
+        low = max(est.mean - est.half_width, 0.0) / top if top > 0 else float("inf")
+        high = (est.mean + est.half_width) / bottom if bottom > 0 else float("inf")
+        rows.append(ReportRow(name, est.mean, est.half_width, base_mean, base_ci, low, high, chain_hash(chain), k, T, seed))
+    return rows
+
+
+@pytest.mark.parametrize("baseline", ["opt-dp", "lru", "median"])
+@pytest.mark.parametrize("trials,T", [(300, 25), (1, 25), (40, 0)])
+@pytest.mark.parametrize("names", [("dominating", "median", "random", "lru", "fifo", "fif"), ()])
+def test_ratio_report_rows_equal_per_rule_simulate(baseline, trials, T, names):
+    """Every rule of a report, stepped beside the others in one Monte Carlo
+    call, gives the row that its own ``simulate`` gives: a rule's counts do
+    not depend on which other rules share its report."""
+    chain, init = random_chain(5, [8500, 1], floor=0.1), (1, 3)
+    policies = [parse_policy(name) for name in names]
+    rows = ratio_report(chain, 2, T, policies, baseline if baseline == "opt-dp" else parse_policy(baseline), trials, 7, init)
+    assert rows == _per_rule_rows(chain, 2, T, names, baseline, trials, 7, init)
+
+
 def test_ratio_report_deterministic():
     ch = random_chain(3, 9)
     a = ratio_report(ch, 2, 10, [RandomEvictionPolicy()], "opt-dp", 500, 11, (0, 1))
@@ -384,47 +419,69 @@ def unsorted_caches(n, k):
     return st.permutations(range(n)).map(lambda perm: tuple(perm[:k]))
 
 
+# one- and two-word seeds: SeedSequence hashes each word count differently
+SEEDS = st.integers(min_value=0, max_value=2**31 - 1).map(lambda s: (s,)) | st.tuples(
+    st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([0, 2**32, 2**40 + 3])
+)
+
+
+def _runs(data, rules):
+    """One drawn rule list, each rule with its own distinct seed."""
+    makes = data.draw(st.lists(st.sampled_from(rules), min_size=1, max_size=5))
+    seeds = data.draw(st.lists(SEEDS, min_size=len(makes), max_size=len(makes), unique=True))
+    return [(make(), seed) for make, seed in zip(makes, seeds)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sampled_paths_match_per_trial_loop_oracle(data):
-    """LRU and FIFO (batched path) and farthest-in-future (generic path) give
-    the per-trial miss counts of the one-trial-at-a-time loop."""
+    """LRU and FIFO (stamped path) and farthest-in-future (generic path),
+    drawn into one call with a seed each, give every row the per-trial miss
+    counts of the one-trial-at-a-time loop on its own seed."""
     chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
     k = data.draw(st.sampled_from(sorted({1, chain.n - 1, (chain.n + 1) // 2})))
     T = data.draw(horizons)
     init = data.draw(unsorted_caches(chain.n, k))
     trials = data.draw(st.integers(min_value=1, max_value=12))
-    seed = (data.draw(st.integers(min_value=0, max_value=2**31 - 1)),)
-    pages = sample_trials(chain, T, seed, trials=range(trials))
-    for make in (LruPolicy, FifoPolicy, FarthestInFuture):
+    runs = _runs(data, [LruPolicy, FifoPolicy, FarthestInFuture])
+    got = trial_misses(runs, chain, k, T, init, trials)
+    assert got.shape == (len(runs), trials)
+    for (policy, seed), row in zip(runs, got):
+        assert np.array_equal(row, loop_simulate_generic(policy, chain, k, T, init, trials, seed)), policy.name
+    seed = runs[0][1]
+    pages = sample_trials(chain, T, [seed], trials=range(trials))[0]
+    for make in (LruPolicy, FifoPolicy):  # the stamped count, given the unsorted cache itself
         ref = loop_simulate_generic(make(), chain, k, T, init, trials, seed)
-        assert np.array_equal(trial_misses(make(), chain, k, T, init, trials, seed), ref), make.name
-        if make is not FarthestInFuture:  # the batched count, given the unsorted cache itself
-            assert np.array_equal(make().batch_misses(pages, init), ref), make.name
+        assert np.array_equal(_stamped_misses(pages, init, np.full(trials, make.stamp_on_hit)), ref), make.name
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kernel_path_matches_per_trial_loop_oracle(data):
-    """The kernel path reads the shared stream as the one-trial-at-a-time
-    loop does: per step, request uniforms in trial order, then eviction
-    uniforms for the missing trials in trial order."""
+    """Each run of the kernel path reads its own stream as the
+    one-trial-at-a-time loop does: per step, request uniforms in trial order,
+    then eviction uniforms for the missing trials in trial order. The rules
+    are drawn into one call with a seed each, beside an LRU run, whose row
+    is the loop's of its path."""
     chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
     k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
     T = data.draw(horizons)
     init = data.draw(caches(chain.n, k))
     trials = data.draw(st.integers(min_value=1, max_value=12))
-    seed = (data.draw(st.integers(min_value=0, max_value=2**31 - 1)),)
     pinned = data.draw(st.sets(st.integers(min_value=0, max_value=chain.n - 1), max_size=k - 1))
-    rules = [MedianPolicy(), RandomEvictionPolicy(), PinnedPolicy(pinned)]
+    rules = [MedianPolicy, RandomEvictionPolicy, lambda: PinnedPolicy(pinned)]
     try:
         alpha_table(chain)
-        rules.append(DominatingPolicy())
+        rules.append(DominatingPolicy)
     except SingularSystem:
         pass  # the dominating rule is undefined on this chain
-    for policy in rules:
+    runs = _runs(data, rules)
+    lru = (LruPolicy(), data.draw(SEEDS))
+    got = trial_misses(runs + [lru], chain, k, T, init, trials)
+    for (policy, seed), row in zip(runs, got):
         ref = loop_simulate_kernel(build_kernel(policy, chain, k), chain, T, init, trials, seed)
-        assert np.array_equal(trial_misses(policy, chain, k, T, init, trials, seed), ref), policy.name
+        assert np.array_equal(row, ref), policy.name
+    assert np.array_equal(got[-1], loop_simulate_generic(LruPolicy(), chain, k, T, init, trials, lru[1]))
 
 
 @pytest.mark.parametrize("make", [LruPolicy, FifoPolicy])
@@ -432,7 +489,7 @@ def test_batched_path_matches_loop_oracle_on_a_large_cache(make):
     """n = 12, k = 6, where trials rarely revisit one of the 665,280 ordered caches."""
     chain = random_chain(12, [8200, 1])
     init, trials, T, seed = (0, 2, 4, 6, 8, 10), 20, 200, (11,)
-    got = trial_misses(make(), chain, 6, T, init, trials, seed)
+    (got,) = trial_misses([(make(), seed)], chain, 6, T, init, trials)
     assert np.array_equal(got, loop_simulate_generic(make(), chain, 6, T, init, trials, seed))
 
 
@@ -484,8 +541,9 @@ def test_sampled_paths_split_trials_into_blocks(monkeypatch):
     """Trials sampled in several blocks keep their seeds and miss counts."""
     from markov_paging import engine
 
-    monkeypatch.setattr(engine, "TRIAL_BLOCK_CELLS", 50)  # T=20: blocks of 2 trials
+    monkeypatch.setattr(engine, "TRIAL_BLOCK_CELLS", 50)  # T=20: blocks of 2 trials, of 1 for two runs
     ch = random_chain(5, 21)
-    for make in (LruPolicy, FarthestInFuture):
-        got = trial_misses(make(), ch, 2, 20, (3, 1), 7, 4)
-        assert np.array_equal(got, loop_simulate_generic(make(), ch, 2, 20, (3, 1), 7, (4,))), make.name
+    for makes in ([LruPolicy], [FarthestInFuture], [LruPolicy, FarthestInFuture]):
+        got = trial_misses([(make(), (4, i)) for i, make in enumerate(makes)], ch, 2, 20, (3, 1), 7)
+        for i, (make, row) in enumerate(zip(makes, got)):
+            assert np.array_equal(row, loop_simulate_generic(make(), ch, 2, 20, (3, 1), 7, (4, i))), make.name
