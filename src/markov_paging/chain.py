@@ -30,6 +30,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
 GUIDE_CAP = 1 << 16  # most buckets in a grid's guide table (grid_lookup)
@@ -38,15 +39,13 @@ WALK_BLOCK = 1 << 16  # requests sampled and walked at once by sample_sequence
 WALK_PAGES = 40  # sample_sequence steps chains with more pages one request at a time
 CHUNK_RATIO = 32  # a block of m steps is walked in chunks of isqrt(m / CHUNK_RATIO) steps
 
-# numpy's SeedSequence hashing (numpy/random/bit_generator.pyx) and PCG64
-# multiplier (pcg64.h), which trial_uniforms reproduces for many streams at once
+# numpy's SeedSequence hashing (numpy/random/bit_generator.pyx), which
+# trial_uniforms reproduces for many streams at once
 POOL_SIZE = 4
 INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MASK32 = 0xFFFFFFFF
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-MASK128 = (1 << 128) - 1
 
 
 class NonStochasticRow(ValueError):
@@ -265,10 +264,10 @@ def _walk(table: np.ndarray, n: int, cells: np.ndarray, start: int, out: np.ndar
     return int(out[-1])
 
 
-def _step(flat, n: int, cells: np.ndarray, start: int, out: np.ndarray) -> int:
-    """``_walk`` one request at a time: one index per step into ``flat``, the
-    table as a list or a memoryview, whatever n is."""
-    last, walked = start, []
+def _step(table: np.ndarray, n: int, cells: np.ndarray, start: int, out: np.ndarray) -> int:
+    """``_walk`` one request at a time: one index per step into a memoryview
+    of ``table``, whatever n is."""
+    flat, last, walked = memoryview(table), start, []
     for row in (cells * n).tolist():
         last = flat[row + last]
         walked.append(last)
@@ -299,8 +298,6 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     with n. A trace of at most ``SHORT_TRACE`` requests is stepped by
     ``_step`` too: at that length the walk's two dozen array calls cost more
     than the steps they save.
-    ``_step`` indexes the table as a list when it has fewer entries than the
-    trace has requests, and through a memoryview otherwise.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
@@ -310,19 +307,11 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
         n = chain.n
         grid, table = next_page_table(chain)
         pages[0] = last = int(first_pages(chain, rng.random()))
-        walk = T > SHORT_TRACE and n <= WALK_PAGES
-        if not walk:
-            # a list indexes a little faster than a memoryview, but listing
-            # the table costs about as much per entry as a step
-            flat = table.tolist() if table.size < T else memoryview(table)
+        follow = _walk if T > SHORT_TRACE and n <= WALK_PAGES else _step
         place = grid_lookup(grid, min(T - 1, WALK_BLOCK))
         for start in range(1, T, WALK_BLOCK):
             stop = min(start + WALK_BLOCK, T)
-            cells = place(rng.random(stop - start))
-            if walk:
-                last = _walk(table, n, cells, last, pages[start:stop])
-            else:
-                last = _step(flat, n, cells, last, pages[start:stop])
+            last = follow(table, n, place(rng.random(stop - start)), last, pages[start:stop])
     pages.setflags(write=False)
     return pages
 
@@ -357,13 +346,16 @@ def _hasher(init: int, mult: int):
     return hashmix
 
 
-def _mix_pools(entropy: list) -> list:
-    """``SeedSequence``'s entropy pool, for many entropy lists at once.
+def _state_words(entropy: list) -> np.ndarray:
+    """Each stream's ``SeedSequence`` state, ``generate_state(4, np.uint64)``,
+    for many entropy lists at once: the rows of a C-contiguous ``(streams,
+    4)`` uint64 array.
 
-    ``entropy`` holds one uint32 array per entropy word, one entry per stream;
-    the four returned arrays are the pool words. This is numpy's
-    ``mix_entropy``: a list shorter than the pool is padded with zero words,
-    which is why trailing zeros within the pool change no stream.
+    ``entropy`` holds one uint32 array per entropy word, one entry per stream.
+    The pool is numpy's ``mix_entropy``: a list shorter than the pool is
+    padded with zero words, which is why trailing zeros within the pool change
+    no stream. ``generate_state`` then hashes the pool, cycled, into eight
+    32-bit words, read in pairs as little-endian 64-bit words.
     """
     hashmix = _hasher(INIT_A, MULT_A)
 
@@ -380,25 +372,21 @@ def _mix_pools(entropy: list) -> list:
     for word in entropy[POOL_SIZE:]:
         for dst in range(POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _pcg64_states(pool: list) -> list[tuple[int, int]]:
-    """The PCG64 ``(state, inc)`` that each stream's pool seeds.
-
-    ``generate_state(4, uint64)`` hashes the pool, cycled, into eight words;
-    the first two 64-bit words make ``initstate`` and the last two
-    ``initseq``, each high word first, and ``pcg64_set_seed`` steps the LCG
-    twice from state 0.
-    """
     hashmix = _hasher(INIT_B, MULT_B)
     words = [hashmix(pool[j % POOL_SIZE]).astype(np.uint64) for j in range(8)]
-    halves = [(words[2 * j] | (words[2 * j + 1] << 32)).tolist() for j in range(4)]
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & MASK128
-        states.append((((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK128, inc))
-    return states
+    return np.stack([words[2 * j] | words[2 * j + 1] << 32 for j in range(4)], axis=1)
+
+
+class _StateWords(ISeedSequence):
+    """A seed that hands ``PCG64`` its ``generate_state`` words, a row of
+    ``_state_words``. numpy reads them through the array's data pointer, so
+    the row must be a contiguous uint64 array of four words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def trial_uniforms(T: int, bases, trials) -> np.ndarray:
@@ -409,12 +397,11 @@ def trial_uniforms(T: int, bases, trials) -> np.ndarray:
     Row ``[r, j]`` equals ``np.random.default_rng((*bases[r], trials[j],
     0)).random(T)`` bit for bit, where each base is a sequence of ints.
     ``SeedSequence`` hashes a seed's entropy words in turn, so the seeds of
-    each word count are hashed in one pass over uint32 arrays, and every
-    PCG64 seeding runs in Python ints; one ``PCG64`` is then set to each
-    state in turn and draws the raw words, which become uniforms as
-    ``Generator.random`` makes them, ``(raw >> 11) * 2**-53``. A negative
-    seed part is a ``ValueError``, as in numpy, and so is a trial index that
-    does not fit one 32-bit entropy word.
+    each word count are hashed in one pass over uint32 arrays, and each
+    stream's ``PCG64`` seeds itself from its row of those words, as it would
+    from the ``SeedSequence``. A negative seed part is a ``ValueError``, as
+    in numpy, and so is a trial index that does not fit one 32-bit entropy
+    word.
     """
     ids = [operator.index(i) for i in trials]
     bad = [i for i in ids if not 0 <= i <= MASK32]
@@ -422,22 +409,15 @@ def trial_uniforms(T: int, bases, trials) -> np.ndarray:
         raise ValueError(f"trial indices must lie in [0, 2**32), got {bad[0]}")
     ids = np.array(ids, dtype=np.uint32)
     words = [[w for part in base for w in _seed_words(part)] for base in bases]
-    raw = np.empty((len(words), ids.size, T), dtype=np.uint64)
-    bitgen = np.random.PCG64(0)
+    u = np.empty((len(words), ids.size, T))
     for size in sorted({len(w) for w in words}):
         rows = [r for r, w in enumerate(words) if len(w) == size]
         streams = np.tile(ids, len(rows))
         entropy = [np.repeat(np.array([words[r][c] for r in rows], dtype=np.uint32), ids.size) for c in range(size)]
-        states = _pcg64_states(_mix_pools(entropy + [streams, np.zeros_like(streams)]))
-        for (r, j), (state, inc) in zip(itertools.product(rows, range(ids.size)), states):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            raw[r, j] = bitgen.random_raw(T)
-    return (raw >> 11) * 2.0**-53
+        states = _state_words(entropy + [streams, np.zeros_like(streams)])
+        for (r, j), state in zip(itertools.product(rows, range(ids.size)), states):
+            np.random.Generator(np.random.PCG64(_StateWords(state))).random(out=u[r, j])
+    return u
 
 
 def sample_trials(chain: MarkovChain, T: int, bases, trials) -> np.ndarray:

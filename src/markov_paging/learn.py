@@ -62,8 +62,8 @@ def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, tru
     ``m_hat[i, j] = (count(i->j) + smoothing) / (count(i->.) + n*smoothing)``;
     rows never visited come out uniform. ``n`` defaults to the trace's page
     range (pass it explicitly when the trace may not visit every page).
-    ``ValueError`` unless every page lies in 0..n-1 and ``smoothing`` is
-    positive and finite.
+    ``ValueError`` unless every page lies in 0..n-1, the n x n count table
+    can be indexed, and ``smoothing`` is positive and finite.
     """
     pages = np.asarray(trace, dtype=np.int64)
     if len(pages) < 2:
@@ -75,6 +75,8 @@ def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, tru
     bad = pages[(pages < 0) | (pages >= n)]
     if bad.size:
         raise ValueError(f"trace page {int(bad[0])} is outside 0..{n - 1}")
+    if n * n > np.iinfo(np.intp).max:
+        raise ValueError(f"{n} pages make an n x n count table too large to index")
     if truth is not None and truth.n != n:
         raise ValueError("truth chain size does not match n")
     counts = np.bincount(pages[:-1] * n + pages[1:], minlength=n * n).reshape(n, n).astype(float)

@@ -187,8 +187,7 @@ def test_sampling_matches_loop_oracle_across_blocks(n, seed, zero_frac):
 def test_sampling_matches_loop_oracle_on_either_side_of_walk_pages(n):
     """At most ``WALK_PAGES`` pages a long trace is walked in chunks; with
     more it is stepped one request at a time, through a memoryview of the
-    table or, once the trace is longer than the table, a list of it. Both
-    agree with the oracle, short traces and block edges too."""
+    table. Both agree with the oracle, short traces and block edges too."""
     chain = sparse_chain(n, n, 0.5)
     for T in [40, SHORT_TRACE + 1, 20_000, WALK_BLOCK + 2, 2 * WALK_BLOCK + 2]:
         assert np.array_equal(sample_sequence(chain, T, [n, T]), loop_sample_pages(chain, T, [n, T]))

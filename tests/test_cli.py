@@ -215,6 +215,9 @@ LEARN_TRACE_CASES = {
     "trace-only": ([], 0, ""),
     "unused-k-T-seed": (["--k", "1", "--T", "5", "--seed", "0"], 2, "learn --trace does not read --k, --T, --seed"),
     "page-beyond-n": (["--n", "2"], 2, "trace page 2 is outside 0..1"),
+    # n² counts past the largest array index overflow numpy rather than run out of memory
+    "count-table-past-indexing": (["--n", "3037000501"], 2,
+                                  "error: 3037000501 pages make an n x n count table too large to index\n"),
     "chain-file": (["--chain", "{chain}"], 2, "learn --trace does not read --chain"),
     "lb-chain": (["--lb-eps", "0.1", "--lb-eps1", "0.05"], 2, "learn --trace does not read --lb-eps, --lb-eps1"),
     # a flag counts when given, also at its default value

@@ -53,6 +53,11 @@ def test_out_of_range_pages_rejected(trace, n):
         estimate_transition(np.array(trace), n=n)
 
 
+def test_count_table_past_indexing_rejected():
+    with pytest.raises(ValueError, match="^1000000000001 pages make an n x n count table"):
+        estimate_transition(np.array([0, 1, 10**12, 0]))
+
+
 @settings(max_examples=20, deadline=None)
 @given(chain_specs(n_min=2, n_max=5), st.integers(min_value=0, max_value=10**6))
 def test_estimates_are_valid_chains(chain, seed):
