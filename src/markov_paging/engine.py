@@ -48,12 +48,15 @@ A horizon T of 0 costs 0 on every path, and a negative one is a
 reading each miss's successor cell from the index's ``cells``, and
 ``_evolution`` is the one set-up of the scatter and the first request's mass.
 ``exact_cost`` steps it: each of the T steps evolves the exact distribution
-over all joint (cache rank, last page) states at once (one chain step, the
-miss mass as one ``take`` and sum, one ``np.bincount``). The scatter's
-exact-zero weights, which add +0.0 and so change no sum, are dropped once
-before the first step. ``joint_operator`` assembles the evolution as a dense
-matrix, with its start vector, for sums over long horizons such as
-``lowerbound``'s.
+over all joint (cache rank, last page) states at once (one chain step, one
+``np.bincount``) into a row of a request block and of a state block, each of
+at most ``EXACT_BLOCK_CELLS`` cells. The reductions run once per block: one
+``take`` and row sum gives every step's miss mass, one row sum checks every
+step's state mass, and the step costs are then added in step order. The
+scatter's exact-zero weights, which add +0.0 and so change no sum, are
+dropped once before the first step. ``joint_operator`` assembles the
+evolution as a dense matrix, with its start vector, for sums over long
+horizons such as ``lowerbound``'s.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from .optdp import (
 from .policies import RunContext, _stamped_misses, evict
 
 TRIAL_BLOCK_CELLS = 1 << 20  # requests (runs x trials x T) sampled at once off the kernel path
+EXACT_BLOCK_CELLS = 1 << 16  # (step, state) cells of each of exact_cost's two blocks
 
 
 class NonMemoryless(TypeError):
@@ -226,8 +230,8 @@ def replay(policy, chain, k: int, pages, init_cache, seed, T: int | None = None)
     """The policy's victims, one per miss in request order, over the first
     ``T`` requests of ``pages`` (default: all). The policy sees all of
     ``pages``, so a clairvoyant rule looks past T; ``seed`` feeds its own
-    randomness."""
-    rng = np.random.default_rng(seed)
+    randomness, and a rule that ``draws`` nothing gets no generator."""
+    rng = np.random.default_rng(seed) if policy.draws else None
     ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
     policy.reset(ctx)
     cache = set(init_cache)
@@ -282,7 +286,7 @@ def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
     Only defined for memoryless policies; others raise :class:`NonMemoryless`.
     """
     check_horizon(T)
-    idx, target, weight, req = _evolution(policy, chain, k, init_cache, max(T, 1))
+    idx, target, weight, first = _evolution(policy, chain, k, init_cache, max(T, 1))
 
     # an exact-zero weight (hit slots past 0, one-hot rules' other slots) adds
     # +0.0 to its bin, which changes no sum, so it is dropped once here
@@ -291,16 +295,28 @@ def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
     miss_cells = np.flatnonzero(~idx.member)
 
     M = chain.transition
+    S, n, N = len(idx), chain.n, first.size
+    L = max(1, min(T, EXACT_BLOCK_CELLS // N))  # steps per block
+    reqs = np.empty((L, S, n))  # mass over (cache rank, requested page) at each step
+    dists = np.empty((L, S, n))  # mass over (cache rank, last requested page) after each step
+    flat_reqs, flat_dists = reqs.reshape(L, N), dists.reshape(L, N)
+    reqs[0] = first.reshape(S, n)
     cost = 0.0
-    for t in range(1, T + 1):
-        if t > 1:
-            req = dist @ M  # mass over (cache rank, requested page) at step t
-        cost += float(req.take(miss_cells).sum())
-        dist = np.bincount(target, weights=req.take(source) * weight, minlength=req.size)
-        dist = dist.reshape(len(idx), chain.n)  # mass over (cache rank, last requested page)
-        total = dist.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise AssertionError(f"state mass drifted to {total!r} at step {t}")
+    for lo in range(0, T, L):
+        steps = min(L, T - lo)
+        for i in range(steps):
+            if lo + i:
+                np.matmul(dists[i - 1], M, out=reqs[i])  # at i = 0, the last step of a full block
+            flat_dists[i] = np.bincount(target, weights=flat_reqs[i].take(source) * weight, minlength=N)
+        # row sums along a contiguous axis: the same pairwise sums as each row's own .sum()
+        masses = flat_reqs[:steps].take(miss_cells, axis=1).sum(axis=1)
+        totals = flat_dists[:steps].sum(axis=1)
+        drifted = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
+        if drifted.size:
+            i = drifted[0]
+            raise AssertionError(f"state mass drifted to {totals[i]!r} at step {lo + i + 1}")
+        for mass in masses.tolist():
+            cost += mass
     return CostEstimate(mean=cost, half_width=0.0, trials=0, mode="exact")
 
 

@@ -239,12 +239,15 @@ class Policy:
     restamps the page (LRU), False when only a load does (FIFO), so the
     engine counts their trials' misses at once through
     :func:`_stamped_misses`. The rest leave it ``None`` and run step by step,
-    one trial at a time.
+    one trial at a time. A rule that never reads the ``rng`` passed to
+    :meth:`evict` sets ``draws`` False, and a step-by-step run passes it
+    ``None``.
     """
 
     name = "policy"
     kernel_probs = None
     stamp_on_hit = None
+    draws = True
 
     def reset(self, ctx: RunContext) -> None:
         pass
@@ -419,6 +422,7 @@ class FarthestInFuture(_IndexedPolicy):
     """Clairvoyant offline rule: evict the page requested latest from now."""
 
     name = "fif"
+    draws = False
 
     def evict(self, cache, requested, ctx, rng):
         if self._occurrences is None:
@@ -464,6 +468,7 @@ def _stamped_misses(pages: np.ndarray, init_cache, stamp_on_hit) -> np.ndarray:
 class LruPolicy(_IndexedPolicy):
     name = "lru"
     stamp_on_hit = True
+    draws = False
 
     def evict(self, cache, requested, ctx, rng):
         if self._occurrences is None:
@@ -479,6 +484,7 @@ class LruPolicy(_IndexedPolicy):
 class FifoPolicy(Policy):
     name = "fifo"
     stamp_on_hit = False
+    draws = False
 
     def __init__(self):
         self._queue: list[int] = []
@@ -525,6 +531,7 @@ class OptReplayPolicy(Policy):
     """Replays the stored finite-horizon optimal eviction table."""
 
     name = "opt-dp"
+    draws = False
 
     def __init__(self, table):
         self.table = table

@@ -316,12 +316,20 @@ def test_dp_value_lower_bounds_online_policies():
 
 
 class LeakyEviction(RandomEvictionPolicy):
-    """Uniform eviction whose distribution sums to 1 - 1e-6: it loses mass."""
+    """Uniform eviction whose distribution sums to 1 - ``leak``: it loses mass."""
 
     name = "leaky"
+    leak = 1e-6
 
     def kernel_probs(self, idx, chain):
-        return super().kernel_probs(idx, chain) * (1.0 - 1e-6)
+        return super().kernel_probs(idx, chain) * (1.0 - self.leak)
+
+
+class SlowLeak(LeakyEviction):
+    """Loses 2e-12 of each miss's mass, so the state mass drifts past 1e-9
+    only after hundreds of steps."""
+
+    leak = 2e-12
 
 
 class SkewedEviction(RandomEvictionPolicy):
@@ -342,6 +350,66 @@ def test_mass_conservation_guard():
     # step 1 misses with probability 1/3 and loses 1e-6 of that mass
     with pytest.raises(AssertionError, match="mass drifted .* at step 1$"):
         exact_cost(LeakyEviction(), ch, 2, 500, (0, 1))
+
+
+def _first_drift_step(policy, chain, k, T, init):
+    """The first step whose state mass is more than 1e-9 off 1, checked after
+    every step of a plain per-step evolution; None if none is."""
+    idx, target, weight, req = engine._evolution(policy, chain, k, init, T)
+    source = np.repeat(np.arange(req.size), k)
+    for t in range(1, T + 1):
+        if t > 1:
+            req = (dist.reshape(len(idx), chain.n) @ chain.transition).ravel()
+        dist = np.bincount(target, weights=req.take(source) * weight.ravel(), minlength=req.size)
+        if abs(dist.sum() - 1.0) > 1e-9:
+            return t
+    return None
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 7])
+def test_mass_guard_names_the_first_drifted_step_across_blocks(monkeypatch, block):
+    ch = random_chain(6, 5)
+    N = len(subset_index(6, 2)) * 6
+    step = _first_drift_step(SlowLeak(), ch, 2, 1000, (0, 1))
+    assert step is not None and step > 100  # hundreds of steps in, past many blocks
+    if block is not None:
+        monkeypatch.setattr(engine, "EXACT_BLOCK_CELLS", block * N)
+    with pytest.raises(AssertionError, match=f"mass drifted .* at step {step}$"):
+        exact_cost(SlowLeak(), ch, 2, 1000, (0, 1))
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_exact_cost_blocks_match_the_default_block(monkeypatch, block):
+    """An evolution stepped in blocks of 1, 3 and 7 steps (a partial last
+    block for most T) costs exactly what one default block costs."""
+    ch = random_chain(5, 23)
+    N = len(subset_index(5, 2)) * 5
+    horizons = (0, 1, 2, 6, 7, 8, 22)
+    rules = (DominatingPolicy(), MedianPolicy(), SkewedEviction())
+    want = {(p.name, T): exact_cost(p, ch, 2, T, (3, 1)).mean for p in rules for T in horizons}
+    monkeypatch.setattr(engine, "EXACT_BLOCK_CELLS", block * N + N - 1)  # a block is `block` steps
+    for p in rules:
+        for T in horizons:
+            assert exact_cost(p, ch, 2, T, (3, 1)).mean == want[p.name, T], (p.name, T)
+    assert exact_cost(MedianPolicy(), ch, 2, 0, (3, 1)).mean == 0.0
+    with pytest.raises(NonMemoryless):
+        exact_cost(LruPolicy(), ch, 2, 0, (3, 1))
+    with pytest.raises(ValueError, match="distinct pages in 0..4"):
+        exact_cost(MedianPolicy(), ch, 2, 0, (3, 3))
+
+
+def test_replay_builds_no_generator_for_rules_that_never_draw(monkeypatch):
+    ch = random_chain(4, 13, floor=0.1)
+    _, table = opt_expected_cost(ch, 2, 30, (0, 1))
+    pages = sample_sequence(ch, 30, (77, 0, 0))
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: built.append(seed) or default_rng(seed))
+    for policy in (FarthestInFuture(), OptReplayPolicy(table), LruPolicy(), FifoPolicy()):
+        assert replay(policy, ch, 2, pages, (0, 1), (77, 0, 1)), policy.name
+    assert built == []
+    replay(DominatingPolicy(), ch, 2, pages, (0, 1), (77, 0, 1))  # a drawing rule still gets its stream
+    assert built == [(77, 0, 1)]
 
 
 def _assert_matches_loop_oracle(policy, chain, k, T, init):
