@@ -11,7 +11,8 @@ uniforms in the grid by bisection or a bucket guide, chosen once for the
 count a caller places per call, and ``grid_cells`` is one such lookup.
 ``sample_sequence`` walks a long trace on a chain of at most ``WALK_PAGES``
 pages in chunks, composing each chunk's per-step maps from every start page
-at once, so it costs a fixed number of array operations per chunk and no
+at once until the chunk's paths from every page have met, and as one path
+after, so it costs a fixed number of array operations per chunk and no
 Python step per request; it steps a short trace, or a trace on more pages,
 request by request.
 ``sample_trials`` steps many short traces side by side. ``derived`` keeps
@@ -38,6 +39,7 @@ SHORT_TRACE = 1 << 10  # longest trace sample_sequence steps; floor of grid_look
 WALK_BLOCK = 1 << 16  # requests sampled and walked at once by sample_sequence
 WALK_PAGES = 40  # sample_sequence steps chains with more pages one request at a time
 CHUNK_RATIO = 32  # a block of m steps is walked in chunks of isqrt(m / CHUNK_RATIO) steps
+SPLIT_STEP = 6  # _walk steps every chunk from every page this far, then each met chunk as one path
 
 # numpy's SeedSequence hashing (numpy/random/bit_generator.pyx), which
 # trial_uniforms reproduces for many streams at once
@@ -236,10 +238,20 @@ def _walk(table: np.ndarray, n: int, cells: np.ndarray, start: int, out: np.ndar
     The steps are cut into C chunks of L steps each, L about the square root
     of ``len(cells) / CHUNK_RATIO``; the last chunk is padded with cell 0.
     Pass 1 steps every chunk but the last from every page at once, an
-    ``(n, C - 1)`` array and L gathers, which gives each chunk's end map.
-    C - 1 scalar lookups through the end maps give each chunk's real start
-    page, and pass 2 walks the C real paths with L gathers, writing each
-    step's pages over its rows.
+    ``(n, C - 1)`` array, which gives each chunk's end map. Paths that read
+    the same cells through the same table go on together once they reach
+    the same page, the coupling behind Propp and Wilson's coupling from the
+    past ("Exact sampling with coupled Markov chains", Random Structures &
+    Algorithms, 1996), and on most chains most chunks' n paths meet within a
+    few steps. So after ``SPLIT_STEP`` steps, or L if fewer, a chunk whose
+    paths have met goes on as one path, whose end is the chunk's end from
+    every page, and only the chunks still apart keep all n; each later step
+    gathers either group's cells from its row. When too few chunks have met
+    to pay for those gathers, as on a permutation chain, whose paths never
+    meet, every chunk keeps its n paths to its end. Scalar lookups through
+    the end maps of the chunks still apart, in order, give every chunk's
+    real start page, and pass 2 walks the C real paths with L gathers,
+    writing each step's pages over its rows.
     """
     m = cells.size
     L = max(1, math.isqrt(m // CHUNK_RATIO))
@@ -250,12 +262,30 @@ def _walk(table: np.ndarray, n: int, cells: np.ndarray, start: int, out: np.ndar
     steps[: m - full, -1] = cells[full:]
     steps *= n
     ends = np.repeat(np.arange(n)[:, None], C - 1, axis=1)  # ends[p, j]: chunk j's end from page p
-    for i in range(L):
-        ends = table[ends + steps[i, :-1]]
-    flat = ends.T.ravel().tolist()
-    path = [start]
-    for j in range(0, len(flat), n):
-        path.append(flat[j + path[-1]])
+    for row in steps[:SPLIT_STEP, :-1]:
+        ends = table[ends + row]
+    met = (ends[1:] == ends[0]).all(axis=0)  # chunk j's paths from every page have met
+    # the paths dropped pay for the split's row gathers once a quarter of the
+    # chunks, and at least 2/n of them, have met (timed at n = 4 to 40)
+    if np.count_nonzero(met) * min(n, 8) >= 2 * (C - 1):
+        apart, met = np.flatnonzero(~met), np.flatnonzero(met)
+        lone, ends = ends[0, met], np.ascontiguousarray(ends[:, apart])
+        for row in steps[SPLIT_STEP:, :-1]:
+            lone = table[lone + row[met]]
+            ends = table[ends + row[apart]]
+        path = np.empty(C, dtype=np.int64)
+        path[0], path[met + 1] = start, lone
+        path = path.tolist()
+        flat = ends.T.ravel().tolist()
+        for k, j in zip(range(0, len(flat), n), apart.tolist()):
+            path[j + 1] = flat[k + path[j]]
+    else:
+        for row in steps[SPLIT_STEP:, :-1]:
+            ends = table[ends + row]
+        flat = ends.T.ravel().tolist()
+        path = [start]
+        for j in range(0, len(flat), n):
+            path.append(flat[j + path[-1]])
     path = np.array(path)
     for row in steps:
         path = row[:] = table[row + path]
@@ -293,11 +323,12 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     most ``WALK_PAGES`` pages the block is walked by ``_walk``, a fixed
     number of array operations per chunk with no Python step per request;
     the last page of a block starts the next. The walk's first pass costs n
-    gathers per request, so with more pages each block is stepped one
-    request at a time by ``_step``, whose cost per request does not grow
-    with n. A trace of at most ``SHORT_TRACE`` requests is stepped by
-    ``_step`` too: at that length the walk's two dozen array calls cost more
-    than the steps they save.
+    gathers per request until a chunk's paths from every page meet, which on
+    some chains, a permutation say, they never do; so with more pages each
+    block is stepped one request at a time by ``_step``, whose cost per
+    request does not grow with n. A trace of at most ``SHORT_TRACE``
+    requests is stepped by ``_step`` too: at that length the walk's two
+    dozen array calls cost more than the steps they save.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")

@@ -311,10 +311,10 @@ def exact_cost(policy, chain, k: int, T: int, init_cache) -> CostEstimate:
         # row sums along a contiguous axis: the same pairwise sums as each row's own .sum()
         masses = flat_reqs[:steps].take(miss_cells, axis=1).sum(axis=1)
         totals = flat_dists[:steps].sum(axis=1)
-        drifted = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
+        drifted = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-9))  # NaN drifts too
         if drifted.size:
             i = drifted[0]
-            raise AssertionError(f"state mass drifted to {totals[i]!r} at step {lo + i + 1}")
+            raise AssertionError(f"state mass drifted to {float(totals[i])!r} at step {lo + i + 1}")
         for mass in masses.tolist():
             cost += mass
     return CostEstimate(mean=cost, half_width=0.0, trials=0, mode="exact")

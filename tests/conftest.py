@@ -45,6 +45,12 @@ def sparse_chain(n, seed, zero_frac):
     return validate_chain(m[:n], init=m[n])
 
 
+def sticky_chain(n, stay, init=None):
+    """The chain that requests its last page again with probability
+    ``stay`` and each other page with an equal share of the rest."""
+    return validate_chain(stay * np.eye(n) + (1 - stay) / (n - 1) * (1 - np.eye(n)), init=init)
+
+
 @st.composite
 def sparse_chain_specs(draw, n_min=3, n_max=8):
     """Random chains, often with zero entries (see :func:`sparse_chain`)."""

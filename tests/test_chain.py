@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from markov_paging.alpha import AlphaTable
 from markov_paging.chain import (
     CHUNK_RATIO,
     SHORT_TRACE,
+    SPLIT_STEP,
     WALK_BLOCK,
     WALK_PAGES,
     NonStochasticRow,
@@ -31,7 +33,7 @@ from markov_paging.engine import ratio_report, trial_misses
 from markov_paging.optdp import subset_index
 from markov_paging.policies import DominatingPolicy, FifoPolicy, LruPolicy, MedianPolicy, RandomEvictionPolicy
 
-from .conftest import chain_specs, keep_every_table, sparse_chain, sparse_chain_specs
+from .conftest import chain_specs, keep_every_table, sparse_chain, sparse_chain_specs, sticky_chain
 from .oracles import loop_sample_pages, loop_trial_uniforms
 
 
@@ -193,11 +195,83 @@ def test_sampling_matches_loop_oracle_on_either_side_of_walk_pages(n):
         assert np.array_equal(sample_sequence(chain, T, [n, T]), loop_sample_pages(chain, T, [n, T]))
 
 
-def test_long_trace_memory_is_one_block_of_temporaries():
+def _regime_chain(regime, n=12):
+    """A chain on which ``_walk``'s chunks meet never, for a few chunks, for
+    about half and for every chunk at its first step; ``init`` puts weight
+    on every page, so the first page varies with the seed."""
+    init = np.arange(1, n + 1) / (n * (n + 1) / 2)
+    if regime == "permutation":
+        return validate_chain(np.roll(np.eye(n), 1, axis=1), init=init)
+    if regime == "identical-rows":
+        return validate_chain(np.tile(random_chain(n, [8407, n]).transition[0], (n, 1)), init=init)
+    return sticky_chain(n, {"sticky-0.99": 0.99, "sticky-0.8": 0.8}[regime], init)
+
+
+# the share of chunks that have met by SPLIT_STEP on a 20,000-request trace
+WALK_REGIMES = {
+    "permutation": (0.0, 0.0),
+    "sticky-0.99": (0.001, 0.1),
+    "sticky-0.8": (0.3, 0.7),
+    "identical-rows": (1.0, 1.0),
+}
+
+
+def _met_share(chain, cells):
+    """The share of ``_walk``'s chunks of ``cells``, but the last, whose
+    paths from every page have met after ``SPLIT_STEP`` steps."""
+    n = chain.n
+    table = next_page_table(chain)[1]
+    L = max(1, math.isqrt(cells.size // CHUNK_RATIO))
+    chunks = cells[: (cells.size - 1) // L * L].reshape(-1, L)
+    ends = np.tile(np.arange(n), (len(chunks), 1))  # ends[j, p]: chunk j's page from page p
+    for col in chunks[:, :SPLIT_STEP].T:
+        ends = table[col[:, None] * n + ends]
+    return float((ends == ends[:, :1]).all(axis=1).mean())
+
+
+@pytest.mark.parametrize("regime", WALK_REGIMES)
+def test_sampling_matches_loop_oracle_in_every_walk_regime(regime):
+    """Page for page equal to one-at-a-time sampling where no chunk's paths
+    meet, where too few meet for the walk to split, where it splits, and
+    where every chunk's paths meet at its first step; at chunks of 5 steps,
+    fewer than ``SPLIT_STEP``, at 24 and across a block edge."""
+    chain = _regime_chain(regime)
+    low, high = WALK_REGIMES[regime]
+    cells = grid_cells(next_page_table(chain)[0], np.random.default_rng(8408).random(19_999))
+    assert low <= _met_share(chain, cells) <= high
+    for T in (SHORT_TRACE + 1, 20_000, WALK_BLOCK + 2):
+        for seed in (1, 2, 3):
+            assert np.array_equal(sample_sequence(chain, T, [seed, T]), loop_sample_pages(chain, T, [seed, T]))
+
+
+@pytest.mark.parametrize("regime", WALK_REGIMES)
+def test_walk_matches_step_from_every_start_page(regime):
+    """``_walk`` writes the pages ``_step`` does and returns the same last
+    page, from every start page, on the cells of each block that
+    ``sample_sequence`` walks at the lengths above."""
+    chain = _regime_chain(regime)
+    n = chain.n
+    grid, table = next_page_table(chain)
+    for m in (SHORT_TRACE, 19_999, WALK_BLOCK, 1):
+        cells = grid_cells(grid, np.random.default_rng([8409, m]).random(m))
+        for start in range(n):
+            walked, stepped = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+            assert chain_mod._walk(table, n, cells, start, walked) == chain_mod._step(table, n, cells, start, stepped)
+            assert np.array_equal(walked, stepped)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [random_chain(12, 5), random_chain(12, 5, floor=0.3), sticky_chain(12, 0.99)],
+    ids=["floor-0.05", "floor-0.3", "sticky-0.99"],
+)
+def test_long_trace_memory_is_one_block_of_temporaries(chain):
     """A 10**6-request trace at n = 12 allocates its 8 MB of pages and at
     most 4 MB more: the uniforms are drawn and walked a block at a time, so
-    the 8 MB that all of them would take at once never exists."""
-    chain = random_chain(12, 5)
+    the 8 MB that all of them would take at once never exists. The walk
+    keeps every chunk's n paths on the 0.99-diagonal chain, and on the
+    floor-0.3 chain, where nearly every chunk's paths meet, it splits them
+    off and gathers their cells row by row within the same bound."""
     sample_sequence(chain, 10, 0)  # first-call allocations outside the measurement
     tracemalloc.start()
     try:

@@ -31,6 +31,7 @@ from markov_paging.policies import (
     OptReplayPolicy,
     PinnedPolicy,
     RandomEvictionPolicy,
+    _miss_table,
     _stamped_misses,
     parse_policy,
 )
@@ -361,7 +362,7 @@ def _first_drift_step(policy, chain, k, T, init):
         if t > 1:
             req = (dist.reshape(len(idx), chain.n) @ chain.transition).ravel()
         dist = np.bincount(target, weights=req.take(source) * weight.ravel(), minlength=req.size)
-        if abs(dist.sum() - 1.0) > 1e-9:
+        if not abs(dist.sum() - 1.0) <= 1e-9:
             return t
     return None
 
@@ -376,6 +377,25 @@ def test_mass_guard_names_the_first_drifted_step_across_blocks(monkeypatch, bloc
         monkeypatch.setattr(engine, "EXACT_BLOCK_CELLS", block * N)
     with pytest.raises(AssertionError, match=f"mass drifted .* at step {step}$"):
         exact_cost(SlowLeak(), ch, 2, 1000, (0, 1))
+
+
+class NanEviction(RandomEvictionPolicy):
+    """Evicts with NaN probabilities wherever the request misses."""
+
+    name = "nan"
+
+    def kernel_probs(self, idx, chain):
+        return _miss_table(idx, np.full(idx.k, np.nan))
+
+
+def test_mass_guard_fails_a_nan_mass():
+    """A NaN state mass fails the guard, which every comparison with NaN
+    would otherwise pass, at the first step whose mass is NaN."""
+    ch = random_chain(4, 1)
+    step = _first_drift_step(NanEviction(), ch, 2, 10, (0, 1))
+    assert step is not None
+    with pytest.raises(AssertionError, match=f"mass drifted to nan at step {step}$"):
+        exact_cost(NanEviction(), ch, 2, 10, (0, 1))
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])

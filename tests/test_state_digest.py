@@ -18,7 +18,7 @@ from markov_paging.engine import exact_cost, trial_misses
 from markov_paging.optdp import opt_expected_cost, subset_index
 from markov_paging.policies import parse_policy
 
-from .conftest import sparse_chain
+from .conftest import sparse_chain, sticky_chain
 
 GOLDEN = Path(__file__).parent / "golden" / "state_digest.txt"
 TABLE_RULES = ("dominating", "dominating-adversarial:0", "median", "random")
@@ -83,6 +83,10 @@ def _sampling_lines() -> list[str]:
         for trials in (64, 1100):  # kernel-path steps on either side of 1,024 uniforms
             misses = trial_misses([(parse_policy("random"), [8406, n])], chain, 2, 20, (0, 1), trials)[0]
             lines.append(f"trial_misses[random] n={n} T=20 trials={trials} {_digest(misses)}")
+    # long traces on which nearly every chunk's paths meet, and few do
+    for label, chain in (("floor=0.3", random_chain(12, [8403, 12], floor=0.3)), ("sticky=0.99", sticky_chain(12, 0.99))):
+        for T in (20_000, 65538):
+            lines.append(f"sample_sequence[{label}] n=12 T={T} {_digest(sample_sequence(chain, T, [8404, 12, T]))}")
     return lines
 
 
