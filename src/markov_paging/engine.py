@@ -74,7 +74,7 @@ from .optdp import (
     opt_expected_cost,
     subset_index,
 )
-from .policies import RunContext, _stamped_misses, evict
+from .policies import RunContext, _stamped_misses, check_eviction_table, evict
 
 TRIAL_BLOCK_CELLS = 1 << 20  # requests (runs x trials x T) sampled at once off the kernel path
 EXACT_BLOCK_CELLS = 1 << 16  # (step, state) cells of each of exact_cost's two blocks
@@ -99,10 +99,15 @@ class CostEstimate:
 
 def build_kernel(policy, chain, k: int) -> np.ndarray | None:
     """The policy's ``(S, n, k)`` eviction table over ``subset_index(chain.n,
-    k)``, or None when the policy is history-dependent."""
+    k)``, or None when the policy is history-dependent. A table that
+    :func:`~markov_paging.policies.check_eviction_table` refuses raises
+    ``ValueError``."""
     if policy.kernel_probs is None:
         return None
-    return policy.kernel_probs(subset_index(chain.n, k), chain)
+    idx = subset_index(chain.n, k)
+    probs = policy.kernel_probs(idx, chain)
+    check_eviction_table(idx, probs, policy.name)
+    return probs
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:

@@ -5,13 +5,15 @@ k-subsets, indexed densely by their lexicographic rank. The recursion walks
 time backward keeping two layers: a hit moves at zero cost, a miss costs 1
 plus the best successor value over evictions. A miss is counted on every
 request, including the first (drawn from the chain's initial distribution).
-Each backward step handles every cache rank at once: one flat ``take`` of
-successor values over the index's slot-major ``cells``, a min (and, when
-actions are recorded, an argmin and one ``take`` of ``evicted``) over the
-leading slot axis, and stacked matrix-vector products with the transition
-matrix. A reduction over the leading axis of a ``(k, S, n)`` array is several
-times faster than one over a k-wide last axis; a single gemm ``cost @ M.T``
-would be faster still, but it rounds differently from ``M @ cost[r]``.
+Each backward step handles every cache rank at once. The DP reads the index's
+slot-major ``cells`` with every slot of a hit pointed at the hit's own cell,
+so the step is one flat ``take`` of successor values, one min over the
+leading slot axis, one add of the miss cost (1 on a miss, 0 on a hit) and
+stacked matrix-vector products with the transition matrix; recorded actions
+add one argmin and one gather of ``evicted``. A reduction over the leading
+axis of a ``(k, S, n)`` array is several times faster than one over a k-wide
+last axis; a single gemm ``cost @ M.T`` would be faster still, but it rounds
+differently from ``M @ cost[r]``.
 
 The state-step count n * C(n, k) * T is checked against a budget before any
 allocation; this module is meant for desk-scale exact answers, not large k.
@@ -149,19 +151,29 @@ def opt_expected_cost(
 
     M = chain.transition
     here = np.arange(S * n).reshape(S, n)  # flat (cache, page) cell
-    v_next = np.zeros((S, n))  # layer V_T
+    # every slot of a hit reads the hit's own cell, so its min is v_next[r, j]
+    # and adding 0.0 keeps it (v_next is never -0.0); a miss's min + 1.0 is
+    # the IEEE sum 1.0 + min
+    cells = np.where(idx.member, here, idx.cells)
+    missed = (~idx.member).astype(float)
+    evicted = idx.evicted.reshape(k, S * n)
+    cost = np.empty((S, n))
+    prod = np.zeros((S, n, 1))
+    v_next = prod[:, :, 0]  # layer V_T, then each layer the matmul writes
     total = 0.0
     for t in range(T, 0, -1):
         if record_values:
             value[t] = v_next
-        cand = v_next.take(idx.cells)  # (k, S, n): successor values per eviction
+        cand = v_next.take(cells)  # (k, S, n): successor values per eviction
+        np.minimum.reduce(cand, axis=0, out=cost)
+        cost += missed
         if record_actions:
-            # pages ascend within a subset, so the first argmin is the lowest page
-            action[t] = idx.evicted.take(cand.argmin(axis=0) * (S * n) + here)
-        cost = np.where(idx.member, v_next, 1.0 + np.minimum.reduce(cand, axis=0))
+            # pages ascend within a subset, so the first argmin is the lowest
+            # page; a hit's slots tie, and its slot 0 holds -1
+            action[t] = evicted[cand.argmin(axis=0), here]
         if t > 1:
             # stacked matrix-vector products round exactly as M @ cost[r] does
-            v_next = np.matmul(M, cost[:, :, None])[:, :, 0]
+            np.matmul(M, cost[:, :, None], out=prod)
         else:
             total = float(chain.init @ cost[idx.rank[init_cache]])
 
@@ -212,18 +224,27 @@ def save_opt_table(table: OptTable, path) -> None:
 
 
 def load_opt_table(path) -> OptTable:
+    """The table :func:`save_opt_table` wrote; ``ValueError`` unless its
+    action layers have shape ``(T + 1, C(n, k), n)`` and its initial cache
+    holds k distinct pages in 0..n-1."""
     with np.load(path) as data:
         if int(data["version"]) != OPT_DUMP_VERSION:
             raise ValueError(f"unsupported opt table dump version {int(data['version'])}")
         n, k, T = int(data["n"]), int(data["k"]), int(data["T"])
-        has_action = bool(data["has_action"])
+        check_horizon(T)
+        index = subset_index(n, k)
+        init_cache = check_cache(data["init_cache"].tolist(), n, k)
+        action = np.array(data["action"]) if bool(data["has_action"]) else None
+        want = (T + 1, len(index), n)
+        if action is not None and action.shape != want:
+            raise ValueError(f"opt table dump declares T={T}, n={n}, k={k}, so its actions need shape {want}, got {action.shape}")
         return OptTable(
             n=n,
             k=k,
             T=T,
-            init_cache=tuple(int(x) for x in data["init_cache"]),
+            init_cache=init_cache,
             expected_cost=float(data["expected_cost"]),
-            index=subset_index(n, k),
-            action=np.array(data["action"]) if has_action else None,
+            index=index,
+            action=action,
             chain_digest=str(data["chain_digest"]),
         )

@@ -89,6 +89,23 @@ def _distributions(probs: np.ndarray) -> np.ndarray:
     return p
 
 
+def check_eviction_table(idx, probs, name: str) -> None:
+    """``ValueError`` naming the first bad (cache, page) row unless ``probs``
+    is an ``(S, n, k)`` eviction table over ``idx``: each miss row finite,
+    non-negative and summing to 1 within 1e-9, each hit row zero."""
+    want = (len(idx), idx.n, idx.k)
+    if np.shape(probs) != want:
+        raise ValueError(f"{name} eviction table has shape {np.shape(probs)}, want {want}")
+    # with no entry negative or NaN, a row summing to 0 is zero; an inf fails its sum
+    miss = ~idx.member
+    sum_ok = np.abs(probs.sum(axis=2) - miss) <= 1e-9 * miss
+    if not (probs.min() >= 0.0 and sum_ok.all()):
+        r, j = np.argwhere(~((probs >= 0.0).all(axis=2) & sum_ok))[0]
+        cache = tuple(idx.pages[r].tolist())
+        want = "a hit row must be 0" if idx.member[r, j] else "a miss row must be a distribution"
+        raise ValueError(f"{name} eviction table, cache {cache}, page {j}: {want}, got {probs[r, j].tolist()}")
+
+
 def _draw(pages, probs, rng) -> int:
     """One page of ``pages`` drawn from ``probs`` by one ``rng.random()``
     (running sums in order, as ``np.cumsum``'s)."""
@@ -296,7 +313,9 @@ class TablePolicy(Policy):
         if ctx.chain is None:
             raise MissingContext(f"{self.name} needs the chain")
         idx = subset_index(ctx.chain.n, ctx.k)
-        self._kernel = (idx, self.kernel_probs(idx, ctx.chain))
+        probs = self.kernel_probs(idx, ctx.chain)
+        check_eviction_table(idx, probs, self.name)
+        self._kernel = (idx, probs)
 
     def evict(self, cache, requested, ctx, rng):
         if self._kernel is None:

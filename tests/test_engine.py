@@ -343,7 +343,14 @@ class SkewedEviction(RandomEvictionPolicy):
         return super().kernel_probs(idx, chain) * (2.0 * np.arange(1, idx.k + 1) / (idx.k + 1))
 
 
-def test_mass_conservation_guard():
+@pytest.fixture
+def unchecked_tables(monkeypatch):
+    """Lets a leaking or NaN eviction table past ``build_kernel``'s table
+    check, so the evolution's own mass guard is what meets it."""
+    monkeypatch.setattr(engine, "check_eviction_table", lambda idx, probs, name: None)
+
+
+def test_mass_conservation_guard(unchecked_tables):
     # exact evolution asserts total probability stays 1 at every step
     ch = build_lb_chain(0.3, 0.2)
     est = exact_cost(DominatingPolicy(), ch, 2, 500, (0, 1))
@@ -388,7 +395,7 @@ class NanEviction(RandomEvictionPolicy):
         return _miss_table(idx, np.full(idx.k, np.nan))
 
 
-def test_mass_guard_fails_a_nan_mass():
+def test_mass_guard_fails_a_nan_mass(unchecked_tables):
     """A NaN state mass fails the guard, which every comparison with NaN
     would otherwise pass, at the first step whose mass is NaN."""
     ch = random_chain(4, 1)
@@ -396,6 +403,53 @@ def test_mass_guard_fails_a_nan_mass():
     assert step is not None
     with pytest.raises(AssertionError, match=f"mass drifted to nan at step {step}$"):
         exact_cost(NanEviction(), ch, 2, 10, (0, 1))
+
+
+class BadTable(RandomEvictionPolicy):
+    """Uniform eviction with one row of cache (0, 1) spoilt: ``bad`` names how."""
+
+    def __init__(self, bad):
+        self.bad = bad
+        self.name = f"bad-{bad}"
+
+    def kernel_probs(self, idx, chain):
+        probs = np.array(super().kernel_probs(idx, chain))
+        if self.bad == "shape":
+            return probs[:, :, :1]
+        if self.bad == "hit":
+            probs[0, 1] = [1.0, 0.0]
+        else:
+            probs[0, 2] = {"nan": [np.nan, 1.0], "negative": [-0.25, 1.25], "short": [0.5, 0.5 - 2e-9]}[self.bad]
+        return probs
+
+
+BAD_ROWS = {
+    "shape": r"bad-shape eviction table has shape \(6, 4, 1\), want \(6, 4, 2\)",
+    "hit": r"bad-hit eviction table, cache \(0, 1\), page 1: a hit row must be 0, got \[1\.0, 0\.0\]",
+    "nan": r"bad-nan eviction table, cache \(0, 1\), page 2: a miss row must be a distribution, got \[nan, 1\.0\]",
+    "negative": r"cache \(0, 1\), page 2: a miss row must be a distribution, got \[-0\.25, 1\.25\]",
+    "short": r"cache \(0, 1\), page 2: a miss row must be a distribution, got \[0\.5, 0\.499999998\]",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+@pytest.mark.parametrize("entry", ["simulate", "exact_cost", "replay"])
+def test_bad_eviction_table_is_refused(bad, entry):
+    """A rule's eviction table is checked before any run reads it, whichever
+    path the run takes, and the error names the first bad (cache, page)."""
+    ch, policy = random_chain(4, 1), BadTable(bad)
+    run = {
+        "simulate": lambda: simulate(policy, ch, 2, 10, (0, 1), 200, 0),
+        "exact_cost": lambda: exact_cost(policy, ch, 2, 10, (0, 1)),
+        "replay": lambda: replay(policy, ch, 2, sample_sequence(ch, 10, 0), (0, 1), 0),
+    }[entry]
+    with pytest.raises(ValueError, match=BAD_ROWS[bad]):
+        run()
+
+
+def test_table_within_the_sum_tolerance_is_accepted():
+    # SlowLeak's rows sum to 1 - 2e-12, inside the check's 1e-9
+    assert build_kernel(SlowLeak(), random_chain(4, 1), 2).shape == (6, 4, 2)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])

@@ -134,6 +134,43 @@ def test_table_dump_roundtrip(tmp_path):
     assert back.index is table.index is subset_index(4, 2)
 
 
+def _dump(path, table, **changes):
+    """``save_opt_table``'s file for ``table`` with some fields replaced."""
+    save_opt_table(table, path)
+    with np.load(path) as data:
+        fields = {**data, **changes}
+    np.savez(path, **fields)
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        (dict(T=6), r"declares T=6, n=4, k=2, so its actions need shape \(7, 6, 4\), got \(6, 6, 4\)"),
+        (dict(k=3, init_cache=np.array([0, 1, 2])), r"declares T=5, n=4, k=3, so its actions need shape \(6, 4, 4\), got \(6, 6, 4\)"),
+        (dict(init_cache=np.array([1, 1])), r"2 distinct pages in 0\.\.3, got \(1, 1\)"),
+        (dict(init_cache=np.array([0, 4])), r"2 distinct pages in 0\.\.3, got \(0, 4\)"),
+        (dict(init_cache=np.array([0, 1, 2])), r"2 distinct pages in 0\.\.3"),
+    ],
+)
+def test_load_opt_table_rejects_an_inconsistent_dump(tmp_path, changes, message):
+    _, table = opt_expected_cost(random_chain(4, 8), 2, 5, (0, 1))
+    path = tmp_path / "opt.npz"
+    _dump(path, table, **changes)
+    with pytest.raises(ValueError, match=message):
+        load_opt_table(path)
+
+
+def test_load_opt_table_rejects_cut_action_layers(tmp_path):
+    # three layers of a T = 5 table: opt_action(t=4) would index past them
+    _, table = opt_expected_cost(random_chain(4, 8), 2, 5, (0, 1))
+    path = tmp_path / "opt.npz"
+    _dump(path, table, action=table.action[:3])
+    with pytest.raises(ValueError, match=r"need shape \(6, 6, 4\), got \(3, 6, 4\)"):
+        load_opt_table(path)
+    _dump(path, table)
+    assert opt_action(load_opt_table(path), 4, (0, 1), 2) == opt_action(table, 4, (0, 1), 2)
+
+
 def _assert_matches_loop_oracle(chain, k, T, init):
     value, table = opt_expected_cost(chain, k, T, init, record_values=True)
     ref_value, ref_action, ref_layers = loop_opt_expected_cost(chain, k, T, init)
@@ -156,6 +193,19 @@ def test_dp_matches_per_rank_loop_oracle_for_every_k(n):
         chain = sparse_chain(n, [n, k], 0.3)
         last = tuple(range(n - k, n))  # the highest-rank cache
         _assert_matches_loop_oracle(chain, k, 4, last)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_value_without_actions_matches_loop_oracle(n):
+    """The value that the exact ratio reads, built without actions, equals
+    the oracle's with ``==`` for every k and for T = 0, 1 and 4."""
+    for k in range(1, n):
+        chain = sparse_chain(n, [n, k, 1], 0.3)
+        for T in (0, 1, 4):
+            init = tuple(range(k))
+            value, table = opt_expected_cost(chain, k, T, init, record_actions=False)
+            assert table.action is None
+            assert value == loop_opt_expected_cost(chain, k, T, init)[0], (k, T)
 
 
 def test_subset_index_is_shared_and_read_only():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -203,3 +205,70 @@ def test_entering_column_without_a_pivot_row_is_an_error(monkeypatch):
     monkeypatch.setattr(simplex_mod, "_leaving_rows", lambda tab, basis, enter: np.full(len(tab), -1))
     with pytest.raises(RuntimeError, match="LP 0: column 0 has no pivot row"):
         solve_lp([[0.0, 0.0, 1.0]] * 2, [[0.3, 0.6, -1.0], [0.7, 0.1, -1.0]], [0.0, 0.0], 2)
+
+
+TOL = simplex_mod.PIVOT_TOL
+
+
+def _ratio_stack(rng, B, m, kind):
+    """A ``(B, m, m + 2)`` tableau whose column 0 enters, with its ratios and
+    distinct basic variables: ``kind`` chooses how the ratios crowd the least."""
+    low = np.where(rng.random((B, 1)) < 0.2, 0.0, 10.0 ** rng.uniform(-12, 9, (B, 1)))
+    if kind == "zero":  # exact ties at a 0 ratio, the rest far
+        gap = np.where(rng.random((B, m)) < 0.5, 0.0, 10.0 ** rng.uniform(-8, 1, (B, m)))
+        low[:] = 0.0
+    elif kind == "tol":  # ties within PIVOT_TOL, and chains of them
+        gap = rng.choice([0.0, 0.1, 0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 3.0], (B, m)) * TOL
+    elif kind == "edges":  # at and just inside both edges of the band, and far
+        edges = [0.0, TOL / 4, TOL / 4 * (1 + 1e-6), 4 * TOL * (1 - 1e-6), 4 * TOL, 5 * TOL, 1.0]
+        gap = rng.choice(edges, (B, m))
+    else:  # "spread": from 1e-12 to 1e9 on their own
+        gap = 10.0 ** rng.uniform(-12, 9, (B, m))
+    ratio = low + gap
+    ratio[np.arange(B), rng.integers(m, size=B)] = low[:, 0]  # some row holds the least
+    a = np.where(rng.random((B, m)) < 0.5, 1.0, rng.uniform(0.5, 4.0, (B, m)))
+    a[rng.random((B, m)) < 0.2] = rng.choice([0.0, -1.0, TOL, TOL / 2])  # no positive pivot
+    a[rng.random(B) < 0.1] = 0.0  # no row with one
+    tab = np.zeros((B, m, m + 2))
+    tab[:, :, 0] = a
+    tab[:, :, -1] = ratio * a
+    basis = np.argsort(rng.random((B, m + 1)), axis=1)[:, :m] + 1  # distinct, column 0 is not basic
+    return tab, basis, np.zeros(B, dtype=int)
+
+
+@pytest.mark.parametrize("kind", ["zero", "tol", "edges", "spread"])
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_one_pass_leaving_row_is_the_row_scan(kind, m):
+    """Bland's leaving row in one pass equals the one-LP loop's row scan, with
+    no RuntimeWarning, on ties at 0 and within PIVOT_TOL, gaps at and inside
+    the band's edges, rows without a pivot and ratios from 1e-12 to 1e9."""
+    tab, basis, enter = _ratio_stack(np.random.default_rng([29, m, len(kind)]), 400, m, kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        leave = simplex_mod._leaving_rows(tab, basis, enter)
+    want = simplex_mod._scan_rows(tab, basis, enter)
+    assert np.array_equal(leave, want)
+    assert (want == -1).any() and (want >= 0).any()
+
+
+def test_band_gaps_take_the_row_scan(monkeypatch):
+    """Only an LP with a gap in (PIVOT_TOL / 4, 4 * PIVOT_TOL) above its least
+    ratio, or a NaN one, is handed to the row scan."""
+    calls = []
+    real = simplex_mod._scan_rows
+
+    def counting(tab, basis, enter):
+        calls.append(len(tab))
+        return real(tab, basis, enter)
+
+    monkeypatch.setattr(simplex_mod, "_scan_rows", counting)
+    # ratios in rows 0..2; row 1's basic variable is the lowest
+    ratios = [[1.0, 1.0 + 2 * TOL, 5.0], [1.0, 1.0 + 0.1 * TOL, 5.0], [0.0, 0.7 * TOL, 1.3 * TOL], [1.0, np.nan, 5.0]]
+    tab = np.zeros((4, 3, 5))
+    tab[:, :, 0] = 1.0
+    tab[:, :, -1] = ratios
+    basis = np.tile([3, 1, 2], (4, 1))
+    leave = simplex_mod._leaving_rows(tab, basis, np.zeros(4, dtype=int))
+    assert calls == [3]  # LPs 0, 2 and 3; LP 1 ties rows 0 and 1 in one pass
+    assert leave.tolist() == [0, 1, 1, 0]
+    assert np.array_equal(leave, real(tab, basis, np.zeros(4, dtype=int)))

@@ -90,9 +90,35 @@ def _sampling_lines() -> list[str]:
     return lines
 
 
+def _bench_chains():
+    """The benchmark's chains: the audit battery's at k = 2 and the exact
+    ratio's, at n = 6, 7, 7 in turn, at k = 3."""
+    for i in range(10):
+        yield f"bench random(4, [7000, {i}])", random_chain(4, [7000, i]), 2
+    for i in range(20):
+        n = (6, 7, 7)[i % 3]
+        yield f"bench random({n}, [7100, {i}])", random_chain(n, [7100, i]), 3
+
+
+def _bench_lines() -> list[str]:
+    lines = []
+    for label, chain, k in _bench_chains():
+        head = f"{label} k={k}"
+        idx = subset_index(chain.n, k)
+        init = tuple(range(k))
+        for rule in ("dominating", "dominating-adversarial:0"):
+            probs = _item(lambda: _digest(parse_policy(rule).kernel_probs(idx, chain)))
+            lines.append(f"{head} kernel_probs[{rule}] {probs}")
+        value, table = opt_expected_cost(chain, k, 60, init, record_values=True)
+        lines.append(f"{head} opt T=60 {value!r} action={_digest(table.action)} value={_digest(table.value)}")
+        value, _ = opt_expected_cost(chain, k, 60, init, record_actions=False)
+        lines.append(f"{head} opt T=60 no actions {value!r}")
+    return lines
+
+
 def render() -> str:
     lines = [line for label, chain in _chains() for line in _chain_lines(label, chain)]
-    return "\n".join(lines + _sampling_lines()) + "\n"
+    return "\n".join(lines + _sampling_lines() + _bench_lines()) + "\n"
 
 
 def test_state_digest_matches_golden():
