@@ -399,7 +399,6 @@ class AccountingCheck:
     scheme: str
     ref_misses: int
     bound: float
-    detail: str
 
 
 def check_accounting(report: AuditReport) -> AccountingCheck:
@@ -407,19 +406,13 @@ def check_accounting(report: AuditReport) -> AccountingCheck:
     beta = report.resolved_saviors
     if report.scheme == "updated":
         bound = beta - report.doubly_charged_requests - report.open_charges + report.uncharged_reentries
-        detail = (
-            f"beta={beta} D={report.doubly_charged_requests} "
-            f"O={report.open_charges} U={report.uncharged_reentries}"
-        )
     else:
         bound = 0.5 * (beta - report.open_charges) + report.first_time_misses
-        detail = f"beta={beta} O={report.open_charges} I={report.first_time_misses}"
     return AccountingCheck(
         ok=report.ref_misses >= bound - 1e-12,
         scheme=report.scheme,
         ref_misses=report.ref_misses,
         bound=bound,
-        detail=detail,
     )
 
 

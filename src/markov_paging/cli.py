@@ -33,7 +33,7 @@ from . import alpha as alpha_mod
 from . import audit as audit_mod
 from . import engine, learn, lowerbound
 from .chain import build_lb_chain, chain_hash, load_chain, load_trace, random_chain, sample_sequence
-from .optdp import BudgetExceeded, check_horizon, opt_expected_cost, save_opt_table
+from .optdp import DEFAULT_BUDGET, BudgetExceeded, check_horizon, opt_expected_cost, save_opt_table
 from .policies import OptReplayPolicy, parse_policy
 
 
@@ -370,7 +370,7 @@ FLAGS = {
     "algo": dict(default="dominating"),
     "ref": dict(default="opt-dp"),
     "seed": dict(type=_parse_seed),
-    "budget": dict(type=_parse_int, default=10**8),
+    "budget": dict(type=_parse_int, default=DEFAULT_BUDGET),
     "trace_out": dict(help="write the last run's step trace CSV here"),
     "pair": dict(type=_parse_pair, help="only this ordered pair, as 'p,q'"),
     "gamma": dict(action="store_true", help="emit worst pair conditioning instead"),

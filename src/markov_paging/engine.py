@@ -74,7 +74,7 @@ from .optdp import (
     opt_expected_cost,
     subset_index,
 )
-from .policies import RunContext, _stamped_misses, check_eviction_table, evict
+from .policies import RunContext, _checked_kernel, _stamped_misses, evict
 
 TRIAL_BLOCK_CELLS = 1 << 20  # requests (runs x trials x T) sampled at once off the kernel path
 EXACT_BLOCK_CELLS = 1 << 16  # (step, state) cells of each of exact_cost's two blocks
@@ -104,10 +104,7 @@ def build_kernel(policy, chain, k: int) -> np.ndarray | None:
     ``ValueError``."""
     if policy.kernel_probs is None:
         return None
-    idx = subset_index(chain.n, k)
-    probs = policy.kernel_probs(idx, chain)
-    check_eviction_table(idx, probs, policy.name)
-    return probs
+    return _checked_kernel(policy, chain, k)[1]
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:

@@ -50,7 +50,6 @@ class EstimatedChain:
 
 @dataclass(frozen=True)
 class ApproxAlphaBundle:
-    alpha_hat: alpha_mod.AlphaTable
     eps_bound: float
     gamma_used: float
     gamma_source: str  # "true" or "estimated"
@@ -146,7 +145,6 @@ def approx_dominating_policy(
         raise GuaranteeVacuous(f"eps bound {eps_bound!r} >= 1/2")
     table = symmetrize(alpha_mod.alpha_table(chain_hat))
     bundle = ApproxAlphaBundle(
-        alpha_hat=table,
         eps_bound=eps_bound,
         gamma_used=gamma_value,
         gamma_source=gamma_source,

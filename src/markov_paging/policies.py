@@ -106,6 +106,16 @@ def check_eviction_table(idx, probs, name: str) -> None:
         raise ValueError(f"{name} eviction table, cache {cache}, page {j}: {want}, got {probs[r, j].tolist()}")
 
 
+def _checked_kernel(policy, chain, k: int):
+    """``(idx, probs)``: ``idx = subset_index(chain.n, k)`` and the memoryless
+    ``policy``'s eviction table over it, which :func:`check_eviction_table`
+    has passed."""
+    idx = subset_index(chain.n, k)
+    probs = policy.kernel_probs(idx, chain)
+    check_eviction_table(idx, probs, policy.name)
+    return idx, probs
+
+
 def _draw(pages, probs, rng) -> int:
     """One page of ``pages`` drawn from ``probs`` by one ``rng.random()``
     (running sums in order, as ``np.cumsum``'s)."""
@@ -312,10 +322,7 @@ class TablePolicy(Policy):
     def reset(self, ctx: RunContext) -> None:
         if ctx.chain is None:
             raise MissingContext(f"{self.name} needs the chain")
-        idx = subset_index(ctx.chain.n, ctx.k)
-        probs = self.kernel_probs(idx, ctx.chain)
-        check_eviction_table(idx, probs, self.name)
-        self._kernel = (idx, probs)
+        self._kernel = _checked_kernel(self, ctx.chain, ctx.k)
 
     def evict(self, cache, requested, ctx, rng):
         if self._kernel is None:
@@ -563,7 +570,12 @@ def parse_policy(name: str) -> Policy:
     """Build a policy from its CLI name; ``opt-dp`` needs a table for one
     chain, k and T, so its caller builds it."""
     if name.startswith("dominating-adversarial:"):
-        return AdversarialDominatingPolicy(int(name.split(":", 1)[1]))
+        target = name.split(":", 1)[1]
+        try:
+            page = int(target)
+        except ValueError:
+            raise ValueError(f"policy {name!r}: the target must be a page index, got {target!r}") from None
+        return AdversarialDominatingPolicy(page)
     for rule in (DominatingPolicy, MedianPolicy, FarthestInFuture, LruPolicy, FifoPolicy, RandomEvictionPolicy):
         if name == rule.name:
             return rule()

@@ -12,13 +12,9 @@ only one that needs an artificial variable for phase 1.
 
 Problems have at most a handful of variables (cache size plus one), so a
 plain tableau with Bland's anti-cycling rule is both fast enough and exactly
-reproducible: entering column is the lowest eligible index, leaving row breaks
-ratio ties by the lowest basic-variable index. The leaving row is found in one
-pass over the rows: the rows within ``PIVOT_TOL / 4`` of the least ratio tie,
-and the one with the lowest basic variable leaves. That is the choice of the
-one-LP loop's row scan, which meets the rows in order and ties within
-``PIVOT_TOL``, whenever every other ratio lies at least ``4 * PIVOT_TOL``
-above the least; an LP with a ratio in between falls back to that scan.
+reproducible: the entering column is the lowest eligible index, and the
+leaving row is found in one pass over the rows. Rows within ``PIVOT_TOL`` of
+the least ratio tie, and the tied row with the lowest basic variable leaves.
 
 ``solve_lp`` takes a stack of same-shape LPs: ``c`` and ``a_ub`` may carry a
 leading batch axis, while ``b_ub`` and ``p`` are shared by the whole stack,
@@ -62,52 +58,13 @@ def _pivot(tab, basis, rows, cols):
     basis[lp, rows] = cols
 
 
-def _scan_rows(tab, basis, enter):
-    """Bland's leaving row by the one-LP loop's row scan, run over the stack.
-
-    Rows are scanned in order: a ratio below the best by more than
-    ``PIVOT_TOL`` wins, and a tie within it goes to the lower basic variable.
-    Rows without a positive pivot get a NaN ratio, which never wins.
-    """
-    b = len(tab)
-    a = tab[np.arange(b), :, enter]
-    ratio = np.divide(tab[:, :, -1], a, out=np.full(a.shape, np.nan), where=a > PIVOT_TOL)
-    best = np.full(b, np.inf)
-    best_var = np.full(b, tab.shape[2])  # above every column, so any row ties lower
-    leave = np.full(b, -1)
-    for i in range(a.shape[1]):
-        r = ratio[:, i]
-        take = (r < best - PIVOT_TOL) | ((np.abs(r - best) <= PIVOT_TOL) & (basis[:, i] < best_var))
-        np.copyto(best, r, where=take)
-        np.copyto(best_var, basis[:, i], where=take)
-        leave[take] = i
-    return leave
-
-
 def _leaving_rows(tab, basis, enter):
-    """Bland's leaving row of each LP for its entering column, or -1 (none),
-    as :func:`_scan_rows` picks it, in one pass over the rows.
+    """Bland's leaving row of each LP for its entering column, or -1 (none).
 
-    Rows without a positive pivot get the ratio +inf, and ``low`` is each
-    LP's least ratio. The rows with ``ratio - low <= PIVOT_TOL / 4`` tie, and
-    the tied row with the lowest basic variable leaves. An LP with a
-    difference in the band ``(PIVOT_TOL / 4, 4 * PIVOT_TOL)``, or a NaN one,
-    goes through the scan instead.
-
-    Outside the band the scan picks the same row. A tied row's computed gap
-    is at most TOL/4 and an untied row's at least 4 TOL, so in exact
-    arithmetic a tied and an untied ratio lie more than 3.7 TOL apart, and
-    two tied ratios less than 0.26 TOL apart (TOL is ``PIVOT_TOL``). While an
-    untied row is the scan's best, a tied ratio r beats it: ``best - TOL``
-    lies TOL from ``best`` and more than 2.7 TOL above r, so its nearest
-    float lies above r. Once a tied row is the best, ``best - TOL`` lies
-    below ``low``, so its nearest float is at most ``low`` and no ratio beats
-    it; another tied row ties it within TOL, and an untied row lies more than
-    3.4 TOL away. So the scan's best is tied from its first tied row on, and
-    the lowest basic variable among the tied rows leaves. No step depends on
-    the ratios' size: near b/PIVOT_TOL = 1e9, where a float's spacing
-    exceeds TOL, only exact ties fall within TOL/4, and a spacing inside the
-    band sends the LP to the scan.
+    Rows without a pivot above ``PIVOT_TOL`` get the ratio +inf, and ``low``
+    is each LP's least ratio. The rows with ``ratio - low <= PIVOT_TOL`` tie,
+    and the tied row with the lowest basic variable leaves. A NaN ratio
+    neither ties nor sets ``low``.
     """
     b, cols = len(tab), tab.shape[2]
     # rows first, so each reduction over an LP's rows runs along the stack: a
@@ -115,15 +72,9 @@ def _leaving_rows(tab, basis, enter):
     a = tab.transpose(1, 0, 2)[:, np.arange(b), enter]
     ratio = np.divide(tab[:, :, -1].T, a, out=np.full(a.shape, np.inf), where=a > PIVOT_TOL)
     # a finite ceiling keeps inf - inf (an LP without a pivot row) out
-    gap = ratio - np.minimum.reduce(ratio, axis=0, initial=np.finfo(float).max)
-    tied = gap <= PIVOT_TOL / 4
-    clear = tied | (gap >= 4 * PIVOT_TOL)
+    tied = ratio - np.fmin.reduce(ratio, axis=0, initial=np.finfo(float).max) <= PIVOT_TOL
     var = np.minimum.reduce(np.where(tied, basis.T, cols), axis=0)  # the lowest tied basic variable
-    leave = np.where(var < cols, (basis == var[:, None]).argmax(axis=1), -1)
-    if not clear.all():
-        band = np.flatnonzero(~clear.all(axis=0))
-        leave[band] = _scan_rows(tab[band], basis[band], enter[band])
-    return leave
+    return np.where(var < cols, (basis == var[:, None]).argmax(axis=1), -1)
 
 
 def _run(tab, basis, cost, allowed):
@@ -160,13 +111,16 @@ def solve_lp(c, a_ub, b_ub, p):
     every LP, or a stack ``(B, m, n)``. ``b_ub`` is ``(m,)``, shared and
     non-negative, and ``p`` lies in 1..n. Returns ``(x, value)`` stacked,
     ``(B, n)`` and ``(B,)``, with B = 1 when nothing carries a batch axis.
-    ``c[..., p:]`` must be non-negative. Raises :class:`InfeasibleLP` for the
-    first failing LP, in stack order.
+    ``c[..., p:]`` must be non-negative and every input finite. Raises
+    :class:`InfeasibleLP` for the first failing LP, in stack order.
     """
     c = np.asarray(c, dtype=float)
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float)
     n, m = c.shape[-1], a_ub.shape[-2]
+    for name, v in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {float(v[~np.isfinite(v)][0])!r}")
     if np.any(b_ub < 0):
         raise ValueError(f"b_ub must be non-negative, got {float(b_ub.min())!r}")
     if not 1 <= p <= n:

@@ -552,9 +552,21 @@ class LoopUnboundedLP(ValueError):
     before any pivot; this general loop finds them)."""
 
 
+def loop_leaving_row(tab, basis, enter):
+    """Bland's leaving row of one tableau for column ``enter``, or -1 (none).
+
+    Only rows with a pivot above ``PIVOT_TOL`` take part. The least ratio
+    comes first, a NaN one left out; then, among the rows whose ratio lies
+    within ``PIVOT_TOL`` of it, the one with the lowest basic variable leaves.
+    """
+    ratio = {i: float(tab[i, -1] / tab[i, enter]) for i in range(len(tab)) if tab[i, enter] > PIVOT_TOL}
+    low = min((r for r in ratio.values() if r == r), default=np.inf)  # r == r is False for NaN
+    tied = [i for i, r in ratio.items() if r - low <= PIVOT_TOL]
+    return min(tied, key=lambda i: basis[i], default=-1)
+
+
 def _loop_run(tab, basis, cost, allowed):
     """Drive the tableau to optimality for ``cost`` using Bland's rule."""
-    m = tab.shape[0]
     for _ in range(MAX_ITER):
         cb = cost[basis]
         red = cost - cb @ tab[:, :-1]
@@ -565,18 +577,7 @@ def _loop_run(tab, basis, cost, allowed):
                 break
         if enter < 0:
             return
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            a = tab[i, enter]
-            if a > PIVOT_TOL:
-                ratio = tab[i, -1] / a
-                if ratio < best - PIVOT_TOL or (
-                    abs(ratio - best) <= PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+        leave = loop_leaving_row(tab, basis, enter)
         if leave < 0:
             raise LoopUnboundedLP(f"column {enter} is unbounded")
         _loop_pivot(tab, basis, leave, enter)

@@ -409,16 +409,27 @@ def test_infeasible_lp_names_its_pair(policy, target, monkeypatch, capsys):
     assert err.startswith(f"error: cache (0, 2, 3), request 1{target}: ")
 
 
-@pytest.mark.parametrize("command", [
+# each command's flag that names a policy, ready for its value
+POLICY_FLAGS = [
     ["simulate", "--trials", "5", "--seed", "1", "--policy"],
     ["ratio", "--trials", "5", "--seed", "1", "--policies"],
     ["audit", "--scheme", "original", "--trials", "1", "--seed", "1", "--algo"],
-])
+]
+
+
+@pytest.mark.parametrize("command", POLICY_FLAGS)
 def test_adversarial_target_outside_chain_is_domain_error(command, capsys):
     # page 7 is never resident on 4 pages, so the rule could never target it
     code, err = _error_exit([*command, "dominating-adversarial:7", "--n", "4", "--k", "2", "--T", "5"], capsys)
     assert code == 2
     assert err == "error: target page 7 is not among the chain's pages 0..3\n"
+
+
+@pytest.mark.parametrize("command", POLICY_FLAGS)
+def test_adversarial_target_that_is_no_page_index_is_refused(command, capsys):
+    code, err = _error_exit([*command, "dominating-adversarial:x", "--n", "4", "--k", "2", "--T", "5"], capsys)
+    assert code == 2
+    assert err == "error: policy 'dominating-adversarial:x': the target must be a page index, got 'x'\n"
 
 
 def test_solution_out_of_range_is_domain_error(monkeypatch, capsys):

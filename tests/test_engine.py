@@ -347,7 +347,7 @@ class SkewedEviction(RandomEvictionPolicy):
 def unchecked_tables(monkeypatch):
     """Lets a leaking or NaN eviction table past ``build_kernel``'s table
     check, so the evolution's own mass guard is what meets it."""
-    monkeypatch.setattr(engine, "check_eviction_table", lambda idx, probs, name: None)
+    monkeypatch.setattr("markov_paging.policies.check_eviction_table", lambda idx, probs, name: None)
 
 
 def test_mass_conservation_guard(unchecked_tables):
