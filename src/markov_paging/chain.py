@@ -15,7 +15,9 @@ at once until the chunk's paths from every page have met, and as one path
 after, so it costs a fixed number of array operations per chunk and no
 Python step per request; it steps a short trace, or a trace on more pages,
 request by request.
-``sample_trials`` steps many short traces side by side. ``derived`` keeps
+``sample_trials`` steps many short traces side by side, each generator's
+traces read one after another from its stream, the first of them the trace
+``sample_sequence`` draws from the same seed. ``derived`` keeps
 every table built from the last chain asked for, matched by transition
 bytes, until another chain is asked for, so the sampling table's (n²+1)·n
 int64 outlive the call, the size class of the kept n³ precedence table.
@@ -24,14 +26,11 @@ int64 outlive the call, the size class of the kept n³ precedence table.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
 GUIDE_CAP = 1 << 16  # most buckets in a grid's guide table (grid_lookup)
@@ -40,14 +39,6 @@ WALK_BLOCK = 1 << 16  # requests sampled and walked at once by sample_sequence
 WALK_PAGES = 40  # sample_sequence steps chains with more pages one request at a time
 CHUNK_RATIO = 32  # a block of m steps is walked in chunks of isqrt(m / CHUNK_RATIO) steps
 SPLIT_STEP = 6  # _walk steps every chunk from every page this far, then each met chunk as one path
-
-# numpy's SeedSequence hashing (numpy/random/bit_generator.pyx), which
-# trial_uniforms reproduces for many streams at once
-POOL_SIZE = 4
-INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
-INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
-MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-MASK32 = 0xFFFFFFFF
 
 
 class NonStochasticRow(ValueError):
@@ -347,124 +338,24 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     return pages
 
 
-def _seed_words(part) -> list[int]:
-    """The 32-bit entropy words ``SeedSequence`` reads from one seed part: the
-    little-endian words of a non-negative int, and ``[0]`` for 0."""
-    value = operator.index(part)
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got seed part {value}")
-    words = [value & MASK32]
-    value >>= 32
-    while value:
-        words.append(value & MASK32)
-        value >>= 32
-    return words
+def sample_trials(chain: MarkovChain, T: int, rngs, trials: int) -> np.ndarray:
+    """Draw ``trials`` traces of ``T`` requests from each generator in
+    ``rngs``, as a read-only ``(len(rngs), trials, T)`` page array.
 
-
-def _hasher(init: int, mult: int):
-    """numpy's ``hashmix`` over uint32 arrays, with its running hash constant:
-    each call xors the constant in, steps it by ``mult``, multiplies by the
-    new value and folds the high half down."""
-    const = init
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
-
-    return hashmix
-
-
-def _state_words(entropy: list) -> np.ndarray:
-    """Each stream's ``SeedSequence`` state, ``generate_state(4, np.uint64)``,
-    for many entropy lists at once: the rows of a C-contiguous ``(streams,
-    4)`` uint64 array.
-
-    ``entropy`` holds one uint32 array per entropy word, one entry per stream.
-    The pool is numpy's ``mix_entropy``: a list shorter than the pool is
-    padded with zero words, which is why trailing zeros within the pool change
-    no stream. ``generate_state`` then hashes the pool, cycled, into eight
-    32-bit words, read in pairs as little-endian 64-bit words.
+    Generator r's traces read ``rngs[r].random((trials, T))``, row by row, so
+    trace i inverts the uniforms ``[i·T, (i+1)·T)`` of the call, as
+    ``sample_sequence`` inverts its own; the stream runs on into the next
+    call, and the first trace from a fresh ``default_rng(seed)`` is
+    ``sample_sequence(chain, T, seed)``. The transition uniforms of all
+    traces are placed in the grid by one ``grid_cells`` lookup, and the pages
+    are read from the same ``next_page_table``. The walk takes one step
+    across all traces at a time, so many short traces cost a few array
+    operations per step; for one long trace ``sample_sequence`` is faster.
+    ``T = 0`` draws nothing and gives an empty array.
     """
-    hashmix = _hasher(INIT_A, MULT_A)
-
-    def mix(x, y):
-        out = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
-        return out ^ (out >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(w) for w in (entropy + [zero] * POOL_SIZE)[:POOL_SIZE]]
-    for src in range(POOL_SIZE):
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[POOL_SIZE:]:
-        for dst in range(POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hashmix = _hasher(INIT_B, MULT_B)
-    words = [hashmix(pool[j % POOL_SIZE]).astype(np.uint64) for j in range(8)]
-    return np.stack([words[2 * j] | words[2 * j + 1] << 32 for j in range(4)], axis=1)
-
-
-class _StateWords(ISeedSequence):
-    """A seed that hands ``PCG64`` its ``generate_state`` words, a row of
-    ``_state_words``. numpy reads them through the array's data pointer, so
-    the row must be a contiguous uint64 array of four words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def trial_uniforms(T: int, bases, trials) -> np.ndarray:
-    """The first ``T`` uniforms of the stream of each seed ``(*base, i, 0)``,
-    ``base`` in ``bases`` and ``i`` in ``trials``, as a ``(len(bases),
-    len(trials), T)`` array.
-
-    Row ``[r, j]`` equals ``np.random.default_rng((*bases[r], trials[j],
-    0)).random(T)`` bit for bit, where each base is a sequence of ints.
-    ``SeedSequence`` hashes a seed's entropy words in turn, so the seeds of
-    each word count are hashed in one pass over uint32 arrays, and each
-    stream's ``PCG64`` seeds itself from its row of those words, as it would
-    from the ``SeedSequence``. A negative seed part is a ``ValueError``, as
-    in numpy, and so is a trial index that does not fit one 32-bit entropy
-    word.
-    """
-    ids = [operator.index(i) for i in trials]
-    bad = [i for i in ids if not 0 <= i <= MASK32]
-    if bad:
-        raise ValueError(f"trial indices must lie in [0, 2**32), got {bad[0]}")
-    ids = np.array(ids, dtype=np.uint32)
-    words = [[w for part in base for w in _seed_words(part)] for base in bases]
-    u = np.empty((len(words), ids.size, T))
-    for size in sorted({len(w) for w in words}):
-        rows = [r for r, w in enumerate(words) if len(w) == size]
-        streams = np.tile(ids, len(rows))
-        entropy = [np.repeat(np.array([words[r][c] for r in rows], dtype=np.uint32), ids.size) for c in range(size)]
-        states = _state_words(entropy + [streams, np.zeros_like(streams)])
-        for (r, j), state in zip(itertools.product(rows, range(ids.size)), states):
-            np.random.Generator(np.random.PCG64(_StateWords(state))).random(out=u[r, j])
-    return u
-
-
-def sample_trials(chain: MarkovChain, T: int, bases, trials) -> np.ndarray:
-    """Draw one ``T``-request trace per seed ``(*base, i, 0)``, ``base`` in
-    ``bases`` and ``i`` in ``trials``, as a read-only ``(len(bases),
-    len(trials), T)`` page array.
-
-    Row ``[r, j]`` holds the pages of ``sample_sequence(chain, T, (*bases[r],
-    trials[j], 0))``. ``trial_uniforms`` derives every stream in one pass.
-    The transition uniforms of all traces are placed in the grid by one
-    ``grid_cells`` lookup, and the pages are read from the same
-    ``next_page_table``. The walk takes one step across all traces at a
-    time, so many short traces cost a few array operations per step; for one
-    long trace ``sample_sequence`` is faster. ``T = 0`` gives an empty array.
-    """
-    u = trial_uniforms(T, bases, trials)
+    u = np.empty((len(rngs), trials, T))
+    for rng, block in zip(rngs, u):
+        rng.random(out=block)
     shape = u.shape
     u = u.reshape(shape[0] * shape[1], T).T  # u[t] holds every trace's t-th uniform
     pages = np.empty(u.shape, dtype=np.int64)

@@ -3,44 +3,39 @@
 ``trial_misses`` counts the misses of every trial of a stack of runs, each
 run a (policy, seed) pair, and ``simulate`` is a run of one that reports a
 mean miss count with a normal-approximation 95% CI; ``ratio_report`` passes
-its policy baseline and all of its rules in one call. Each run takes the
-first of three paths that applies, and each path steps all of its runs at
-once:
+its policy baseline and all of its rules in one call.
+
+Every run reads two streams of its own. Its requests come from
+``default_rng(seed)``: one ``sample_trials`` call per block of trials draws
+every run's traces, trial i inverting the stream's uniforms ``[i·T,
+(i+1)·T)``, so trial 0 is ``sample_sequence(chain, T, seed)``. Its evictions
+come from ``default_rng((*seed, 1))``. A run's counts therefore do not
+depend on the block size, on the runs that share its call or on the trial
+count (the first m trials of an M-trial run are the m-trial run), and they
+repeat bit for bit under the same seed. Each run is counted by the first of
+three counters that applies, each over all of its runs' traces at once:
 
 * kernel: memoryless policies (eviction distribution a function of cache
   contents and the requested page only) step every trial of every run at
   once over the eviction tables their ``kernel_probs(idx, chain)`` returns.
-  Each run draws from its own ``default_rng(seed)`` stream: each step it
-  draws one uniform per trial for the requests (looked up in the chain's
-  ``next_page_table``), then one per missing trial, in trial order, for the
-  evicted slots. A trial's state is a flat (run, cache rank, page) cell over
-  the runs' tables laid side by side, so a step is a few flat ``take`` calls
-  over every run's trials: on ``member`` for the misses, on the slot-major
-  cumulative eviction tables (the slot is a count over their leading axis)
-  and on the index's ``cells`` for the next cache. The grid lookup that
-  places the request uniforms is chosen once per call, from the uniforms a
-  step places (``chain.grid_lookup``);
+  Per block a run draws a ``(trials, T)`` array of eviction uniforms, and a
+  miss of trial i at step t reads entry [i, t]. A trial's state is a flat
+  (run, cache rank, page) cell over the runs' tables laid side by side, so a
+  step is a few flat ``take`` calls over every run's trials: on ``member``
+  for the misses, on the slot-major cumulative eviction tables (the slot is
+  a count over their leading axis) and on the index's ``cells`` for the next
+  cache;
 * stamped: LRU and FIFO, whose cache is k pages with a use or load stamp
   each (``stamp_on_hit``), count every trial of every such run at once in
   one ``_stamped_misses`` call, one ``(trials, k)`` comparison and
   ``argmin`` per request;
 * generic: the rest (farthest-in-future, OPT replay) count each trial's
   victims from ``replay``, the one loop that steps a policy request by
-  request. The audit replays a run once for both schemes' ``audit.ledger``;
-  only ``audit.run_audit`` callers that score one scheme per call (the CLI,
-  the benchmark) replay it once per scheme.
+  request, which draws from the run's eviction generator. The audit replays
+  a run once for both schemes' ``audit.ledger``; only ``audit.run_audit``
+  callers that score one scheme per call (the CLI, the benchmark) replay it
+  once per scheme.
 
-The stamped and generic runs read their request traces from one
-``sample_trials`` call per block of trials, which derives every run's
-``(seed, i, 0)`` streams in one pass, each equal to ``default_rng((seed, i,
-0))``, and places all of their uniforms with one ``grid_cells`` lookup.
-
-On the stamped and generic paths trial i draws its requests from seed
-``(seed, i, 0)`` and any eviction randomness from ``(seed, i, 1)``, so both
-give the per-trial miss counts a one-trial-at-a-time loop gives on those
-seeds. The kernel path's per-run stream makes its counts depend on the number
-of trials; they repeat bit-for-bit under the same seed and trial count. On
-every path a run's counts do not depend on which other runs share its call.
 A horizon T of 0 costs 0 on every path, and a negative one is a
 ``ValueError``, here as in ``exact_cost`` and the OPT DP.
 
@@ -65,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_hash, first_pages, grid_lookup, next_page_table, sample_trials
+from .chain import chain_hash, sample_trials
 from .optdp import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -76,7 +71,7 @@ from .optdp import (
 )
 from .policies import RunContext, _checked_kernel, _stamped_misses, evict
 
-TRIAL_BLOCK_CELLS = 1 << 20  # requests (runs x trials x T) sampled at once off the kernel path
+TRIAL_BLOCK_CELLS = 1 << 20  # request pages and kernel eviction uniforms (trials x T per run) drawn at once
 EXACT_BLOCK_CELLS = 1 << 16  # (step, state) cells of each of exact_cost's two blocks
 
 
@@ -116,9 +111,9 @@ def _seed_tuple(seed) -> tuple[int, ...]:
 def simulate(policy, chain, k: int, T: int, init_cache, trials: int, seed) -> CostEstimate:
     """Average miss count over ``trials`` independent runs of length ``T``.
 
-    Results repeat bit-for-bit under the same seed and trial count, whichever
-    path the policy takes; the module docstring says which stream each path
-    draws from.
+    Results repeat bit for bit under the same seed, whichever path the
+    policy takes, and the first m trials of an M-trial run are the m-trial
+    run; the module docstring says which streams a run reads.
     """
     return _estimate(trial_misses([(policy, seed)], chain, k, T, init_cache, trials)[0])
 
@@ -138,39 +133,51 @@ def _estimate(misses: np.ndarray) -> CostEstimate:
 
 def trial_misses(runs, chain, k: int, T: int, init_cache, trials: int) -> np.ndarray:
     """Miss count of each of ``trials`` trials of each ``(policy, seed)`` run,
-    as a ``(len(runs), trials)`` array. Each run takes the kernel, stamped or
-    generic path, and each path steps all of its runs at once (module
-    docstring); a run's counts do not depend on the other runs."""
+    as a ``(len(runs), trials)`` array. Each run reads its own request and
+    eviction streams, and the kernel, stamped or generic counter counts it
+    (module docstring)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_horizon(T)
     if not 0 < k < chain.n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={chain.n}")
     init_cache = check_cache(init_cache, chain.n, k)
-    runs = [(policy, _seed_tuple(seed)) for policy, seed in runs]
-    tables = [build_kernel(policy, chain, k) for policy, _ in runs]
+    policies = [policy for policy, _ in runs]
+    seeds = [_seed_tuple(seed) for _, seed in runs]
+    requests = [np.random.default_rng(seed) for seed in seeds]
+    evictions = [np.random.default_rng((*seed, 1)) for seed in seeds]
+    tables = [build_kernel(policy, chain, k) for policy in policies]
     kernel = [r for r, probs in enumerate(tables) if probs is not None]
-    sampled = [r for r, probs in enumerate(tables) if probs is None]
+    rest = [r for r, probs in enumerate(tables) if probs is None]
+    stamped = [r for r in rest if policies[r].stamp_on_hit is not None]
+    generic = [r for r in rest if policies[r].stamp_on_hit is None]
     misses = np.empty((len(runs), trials), dtype=np.int64)
-    if kernel:
-        idx = subset_index(chain.n, k)
-        bases = [runs[r][1] for r in kernel]
-        misses[kernel] = _kernel_misses(idx, [tables[r] for r in kernel], chain, T, init_cache, trials, bases)
-    if sampled:
-        misses[sampled] = _sampled_misses([runs[r] for r in sampled], chain, k, T, init_cache, trials)
+    block = max(1, TRIAL_BLOCK_CELLS // (max(T, 1) * max(1, len(runs) + len(kernel))))
+    for lo in range(0, trials, block):
+        b = min(block, trials - lo)
+        pages = sample_trials(chain, T, requests, b)
+        if kernel:
+            evict_u = np.stack([evictions[r].random((b, T)) for r in kernel])
+            idx = subset_index(chain.n, k)
+            misses[kernel, lo : lo + b] = _kernel_misses(idx, [tables[r] for r in kernel], chain, init_cache, pages[kernel], evict_u)
+        if stamped:
+            flags = np.repeat([policies[r].stamp_on_hit for r in stamped], b)
+            counts = _stamped_misses(pages[stamped].reshape(flags.size, T), init_cache, flags)
+            misses[stamped, lo : lo + b] = counts.reshape(len(stamped), b)
+        for r in generic:
+            misses[r, lo : lo + b] = [len(replay(policies[r], chain, k, row, init_cache, evictions[r])) for row in pages[r]]
     return misses
 
 
-def _kernel_misses(idx, tables, chain, T, init_cache, trials, bases) -> np.ndarray:
-    """The kernel path: run r draws from ``default_rng(bases[r])`` and evicts
-    by ``tables[r]``. The runs' cumulative tables, membership and successor
-    cells lie side by side, so a trial's state is one flat (run, cache, page)
-    cell and each step's lookups run once over every run's trials."""
+def _kernel_misses(idx, tables, chain, init_cache, pages, evict_u) -> np.ndarray:
+    """The kernel counter: run r's trials serve the traces ``pages[r]`` and
+    evict by ``tables[r]``, a miss of trial i at step t reading
+    ``evict_u[r, i, t]``. The runs' cumulative tables, membership and
+    successor cells lie side by side, so a trial's state is one flat (run,
+    cache, page) cell and each step's lookups run once over every run's
+    trials."""
     n, k, R = chain.n, idx.k, len(tables)
     N = idx.member.size  # (cache, page) cells of one run
-    rngs = [np.random.default_rng(base) for base in bases]
-    grid, table = next_page_table(chain)
-    place = grid_lookup(grid, R * trials)
     # slot-major cumulative eviction tables over flat (run, cache, page)
     # cells; no uniform passes the last slot's +inf, so a row whose sum
     # rounds below 1 evicts its last slot
@@ -180,59 +187,25 @@ def _kernel_misses(idx, tables, chain, T, init_cache, trials, bases) -> np.ndarr
     offset = np.arange(0, R * N, N)
     # each successor cell's first cell of its cache (rank times n), per run
     heads = (idx.cells.reshape(k, 1, N) // n * n + offset[:, None]).reshape(k, R * N)
-    head = np.repeat((offset + idx.rank[init_cache] * n)[:, None], trials, axis=1)
-    u = np.empty((R, trials))
-    misses = np.zeros((R, trials), dtype=np.int64)
-    for t in range(1, T + 1):
-        for rng, row in zip(rngs, u):
-            rng.random(out=row)
-        req = first_pages(chain, u) if t == 1 else table[place(u) * n + last]
+    head = np.repeat((offset + idx.rank[init_cache] * n)[:, None], pages.shape[1], axis=1)
+    misses = np.zeros(head.shape, dtype=np.int64)
+    for req, u in zip(np.moveaxis(pages, 2, 0), np.moveaxis(evict_u, 2, 0)):
         cell = head + req
         miss = ~member.take(cell)
         if miss.any():
             misses += miss
             mc = cell[miss]
-            u2 = np.empty(mc.size)
-            lo = 0
-            for rng, count in zip(rngs, miss.sum(axis=1).tolist()):
-                rng.random(out=u2[lo : lo + count])  # each run's missing trials, in trial order
-                lo += count
-            slot = (cum_kernel.take(mc, axis=1) <= u2).sum(axis=0)
+            slot = (cum_kernel.take(mc, axis=1) <= u[miss]).sum(axis=0)
             head[miss] = heads.take(slot * (R * N) + mc)
-        last = req
-    return misses
-
-
-def _sampled_misses(runs, chain, k, T, init_cache, trials) -> np.ndarray:
-    """The stamped and generic paths: every run's traces come from one
-    ``sample_trials`` call per block of trials, trial i of the run seeded
-    ``base`` reading ``(*base, i, 0)``. LRU and FIFO runs are counted by one
-    ``_stamped_misses`` call; the rest replay each trace, with eviction
-    randomness from ``(*base, i, 1)``."""
-    misses = np.empty((len(runs), trials), dtype=np.int64)
-    stamped = [r for r, (policy, _) in enumerate(runs) if policy.stamp_on_hit is not None]
-    bases = [base for _, base in runs]
-    block = max(1, TRIAL_BLOCK_CELLS // (max(T, 1) * len(runs)))  # bounds the page array's memory
-    for lo in range(0, trials, block):
-        ids = range(lo, min(lo + block, trials))
-        pages = sample_trials(chain, T, bases, ids)
-        if stamped:
-            flags = np.repeat([runs[r][0].stamp_on_hit for r in stamped], len(ids))
-            counts = _stamped_misses(pages[stamped].reshape(flags.size, T), init_cache, flags)
-            misses[stamped, ids.start : ids.stop] = counts.reshape(len(stamped), len(ids))
-        for r, (policy, base) in enumerate(runs):
-            if policy.stamp_on_hit is None:
-                misses[r, ids.start : ids.stop] = [
-                    len(replay(policy, chain, k, row, init_cache, base + (i, 1))) for i, row in zip(ids, pages[r])
-                ]
     return misses
 
 
 def replay(policy, chain, k: int, pages, init_cache, seed, T: int | None = None) -> list[int]:
     """The policy's victims, one per miss in request order, over the first
     ``T`` requests of ``pages`` (default: all). The policy sees all of
-    ``pages``, so a clairvoyant rule looks past T; ``seed`` feeds its own
-    randomness, and a rule that ``draws`` nothing gets no generator."""
+    ``pages``, so a clairvoyant rule looks past T; ``seed``, or a ``Generator``
+    that ``default_rng`` passes through, feeds its own randomness, and a rule
+    that ``draws`` nothing gets no generator."""
     rng = np.random.default_rng(seed) if policy.draws else None
     ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
     policy.reset(ctx)

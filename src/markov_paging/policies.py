@@ -79,12 +79,12 @@ def _distributions(probs: np.ndarray) -> np.ndarray:
     """``probs`` with roundoff negatives set to 0, read-only; ``ValueError``
     unless every row (last axis) is a distribution."""
     if probs.min(initial=0.0) < -1e-12:
-        raise ValueError(f"negative probability {probs.min()!r}")
+        raise ValueError(f"negative probability {float(probs.min())!r}")
     p = np.where(probs < 0.0, 0.0, probs)
     sums = p.sum(axis=-1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
     if bad.size:
-        raise ValueError(f"probabilities sum to {np.ravel(sums)[bad[0]]!r}")
+        raise ValueError(f"probabilities sum to {float(np.ravel(sums)[bad[0]])!r}")
     p.setflags(write=False)
     return p
 

@@ -6,8 +6,7 @@ exhaustive expectation tree over request realizations (no state merging),
 matrix geometric series from term-by-term accumulation, the adversarial
 stress policy's cache-state evolution from hand-derived closed forms (the
 reference for the engine's joint operator), request traces
-from a one-request-at-a-time sampling loop, each Monte Carlo trial's
-uniforms from a generator of its own, transition counts from
+from a one-request-at-a-time sampling loop, transition counts from
 ``np.add.at``, and the complementary precedence table from a loop over one
 page pair at a time. The OPT DP and the exact cost
 evolution are also kept as loops over one cache rank at a time, the
@@ -15,8 +14,9 @@ reference for the library's all-ranks-at-once steps; their caches come from
 ``itertools.combinations`` and their successors from set arithmetic
 (:func:`sorted_caches`, :func:`successor`), never from the library's subset
 index. Monte Carlo is kept as a
-loop over one trial at a time, the reference for the trial-batched paths
-(the kernel path's shared stream included).
+loop over one trial and one request at a time, the reference for the
+trial-batched paths, reading each run's request and eviction streams in
+trial order.
 LRU and FIFO, which have no kernel, get an exact cost from the distribution
 over ordered caches. Linear programs are solved one at a time by a scalar
 tableau loop, the reference for the lockstep stacked simplex. The median,
@@ -35,33 +35,22 @@ from markov_paging.simplex import MAX_ITER, PIVOT_TOL, InfeasibleLP
 
 
 def loop_sample_pages(chain, T, seed):
-    """Request pages drawn one at a time: the reference for ``sample_sequence``.
+    """Request pages drawn one at a time: the reference for ``sample_sequence``,
+    ``loop_pages`` of the first ``T`` uniforms of ``default_rng(seed)``."""
+    return loop_pages(chain, np.random.default_rng(seed).random(T))
 
-    The first request inverts ``init``'s cumulative sum at the first uniform,
-    request t inverts the cumulative row of request t-1 at the t-th uniform.
-    """
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(chain.transition, axis=1)
-    cum_init = np.cumsum(chain.init)
-    u = rng.random(T)
-    pages = np.empty(T, dtype=np.int64)
-    last = min(int(np.searchsorted(cum_init, u[0], side="right")), chain.n - 1)
-    pages[0] = last
-    for t in range(1, T):
-        last = min(int(np.searchsorted(cum[last], u[t], side="right")), chain.n - 1)
-        pages[t] = last
+
+def loop_pages(chain, u):
+    """The trace the uniforms ``u`` give, one request at a time: the first
+    request inverts ``init``'s cumulative sum at ``u[0]``, request t inverts
+    the cumulative row of request t-1 at ``u[t]``."""
+    cum_rows = np.cumsum(chain.transition, axis=1)
+    pages = np.empty(len(u), dtype=np.int64)
+    last = None
+    for t, x in enumerate(u):
+        cum = np.cumsum(chain.init) if t == 0 else cum_rows[last]
+        last = pages[t] = min(int(np.searchsorted(cum, x, side="right")), chain.n - 1)
     return pages
-
-
-def loop_trial_uniforms(T, bases, trials):
-    """``T`` uniforms per base and trial from one ``default_rng((*base, i,
-    0))`` each: the reference for ``chain.trial_uniforms``. Each base is a
-    tuple."""
-    u = np.empty((len(bases), len(trials), T))
-    for rows, base in zip(u, bases):
-        for row, i in zip(rows, trials):
-            np.random.default_rng((*base, i, 0)).random(out=row)
-    return u
 
 
 def add_at_estimate(pages, n, smoothing):
@@ -450,17 +439,18 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
     """Per-trial miss counts, one trial and one eviction call at a time: the
     reference for every Monte Carlo path of ``simulate``.
 
-    Trial i samples its trace with ``sample_sequence`` from ``seed + (i, 0)``
-    and feeds the policy's randomness from ``seed + (i, 1)``; ``seed`` is a
-    tuple. A horizon of 0 has no requests and no misses.
+    Trial i's trace is ``loop_pages`` of uniforms ``[i·T, (i+1)·T)`` of
+    ``default_rng(seed)``, and the policy's randomness reads one
+    ``default_rng((*seed, 1))`` across the trials in turn. A horizon of 0 has
+    no requests and no misses.
     """
-    from markov_paging.chain import sample_sequence
     from markov_paging.policies import RunContext, evict
 
+    requests = np.random.default_rng(seed)
+    rng_pol = np.random.default_rng((*seed, 1))
     misses = np.zeros(trials, dtype=np.int64)
     for trial in range(trials):
-        pages = sample_sequence(chain, T, seed + (trial, 0)) if T else np.empty(0, dtype=np.int64)
-        rng_pol = np.random.default_rng(seed + (trial, 1))
+        pages = loop_pages(chain, requests.random(T))
         ctx = RunContext(chain=chain, k=k, init_cache=tuple(init_cache), sequence=pages)
         policy.reset(ctx)
         cache = set(init_cache)
@@ -476,36 +466,30 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
 
 
 def loop_simulate_kernel(probs, chain, T, init_cache, trials, seed):
-    """Per-trial miss counts of a memoryless rule, one trial at a time inside
-    each step: the reference for the kernel path of ``simulate``.
+    """Per-trial miss counts of a memoryless rule, one trial and one step at
+    a time: the reference for the kernel path of ``simulate``.
 
     ``probs`` is the rule's ``(S, n, k)`` eviction table over the sorted
-    k-subsets in lexicographic order. Every trial reads one shared
-    ``default_rng(seed)`` stream. Each step takes one uniform per trial, in
-    trial order, for its request (the first request inverts ``init``'s
-    cumulative sum, a later one the row of the trial's last request), then
-    one per missing trial, in trial order, for the evicted slot: the first
-    slot whose cumulative probability exceeds it, else the last slot.
+    k-subsets in lexicographic order. Trial i's trace is ``loop_pages`` of
+    uniforms ``[i·T, (i+1)·T)`` of ``default_rng(seed)``. A miss of trial i
+    at step t evicts by entry ``[i, t]`` of ``default_rng((*seed,
+    1)).random((trials, T))``: the first slot whose cumulative probability
+    exceeds it, else the last slot.
     """
     n, k = chain.n, probs.shape[2]
     _, rank = sorted_caches(n, k)
-    cum_rows = np.cumsum(chain.transition, axis=1)
-    rng = np.random.default_rng(seed)
-    caches = [tuple(sorted(init_cache))] * trials
-    last = [None] * trials
+    requests = np.random.default_rng(seed).random((trials, T))
+    evictions = np.random.default_rng((*seed, 1)).random((trials, T))
     misses = np.zeros(trials, dtype=np.int64)
-    for t in range(T):
-        for i in range(trials):
-            cum = np.cumsum(chain.init) if t == 0 else cum_rows[last[i]]
-            last[i] = min(int(np.searchsorted(cum, rng.random(), side="right")), n - 1)
-        for i in range(trials):
-            cache, j = caches[i], last[i]
+    for i in range(trials):
+        cache = tuple(sorted(init_cache))
+        for t, j in enumerate(loop_pages(chain, requests[i]).tolist()):
             if j in cache:
                 continue
             misses[i] += 1
             cum = np.cumsum(probs[rank[cache], j])
-            slot = min(int(np.searchsorted(cum, rng.random(), side="right")), k - 1)
-            caches[i] = successor(cache, cache[slot], j)
+            slot = min(int(np.searchsorted(cum, evictions[i, t], side="right")), k - 1)
+            cache = successor(cache, cache[slot], j)
     return misses
 
 

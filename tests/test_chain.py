@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markov_paging import chain as chain_mod
+from markov_paging import engine as engine_mod
 from markov_paging import policies as policies_mod
 from markov_paging.alpha import AlphaTable
 from markov_paging.chain import (
@@ -26,15 +27,14 @@ from markov_paging.chain import (
     sample_sequence,
     sample_trials,
     save_chain,
-    trial_uniforms,
     validate_chain,
 )
 from markov_paging.engine import ratio_report, trial_misses
 from markov_paging.optdp import subset_index
-from markov_paging.policies import DominatingPolicy, FifoPolicy, LruPolicy, MedianPolicy, RandomEvictionPolicy
+from markov_paging.policies import DominatingPolicy, FarthestInFuture, FifoPolicy, LruPolicy, MedianPolicy, RandomEvictionPolicy
 
 from .conftest import chain_specs, keep_every_table, sparse_chain, sparse_chain_specs, sticky_chain
-from .oracles import loop_sample_pages, loop_trial_uniforms
+from .oracles import loop_pages, loop_sample_pages
 
 
 def test_uniform_two_page_chain():
@@ -284,20 +284,6 @@ def test_long_trace_memory_is_one_block_of_temporaries(chain):
 
 # seed parts below, at and above one and two 32-bit entropy words
 SEED_PARTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(min_value=0, max_value=2**70)
-NUMPY_INTS = (np.uint32, np.int64, np.uint64)
-
-
-@st.composite
-def seed_bases(draw):
-    """A base of 0-5 seed parts, some as numpy integer scalars where they fit,
-    and the same base as Python ints."""
-    parts = draw(st.lists(SEED_PARTS, max_size=5))
-    base = []
-    for p in parts:
-        fits = [t for t in NUMPY_INTS if p <= np.iinfo(t).max]
-        kind = draw(st.sampled_from([int, *fits]))
-        base.append(kind(p))
-    return tuple(base), tuple(parts)
 
 
 @settings(max_examples=30, deadline=None)
@@ -308,41 +294,29 @@ def seed_bases(draw):
     st.integers(min_value=1, max_value=5),
 )
 def test_sample_trials_rows_match_sample_sequence(chain, T, bases, trials):
-    """Row [r, i] is the trace ``sample_sequence`` draws from seed
-    ``(*bases[r], i, 0)``, page for page, on chains with zero entries, across
-    ``sample_sequence``'s chunk edges and for bases of different word counts
-    in one call."""
-    pages = sample_trials(chain, T, bases, trials=range(trials))
-    assert pages.shape == (len(bases), trials, T) and not pages.flags.writeable
+    """Row [r, i] is the trace of uniforms ``[i·T, (i+1)·T)`` of
+    ``default_rng(bases[r])``, page for page with the loop oracle, on chains
+    with zero entries, across ``sample_sequence``'s chunk edges and for bases
+    of different word counts in one call; row [r, 0] is ``sample_sequence``'s
+    trace from the base, and a second call goes on with the stream."""
+    rngs = [np.random.default_rng(base) for base in bases]
+    first, more = sample_trials(chain, T, rngs, trials), sample_trials(chain, T, rngs, 2)
+    assert first.shape == (len(bases), trials, T) and not first.flags.writeable
+    pages = np.concatenate([first, more], axis=1)
     for rows, base in zip(pages, bases):
-        for i, row in enumerate(rows):
-            assert np.array_equal(row, sample_sequence(chain, T, (*base, i, 0)))
+        u = np.random.default_rng(base).random((trials + 2, T))
+        assert np.array_equal(rows[0], sample_sequence(chain, T, base))
+        for row, uniforms in zip(rows, u):
+            assert np.array_equal(row, loop_pages(chain, uniforms))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(seed_bases(), max_size=4),
-    st.sampled_from([0, 1, 2, 1025]),
-    st.lists(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(min_value=0, max_value=2**32 - 1), max_size=6),
-)
-def test_trial_uniforms_match_per_trial_loop_oracle(bases, T, trials):
-    """Bit for bit the uniforms of one ``default_rng((*base, i, 0))`` per base
-    and trial, with fewer than, exactly and more than 4 entropy words, and
-    bases of different word counts in one call."""
-    u = trial_uniforms(T, [base for base, _ in bases], trials)
-    assert u.shape == (len(bases), len(trials), T)
-    assert np.array_equal(u, loop_trial_uniforms(T, [parts for _, parts in bases], trials))
-
-
-@pytest.mark.parametrize(
-    "base,trials",
-    [((-1,), [0]), ((3, np.int64(-2)), [0]), ((3,), [-1]), ((3,), [2**32]), ((3,), [0, 2**40]), ((3,), [2**70])],
-)
-def test_trial_uniforms_reject_negative_parts_and_wide_indices(base, trials):
-    """A negative seed part is a ValueError, as numpy makes it; a trial index
-    is one entropy word, so 2**32 and above are ValueErrors too."""
+@pytest.mark.parametrize("seed", [(-1,), (3, np.int64(-2))])
+@pytest.mark.parametrize("make", [DominatingPolicy, LruPolicy, FarthestInFuture])
+def test_negative_seed_part_is_refused_on_every_path(seed, make):
+    """numpy's ``default_rng`` refuses a negative seed part, on the kernel,
+    stamped and generic paths alike."""
     with pytest.raises(ValueError):
-        trial_uniforms(4, [(1,), base], trials)
+        trial_misses([(LruPolicy(), 1), (make(), seed)], random_chain(4, 2), 2, 5, (0, 1), 3)
 
 
 def _edge_uniforms(grid):
@@ -433,12 +407,14 @@ def test_uniform_on_a_cumulative_entry_selects_the_next_page():
     pages = sample_sequence(chain, T, seed)
     assert pages[0] == 1 and pages[t0] == 1
     assert np.array_equal(pages, loop_sample_pages(chain, T, seed))
-    # stream (0, 0, 0) is default_rng(0): zero words within the 4-word pool are padding
-    assert np.array_equal(sample_trials(chain, T, [(seed,)], trials=[0])[0, 0], pages)
+    assert np.array_equal(sample_trials(chain, T, [np.random.default_rng(seed)], 1)[0, 0], pages)
 
 
 def test_sample_trials_empty_horizon():
-    assert sample_trials(random_chain(3, 1), 0, [(1,), (2, 3)], trials=range(2)).shape == (2, 2, 0)
+    """No requests, and no uniform drawn from either stream."""
+    rngs = [np.random.default_rng(1), np.random.default_rng((2, 3))]
+    assert sample_trials(random_chain(3, 1), 0, rngs, 2).shape == (2, 2, 0)
+    assert rngs[0].random() == np.random.default_rng(1).random()
 
 
 def test_sample_sequence_empty_horizon():
@@ -493,12 +469,13 @@ def test_ratio_report_builds_the_sampling_table_once(monkeypatch):
 
 
 def test_monte_carlo_builds_the_bucket_guide_once_per_call(monkeypatch):
-    """Search or guide is chosen once per call from the uniforms a step
-    places. Two kernel runs of 600 trials place 1,200 a step at n = 4, past
-    the guide's cut there (``SHORT_TRACE``), so the guide is built once for
-    all 30 steps; each run alone places 600 a step by binary search, with
-    the same counts. ``sample_trials`` and a three-block ``sample_sequence``
-    build it once too."""
+    """A ``trial_misses`` call places every run's request uniforms, kernel
+    runs included, by one ``grid_cells`` lookup per ``sample_trials`` block,
+    so it builds the guide once per block: once for two kernel runs and an
+    LRU run of 600 trials at T = 30 at n = 4 (52,200 uniforms, past the
+    guide's cut there), once for each run alone, with the same counts, and
+    three times when the trials span three blocks. A three-block
+    ``sample_sequence`` builds it once."""
     builds = []
     real = chain_mod._guide
 
@@ -508,15 +485,18 @@ def test_monte_carlo_builds_the_bucket_guide_once_per_call(monkeypatch):
 
     monkeypatch.setattr(chain_mod, "_guide", counting)
     chain = random_chain(4, 3)
-    runs = [(RandomEvictionPolicy(), 1), (MedianPolicy(), 2)]
-    both = trial_misses(runs, chain, 2, 30, (0, 1), 600)
+    runs = [(RandomEvictionPolicy(), 1), (MedianPolicy(), 2), (LruPolicy(), 3)]
+    every = trial_misses(runs, chain, 2, 30, (0, 1), 600)
     assert builds == [128]
-    for run, row in zip(runs, both):
+    for run, row in zip(runs, every):
         assert np.array_equal(trial_misses([run], chain, 2, 30, (0, 1), 600)[0], row)
-    assert builds == [128]
-    sample_trials(chain, 30, [(1,), (2,)], range(600))
+    assert builds == [128] * 4
+    # three traces and two eviction arrays of 30 cells per trial: 200 trials a block
+    monkeypatch.setattr(engine_mod, "TRIAL_BLOCK_CELLS", 200 * 30 * 5)
+    assert np.array_equal(trial_misses(runs, chain, 2, 30, (0, 1), 600), every)
+    assert builds == [128] * 7
     sample_sequence(chain, 2 * WALK_BLOCK + 2, 0)
-    assert builds == [128] * 3
+    assert builds == [128] * 8
 
 
 def test_fresh_median_policies_share_one_median_matrix(monkeypatch):

@@ -30,6 +30,7 @@ from markov_paging.policies import (
     MedianPolicy,
     OptReplayPolicy,
     PinnedPolicy,
+    Policy,
     RandomEvictionPolicy,
     _miss_table,
     _stamped_misses,
@@ -567,6 +568,16 @@ SEEDS = st.integers(min_value=0, max_value=2**31 - 1).map(lambda s: (s,)) | st.t
 )
 
 
+class UniformDraw(Policy):
+    """A step-by-step rule that draws: the generic path's eviction stream
+    has no reader among the library's history rules."""
+
+    name = "uniform-draw"
+
+    def evict(self, cache, requested, ctx, rng):
+        return cache[int(rng.integers(len(cache)))]
+
+
 def _runs(data, rules):
     """One drawn rule list, each rule with its own distinct seed."""
     makes = data.draw(st.lists(st.sampled_from(rules), min_size=1, max_size=5))
@@ -577,21 +588,22 @@ def _runs(data, rules):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sampled_paths_match_per_trial_loop_oracle(data):
-    """LRU and FIFO (stamped path) and farthest-in-future (generic path),
-    drawn into one call with a seed each, give every row the per-trial miss
-    counts of the one-trial-at-a-time loop on its own seed."""
+    """LRU and FIFO (stamped path), farthest-in-future and a drawing rule
+    (generic path), drawn into one call with a seed each, give every row the
+    per-trial miss counts of the one-trial-at-a-time loop on its own request
+    and eviction streams."""
     chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
     k = data.draw(st.sampled_from(sorted({1, chain.n - 1, (chain.n + 1) // 2})))
     T = data.draw(horizons)
     init = data.draw(unsorted_caches(chain.n, k))
     trials = data.draw(st.integers(min_value=1, max_value=12))
-    runs = _runs(data, [LruPolicy, FifoPolicy, FarthestInFuture])
+    runs = _runs(data, [LruPolicy, FifoPolicy, FarthestInFuture, UniformDraw])
     got = trial_misses(runs, chain, k, T, init, trials)
     assert got.shape == (len(runs), trials)
     for (policy, seed), row in zip(runs, got):
         assert np.array_equal(row, loop_simulate_generic(policy, chain, k, T, init, trials, seed)), policy.name
     seed = runs[0][1]
-    pages = sample_trials(chain, T, [seed], trials=range(trials))[0]
+    pages = sample_trials(chain, T, [np.random.default_rng(seed)], trials)[0]
     for make in (LruPolicy, FifoPolicy):  # the stamped count, given the unsorted cache itself
         ref = loop_simulate_generic(make(), chain, k, T, init, trials, seed)
         assert np.array_equal(_stamped_misses(pages, init, np.full(trials, make.stamp_on_hit)), ref), make.name
@@ -600,11 +612,12 @@ def test_sampled_paths_match_per_trial_loop_oracle(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kernel_path_matches_per_trial_loop_oracle(data):
-    """Each run of the kernel path reads its own stream as the
-    one-trial-at-a-time loop does: per step, request uniforms in trial order,
-    then eviction uniforms for the missing trials in trial order. The rules
-    are drawn into one call with a seed each, beside an LRU run, whose row
-    is the loop's of its path."""
+    """Each run of the kernel path reads its own two streams as the
+    one-trial-at-a-time loop does: trial i's requests from uniforms
+    ``[i·T, (i+1)·T)`` of ``default_rng(seed)``, and a miss at step t from
+    entry [i, t] of the ``(trials, T)`` eviction uniforms of
+    ``default_rng((*seed, 1))``. The rules are drawn into one call with a
+    seed each, beside an LRU run, whose row is the loop's of its path."""
     chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
     k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
     T = data.draw(horizons)
@@ -669,6 +682,14 @@ def test_horizon_rule_on_every_path(make):
         simulate(make(), ch, 2, -1, (0, 1), trials=10, seed=1)
 
 
+def test_no_runs_give_an_empty_count_array():
+    """No runs, and a report with no rules: a ``(0, trials)`` array, with no
+    block sized by dividing by the zero run count."""
+    ch = random_chain(4, 8)
+    assert trial_misses([], ch, 2, 10, (0, 1), 5).shape == (0, 5)
+    assert ratio_report(ch, 2, 10, [], "opt-dp", 5, 1, (0, 1)) == []
+
+
 def test_horizon_rule_on_exact_paths():
     ch = random_chain(4, 8)
     assert exact_cost(MedianPolicy(), ch, 2, 0, (0, 1)).mean == 0.0
@@ -679,13 +700,28 @@ def test_horizon_rule_on_exact_paths():
         opt_expected_cost(ch, 2, -3, (0, 1))
 
 
-def test_sampled_paths_split_trials_into_blocks(monkeypatch):
-    """Trials sampled in several blocks keep their seeds and miss counts."""
-    from markov_paging import engine
-
-    monkeypatch.setattr(engine, "TRIAL_BLOCK_CELLS", 50)  # T=20: blocks of 2 trials, of 1 for two runs
-    ch = random_chain(5, 21)
-    for makes in ([LruPolicy], [FarthestInFuture], [LruPolicy, FarthestInFuture]):
-        got = trial_misses([(make(), (4, i)) for i, make in enumerate(makes)], ch, 2, 20, (3, 1), 7)
-        for i, (make, row) in enumerate(zip(makes, got)):
-            assert np.array_equal(row, loop_simulate_generic(make(), ch, 2, 20, (3, 1), 7, (4, i))), make.name
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_run_counts_do_not_depend_on_blocks_or_trial_count(data):
+    """One call with a kernel, a stamped and a generic run: blocks of 1 and
+    3 trials give the default block's counts, the first m of M trials are
+    the m-trial counts, and a run's first trace is ``sample_sequence``'s
+    from its seed."""
+    chain = data.draw(sparse_chain_specs(n_min=2, n_max=6))
+    k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    T = data.draw(horizons)
+    init = data.draw(caches(chain.n, k))
+    M = data.draw(st.integers(min_value=1, max_value=9))
+    m = data.draw(st.integers(min_value=1, max_value=M))
+    makes = [data.draw(st.sampled_from(rules)) for rules in ([MedianPolicy, RandomEvictionPolicy], [LruPolicy, FifoPolicy], [FarthestInFuture, UniformDraw])]
+    seeds = data.draw(st.lists(SEEDS, min_size=3, max_size=3, unique=True))
+    runs = [(make(), seed) for make, seed in zip(makes, seeds)]
+    got = trial_misses(runs, chain, k, T, init, M)
+    assert np.array_equal(trial_misses(runs, chain, k, T, init, m), got[:, :m])
+    with pytest.MonkeyPatch.context() as patch:
+        for block in (1, 3):
+            # three traces and one kernel run's eviction uniforms per trial
+            patch.setattr(engine, "TRIAL_BLOCK_CELLS", block * max(T, 1) * 4)
+            assert np.array_equal(trial_misses(runs, chain, k, T, init, M), got), block
+    for seed in seeds:
+        assert np.array_equal(sample_trials(chain, T, [np.random.default_rng(seed)], M)[0, 0], sample_sequence(chain, T, seed))

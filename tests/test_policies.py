@@ -477,6 +477,13 @@ class TestEvictionDistribution:
         with pytest.raises(ValueError):
             _distributions(np.array([1.1, -0.1]))
 
+    def test_messages_print_plain_floats(self):
+        """The value is a float's repr, not numpy 2's ``np.float64(...)``."""
+        with pytest.raises(ValueError, match=r"^negative probability -0\.1$"):
+            _distributions(np.array([1.1, -0.1]))
+        with pytest.raises(ValueError, match=r"^probabilities sum to 0\.8999999999999999$"):
+            _distributions(np.array([0.7, 0.2]))
+
 
 def test_small_pivot_lp_keeps_its_equality_row():
     cache = np.array([0, 1, 2, 3, 4])

@@ -78,7 +78,7 @@ def _sampling_lines() -> list[str]:
         for T in (1, 2, 1024, 1025, 65538):
             lines.append(f"sample_sequence n={n} T={T} {_digest(sample_sequence(chain, T, [8404, n, T]))}")
         for T, trials in ((5, 200), (12, 200)):  # 800 and 2,200 transition uniforms
-            pages = sample_trials(chain, T, [(8405, n)], range(trials))[0]
+            pages = sample_trials(chain, T, [np.random.default_rng((8405, n))], trials)[0]
             lines.append(f"sample_trials n={n} T={T} trials={trials} {_digest(pages)}")
         for trials in (64, 1100):  # kernel-path steps on either side of 1,024 uniforms
             misses = trial_misses([(parse_policy("random"), [8406, n])], chain, 2, 20, (0, 1), trials)[0]
