@@ -34,7 +34,7 @@ from markov_paging.optdp import subset_index
 from markov_paging.policies import DominatingPolicy, FarthestInFuture, FifoPolicy, LruPolicy, MedianPolicy, RandomEvictionPolicy
 
 from .conftest import chain_specs, keep_every_table, sparse_chain, sparse_chain_specs, sticky_chain
-from .oracles import loop_pages, loop_sample_pages
+from .oracles import loop_kernel_probs, loop_pages, loop_sample_pages, loop_simulate_generic, loop_simulate_kernel
 
 
 def test_uniform_two_page_chain():
@@ -310,13 +310,30 @@ def test_sample_trials_rows_match_sample_sequence(chain, T, bases, trials):
             assert np.array_equal(row, loop_pages(chain, uniforms))
 
 
-@pytest.mark.parametrize("seed", [(-1,), (3, np.int64(-2))])
-@pytest.mark.parametrize("make", [DominatingPolicy, LruPolicy, FarthestInFuture])
-def test_negative_seed_part_is_refused_on_every_path(seed, make):
-    """numpy's ``default_rng`` refuses a negative seed part, on the kernel,
-    stamped and generic paths alike."""
-    with pytest.raises(ValueError):
-        trial_misses([(LruPolicy(), 1), (make(), seed)], random_chain(4, 2), 2, 5, (0, 1), 3)
+@pytest.mark.parametrize(
+    "base,trials",
+    [((-1,), [0]), ((3, np.int64(-2)), [0]), ((3,), [-1]), ((3,), [2**32]), ((3,), [0, 2**40]), ((3,), [2**70])],
+)
+def test_trial_uniforms_reject_negative_parts_and_wide_indices(base, trials):
+    """A run seeded ``(*base, *trials)``, the parts that once seeded one
+    trial: numpy's ``default_rng`` refuses a negative part with a ValueError
+    on the kernel, stamped and generic paths alike. A trial index is no
+    longer a seed word, so a part of 2**32 or above is a seed like any other,
+    and every path counts its trials as the loop oracles do."""
+    seed = (*base, *trials)
+    chain, k, T, init, n_trials = random_chain(4, 2), 2, 5, (0, 1), 3
+    for policy in (RandomEvictionPolicy(), LruPolicy(), FarthestInFuture()):
+        runs = [(LruPolicy(), 1), (policy, seed)]
+        if min(seed) < 0:
+            with pytest.raises(ValueError):
+                trial_misses(runs, chain, k, T, init, n_trials)
+            continue
+        got = trial_misses(runs, chain, k, T, init, n_trials)[1]
+        if isinstance(policy, RandomEvictionPolicy):
+            ref = loop_simulate_kernel(loop_kernel_probs(policy, chain, k), chain, T, init, n_trials, seed)
+        else:
+            ref = loop_simulate_generic(policy, chain, k, T, init, n_trials, seed)
+        assert np.array_equal(got, ref), policy.name
 
 
 def _edge_uniforms(grid):
