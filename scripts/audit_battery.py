@@ -18,7 +18,6 @@ from collections import Counter
 
 from markov_paging import audit as audit_mod
 from markov_paging.chain import random_chain, sample_sequence
-from markov_paging.engine import replay
 from markov_paging.optdp import opt_expected_cost
 from markov_paging.policies import DominatingPolicy, OptReplayPolicy
 
@@ -39,9 +38,10 @@ def main() -> int:
         init = tuple(range(args.k))
         seq = sample_sequence(chain, args.T * args.ext_mult, [args.seed, run, 2])
         _, table = opt_expected_cost(chain, args.k, args.T, init)
-        # one replay per policy (seeded as run_audit seeds it) serves both schemes
-        victims = [replay(DominatingPolicy(), chain, args.k, seq, init, (args.seed, run, 0), args.T),
-                   replay(OptReplayPolicy(table), chain, args.k, seq, init, (args.seed, run, 1), args.T)]
+        # one replay per policy serves both schemes
+        victims = audit_mod.replay_pair(
+            seq, DominatingPolicy(), OptReplayPolicy(table), args.k, init, (args.seed, run), args.T, chain
+        )
         for scheme in ("original", "updated"):
             rep = audit_mod.ledger(
                 seq, *victims, args.k, init, scheme, args.T, args.T * args.ext_mult, chain

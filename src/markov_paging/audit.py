@@ -5,7 +5,7 @@ of two policies (the algorithm under audit and a reference) while
 maintaining a charge map c(page) and counters; the checks test the
 accounting inequality that lower-bounds the reference's misses, plus
 per-step potential claims. The ledger never changes an eviction, so one
-replay per policy serves both schemes; ``run_audit`` replays for one.
+``replay_pair`` serves both schemes; ``run_audit`` replays for one.
 
 Scheme steps at a request for page s:
 
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _seed_tuple, replay
-from .optdp import check_cache, check_horizon
+from .optdp import check_cache, check_horizon, check_pages
 
 
 class NoEligibleSavior(RuntimeError):
@@ -171,15 +171,20 @@ def run_audit(
     T_ext: int | None = None,
     chain=None,
 ) -> AuditReport:
-    """The selected scheme's ``ledger`` over ``engine.replay`` of both policies
-    on ``seq``, the algorithm from seed ``(*seed, 0)`` and the reference from
-    ``(*seed, 1)``. Inputs are checked before either policy's reset, which
-    fails on a chain a memoryless rule cannot handle even when ``T`` is 0."""
+    """The selected scheme's ``ledger`` over :func:`replay_pair`'s victims.
+    Inputs are checked before either policy's reset, which fails on a chain
+    a memoryless rule cannot handle even when ``T`` is 0."""
     pages, _, _, init_cache = _audit_inputs(seq, k, init_cache, scheme, T, T_ext, chain)
-    base = _seed_tuple(seed)
-    a_victims = replay(alg, chain, k, pages, init_cache, (*base, 0), T)
-    r_victims = replay(ref, chain, k, pages, init_cache, (*base, 1), T)
-    return ledger(pages, a_victims, r_victims, k, init_cache, scheme, T, T_ext, chain)
+    victims = replay_pair(pages, alg, ref, k, init_cache, seed, T, chain)
+    return ledger(pages, *victims, k, init_cache, scheme, T, T_ext, chain)
+
+
+def replay_pair(seq, alg, ref, k: int, init_cache, seed, T: int, chain=None) -> tuple[list[int], list[int]]:
+    """The seed plan of every audit: ``engine.replay`` victims over requests
+    1..T of ``seq``, the algorithm's from seed ``(*seed, 0)`` and the
+    reference's from ``(*seed, 1)``. One pair serves both schemes."""
+    pages, base = np.asarray(seq, dtype=np.int64), _seed_tuple(seed)
+    return tuple(replay(p, chain, k, pages, init_cache, (*base, i), T) for i, p in enumerate((alg, ref)))
 
 
 def _audit_inputs(seq, k, init_cache, scheme, T, T_ext, chain):
@@ -211,14 +216,15 @@ def ledger(seq, a_victims, r_victims, k: int, init_cache, scheme: str, T: int,
     """The selected scheme's ledger over requests 1..T of ``seq``, given each
     policy's victims, one per miss in request order (``engine.replay``).
 
-    ``seq`` is a page index array; it must extend to ``T_ext`` (default:
-    its full length) so savior events can be resolved. ``init_cache`` must
-    hold k distinct pages in 0..n-1, n (the report's) being ``chain.n`` or,
-    without a chain, one more than the largest page of ``seq`` and
-    ``init_cache``, and ``T`` must be >= 0; otherwise ``ValueError``, as for
-    victims that do not match the misses or are not resident.
+    ``seq`` is an array of pages in 0..n-1; it must extend to ``T_ext``
+    (default: its full length) so savior events can be resolved. n (the
+    report's) is ``chain.n`` or, without a chain, one more than the largest
+    page of ``seq`` and ``init_cache``, which must hold k distinct pages in
+    0..n-1. ``T`` must be >= 0. Otherwise ``ValueError``, as for victims
+    that do not match the misses or are not resident.
     """
     pages, T_ext, n, init_cache = _audit_inputs(seq, k, init_cache, scheme, T, T_ext, chain)
+    check_pages(pages, None if chain is None else chain.n)  # not in _audit_inputs: replay checks its own
     a_next, r_next = iter(a_victims), iter(r_victims)
 
     a_cache = set(init_cache)

@@ -5,15 +5,16 @@ run a (policy, seed) pair, and ``simulate`` is a run of one that reports a
 mean miss count with a normal-approximation 95% CI; ``ratio_report`` passes
 its policy baseline and all of its rules in one call.
 
-Every run reads two streams of its own. Its requests come from
-``default_rng(seed)``: one ``sample_trials`` call per block of trials draws
-every run's traces, trial i inverting the stream's uniforms ``[i·T,
-(i+1)·T)``, so trial 0 is ``sample_sequence(chain, T, seed)``. Its evictions
-come from ``default_rng((*seed, 1))``. A run's counts therefore do not
-depend on the block size, on the runs that share its call or on the trial
-count (the first m trials of an M-trial run are the m-trial run), and they
-repeat bit for bit under the same seed. Each run is counted by the first of
-three counters that applies, each over all of its runs' traces at once:
+Every run reads its requests from ``default_rng(seed)``: one
+``sample_trials`` call per block of trials draws every run's traces, trial i
+inverting the stream's uniforms ``[i·T, (i+1)·T)``, so trial 0 is
+``sample_sequence(chain, T, seed)``. Only an eviction table draws, so only a
+kernel run reads a second stream, its evictions from ``default_rng((*seed,
+1))``. A run's counts therefore do not depend on the block size, on the runs
+that share its call or on the trial count (the first m trials of an M-trial
+run are the m-trial run), and they repeat bit for bit under the same seed.
+Each run is counted by the first of three counters that applies, each over
+all of its runs' traces at once:
 
 * kernel: memoryless policies (eviction distribution a function of cache
   contents and the requested page only) step every trial of every run at
@@ -29,12 +30,9 @@ three counters that applies, each over all of its runs' traces at once:
   each (``stamp_on_hit``), count every trial of every such run at once in
   one ``_stamped_misses`` call, one ``(trials, k)`` comparison and
   ``argmin`` per request;
-* generic: the rest (farthest-in-future, OPT replay) count each trial's
-  victims from ``replay``, the one loop that steps a policy request by
-  request, which draws from the run's eviction generator. The audit replays
-  a run once for both schemes' ``audit.ledger``; only ``audit.run_audit``
-  callers that score one scheme per call (the CLI, the benchmark) replay it
-  once per scheme.
+* generic: the rest (farthest-in-future, OPT replay), which draw nothing,
+  count each trial's victims from ``replay``, the one loop that steps a
+  policy request by request.
 
 A horizon T of 0 costs 0 on every path, and a negative one is a
 ``ValueError``, here as in ``exact_cost`` and the OPT DP.
@@ -66,6 +64,7 @@ from .optdp import (
     DEFAULT_BUDGET,
     check_cache,
     check_horizon,
+    check_pages,
     opt_expected_cost,
     subset_index,
 )
@@ -133,9 +132,9 @@ def _estimate(misses: np.ndarray) -> CostEstimate:
 
 def trial_misses(runs, chain, k: int, T: int, init_cache, trials: int) -> np.ndarray:
     """Miss count of each of ``trials`` trials of each ``(policy, seed)`` run,
-    as a ``(len(runs), trials)`` array. Each run reads its own request and
-    eviction streams, and the kernel, stamped or generic counter counts it
-    (module docstring)."""
+    as a ``(len(runs), trials)`` array. Each run reads its own request
+    stream, a kernel run its own eviction stream too, and the kernel, stamped
+    or generic counter counts it (module docstring)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_horizon(T)
@@ -145,9 +144,9 @@ def trial_misses(runs, chain, k: int, T: int, init_cache, trials: int) -> np.nda
     policies = [policy for policy, _ in runs]
     seeds = [_seed_tuple(seed) for _, seed in runs]
     requests = [np.random.default_rng(seed) for seed in seeds]
-    evictions = [np.random.default_rng((*seed, 1)) for seed in seeds]
     tables = [build_kernel(policy, chain, k) for policy in policies]
     kernel = [r for r, probs in enumerate(tables) if probs is not None]
+    evictions = [np.random.default_rng((*seeds[r], 1)) for r in kernel]
     rest = [r for r, probs in enumerate(tables) if probs is None]
     stamped = [r for r in rest if policies[r].stamp_on_hit is not None]
     generic = [r for r in rest if policies[r].stamp_on_hit is None]
@@ -157,7 +156,7 @@ def trial_misses(runs, chain, k: int, T: int, init_cache, trials: int) -> np.nda
         b = min(block, trials - lo)
         pages = sample_trials(chain, T, requests, b)
         if kernel:
-            evict_u = np.stack([evictions[r].random((b, T)) for r in kernel])
+            evict_u = np.stack([rng.random((b, T)) for rng in evictions])
             idx = subset_index(chain.n, k)
             misses[kernel, lo : lo + b] = _kernel_misses(idx, [tables[r] for r in kernel], chain, init_cache, pages[kernel], evict_u)
         if stamped:
@@ -165,7 +164,7 @@ def trial_misses(runs, chain, k: int, T: int, init_cache, trials: int) -> np.nda
             counts = _stamped_misses(pages[stamped].reshape(flags.size, T), init_cache, flags)
             misses[stamped, lo : lo + b] = counts.reshape(len(stamped), b)
         for r in generic:
-            misses[r, lo : lo + b] = [len(replay(policies[r], chain, k, row, init_cache, evictions[r])) for row in pages[r]]
+            misses[r, lo : lo + b] = [len(replay(policies[r], chain, k, row, init_cache, None)) for row in pages[r]]
     return misses
 
 
@@ -203,10 +202,11 @@ def _kernel_misses(idx, tables, chain, init_cache, pages, evict_u) -> np.ndarray
 def replay(policy, chain, k: int, pages, init_cache, seed, T: int | None = None) -> list[int]:
     """The policy's victims, one per miss in request order, over the first
     ``T`` requests of ``pages`` (default: all). The policy sees all of
-    ``pages``, so a clairvoyant rule looks past T; ``seed``, or a ``Generator``
-    that ``default_rng`` passes through, feeds its own randomness, and a rule
-    that ``draws`` nothing gets no generator."""
-    rng = np.random.default_rng(seed) if policy.draws else None
+    ``pages``, so a clairvoyant rule looks past T. Only a table rule draws,
+    from ``default_rng(seed)``. A negative page, or one not below a given
+    ``chain.n``, is a ``ValueError``."""
+    check_pages(pages, None if chain is None else chain.n)
+    rng = None if policy.kernel_probs is None else np.random.default_rng(seed)
     ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
     policy.reset(ctx)
     cache = set(init_cache)

@@ -95,6 +95,15 @@ def check_cache(cache, n: int, k: int) -> tuple[int, ...]:
     return tuple(int(p) for p in pages)
 
 
+def check_pages(pages, n: int | None, what: str = "page") -> None:
+    """``ValueError`` naming the first of ``pages`` below 0 or, given ``n``, not below n."""
+    pages = np.asarray(pages)  # object dtype for a Python int past int64
+    bad = (pages < 0) | (pages >= (np.inf if n is None else n))
+    if bad.any():
+        where = "a page index" if n is None else f"among the chain's pages 0..{n - 1}"
+        raise ValueError(f"{what} {int(pages[np.argmax(bad)])} is not {where}")
+
+
 def check_horizon(T: int) -> None:
     """``ValueError`` when the horizon T is negative; a horizon of 0 costs 0."""
     if T < 0:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import alpha as alpha_mod
 from .chain import derived
-from .optdp import opt_action, subset_index
+from .optdp import check_pages, opt_action, subset_index
 from .simplex import InfeasibleLP, solve_lp
 
 DOM_SLACK_HARD = 1e-6  # beyond this the dominating LP contradicts existence
@@ -82,7 +82,7 @@ def _distributions(probs: np.ndarray) -> np.ndarray:
         raise ValueError(f"negative probability {float(probs.min())!r}")
     p = np.where(probs < 0.0, 0.0, probs)
     sums = p.sum(axis=-1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-9))  # NaN fails too
     if bad.size:
         raise ValueError(f"probabilities sum to {float(np.ravel(sums)[bad[0]])!r}")
     p.setflags(write=False)
@@ -149,7 +149,7 @@ def _check_alpha_sub(alpha_sub: np.ndarray) -> np.ndarray:
 def _replay_check(a: np.ndarray, mu: np.ndarray) -> None:
     """Every LP's column loads ``mu[i] @ a[i]`` stay at most 1/2."""
     worst = np.matmul(mu[:, None, :], a)[:, 0].max(axis=1, initial=-np.inf)
-    bad = np.flatnonzero(worst > 0.5 + DOM_SLACK_HARD)
+    bad = np.flatnonzero(~(worst <= 0.5 + DOM_SLACK_HARD))  # NaN fails too
     if bad.size:
         i = int(bad[0])
         raise Infeasible(f"column load {float(worst[i])!r} exceeds 1/2; input inconsistent", index=i)
@@ -175,7 +175,7 @@ def dominating_distribution(alpha_sub) -> np.ndarray:
         x, val = solve_lp(c, a_ub, np.zeros(k), k)
     except InfeasibleLP as exc:  # cannot happen for a genuine alpha block
         raise Infeasible(str(exc), index=exc.index) from exc
-    high = np.flatnonzero(val > 0.5 + DOM_SLACK_HARD)
+    high = np.flatnonzero(~(val <= 0.5 + DOM_SLACK_HARD))  # NaN fails too
     if high.size:
         i = int(high[0])
         raise Infeasible(f"min-max load {float(val[i])!r} exceeds 1/2", index=i)
@@ -266,15 +266,14 @@ class Policy:
     restamps the page (LRU), False when only a load does (FIFO), so the
     engine counts their trials' misses at once through
     :func:`_stamped_misses`. The rest leave it ``None`` and run step by step,
-    one trial at a time. A rule that never reads the ``rng`` passed to
-    :meth:`evict` sets ``draws`` False, and a step-by-step run passes it
-    ``None``.
+    one trial at a time. Only a table rule draws: a step-by-step run passes
+    :meth:`evict` a generator when ``kernel_probs`` is set and ``None``
+    otherwise, so a history rule's choice is a function of its run.
     """
 
     name = "policy"
     kernel_probs = None
     stamp_on_hit = None
-    draws = True
 
     def reset(self, ctx: RunContext) -> None:
         pass
@@ -289,13 +288,6 @@ def _miss_table(idx, rows) -> np.ndarray:
     probs = np.where(idx.member[:, :, None], 0.0, np.broadcast_to(rows, (len(idx), idx.n, idx.k)))
     probs.setflags(write=False)
     return probs
-
-
-def _check_pages(idx, pages, what: str) -> None:
-    """``ValueError`` for a page a rule names that no cache of ``idx`` holds."""
-    outside = sorted(p for p in pages if not 0 <= p < idx.n)
-    if outside:
-        raise ValueError(f"{what} {outside[0]} is not among the chain's pages 0..{idx.n - 1}")
 
 
 def evict(policy: Policy, cache: tuple[int, ...], requested: int, ctx: RunContext, rng) -> int:
@@ -406,7 +398,7 @@ class AdversarialDominatingPolicy(DominatingPolicy):
         self.name = f"dominating-adversarial:{target}"
 
     def kernel_probs(self, idx, chain):
-        _check_pages(idx, (self.target,), "target page")
+        check_pages([self.target], idx.n, "target page")
         return super().kernel_probs(idx, chain)
 
     def _targets(self, pages):
@@ -448,7 +440,6 @@ class FarthestInFuture(_IndexedPolicy):
     """Clairvoyant offline rule: evict the page requested latest from now."""
 
     name = "fif"
-    draws = False
 
     def evict(self, cache, requested, ctx, rng):
         if self._occurrences is None:
@@ -494,7 +485,6 @@ def _stamped_misses(pages: np.ndarray, init_cache, stamp_on_hit) -> np.ndarray:
 class LruPolicy(_IndexedPolicy):
     name = "lru"
     stamp_on_hit = True
-    draws = False
 
     def evict(self, cache, requested, ctx, rng):
         if self._occurrences is None:
@@ -510,7 +500,6 @@ class LruPolicy(_IndexedPolicy):
 class FifoPolicy(Policy):
     name = "fifo"
     stamp_on_hit = False
-    draws = False
 
     def __init__(self):
         self._queue: list[int] = []
@@ -546,7 +535,7 @@ class PinnedPolicy(TablePolicy):
         self.name = "pinned:" + ",".join(str(p) for p in sorted(self.pinned))
 
     def kernel_probs(self, idx, chain):
-        _check_pages(idx, self.pinned, "pinned page")
+        check_pages(sorted(self.pinned), idx.n, "pinned page")
         free = ~np.isin(idx.pages, list(self.pinned))
         if not free.any(axis=1).all():
             raise RuntimeError("all resident pages are pinned")
@@ -557,7 +546,6 @@ class OptReplayPolicy(Policy):
     """Replays the stored finite-horizon optimal eviction table."""
 
     name = "opt-dp"
-    draws = False
 
     def __init__(self, table):
         self.table = table

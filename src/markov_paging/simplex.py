@@ -53,8 +53,14 @@ def _pivot(tab, basis, rows, cols):
     prow = tab[lp, rows] / tab[lp, rows, cols][:, None]
     tab[lp, rows] = prow
     f = tab[lp, :, cols]
-    f[lp, rows] = 0.0  # the pivot row is done; rows with a zero factor are skipped
-    np.subtract(tab, f[:, :, None] * prow[:, None, :], out=tab, where=(f != 0.0)[:, :, None])
+    f[lp, rows] = 0.0  # the pivot row is done
+    # Rows with f = 0, the pivot row too, subtract ±0.0: that keeps every
+    # nonzero entry and can flip only a zero's sign, which moves no choice, so
+    # this is the loop that skips them up to signed zeros. The pivot row's
+    # -0.0 - (0 * -0.0) is +0.0, so x holds no -0.0. Entries are finite
+    # (solve_lp refuses others); an overflow would make 0 * inf a NaN, which
+    # the policies' guards refuse.
+    tab -= f[:, :, None] * prow[:, None, :]
     basis[lp, rows] = cols
 
 

@@ -15,8 +15,8 @@ reference for the library's all-ranks-at-once steps; their caches come from
 (:func:`sorted_caches`, :func:`successor`), never from the library's subset
 index. Monte Carlo is kept as a
 loop over one trial and one request at a time, the reference for the
-trial-batched paths, reading each run's request and eviction streams in
-trial order.
+trial-batched paths, reading each run's request stream (and a kernel
+run's eviction stream) in trial order.
 LRU and FIFO, which have no kernel, get an exact cost from the distribution
 over ordered caches. Linear programs are solved one at a time by a scalar
 tableau loop, the reference for the lockstep stacked simplex. The median,
@@ -436,18 +436,17 @@ def loop_kernel_probs(policy, chain, k):
 
 
 def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
-    """Per-trial miss counts, one trial and one eviction call at a time: the
-    reference for every Monte Carlo path of ``simulate``.
+    """Per-trial miss counts of a history rule, one trial and one eviction
+    call at a time: the reference for the stamped and generic paths of
+    ``simulate``.
 
     Trial i's trace is ``loop_pages`` of uniforms ``[i·T, (i+1)·T)`` of
-    ``default_rng(seed)``, and the policy's randomness reads one
-    ``default_rng((*seed, 1))`` across the trials in turn. A horizon of 0 has
-    no requests and no misses.
+    ``default_rng(seed)``. A history rule draws nothing, so ``evict`` gets
+    no generator. A horizon of 0 has no requests and no misses.
     """
     from markov_paging.policies import RunContext, evict
 
     requests = np.random.default_rng(seed)
-    rng_pol = np.random.default_rng((*seed, 1))
     misses = np.zeros(trials, dtype=np.int64)
     for trial in range(trials):
         pages = loop_pages(chain, requests.random(T))
@@ -459,7 +458,7 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
             ctx.t = t
             if s not in cache:
                 misses[trial] += 1
-                victim = evict(policy, tuple(sorted(cache)), s, ctx, rng_pol)
+                victim = evict(policy, tuple(sorted(cache)), s, ctx, None)
                 cache.remove(victim)
                 cache.add(s)
     return misses

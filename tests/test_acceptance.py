@@ -16,7 +16,7 @@ import pytest
 
 from markov_paging.alpha import alpha_table, first_passage, pinned_systems
 from markov_paging.chain import build_lb_chain, random_chain, sample_sequence
-from markov_paging.engine import exact_cost, replay, simulate
+from markov_paging.engine import exact_cost, simulate
 from markov_paging.learn import approx_dominating_policy, estimate_transition
 from markov_paging.lowerbound import LBParams, closed_form_costs, warmup_ratio
 from markov_paging.optdp import opt_expected_cost, subset_index
@@ -197,9 +197,8 @@ def test_criterion_7_charging_scheme_invariants():
         init = (0, 1)
         seq = sample_sequence(chain, T * mult, [7000, run, 2])
         _, table = opt_expected_cost(chain, k, T, init)
-        # one replay per policy, seeded as run_audit seeds it, scored under both schemes
-        victims = [replay(DominatingPolicy(), chain, k, seq, init, (7000, run, 0), T),
-                   replay(OptReplayPolicy(table), chain, k, seq, init, (7000, run, 1), T)]
+        # one replay per policy, scored under both schemes
+        victims = audit_mod.replay_pair(seq, DominatingPolicy(), OptReplayPolicy(table), k, init, (7000, run), T, chain)
         common = dict(k=k, init_cache=init, T=T, T_ext=T * mult, chain=chain)
         upd = audit_mod.ledger(seq, *victims, scheme="updated", **common)
         orig = audit_mod.ledger(seq, *victims, scheme="original", **common)

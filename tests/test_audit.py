@@ -12,6 +12,7 @@ from markov_paging.audit import (
     check_accounting,
     credit_check,
     ledger,
+    replay_pair,
     run_audit,
     step_delta_check,
     trace_csv_lines,
@@ -199,11 +200,10 @@ def _random_audit(run, scheme):
 
 
 def _random_ledgers(run, schemes=SCHEMES):
-    """The ledgers of random run ``run`` over one replay per policy, seeded
-    as ``run_audit`` seeds them."""
+    """The ledgers of random run ``run`` over one ``replay_pair``."""
     chain, seq, alg, ref = _random_run(run)
     init = tuple(range(K))
-    victims = [replay(alg, chain, K, seq, init, (500, run, 0), T), replay(ref, chain, K, seq, init, (500, run, 1), T)]
+    victims = replay_pair(seq, alg, ref, K, init, (500, run), T, chain)
     return {scheme: ledger(seq, *victims, K, init, scheme, T, T * MULT, chain) for scheme in schemes}
 
 
@@ -304,7 +304,7 @@ def test_mixed_policy_battery_structure_and_accounting():
             ref = OptReplayPolicy(table)
         else:
             ref = [FarthestInFuture(), LruPolicy(), FifoPolicy()][run % 3]
-        victims = [replay(pol, chain, k, seq, init, (9900, run, i), T) for i, pol in enumerate((algs[run % 3], ref))]
+        victims = replay_pair(seq, algs[run % 3], ref, k, init, (9900, run), T, chain)
         for scheme in SCHEMES:
             rep = ledger(seq, *victims, k, init, scheme, T, T * 10, chain)
             assert rep.violations == [], (run, scheme)
@@ -382,6 +382,21 @@ def test_negative_horizon_rejected():
     with pytest.raises(ValueError, match="T must be >= 0"):
         run_audit(seq, DominatingPolicy(), FarthestInFuture(), 2, (0, 1), "updated",
                   seed=0, T=-3, chain=chain)
+
+
+def test_pages_outside_the_chain_rejected():
+    """A negative page, or one not below ``chain.n``, is named before any
+    replay; with no chain only a negative page is out of range."""
+    chain = random_chain(4, 1)
+    _, table = opt_expected_cost(chain, 2, 3, (0, 1))
+    for seq, page in (([2, 3, -1], -1), ([2, 9, 3, 0], 9)):
+        with pytest.raises(ValueError, match=rf"^page {page} is not among the chain's pages 0\.\.3$"):
+            run_audit(np.array(seq), DominatingPolicy(), OptReplayPolicy(table), 2, (0, 1), "updated",
+                      seed=0, T=3, chain=chain)
+        with pytest.raises(ValueError, match=rf"^page {page} is not among"):
+            ledger(np.array(seq), [], [], 2, (0, 1), "updated", 0, chain=chain)
+    with pytest.raises(ValueError, match=r"^page -2 is not a page index$"):
+        ledger(np.array([2, -2, 0]), [], [], 2, (0, 1), "updated", 0)
 
 
 def test_report_names_the_validated_size():

@@ -30,7 +30,6 @@ from markov_paging.policies import (
     MedianPolicy,
     OptReplayPolicy,
     PinnedPolicy,
-    Policy,
     RandomEvictionPolicy,
     _miss_table,
     _stamped_misses,
@@ -473,18 +472,53 @@ def test_exact_cost_blocks_match_the_default_block(monkeypatch, block):
         exact_cost(MedianPolicy(), ch, 2, 0, (3, 3))
 
 
-def test_replay_builds_no_generator_for_rules_that_never_draw(monkeypatch):
-    ch = random_chain(4, 13, floor=0.1)
-    _, table = opt_expected_cost(ch, 2, 30, (0, 1))
-    pages = sample_sequence(ch, 30, (77, 0, 0))
+def _counting_default_rng(monkeypatch):
+    """The seeds of every ``np.random.default_rng`` call from now on."""
     built = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: built.append(seed) or default_rng(seed))
-    for policy in (FarthestInFuture(), OptReplayPolicy(table), LruPolicy(), FifoPolicy()):
+    return built
+
+
+def test_replay_builds_a_generator_iff_the_rule_has_a_table(monkeypatch):
+    """Only an eviction table draws: every ``parse_policy`` rule, a pinned
+    rule and OPT replay, each replayed once, build one generator from the
+    seed when they have a table and none otherwise."""
+    ch = random_chain(4, 13, floor=0.1)
+    _, table = opt_expected_cost(ch, 2, 30, (0, 1))
+    pages = sample_sequence(ch, 30, (77, 0, 0))
+    built = _counting_default_rng(monkeypatch)
+    names = ["dominating", "dominating-adversarial:2", "median", "fif", "lru", "fifo", "random"]
+    for policy in [parse_policy(name) for name in names] + [PinnedPolicy({0}), OptReplayPolicy(table)]:
+        del built[:]
         assert replay(policy, ch, 2, pages, (0, 1), (77, 0, 1)), policy.name
-    assert built == []
-    replay(DominatingPolicy(), ch, 2, pages, (0, 1), (77, 0, 1))  # a drawing rule still gets its stream
-    assert built == [(77, 0, 1)]
+        assert built == ([(77, 0, 1)] if policy.kernel_probs is not None else []), policy.name
+
+
+def test_trial_misses_seeds_evictions_for_kernel_runs_only(monkeypatch):
+    """A call with kernel, stamped and generic runs builds each run's
+    request generator and an eviction generator ``(*seed, 1)`` for each
+    kernel run alone."""
+    ch = random_chain(5, 14)
+    rules = ["lru", "median", "fif", "fifo", "random", "dominating"]
+    runs = [(parse_policy(name), (90, i)) for i, name in enumerate(rules)]
+    built = _counting_default_rng(monkeypatch)
+    trial_misses(runs, ch, 2, 12, (0, 1), 7)
+    assert built == [(90, i) for i in range(len(rules))] + [(90, 1, 1), (90, 4, 1), (90, 5, 1)]
+
+
+@pytest.mark.parametrize("make", [DominatingPolicy, FarthestInFuture, LruPolicy])
+def test_replay_refuses_pages_outside_the_chain(make):
+    """The first negative page, or with a chain the first page not below
+    ``chain.n``, is named before the first request is served."""
+    ch = random_chain(4, 1)
+    for pages, page in (([2, 3, -1], -1), ([2, 9, 3, 0], 9), ([-4, 7], -4)):
+        with pytest.raises(ValueError, match=rf"^page {page} is not among the chain's pages 0\.\.3$"):
+            replay(make(), ch, 2, np.array(pages), (0, 1), 5)
+    if make is not DominatingPolicy:  # a table rule needs the chain
+        with pytest.raises(ValueError, match=r"^page -1 is not a page index$"):
+            replay(make(), None, 2, np.array([2, 3, -1]), (0, 1), 5)
+        assert len(replay(make(), None, 2, np.array([2, 9]), (0, 1), 5)) == 2  # no chain, no upper bound
 
 
 def _assert_matches_loop_oracle(policy, chain, k, T, init):
@@ -568,16 +602,6 @@ SEEDS = st.integers(min_value=0, max_value=2**31 - 1).map(lambda s: (s,)) | st.t
 )
 
 
-class UniformDraw(Policy):
-    """A step-by-step rule that draws: the generic path's eviction stream
-    has no reader among the library's history rules."""
-
-    name = "uniform-draw"
-
-    def evict(self, cache, requested, ctx, rng):
-        return cache[int(rng.integers(len(cache)))]
-
-
 def _runs(data, rules):
     """One drawn rule list, each rule with its own distinct seed."""
     makes = data.draw(st.lists(st.sampled_from(rules), min_size=1, max_size=5))
@@ -588,16 +612,15 @@ def _runs(data, rules):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sampled_paths_match_per_trial_loop_oracle(data):
-    """LRU and FIFO (stamped path), farthest-in-future and a drawing rule
-    (generic path), drawn into one call with a seed each, give every row the
-    per-trial miss counts of the one-trial-at-a-time loop on its own request
-    and eviction streams."""
+    """LRU and FIFO (stamped path) and farthest-in-future (generic path),
+    drawn into one call with a seed each, give every row the per-trial miss
+    counts of the one-trial-at-a-time loop on its own request stream."""
     chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
     k = data.draw(st.sampled_from(sorted({1, chain.n - 1, (chain.n + 1) // 2})))
     T = data.draw(horizons)
     init = data.draw(unsorted_caches(chain.n, k))
     trials = data.draw(st.integers(min_value=1, max_value=12))
-    runs = _runs(data, [LruPolicy, FifoPolicy, FarthestInFuture, UniformDraw])
+    runs = _runs(data, [LruPolicy, FifoPolicy, FarthestInFuture])
     got = trial_misses(runs, chain, k, T, init, trials)
     assert got.shape == (len(runs), trials)
     for (policy, seed), row in zip(runs, got):
@@ -713,7 +736,7 @@ def test_run_counts_do_not_depend_on_blocks_or_trial_count(data):
     init = data.draw(caches(chain.n, k))
     M = data.draw(st.integers(min_value=1, max_value=9))
     m = data.draw(st.integers(min_value=1, max_value=M))
-    makes = [data.draw(st.sampled_from(rules)) for rules in ([MedianPolicy, RandomEvictionPolicy], [LruPolicy, FifoPolicy], [FarthestInFuture, UniformDraw])]
+    makes = [data.draw(st.sampled_from(rules)) for rules in ([MedianPolicy, RandomEvictionPolicy], [LruPolicy, FifoPolicy], [FarthestInFuture])]
     seeds = data.draw(st.lists(SEEDS, min_size=3, max_size=3, unique=True))
     runs = [(make(), seed) for make, seed in zip(makes, seeds)]
     got = trial_misses(runs, chain, k, T, init, M)

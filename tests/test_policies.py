@@ -484,6 +484,10 @@ class TestEvictionDistribution:
         with pytest.raises(ValueError, match=r"^probabilities sum to 0\.8999999999999999$"):
             _distributions(np.array([0.7, 0.2]))
 
+    def test_nan_row_rejected(self):
+        with pytest.raises(ValueError, match=r"^probabilities sum to nan$"):
+            _distributions(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+
 
 def test_small_pivot_lp_keeps_its_equality_row():
     cache = np.array([0, 1, 2, 3, 4])
@@ -702,6 +706,21 @@ class TestStackGuards:
         self._fake_solve(monkeypatch, nudge)
         probs = dominating_distribution(np.array([uniform_block(3)] * 3))
         assert probs[1, 2] == 0.0 and probs[1, 0] == 0.5 + 1e-13
+
+    def test_nan_solution_rejected(self, monkeypatch):
+        """A NaN in an LP's x, as an overflow in the tableau would give,
+        fails the replay check of both rules, and a NaN value the min-max
+        rule's value check."""
+        blocks = np.array([uniform_block(3)] * 3)
+        self._fake_solve(monkeypatch, lambda x, val: x.__setitem__((1, 0), np.nan))
+        for solve in (dominating_distribution, lambda a: adversarial_dominating(a, 0)):
+            with pytest.raises(Infeasible, match="column load nan") as err:
+                solve(blocks)
+            assert err.value.index == 1
+        self._fake_solve(monkeypatch, lambda x, val: val.__setitem__(2, np.nan))
+        with pytest.raises(Infeasible, match="min-max load nan") as err:
+            dominating_distribution(blocks)
+        assert err.value.index == 2
 
     @pytest.mark.parametrize("row", [[0.7, 0.2, 0.0], [1.1, 0.0, -0.1]])
     def test_rows_must_be_distributions(self, row, monkeypatch):

@@ -304,6 +304,29 @@ def test_close_ratio_chains_keep_their_dominating_lps(monkeypatch):
     assert h.hexdigest() == CLOSE_RATIO_SHA256
 
 
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 5)])
+def test_negative_zero_input_solves_to_the_bits_of_positive_zero(n, m):
+    """``_pivot`` subtracts ``f * prow`` from every row, also where f is
+    zero, which can change the sign of a zero but nothing else: the stack
+    equals the loop oracle, which skips those rows, and LPs written with -0.0
+    zeros give the x of the same LPs with +0.0 zeros, sign bits included,
+    with no -0.0 in it."""
+    rng = np.random.default_rng([43, n, m])
+    B = 40
+    c = np.where(rng.random((B, n)) < 0.3, 0.0, rng.normal(size=(B, n)))
+    c[:, n - 1] = np.abs(c[:, n - 1])  # costs past the prefix are non-negative
+    a_ub = np.where(rng.random((B, m, n)) < 0.4, 0.0, rng.normal(size=(B, m, n)))
+    b_ub = np.where(np.arange(m) % 2, 0.0, rng.random(m) + 0.1)
+    a_ub[:, :, 0] = np.minimum(a_ub[:, :, 0], b_ub)  # x = e_0 is feasible
+    x, val = _assert_matches_loop_oracle(c, a_ub, b_ub, n - 1)
+    neg_x, neg_val = solve_lp(np.where(c == 0, -0.0, c), np.where(a_ub == 0, -0.0, a_ub), np.where(b_ub == 0, -0.0, b_ub), n - 1)
+    assert x.tobytes() == neg_x.tobytes() and np.array_equal(val, neg_val)
+    assert not np.signbit(x[x == 0]).any()
+    # the artificial, basic at zero after phase 1, is pivoted out on a -2
+    (x,), _ = solve_lp([-2.0, 0.0], [[-1.0, 0.0], [0.0, 0.0], [1.0, 2.0]], [1.0, 0.0, 1.0], 1)
+    assert x.tolist() == [1.0, 0.0] and not np.signbit(x).any()
+
+
 def test_non_finite_input_refused(monkeypatch):
     """A NaN or inf in ``c``, ``a_ub`` or ``b_ub`` is a ``ValueError`` that
     names the argument, before any pivot and without a RuntimeWarning."""
