@@ -25,7 +25,6 @@ from .chain import (
 from .engine import CostEstimate, exact_cost, ratio_report, simulate
 from .optdp import BudgetExceeded, OptTable, opt_action, opt_expected_cost
 from .policies import (
-    AdversarialDominatingPolicy,
     DominatingPolicy,
     FarthestInFuture,
     Infeasible,
@@ -60,7 +59,6 @@ __all__ = [
     "OptTable",
     "opt_action",
     "opt_expected_cost",
-    "AdversarialDominatingPolicy",
     "DominatingPolicy",
     "FarthestInFuture",
     "Infeasible",

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import derived
+from .optdp import check_pages
 
 PIVOT_TOL = 1e-12  # reciprocal of the largest accepted inf-norm condition number
 CLAMP_TOL = 1e-7  # max tolerated out-of-[0,1] excursion before erroring
@@ -85,8 +86,7 @@ def pinned_systems(chain, pairs=None):
         p, q = (np.array(a, dtype=np.int64) for a in zip(*pairs))
         if np.any(p == q):
             raise ValueError("pair pages must be distinct")
-        if np.any((p < 0) | (p >= n) | (q < 0) | (q >= n)):
-            raise ValueError(f"pair pages must lie in 0..{n - 1}")
+        check_pages(np.ravel(pairs), n, "pair page")
     m = np.arange(len(p))
     L = np.repeat((chain.transition - np.eye(n))[None], len(p), axis=0)
     L[m, p] = 0.0

@@ -172,11 +172,10 @@ def run_audit(
     chain=None,
 ) -> AuditReport:
     """The selected scheme's ``ledger`` over :func:`replay_pair`'s victims.
-    Inputs are checked before either policy's reset, which fails on a chain
-    a memoryless rule cannot handle even when ``T`` is 0."""
-    pages, _, _, init_cache = _audit_inputs(seq, k, init_cache, scheme, T, T_ext, chain)
-    victims = replay_pair(pages, alg, ref, k, init_cache, seed, T, chain)
-    return ledger(pages, *victims, k, init_cache, scheme, T, T_ext, chain)
+    ``replay`` checks the horizon, pages and cache before either policy's
+    reset, which fails on a chain a memoryless rule cannot handle even when
+    ``T`` is 0."""
+    return ledger(seq, *replay_pair(seq, alg, ref, k, init_cache, seed, T, chain), k, init_cache, scheme, T, T_ext, chain)
 
 
 def replay_pair(seq, alg, ref, k: int, init_cache, seed, T: int, chain=None) -> tuple[list[int], list[int]]:
@@ -185,20 +184,6 @@ def replay_pair(seq, alg, ref, k: int, init_cache, seed, T: int, chain=None) -> 
     reference's from ``(*seed, 1)``. One pair serves both schemes."""
     pages, base = np.asarray(seq, dtype=np.int64), _seed_tuple(seed)
     return tuple(replay(p, chain, k, pages, init_cache, (*base, i), T) for i, p in enumerate((alg, ref)))
-
-
-def _audit_inputs(seq, k, init_cache, scheme, T, T_ext, chain):
-    """``(pages, T_ext, n, init_cache)``, checked as ``ledger`` says."""
-    check_horizon(T)
-    if scheme not in ("original", "updated"):
-        raise ValueError(f"scheme must be 'original' or 'updated', got {scheme!r}")
-    pages = np.asarray(seq, dtype=np.int64)
-    if T_ext is None:
-        T_ext = len(pages)
-    if not T <= T_ext <= len(pages):
-        raise SequenceTooShort(f"need T={T} <= T_ext={T_ext} <= len(seq)={len(pages)}")
-    n = chain.n if chain is not None else 1 + max(int(pages.max(initial=0)), max(init_cache, default=0))
-    return pages, T_ext, n, check_cache(init_cache, n, k)
 
 
 def _serve_miss(victims, cache, s: int, t: int, who: str) -> int:
@@ -223,8 +208,17 @@ def ledger(seq, a_victims, r_victims, k: int, init_cache, scheme: str, T: int,
     0..n-1. ``T`` must be >= 0. Otherwise ``ValueError``, as for victims
     that do not match the misses or are not resident.
     """
-    pages, T_ext, n, init_cache = _audit_inputs(seq, k, init_cache, scheme, T, T_ext, chain)
-    check_pages(pages, None if chain is None else chain.n)  # not in _audit_inputs: replay checks its own
+    check_horizon(T)
+    if scheme not in ("original", "updated"):
+        raise ValueError(f"scheme must be 'original' or 'updated', got {scheme!r}")
+    pages = np.asarray(seq, dtype=np.int64)
+    if T_ext is None:
+        T_ext = len(pages)
+    if not T <= T_ext <= len(pages):
+        raise SequenceTooShort(f"need T={T} <= T_ext={T_ext} <= len(seq)={len(pages)}")
+    n = chain.n if chain is not None else 1 + max(int(pages.max(initial=0)), max(init_cache, default=0))
+    init_cache = check_cache(init_cache, n, k)
+    check_pages(pages, None if chain is None else chain.n)
     a_next, r_next = iter(a_victims), iter(r_victims)
 
     a_cache = set(init_cache)

@@ -203,9 +203,16 @@ def replay(policy, chain, k: int, pages, init_cache, seed, T: int | None = None)
     """The policy's victims, one per miss in request order, over the first
     ``T`` requests of ``pages`` (default: all). The policy sees all of
     ``pages``, so a clairvoyant rule looks past T. Only a table rule draws,
-    from ``default_rng(seed)``. A negative page, or one not below a given
-    ``chain.n``, is a ``ValueError``."""
+    from ``default_rng(seed)``. Before the policy's reset, a negative ``T``,
+    a negative page or one not below a given ``chain.n``, and a cache of
+    other than k distinct pages in 0..n-1 are each a ``ValueError``; n is
+    ``chain.n`` or, without a chain, one more than the largest page of
+    ``pages`` and ``init_cache``."""
+    if T is not None:
+        check_horizon(T)
     check_pages(pages, None if chain is None else chain.n)
+    n = chain.n if chain is not None else 1 + max(int(pages.max(initial=0)), max(init_cache, default=0))
+    init_cache = check_cache(init_cache, n, k)
     rng = None if policy.kernel_probs is None else np.random.default_rng(seed)
     ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
     policy.reset(ctx)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import alpha as alpha_mod
 from .chain import MarkovChain, validate_chain
+from .optdp import check_pages
 from .policies import DominatingPolicy
 
 
@@ -71,9 +72,7 @@ def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, tru
         raise ValueError("smoothing must be positive and finite")
     if n is None:
         n = int(pages.max()) + 1
-    bad = pages[(pages < 0) | (pages >= n)]
-    if bad.size:
-        raise ValueError(f"trace page {int(bad[0])} is outside 0..{n - 1}")
+    check_pages(pages, n, "trace page")
     if n * n > np.iinfo(np.intp).max:
         raise ValueError(f"{n} pages make an n x n count table too large to index")
     if truth is not None and truth.n != n:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import build_lb_chain
 from .engine import joint_operator
-from .policies import AdversarialDominatingPolicy
+from .policies import DominatingPolicy
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _geom(B: np.ndarray, T: int):
 def closed_form_costs(params: LBParams) -> tuple[float, float]:
     """(adversarial policy cost, pinned reference cost) over T requests."""
     chain = build_lb_chain(params.eps, params.eps1)
-    R, miss, first = joint_operator(AdversarialDominatingPolicy(0), chain, 2, (0, 1))
+    R, miss, first = joint_operator(DominatingPolicy(target=0), chain, 2, (0, 1))
     cost_dom = float(miss @ geometric_sum(R, params.T) @ first)
     cost_ref = _reference_cost(params.eps, params.eps1, params.T)
     return cost_dom, cost_ref

@@ -5,10 +5,11 @@ On a cache miss a policy picks a resident page to evict. The interesting ones:
 * dominating distribution: draw the victim from a distribution mu over the
   cache under which, for every fixed resident page q, the mu-average of
   alpha(p<q) is at most 1/2, so the evicted page tends to return later than
-  anything kept. Such a mu always exists and is found by a tiny LP.
-* adversarial dominating: the same feasible set, but mu maximizes the
-  probability of evicting one chosen target page. Useful for stress
-  constructions where a worst-case member of the family is wanted.
+  anything kept. Such a mu always exists and is found by a tiny LP. The
+  2-competitive bound holds for every mu in this set, so the rule's
+  ``target`` picks a member: none gives the min-max mu, a target page the
+  mu that evicts it with the largest probability (a worst-case member, for
+  stress constructions). Only the LP's objective differs.
 * median: deterministically evict the resident page whose next request has the
   largest median arrival time. ``median_index`` finds the first-passage
   medians of every page pair of a chain in one binary-lifting pass.
@@ -17,13 +18,13 @@ On a cache miss a policy picks a resident page to evict. The interesting ones:
 
 A memoryless rule gives its choice as an eviction table: ``kernel_probs(idx,
 chain)`` is the eviction distribution of every (cache, request) pair of the
-chain, and the engine reads the whole table. For the dominating,
-adversarial, median, random and pinned rules (:class:`TablePolicy`) the
-table is the only statement of the choice: a step-by-step run
-(``engine.replay``) builds it at ``reset`` and draws each victim from its
-row with one ``rng.random()``, so the deterministic rules' one-hot rows
-still pick their page. History-dependent rules decide per miss in ``evict``
-and carry per-run state (reset before each run).
+chain, and the engine reads the whole table. For the dominating, median,
+random and pinned rules (:class:`TablePolicy`) the table is the only
+statement of the choice: a step-by-step run (``engine.replay``) builds it at
+``reset`` and draws each victim from its row with one ``rng.random()``, so
+the deterministic rules' one-hot rows still pick their page.
+History-dependent rules decide per miss in ``evict`` and carry per-run state
+(reset before each run).
 
 No policy keeps a table of its own: ``chain.derived`` keeps a chain's median
 matrix and each (rule, k) dominating eviction table (one stacked LP solve,
@@ -60,7 +61,7 @@ class Infeasible(ValueError):
 
     ``index`` is the first failing LP of a stack. A policy's table build
     names the (cache, request) pair instead, in ``cache`` and ``requested``,
-    and the adversarial rule the ``target`` it used.
+    and with a target the ``target`` page it used.
     """
 
     def __init__(self, message: str, index: int = 0, cache=None, requested=None, target=None):
@@ -184,23 +185,20 @@ def dominating_distribution(alpha_sub) -> np.ndarray:
     return _distributions(mu)
 
 
-def adversarial_dominating(alpha_sub, target, pages=None) -> np.ndarray:
-    """Among admissible mu, maximize the mass on ``target``, for each block
-    of the ``(B, k, k)`` stack.
+def adversarial_dominating(alpha_sub, target) -> np.ndarray:
+    """Among admissible mu, maximize the mass on row ``target`` (one row
+    index, or one per block) for each block of the ``(B, k, k)`` stack.
 
-    ``pages`` labels the rows of every block, ``(k,)`` or ``(B, k)`` (by
-    default the row indices), and ``target`` is one label or one per block.
     Gives a read-only ``(B, k)`` array as :func:`dominating_distribution`
-    does.
+    does; a target row outside 0..k-1 is a ``ValueError``.
     """
     a = _check_alpha_sub(alpha_sub)
     B, k = a.shape[:2]
-    labels = np.broadcast_to(np.arange(k) if pages is None else np.asarray(pages), (B, k))
-    found = labels == np.reshape(target, (-1, 1))
-    if not found.any(axis=1).all():
-        raise ValueError(f"target {target!r} is not among the pages")
+    rows = np.broadcast_to(target, (B,))
+    if not np.all((rows >= 0) & (rows < k)):
+        raise ValueError(f"target row {target!r} is not in 0..{k - 1}")
     c = np.zeros((B, k))
-    c[np.arange(B), found.argmax(axis=1)] = -1.0
+    c[np.arange(B), rows] = -1.0
     try:
         x, _ = solve_lp(c, a.transpose(0, 2, 1), np.full(k, 0.5), k)
     except InfeasibleLP as exc:
@@ -326,6 +324,15 @@ class TablePolicy(Policy):
 class DominatingPolicy(TablePolicy):
     """The dominating-distribution rule over the sorted cache.
 
+    Without a ``target`` each eviction distribution is the min-max mu of
+    :func:`dominating_distribution`; with one it is the admissible mu that
+    evicts the target page with the largest probability
+    (:func:`adversarial_dominating`), and ``name`` becomes
+    ``dominating-adversarial:<target>``. When the target is not resident,
+    the lowest resident page stands in, which on the 3-page adversarial
+    family reproduces the stress choices for every reachable cache state. A
+    target outside the chain's pages is a ``ValueError``.
+
     The precedence table is the pinned ``table`` when one is given, else
     ``alpha_table(chain)``. Every (cache, request not in cache) LP is solved
     in one stack into the ``(S, n, k)`` eviction table (S cache ranks of
@@ -336,10 +343,15 @@ class DominatingPolicy(TablePolicy):
 
     name = "dominating"
 
-    def __init__(self, table: alpha_mod.AlphaTable | None = None):
+    def __init__(self, table: alpha_mod.AlphaTable | None = None, target: int | None = None):
         self._table = table  # pinned: used whatever chain a call passes
+        self.target = target
+        if target is not None:
+            self.name = f"dominating-adversarial:{target}"
 
     def kernel_probs(self, idx, chain):
+        if self.target is not None:
+            check_pages([self.target], idx.n, "target page")
         if self._table is not None:
             if self._table.n != idx.n:
                 raise ValueError(f"the pinned precedence table has {self._table.n} pages, the chain has {idx.n}")
@@ -356,57 +368,27 @@ class DominatingPolicy(TablePolicy):
         """
         rank, req = np.nonzero(~idx.member)
         pages = idx.pages[rank]
-        targets = self._targets(pages)
+        # caches are sorted, so a target not resident gives column 0, the lowest resident page
+        cols = (pages == self.target).argmax(axis=1)
         probs = np.zeros((len(idx), table.n, idx.k))
         for lo in range(0, len(rank), LP_BLOCK):
             part = slice(lo, lo + LP_BLOCK)
             p = pages[part]
             blocks = table.values[p[:, :, None], p[:, None, :], req[part, None, None]]
             try:
-                probs[rank[part], req[part]] = self._solve(blocks, p, None if targets is None else targets[part])
+                mu = dominating_distribution(blocks) if self.target is None else adversarial_dominating(blocks, cols[part])
             except Infeasible as exc:
                 i = lo + exc.index
                 cache, requested = tuple(pages[i].tolist()), int(req[i])
-                target = None if targets is None else int(targets[i])
+                target = None if self.target is None else cache[cols[i]]
                 used = "" if target is None else f", target {target}"
                 raise Infeasible(
                     f"cache {cache}, request {requested}{used}: {exc}",
                     index=i, cache=cache, requested=requested, target=target,
                 ) from exc
+            probs[rank[part], req[part]] = mu
         probs.setflags(write=False)
         return probs
-
-    def _targets(self, pages):
-        return None
-
-    def _solve(self, blocks, pages, targets):
-        return dominating_distribution(blocks)
-
-
-class AdversarialDominatingPolicy(DominatingPolicy):
-    """Dominating policy that pushes mass onto a target page.
-
-    When the target is not resident, the lowest-indexed resident page stands
-    in, which on the 3-page adversarial family reproduces the stress choices
-    for every reachable cache state. A target outside the chain's pages is
-    never resident, so building the table raises ``ValueError`` for it.
-    """
-
-    def __init__(self, target: int, table: alpha_mod.AlphaTable | None = None):
-        super().__init__(table)
-        self.target = target
-        self.name = f"dominating-adversarial:{target}"
-
-    def kernel_probs(self, idx, chain):
-        check_pages([self.target], idx.n, "target page")
-        return super().kernel_probs(idx, chain)
-
-    def _targets(self, pages):
-        # caches are sorted, so column 0 is the lowest resident page
-        return np.where((pages == self.target).any(axis=1), self.target, pages[:, 0])
-
-    def _solve(self, blocks, pages, targets):
-        return adversarial_dominating(blocks, targets, pages=pages)
 
 
 class MedianPolicy(TablePolicy):
@@ -563,7 +545,7 @@ def parse_policy(name: str) -> Policy:
             page = int(target)
         except ValueError:
             raise ValueError(f"policy {name!r}: the target must be a page index, got {target!r}") from None
-        return AdversarialDominatingPolicy(page)
+        return DominatingPolicy(target=page)
     for rule in (DominatingPolicy, MedianPolicy, FarthestInFuture, LruPolicy, FifoPolicy, RandomEvictionPolicy):
         if name == rule.name:
             return rule()

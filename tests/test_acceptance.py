@@ -21,7 +21,6 @@ from markov_paging.learn import approx_dominating_policy, estimate_transition
 from markov_paging.lowerbound import LBParams, closed_form_costs, warmup_ratio
 from markov_paging.optdp import opt_expected_cost, subset_index
 from markov_paging.policies import (
-    AdversarialDominatingPolicy,
     DominatingPolicy,
     MedianPolicy,
     OptReplayPolicy,
@@ -77,7 +76,7 @@ def test_criterion_2_warmup_formulas():
     for eps in (0.3, 0.1, 1e-3):
         chain = build_lb_chain(eps, eps / 2)
         # the policy's eviction distribution for cache (0, 1) and request 2
-        mu = AdversarialDominatingPolicy(0).kernel_probs(idx, chain)[idx.rank[(0, 1)], 2]
+        mu = DominatingPolicy(target=0).kernel_probs(idx, chain)[idx.rank[(0, 1)], 2]
         want = (2 - eps) / (4 - 4 * eps)
         if abs(mu[0] - want) > 1e-12:
             problems.append(f"eps={eps}: mu={mu[0]!r} want {want!r}")
@@ -100,7 +99,7 @@ def test_criterion_4_closed_form_vs_engine():
     params = LBParams(1e-3, 0.5e-3, 10**4)
     cost_dom, _ = closed_form_costs(params)
     chain = build_lb_chain(params.eps, params.eps1)
-    policy = AdversarialDominatingPolicy(0)
+    policy = DominatingPolicy(target=0)
     exact = exact_cost(policy, chain, 2, params.T, (0, 1))
     gap = abs(exact.mean - cost_dom)
     mc = simulate(policy, chain, 2, params.T, (0, 1), trials=10**4, seed=40)

@@ -114,6 +114,12 @@ def test_pinned_systems_rows():
         assert np.array_equal(L[i], want)
 
 
+@pytest.mark.parametrize("pairs,page", [([(0, 1), (2, 4)], 4), ([(0, 1), (-1, 2)], -1)])
+def test_pair_page_outside_the_chain_rejected(pairs, page):
+    with pytest.raises(ValueError, match=rf"^pair page {page} is not among the chain's pages 0\.\.3$"):
+        pinned_systems(random_chain(4, 8), pairs)
+
+
 def test_reducible_chain_reports_pair():
     ch = validate_chain(np.eye(3))
     with pytest.raises(SingularSystem) as exc:

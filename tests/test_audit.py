@@ -22,7 +22,6 @@ from markov_paging.chain import forget, random_chain, sample_sequence, validate_
 from markov_paging.engine import replay
 from markov_paging.optdp import opt_expected_cost
 from markov_paging.policies import (
-    AdversarialDominatingPolicy,
     DominatingPolicy,
     FarthestInFuture,
     FifoPolicy,
@@ -480,7 +479,7 @@ def test_trace_csv_shape():
 
 ALGORITHMS = {
     "dominating": DominatingPolicy,
-    "adversarial": lambda: AdversarialDominatingPolicy(0),
+    "adversarial": lambda: DominatingPolicy(target=0),
     "median": MedianPolicy,
     "random": RandomEvictionPolicy,
 }

@@ -208,13 +208,13 @@ def test_trace_page_out_of_range_is_usage_error(tmp_path, capsys):
     trace.write_text("0\n1\n-1\n0\n1\n")
     code = main(["learn", "--trace", str(trace), "--delta-inf", "0.01"])
     assert code == 2
-    assert "trace page -1 is outside 0..1" in capsys.readouterr().err
+    assert "trace page -1 is not among the chain's pages 0..1" in capsys.readouterr().err
 
 
 LEARN_TRACE_CASES = {
     "trace-only": ([], 0, ""),
     "unused-k-T-seed": (["--k", "1", "--T", "5", "--seed", "0"], 2, "learn --trace does not read --k, --T, --seed"),
-    "page-beyond-n": (["--n", "2"], 2, "trace page 2 is outside 0..1"),
+    "page-beyond-n": (["--n", "2"], 2, "trace page 2 is not among the chain's pages 0..1"),
     # n² counts past the largest array index overflow numpy rather than run out of memory
     "count-table-past-indexing": (["--n", "3037000501"], 2,
                                   "error: 3037000501 pages make an n x n count table too large to index\n"),

@@ -22,7 +22,6 @@ from markov_paging.engine import (
 from markov_paging.lowerbound import LBParams, closed_form_costs, geometric_sum
 from markov_paging.optdp import BudgetExceeded, opt_expected_cost, subset_index
 from markov_paging.policies import (
-    AdversarialDominatingPolicy,
     DominatingPolicy,
     FarthestInFuture,
     FifoPolicy,
@@ -92,7 +91,7 @@ def test_pinned_reference_rate_on_warmup_chain():
 
 def test_exact_single_step_miss_probability():
     ch = build_lb_chain(0.1, 0.05)
-    est = exact_cost(AdversarialDominatingPolicy(0), ch, 2, 1, (0, 1))
+    est = exact_cost(DominatingPolicy(target=0), ch, 2, 1, (0, 1))
     assert est.mode == "exact" and est.trials == 0 and est.half_width == 0.0
     assert est.mean == pytest.approx(0.05, abs=1e-15)  # only page 2 misses
 
@@ -101,7 +100,7 @@ def test_exact_matches_closed_form_stress_instance():
     params = LBParams(1e-3, 0.5e-3, 2000)
     cost_dom, _ = closed_form_costs(params)
     ch = build_lb_chain(params.eps, params.eps1)
-    est = exact_cost(AdversarialDominatingPolicy(0), ch, 2, params.T, (0, 1))
+    est = exact_cost(DominatingPolicy(target=0), ch, 2, params.T, (0, 1))
     assert est.mean == pytest.approx(cost_dom, abs=1e-10)
 
 
@@ -148,7 +147,7 @@ def test_one_trial_has_an_unbounded_interval(make):
 def memoryless_rules(k):
     """One fresh policy of every memoryless rule; page 0 is pinned only when
     another page fits beside it."""
-    rules = [DominatingPolicy(), AdversarialDominatingPolicy(0), MedianPolicy(), RandomEvictionPolicy()]
+    rules = [DominatingPolicy(), DominatingPolicy(target=0), MedianPolicy(), RandomEvictionPolicy()]
     return rules + [PinnedPolicy([0])] * (k > 1)
 
 
@@ -519,6 +518,27 @@ def test_replay_refuses_pages_outside_the_chain(make):
         with pytest.raises(ValueError, match=r"^page -1 is not a page index$"):
             replay(make(), None, 2, np.array([2, 3, -1]), (0, 1), 5)
         assert len(replay(make(), None, 2, np.array([2, 9]), (0, 1), 5)) == 2  # no chain, no upper bound
+
+
+def test_replay_refuses_a_negative_horizon():
+    """``T = -3`` once replayed all but the last three requests."""
+    ch = random_chain(4, 1)
+    with pytest.raises(ValueError, match=r"^T must be >= 0, got -3$"):
+        replay(LruPolicy(), ch, 2, sample_sequence(ch, 10, 2), (0, 1), 0, T=-3)
+
+
+def test_replay_refuses_a_cache_page_outside_the_chain():
+    """Cache page 9 of a 4-page chain once came back among the victims."""
+    ch = random_chain(4, 1)
+    with pytest.raises(ValueError, match=r"distinct pages in 0\.\.3, got \(0, 9\)$"):
+        replay(LruPolicy(), ch, 2, sample_sequence(ch, 20, 2), (0, 9), 0)
+
+
+def test_replay_refuses_a_repeated_cache_page():
+    """A cache ``(0, 0)`` under a table rule once raised a bare ``KeyError``."""
+    ch = random_chain(4, 1)
+    with pytest.raises(ValueError, match=r"distinct pages in 0\.\.3, got \(0, 0\)$"):
+        replay(DominatingPolicy(), ch, 2, sample_sequence(ch, 20, 2), (0, 0), 0)
 
 
 def _assert_matches_loop_oracle(policy, chain, k, T, init):

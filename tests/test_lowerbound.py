@@ -8,7 +8,7 @@ from markov_paging.chain import build_lb_chain
 from markov_paging.engine import build_kernel, exact_cost
 from markov_paging.lowerbound import LBParams, _reference_cost, closed_form_costs, geometric_sum, search, warmup_ratio
 from markov_paging.optdp import subset_index
-from markov_paging.policies import AdversarialDominatingPolicy, PinnedPolicy
+from markov_paging.policies import DominatingPolicy, PinnedPolicy
 
 from .oracles import adversarial_evictions, lb_matrices, naive_geometric_sum, naive_warmup_costs
 
@@ -92,7 +92,7 @@ def test_closed_form_matches_engine_evolution():
     params = LBParams(1e-3, 0.5e-3, 1500)
     cost_dom, _ = closed_form_costs(params)
     chain = build_lb_chain(params.eps, params.eps1)
-    est = exact_cost(AdversarialDominatingPolicy(0), chain, 2, params.T, (0, 1))
+    est = exact_cost(DominatingPolicy(target=0), chain, 2, params.T, (0, 1))
     assert est.mean == pytest.approx(cost_dom, abs=1e-9)
 
 
@@ -102,7 +102,7 @@ def test_closed_form_matches_engine_evolution():
 )
 def test_kernel_reproduces_hand_derived_evictions(eps, eps1):
     # the operator's inputs, built from the policy's LPs, against the closed forms
-    probs = build_kernel(AdversarialDominatingPolicy(0), build_lb_chain(eps, eps1), 2)
+    probs = build_kernel(DominatingPolicy(target=0), build_lb_chain(eps, eps1), 2)
     idx = subset_index(3, 2)
     for (cache, victim), prob in adversarial_evictions(eps, eps1).items():
         (requested,) = set(range(3)) - set(cache)

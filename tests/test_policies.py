@@ -11,7 +11,6 @@ from markov_paging.chain import build_lb_chain, random_chain, validate_chain
 from markov_paging.engine import exact_cost, simulate
 from markov_paging.policies import (
     MEDIAN_CAP,
-    AdversarialDominatingPolicy,
     DominatingPolicy,
     FarthestInFuture,
     FifoPolicy,
@@ -102,7 +101,7 @@ class TestDominatingDistribution:
         values[0, 1, 2] = np.nan
         save_table(AlphaTable(values), tmp_path / "nan.npz")
         table = load_table(tmp_path / "nan.npz")
-        for policy in (DominatingPolicy(table), AdversarialDominatingPolicy(0, table)):
+        for policy in (DominatingPolicy(table), DominatingPolicy(table, target=0)):
             with pytest.raises(ValueError, match=r"alpha_sub entries must lie in \[0, 1\]"):
                 exact_cost(policy, chain, 2, 10, (0, 1))
 
@@ -111,17 +110,17 @@ class TestAdversarialDominating:
     def test_warmup_upper_endpoint(self):
         for eps in (0.3, 0.1, 1e-3):
             ch = build_lb_chain(eps, eps / 2)
-            mu = adversarial_dominating(block_stack(alpha_table(ch), (0, 1), 2), 0, pages=(0, 1))[0]
+            mu = adversarial_dominating(block_stack(alpha_table(ch), (0, 1), 2), 0)[0]
             assert mu[0] == pytest.approx((2 - eps) / (4 - 4 * eps), abs=1e-12)
 
     def test_general_split_formulas(self):
         eps, eps1 = 0.1, 0.05
         ch = build_lb_chain(eps, eps1)
         table = alpha_table(ch)
-        mu01 = adversarial_dominating(block_stack(table, (0, 1), 2), 0, pages=(0, 1))[0]
+        mu01 = adversarial_dominating(block_stack(table, (0, 1), 2), 0)[0]
         assert mu01[0] == pytest.approx((1 - eps + eps1) / (2 - 2 * eps), abs=1e-12)
         assert mu01[0] == pytest.approx(0.95 / 1.8)
-        mu12 = adversarial_dominating(block_stack(table, (1, 2), 0), 1, pages=(1, 2))[0]
+        mu12 = adversarial_dominating(block_stack(table, (1, 2), 0), 0)[0]  # page 1 is row 0
         assert mu12[0] == pytest.approx(eps / (2 * eps1), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -130,14 +129,18 @@ class TestAdversarialDominating:
         rng = np.random.default_rng(pick)
         k = int(rng.integers(2, min(4, chain.n)))
         cache = tuple(sorted(rng.choice(chain.n, size=k, replace=False).tolist()))
-        target = cache[int(rng.integers(k))]
+        ti = int(rng.integers(k))
         s = int(rng.integers(chain.n))
         block = block_stack(alpha_table(chain), cache, s)
-        mu = adversarial_dominating(block, target, pages=cache)[0]
+        mu = adversarial_dominating(block, ti)[0]
         assert (mu @ block[0]).max() <= 0.5 + 1e-9
         base = dominating_distribution(block)[0]
-        ti = cache.index(target)
         assert mu[ti] >= base[ti] - 1e-9  # maximization dominates
+
+    @pytest.mark.parametrize("target", [-1, 2, [0, 2]])
+    def test_target_row_outside_the_block_rejected(self, target):
+        with pytest.raises(ValueError, match=r"target row .* is not in 0\.\.1"):
+            adversarial_dominating(np.array([uniform_block(2)] * 2), target)
 
 
 def test_claim_q_no_later_than_mu_draw():
@@ -317,12 +320,12 @@ class TestPolicyZoo:
         chain = random_chain(4, 1)
         message = rf"target page {target} is not among the chain's pages 0\.\.3"
         for table, given in ((None, chain), (alpha_table(chain), None)):  # n from idx.n when pinned
-            pol = AdversarialDominatingPolicy(target, table)
+            pol = DominatingPolicy(table, target=target)
             with pytest.raises(ValueError, match=message):
                 pol.kernel_probs(subset_index(4, 2), given)
         with pytest.raises(ValueError, match=message):
             parse_policy(f"dominating-adversarial:{target}").reset(RunContext(chain, 2, (0, 1)))
-        assert AdversarialDominatingPolicy(3).kernel_probs(subset_index(4, 2), chain).shape == (6, 4, 2)
+        assert DominatingPolicy(target=3).kernel_probs(subset_index(4, 2), chain).shape == (6, 4, 2)
 
     def test_table_rules_need_a_chain(self):
         idx = subset_index(4, 2)
@@ -362,7 +365,7 @@ class TestPolicyZoo:
         ctx = RunContext(chain=chain, k=k, init_cache=cache)
         for pol in (
             DominatingPolicy(table=table),
-            AdversarialDominatingPolicy(0, table=table),
+            DominatingPolicy(table, target=0),
             MedianPolicy(),
             RandomEvictionPolicy(),
         ):
@@ -384,6 +387,12 @@ class TestPolicyZoo:
             assert parse_policy(name).name == name
         with pytest.raises(ValueError):
             parse_policy("belady-prime")
+
+    def test_adversarial_rule_is_a_dominating_target(self):
+        adversarial = parse_policy("dominating-adversarial:3")
+        assert type(adversarial) is DominatingPolicy
+        assert (adversarial.name, adversarial.target) == ("dominating-adversarial:3", 3)
+        assert (DominatingPolicy.name, parse_policy("dominating").target) == ("dominating", None)
 
 
 class FixedDraws:
@@ -416,7 +425,7 @@ class TestTableRules:
         rules = [MedianPolicy(), PinnedPolicy(pinned), RandomEvictionPolicy()]
         try:
             alpha_table(chain)
-            rules += [DominatingPolicy(), AdversarialDominatingPolicy(target)]
+            rules += [DominatingPolicy(), DominatingPolicy(target=target)]
         except SingularSystem:
             pass  # the dominating rules are undefined on this chain
         idx = subset_index(chain.n, k)
@@ -553,7 +562,7 @@ class TestStackedTables:
         slots = np.where((pages == target).any(axis=1), (pages == target).argmax(axis=1), 0)
         x_dom = _assert_stack_matches_loop(_dominating_lp(blocks))[:, :k]
         x_adv = _assert_stack_matches_loop(_adversarial_lp(blocks, slots))
-        for pol, x in ((DominatingPolicy(table), x_dom), (AdversarialDominatingPolicy(target, table), x_adv)):
+        for pol, x in ((DominatingPolicy(table), x_dom), (DominatingPolicy(table, target=target), x_adv)):
             probs = pol.kernel_probs(idx, chain)
             assert probs.shape == (len(idx), chain.n, k) and not probs.flags.writeable
             assert np.array_equal(probs[rank, req], np.where(x < 0.0, 0.0, x))
@@ -561,15 +570,14 @@ class TestStackedTables:
 
     def test_stack_rows_equal_single_blocks(self):
         table = alpha_table(random_chain(5, 8))
-        _, caches, rank, req, blocks = _miss_blocks(table, 3)
+        blocks = _miss_blocks(table, 3)[-1]
         stacked = dominating_distribution(blocks)
         assert stacked.shape == (len(blocks), 3) and not stacked.flags.writeable
-        pages = np.array(caches)[rank]
-        adv = adversarial_dominating(blocks, pages[:, 1], pages=pages)
-        for i, (r, j) in enumerate(zip(rank, req)):
-            cache = caches[r]
+        rows = np.arange(len(blocks)) % 3  # one target row per block
+        adv = adversarial_dominating(blocks, rows)
+        for i in range(len(blocks)):
             assert np.array_equal(stacked[i], dominating_distribution(blocks[i : i + 1])[0])
-            assert np.array_equal(adv[i], adversarial_dominating(blocks[i : i + 1], cache[1], pages=cache)[0])
+            assert np.array_equal(adv[i], adversarial_dominating(blocks[i : i + 1], rows[i])[0])
 
     def test_one_solve_per_chain_and_k(self, monkeypatch):
         calls = []
@@ -593,7 +601,7 @@ class TestStackedTables:
         _, caches, rank, req, blocks = _miss_blocks(table, 2)
         for pol, single in (
             (DominatingPolicy(table), lambda b, c: dominating_distribution(b)[0]),
-            (AdversarialDominatingPolicy(3, table), lambda b, c: adversarial_dominating(b, 3 if 3 in c else c[0], pages=c)[0]),
+            (DominatingPolicy(table, target=3), lambda b, c: adversarial_dominating(b, c.index(3) if 3 in c else 0)[0]),
         ):
             ctx = RunContext(chain, 2, caches[0])
             pol.reset(ctx)
@@ -610,7 +618,7 @@ class TestStackedTables:
         table = alpha_table(chain)
         idx = subset_index(7, 3)
         whole = [DominatingPolicy(table).kernel_probs(idx, None),
-                 AdversarialDominatingPolicy(2, table).kernel_probs(idx, None)]
+                 DominatingPolicy(table, target=2).kernel_probs(idx, None)]
         monkeypatch.setattr(policies_mod, "LP_BLOCK", block)
         stacks = []
         real = policies_mod.solve_lp
@@ -623,7 +631,7 @@ class TestStackedTables:
         # a pinned table is solved on each call, so the chunked solve runs
         fresh = AlphaTable(table.values.copy())
         parts = [DominatingPolicy(fresh).kernel_probs(idx, None),
-                 AdversarialDominatingPolicy(2, fresh).kernel_probs(idx, None)]
+                 DominatingPolicy(fresh, target=2).kernel_probs(idx, None)]
         lps = math.comb(7, 3) * (7 - 3)
         assert stacks == 2 * ([block] * (lps // block) + ([lps % block] if lps % block else []))
         for a, b in zip(whole, parts):
@@ -639,7 +647,7 @@ class TestStackedTables:
         assert (err.value.cache, err.value.requested, err.value.target) == ((0, 2, 3), 1, None)
         assert str(err.value).startswith("cache (0, 2, 3), request 1: ")
         with pytest.raises(Infeasible) as err:
-            AdversarialDominatingPolicy(1, table).kernel_probs(idx, None)
+            DominatingPolicy(table, target=1).kernel_probs(idx, None)
         # page 1 is not resident in (0, 2, 3), so the lowest page stands in
         assert (err.value.cache, err.value.requested, err.value.target) == ((0, 2, 3), 1, 0)
         assert str(err.value).startswith("cache (0, 2, 3), request 1, target 0: ")
@@ -652,7 +660,7 @@ class TestStackedTables:
         chain = random_chain(4, 2)
         runs = (lambda pol: simulate(pol, chain, 2, 10, (0, 1), 10, 1), lambda pol: exact_cost(pol, chain, 2, 10, (0, 1)))
         for run in runs:
-            for pol in (DominatingPolicy(table), AdversarialDominatingPolicy(0, table)):
+            for pol in (DominatingPolicy(table), DominatingPolicy(table, target=0)):
                 with pytest.raises(ValueError, match=f"pinned precedence table has {table_n} pages, the chain has 4"):
                     run(pol)
 

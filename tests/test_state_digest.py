@@ -47,13 +47,14 @@ def _chains():
 
 def _chain_lines(label, chain) -> list[str]:
     lines = []
+    table_rules = (*TABLE_RULES, f"dominating-adversarial:{chain.n - 1}")
     for k in range(1, chain.n):
         head = f"{label} k={k}"
         init = tuple(range(k))
         idx = subset_index(chain.n, k)
         for name in ("member", "pages", "cells", "evicted"):
             lines.append(f"{head} index.{name} {_digest(getattr(idx, name))}")
-        for rule in TABLE_RULES:
+        for rule in table_rules:
             probs = _item(lambda: _digest(parse_policy(rule).kernel_probs(idx, chain)))
             lines.append(f"{head} kernel_probs[{rule}] {probs}")
 
@@ -62,7 +63,7 @@ def _chain_lines(label, chain) -> list[str]:
             return f"{value!r} action={_digest(table.action)} value={_digest(table.value)}"
 
         lines.append(f"{head} opt T=8 {_item(opt)}")
-        for rule in TABLE_RULES:
+        for rule in table_rules:
             cost = _item(lambda: repr(exact_cost(parse_policy(rule), chain, k, 30, init).mean))
             lines.append(f"{head} exact_cost[{rule}] T=30 {cost}")
         for rule in TRIAL_RULES:
