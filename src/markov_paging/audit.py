@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _seed_tuple, replay
-from .optdp import check_cache, check_horizon, check_pages
+from .optdp import check_horizon, check_run
 
 
 class NoEligibleSavior(RuntimeError):
@@ -172,9 +172,9 @@ def run_audit(
     chain=None,
 ) -> AuditReport:
     """The selected scheme's ``ledger`` over :func:`replay_pair`'s victims.
-    ``replay`` checks the horizon, pages and cache before either policy's
-    reset, which fails on a chain a memoryless rule cannot handle even when
-    ``T`` is 0."""
+    ``replay`` checks the horizon, pages and cache before it builds either
+    rule's eviction table, which fails on a chain a memoryless rule cannot
+    handle even when ``T`` is 0."""
     return ledger(seq, *replay_pair(seq, alg, ref, k, init_cache, seed, T, chain), k, init_cache, scheme, T, T_ext, chain)
 
 
@@ -205,8 +205,9 @@ def ledger(seq, a_victims, r_victims, k: int, init_cache, scheme: str, T: int,
     (default: its full length) so savior events can be resolved. n (the
     report's) is ``chain.n`` or, without a chain, one more than the largest
     page of ``seq`` and ``init_cache``, which must hold k distinct pages in
-    0..n-1. ``T`` must be >= 0. Otherwise ``ValueError``, as for victims
-    that do not match the misses or are not resident.
+    0..n-1 (``optdp.check_run``, as in ``replay``). ``T`` must be >= 0.
+    Otherwise ``ValueError``, as for victims that do not match the misses or
+    are not resident.
     """
     check_horizon(T)
     if scheme not in ("original", "updated"):
@@ -216,9 +217,7 @@ def ledger(seq, a_victims, r_victims, k: int, init_cache, scheme: str, T: int,
         T_ext = len(pages)
     if not T <= T_ext <= len(pages):
         raise SequenceTooShort(f"need T={T} <= T_ext={T_ext} <= len(seq)={len(pages)}")
-    n = chain.n if chain is not None else 1 + max(int(pages.max(initial=0)), max(init_cache, default=0))
-    init_cache = check_cache(init_cache, n, k)
-    check_pages(pages, None if chain is None else chain.n)
+    n, init_cache = check_run(pages, init_cache, k, chain)
     a_next, r_next = iter(a_victims), iter(r_victims)
 
     a_cache = set(init_cache)

@@ -27,12 +27,15 @@ all of its runs' traces at once:
   a count over their leading axis) and on the index's ``cells`` for the next
   cache;
 * stamped: LRU and FIFO, whose cache is k pages with a use or load stamp
-  each (``stamp_on_hit``), count every trial of every such run at once in
-  one ``_stamped_misses`` call, one ``(trials, k)`` comparison and
-  ``argmin`` per request;
+  each (``stamp_on_hit``), step every trial of every such run at once in
+  one ``_stamped_held`` call, one ``(trials, k)`` comparison and ``argmin``
+  per request; a step misses where its slot held another page;
 * generic: the rest (farthest-in-future, OPT replay), which draw nothing,
-  count each trial's victims from ``replay``, the one loop that steps a
-  policy request by request.
+  count each trial's victims from ``replay``'s request loop for a history
+  rule, which the checks of ``trial_misses`` make safe to run unchecked.
+
+``replay`` lists one run's victims through the same three statements: the
+eviction table, the stamped stepping or the history rule's ``evict``.
 
 A horizon T of 0 costs 0 on every path, and a negative one is a
 ``ValueError``, here as in ``exact_cost`` and the OPT DP.
@@ -64,11 +67,11 @@ from .optdp import (
     DEFAULT_BUDGET,
     check_cache,
     check_horizon,
-    check_pages,
+    check_run,
     opt_expected_cost,
     subset_index,
 )
-from .policies import RunContext, _checked_kernel, _stamped_misses, evict
+from .policies import MissingContext, RunContext, _checked_kernel, _draw, _stamped_held, evict
 
 TRIAL_BLOCK_CELLS = 1 << 20  # request pages and kernel eviction uniforms (trials x T per run) drawn at once
 EXACT_BLOCK_CELLS = 1 << 16  # (step, state) cells of each of exact_cost's two blocks
@@ -161,10 +164,11 @@ def trial_misses(runs, chain, k: int, T: int, init_cache, trials: int) -> np.nda
             misses[kernel, lo : lo + b] = _kernel_misses(idx, [tables[r] for r in kernel], chain, init_cache, pages[kernel], evict_u)
         if stamped:
             flags = np.repeat([policies[r].stamp_on_hit for r in stamped], b)
-            counts = _stamped_misses(pages[stamped].reshape(flags.size, T), init_cache, flags)
-            misses[stamped, lo : lo + b] = counts.reshape(len(stamped), b)
+            rows = pages[stamped].reshape(flags.size, T)
+            held = _stamped_held(rows, init_cache, flags)
+            misses[stamped, lo : lo + b] = (held != rows.T).sum(axis=0).reshape(len(stamped), b)
         for r in generic:
-            misses[r, lo : lo + b] = [len(replay(policies[r], chain, k, row, init_cache, None)) for row in pages[r]]
+            misses[r, lo : lo + b] = [len(_history_victims(policies[r], row, init_cache)) for row in pages[r]]
     return misses
 
 
@@ -201,27 +205,51 @@ def _kernel_misses(idx, tables, chain, init_cache, pages, evict_u) -> np.ndarray
 
 def replay(policy, chain, k: int, pages, init_cache, seed, T: int | None = None) -> list[int]:
     """The policy's victims, one per miss in request order, over the first
-    ``T`` requests of ``pages`` (default: all). The policy sees all of
-    ``pages``, so a clairvoyant rule looks past T. Only a table rule draws,
-    from ``default_rng(seed)``. Before the policy's reset, a negative ``T``,
-    a negative page or one not below a given ``chain.n``, and a cache of
-    other than k distinct pages in 0..n-1 are each a ``ValueError``; n is
-    ``chain.n`` or, without a chain, one more than the largest page of
-    ``pages`` and ``init_cache``."""
+    ``T`` requests of ``pages`` (default: all); a history rule sees all of
+    ``pages``, so a clairvoyant rule looks past T. Before the first request
+    a negative ``T`` and what :func:`~markov_paging.optdp.check_run` refuses
+    are a ``ValueError``, and a table rule builds its checked eviction table
+    from the chain, which it needs. A table rule then draws each victim from
+    its row with one ``rng.random()`` of ``default_rng(seed)``, LRU and FIFO
+    are stepped by ``_stamped_held`` and a history rule's ``evict`` picks."""
     if T is not None:
         check_horizon(T)
-    check_pages(pages, None if chain is None else chain.n)
-    n = chain.n if chain is not None else 1 + max(int(pages.max(initial=0)), max(init_cache, default=0))
-    init_cache = check_cache(init_cache, n, k)
-    rng = None if policy.kernel_probs is None else np.random.default_rng(seed)
-    ctx = RunContext(chain=chain, k=k, init_cache=init_cache, sequence=pages)
+    _, init_cache = check_run(pages, init_cache, k, chain)
+    if policy.kernel_probs is not None:
+        if chain is None:
+            raise MissingContext(f"{policy.name} needs the chain")
+        idx, probs = _checked_kernel(policy, chain, k)
+        rng = np.random.default_rng(seed)
+        return _victims(pages[:T].tolist(), init_cache, lambda cache, page, t: _draw(cache, probs[idx.rank[cache], page], rng))
+    if policy.stamp_on_hit is not None:
+        served = pages[:T]
+        held = _stamped_held(served[None], init_cache, [policy.stamp_on_hit])[:, 0]
+        return held[held != served].tolist()
+    return _history_victims(policy, pages, init_cache, T)
+
+
+def _history_victims(policy, pages, init_cache, T: int | None = None) -> list[int]:
+    """``replay``'s request loop for a history rule, unchecked: the rule is
+    reset with all of ``pages`` and its ``evict`` picks per miss."""
+    ctx = RunContext(sequence=pages)
     policy.reset(ctx)
+
+    def choose(cache, page, t):
+        ctx.t = t
+        return evict(policy, cache, page, ctx)
+
+    return _victims(pages[:T].tolist(), init_cache, choose)
+
+
+def _victims(served, init_cache, choose) -> list[int]:
+    """The victims over the request list ``served`` from cache
+    ``init_cache``; a miss on ``page`` at step t (1-based) evicts
+    ``choose(cache, page, t)``, ``cache`` the sorted tuple of resident pages."""
     cache = set(init_cache)
     victims = []
-    for t, page in enumerate(pages[:T].tolist(), 1):
+    for t, page in enumerate(served, 1):
         if page not in cache:
-            ctx.t = t
-            victim = evict(policy, tuple(sorted(cache)), page, ctx, rng)
+            victim = choose(tuple(sorted(cache)), page, t)
             cache.remove(victim)
             cache.add(page)
             victims.append(victim)

@@ -104,6 +104,16 @@ def check_pages(pages, n: int | None, what: str = "page") -> None:
         raise ValueError(f"{what} {int(pages[np.argmax(bad)])} is not {where}")
 
 
+def check_run(pages, init_cache, k: int, chain) -> tuple[int, tuple[int, ...]]:
+    """``(n, cache)`` of one run over ``pages``: n is ``chain.n`` or, without
+    a chain, one more than the largest page of ``pages`` and ``init_cache``,
+    and ``cache`` is ``init_cache`` sorted, after :func:`check_pages`
+    (below a given ``chain.n``) and :func:`check_cache`."""
+    check_pages(pages, None if chain is None else chain.n)
+    n = chain.n if chain is not None else 1 + max(int(np.max(pages, initial=0)), max(init_cache, default=0))
+    return n, check_cache(init_cache, n, k)
+
+
 def check_horizon(T: int) -> None:
     """``ValueError`` when the horizon T is negative; a horizon of 0 costs 0."""
     if T < 0:

@@ -16,15 +16,14 @@ On a cache miss a policy picks a resident page to evict. The interesting ones:
 * farthest-in-future: the clairvoyant offline rule, needs the realized trace.
 * lru / fifo / random / pinned: baselines and test harness aids.
 
-A memoryless rule gives its choice as an eviction table: ``kernel_probs(idx,
-chain)`` is the eviction distribution of every (cache, request) pair of the
-chain, and the engine reads the whole table. For the dominating, median,
-random and pinned rules (:class:`TablePolicy`) the table is the only
-statement of the choice: a step-by-step run (``engine.replay``) builds it at
-``reset`` and draws each victim from its row with one ``rng.random()``, so
-the deterministic rules' one-hot rows still pick their page.
-History-dependent rules decide per miss in ``evict`` and carry per-run state
-(reset before each run).
+Each rule states its choice once, and ``engine.trial_misses`` and
+``engine.replay`` dispatch on its form: a memoryless rule (dominating,
+median, random, pinned) gives its eviction table, ``kernel_probs(idx,
+chain)``, from whose rows a replay draws each victim with one
+``rng.random()``, so the deterministic rules' one-hot rows still pick their
+page; LRU and FIFO declare ``stamp_on_hit`` for :func:`_stamped_held`; and a
+history-dependent rule (farthest-in-future, OPT replay) decides per miss in
+``evict`` from per-run state set up by ``reset``.
 
 No policy keeps a table of its own: ``chain.derived`` keeps a chain's median
 matrix and each (rule, k) dominating eviction table (one stacked LP solve,
@@ -126,11 +125,8 @@ def _draw(pages, probs, rng) -> int:
 
 @dataclass
 class RunContext:
-    """Everything a policy may consult during one run."""
+    """What a history rule may consult during one run."""
 
-    chain: object
-    k: int
-    init_cache: tuple[int, ...]
     sequence: np.ndarray | None = None
     t: int = 0  # 1-based index of the request being served
 
@@ -256,17 +252,13 @@ class Policy:
     A memoryless rule states its choice once, in ``kernel_probs(idx,
     chain)``: the read-only ``(S, n, k)`` eviction table over ``idx =
     subset_index(n, k)``, whose row ``[r, j]`` is the distribution over
-    sorted cache r when page j is requested, zero where j is resident; see
-    :class:`TablePolicy`. History-dependent rules leave it ``None`` (so no
-    subset index is built) and override :meth:`evict`, which gets the sorted
-    tuple of resident pages. LRU and FIFO keep k pages with a stamp each and
-    declare when a page's stamp moves: ``stamp_on_hit`` is True when a hit
-    restamps the page (LRU), False when only a load does (FIFO), so the
-    engine counts their trials' misses at once through
-    :func:`_stamped_misses`. The rest leave it ``None`` and run step by step,
-    one trial at a time. Only a table rule draws: a step-by-step run passes
-    :meth:`evict` a generator when ``kernel_probs`` is set and ``None``
-    otherwise, so a history rule's choice is a function of its run.
+    sorted cache r when page j is requested, zero where j is resident. LRU
+    and FIFO keep k pages with a stamp each and declare when a page's stamp
+    moves: ``stamp_on_hit`` is True when a hit restamps the page (LRU),
+    False when only a load does (FIFO). A history-dependent rule leaves both
+    ``None`` (so no subset index is built) and overrides :meth:`reset` and
+    :meth:`evict`, which gets the sorted tuple of resident pages and draws
+    nothing, so its choice is a function of its run.
     """
 
     name = "policy"
@@ -276,7 +268,7 @@ class Policy:
     def reset(self, ctx: RunContext) -> None:
         pass
 
-    def evict(self, cache: tuple[int, ...], requested: int, ctx: RunContext, rng) -> int:
+    def evict(self, cache: tuple[int, ...], requested: int, ctx: RunContext) -> int:
         raise NotImplementedError
 
 
@@ -288,40 +280,18 @@ def _miss_table(idx, rows) -> np.ndarray:
     return probs
 
 
-def evict(policy: Policy, cache: tuple[int, ...], requested: int, ctx: RunContext, rng) -> int:
-    """Dispatch one eviction from the sorted tuple of resident pages and
-    enforce that the victim is resident."""
+def evict(policy: Policy, cache: tuple[int, ...], requested: int, ctx: RunContext) -> int:
+    """Dispatch one history rule's eviction from the sorted tuple of
+    resident pages and enforce that the victim is resident."""
     if requested in cache:
         raise ValueError(f"page {requested} is already resident; eviction not needed")
-    page = policy.evict(cache, requested, ctx, rng)
+    page = policy.evict(cache, requested, ctx)
     if page not in cache:
         raise RuntimeError(f"{policy.name} evicted non-resident page {page}")
     return page
 
 
-class TablePolicy(Policy):
-    """A memoryless rule whose eviction table is its only statement of choice.
-
-    ``reset`` builds the table of the run's chain and k, so a chain the rule
-    cannot handle fails before the first request; ``evict`` draws the victim
-    from the table row of the cache and request with :func:`_draw`.
-    """
-
-    _kernel = None  # (subset index, eviction table) of the current run
-
-    def reset(self, ctx: RunContext) -> None:
-        if ctx.chain is None:
-            raise MissingContext(f"{self.name} needs the chain")
-        self._kernel = _checked_kernel(self, ctx.chain, ctx.k)
-
-    def evict(self, cache, requested, ctx, rng):
-        if self._kernel is None:
-            raise MissingContext(f"{self.name} was not reset")
-        idx, probs = self._kernel
-        return _draw(cache, probs[idx.rank[cache], requested], rng)
-
-
-class DominatingPolicy(TablePolicy):
+class DominatingPolicy(Policy):
     """The dominating-distribution rule over the sorted cache.
 
     Without a ``target`` each eviction distribution is the min-max mu of
@@ -391,7 +361,7 @@ class DominatingPolicy(TablePolicy):
         return probs
 
 
-class MedianPolicy(TablePolicy):
+class MedianPolicy(Policy):
     """Evicts the resident page with the largest first-passage median from
     the request, ``median_index(chain, MEDIAN_CAP)`` kept by ``derived``;
     ``argmax`` over the sorted cache breaks ties to the lowest page."""
@@ -404,9 +374,11 @@ class MedianPolicy(TablePolicy):
         return _miss_table(idx, np.arange(idx.k) == med.argmax(axis=2)[:, :, None])
 
 
-class _IndexedPolicy(Policy):
-    """Reads the run's sequence through its per-page step lists, built at ``reset``."""
+class FarthestInFuture(Policy):
+    """Clairvoyant offline rule: evict the page requested latest from now.
+    ``reset`` lists each page's steps in the run's sequence."""
 
+    name = "fif"
     _occurrences: dict[int, list[int]] | None = None
 
     def reset(self, ctx: RunContext) -> None:
@@ -417,13 +389,7 @@ class _IndexedPolicy(Policy):
             occ.setdefault(page, []).append(i)
         self._occurrences = occ
 
-
-class FarthestInFuture(_IndexedPolicy):
-    """Clairvoyant offline rule: evict the page requested latest from now."""
-
-    name = "fif"
-
-    def evict(self, cache, requested, ctx, rng):
+    def evict(self, cache, requested, ctx):
         if self._occurrences is None:
             raise MissingContext("farthest-in-future policy was not reset with a sequence")
         following = {}  # each page's next request after step t, which serves index t - 1
@@ -434,16 +400,19 @@ class FarthestInFuture(_IndexedPolicy):
         return max(cache, key=following.__getitem__)  # ties: the first page in cache order
 
 
-def _stamped_misses(pages: np.ndarray, init_cache, stamp_on_hit) -> np.ndarray:
-    """Miss count per row of the ``(trials, T)`` request array ``pages``,
-    every row stepped at once, as LRU where ``stamp_on_hit`` (one flag per
-    row) is True and as FIFO where it is False.
+def _stamped_held(pages: np.ndarray, init_cache, stamp_on_hit) -> np.ndarray:
+    """Every row of the ``(trials, T)`` request array ``pages`` stepped at
+    once, as LRU where ``stamp_on_hit`` (one flag per row) is True and as
+    FIFO where it is False. Entry ``[t, i]`` of the ``(T, trials)`` result
+    is the page that the slot used by row i's step t held before the step,
+    so the step misses exactly where it differs from the request, and then
+    evicts it.
 
     Each row keeps its k pages in fixed slots with a stamp per slot: the
     step of the last use under LRU, of the last load under FIFO. The victim
     is the slot with the least stamp, so a step is one ``(trials, k)``
     comparison and one ``argmin``. The initial pages are stamped in
-    ascending order, the tie-break of ``LruPolicy`` and ``FifoPolicy``.
+    ascending order, so a never-used page goes first, the lowest first.
     """
     trials, T = pages.shape
     k = len(init_cache)
@@ -452,50 +421,28 @@ def _stamped_misses(pages: np.ndarray, init_cache, stamp_on_hit) -> np.ndarray:
     held_at, stamp_at = held.reshape(-1), stamp.reshape(-1)
     row = np.arange(0, trials * k, k)
     keep_on_hit = ~np.asarray(stamp_on_hit, dtype=bool)
-    hits = np.zeros(trials, dtype=np.int64)
+    before = np.empty((T, trials), dtype=np.int64)
     for t in range(T):
         page = pages[:, t]
         # the slot holding the page, else the least stamp
         at = row + np.where(held == page[:, None], -k - 1, stamp).argmin(axis=1)
-        hit = held_at[at] == page
-        hits += hit
+        before[t] = held_at[at]
         held_at[at] = page
-        stamp_at[at] = np.where(hit & keep_on_hit, stamp_at[at], t)
-    return T - hits
+        stamp_at[at] = np.where((before[t] == page) & keep_on_hit, stamp_at[at], t)
+    return before
 
 
-class LruPolicy(_IndexedPolicy):
+class LruPolicy(Policy):
     name = "lru"
     stamp_on_hit = True
-
-    def evict(self, cache, requested, ctx, rng):
-        if self._occurrences is None:
-            raise MissingContext("lru was not reset with a sequence")
-        last = {}  # each page's last use before step t, which serves index t - 1
-        for p in cache:
-            occ = self._occurrences.get(p, ())
-            i = bisect.bisect_left(occ, ctx.t - 1)
-            last[p] = occ[i - 1] if i else -1
-        return min(cache, key=lambda p: (last[p], p))  # ties: never used, lowest page
 
 
 class FifoPolicy(Policy):
     name = "fifo"
     stamp_on_hit = False
 
-    def __init__(self):
-        self._queue: list[int] = []
 
-    def reset(self, ctx: RunContext) -> None:
-        self._queue = sorted(ctx.init_cache)
-
-    def evict(self, cache, requested, ctx, rng):
-        victim = self._queue.pop(0)
-        self._queue.append(requested)
-        return victim
-
-
-class RandomEvictionPolicy(TablePolicy):
+class RandomEvictionPolicy(Policy):
     """Uniform eviction."""
 
     name = "random"
@@ -504,12 +451,12 @@ class RandomEvictionPolicy(TablePolicy):
         return _miss_table(idx, np.full(idx.k, 1.0 / idx.k))
 
 
-class PinnedPolicy(TablePolicy):
+class PinnedPolicy(Policy):
     """Never evicts the pinned pages; otherwise evicts the lowest index.
 
     Building the table raises ``ValueError`` for a pinned page outside the
     chain's pages and ``RuntimeError`` when some cache of size k is all
-    pinned, so ``reset`` does too, before the run's first request.
+    pinned, so a replay does too, before its first request.
     """
 
     def __init__(self, pinned):
@@ -532,7 +479,7 @@ class OptReplayPolicy(Policy):
     def __init__(self, table):
         self.table = table
 
-    def evict(self, cache, requested, ctx, rng):
+    def evict(self, cache, requested, ctx):
         return opt_action(self.table, ctx.t, cache, requested)
 
 

@@ -435,14 +435,33 @@ def loop_kernel_probs(policy, chain, k):
     return probs
 
 
+def loop_ordered_victims(pages, init_cache, move_on_hit):
+    """LRU (``move_on_hit``) or FIFO victims over ``pages``, one request at
+    a time. The cache is a list in eviction order, the initial pages
+    ascending: a miss evicts the first page and appends the request, and a
+    hit moves the page to the back under LRU only."""
+    order = sorted(init_cache)
+    victims = []
+    for page in pages:
+        if page not in order:
+            victims.append(order.pop(0))
+            order.append(page)
+        elif move_on_hit:
+            order.remove(page)
+            order.append(page)
+    return victims
+
+
 def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
     """Per-trial miss counts of a history rule, one trial and one eviction
-    call at a time: the reference for the stamped and generic paths of
+    at a time: the reference for the stamped and generic paths of
     ``simulate``.
 
     Trial i's trace is ``loop_pages`` of uniforms ``[i·T, (i+1)·T)`` of
-    ``default_rng(seed)``. A history rule draws nothing, so ``evict`` gets
-    no generator. A horizon of 0 has no requests and no misses.
+    ``default_rng(seed)``. LRU and FIFO, known by name, serve it by
+    :func:`loop_ordered_victims`; any other rule is reset with the trace
+    and asked to ``evict`` on each miss. A horizon of 0 has no requests and
+    no misses.
     """
     from markov_paging.policies import RunContext, evict
 
@@ -450,7 +469,10 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
     misses = np.zeros(trials, dtype=np.int64)
     for trial in range(trials):
         pages = loop_pages(chain, requests.random(T))
-        ctx = RunContext(chain=chain, k=k, init_cache=tuple(init_cache), sequence=pages)
+        if policy.name in ("lru", "fifo"):
+            misses[trial] = len(loop_ordered_victims(pages.tolist(), init_cache, policy.name == "lru"))
+            continue
+        ctx = RunContext(sequence=pages)
         policy.reset(ctx)
         cache = set(init_cache)
         for t, page in enumerate(pages, 1):
@@ -458,7 +480,7 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
             ctx.t = t
             if s not in cache:
                 misses[trial] += 1
-                victim = evict(policy, tuple(sorted(cache)), s, ctx, None)
+                victim = evict(policy, tuple(sorted(cache)), s, ctx)
                 cache.remove(victim)
                 cache.add(s)
     return misses

@@ -350,7 +350,7 @@ def test_empty_horizon_accounting_trivially_holds():
 
 
 def test_singular_chain_fails_before_the_first_request():
-    # page 3 is absorbing, so the precedence systems are singular; reset
+    # page 3 is absorbing, so the precedence systems are singular; the replay
     # builds the dominating table, which fails even with no request to serve
     chain = validate_chain([[0, 0, 0, 1]] * 4)
     with pytest.raises(SingularSystem):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markov_paging import engine
+from markov_paging import engine, optdp
 from markov_paging.alpha import SingularSystem, alpha_table
 from markov_paging.chain import build_lb_chain, chain_hash, random_chain, sample_sequence, sample_trials, validate_chain
 from markov_paging.engine import (
@@ -31,7 +31,7 @@ from markov_paging.policies import (
     PinnedPolicy,
     RandomEvictionPolicy,
     _miss_table,
-    _stamped_misses,
+    _stamped_held,
     parse_policy,
 )
 
@@ -39,6 +39,7 @@ from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_
 from .oracles import (
     loop_exact_cost,
     loop_kernel_probs,
+    loop_ordered_victims,
     loop_simulate_generic,
     loop_simulate_kernel,
     ordered_exact_cost,
@@ -649,7 +650,8 @@ def test_sampled_paths_match_per_trial_loop_oracle(data):
     pages = sample_trials(chain, T, [np.random.default_rng(seed)], trials)[0]
     for make in (LruPolicy, FifoPolicy):  # the stamped count, given the unsorted cache itself
         ref = loop_simulate_generic(make(), chain, k, T, init, trials, seed)
-        assert np.array_equal(_stamped_misses(pages, init, np.full(trials, make.stamp_on_hit)), ref), make.name
+        held = _stamped_held(pages, init, np.full(trials, make.stamp_on_hit))
+        assert np.array_equal((held != pages.T).sum(axis=0), ref), make.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -689,6 +691,41 @@ def test_batched_path_matches_loop_oracle_on_a_large_cache(make):
     init, trials, T, seed = (0, 2, 4, 6, 8, 10), 20, 200, (11,)
     (got,) = trial_misses([(make(), seed)], chain, 6, T, init, trials)
     assert np.array_equal(got, loop_simulate_generic(make(), chain, 6, T, init, trials, seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lru_fifo_replay_victims_match_the_ordered_list_oracle(data):
+    """``replay``'s LRU and FIFO victims, from the stamped stepping, are the
+    one-request-at-a-time list rule's, from an unsorted initial cache, over
+    the first T requests of a longer trace, with and without the chain."""
+    chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
+    k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    init = data.draw(unsorted_caches(chain.n, k))
+    pages = sample_sequence(chain, data.draw(st.integers(min_value=0, max_value=30)), data.draw(SEEDS))
+    T = data.draw(st.none() | st.integers(min_value=0, max_value=len(pages)))
+    for make in (LruPolicy, FifoPolicy):
+        want = loop_ordered_victims(pages[:T].tolist(), init, make is LruPolicy)
+        for given_chain in (chain, None):
+            assert replay(make(), given_chain, k, pages, init, 0, T) == want, (make.name, given_chain is None)
+
+
+@pytest.mark.parametrize("make", [FarthestInFuture, LruPolicy, MedianPolicy])
+@pytest.mark.parametrize("trials", [1, 9])
+def test_trial_misses_checks_the_cache_once(monkeypatch, make, trials):
+    """The initial cache is checked once per call, however many trials the
+    generic path loops over."""
+    calls = []
+    real = optdp.check_cache
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optdp, "check_cache", counting)
+    monkeypatch.setattr(engine, "check_cache", counting)
+    trial_misses([(make(), 3)], random_chain(5, 2), 2, 12, (4, 1), trials)
+    assert len(calls) == 1
 
 
 # (n, k, T, chain seed): both ends of k, and the mc-ratio shapes

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from markov_paging import policies as policies_mod
 from markov_paging.alpha import AlphaTable, SingularSystem, alpha_table, load_table, save_table
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
-from markov_paging.engine import exact_cost, simulate
+from markov_paging.chain import sample_sequence
+from markov_paging.engine import exact_cost, replay, simulate
 from markov_paging.policies import (
     MEDIAN_CAP,
     DominatingPolicy,
@@ -235,11 +236,7 @@ class TestMedian:
 
     def test_median_policy_tie_breaks_low_index(self):
         ch = validate_chain([[0, 0, 0, 1]] * 4)  # pages 1,2 unreachable: both inf
-        pol = MedianPolicy()
-        ctx = RunContext(chain=ch, k=2, init_cache=(1, 2))
-        pol.reset(ctx)
-        victim = pol.evict((1, 2), 3, ctx, np.random.default_rng(0))
-        assert victim == 1
+        assert replay(MedianPolicy(), ch, 2, np.array([3]), (1, 2), 0) == [1]
 
     def test_reachable_page_past_4096_steps_is_finite(self):
         # page 2 is reachable with probability 1e-4 per step, and one entry is
@@ -249,10 +246,7 @@ class TestMedian:
         assert med[0, 2] == med[1, 2] == 6932
         # with a page 3 that no other page reaches, the rule keeps page 2
         ch = validate_chain([[0.5, 0.5 - 1e-4, 1e-4, 0.0]] * 2 + [[0.5, 0.5, 0.0, 0.0], [0.25] * 4])
-        pol = MedianPolicy()
-        ctx = RunContext(chain=ch, k=2, init_cache=(2, 3))
-        pol.reset(ctx)
-        assert pol.evict((2, 3), 0, ctx, np.random.default_rng(0)) == 3
+        assert replay(MedianPolicy(), ch, 2, np.array([0]), (2, 3), 0) == [3]
 
     def test_page_reached_with_probability_below_half_stays_infinite(self):
         # from page 5 the chain reaches page 6 with probability 0.42 only, so
@@ -266,34 +260,24 @@ class TestPolicyZoo:
     def test_fif_spec_example(self):
         seq = np.array([2, 0, 1, 2])
         pol = FarthestInFuture()
-        ctx = RunContext(chain=None, k=2, init_cache=(0, 1), sequence=seq, t=1)
+        ctx = RunContext(sequence=seq, t=1)
         pol.reset(ctx)
-        assert pol.evict((0, 1), 2, ctx, None) == 1
+        assert pol.evict((0, 1), 2, ctx) == 1
 
     def test_fif_without_sequence_raises(self):
         pol = FarthestInFuture()
         with pytest.raises(MissingContext):
-            pol.reset(RunContext(chain=None, k=2, init_cache=(0, 1)))
+            pol.reset(RunContext())
 
     def test_lru_prefers_stalest(self):
-        seq = np.array([0, 1, 2])
-        pol = LruPolicy()
-        ctx = RunContext(chain=None, k=2, init_cache=(0, 1), sequence=seq, t=3)
-        pol.reset(ctx)
-        assert pol.evict((0, 1), 2, ctx, None) == 0
+        assert replay(LruPolicy(), None, 2, np.array([0, 1, 2]), (0, 1), 0) == [0]
 
     def test_fifo_order(self):
-        pol = FifoPolicy()
-        ctx = RunContext(chain=None, k=2, init_cache=(3, 1))
-        pol.reset(ctx)
-        assert pol.evict((1, 3), 0, ctx, None) == 1
-        assert pol.evict((0, 3), 2, ctx, None) == 3
+        # the hit on 3 does not move it, so 2 evicts it (LRU would evict 0)
+        assert replay(FifoPolicy(), None, 2, np.array([0, 3, 2]), (3, 1), 0) == [1, 3]
 
     def test_pinned_policy(self):
-        pol = PinnedPolicy({0})
-        ctx = RunContext(chain=random_chain(3, 1), k=2, init_cache=(0, 1))
-        pol.reset(ctx)
-        assert pol.evict((0, 1), 2, ctx, np.random.default_rng(0)) == 1
+        assert replay(PinnedPolicy({0}), random_chain(3, 1), 2, np.array([2]), (0, 1), 0) == [1]
 
     def test_pinned_table_rejects_fully_pinned_cache(self):
         chain = random_chain(4, 1)
@@ -302,9 +286,9 @@ class TestPolicyZoo:
         # cache (1, 3) has no unpinned page to evict
         with pytest.raises(RuntimeError, match="all resident pages are pinned"):
             pol.kernel_probs(subset_index(4, 2), chain)
-        # so a run with k = 2 fails at reset, before its first request
+        # so a replay with k = 2 fails before its first request
         with pytest.raises(RuntimeError, match="all resident pages are pinned"):
-            pol.reset(RunContext(chain, 2, (0, 1)))
+            replay(pol, chain, 2, sample_sequence(chain, 5, 0), (0, 1), 0, T=0)
 
     @pytest.mark.parametrize("pinned,page", [({4}, 4), ({0, -1}, -1), ({1, 9, 7}, 7)])
     def test_pinned_page_outside_chain_rejected(self, pinned, page):
@@ -313,7 +297,7 @@ class TestPolicyZoo:
         with pytest.raises(ValueError, match=rf"pinned page {page} is not among the chain's pages 0\.\.3"):
             pol.kernel_probs(subset_index(4, 2), chain)
         with pytest.raises(ValueError, match=f"pinned page {page} "):
-            pol.reset(RunContext(chain, 2, (0, 1)))
+            replay(pol, chain, 2, sample_sequence(chain, 5, 0), (0, 1), 0, T=0)
 
     @pytest.mark.parametrize("target", [4, 7, -1])
     def test_adversarial_target_outside_chain_rejected(self, target):
@@ -324,34 +308,25 @@ class TestPolicyZoo:
             with pytest.raises(ValueError, match=message):
                 pol.kernel_probs(subset_index(4, 2), given)
         with pytest.raises(ValueError, match=message):
-            parse_policy(f"dominating-adversarial:{target}").reset(RunContext(chain, 2, (0, 1)))
+            replay(parse_policy(f"dominating-adversarial:{target}"), chain, 2, sample_sequence(chain, 5, 0), (0, 1), 0, T=0)
         assert DominatingPolicy(target=3).kernel_probs(subset_index(4, 2), chain).shape == (6, 4, 2)
 
     def test_table_rules_need_a_chain(self):
         idx = subset_index(4, 2)
         with pytest.raises(MissingContext):
             DominatingPolicy().kernel_probs(idx, None)
-        ctx = RunContext(None, 2, (0, 1))
         for make in (DominatingPolicy, MedianPolicy, lambda: PinnedPolicy({0})):
-            with pytest.raises(MissingContext):
-                make().reset(ctx)
-            with pytest.raises(MissingContext, match="not reset"):
-                make().evict((0, 1), 2, ctx, np.random.default_rng(0))
+            with pytest.raises(MissingContext, match="needs the chain"):
+                replay(make(), None, 2, np.array([2]), (0, 1), 0, T=0)
 
     def test_dominating_seeded_reproducibility(self):
         ch = random_chain(4, 3)
         table = alpha_table(ch)
         pol = DominatingPolicy(table=table)
-        pol.reset(RunContext(ch, 2, (0, 1)))
-        picks1 = [
-            pol.evict((0, 1), 2, RunContext(ch, 2, (0, 1)), np.random.default_rng(9))
-            for _ in range(5)
-        ]
-        picks2 = [
-            pol.evict((0, 1), 2, RunContext(ch, 2, (0, 1)), np.random.default_rng(9))
-            for _ in range(5)
-        ]
-        assert picks1 == picks2
+        seq = sample_sequence(ch, 40, 1)
+        picks = replay(pol, ch, 2, seq, (0, 1), 9)
+        assert len(picks) > 5
+        assert replay(pol, ch, 2, seq, (0, 1), 9) == replay(DominatingPolicy(table=table), ch, 2, seq, (0, 1), 9) == picks
 
     @settings(max_examples=30, deadline=None)
     @given(chain_specs(n_min=3, n_max=5), st.integers(min_value=0, max_value=10**6))
@@ -362,22 +337,19 @@ class TestPolicyZoo:
         outside = [p for p in range(chain.n) if p not in cache]
         requested = int(outside[rng.integers(len(outside))])
         table = alpha_table(chain)
-        ctx = RunContext(chain=chain, k=k, init_cache=cache)
         for pol in (
             DominatingPolicy(table=table),
             DominatingPolicy(table, target=0),
             MedianPolicy(),
             RandomEvictionPolicy(),
         ):
-            pol.reset(ctx)
-            ctx.t = 1
-            victim = evict(pol, cache, requested, ctx, np.random.default_rng(pick))
+            (victim,) = replay(pol, chain, k, np.array([requested]), cache, pick)
             assert victim in cache
 
     def test_evict_rejects_resident_request(self):
-        pol = RandomEvictionPolicy()
-        with pytest.raises(ValueError):
-            evict(pol, (0, 1), 1, RunContext(None, 2, (0, 1)), np.random.default_rng(0))
+        pol = FarthestInFuture()
+        with pytest.raises(ValueError, match="page 1 is already resident"):
+            evict(pol, (0, 1), 1, RunContext(np.array([1])))
 
     def test_parse_policy_names(self):
         assert parse_policy("dominating").name == "dominating"
@@ -431,13 +403,11 @@ class TestTableRules:
         idx = subset_index(chain.n, k)
         subsets, _ = sorted_caches(chain.n, k)
         for pol in rules:
-            ctx = RunContext(chain, k, subsets[0])
-            pol.reset(ctx)
             probs = pol.kernel_probs(idx, chain)
             for r, j in zip(*np.nonzero(~idx.member)):
                 cache = subsets[r]
-                got = evict(pol, cache, int(j), ctx, np.random.default_rng([seed, r, j]))
-                assert got == _draw(cache, probs[r, j], np.random.default_rng([seed, r, j])), (pol.name, cache, j)
+                got = replay(pol, chain, k, np.array([j]), cache, [seed, r, j])
+                assert got == [_draw(cache, probs[r, j], np.random.default_rng([seed, r, j]))], (pol.name, cache, j)
 
 
 class FixedUniform:
@@ -603,11 +573,9 @@ class TestStackedTables:
             (DominatingPolicy(table), lambda b, c: dominating_distribution(b)[0]),
             (DominatingPolicy(table, target=3), lambda b, c: adversarial_dominating(b, c.index(3) if 3 in c else 0)[0]),
         ):
-            ctx = RunContext(chain, 2, caches[0])
-            pol.reset(ctx)
             for i, (r, j) in enumerate(zip(rank, req)):
                 cache = caches[r]
-                got = [pol.evict(cache, int(j), ctx, np.random.default_rng([i, t])) for t in range(8)]
+                got = [replay(pol, chain, 2, np.array([j]), cache, [i, t])[0] for t in range(8)]
                 mu = single(blocks[i : i + 1], cache)
                 want = [_draw(cache, mu, np.random.default_rng([i, t])) for t in range(8)]
                 assert got == want
