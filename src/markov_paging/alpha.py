@@ -83,10 +83,10 @@ def pinned_systems(chain, pairs=None):
     if pairs is None:
         p, q = np.nonzero(~np.eye(n, dtype=bool))
     else:
+        check_pages(np.ravel(pairs), n, "pair page")  # before int64 can overflow
         p, q = (np.array(a, dtype=np.int64) for a in zip(*pairs))
         if np.any(p == q):
             raise ValueError("pair pages must be distinct")
-        check_pages(np.ravel(pairs), n, "pair page")
     m = np.arange(len(p))
     L = np.repeat((chain.transition - np.eye(n))[None], len(p), axis=0)
     L[m, p] = 0.0

@@ -11,10 +11,10 @@ uniforms in the grid by bisection or a bucket guide, chosen once for the
 count a caller places per call, and ``grid_cells`` is one such lookup.
 ``sample_sequence`` walks a long trace on a chain of at most ``WALK_PAGES``
 pages in chunks, composing each chunk's per-step maps from every start page
-at once until the chunk's paths from every page have met, and as one path
-after, so it costs a fixed number of array operations per chunk and no
-Python step per request; it steps a short trace, or a trace on more pages,
-request by request.
+at once until the chunk's paths from every page have met (on a permutation
+chain they never do), and as one path after, so it costs a fixed number of
+array operations per chunk and no Python step per request; it steps a short
+trace, or a trace on more pages, request by request.
 ``sample_trials`` steps many short traces side by side, each generator's
 traces read one after another from its stream, the first of them the trace
 ``sample_sequence`` draws from the same seed. ``derived`` keeps
@@ -237,12 +237,11 @@ def _walk(table: np.ndarray, n: int, cells: np.ndarray, start: int, out: np.ndar
     few steps. So after ``SPLIT_STEP`` steps, or L if fewer, a chunk whose
     paths have met goes on as one path, whose end is the chunk's end from
     every page, and only the chunks still apart keep all n; each later step
-    gathers either group's cells from its row. When too few chunks have met
-    to pay for those gathers, as on a permutation chain, whose paths never
-    meet, every chunk keeps its n paths to its end. Scalar lookups through
-    the end maps of the chunks still apart, in order, give every chunk's
-    real start page, and pass 2 walks the C real paths with L gathers,
-    writing each step's pages over its rows.
+    gathers either group's cells from its row. On a permutation chain, whose
+    paths never meet, every chunk stays apart and keeps its n paths to its
+    end. Scalar lookups through the end maps of the chunks still apart, in
+    order, give every chunk's real start page, and pass 2 walks the C real
+    paths with L gathers, writing each step's pages over its rows.
     """
     m = cells.size
     L = max(1, math.isqrt(m // CHUNK_RATIO))
@@ -256,27 +255,17 @@ def _walk(table: np.ndarray, n: int, cells: np.ndarray, start: int, out: np.ndar
     for row in steps[:SPLIT_STEP, :-1]:
         ends = table[ends + row]
     met = (ends[1:] == ends[0]).all(axis=0)  # chunk j's paths from every page have met
-    # the paths dropped pay for the split's row gathers once a quarter of the
-    # chunks, and at least 2/n of them, have met (timed at n = 4 to 40)
-    if np.count_nonzero(met) * min(n, 8) >= 2 * (C - 1):
-        apart, met = np.flatnonzero(~met), np.flatnonzero(met)
-        lone, ends = ends[0, met], np.ascontiguousarray(ends[:, apart])
-        for row in steps[SPLIT_STEP:, :-1]:
-            lone = table[lone + row[met]]
-            ends = table[ends + row[apart]]
-        path = np.empty(C, dtype=np.int64)
-        path[0], path[met + 1] = start, lone
-        path = path.tolist()
-        flat = ends.T.ravel().tolist()
-        for k, j in zip(range(0, len(flat), n), apart.tolist()):
-            path[j + 1] = flat[k + path[j]]
-    else:
-        for row in steps[SPLIT_STEP:, :-1]:
-            ends = table[ends + row]
-        flat = ends.T.ravel().tolist()
-        path = [start]
-        for j in range(0, len(flat), n):
-            path.append(flat[j + path[-1]])
+    apart, met = np.flatnonzero(~met), np.flatnonzero(met)
+    lone, ends = ends[0, met], np.ascontiguousarray(ends[:, apart])
+    for row in steps[SPLIT_STEP:, :-1]:
+        lone = table[lone + row[met]]
+        ends = table[ends + row[apart]]
+    path = np.empty(C, dtype=np.int64)
+    path[0], path[met + 1] = start, lone
+    path = path.tolist()
+    flat = ends.T.ravel().tolist()
+    for k, j in zip(range(0, len(flat), n), apart.tolist()):
+        path[j + 1] = flat[k + path[j]]
     path = np.array(path)
     for row in steps:
         path = row[:] = table[row + path]
@@ -315,9 +304,10 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     number of array operations per chunk with no Python step per request;
     the last page of a block starts the next. The walk's first pass costs n
     gathers per request until a chunk's paths from every page meet, which on
-    some chains, a permutation say, they never do; so with more pages each
-    block is stepped one request at a time by ``_step``, whose cost per
-    request does not grow with n. A trace of at most ``SHORT_TRACE``
+    some chains, a permutation say, they never do, and then every chunk
+    keeps its n paths to its end; so with more pages each block is stepped
+    one request at a time by ``_step``, whose cost per request does not grow
+    with n. A trace of at most ``SHORT_TRACE``
     requests is stepped by ``_step`` too: at that length the walk's two
     dozen array calls cost more than the steps they save.
     """
@@ -438,7 +428,12 @@ def load_chain(path) -> MarkovChain:
 
 
 def load_trace(path) -> np.ndarray:
-    """Read a newline-delimited trace of page indices."""
+    """Read a newline-delimited trace of page indices; ``ValueError`` naming
+    the first that int64 cannot hold."""
     with open(path) as fh:
         vals = [int(line) for line in fh if line.strip()]
-    return np.asarray(vals, dtype=np.int64)
+    try:
+        return np.asarray(vals, dtype=np.int64)
+    except OverflowError:
+        big = next(v for v in vals if not -(2**63) <= v < 2**63)
+        raise ValueError(f"trace page {big} does not fit in int64") from None

@@ -33,7 +33,7 @@ from . import alpha as alpha_mod
 from . import audit as audit_mod
 from . import engine, learn, lowerbound
 from .chain import build_lb_chain, chain_hash, load_chain, load_trace, random_chain, sample_sequence
-from .optdp import DEFAULT_BUDGET, BudgetExceeded, check_horizon, opt_expected_cost, save_opt_table
+from .optdp import DEFAULT_BUDGET, BudgetExceeded, check_horizon, check_k, opt_expected_cost, save_opt_table
 from .policies import OptReplayPolicy, parse_policy
 
 
@@ -149,7 +149,9 @@ def _emit(lines, output) -> None:
         sys.stdout.write(payload)
 
 
-def _init_cache(args) -> tuple[int, ...]:
+def _init_cache(args, n: int) -> tuple[int, ...]:
+    """``--init-cache``, else pages 0..k-1, once k is known to lie in 1..n-1."""
+    check_k(args.k, n)
     return args.init_cache or tuple(range(args.k))
 
 
@@ -185,7 +187,7 @@ def _cmd_alpha(args) -> tuple[list[str], int]:
 def _cmd_simulate(args) -> tuple[list[str], int]:
     """Monte Carlo policy cost"""
     chain = _resolve_chain(args)
-    init_cache = _init_cache(args)
+    init_cache = _init_cache(args, chain.n)
     policy = _make_policy(args.policy, chain, args.k, args.T, init_cache, args.budget)
     est = engine.simulate(policy, chain, args.k, args.T, init_cache, args.trials, args.seed)
     lines = [
@@ -199,7 +201,7 @@ def _cmd_simulate(args) -> tuple[list[str], int]:
 def _cmd_opt(args) -> tuple[list[str], int]:
     """exact finite-horizon optimal cost"""
     chain = _resolve_chain(args)
-    init_cache = _init_cache(args)
+    init_cache = _init_cache(args, chain.n)
     value, table = opt_expected_cost(
         chain, args.k, args.T, init_cache, budget=args.budget,
         record_actions=bool(args.save_table),
@@ -216,7 +218,7 @@ def _cmd_opt(args) -> tuple[list[str], int]:
 def _cmd_ratio(args) -> tuple[list[str], int]:
     """policy cost ratios against a baseline"""
     chain = _resolve_chain(args)
-    init_cache = _init_cache(args)
+    init_cache = _init_cache(args, chain.n)
     names = [x for x in args.policies.split(",") if x]
     if not names:
         raise UsageError(f"--policies {args.policies!r} names no policy")
@@ -248,6 +250,7 @@ def _cmd_audit(args) -> tuple[list[str], int]:
     last_report = None
     for run in range(args.trials):
         chain = fixed_chain if fixed_chain is not None else random_chain(args.n, [args.seed, run, 11])
+        check_k(k, chain.n)
         init_cache = tuple(range(k))
         seq = sample_sequence(chain, t_ext, [args.seed, run, 2])
         alg = _make_policy(args.algo, chain, k, T, init_cache, args.budget)
@@ -305,7 +308,7 @@ def _cmd_learn(args) -> tuple[list[str], int]:
         trace = sample_sequence(truth, args.m, [args.seed, 3])
         est = learn.estimate_transition(trace, n=truth.n, smoothing=args.smoothing, truth=truth)
         policy, factor, bundle = learn.approx_dominating_policy(est, true_chain=truth)
-        init_cache = _init_cache(args)
+        init_cache = _init_cache(args, truth.n)
         opt_value, _ = opt_expected_cost(
             truth, args.k, args.T, init_cache, budget=args.budget, record_actions=False
         )

@@ -41,8 +41,9 @@ A horizon T of 0 costs 0 on every path, and a negative one is a
 ``ValueError``, here as in ``exact_cost`` and the OPT DP.
 
 ``_scatter`` alone turns an eviction table into a cache-state evolution,
-reading each miss's successor cell from the index's ``cells``, and
-``_evolution`` is the one set-up of the scatter and the first request's mass.
+reading every request's successor cell (at a hit, the hit's own) from the
+index's ``cells``, and ``_evolution`` is the one set-up of the scatter and
+the first request's mass.
 ``exact_cost`` steps it: each of the T steps evolves the exact distribution
 over all joint (cache rank, last page) states at once (one chain step, one
 ``np.bincount``) into a row of a request block and of a state block, each of
@@ -67,11 +68,12 @@ from .optdp import (
     DEFAULT_BUDGET,
     check_cache,
     check_horizon,
+    check_k,
     check_run,
     opt_expected_cost,
     subset_index,
 )
-from .policies import MissingContext, RunContext, _checked_kernel, _draw, _stamped_held, evict
+from .policies import MissingContext, _draw, _stamped_held, check_eviction_table, evict
 
 TRIAL_BLOCK_CELLS = 1 << 20  # request pages and kernel eviction uniforms (trials x T per run) drawn at once
 EXACT_BLOCK_CELLS = 1 << 16  # (step, state) cells of each of exact_cost's two blocks
@@ -101,7 +103,10 @@ def build_kernel(policy, chain, k: int) -> np.ndarray | None:
     ``ValueError``."""
     if policy.kernel_probs is None:
         return None
-    return _checked_kernel(policy, chain, k)[1]
+    idx = subset_index(chain.n, k)
+    probs = policy.kernel_probs(idx, chain)
+    check_eviction_table(idx, probs, policy.name)
+    return probs
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -141,8 +146,7 @@ def trial_misses(runs, chain, k: int, T: int, init_cache, trials: int) -> np.nda
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_horizon(T)
-    if not 0 < k < chain.n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={chain.n}")
+    check_k(k, chain.n)
     init_cache = check_cache(init_cache, chain.n, k)
     policies = [policy for policy, _ in runs]
     seeds = [_seed_tuple(seed) for _, seed in runs]
@@ -218,9 +222,10 @@ def replay(policy, chain, k: int, pages, init_cache, seed, T: int | None = None)
     if policy.kernel_probs is not None:
         if chain is None:
             raise MissingContext(f"{policy.name} needs the chain")
-        idx, probs = _checked_kernel(policy, chain, k)
+        probs = build_kernel(policy, chain, k)
+        rank = subset_index(chain.n, k).rank
         rng = np.random.default_rng(seed)
-        return _victims(pages[:T].tolist(), init_cache, lambda cache, page, t: _draw(cache, probs[idx.rank[cache], page], rng))
+        return _victims(pages[:T].tolist(), init_cache, lambda cache, page, t: _draw(cache, probs[rank[cache], page], rng))
     if policy.stamp_on_hit is not None:
         served = pages[:T]
         held = _stamped_held(served[None], init_cache, [policy.stamp_on_hit])[:, 0]
@@ -231,14 +236,8 @@ def replay(policy, chain, k: int, pages, init_cache, seed, T: int | None = None)
 def _history_victims(policy, pages, init_cache, T: int | None = None) -> list[int]:
     """``replay``'s request loop for a history rule, unchecked: the rule is
     reset with all of ``pages`` and its ``evict`` picks per miss."""
-    ctx = RunContext(sequence=pages)
-    policy.reset(ctx)
-
-    def choose(cache, page, t):
-        ctx.t = t
-        return evict(policy, cache, page, ctx)
-
-    return _victims(pages[:T].tolist(), init_cache, choose)
+    policy.reset(pages)
+    return _victims(pages[:T].tolist(), init_cache, lambda cache, page, t: evict(policy, cache, page, t))
 
 
 def _victims(served, init_cache, choose) -> list[int]:
@@ -259,14 +258,12 @@ def _victims(served, init_cache, choose) -> list[int]:
 def _scatter(idx, probs) -> tuple[np.ndarray, np.ndarray]:
     """Eviction table ``probs`` as ``(target, weight)``: cell (r, j, e) sends
     ``weight[r, j, e]`` of the mass requesting page j from cache r to the flat
-    (cache rank, last page) state ``target[r, j, e]``. A hit keeps its mass in
-    (r, j), slot 0; a miss on j sends ``probs[r, j, e]`` to ``idx.cells[e, r, j]``."""
-    S, n, k = probs.shape
-    hit = idx.member[:, :, None]
-    here = np.arange(S * n).reshape(S, n, 1)
+    (cache rank, last page) state ``target[r, j, e] = idx.cells[e, r, j]``.
+    A miss on j sends ``probs[r, j, e]``; a hit, whose every slot holds its
+    own cell, keeps its mass there through slot 0."""
     # entries in (cache, page, slot) order: np.bincount sums in input order
-    target = np.where(hit, here, np.moveaxis(idx.cells, 0, 2)).ravel()
-    weight = np.where(hit, np.arange(k) == 0, probs)
+    target = np.moveaxis(idx.cells, 0, 2).ravel()
+    weight = np.where(idx.member[:, :, None], np.arange(idx.k) == 0, probs)
     return target, weight
 
 

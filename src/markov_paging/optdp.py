@@ -6,9 +6,9 @@ time backward keeping two layers: a hit moves at zero cost, a miss costs 1
 plus the best successor value over evictions. A miss is counted on every
 request, including the first (drawn from the chain's initial distribution).
 Each backward step handles every cache rank at once. The DP reads the index's
-slot-major ``cells`` with every slot of a hit pointed at the hit's own cell,
-so the step is one flat ``take`` of successor values, one min over the
-leading slot axis, one add of the miss cost (1 on a miss, 0 on a hit) and
+slot-major ``cells``, where every slot of a hit holds the hit's own cell, so
+the step is one flat ``take`` of successor values, one min over the leading
+slot axis, one add of the miss cost (1 on a miss, 0 on a hit) and
 stacked matrix-vector products with the transition matrix; recorded actions
 add one argmin and one gather of ``evicted``. A reduction over the leading
 axis of a ``(k, S, n)`` array is several times faster than one over a k-wide
@@ -45,27 +45,27 @@ class SubsetIndex:
     """The sorted k-subsets of range(n), ranked in lexicographic order.
 
     ``rank`` maps a sorted cache tuple to its rank r, ``pages[r]`` lists its
-    pages and ``member[r, j]`` tells whether page j is one of them. Where j
-    misses, the slot-major ``cells[e, r, j]`` is the flat (cache rank, page)
-    cell reached by evicting slot e, and ``evicted[e, r, j]`` that slot's
-    page; a hit holds cell (0, j) and -1. The arrays are read-only, so one
-    index can be shared; get it through :func:`subset_index`.
+    pages and ``member[r, j]`` tells whether page j is one of them. The
+    slot-major ``cells[e, r, j]`` is the flat (cache rank, page) cell that
+    request j leads to when slot e is evicted, and ``evicted[e, r, j]`` that
+    slot's page; a hit holds its own cell ``r * n + j`` in every slot, and
+    -1. The arrays are read-only, so one index can be shared; get it through
+    :func:`subset_index`.
     """
 
     def __init__(self, n: int, k: int):
-        if not 0 < k < n:
-            raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+        check_k(k, n)
         self.n = n
         self.k = k
         subsets = list(itertools.combinations(range(n), k))
         self.rank = {s: i for i, s in enumerate(subsets)}
         self.pages = np.array(subsets, dtype=np.int64)  # (S, k)
         self.member = (self.pages[:, :, None] == np.arange(n)).any(axis=1)
-        self.cells = np.tile(np.arange(n), (k, len(subsets), 1))
+        self.cells = np.tile(np.arange(len(subsets) * n).reshape(-1, n), (k, 1, 1))
         for r, sub in enumerate(subsets):
             for j in set(range(n)).difference(sub):
                 for e in range(k):
-                    self.cells[e, r, j] += n * self.rank[tuple(sorted(sub[:e] + sub[e + 1 :] + (j,)))]
+                    self.cells[e, r, j] = n * self.rank[tuple(sorted(sub[:e] + sub[e + 1 :] + (j,)))] + j
         self.evicted = np.where(self.member, -1, self.pages.T[:, :, None]).astype(np.int16)
         for arr in (self.member, self.pages, self.cells, self.evicted):
             arr.setflags(write=False)
@@ -78,6 +78,12 @@ class SubsetIndex:
 def subset_index(n: int, k: int) -> SubsetIndex:
     """The shared :class:`SubsetIndex` for (n, k), built once."""
     return SubsetIndex(n, k)
+
+
+def check_k(k: int, n: int) -> None:
+    """``ValueError`` unless the cache size k lies in 1..n-1."""
+    if not 0 < k < n:
+        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
 
 
 def check_cache(cache, n: int, k: int) -> tuple[int, ...]:
@@ -170,10 +176,9 @@ def opt_expected_cost(
 
     M = chain.transition
     here = np.arange(S * n).reshape(S, n)  # flat (cache, page) cell
-    # every slot of a hit reads the hit's own cell, so its min is v_next[r, j]
+    # every slot of a hit holds the hit's own cell, so its min is v_next[r, j]
     # and adding 0.0 keeps it (v_next is never -0.0); a miss's min + 1.0 is
     # the IEEE sum 1.0 + min
-    cells = np.where(idx.member, here, idx.cells)
     missed = (~idx.member).astype(float)
     evicted = idx.evicted.reshape(k, S * n)
     cost = np.empty((S, n))
@@ -183,7 +188,7 @@ def opt_expected_cost(
     for t in range(T, 0, -1):
         if record_values:
             value[t] = v_next
-        cand = v_next.take(cells)  # (k, S, n): successor values per eviction
+        cand = v_next.take(idx.cells)  # (k, S, n): successor values per eviction
         np.minimum.reduce(cand, axis=0, out=cost)
         cost += missed
         if record_actions:

@@ -23,7 +23,8 @@ chain)``, from whose rows a replay draws each victim with one
 ``rng.random()``, so the deterministic rules' one-hot rows still pick their
 page; LRU and FIFO declare ``stamp_on_hit`` for :func:`_stamped_held`; and a
 history-dependent rule (farthest-in-future, OPT replay) decides per miss in
-``evict`` from per-run state set up by ``reset``.
+``evict(cache, requested, t)``, t the 1-based step, from what ``reset`` read
+of the run's request sequence.
 
 No policy keeps a table of its own: ``chain.derived`` keeps a chain's median
 matrix and each (rule, k) dominating eviction table (one stacked LP solve,
@@ -36,14 +37,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from . import alpha as alpha_mod
 from .chain import derived
-from .optdp import check_pages, opt_action, subset_index
+from .optdp import check_pages, opt_action
 from .simplex import InfeasibleLP, solve_lp
 
 DOM_SLACK_HARD = 1e-6  # beyond this the dominating LP contradicts existence
@@ -106,29 +106,11 @@ def check_eviction_table(idx, probs, name: str) -> None:
         raise ValueError(f"{name} eviction table, cache {cache}, page {j}: {want}, got {probs[r, j].tolist()}")
 
 
-def _checked_kernel(policy, chain, k: int):
-    """``(idx, probs)``: ``idx = subset_index(chain.n, k)`` and the memoryless
-    ``policy``'s eviction table over it, which :func:`check_eviction_table`
-    has passed."""
-    idx = subset_index(chain.n, k)
-    probs = policy.kernel_probs(idx, chain)
-    check_eviction_table(idx, probs, policy.name)
-    return idx, probs
-
-
 def _draw(pages, probs, rng) -> int:
     """One page of ``pages`` drawn from ``probs`` by one ``rng.random()``
     (running sums in order, as ``np.cumsum``'s)."""
     i = bisect.bisect_right(list(accumulate(probs.tolist())), rng.random())
     return pages[min(i, len(pages) - 1)]
-
-
-@dataclass
-class RunContext:
-    """What a history rule may consult during one run."""
-
-    sequence: np.ndarray | None = None
-    t: int = 0  # 1-based index of the request being served
 
 
 def _check_alpha_sub(alpha_sub: np.ndarray) -> np.ndarray:
@@ -256,19 +238,21 @@ class Policy:
     and FIFO keep k pages with a stamp each and declare when a page's stamp
     moves: ``stamp_on_hit`` is True when a hit restamps the page (LRU),
     False when only a load does (FIFO). A history-dependent rule leaves both
-    ``None`` (so no subset index is built) and overrides :meth:`reset` and
-    :meth:`evict`, which gets the sorted tuple of resident pages and draws
-    nothing, so its choice is a function of its run.
+    ``None`` (so no subset index is built) and overrides :meth:`reset`, which
+    gets the run's request sequence before its first request, and
+    :meth:`evict`, which gets the sorted tuple of resident pages, the
+    requested page and its 1-based step t and draws nothing, so its choice
+    is a function of its run.
     """
 
     name = "policy"
     kernel_probs = None
     stamp_on_hit = None
 
-    def reset(self, ctx: RunContext) -> None:
+    def reset(self, sequence) -> None:
         pass
 
-    def evict(self, cache: tuple[int, ...], requested: int, ctx: RunContext) -> int:
+    def evict(self, cache: tuple[int, ...], requested: int, t: int) -> int:
         raise NotImplementedError
 
 
@@ -280,12 +264,12 @@ def _miss_table(idx, rows) -> np.ndarray:
     return probs
 
 
-def evict(policy: Policy, cache: tuple[int, ...], requested: int, ctx: RunContext) -> int:
-    """Dispatch one history rule's eviction from the sorted tuple of
-    resident pages and enforce that the victim is resident."""
+def evict(policy: Policy, cache: tuple[int, ...], requested: int, t: int) -> int:
+    """Dispatch one history rule's eviction at step t (1-based) from the
+    sorted tuple of resident pages and enforce that the victim is resident."""
     if requested in cache:
         raise ValueError(f"page {requested} is already resident; eviction not needed")
-    page = policy.evict(cache, requested, ctx)
+    page = policy.evict(cache, requested, t)
     if page not in cache:
         raise RuntimeError(f"{policy.name} evicted non-resident page {page}")
     return page
@@ -376,26 +360,26 @@ class MedianPolicy(Policy):
 
 class FarthestInFuture(Policy):
     """Clairvoyant offline rule: evict the page requested latest from now.
-    ``reset`` lists each page's steps in the run's sequence."""
+    ``reset(sequence)`` lists each page's steps in the run's sequence."""
 
     name = "fif"
     _occurrences: dict[int, list[int]] | None = None
 
-    def reset(self, ctx: RunContext) -> None:
-        if ctx.sequence is None:
+    def reset(self, sequence) -> None:
+        if sequence is None:
             raise MissingContext(f"{self.name} needs the realized sequence")
         occ: dict[int, list[int]] = {}
-        for i, page in enumerate(ctx.sequence.tolist()):
+        for i, page in enumerate(sequence.tolist()):
             occ.setdefault(page, []).append(i)
         self._occurrences = occ
 
-    def evict(self, cache, requested, ctx):
+    def evict(self, cache, requested, t):
         if self._occurrences is None:
             raise MissingContext("farthest-in-future policy was not reset with a sequence")
         following = {}  # each page's next request after step t, which serves index t - 1
         for p in cache:
             occ = self._occurrences.get(p, ())
-            i = bisect.bisect_left(occ, ctx.t)
+            i = bisect.bisect_left(occ, t)
             following[p] = occ[i] if i < len(occ) else math.inf
         return max(cache, key=following.__getitem__)  # ties: the first page in cache order
 
@@ -479,8 +463,8 @@ class OptReplayPolicy(Policy):
     def __init__(self, table):
         self.table = table
 
-    def evict(self, cache, requested, ctx):
-        return opt_action(self.table, ctx.t, cache, requested)
+    def evict(self, cache, requested, t):
+        return opt_action(self.table, t, cache, requested)
 
 
 def parse_policy(name: str) -> Policy:

@@ -452,6 +452,26 @@ def loop_ordered_victims(pages, init_cache, move_on_hit):
     return victims
 
 
+def loop_offline_min_misses(pages, init_cache):
+    """The least miss count over the page list ``pages`` from cache
+    ``init_cache``, over every eviction choice, by a DP over (step, cache
+    set): after each step, the fewest misses that reach each cache set.
+    A hit keeps the set; a miss adds 1 and may evict any resident page.
+    The reference for farthest-in-future, optimal by Belady's theorem."""
+    best = {frozenset(init_cache): 0}
+    for page in pages:
+        reached = {}
+        for cache, misses in best.items():
+            if page in cache:
+                options = [(cache, misses)]
+            else:
+                options = [(cache - {victim} | {page}, misses + 1) for victim in cache]
+            for after, m in options:
+                reached[after] = min(m, reached.get(after, m))
+        best = reached
+    return min(best.values())
+
+
 def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
     """Per-trial miss counts of a history rule, one trial and one eviction
     at a time: the reference for the stamped and generic paths of
@@ -463,7 +483,7 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
     and asked to ``evict`` on each miss. A horizon of 0 has no requests and
     no misses.
     """
-    from markov_paging.policies import RunContext, evict
+    from markov_paging.policies import evict
 
     requests = np.random.default_rng(seed)
     misses = np.zeros(trials, dtype=np.int64)
@@ -472,15 +492,13 @@ def loop_simulate_generic(policy, chain, k, T, init_cache, trials, seed):
         if policy.name in ("lru", "fifo"):
             misses[trial] = len(loop_ordered_victims(pages.tolist(), init_cache, policy.name == "lru"))
             continue
-        ctx = RunContext(sequence=pages)
-        policy.reset(ctx)
+        policy.reset(pages)
         cache = set(init_cache)
         for t, page in enumerate(pages, 1):
             s = int(page)
-            ctx.t = t
             if s not in cache:
                 misses[trial] += 1
-                victim = evict(policy, tuple(sorted(cache)), s, ctx)
+                victim = evict(policy, tuple(sorted(cache)), s, t)
                 cache.remove(victim)
                 cache.add(s)
     return misses

@@ -384,6 +384,39 @@ def test_full_cache_is_usage_error_for_history_rules(command, capsys):
     assert code == 2 and err == "error: need 0 < k < n, got k=4, n=4\n"
 
 
+BIG = "99999999999999999999"  # past int64
+
+
+@pytest.mark.parametrize("pair,page", [(f"{BIG},0", BIG), (f"1,-{BIG}", f"-{BIG}")])
+def test_pair_page_past_int64_is_usage_error(pair, page, capsys):
+    code, err = _error_exit(["alpha", "--n", "4", "--pair", pair], capsys)
+    assert code == 2 and err == f"error: pair page {page} is not among the chain's pages 0..3\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["opt"],
+        ["simulate", "--policy", "lru", "--seed", "1"],
+        ["ratio", "--policies", "lru", "--seed", "1"],
+        ["learn", "--seed", "1"],
+        ["audit", "--scheme", "updated", "--seed", "1"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_k_past_int64_is_usage_error(command, capsys):
+    # k is checked against n before a default cache of k pages is built
+    code, err = _error_exit([*command, "--n", "4", "--k", BIG, "--T", "5"], capsys)
+    assert code == 2 and err == f"error: need 0 < k < n, got k={BIG}, n=4\n"
+
+
+def test_trace_page_past_int64_is_usage_error(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text(f"0\n1\n{BIG}\n0\n")
+    code, err = _error_exit(["learn", "--trace", str(trace), "--delta-inf", "0.01"], capsys)
+    assert code == 2 and err == f"error: trace page {BIG} does not fit in int64\n"
+
+
 def test_budget_exceeded_is_domain_error(capsys):
     code, err = _error_exit(["opt", "--n", "12", "--k", "6", "--T", "1000", "--budget", "1000"], capsys)
     assert code == 2

@@ -39,7 +39,9 @@ from .conftest import caches, chain_specs, horizons, sparse_chain, sparse_chain_
 from .oracles import (
     loop_exact_cost,
     loop_kernel_probs,
+    loop_offline_min_misses,
     loop_ordered_victims,
+    loop_pages,
     loop_simulate_generic,
     loop_simulate_kernel,
     ordered_exact_cost,
@@ -347,7 +349,7 @@ class SkewedEviction(RandomEvictionPolicy):
 def unchecked_tables(monkeypatch):
     """Lets a leaking or NaN eviction table past ``build_kernel``'s table
     check, so the evolution's own mass guard is what meets it."""
-    monkeypatch.setattr("markov_paging.policies.check_eviction_table", lambda idx, probs, name: None)
+    monkeypatch.setattr("markov_paging.engine.check_eviction_table", lambda idx, probs, name: None)
 
 
 def test_mass_conservation_guard(unchecked_tables):
@@ -652,6 +654,28 @@ def test_sampled_paths_match_per_trial_loop_oracle(data):
         ref = loop_simulate_generic(make(), chain, k, T, init, trials, seed)
         held = _stamped_held(pages, init, np.full(trials, make.stamp_on_hit))
         assert np.array_equal((held != pages.T).sum(axis=0), ref), make.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fif_misses_are_the_offline_optimum(data):
+    """Belady's theorem against a second encoding: farthest-in-future's
+    misses are the least over every eviction choice
+    (``loop_offline_min_misses``), from an unsorted cache. ``replay`` counts
+    them over the first T requests of a trace, whose rest the rule sees, and
+    the generic path over each trace of its request stream, which
+    ``loop_pages`` draws one request at a time."""
+    chain = data.draw(chain_specs(n_min=3, n_max=6))
+    k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
+    init = data.draw(unsorted_caches(chain.n, k))
+    pages = sample_sequence(chain, data.draw(st.integers(min_value=0, max_value=30)), data.draw(SEEDS))
+    T = data.draw(st.integers(min_value=0, max_value=len(pages)))
+    assert len(replay(FarthestInFuture(), None, k, pages, init, 0, T)) == loop_offline_min_misses(pages[:T].tolist(), init)
+    trials, seed = data.draw(st.integers(min_value=1, max_value=6)), data.draw(SEEDS)
+    (got,) = trial_misses([(FarthestInFuture(), seed)], chain, k, T, init, trials)
+    requests = np.random.default_rng(seed)
+    want = [loop_offline_min_misses(loop_pages(chain, requests.random(T)).tolist(), init) for _ in range(trials)]
+    assert got.tolist() == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -223,8 +223,8 @@ def test_subset_index_is_shared_and_read_only():
 def test_slot_major_tables_follow_succ(n):
     """Where j misses cache r, ``cells[e, r, j]`` is the flat cell of (the
     cache after evicting slot e, j) and ``evicted[e, r, j]`` is slot e's
-    page; where j is resident they are cell (0, j) and -1. Caches and
-    successors come from ``itertools.combinations`` and sets."""
+    page; where j is resident they are the hit's own cell r·n + j and -1.
+    Caches and successors come from ``itertools.combinations`` and sets."""
     for k in range(1, n):
         idx = subset_index(n, k)
         caches, rank = sorted_caches(n, k)
@@ -233,7 +233,7 @@ def test_slot_major_tables_follow_succ(n):
             for r, cache in enumerate(caches):
                 for j in range(n):
                     if j in cache:
-                        want = (j, -1)
+                        want = (r * n + j, -1)
                     else:
                         want = (rank[successor(cache, cache[e], j)] * n + j, cache[e])
                     assert (idx.cells[e, r, j], idx.evicted[e, r, j]) == want, (k, e, cache, j)

@@ -21,7 +21,6 @@ from markov_paging.policies import (
     MissingContext,
     PinnedPolicy,
     RandomEvictionPolicy,
-    RunContext,
     _distributions,
     _draw,
     adversarial_dominating,
@@ -260,14 +259,13 @@ class TestPolicyZoo:
     def test_fif_spec_example(self):
         seq = np.array([2, 0, 1, 2])
         pol = FarthestInFuture()
-        ctx = RunContext(sequence=seq, t=1)
-        pol.reset(ctx)
-        assert pol.evict((0, 1), 2, ctx) == 1
+        pol.reset(seq)
+        assert pol.evict((0, 1), 2, 1) == 1
 
     def test_fif_without_sequence_raises(self):
         pol = FarthestInFuture()
         with pytest.raises(MissingContext):
-            pol.reset(RunContext())
+            pol.reset(None)
 
     def test_lru_prefers_stalest(self):
         assert replay(LruPolicy(), None, 2, np.array([0, 1, 2]), (0, 1), 0) == [0]
@@ -349,7 +347,7 @@ class TestPolicyZoo:
     def test_evict_rejects_resident_request(self):
         pol = FarthestInFuture()
         with pytest.raises(ValueError, match="page 1 is already resident"):
-            evict(pol, (0, 1), 1, RunContext(np.array([1])))
+            evict(pol, (0, 1), 1, 1)
 
     def test_parse_policy_names(self):
         assert parse_policy("dominating").name == "dominating"
