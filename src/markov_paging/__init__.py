@@ -30,7 +30,6 @@ from .policies import (
     Infeasible,
     MedianPolicy,
     Policy,
-    adversarial_dominating,
     dominating_distribution,
     median_index,
     parse_policy,
@@ -64,7 +63,6 @@ __all__ = [
     "Infeasible",
     "MedianPolicy",
     "Policy",
-    "adversarial_dominating",
     "dominating_distribution",
     "median_index",
     "parse_policy",

@@ -54,15 +54,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _seed_tuple, replay
-from .optdp import check_horizon, check_run
+from .optdp import SequenceTooShort, check_run  # SequenceTooShort: ledger's refusal, kept importable here
 
 
 class NoEligibleSavior(RuntimeError):
     """No admissible savior page exists; the ledger bookkeeping is broken."""
-
-
-class SequenceTooShort(ValueError):
-    pass
 
 
 @dataclass
@@ -205,19 +201,17 @@ def ledger(seq, a_victims, r_victims, k: int, init_cache, scheme: str, T: int,
     (default: its full length) so savior events can be resolved. n (the
     report's) is ``chain.n`` or, without a chain, one more than the largest
     page of ``seq`` and ``init_cache``, which must hold k distinct pages in
-    0..n-1 (``optdp.check_run``, as in ``replay``). ``T`` must be >= 0.
-    Otherwise ``ValueError``, as for victims that do not match the misses or
-    are not resident.
+    0..n-1 (``optdp.check_run``, as in ``replay``). ``T`` must be >= 0, and
+    ``T <= T_ext <= len(seq)`` or ``SequenceTooShort``. Otherwise
+    ``ValueError``, as for victims that do not match the misses or are not
+    resident.
     """
-    check_horizon(T)
     if scheme not in ("original", "updated"):
         raise ValueError(f"scheme must be 'original' or 'updated', got {scheme!r}")
     pages = np.asarray(seq, dtype=np.int64)
     if T_ext is None:
         T_ext = len(pages)
-    if not T <= T_ext <= len(pages):
-        raise SequenceTooShort(f"need T={T} <= T_ext={T_ext} <= len(seq)={len(pages)}")
-    n, init_cache = check_run(pages, init_cache, k, chain)
+    n, init_cache = check_run(pages, init_cache, k, chain, T, T_ext)
     a_next, r_next = iter(a_victims), iter(r_victims)
 
     a_cache = set(init_cache)

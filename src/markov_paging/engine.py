@@ -211,14 +211,13 @@ def replay(policy, chain, k: int, pages, init_cache, seed, T: int | None = None)
     """The policy's victims, one per miss in request order, over the first
     ``T`` requests of ``pages`` (default: all); a history rule sees all of
     ``pages``, so a clairvoyant rule looks past T. Before the first request
-    a negative ``T`` and what :func:`~markov_paging.optdp.check_run` refuses
-    are a ``ValueError``, and a table rule builds its checked eviction table
-    from the chain, which it needs. A table rule then draws each victim from
-    its row with one ``rng.random()`` of ``default_rng(seed)``, LRU and FIFO
-    are stepped by ``_stamped_held`` and a history rule's ``evict`` picks."""
-    if T is not None:
-        check_horizon(T)
-    _, init_cache = check_run(pages, init_cache, k, chain)
+    what :func:`~markov_paging.optdp.check_run` refuses is a ``ValueError``
+    (a ``T`` below 0 or past ``len(pages)`` among it), and a table rule
+    builds its checked eviction table from the chain, which it needs. A
+    table rule then draws each victim from its row with one ``rng.random()``
+    of ``default_rng(seed)``, LRU and FIFO are stepped by ``_stamped_held``
+    and a history rule's ``evict`` picks."""
+    _, init_cache = check_run(pages, init_cache, k, chain, T)
     if policy.kernel_probs is not None:
         if chain is None:
             raise MissingContext(f"{policy.name} needs the chain")

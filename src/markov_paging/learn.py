@@ -53,7 +53,6 @@ class EstimatedChain:
 class ApproxAlphaBundle:
     eps_bound: float
     gamma_used: float
-    gamma_source: str  # "true" or "estimated"
 
 
 def estimate_transition(trace, n: int | None = None, smoothing: float = 1.0, truth: MarkovChain | None = None) -> EstimatedChain:
@@ -95,17 +94,6 @@ def perturbation_eps(gamma: float, delta_inf: float) -> float:
     return prod / (1.0 - prod)
 
 
-def multiplicative_factor(eps: float) -> float:
-    """Competitive factor under relative (multiplicative) eps-accuracy.
-
-    Exposed as a pure formula; no estimator here produces relative-accuracy
-    certificates.
-    """
-    if not 0.0 <= eps < 0.5:
-        raise ValueError("eps must lie in [0, 1/2)")
-    return (2.0 - 2.0 * eps) / (1.0 - 2.0 * eps)
-
-
 def symmetrize(table: alpha_mod.AlphaTable) -> alpha_mod.AlphaTable:
     """Force exact complementarity: entries for (p,q) and (q,p) average to a
     pair summing to exactly 1; the diagonal is exactly 0."""
@@ -134,7 +122,6 @@ def approx_dominating_policy(
     """
     chain_hat = est.to_chain()
     gamma_value = alpha_mod.gamma(true_chain if true_chain is not None else chain_hat)
-    gamma_source = "true" if true_chain is not None else "estimated"
     if delta_inf is None:
         delta_inf = est.linf_error
     if delta_inf is None:
@@ -146,7 +133,6 @@ def approx_dominating_policy(
     bundle = ApproxAlphaBundle(
         eps_bound=eps_bound,
         gamma_used=gamma_value,
-        gamma_source=gamma_source,
     )
     policy = DominatingPolicy(table=table)
     factor = 2.0 / (1.0 - 2.0 * eps_bound)

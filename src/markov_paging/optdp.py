@@ -110,11 +110,24 @@ def check_pages(pages, n: int | None, what: str = "page") -> None:
         raise ValueError(f"{what} {int(pages[np.argmax(bad)])} is not {where}")
 
 
-def check_run(pages, init_cache, k: int, chain) -> tuple[int, tuple[int, ...]]:
-    """``(n, cache)`` of one run over ``pages``: n is ``chain.n`` or, without
-    a chain, one more than the largest page of ``pages`` and ``init_cache``,
-    and ``cache`` is ``init_cache`` sorted, after :func:`check_pages`
-    (below a given ``chain.n``) and :func:`check_cache`."""
+class SequenceTooShort(ValueError):
+    """A run's horizon reaches past its request sequence."""
+
+
+def check_run(pages, init_cache, k: int, chain, T: int | None = None, T_ext: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """``(n, cache)`` of one run over the first ``T`` requests of ``pages``
+    (default: all), which must extend to ``T_ext`` (default: its full
+    length). n is ``chain.n`` or, without a chain, one more than the largest
+    page of ``pages`` and ``init_cache``; ``cache`` is ``init_cache`` sorted.
+    Refused, in order: what :func:`check_horizon` refuses,
+    :class:`SequenceTooShort` unless ``T <= T_ext <= len(pages)``, then what
+    :func:`check_pages` (below a given ``chain.n``) and :func:`check_cache`
+    refuse."""
+    if T is not None:
+        check_horizon(T)
+        ext = len(pages) if T_ext is None else T_ext
+        if not T <= ext <= len(pages):
+            raise SequenceTooShort(f"need T={T} <= T_ext={ext} <= len(seq)={len(pages)}")
     check_pages(pages, None if chain is None else chain.n)
     n = chain.n if chain is not None else 1 + max(int(np.max(pages, initial=0)), max(init_cache, default=0))
     return n, check_cache(init_cache, n, k)

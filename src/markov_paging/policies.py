@@ -9,7 +9,8 @@ On a cache miss a policy picks a resident page to evict. The interesting ones:
   2-competitive bound holds for every mu in this set, so the rule's
   ``target`` picks a member: none gives the min-max mu, a target page the
   mu that evicts it with the largest probability (a worst-case member, for
-  stress constructions). Only the LP's objective differs.
+  stress constructions). ``dominating_distribution`` solves both LPs; only
+  the objective (and the min-max rule's load variable) differs.
 * median: deterministically evict the resident page whose next request has the
   largest median arrival time. ``median_index`` finds the first-passage
   medians of every page pair of a chain in one binary-lifting pass.
@@ -125,64 +126,51 @@ def _check_alpha_sub(alpha_sub: np.ndarray) -> np.ndarray:
     return a
 
 
-def _replay_check(a: np.ndarray, mu: np.ndarray) -> None:
-    """Every LP's column loads ``mu[i] @ a[i]`` stay at most 1/2."""
+def dominating_distribution(alpha_sub, target=None) -> np.ndarray:
+    """For each block of the ``(B, k, k)`` stack, a distribution mu with
+    ``max_q sum_p mu(p) alpha_sub[i, p, q] <= 1/2``.
+
+    Without a ``target`` the LP is min-max: minimize t subject to every
+    column load at most t, mu a distribution. The optimum provably sits at
+    or below 1/2. With a ``target`` row (one index, or one per block) it
+    maximizes mu's mass on that row subject to every column load at most
+    1/2; a row outside 0..k-1 is a ``ValueError``. The stack is solved in one
+    lockstep simplex and gives a read-only ``(B, k)`` array, row i the mu of
+    block i; :class:`Infeasible` carries the ``index`` of the first failing
+    block.
+    """
+    a = _check_alpha_sub(alpha_sub)
+    B, k = a.shape[:2]
+    if target is None:
+        c = np.zeros(k + 1)
+        c[k] = 1.0
+        # row q of LP i: sum_p mu_p a[i, p, q] - t <= 0
+        a_ub = np.concatenate([a.transpose(0, 2, 1), np.full((B, k, 1), -1.0)], axis=2)
+        b_ub = np.zeros(k)
+    else:
+        rows = np.broadcast_to(target, (B,))
+        if not np.all((rows >= 0) & (rows < k)):
+            raise ValueError(f"target row {target!r} is not in 0..{k - 1}")
+        c = np.zeros((B, k))
+        c[np.arange(B), rows] = -1.0
+        a_ub, b_ub = a.transpose(0, 2, 1), np.full(k, 0.5)
+    try:
+        x, val = solve_lp(c, a_ub, b_ub, k)
+    except InfeasibleLP as exc:  # cannot happen for a genuine alpha block
+        raise Infeasible(str(exc), index=exc.index) from exc
+    if target is None:
+        high = np.flatnonzero(~(val <= 0.5 + DOM_SLACK_HARD))  # NaN fails too
+        if high.size:
+            i = int(high[0])
+            raise Infeasible(f"min-max load {float(val[i])!r} exceeds 1/2", index=i)
+    mu = x[:, :k]
+    # the solution re-checked: every LP's column loads mu[i] @ a[i] stay at most 1/2
     worst = np.matmul(mu[:, None, :], a)[:, 0].max(axis=1, initial=-np.inf)
     bad = np.flatnonzero(~(worst <= 0.5 + DOM_SLACK_HARD))  # NaN fails too
     if bad.size:
         i = int(bad[0])
         raise Infeasible(f"column load {float(worst[i])!r} exceeds 1/2; input inconsistent", index=i)
-
-
-def dominating_distribution(alpha_sub) -> np.ndarray:
-    """For each block of the ``(B, k, k)`` stack, a distribution mu with
-    ``max_q sum_p mu(p) alpha_sub[i, p, q] <= 1/2``.
-
-    Solves min-max: minimize t subject to every column load at most t,
-    mu a distribution. The optimum provably sits at or below 1/2. The stack
-    is solved in one lockstep simplex and gives a read-only ``(B, k)`` array,
-    row i the mu of block i; :class:`Infeasible` carries the ``index`` of the
-    first failing block.
-    """
-    a = _check_alpha_sub(alpha_sub)
-    B, k = a.shape[:2]
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    # row q of LP i: sum_p mu_p a[i, p, q] - t <= 0
-    a_ub = np.concatenate([a.transpose(0, 2, 1), np.full((B, k, 1), -1.0)], axis=2)
-    try:
-        x, val = solve_lp(c, a_ub, np.zeros(k), k)
-    except InfeasibleLP as exc:  # cannot happen for a genuine alpha block
-        raise Infeasible(str(exc), index=exc.index) from exc
-    high = np.flatnonzero(~(val <= 0.5 + DOM_SLACK_HARD))  # NaN fails too
-    if high.size:
-        i = int(high[0])
-        raise Infeasible(f"min-max load {float(val[i])!r} exceeds 1/2", index=i)
-    mu = x[:, :k]
-    _replay_check(a, mu)
     return _distributions(mu)
-
-
-def adversarial_dominating(alpha_sub, target) -> np.ndarray:
-    """Among admissible mu, maximize the mass on row ``target`` (one row
-    index, or one per block) for each block of the ``(B, k, k)`` stack.
-
-    Gives a read-only ``(B, k)`` array as :func:`dominating_distribution`
-    does; a target row outside 0..k-1 is a ``ValueError``.
-    """
-    a = _check_alpha_sub(alpha_sub)
-    B, k = a.shape[:2]
-    rows = np.broadcast_to(target, (B,))
-    if not np.all((rows >= 0) & (rows < k)):
-        raise ValueError(f"target row {target!r} is not in 0..{k - 1}")
-    c = np.zeros((B, k))
-    c[np.arange(B), rows] = -1.0
-    try:
-        x, _ = solve_lp(c, a.transpose(0, 2, 1), np.full(k, 0.5), k)
-    except InfeasibleLP as exc:
-        raise Infeasible(str(exc), index=exc.index) from exc
-    _replay_check(a, x)
-    return _distributions(x)
 
 
 def median_index(chain, cap: int) -> np.ndarray:
@@ -278,14 +266,13 @@ def evict(policy: Policy, cache: tuple[int, ...], requested: int, t: int) -> int
 class DominatingPolicy(Policy):
     """The dominating-distribution rule over the sorted cache.
 
-    Without a ``target`` each eviction distribution is the min-max mu of
-    :func:`dominating_distribution`; with one it is the admissible mu that
-    evicts the target page with the largest probability
-    (:func:`adversarial_dominating`), and ``name`` becomes
-    ``dominating-adversarial:<target>``. When the target is not resident,
-    the lowest resident page stands in, which on the 3-page adversarial
-    family reproduces the stress choices for every reachable cache state. A
-    target outside the chain's pages is a ``ValueError``.
+    Each eviction distribution is a mu of :func:`dominating_distribution`:
+    without a ``target`` the min-max mu; with one the admissible mu that
+    evicts the target page with the largest probability, and ``name``
+    becomes ``dominating-adversarial:<target>``. When the target is not
+    resident, the lowest resident page stands in, which on the 3-page
+    adversarial family reproduces the stress choices for every reachable
+    cache state. A target outside the chain's pages is a ``ValueError``.
 
     The precedence table is the pinned ``table`` when one is given, else
     ``alpha_table(chain)``. Every (cache, request not in cache) LP is solved
@@ -330,7 +317,7 @@ class DominatingPolicy(Policy):
             p = pages[part]
             blocks = table.values[p[:, :, None], p[:, None, :], req[part, None, None]]
             try:
-                mu = dominating_distribution(blocks) if self.target is None else adversarial_dominating(blocks, cols[part])
+                mu = dominating_distribution(blocks, None if self.target is None else cols[part])
             except Infeasible as exc:
                 i = lo + exc.index
                 cache, requested = tuple(pages[i].tolist()), int(req[i])

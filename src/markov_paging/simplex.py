@@ -4,9 +4,10 @@ as a stack in lockstep.
 Every program here is one family: minimize ``c @ x`` subject to
 ``a_ub @ x <= b_ub`` with ``b_ub >= 0``, the first ``p`` variables summing to
 1, ``x >= 0`` and ``c[p:] >= 0``. So ``c @ x >= min(c[:p])``, as ``x[:p]`` is
-a distribution and ``x[p:] >= 0``: every program is bounded. The min-max rule
-(whose one cost past the prefix is +1 on its load bound) and the adversarial
-rule of :mod:`markov_paging.policies` have this form, with ``p`` the cache size.
+a distribution and ``x[p:] >= 0``: every program is bounded. Both forms of
+:func:`markov_paging.policies.dominating_distribution`, the min-max rule (whose
+one cost past the prefix is +1 on its load bound) and the one that maximizes a
+target's mass, have this form, with ``p`` the cache size.
 So each inequality row starts with its slack basic, and the prefix row is the
 only one that needs an artificial variable for phase 1.
 

@@ -7,6 +7,7 @@ import pytest
 
 from markov_paging import alpha as alpha_mod
 from markov_paging import audit as audit_mod
+from markov_paging import cli
 from markov_paging.chain import random_chain, save_chain, validate_chain
 from markov_paging.cli import _parse_int, main
 
@@ -913,3 +914,66 @@ def test_input_too_large_to_hold_is_a_usage_error(args, capsys):
     # allocation fails before any memory is touched
     code, err = _error_exit(args, capsys)
     assert code == 2 and err.startswith("error: Unable to allocate")
+
+
+# A small command line for each mode of ``cli.READS``: its flags by
+# destination, a switch as None. Every mode that reads a chain source runs
+# on ``--n`` unless the flag under test is ``--lb-eps`` or ``--lb-eps1``.
+CONTRACT_BASES = {
+    "alpha": {"seed": "1"},
+    "alpha --gamma": {"seed": "1", "gamma": None},
+    "alpha --pair": {"seed": "1", "pair": "0,1"},
+    "simulate": {"policy": "dominating", "k": "2", "T": "5", "seed": "1", "trials": "3"},
+    "opt": {"k": "2", "T": "5", "seed": "1"},
+    "ratio": {"policies": "dominating,lru", "k": "2", "T": "5", "seed": "1", "trials": "3"},
+    "audit": {"scheme": "updated", "seed": "1", "trials": "2", "k": "2", "T": "5"},
+    "lowerbound": {"eps": "0.01", "eps1_frac": "0.5", "T": "5"},
+    "learn": {"k": "2", "T": "5", "seed": "1", "m": "50", "trials": "2"},
+    "learn --trace": {"trace": "{trace}", "delta_inf": "0.01"},
+}
+CONTRACT_VALUES = ("0", "-1", "1e20", "-1e20", "1e400", "nan", "inf", "1.5", "", "1e18", "3,", "0,0")
+# audit --trials 1e18 audits run after run, each one valid, and never ends
+CONTRACT_LEFT_OUT = {("audit", "trials", "1e18")}
+
+
+def _contract_cases(mode, trace):
+    """The argv for each numeric or list flag ``mode`` reads set to
+    each of ``CONTRACT_VALUES``, on the mode's small command line."""
+    required, optional = cli.READS[mode]
+    for dest in required + optional:
+        if "type" not in cli.FLAGS[dest]:
+            continue
+        flags = dict(CONTRACT_BASES[mode])
+        if "chain" in optional:
+            if dest in ("lb_eps", "lb_eps1"):
+                flags.update(lb_eps="0.1", lb_eps1="0.05")
+                if "seed" not in required:  # only an --n chain reads it
+                    flags.pop("seed", None)
+            else:
+                flags["n"] = "4"
+        for value in CONTRACT_VALUES:
+            if (mode, dest, value) in CONTRACT_LEFT_OUT:
+                continue
+            argv = [mode.split()[0]]
+            for key, text in {**flags, dest: value}.items():
+                flag = "--" + key.replace("_", "-")
+                argv.append(flag if text is None else f"{flag}={text.format(trace=trace)}")
+            yield argv
+
+
+@pytest.mark.parametrize("mode", list(CONTRACT_BASES))
+def test_exit_code_contract_on_extreme_flag_values(mode, tmp_path, capsys):
+    """Exit codes are 0, 1 or 2 with at most ``error:`` lines on stderr, and
+    nothing is raised, for every numeric or list flag at each extreme value.
+    ``CONTRACT_LEFT_OUT`` names the one case that does not end."""
+    assert set(CONTRACT_BASES) == set(cli.READS)
+    trace = tmp_path / "t.txt"
+    trace.write_text("0\n1\n2\n0\n2\n1\n")
+    cases = list(_contract_cases(mode, trace))
+    broken = []
+    for argv in cases:
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or any(not line.startswith("error: ") for line in err.splitlines()):
+            broken.append((argv, code, err))
+    assert cases and not broken

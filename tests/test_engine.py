@@ -530,6 +530,18 @@ def test_replay_refuses_a_negative_horizon():
         replay(LruPolicy(), ch, 2, sample_sequence(ch, 10, 2), (0, 1), 0, T=-3)
 
 
+@pytest.mark.parametrize("make", [DominatingPolicy, LruPolicy, FarthestInFuture])
+def test_replay_refuses_a_horizon_past_its_trace(make):
+    """A table, a stamped and a history rule each once replayed all of
+    ``pages`` for any ``T`` past its end, as ``audit.ledger`` refuses."""
+    ch = random_chain(4, 1)
+    pages = np.array([2, 3, 0, 1, 2, 3])
+    assert replay(make(), ch, 2, pages, (0, 1), 0, T=len(pages)) == replay(make(), ch, 2, pages, (0, 1), 0)
+    for T in (len(pages) + 1, 100):
+        with pytest.raises(optdp.SequenceTooShort, match=rf"^need T={T} <= T_ext=6 <= len\(seq\)=6$"):
+            replay(make(), ch, 2, pages, (0, 1), 0, T=T)
+
+
 def test_replay_refuses_a_cache_page_outside_the_chain():
     """Cache page 9 of a 4-page chain once came back among the victims."""
     ch = random_chain(4, 1)

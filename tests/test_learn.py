@@ -10,7 +10,6 @@ from markov_paging.learn import (
     GuaranteeVacuous,
     approx_dominating_policy,
     estimate_transition,
-    multiplicative_factor,
     perturbation_eps,
     symmetrize,
 )
@@ -184,7 +183,7 @@ class TestApproxPolicy:
         est = estimate_transition(sample_sequence(truth, 2000, 0), n=3, truth=truth)
         g = gamma(est.to_chain())
         _, factor, bundle = approx_dominating_policy(est, delta_inf=0.1 / g)
-        assert bundle.gamma_used == g and bundle.gamma_source == "estimated"
+        assert bundle.gamma_used == g
         assert bundle.eps_bound == pytest.approx(1 / 9, abs=1e-12)
         assert factor == pytest.approx(2 / (1 - 2 / 9), abs=1e-12)
 
@@ -207,13 +206,6 @@ class TestApproxPolicy:
         truth = random_chain(3, 4, floor=0.2)
         est = estimate_transition(sample_sequence(truth, 5000, 0), n=3, truth=truth)
         _, _, on_truth = approx_dominating_policy(est, true_chain=truth)
-        assert on_truth.gamma_source == "true"
+        assert on_truth.gamma_used == gamma(truth)
         _, _, on_est = approx_dominating_policy(est, delta_inf=est.linf_error)
-        assert on_est.gamma_source == "estimated"
-
-
-def test_multiplicative_factor_formula():
-    assert multiplicative_factor(0.0) == 2.0
-    assert multiplicative_factor(0.1) == pytest.approx(1.8 / 0.8, abs=1e-15)
-    with pytest.raises(ValueError):
-        multiplicative_factor(0.5)
+        assert on_est.gamma_used == gamma(est.to_chain())

@@ -23,7 +23,6 @@ from markov_paging.policies import (
     RandomEvictionPolicy,
     _distributions,
     _draw,
-    adversarial_dominating,
     dominating_distribution,
     evict,
     median_index,
@@ -110,17 +109,17 @@ class TestAdversarialDominating:
     def test_warmup_upper_endpoint(self):
         for eps in (0.3, 0.1, 1e-3):
             ch = build_lb_chain(eps, eps / 2)
-            mu = adversarial_dominating(block_stack(alpha_table(ch), (0, 1), 2), 0)[0]
+            mu = dominating_distribution(block_stack(alpha_table(ch), (0, 1), 2), 0)[0]
             assert mu[0] == pytest.approx((2 - eps) / (4 - 4 * eps), abs=1e-12)
 
     def test_general_split_formulas(self):
         eps, eps1 = 0.1, 0.05
         ch = build_lb_chain(eps, eps1)
         table = alpha_table(ch)
-        mu01 = adversarial_dominating(block_stack(table, (0, 1), 2), 0)[0]
+        mu01 = dominating_distribution(block_stack(table, (0, 1), 2), 0)[0]
         assert mu01[0] == pytest.approx((1 - eps + eps1) / (2 - 2 * eps), abs=1e-12)
         assert mu01[0] == pytest.approx(0.95 / 1.8)
-        mu12 = adversarial_dominating(block_stack(table, (1, 2), 0), 0)[0]  # page 1 is row 0
+        mu12 = dominating_distribution(block_stack(table, (1, 2), 0), 0)[0]  # page 1 is row 0
         assert mu12[0] == pytest.approx(eps / (2 * eps1), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -132,7 +131,7 @@ class TestAdversarialDominating:
         ti = int(rng.integers(k))
         s = int(rng.integers(chain.n))
         block = block_stack(alpha_table(chain), cache, s)
-        mu = adversarial_dominating(block, ti)[0]
+        mu = dominating_distribution(block, ti)[0]
         assert (mu @ block[0]).max() <= 0.5 + 1e-9
         base = dominating_distribution(block)[0]
         assert mu[ti] >= base[ti] - 1e-9  # maximization dominates
@@ -140,7 +139,7 @@ class TestAdversarialDominating:
     @pytest.mark.parametrize("target", [-1, 2, [0, 2]])
     def test_target_row_outside_the_block_rejected(self, target):
         with pytest.raises(ValueError, match=r"target row .* is not in 0\.\.1"):
-            adversarial_dominating(np.array([uniform_block(2)] * 2), target)
+            dominating_distribution(np.array([uniform_block(2)] * 2), target)
 
 
 def test_claim_q_no_later_than_mu_draw():
@@ -496,7 +495,7 @@ def _dominating_lp(a):
 
 
 def _adversarial_lp(a, slots):
-    """The LP of ``adversarial_dominating`` with the target in row ``slots[i]``."""
+    """The LP of ``dominating_distribution`` with the target in row ``slots[i]``."""
     B, k = a.shape[:2]
     c = np.zeros((B, k))
     c[np.arange(B), slots] = -1.0
@@ -542,18 +541,18 @@ class TestStackedTables:
         stacked = dominating_distribution(blocks)
         assert stacked.shape == (len(blocks), 3) and not stacked.flags.writeable
         rows = np.arange(len(blocks)) % 3  # one target row per block
-        adv = adversarial_dominating(blocks, rows)
+        adv = dominating_distribution(blocks, rows)
         for i in range(len(blocks)):
             assert np.array_equal(stacked[i], dominating_distribution(blocks[i : i + 1])[0])
-            assert np.array_equal(adv[i], adversarial_dominating(blocks[i : i + 1], rows[i])[0])
+            assert np.array_equal(adv[i], dominating_distribution(blocks[i : i + 1], rows[i])[0])
 
     def test_one_solve_per_chain_and_k(self, monkeypatch):
         calls = []
         real = policies_mod.dominating_distribution
 
-        def counting(alpha_sub):
+        def counting(alpha_sub, target=None):
             calls.append(np.shape(alpha_sub))
-            return real(alpha_sub)
+            return real(alpha_sub, target)
 
         monkeypatch.setattr(policies_mod, "dominating_distribution", counting)
         chain = random_chain(6, 2)
@@ -569,7 +568,7 @@ class TestStackedTables:
         _, caches, rank, req, blocks = _miss_blocks(table, 2)
         for pol, single in (
             (DominatingPolicy(table), lambda b, c: dominating_distribution(b)[0]),
-            (DominatingPolicy(table, target=3), lambda b, c: adversarial_dominating(b, c.index(3) if 3 in c else 0)[0]),
+            (DominatingPolicy(table, target=3), lambda b, c: dominating_distribution(b, c.index(3) if 3 in c else 0)[0]),
         ):
             for i, (r, j) in enumerate(zip(rank, req)):
                 cache = caches[r]
@@ -638,7 +637,7 @@ class TestStackGuards:
     def test_block_check_runs_on_every_block(self, where, value):
         blocks = np.array([uniform_block(3)] * 4)
         blocks[where] = value
-        for solve in (dominating_distribution, lambda a: adversarial_dominating(a, 0)):
+        for solve in (dominating_distribution, lambda a: dominating_distribution(a, 0)):
             with pytest.raises(ValueError):
                 solve(blocks)
 
@@ -668,7 +667,7 @@ class TestStackGuards:
             x[2, :2] = [1.0, 0.0]
 
         self._fake_solve(monkeypatch, concentrate)
-        for solve in (dominating_distribution, lambda a: adversarial_dominating(a, 1)):
+        for solve in (dominating_distribution, lambda a: dominating_distribution(a, 1)):
             with pytest.raises(Infeasible, match="column load 0.9") as err:
                 solve(blocks)
             assert err.value.index == 2
@@ -687,7 +686,7 @@ class TestStackGuards:
         rule's value check."""
         blocks = np.array([uniform_block(3)] * 3)
         self._fake_solve(monkeypatch, lambda x, val: x.__setitem__((1, 0), np.nan))
-        for solve in (dominating_distribution, lambda a: adversarial_dominating(a, 0)):
+        for solve in (dominating_distribution, lambda a: dominating_distribution(a, 0)):
             with pytest.raises(Infeasible, match="column load nan") as err:
                 solve(blocks)
             assert err.value.index == 1
