@@ -4,10 +4,11 @@
 Runs many audited (chain, sequence) pairs and tallies, per scheme, how often
 each checked property fails: ledger structure, the accounting inequality, the
 per-step bookkeeping (exact potential deltas and no foreign charge outside the
-algorithm's cache, column ``delta_mismatch``), and the potential-nonnegativity
-claim. The last one is the interesting column: it has a realizable
-counterexample (the savior self-charge corner) and fails on a small but steady
-fraction of random runs, while everything else stays at zero.
+algorithm's cache, column ``delta_mismatch``), the potential-nonnegativity
+claim and the credit invariant Psi >= N0 (``audit.credit_check``, column
+``credit``). The potential claim is the interesting column: it has a
+realizable counterexample (the savior self-charge corner) and fails on a small
+but steady fraction of random runs, while everything else stays at zero.
 
     python scripts/audit_battery.py --runs 2000 --seed 0
 """
@@ -55,12 +56,13 @@ def main() -> int:
                 check = audit_mod.step_delta_check(rep)
                 t["delta_mismatch"] += bool(check.bookkeeping)
                 t["potential_claim"] += bool(check.claim)
+                t["credit"] += not audit_mod.credit_check(rep).ok
 
-    print("scheme,runs,structural,accounting,delta_mismatch,potential_claim,ambiguous_savior")
+    print("scheme,runs,structural,accounting,delta_mismatch,potential_claim,credit,ambiguous_savior")
     for scheme, t in tallies.items():
         print(
             f"{scheme},{t['runs']},{t['structural']},{t['accounting']},"
-            f"{t['delta_mismatch']},{t['potential_claim']},{t['ambiguous_savior']}"
+            f"{t['delta_mismatch']},{t['potential_claim']},{t['credit']},{t['ambiguous_savior']}"
         )
     return 0
 

@@ -34,8 +34,6 @@ from .optdp import check_pages
 PIVOT_TOL = 1e-12  # reciprocal of the largest accepted inf-norm condition number
 CLAMP_TOL = 1e-7  # max tolerated out-of-[0,1] excursion before erroring
 
-ALPHA_DUMP_VERSION = 1
-
 
 class SingularSystem(ValueError):
     """The pinned system for a page pair has no unique solution."""
@@ -186,17 +184,3 @@ def gamma(chain) -> float:
     """
     return float(_pair_solve(chain)[1].max())
 
-
-def save_table(table: AlphaTable, path) -> None:
-    np.savez(path, version=ALPHA_DUMP_VERSION, n=table.n, values=table.values)
-
-
-def load_table(path) -> AlphaTable:
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != ALPHA_DUMP_VERSION:
-            raise ValueError(f"unsupported alpha table dump version {version}")
-        table, n = AlphaTable(np.array(data["values"])), int(data["n"])
-        if table.n != n:
-            raise ValueError(f"alpha table dump declares n={n} but its values cover {table.n} pages")
-        return table

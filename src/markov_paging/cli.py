@@ -33,7 +33,7 @@ from . import alpha as alpha_mod
 from . import audit as audit_mod
 from . import engine, learn, lowerbound
 from .chain import build_lb_chain, chain_hash, load_chain, load_trace, random_chain, sample_sequence
-from .optdp import DEFAULT_BUDGET, BudgetExceeded, check_horizon, check_k, opt_expected_cost, save_opt_table
+from .optdp import DEFAULT_BUDGET, BudgetExceeded, check_horizon, check_k, opt_expected_cost
 from .policies import OptReplayPolicy, parse_policy
 
 
@@ -175,8 +175,6 @@ def _cmd_alpha(args) -> tuple[list[str], int]:
             lines.append(f"{p},{q},{s},{float(vec[s])!r}")
         return lines, 0
     table = alpha_mod.alpha_table(chain)
-    if args.save_table:
-        alpha_mod.save_table(table, args.save_table)
     for p in range(chain.n):
         for q in range(chain.n):
             for s in range(chain.n):
@@ -202,12 +200,9 @@ def _cmd_opt(args) -> tuple[list[str], int]:
     """exact finite-horizon optimal cost"""
     chain = _resolve_chain(args)
     init_cache = _init_cache(args, chain.n)
-    value, table = opt_expected_cost(
-        chain, args.k, args.T, init_cache, budget=args.budget,
-        record_actions=bool(args.save_table),
+    value, _ = opt_expected_cost(
+        chain, args.k, args.T, init_cache, budget=args.budget, record_actions=False
     )
-    if args.save_table:
-        save_opt_table(table, args.save_table)
     lines = [
         "chain_hash,n,k,T,expected_cost",
         f"{chain_hash(chain)},{chain.n},{args.k},{args.T},{value!r}",
@@ -253,8 +248,8 @@ def _cmd_audit(args) -> tuple[list[str], int]:
         check_k(k, chain.n)
         init_cache = tuple(range(k))
         seq = sample_sequence(chain, t_ext, [args.seed, run, 2])
-        alg = _make_policy(args.algo, chain, k, T, init_cache, args.budget)
-        ref = _make_policy(args.ref, chain, k, T, init_cache, args.budget)
+        if run == 0 or fixed_chain is None:  # a fixed chain's rules, stateless across replays, serve every run
+            alg, ref = (_make_policy(name, chain, k, T, init_cache, args.budget) for name in (args.algo, args.ref))
         report = audit_mod.run_audit(
             seq, alg, ref, k, init_cache, args.scheme, [args.seed, run], T, t_ext, chain=chain
         )
@@ -332,14 +327,13 @@ CHAIN_SOURCE = tuple(dest for dests in CHAIN_SOURCES.values() for dest in dests)
 # mode that reads ``seed`` without requiring it reads it only to draw the
 # ``--n`` chain. ``learn --trace`` estimates the chain from the trace (``--n``
 # sets its page count) and runs no policy; plain ``learn`` has a true chain,
-# so no ``--delta-inf``. ``alpha --gamma`` prints one number and ``alpha
-# --pair`` one pair, so neither saves the table.
+# so no ``--delta-inf``.
 READS = {
-    "alpha": ((), (*CHAIN_SOURCE, "seed", "save_table")),
+    "alpha": ((), (*CHAIN_SOURCE, "seed")),
     "alpha --gamma": ((), (*CHAIN_SOURCE, "seed", "gamma")),
     "alpha --pair": ((), (*CHAIN_SOURCE, "seed", "pair")),
     "simulate": (("policy", "k", "T", "seed"), (*CHAIN_SOURCE, "init_cache", "trials", "budget")),
-    "opt": (("k", "T"), (*CHAIN_SOURCE, "seed", "init_cache", "budget", "save_table")),
+    "opt": (("k", "T"), (*CHAIN_SOURCE, "seed", "init_cache", "budget")),
     "ratio": (("policies", "k", "T", "seed"), (*CHAIN_SOURCE, "baseline", "init_cache", "trials", "budget")),
     "audit": (
         ("scheme", "seed"),
@@ -377,7 +371,6 @@ FLAGS = {
     "trace_out": dict(help="write the last run's step trace CSV here"),
     "pair": dict(type=_parse_pair, help="only this ordered pair, as 'p,q'"),
     "gamma": dict(action="store_true", help="emit worst pair conditioning instead"),
-    "save_table": dict(help="also write the table (npz) here"),
     "eps": dict(type=_comma_list(_parse_float), help="comma-separated eps grid"),
     "eps1_frac": dict(type=_comma_list(_parse_float), help="comma-separated eps1/eps grid"),
 }

@@ -23,16 +23,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_hash
-
 DEFAULT_BUDGET = 10**8
-
-OPT_DUMP_VERSION = 1
 
 
 class BudgetExceeded(RuntimeError):
@@ -141,7 +136,8 @@ def check_horizon(T: int) -> None:
 
 @dataclass
 class OptTable:
-    """DP output: expected cost, plus (optionally) action and value layers.
+    """DP output: the horizon and cache index, plus (optionally) action and
+    value layers.
 
     ``action[t, r, j]`` is the page evicted at request index t (1-based) when
     the cache has rank r and page j misses; -1 marks hits. ``value[t, r, s]``
@@ -149,15 +145,10 @@ class OptTable:
     after-request state (cache r, last page s).
     """
 
-    n: int
-    k: int
     T: int
-    init_cache: tuple[int, ...]
-    expected_cost: float
     index: SubsetIndex
     action: np.ndarray | None = None
     value: np.ndarray | None = None
-    chain_digest: str = ""
 
 
 def opt_expected_cost(
@@ -214,17 +205,7 @@ def opt_expected_cost(
         else:
             total = float(chain.init @ cost[idx.rank[init_cache]])
 
-    table = OptTable(
-        n=n,
-        k=k,
-        T=T,
-        init_cache=init_cache,
-        expected_cost=total,
-        index=idx,
-        action=action,
-        value=value,
-        chain_digest=chain_hash(chain),
-    )
+    table = OptTable(T=T, index=idx, action=action, value=value)
     return total, table
 
 
@@ -238,50 +219,9 @@ def opt_action(table: OptTable, t: int, cache, requested: int) -> int:
     key = tuple(sorted(cache))
     r = table.index.rank.get(key)
     if r is None:
-        raise KeyError(f"cache {key} is not a {table.k}-subset state")
+        raise KeyError(f"cache {key} is not a {table.index.k}-subset state")
     page = int(table.action[t, r, requested])
     if page < 0:
         raise KeyError(f"page {requested} is resident in {key}; no action stored")
     return page
 
-
-def save_opt_table(table: OptTable, path) -> None:
-    np.savez_compressed(
-        path,
-        version=OPT_DUMP_VERSION,
-        n=table.n,
-        k=table.k,
-        T=table.T,
-        init_cache=np.array(table.init_cache, dtype=np.int64),
-        expected_cost=table.expected_cost,
-        chain_digest=table.chain_digest,
-        action=table.action if table.action is not None else np.zeros(0, dtype=np.int16),
-        has_action=table.action is not None,
-    )
-
-
-def load_opt_table(path) -> OptTable:
-    """The table :func:`save_opt_table` wrote; ``ValueError`` unless its
-    action layers have shape ``(T + 1, C(n, k), n)`` and its initial cache
-    holds k distinct pages in 0..n-1."""
-    with np.load(path) as data:
-        if int(data["version"]) != OPT_DUMP_VERSION:
-            raise ValueError(f"unsupported opt table dump version {int(data['version'])}")
-        n, k, T = int(data["n"]), int(data["k"]), int(data["T"])
-        check_horizon(T)
-        index = subset_index(n, k)
-        init_cache = check_cache(data["init_cache"].tolist(), n, k)
-        action = np.array(data["action"]) if bool(data["has_action"]) else None
-        want = (T + 1, len(index), n)
-        if action is not None and action.shape != want:
-            raise ValueError(f"opt table dump declares T={T}, n={n}, k={k}, so its actions need shape {want}, got {action.shape}")
-        return OptTable(
-            n=n,
-            k=k,
-            T=T,
-            init_cache=init_cache,
-            expected_cost=float(data["expected_cost"]),
-            index=index,
-            action=action,
-            chain_digest=str(data["chain_digest"]),
-        )

@@ -14,9 +14,7 @@ from markov_paging.alpha import (
     alpha_table,
     first_passage,
     gamma,
-    load_table,
     pinned_systems,
-    save_table,
 )
 from markov_paging.chain import build_lb_chain, forget, random_chain, validate_chain
 from markov_paging.optdp import subset_index
@@ -158,29 +156,12 @@ def test_gamma_permutation_invariant():
     assert gamma(relabeled) == pytest.approx(gamma(ch), rel=1e-9)
 
 
-def test_table_dump_roundtrip(tmp_path):
-    table = alpha_table(random_chain(3, 3))
-    path = tmp_path / "alpha.npz"
-    save_table(table, path)
-    back = load_table(path)
-    assert back.n == table.n
-    assert np.array_equal(back.values, table.values)
-
-
 def test_table_page_count_comes_from_its_values():
     values = alpha_table(random_chain(4, 1)).values
     assert AlphaTable(values.copy()).n == 4
     for bad in (values[0], values[:3]):
         with pytest.raises(ValueError, match=r"must be an \(n, n, n\) array, got shape"):
             AlphaTable(bad.copy())
-
-
-def test_load_table_rejects_a_dump_whose_n_disagrees(tmp_path):
-    path = tmp_path / "alpha.npz"
-    values = alpha_table(random_chain(4, 1)).values
-    np.savez(path, version=alpha_mod.ALPHA_DUMP_VERSION, n=3, values=values)  # save_table's format
-    with pytest.raises(ValueError, match="declares n=3 but its values cover 4 pages"):
-        load_table(path)
 
 
 def test_kept_table_follows_the_transition_matrix():

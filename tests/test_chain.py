@@ -117,6 +117,17 @@ def test_sample_sequence_is_a_read_only_page_array():
     assert not pages.flags.writeable
 
 
+@pytest.mark.parametrize("seed", [0, 12345, [7, 2], [201, 5, 1]])
+@pytest.mark.parametrize("a", [0, 1, 7, 4096, 20_000])
+def test_random_reads_one_pcg64_output_per_double(seed, a):
+    """A stream advanced by ``a`` outputs yields the doubles ``a`` onward of
+    one long ``random`` call, so a block of uniforms can be drawn at its
+    position in the stream without drawing the ones before it."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(a)
+    assert np.array_equal(rng.random(37), np.random.default_rng(seed).random(a + 37)[a:])
+
+
 def test_same_seed_reproduces_sequence():
     ch = random_chain(4, 9)
     a = sample_sequence(ch, 200, 42)

@@ -10,6 +10,7 @@ from markov_paging import audit as audit_mod
 from markov_paging import cli
 from markov_paging.chain import random_chain, save_chain, validate_chain
 from markov_paging.cli import _parse_int, main
+from markov_paging.optdp import opt_expected_cost
 
 from .conftest import corrupt_alpha_table
 
@@ -122,6 +123,32 @@ def test_audit_delta_ok_fails_on_ledger_errors(check, tmp_path, monkeypatch):
     )
     assert code == 1
     assert [line.split(",")[11] for line in text.strip().splitlines()[1:]] == ["0", "0"]
+
+
+FIXED_CHAIN_AUDIT = """\
+run,chain_hash,a_misses,ref_misses,beta,I,D,O,U,phi_min,accounting_ok,delta_ok,violations
+0,07904fb18a91,1,1,1,1,0,1,0,0,1,1,0
+1,07904fb18a91,0,0,0,0,0,0,0,0,1,1,0
+2,07904fb18a91,0,0,0,0,0,0,0,0,1,1,0
+3,07904fb18a91,2,1,1,1,0,1,0,0,1,1,0
+"""
+
+
+@pytest.mark.parametrize("source,solves", [(["--lb-eps", "0.1", "--lb-eps1", "0.05"], 1), (["--n", "4"], 4)])
+def test_audit_solves_opt_once_per_chain(source, solves, tmp_path, monkeypatch):
+    """A fixed chain's rules are built once; ``--n`` draws a chain per run."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return opt_expected_cost(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "opt_expected_cost", counting)
+    code, text = run_cli(["audit", "--scheme", "updated", *source, "--k", "2", "--T", "6", "--trials", "4",
+                          "--seed", "1"], tmp_path)
+    assert code == 0 and len(calls) == solves
+    if source[0] == "--lb-eps":
+        assert text == FIXED_CHAIN_AUDIT  # as when each run solved again
 
 
 def test_chain_file_source(tmp_path):
@@ -563,11 +590,10 @@ def test_flag_prefix_is_not_the_flag(tmp_path, capsys):
                              "--seed", "1", "--trace", str(trace)], capsys)
     assert code == 2 and err == f"error: unrecognized arguments: --trace {trace}\n"
     assert trace.read_text() == "0\n1\n2\n"
-    saved = tmp_path / "x"
-    code, err = _error_exit(["alpha", "--n", "3", "--sav", str(saved)], capsys)
-    assert code == 2 and err == f"error: unrecognized arguments: --sav {saved}\n"
-    assert not any(tmp_path.glob("x*"))
+    code, err = _error_exit(["alpha", "--n", "3", "--pai", "0,1"], capsys)
+    assert code == 2 and err == "error: unrecognized arguments: --pai 0,1\n"
     # the top-level parser matches whole flags too
+    saved = tmp_path / "x"
     code = main(["--out", str(saved), "alpha", "--n", "3"])
     assert code == 2 and not any(tmp_path.glob("x*"))
 
@@ -614,28 +640,43 @@ def test_horizon_rule(args, column, zero, tmp_path, capsys):
 
 
 ALPHA_MODE_CASES = {
-    "gamma-pair-save": (["--gamma", "--pair", "0,1", "--save-table", "{table}"], "alpha --gamma does not read --pair, --save-table"),
-    "gamma-save": (["--gamma", "--save-table", "{table}"], "alpha --gamma does not read --save-table"),
-    "pair-save": (["--pair", "0,1", "--save-table", "{table}"], "alpha --pair does not read --save-table"),
+    "gamma-pair": (["--gamma", "--pair", "0,1"], "alpha --gamma does not read --pair"),
 }
 
 
 @pytest.mark.parametrize("extra,message", ALPHA_MODE_CASES.values(), ids=ALPHA_MODE_CASES.keys())
-def test_alpha_modes_reject_flags_they_do_not_read(extra, message, tmp_path, capsys):
-    """``--gamma`` prints only gamma and ``--pair`` only its pair, so the
-    flags they would ignore are usage errors and no table is written."""
-    table = tmp_path / "t.npz"
-    extra = [x.format(table=table) for x in extra]
+def test_alpha_modes_reject_flags_they_do_not_read(extra, message, capsys):
+    """``--gamma`` prints only gamma, so the pair it would ignore is a usage
+    error."""
     code, err = _error_exit(["alpha", "--n", "3", "--seed", "0", *extra], capsys)
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [["alpha", "--n", "3"], ["opt", "--n", "4", "--k", "2", "--T", "5"]], ids=["alpha", "opt"])
+def test_save_table_is_not_a_flag(args, tmp_path, capsys):
+    table = tmp_path / "t.npz"
+    code, err = _error_exit([*args, "--save-table", str(table)], capsys)
+    assert (code, err) == (2, f"error: unrecognized arguments: --save-table {table}\n")
+    assert not any(tmp_path.iterdir())
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"save-table": str(table)}))
+    code, err = _error_exit(["--config", str(cfg), *args], capsys)
+    assert (code, err) == (2, f"error: --config {cfg}: 'save-table' names no flag\n")
     assert not table.exists()
 
 
-def test_alpha_save_table_alone_writes_the_table(tmp_path):
-    table = tmp_path / "t.npz"
-    assert run_cli(["alpha", "--n", "3", "--seed", "0", "--save-table", str(table)], tmp_path)[0] == 0
-    assert table.exists()
+def test_alpha_csv_is_the_table_bit_for_bit(tmp_path):
+    """``alpha`` prints every entry as a repr float, so the CSV is the table."""
+    chain = random_chain(4, [2, 999])  # the chain of --n 4 --seed 2
+    code, text = run_cli(["alpha", "--n", "4", "--seed", "2"], tmp_path)
+    header, *rows = text.splitlines()
+    assert code == 0 and header == "p,q,s,value" and len(rows) == 4**3
+    values = np.zeros((4, 4, 4))
+    for row in rows:
+        p, q, s, value = row.split(",")
+        values[int(p), int(q), int(s)] = float(value)
+    assert values.tobytes() == alpha_mod.alpha_table(chain).values.tobytes()
 
 
 SEEDED_COMMANDS = {
@@ -792,11 +833,11 @@ def test_malformed_pages_name_their_flag(args, dest, message, tmp_path, capsys):
 # The flags each mode reads, stated apart from the CLI's own table; "lb_eps"
 # stands for the --lb-eps/--lb-eps1 pair
 MODE_READS = {
-    "alpha": {"chain", "n", "lb_eps", "seed", "save_table"},
+    "alpha": {"chain", "n", "lb_eps", "seed"},
     "alpha --gamma": {"chain", "n", "lb_eps", "seed", "gamma"},
     "alpha --pair": {"chain", "n", "lb_eps", "seed", "pair"},
     "simulate": {"chain", "n", "lb_eps", "policy", "k", "T", "seed", "init_cache", "trials", "budget"},
-    "opt": {"chain", "n", "lb_eps", "k", "T", "seed", "init_cache", "budget", "save_table"},
+    "opt": {"chain", "n", "lb_eps", "k", "T", "seed", "init_cache", "budget"},
     "ratio": {"chain", "n", "lb_eps", "policies", "baseline", "k", "T", "seed", "init_cache", "trials", "budget"},
     "audit": {"chain", "n", "lb_eps", "scheme", "seed", "trials", "k", "T", "ext_mult", "algo", "ref", "budget",
               "trace_out"},
@@ -842,7 +883,6 @@ FLAG_VALUES = {
     "trace_out": ["--trace-out", "{tmp}/trace.csv"],
     "pair": ["--pair", "0,1"],
     "gamma": ["--gamma"],
-    "save_table": ["--save-table", "{tmp}/table.npz"],
     "eps": ["--eps", "1e-4"],
     "eps1_frac": ["--eps1-frac", "0.6"],
 }

@@ -9,10 +9,8 @@ from markov_paging.optdp import (
     BudgetExceeded,
     SubsetIndex,
     check_cache,
-    load_opt_table,
     opt_action,
     opt_expected_cost,
-    save_opt_table,
     subset_index,
 )
 from markov_paging.policies import FarthestInFuture, OptReplayPolicy
@@ -120,55 +118,6 @@ def test_subset_index_roundtrip():
     for r, sub in enumerate(caches):
         assert tuple(idx.pages[r].tolist()) == sub
         assert np.flatnonzero(idx.member[r]).tolist() == list(sub)
-
-
-def test_table_dump_roundtrip(tmp_path):
-    ch = random_chain(4, 8)
-    _, table = opt_expected_cost(ch, 2, 4, (0, 1))
-    path = tmp_path / "opt.npz"
-    save_opt_table(table, path)
-    back = load_opt_table(path)
-    assert back.expected_cost == table.expected_cost
-    assert np.array_equal(back.action, table.action)
-    assert back.chain_digest == table.chain_digest
-    assert back.index is table.index is subset_index(4, 2)
-
-
-def _dump(path, table, **changes):
-    """``save_opt_table``'s file for ``table`` with some fields replaced."""
-    save_opt_table(table, path)
-    with np.load(path) as data:
-        fields = {**data, **changes}
-    np.savez(path, **fields)
-
-
-@pytest.mark.parametrize(
-    "changes,message",
-    [
-        (dict(T=6), r"declares T=6, n=4, k=2, so its actions need shape \(7, 6, 4\), got \(6, 6, 4\)"),
-        (dict(k=3, init_cache=np.array([0, 1, 2])), r"declares T=5, n=4, k=3, so its actions need shape \(6, 4, 4\), got \(6, 6, 4\)"),
-        (dict(init_cache=np.array([1, 1])), r"2 distinct pages in 0\.\.3, got \(1, 1\)"),
-        (dict(init_cache=np.array([0, 4])), r"2 distinct pages in 0\.\.3, got \(0, 4\)"),
-        (dict(init_cache=np.array([0, 1, 2])), r"2 distinct pages in 0\.\.3"),
-    ],
-)
-def test_load_opt_table_rejects_an_inconsistent_dump(tmp_path, changes, message):
-    _, table = opt_expected_cost(random_chain(4, 8), 2, 5, (0, 1))
-    path = tmp_path / "opt.npz"
-    _dump(path, table, **changes)
-    with pytest.raises(ValueError, match=message):
-        load_opt_table(path)
-
-
-def test_load_opt_table_rejects_cut_action_layers(tmp_path):
-    # three layers of a T = 5 table: opt_action(t=4) would index past them
-    _, table = opt_expected_cost(random_chain(4, 8), 2, 5, (0, 1))
-    path = tmp_path / "opt.npz"
-    _dump(path, table, action=table.action[:3])
-    with pytest.raises(ValueError, match=r"need shape \(6, 6, 4\), got \(3, 6, 4\)"):
-        load_opt_table(path)
-    _dump(path, table)
-    assert opt_action(load_opt_table(path), 4, (0, 1), 2) == opt_action(table, 4, (0, 1), 2)
 
 
 def _assert_matches_loop_oracle(chain, k, T, init):

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from markov_paging import policies as policies_mod
-from markov_paging.alpha import AlphaTable, SingularSystem, alpha_table, load_table, save_table
+from markov_paging.alpha import AlphaTable, SingularSystem, alpha_table
 from markov_paging.chain import build_lb_chain, random_chain, validate_chain
 from markov_paging.chain import sample_sequence
 from markov_paging.engine import exact_cost, replay, simulate
@@ -89,17 +89,16 @@ class TestDominatingDistribution:
         with pytest.raises(ValueError, match="stack"):
             dominating_distribution(uniform_block(3))
 
-    def test_nan_entry_is_rejected(self, tmp_path):
+    def test_nan_entry_is_rejected(self):
         # a NaN fails the range check; it used to pass it and give [[0, 1]]
         with pytest.raises(ValueError, match=r"alpha_sub entries must lie in \[0, 1\]"):
             dominating_distribution(np.array([[[0.0, np.nan], [0.5, 0.0]]]))
-        # a pinned table read back from a file with one NaN entry: both rules
-        # refuse it when building the eviction table of cache (0, 1), request 2
+        # a pinned table with one NaN entry: both rules refuse it when
+        # building the eviction table of cache (0, 1), request 2
         chain = random_chain(4, 3)
         values = alpha_table(chain).values.copy()
         values[0, 1, 2] = np.nan
-        save_table(AlphaTable(values), tmp_path / "nan.npz")
-        table = load_table(tmp_path / "nan.npz")
+        table = AlphaTable(values)
         for policy in (DominatingPolicy(table), DominatingPolicy(table, target=0)):
             with pytest.raises(ValueError, match=r"alpha_sub entries must lie in \[0, 1\]"):
                 exact_cost(policy, chain, 2, 10, (0, 1))
