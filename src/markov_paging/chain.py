@@ -15,8 +15,8 @@ at once until the chunk's paths from every page have met (on a permutation
 chain they never do), and as one path after, so it costs a fixed number of
 array operations per chunk and no Python step per request; it steps a short
 trace, or a trace on more pages, request by request.
-``sample_trials`` steps many short traces side by side, each generator's
-traces read one after another from its stream, the first of them the trace
+``sample_trials`` steps many short traces side by side, read one after
+another from one generator's stream, the first of them the trace
 ``sample_sequence`` draws from the same seed. ``derived`` keeps
 every table built from the last chain asked for, matched by transition
 bytes, until another chain is asked for, so the sampling table's (n²+1)·n
@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .optdp import check_horizon
 
 ROW_SUM_TOL = 1e-9  # acceptance tolerance on input rows; rows are renormalized once
 GUIDE_CAP = 1 << 16  # most buckets in a grid's guide table (grid_lookup)
@@ -311,8 +313,7 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     requests is stepped by ``_step`` too: at that length the walk's two
     dozen array calls cost more than the steps they save.
     """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    check_horizon(T)
     rng = np.random.default_rng(seed)
     pages = np.empty(T, dtype=np.int64)
     if T:
@@ -328,12 +329,12 @@ def sample_sequence(chain: MarkovChain, T: int, seed) -> np.ndarray:
     return pages
 
 
-def sample_trials(chain: MarkovChain, T: int, rngs, trials: int) -> np.ndarray:
-    """Draw ``trials`` traces of ``T`` requests from each generator in
-    ``rngs``, as a read-only ``(len(rngs), trials, T)`` page array.
+def sample_trials(chain: MarkovChain, T: int, rng, trials: int) -> np.ndarray:
+    """Draw ``trials`` traces of ``T`` requests from the generator ``rng``,
+    as a read-only ``(trials, T)`` page array.
 
-    Generator r's traces read ``rngs[r].random((trials, T))``, row by row, so
-    trace i inverts the uniforms ``[i·T, (i+1)·T)`` of the call, as
+    The traces read ``rng.random((trials, T))``, row by row, so trace i
+    inverts the uniforms ``[i·T, (i+1)·T)`` of the call, as
     ``sample_sequence`` inverts its own; the stream runs on into the next
     call, and the first trace from a fresh ``default_rng(seed)`` is
     ``sample_sequence(chain, T, seed)``. The transition uniforms of all
@@ -343,11 +344,7 @@ def sample_trials(chain: MarkovChain, T: int, rngs, trials: int) -> np.ndarray:
     operations per step; for one long trace ``sample_sequence`` is faster.
     ``T = 0`` draws nothing and gives an empty array.
     """
-    u = np.empty((len(rngs), trials, T))
-    for rng, block in zip(rngs, u):
-        rng.random(out=block)
-    shape = u.shape
-    u = u.reshape(shape[0] * shape[1], T).T  # u[t] holds every trace's t-th uniform
+    u = rng.random((trials, T)).T  # u[t] holds every trace's t-th uniform
     pages = np.empty(u.shape, dtype=np.int64)
     if T:
         grid, table = next_page_table(chain)
@@ -356,7 +353,7 @@ def sample_trials(chain: MarkovChain, T: int, rngs, trials: int) -> np.ndarray:
         for t in range(1, T):
             pages[t] = table[rows[t - 1] + pages[t - 1]]
     pages.setflags(write=False)
-    return pages.T.reshape(shape)
+    return pages.T
 
 
 def build_lb_chain(eps: float, eps1: float) -> MarkovChain:

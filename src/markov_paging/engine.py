@@ -1,33 +1,32 @@
 """Cost measurement: Monte Carlo simulation and exact distribution evolution.
 
-``trial_misses`` counts the misses of every trial of a stack of runs, each
-run a (policy, seed) pair, and ``simulate`` is a run of one that reports a
-mean miss count with a normal-approximation 95% CI; ``ratio_report`` passes
-its policy baseline and all of its rules in one call.
+``trial_misses`` counts the misses of every trial of every rule of a list,
+and ``simulate`` is a call of one rule that reports a mean miss count with a
+normal-approximation 95% CI; ``ratio_report`` passes its policy baseline and
+all of its rules in one call.
 
-Every run reads its requests from ``default_rng(seed)``: one
-``sample_trials`` call per block of trials draws every run's traces, trial i
-inverting the stream's uniforms ``[i·T, (i+1)·T)``, so trial 0 is
-``sample_sequence(chain, T, seed)``. Only an eviction table draws, so only a
-kernel run reads a second stream, its evictions from ``default_rng((*seed,
-1))``. A run's counts therefore do not depend on the block size, on the runs
-that share its call or on the trial count (the first m trials of an M-trial
-run are the m-trial run), and they repeat bit for bit under the same seed.
-Each run is counted by the first of three counters that applies, each over
-all of its runs' traces at once:
+A call reads two streams, both shared by all of its rules: its requests from
+``default_rng(seed)``, one ``sample_trials`` trace set per block of trials,
+trial i inverting uniforms ``[i·T, (i+1)·T)`` (trial 0 is
+``sample_sequence(chain, T, seed)``), and, when a table rule runs, its
+evictions from ``default_rng((*seed, 1))``, a miss of trial i at step t
+reading entry [i, t] of a ``(trials, T)`` array. So row i of a call is
+``simulate(policies[i], ..., seed)`` bit for bit, whatever the block size,
+and the first m trials of an M-trial call are the m-trial call. Each rule is
+counted by the first of three counters that applies, each over all of its
+rules at once:
 
 * kernel: memoryless policies (eviction distribution a function of cache
-  contents and the requested page only) step every trial of every run at
-  once over the eviction tables their ``kernel_probs(idx, chain)`` returns.
-  Per block a run draws a ``(trials, T)`` array of eviction uniforms, and a
-  miss of trial i at step t reads entry [i, t]. A trial's state is a flat
-  (run, cache rank, page) cell over the runs' tables laid side by side, so a
-  step is a few flat ``take`` calls over every run's trials: on ``member``
-  for the misses, on the slot-major cumulative eviction tables (the slot is
-  a count over their leading axis) and on the index's ``cells`` for the next
-  cache;
+  contents and the requested page only) step every trial of every such rule
+  at once over the eviction tables their ``kernel_probs(idx, chain)``
+  returns. A trial's state is a flat (rule, cache rank, page) cell over the
+  rules' tables laid side by side, so a step is a few flat ``take`` calls
+  over every rule's trials, with the step's requests and eviction uniforms
+  broadcast over the rules: on ``member`` for the misses, on the slot-major
+  cumulative eviction tables (the slot is a count over their leading axis)
+  and on the index's ``cells`` for the next cache;
 * stamped: LRU and FIFO, whose cache is k pages with a use or load stamp
-  each (``stamp_on_hit``), step every trial of every such run at once in
+  each (``stamp_on_hit``), step the trace set, tiled once per such rule, in
   one ``_stamped_held`` call, one ``(trials, k)`` comparison and ``argmin``
   per request; a step misses where its slot held another page;
 * generic: the rest (farthest-in-future, OPT replay), which draw nothing,
@@ -75,7 +74,7 @@ from .optdp import (
 )
 from .policies import MissingContext, _draw, _stamped_held, check_eviction_table, evict
 
-TRIAL_BLOCK_CELLS = 1 << 20  # request pages and kernel eviction uniforms (trials x T per run) drawn at once
+TRIAL_BLOCK_CELLS = 1 << 20  # cells of a block's trace set, eviction uniforms and stamped rows (trials x T each)
 EXACT_BLOCK_CELLS = 1 << 16  # (step, state) cells of each of exact_cost's two blocks
 
 
@@ -116,17 +115,17 @@ def _seed_tuple(seed) -> tuple[int, ...]:
 
 
 def simulate(policy, chain, k: int, T: int, init_cache, trials: int, seed) -> CostEstimate:
-    """Average miss count over ``trials`` independent runs of length ``T``.
-
-    Results repeat bit for bit under the same seed, whichever path the
-    policy takes, and the first m trials of an M-trial run are the m-trial
-    run; the module docstring says which streams a run reads.
+    """Average miss count over ``trials`` independent runs of length ``T``,
+    the row a ``trial_misses`` call on ``seed`` gives the policy beside any
+    other rules. Results repeat bit for bit under the same seed, whichever
+    path the policy takes, and the first m trials of an M-trial run are the
+    m-trial run.
     """
-    return _estimate(trial_misses([(policy, seed)], chain, k, T, init_cache, trials)[0])
+    return _estimate(trial_misses([policy], chain, k, T, init_cache, trials, seed)[0])
 
 
 def _estimate(misses: np.ndarray) -> CostEstimate:
-    """Mean of one run's per-trial miss counts, with a normal-approximation
+    """Mean of one rule's per-trial miss counts, with a normal-approximation
     95% half-width."""
     trials = misses.size
     sd = float(misses.std(ddof=1)) if trials > 1 else float("inf")  # one trial: no variance estimate
@@ -138,71 +137,70 @@ def _estimate(misses: np.ndarray) -> CostEstimate:
     )
 
 
-def trial_misses(runs, chain, k: int, T: int, init_cache, trials: int) -> np.ndarray:
-    """Miss count of each of ``trials`` trials of each ``(policy, seed)`` run,
-    as a ``(len(runs), trials)`` array. Each run reads its own request
-    stream, a kernel run its own eviction stream too, and the kernel, stamped
-    or generic counter counts it (module docstring)."""
+def trial_misses(policies, chain, k: int, T: int, init_cache, trials: int, seed) -> np.ndarray:
+    """Miss count of each of ``trials`` trials of each rule of ``policies``,
+    as a ``(len(policies), trials)`` array. All rules serve one trace set and
+    the table rules read one eviction array, on ``seed`` (module docstring)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_horizon(T)
     check_k(k, chain.n)
     init_cache = check_cache(init_cache, chain.n, k)
-    policies = [policy for policy, _ in runs]
-    seeds = [_seed_tuple(seed) for _, seed in runs]
-    requests = [np.random.default_rng(seed) for seed in seeds]
+    misses = np.empty((len(policies), trials), dtype=np.int64)
+    if not policies:
+        return misses
+    seed = _seed_tuple(seed)
+    requests = np.random.default_rng(seed)
     tables = [build_kernel(policy, chain, k) for policy in policies]
     kernel = [r for r, probs in enumerate(tables) if probs is not None]
-    evictions = [np.random.default_rng((*seeds[r], 1)) for r in kernel]
+    evictions = np.random.default_rng((*seed, 1)) if kernel else None
     rest = [r for r, probs in enumerate(tables) if probs is None]
     stamped = [r for r in rest if policies[r].stamp_on_hit is not None]
     generic = [r for r in rest if policies[r].stamp_on_hit is None]
-    misses = np.empty((len(runs), trials), dtype=np.int64)
-    block = max(1, TRIAL_BLOCK_CELLS // (max(T, 1) * max(1, len(runs) + len(kernel))))
+    block = max(1, TRIAL_BLOCK_CELLS // (max(T, 1) * (1 + bool(kernel) + len(stamped))))
     for lo in range(0, trials, block):
         b = min(block, trials - lo)
         pages = sample_trials(chain, T, requests, b)
         if kernel:
-            evict_u = np.stack([rng.random((b, T)) for rng in evictions])
             idx = subset_index(chain.n, k)
-            misses[kernel, lo : lo + b] = _kernel_misses(idx, [tables[r] for r in kernel], chain, init_cache, pages[kernel], evict_u)
+            misses[kernel, lo : lo + b] = _kernel_misses(idx, [tables[r] for r in kernel], chain, init_cache, pages, evictions.random((b, T)))
         if stamped:
             flags = np.repeat([policies[r].stamp_on_hit for r in stamped], b)
-            rows = pages[stamped].reshape(flags.size, T)
+            rows = np.tile(pages, (len(stamped), 1))
             held = _stamped_held(rows, init_cache, flags)
             misses[stamped, lo : lo + b] = (held != rows.T).sum(axis=0).reshape(len(stamped), b)
         for r in generic:
-            misses[r, lo : lo + b] = [len(_history_victims(policies[r], row, init_cache)) for row in pages[r]]
+            misses[r, lo : lo + b] = [len(_history_victims(policies[r], row, init_cache)) for row in pages]
     return misses
 
 
 def _kernel_misses(idx, tables, chain, init_cache, pages, evict_u) -> np.ndarray:
-    """The kernel counter: run r's trials serve the traces ``pages[r]`` and
-    evict by ``tables[r]``, a miss of trial i at step t reading
-    ``evict_u[r, i, t]``. The runs' cumulative tables, membership and
-    successor cells lie side by side, so a trial's state is one flat (run,
-    cache, page) cell and each step's lookups run once over every run's
+    """The kernel counter: every rule's trials serve the traces ``pages`` and
+    rule r evicts by ``tables[r]``, a miss of trial i at step t reading
+    ``evict_u[i, t]``. The rules' cumulative tables, membership and
+    successor cells lie side by side, so a trial's state is one flat (rule,
+    cache, page) cell and each step's lookups run once over every rule's
     trials."""
     n, k, R = chain.n, idx.k, len(tables)
-    N = idx.member.size  # (cache, page) cells of one run
-    # slot-major cumulative eviction tables over flat (run, cache, page)
+    N = idx.member.size  # (cache, page) cells of one rule
+    # slot-major cumulative eviction tables over flat (rule, cache, page)
     # cells; no uniform passes the last slot's +inf, so a row whose sum
     # rounds below 1 evicts its last slot
     cum_kernel = np.concatenate([np.cumsum(probs, axis=2).reshape(-1, k).T for probs in tables], axis=1)
     cum_kernel[-1] = np.inf
     member = np.tile(idx.member.ravel(), R)
     offset = np.arange(0, R * N, N)
-    # each successor cell's first cell of its cache (rank times n), per run
+    # each successor cell's first cell of its cache (rank times n), per rule
     heads = (idx.cells.reshape(k, 1, N) // n * n + offset[:, None]).reshape(k, R * N)
-    head = np.repeat((offset + idx.rank[init_cache] * n)[:, None], pages.shape[1], axis=1)
+    head = np.repeat((offset + idx.rank[init_cache] * n)[:, None], pages.shape[0], axis=1)
     misses = np.zeros(head.shape, dtype=np.int64)
-    for req, u in zip(np.moveaxis(pages, 2, 0), np.moveaxis(evict_u, 2, 0)):
+    for req, u in zip(pages.T, evict_u.T):
         cell = head + req
         miss = ~member.take(cell)
         if miss.any():
             misses += miss
             mc = cell[miss]
-            slot = (cum_kernel.take(mc, axis=1) <= u[miss]).sum(axis=0)
+            slot = (cum_kernel.take(mc, axis=1) <= np.broadcast_to(u, miss.shape)[miss]).sum(axis=0)
             head[miss] = heads.take(slot * (R * N) + mc)
     return misses
 
@@ -368,24 +366,26 @@ def ratio_report(
     """Costs and cost ratios against a baseline, with conservative interval
     arithmetic on the two CIs.
 
-    ``baseline`` is ``"opt-dp"`` (exact DP value, zero-width CI) or a policy.
-    A policy baseline and every rule run in one ``trial_misses`` call, the
-    baseline on seed ``(seed, 0)`` and rule i on ``(seed, i + 1)``, so each
-    row equals the one ``simulate`` gives on its seed. Ratios certify nothing
+    ``baseline`` is ``"opt-dp"`` (exact DP value, zero-width CI) or a policy;
+    another string is a ``ValueError``. A policy baseline and every rule run
+    in one ``trial_misses`` call on ``seed``, so each row, the baseline's
+    too, is the one ``simulate`` gives on ``seed``. Ratios certify nothing
     beyond the evaluated horizon T.
     """
     init_cache = tuple(sorted(init_cache))
-    runs = [(policy, (seed, i + 1)) for i, policy in enumerate(policies)]
-    if isinstance(baseline, str) and baseline == "opt-dp":
+    policies = list(policies)
+    if isinstance(baseline, str):
+        if baseline != "opt-dp":
+            raise ValueError(f"baseline must be 'opt-dp' or a policy, got {baseline!r}")
         value, _ = opt_expected_cost(chain, k, T, init_cache, budget=budget, record_actions=False)
         base_est = CostEstimate(mean=value, half_width=0.0, trials=0, mode="exact")
-        misses = trial_misses(runs, chain, k, T, init_cache, trials)
+        misses = trial_misses(policies, chain, k, T, init_cache, trials, seed)
     else:
-        misses = trial_misses([(baseline, (seed, 0))] + runs, chain, k, T, init_cache, trials)
+        misses = trial_misses([baseline, *policies], chain, k, T, init_cache, trials, seed)
         base_est, misses = _estimate(misses[0]), misses[1:]
     digest = chain_hash(chain)
     rows = []
-    for (policy, _), row in zip(runs, misses):
+    for policy, row in zip(policies, misses):
         est = _estimate(row)
         lo_num = max(est.mean - est.half_width, 0.0)
         hi_den = base_est.mean - base_est.half_width

@@ -7,6 +7,7 @@ every argument its work counters read against the package. The tracer file
 is only read, never imported as a package module.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -79,3 +80,57 @@ def test_counters_read_the_documented_arguments():
         tracer._work(counter, reads)
         read |= reads.keys()
     assert read == {"T", "chain", "k", "trials"}
+
+
+WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
+
+
+def _library_calls():
+    """``(name, positional count, keyword names, line)`` of every call in the
+    workloads file to ``mp.<module>.<name>``, also through a local name
+    bound to ``mp.<module>``. A ``**name`` argument gives the keywords of
+    its ``name = dict(...)`` assignment. The file is parsed, not run."""
+    tree = ast.parse(WORKLOADS_PATH.read_text())
+    aliases, dicts = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            name, value = node.targets[0].id, node.value
+            if isinstance(value, ast.Attribute) and getattr(value.value, "id", None) == "mp":
+                aliases[name] = value.attr
+            elif isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict":
+                dicts[name] = [kw.arg for kw in value.keywords]
+    calls = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = node.func.value
+        if isinstance(owner, ast.Attribute) and getattr(owner.value, "id", None) == "mp":
+            module = owner.attr
+        elif isinstance(owner, ast.Name) and owner.id in aliases:
+            module = aliases[owner.id]
+        else:
+            continue
+        assert not any(isinstance(arg, ast.Starred) for arg in node.args), node.lineno
+        keywords = [name for kw in node.keywords for name in ([kw.arg] if kw.arg else dicts[kw.value.id])]
+        calls.append((f"{module}.{node.func.attr}", len(node.args), keywords, node.lineno))
+    return sorted(calls, key=lambda call: call[3])
+
+
+LIBRARY_CALLS = _library_calls()
+
+
+def test_workloads_calls_are_found():
+    names = {name for name, *_ in LIBRARY_CALLS}
+    assert {"engine.ratio_report", "engine.exact_cost", "audit.run_audit", "learn.estimate_transition"} <= names
+
+
+@pytest.mark.parametrize("name,positional,keywords,line", LIBRARY_CALLS, ids=[f"{c[0]}@{c[3]}" for c in LIBRARY_CALLS])
+def test_workload_call_binds(name, positional, keywords, line):
+    """Each library call of a workload binds to the function's signature
+    with placeholder arguments, and each positional argument fills a
+    parameter without a default, so that a dropped parameter is not hidden
+    by a later parameter's default."""
+    signature = inspect.signature(_resolve(*name.split(".")))
+    bound = signature.bind(*range(positional), **{kw: None for kw in keywords})
+    filled = list(bound.arguments)[:positional]
+    assert all(signature.parameters[p].default is inspect.Parameter.empty for p in filled), (name, line, filled)

@@ -301,24 +301,22 @@ SEED_PARTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(
 @given(
     sparse_chain_specs(n_min=2, n_max=7),
     st.sampled_from(LENGTHS),
-    st.lists(st.tuples(st.integers(min_value=0, max_value=2**31 - 1)) | st.tuples(SEED_PARTS, SEED_PARTS), min_size=1, max_size=3),
+    st.tuples(st.integers(min_value=0, max_value=2**31 - 1)) | st.tuples(SEED_PARTS, SEED_PARTS),
     st.integers(min_value=1, max_value=5),
 )
-def test_sample_trials_rows_match_sample_sequence(chain, T, bases, trials):
-    """Row [r, i] is the trace of uniforms ``[i·T, (i+1)·T)`` of
-    ``default_rng(bases[r])``, page for page with the loop oracle, on chains
+def test_sample_trials_rows_match_sample_sequence(chain, T, base, trials):
+    """Row i is the trace of uniforms ``[i·T, (i+1)·T)`` of
+    ``default_rng(base)``, page for page with the loop oracle, on chains
     with zero entries, across ``sample_sequence``'s chunk edges and for bases
-    of different word counts in one call; row [r, 0] is ``sample_sequence``'s
-    trace from the base, and a second call goes on with the stream."""
-    rngs = [np.random.default_rng(base) for base in bases]
-    first, more = sample_trials(chain, T, rngs, trials), sample_trials(chain, T, rngs, 2)
-    assert first.shape == (len(bases), trials, T) and not first.flags.writeable
-    pages = np.concatenate([first, more], axis=1)
-    for rows, base in zip(pages, bases):
-        u = np.random.default_rng(base).random((trials + 2, T))
-        assert np.array_equal(rows[0], sample_sequence(chain, T, base))
-        for row, uniforms in zip(rows, u):
-            assert np.array_equal(row, loop_pages(chain, uniforms))
+    of one and two words; row 0 is ``sample_sequence``'s trace from the base,
+    and a second call goes on with the stream."""
+    rng = np.random.default_rng(base)
+    first, more = sample_trials(chain, T, rng, trials), sample_trials(chain, T, rng, 2)
+    assert first.shape == (trials, T) and not first.flags.writeable
+    pages = np.concatenate([first, more])
+    assert np.array_equal(pages[0], sample_sequence(chain, T, base))
+    for row, uniforms in zip(pages, np.random.default_rng(base).random((trials + 2, T))):
+        assert np.array_equal(row, loop_pages(chain, uniforms))
 
 
 @pytest.mark.parametrize(
@@ -326,25 +324,26 @@ def test_sample_trials_rows_match_sample_sequence(chain, T, bases, trials):
     [((-1,), [0]), ((3, np.int64(-2)), [0]), ((3,), [-1]), ((3,), [2**32]), ((3,), [0, 2**40]), ((3,), [2**70])],
 )
 def test_trial_uniforms_reject_negative_parts_and_wide_indices(base, trials):
-    """A run seeded ``(*base, *trials)``, the parts that once seeded one
+    """A call seeded ``(*base, *trials)``, the parts that once seeded one
     trial: numpy's ``default_rng`` refuses a negative part with a ValueError
     on the kernel, stamped and generic paths alike. A trial index is no
     longer a seed word, so a part of 2**32 or above is a seed like any other,
-    and every path counts its trials as the loop oracles do."""
+    and every path, beside an LRU rule, counts its trials as the loop
+    oracles do on that seed."""
     seed = (*base, *trials)
     chain, k, T, init, n_trials = random_chain(4, 2), 2, 5, (0, 1), 3
     for policy in (RandomEvictionPolicy(), LruPolicy(), FarthestInFuture()):
-        runs = [(LruPolicy(), 1), (policy, seed)]
         if min(seed) < 0:
             with pytest.raises(ValueError):
-                trial_misses(runs, chain, k, T, init, n_trials)
+                trial_misses([LruPolicy(), policy], chain, k, T, init, n_trials, seed)
             continue
-        got = trial_misses(runs, chain, k, T, init, n_trials)[1]
+        got = trial_misses([LruPolicy(), policy], chain, k, T, init, n_trials, seed)
         if isinstance(policy, RandomEvictionPolicy):
             ref = loop_simulate_kernel(loop_kernel_probs(policy, chain, k), chain, T, init, n_trials, seed)
         else:
             ref = loop_simulate_generic(policy, chain, k, T, init, n_trials, seed)
-        assert np.array_equal(got, ref), policy.name
+        assert np.array_equal(got[1], ref), policy.name
+        assert np.array_equal(got[0], loop_simulate_generic(LruPolicy(), chain, k, T, init, n_trials, seed))
 
 
 def _edge_uniforms(grid):
@@ -435,14 +434,14 @@ def test_uniform_on_a_cumulative_entry_selects_the_next_page():
     pages = sample_sequence(chain, T, seed)
     assert pages[0] == 1 and pages[t0] == 1
     assert np.array_equal(pages, loop_sample_pages(chain, T, seed))
-    assert np.array_equal(sample_trials(chain, T, [np.random.default_rng(seed)], 1)[0, 0], pages)
+    assert np.array_equal(sample_trials(chain, T, np.random.default_rng(seed), 1)[0], pages)
 
 
 def test_sample_trials_empty_horizon():
-    """No requests, and no uniform drawn from either stream."""
-    rngs = [np.random.default_rng(1), np.random.default_rng((2, 3))]
-    assert sample_trials(random_chain(3, 1), 0, rngs, 2).shape == (2, 2, 0)
-    assert rngs[0].random() == np.random.default_rng(1).random()
+    """No requests, and no uniform drawn from the stream."""
+    rng = np.random.default_rng(1)
+    assert sample_trials(random_chain(3, 1), 0, rng, 2).shape == (2, 0)
+    assert rng.random() == np.random.default_rng(1).random()
 
 
 def test_sample_sequence_empty_horizon():
@@ -497,34 +496,40 @@ def test_ratio_report_builds_the_sampling_table_once(monkeypatch):
 
 
 def test_monte_carlo_builds_the_bucket_guide_once_per_call(monkeypatch):
-    """A ``trial_misses`` call places every run's request uniforms, kernel
-    runs included, by one ``grid_cells`` lookup per ``sample_trials`` block,
-    so it builds the guide once per block: once for two kernel runs and an
-    LRU run of 600 trials at T = 30 at n = 4 (52,200 uniforms, past the
-    guide's cut there), once for each run alone, with the same counts, and
-    three times when the trials span three blocks. A three-block
-    ``sample_sequence`` builds it once."""
-    builds = []
-    real = chain_mod._guide
+    """A ``trial_misses`` call draws one trace set per block of trials, by
+    one ``sample_trials`` call whatever its rule count, and places its
+    request uniforms by one ``grid_cells`` lookup, so it builds the guide
+    once per block: once for six rules on every path with 600 trials at
+    T = 30 on n = 4 (17,400 uniforms, past the guide's cut there), once for
+    each rule alone, with the same counts, and three times when the trials
+    span three blocks. A three-block ``sample_sequence`` builds it once."""
+    builds, samples = [], []
+    real_guide, real_sample = chain_mod._guide, engine_mod.sample_trials
 
     def counting(grid, G):
         builds.append(G)
-        return real(grid, G)
+        return real_guide(grid, G)
+
+    def sampling(chain, T, rng, trials):
+        samples.append(trials)
+        return real_sample(chain, T, rng, trials)
 
     monkeypatch.setattr(chain_mod, "_guide", counting)
+    monkeypatch.setattr(engine_mod, "sample_trials", sampling)
     chain = random_chain(4, 3)
-    runs = [(RandomEvictionPolicy(), 1), (MedianPolicy(), 2), (LruPolicy(), 3)]
-    every = trial_misses(runs, chain, 2, 30, (0, 1), 600)
-    assert builds == [128]
-    for run, row in zip(runs, every):
-        assert np.array_equal(trial_misses([run], chain, 2, 30, (0, 1), 600)[0], row)
-    assert builds == [128] * 4
-    # three traces and two eviction arrays of 30 cells per trial: 200 trials a block
-    monkeypatch.setattr(engine_mod, "TRIAL_BLOCK_CELLS", 200 * 30 * 5)
-    assert np.array_equal(trial_misses(runs, chain, 2, 30, (0, 1), 600), every)
+    rules = [RandomEvictionPolicy(), MedianPolicy(), LruPolicy(), FifoPolicy(), FarthestInFuture(), DominatingPolicy()]
+    every = trial_misses(rules, chain, 2, 30, (0, 1), 600, 1)
+    assert builds == [128] and samples == [600]
+    for rule, row in zip(rules, every):
+        assert np.array_equal(trial_misses([rule], chain, 2, 30, (0, 1), 600, 1)[0], row)
     assert builds == [128] * 7
+    # a trace set, an eviction array and two stamped tilings of 30 cells per trial: 200 trials a block
+    monkeypatch.setattr(engine_mod, "TRIAL_BLOCK_CELLS", 200 * 30 * 4)
+    del samples[:]
+    assert np.array_equal(trial_misses(rules, chain, 2, 30, (0, 1), 600, 1), every)
+    assert builds == [128] * 10 and samples == [200] * 3
     sample_sequence(chain, 2 * WALK_BLOCK + 2, 0)
-    assert builds == [128] * 8
+    assert builds == [128] * 11
 
 
 def test_fresh_median_policies_share_one_median_matrix(monkeypatch):

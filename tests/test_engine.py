@@ -82,7 +82,7 @@ def test_kernel_request_on_a_cumulative_entry_is_the_next_page():
     assert u[1] >= 0.5
     ch = validate_chain([[u[1], 1 - u[1]]] * 2, init=[1.0, 0.0])
     assert ch.transition[0, 0] == u[1]
-    assert trial_misses([(RandomEvictionPolicy(), seed)], ch, 1, 2, (0,), 1).tolist() == [[1]]
+    assert trial_misses([RandomEvictionPolicy()], ch, 1, 2, (0,), 1, seed).tolist() == [[1]]
 
 
 def test_pinned_reference_rate_on_warmup_chain():
@@ -133,7 +133,7 @@ def test_kernel_none_for_history_dependent():
     ch = random_chain(6, 3)
     assert build_kernel(FarthestInFuture(), ch, 2) is None
     for pol in (LruPolicy(), FifoPolicy()):
-        trial_misses([(pol, 1)], ch, 3, 20, (0, 1, 2), 5)
+        trial_misses([pol], ch, 3, 20, (0, 1, 2), 5, 1)
     assert subset_index.cache_info().currsize == 0
     assert build_kernel(DominatingPolicy(), ch, 2) is not None
 
@@ -271,17 +271,17 @@ def test_ratio_report_against_exact_baseline():
 
 
 def _per_rule_rows(chain, k, T, names, baseline, trials, seed, init):
-    """``ratio_report``'s rows with one ``simulate`` call per rule, rule i on
-    seed ``(seed, i + 1)`` and a policy baseline on ``(seed, 0)``, and its
-    interval arithmetic written out."""
+    """``ratio_report``'s rows with one ``simulate`` call per rule, and one
+    for a policy baseline, each on the report's seed, and its interval
+    arithmetic written out."""
     if baseline == "opt-dp":
         base_mean, base_ci = opt_expected_cost(chain, k, T, init, record_actions=False)[0], 0.0
     else:
-        est = simulate(parse_policy(baseline), chain, k, T, init, trials, (seed, 0))
+        est = simulate(parse_policy(baseline), chain, k, T, init, trials, seed)
         base_mean, base_ci = est.mean, est.half_width
     rows = []
-    for i, name in enumerate(names):
-        est = simulate(parse_policy(name), chain, k, T, init, trials, (seed, i + 1))
+    for name in names:
+        est = simulate(parse_policy(name), chain, k, T, init, trials, seed)
         top, bottom = base_mean + base_ci, base_mean - base_ci
         low = max(est.mean - est.half_width, 0.0) / top if top > 0 else float("inf")
         high = (est.mean + est.half_width) / bottom if bottom > 0 else float("inf")
@@ -293,13 +293,33 @@ def _per_rule_rows(chain, k, T, names, baseline, trials, seed, init):
 @pytest.mark.parametrize("trials,T", [(300, 25), (1, 25), (40, 0)])
 @pytest.mark.parametrize("names", [("dominating", "median", "random", "lru", "fifo", "fif"), ()])
 def test_ratio_report_rows_equal_per_rule_simulate(baseline, trials, T, names):
-    """Every rule of a report, stepped beside the others in one Monte Carlo
-    call, gives the row that its own ``simulate`` gives: a rule's counts do
-    not depend on which other rules share its report."""
+    """Every rule of a report, on the kernel, stamped and generic paths, and
+    a policy baseline, stepped together in one Monte Carlo call, give the
+    rows that their own ``simulate`` gives on the report's seed, bit for bit:
+    all of them serve the same traces."""
     chain, init = random_chain(5, [8500, 1], floor=0.1), (1, 3)
     policies = [parse_policy(name) for name in names]
     rows = ratio_report(chain, 2, T, policies, baseline if baseline == "opt-dp" else parse_policy(baseline), trials, 7, init)
     assert rows == _per_rule_rows(chain, 2, T, names, baseline, trials, 7, init)
+
+
+@pytest.mark.parametrize("name", ["median", "lru", "fif"])
+def test_a_rule_that_is_also_the_baseline_costs_the_baseline(name):
+    """A report whose policy baseline is also one of its rules serves both
+    the same traces and eviction uniforms, so that row's mean is the
+    baseline's, and its ratio interval holds 1."""
+    chain = random_chain(5, [8500, 2], floor=0.1)
+    rows = ratio_report(chain, 2, 25, [parse_policy("dominating"), parse_policy(name)], parse_policy(name), 300, 3, (0, 1))
+    assert rows[1].mean == rows[1].baseline_mean and rows[1].ci == rows[1].baseline_ci
+    assert rows[1].ratio_low <= 1.0 <= rows[1].ratio_high
+
+
+@pytest.mark.parametrize("baseline", ["lru", "OPT-DP", "opt", ""])
+def test_ratio_report_refuses_a_baseline_name_other_than_opt_dp(baseline):
+    """A baseline string is ``"opt-dp"`` or a ``ValueError`` that names it;
+    a rule's name is not a policy."""
+    with pytest.raises(ValueError, match=f"^baseline must be 'opt-dp' or a policy, got '{baseline}'$"):
+        ratio_report(random_chain(4, 1), 2, 10, [LruPolicy()], baseline, 10, 1, (0, 1))
 
 
 def test_ratio_report_deterministic():
@@ -498,15 +518,21 @@ def test_replay_builds_a_generator_iff_the_rule_has_a_table(monkeypatch):
 
 
 def test_trial_misses_seeds_evictions_for_kernel_runs_only(monkeypatch):
-    """A call with kernel, stamped and generic runs builds each run's
-    request generator and an eviction generator ``(*seed, 1)`` for each
-    kernel run alone."""
+    """A call builds two generators whatever its rule count, the request
+    generator from its seed and, when a table rule runs, one eviction
+    generator ``(*seed, 1)``; with no table rule it builds only the first,
+    and with no rule none."""
     ch = random_chain(5, 14)
-    rules = ["lru", "median", "fif", "fifo", "random", "dominating"]
-    runs = [(parse_policy(name), (90, i)) for i, name in enumerate(rules)]
+    rules = [parse_policy(name) for name in ("lru", "median", "fif", "fifo", "random", "dominating")]
     built = _counting_default_rng(monkeypatch)
-    trial_misses(runs, ch, 2, 12, (0, 1), 7)
-    assert built == [(90, i) for i in range(len(rules))] + [(90, 1, 1), (90, 4, 1), (90, 5, 1)]
+    trial_misses(rules, ch, 2, 12, (0, 1), 7, (90, 3))
+    assert built == [(90, 3), (90, 3, 1)]
+    del built[:]
+    trial_misses([rules[0], rules[2], rules[3]], ch, 2, 12, (0, 1), 7, 90)
+    assert built == [(90,)]
+    del built[:]
+    trial_misses([], ch, 2, 12, (0, 1), 7, 90)
+    assert built == []
 
 
 @pytest.mark.parametrize("make", [DominatingPolicy, FarthestInFuture, LruPolicy])
@@ -637,31 +663,28 @@ SEEDS = st.integers(min_value=0, max_value=2**31 - 1).map(lambda s: (s,)) | st.t
 )
 
 
-def _runs(data, rules):
-    """One drawn rule list, each rule with its own distinct seed."""
-    makes = data.draw(st.lists(st.sampled_from(rules), min_size=1, max_size=5))
-    seeds = data.draw(st.lists(SEEDS, min_size=len(makes), max_size=len(makes), unique=True))
-    return [(make(), seed) for make, seed in zip(makes, seeds)]
+def _rules(data, rules):
+    """One drawn rule list."""
+    return [make() for make in data.draw(st.lists(st.sampled_from(rules), min_size=1, max_size=5))]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sampled_paths_match_per_trial_loop_oracle(data):
     """LRU and FIFO (stamped path) and farthest-in-future (generic path),
-    drawn into one call with a seed each, give every row the per-trial miss
-    counts of the one-trial-at-a-time loop on its own request stream."""
+    drawn into one call, give every row the per-trial miss counts of the
+    one-trial-at-a-time loop on the call's request stream."""
     chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
     k = data.draw(st.sampled_from(sorted({1, chain.n - 1, (chain.n + 1) // 2})))
     T = data.draw(horizons)
     init = data.draw(unsorted_caches(chain.n, k))
     trials = data.draw(st.integers(min_value=1, max_value=12))
-    runs = _runs(data, [LruPolicy, FifoPolicy, FarthestInFuture])
-    got = trial_misses(runs, chain, k, T, init, trials)
-    assert got.shape == (len(runs), trials)
-    for (policy, seed), row in zip(runs, got):
+    rules, seed = _rules(data, [LruPolicy, FifoPolicy, FarthestInFuture]), data.draw(SEEDS)
+    got = trial_misses(rules, chain, k, T, init, trials, seed)
+    assert got.shape == (len(rules), trials)
+    for policy, row in zip(rules, got):
         assert np.array_equal(row, loop_simulate_generic(policy, chain, k, T, init, trials, seed)), policy.name
-    seed = runs[0][1]
-    pages = sample_trials(chain, T, [np.random.default_rng(seed)], trials)[0]
+    pages = sample_trials(chain, T, np.random.default_rng(seed), trials)
     for make in (LruPolicy, FifoPolicy):  # the stamped count, given the unsorted cache itself
         ref = loop_simulate_generic(make(), chain, k, T, init, trials, seed)
         held = _stamped_held(pages, init, np.full(trials, make.stamp_on_hit))
@@ -684,7 +707,7 @@ def test_fif_misses_are_the_offline_optimum(data):
     T = data.draw(st.integers(min_value=0, max_value=len(pages)))
     assert len(replay(FarthestInFuture(), None, k, pages, init, 0, T)) == loop_offline_min_misses(pages[:T].tolist(), init)
     trials, seed = data.draw(st.integers(min_value=1, max_value=6)), data.draw(SEEDS)
-    (got,) = trial_misses([(FarthestInFuture(), seed)], chain, k, T, init, trials)
+    (got,) = trial_misses([FarthestInFuture()], chain, k, T, init, trials, seed)
     requests = np.random.default_rng(seed)
     want = [loop_offline_min_misses(loop_pages(chain, requests.random(T)).tolist(), init) for _ in range(trials)]
     assert got.tolist() == want
@@ -693,12 +716,12 @@ def test_fif_misses_are_the_offline_optimum(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kernel_path_matches_per_trial_loop_oracle(data):
-    """Each run of the kernel path reads its own two streams as the
+    """Every rule of the kernel path reads the call's two streams as the
     one-trial-at-a-time loop does: trial i's requests from uniforms
     ``[i·T, (i+1)·T)`` of ``default_rng(seed)``, and a miss at step t from
     entry [i, t] of the ``(trials, T)`` eviction uniforms of
-    ``default_rng((*seed, 1))``. The rules are drawn into one call with a
-    seed each, beside an LRU run, whose row is the loop's of its path."""
+    ``default_rng((*seed, 1))``. The rules are drawn into one call beside an
+    LRU rule, whose row is the loop's of its path."""
     chain = data.draw(sparse_chain_specs(n_min=2, n_max=7))
     k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
     T = data.draw(horizons)
@@ -711,13 +734,12 @@ def test_kernel_path_matches_per_trial_loop_oracle(data):
         rules.append(DominatingPolicy)
     except SingularSystem:
         pass  # the dominating rule is undefined on this chain
-    runs = _runs(data, rules)
-    lru = (LruPolicy(), data.draw(SEEDS))
-    got = trial_misses(runs + [lru], chain, k, T, init, trials)
-    for (policy, seed), row in zip(runs, got):
+    rules, seed = _rules(data, rules), data.draw(SEEDS)
+    got = trial_misses(rules + [LruPolicy()], chain, k, T, init, trials, seed)
+    for policy, row in zip(rules, got):
         ref = loop_simulate_kernel(build_kernel(policy, chain, k), chain, T, init, trials, seed)
         assert np.array_equal(row, ref), policy.name
-    assert np.array_equal(got[-1], loop_simulate_generic(LruPolicy(), chain, k, T, init, trials, lru[1]))
+    assert np.array_equal(got[-1], loop_simulate_generic(LruPolicy(), chain, k, T, init, trials, seed))
 
 
 @pytest.mark.parametrize("make", [LruPolicy, FifoPolicy])
@@ -725,7 +747,7 @@ def test_batched_path_matches_loop_oracle_on_a_large_cache(make):
     """n = 12, k = 6, where trials rarely revisit one of the 665,280 ordered caches."""
     chain = random_chain(12, [8200, 1])
     init, trials, T, seed = (0, 2, 4, 6, 8, 10), 20, 200, (11,)
-    (got,) = trial_misses([(make(), seed)], chain, 6, T, init, trials)
+    (got,) = trial_misses([make()], chain, 6, T, init, trials, seed)
     assert np.array_equal(got, loop_simulate_generic(make(), chain, 6, T, init, trials, seed))
 
 
@@ -760,7 +782,7 @@ def test_trial_misses_checks_the_cache_once(monkeypatch, make, trials):
 
     monkeypatch.setattr(optdp, "check_cache", counting)
     monkeypatch.setattr(engine, "check_cache", counting)
-    trial_misses([(make(), 3)], random_chain(5, 2), 2, 12, (4, 1), trials)
+    trial_misses([make()], random_chain(5, 2), 2, 12, (4, 1), trials, 3)
     assert len(calls) == 1
 
 
@@ -799,10 +821,10 @@ def test_horizon_rule_on_every_path(make):
 
 
 def test_no_runs_give_an_empty_count_array():
-    """No runs, and a report with no rules: a ``(0, trials)`` array, with no
-    block sized by dividing by the zero run count."""
+    """No rules, and a report with no rules: a ``(0, trials)`` array, and
+    nothing sampled."""
     ch = random_chain(4, 8)
-    assert trial_misses([], ch, 2, 10, (0, 1), 5).shape == (0, 5)
+    assert trial_misses([], ch, 2, 10, (0, 1), 5, 1).shape == (0, 5)
     assert ratio_report(ch, 2, 10, [], "opt-dp", 5, 1, (0, 1)) == []
 
 
@@ -819,9 +841,9 @@ def test_horizon_rule_on_exact_paths():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_run_counts_do_not_depend_on_blocks_or_trial_count(data):
-    """One call with a kernel, a stamped and a generic run: blocks of 1 and
+    """One call with a kernel, a stamped and a generic rule: blocks of 1 and
     3 trials give the default block's counts, the first m of M trials are
-    the m-trial counts, and a run's first trace is ``sample_sequence``'s
+    the m-trial counts, and the call's first trace is ``sample_sequence``'s
     from its seed."""
     chain = data.draw(sparse_chain_specs(n_min=2, n_max=6))
     k = data.draw(st.integers(min_value=1, max_value=chain.n - 1))
@@ -830,14 +852,12 @@ def test_run_counts_do_not_depend_on_blocks_or_trial_count(data):
     M = data.draw(st.integers(min_value=1, max_value=9))
     m = data.draw(st.integers(min_value=1, max_value=M))
     makes = [data.draw(st.sampled_from(rules)) for rules in ([MedianPolicy, RandomEvictionPolicy], [LruPolicy, FifoPolicy], [FarthestInFuture])]
-    seeds = data.draw(st.lists(SEEDS, min_size=3, max_size=3, unique=True))
-    runs = [(make(), seed) for make, seed in zip(makes, seeds)]
-    got = trial_misses(runs, chain, k, T, init, M)
-    assert np.array_equal(trial_misses(runs, chain, k, T, init, m), got[:, :m])
+    rules, seed = [make() for make in makes], data.draw(SEEDS)
+    got = trial_misses(rules, chain, k, T, init, M, seed)
+    assert np.array_equal(trial_misses(rules, chain, k, T, init, m, seed), got[:, :m])
     with pytest.MonkeyPatch.context() as patch:
         for block in (1, 3):
-            # three traces and one kernel run's eviction uniforms per trial
-            patch.setattr(engine, "TRIAL_BLOCK_CELLS", block * max(T, 1) * 4)
-            assert np.array_equal(trial_misses(runs, chain, k, T, init, M), got), block
-    for seed in seeds:
-        assert np.array_equal(sample_trials(chain, T, [np.random.default_rng(seed)], M)[0, 0], sample_sequence(chain, T, seed))
+            # a trace set, an eviction array and one stamped tiling per trial
+            patch.setattr(engine, "TRIAL_BLOCK_CELLS", block * max(T, 1) * 3)
+            assert np.array_equal(trial_misses(rules, chain, k, T, init, M, seed), got), block
+    assert np.array_equal(sample_trials(chain, T, np.random.default_rng(seed), M)[0], sample_sequence(chain, T, seed))

@@ -67,7 +67,7 @@ def _chain_lines(label, chain) -> list[str]:
             cost = _item(lambda: repr(exact_cost(parse_policy(rule), chain, k, 30, init).mean))
             lines.append(f"{head} exact_cost[{rule}] T=30 {cost}")
         for rule in TRIAL_RULES:
-            misses = _item(lambda: _digest(trial_misses([(parse_policy(rule), [8402, chain.n, k])], chain, k, 20, init, 64)[0]))
+            misses = _item(lambda: _digest(trial_misses([parse_policy(rule)], chain, k, 20, init, 64, [8402, chain.n, k])[0]))
             lines.append(f"{head} trial_misses[{rule}] T=20 trials=64 {misses}")
     return lines
 
@@ -79,10 +79,10 @@ def _sampling_lines() -> list[str]:
         for T in (1, 2, 1024, 1025, 65538):
             lines.append(f"sample_sequence n={n} T={T} {_digest(sample_sequence(chain, T, [8404, n, T]))}")
         for T, trials in ((5, 200), (12, 200)):  # 800 and 2,200 transition uniforms
-            pages = sample_trials(chain, T, [np.random.default_rng((8405, n))], trials)[0]
+            pages = sample_trials(chain, T, np.random.default_rng((8405, n)), trials)
             lines.append(f"sample_trials n={n} T={T} trials={trials} {_digest(pages)}")
         for trials in (64, 1100):  # kernel-path steps on either side of 1,024 uniforms
-            misses = trial_misses([(parse_policy("random"), [8406, n])], chain, 2, 20, (0, 1), trials)[0]
+            misses = trial_misses([parse_policy("random")], chain, 2, 20, (0, 1), trials, [8406, n])[0]
             lines.append(f"trial_misses[random] n={n} T=20 trials={trials} {_digest(misses)}")
     # long traces on which nearly every chunk's paths meet, and few do
     for label, chain in (("floor=0.3", random_chain(12, [8403, 12], floor=0.3)), ("sticky=0.99", sticky_chain(12, 0.99))):
